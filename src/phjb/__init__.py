@@ -36,7 +36,6 @@ from .value import (
     cost_J,
     hamiltonian,
     optimal_control,
-    rollout,
     value_dpp,
     verify_dpp_consistency,
     verify_value_regularity,

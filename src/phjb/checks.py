@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Coefficients, ControlSignal, mild_solve
+from .dynamics import Coefficients, ControlSignal, mild_solve, step_once
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
 from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, vertical_bump
@@ -166,6 +166,8 @@ def build_net(
     at every node and coordinate, and seeded Gaussian wiggles of the
     extensions at several radii. Premise scans run over this net.
     """
+    if abs(grid.step - point.step) > GRID_TOL:
+        raise ValueError(f"grid step {grid.step} differs from point step {point.step}")
     rng = np.random.default_rng(seed)
     space = point.space
     h = grid.step
@@ -178,11 +180,7 @@ def build_net(
     # control tree, breadth-first, capped
     level = [point]
     while level and level[0].horizon < grid.T - GRID_TOL:
-        nxt = []
-        for p in level:
-            for u in coeffs.control_set:
-                sig = ControlSignal.constant(u, p.horizon, p.horizon + h, h)
-                nxt.append(mild_solve(coeffs, p, sig))
+        nxt = [step_once(coeffs, p, u) for p in level for u in coeffs.control_set]
         if len(net) + len(nxt) > tree_budget:
             break
         net.extend(nxt)

@@ -101,7 +101,7 @@ def _run_dpp(cfg: RunConfig) -> CheckRecord:
     residuals = verify_dpp_consistency(
         sc.coefficients, sc.initial, sc.grid, table=table
     )
-    _, _, traj = optimal_control(sc.coefficients, sc.initial, sc.grid, budget=cfg.budget)
+    _, traj = table.policy(sc.initial)
     terminal_gap = abs(table.value(traj) - float(sc.coefficients.terminal_cost(traj)))
     worst = max(residuals.values(), default=0.0)
     tol = cfg.tolerances["residual"]
@@ -343,7 +343,9 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         c in ("viscosity", "classical") for c in selected
     ):
         click.echo(
-            "error: invalid config: feedback has no certificate library", err=True
+            "error: invalid config: checks: feedback has no certificate library; "
+            "viscosity/classical unavailable",
+            err=True,
         )
         return EXIT_VALIDATION
 

@@ -39,9 +39,7 @@ _PERTURBATIONS = ("phi_shift", "q_shift", "drift_shift")
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,
     "viscosity": 1e-3,
-    "ito": 1e-8,
     "margin_c0": 2.0,
-    "hyp_ratio": 1e-9,
 }
 
 
@@ -179,10 +177,6 @@ def parse_config(
     for c in checks_doc:
         if c not in KNOWN_CHECKS:
             raise ConfigError("checks", f"unknown check {c!r}")
-    if sc.name == "feedback" and ("viscosity" in checks_doc or "classical" in checks_doc):
-        raise ConfigError(
-            "checks", "feedback has no certificate library; viscosity/classical unavailable"
-        )
 
     eps_doc = doc.get("epsilons", ["0.1", "0.05", "0.025"])
     if not isinstance(eps_doc, list) or not eps_doc:

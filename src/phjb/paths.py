@@ -144,12 +144,6 @@ class Path:
             raise ValueError(f"time {t} beyond horizon {self.horizon}")
         return Path(self.space, self.step, self.samples[: k + 1])
 
-    def with_endpoint(self, value) -> "Path":
-        v = self.space.check_vector(value)
-        arr = self.samples.copy()
-        arr[-1] = v
-        return Path(self.space, self.step, arr)
-
     def signature(self) -> bytes:
         """Exact bytes of the sample block; used for memo keys."""
         return self.samples.tobytes()

@@ -97,15 +97,6 @@ class TestFunctionPhi:
     # common constructors ------------------------------------------------
 
     @staticmethod
-    def constant(c: float, dim: int, label: str = "const") -> "TestFunctionPhi":
-        return TestFunctionPhi(
-            value=lambda g: c,
-            dt=lambda g: 0.0,
-            dx=lambda g: np.zeros(dim),
-            label=label,
-        )
-
-    @staticmethod
     def linear_endpoint(w, c: float = 0.0, label: str = "linear") -> "TestFunctionPhi":
         """g -> (w, gamma(t)) + c."""
         w = np.asarray(w, dtype=float)

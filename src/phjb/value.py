@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Coefficients, ControlSignal, step_once
-from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, sup_norm
+from .dynamics import Coefficients, ControlSignal, mild_solve, random_prefix, step_once
+from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, sup_norm, vertical_bump
 from .hilbert import SpectralSpace
 
 __all__ = [
     "cost_J",
-    "rollout",
     "hamiltonian",
     "ValueTable",
     "value_dpp",
@@ -36,29 +35,21 @@ def _interval_cost(c: Coefficients, prefix: Path, nxt: Path, u) -> float:
     return 0.5 * h * (float(c.running_cost(prefix, u)) + float(c.running_cost(nxt, u)))
 
 
-def rollout(c: Coefficients, g: Path, u: ControlSignal) -> tuple[Path, float]:
-    """Integrate under u and return (trajectory, total cost).
-
-    The total is terminal cost plus per-interval trapezoids of the running
-    cost, summed tail-first so it reproduces the value recursion exactly.
-    """
-    if abs(u.start - g.horizon) > GRID_TOL * max(1.0, g.horizon):
-        raise ValueError(f"control starts at {u.start}, prefix ends at {g.horizon}")
-    x = g
-    pieces = []
-    for uk in u.values:
-        nxt = step_once(c, x, uk)
-        pieces.append(_interval_cost(c, x, nxt, uk))
-        x = nxt
-    total = float(c.terminal_cost(x))
-    for piece in reversed(pieces):
-        total = piece + total
-    return x, total
-
-
 def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
-    """J(gamma_t; u): running cost trapezoids plus terminal cost."""
-    return rollout(c, g, u)[1]
+    """J(gamma_t; u): running cost trapezoids plus terminal cost.
+
+    The trapezoids are summed tail-first over the prefixes of the mild
+    solution, so the cost reproduces the value recursion exactly.
+    """
+    traj = mild_solve(c, g, u)
+    nodes = [
+        Path(traj.space, traj.step, traj.samples[:k])
+        for k in range(g.n_nodes, traj.n_nodes + 1)
+    ]
+    total = float(c.terminal_cost(traj))
+    for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
+        total = _interval_cost(c, prefix, nxt, uk) + total
+    return total
 
 
 def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
@@ -155,15 +146,15 @@ class ValueTable:
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
 
-    def policy(self, g: Path) -> tuple:
-        """Optimal control sequence from g to T, following stored argmins."""
+    def policy(self, g: Path) -> tuple[tuple, Path]:
+        """Optimal controls from g to T and their trajectory, following stored argmins."""
         controls = []
         x = g
         while x.n_nodes - 1 < self.grid.n_steps:
             _, u = self.entry(x)
             controls.append(u)
             x = step_once(self.c, x, u)
-        return tuple(controls)
+        return tuple(controls), x
 
 
 def value_dpp(
@@ -187,12 +178,8 @@ def optimal_control(
     """Value, an optimal control signal, and its trajectory."""
     table = ValueTable(c, grid, **kw)
     v = table.value(g)
-    controls = table.policy(g)
-    sig = ControlSignal(g.horizon, g.step, controls)
-    traj = g
-    for u in controls:
-        traj = step_once(c, traj, u)
-    return v, sig, traj
+    controls, traj = table.policy(g)
+    return v, ControlSignal(g.horizon, g.step, controls), traj
 
 
 def verify_dpp_consistency(
@@ -206,10 +193,18 @@ def verify_dpp_consistency(
     """Residuals |V(gamma_t) - min_u [ sum costs + V(X_s) ]| at every grid s.
 
     The inner minimum enumerates control assignments on [t, s] explicitly and
-    accumulates tail-first, matching the recursion's association.
+    accumulates tail-first, matching the recursion's association. The
+    width^steps_left leaves are refused up front beyond the table's budget.
     """
     if table is None:
         table = ValueTable(c, grid, budget=budget)
+    width = len(c.control_set)
+    steps_left = grid.n_steps - (g.n_nodes - 1)
+    if width**steps_left > table.budget:
+        raise BudgetExceeded(
+            f"{width}^{steps_left} control sequences to enumerate exceed budget "
+            f"{table.budget}; coarsen the grid"
+        )
     v0 = table.value(g)
     residuals = {}
     # enumerate level by level so every intermediate horizon is covered
@@ -269,8 +264,6 @@ def verify_value_regularity(
       time:     max |V(ext gamma to tbar) - V(gamma_t)| / ((1 + ||gamma||_0)(tbar - t))
     Pass `paths` to pin the sample set (used for grid-refinement stability).
     """
-    from .dynamics import random_prefix  # local to avoid cycle at import time
-
     rng = np.random.default_rng(seed)
     table = ValueTable(c, grid, budget=budget)
     if paths is None:
@@ -284,7 +277,7 @@ def verify_value_regularity(
         consts["growth"] = max(consts["growth"], abs(vg) / (1.0 + ng))
         # vertical companion at the same horizon
         bump = rng.normal(0.0, scale, size=space.dim)
-        eta = Path(space, grid.step, np.vstack([g.samples[:-1], (g.endpoint + bump)[None, :]]))
+        eta = vertical_bump(g, bump)
         gap = sup_norm(g - eta)
         if gap > 1e-12:
             consts["space"] = max(consts["space"], abs(vg - table.value(eta)) / gap)

@@ -66,6 +66,8 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"tolerances": {"slack": "0.1"}},
         {"comment": "unknown top-level keys are rejected"},
         {"epsilons": ["-0.1"]},
+        {"tolerances": {"ito": "1e-8"}},
+        {"tolerances": {"hyp_ratio": "1e-9"}},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):
@@ -73,11 +75,16 @@ def test_validation_failures_exit_three(runner, tmp_path, overrides):
     assert res.exit_code == 3, res.output
 
 
-def test_feedback_has_no_certificates(runner):
+def test_feedback_has_no_certificates(runner, tmp_path):
     res = runner.invoke(main, ["check-viscosity", str(CONFIGS / "feedback.json")])
     assert res.exit_code == 3
     res = runner.invoke(main, ["check-classical", str(CONFIGS / "feedback.json")])
     assert res.exit_code == 3
+    for check in ("viscosity", "classical"):
+        doc = _doc("feedback.json", checks=["value", check])
+        res = runner.invoke(main, ["run", _write(tmp_path, doc)])
+        assert res.exit_code == 3, res.output
+        assert "viscosity/classical unavailable" in res.output
 
 
 def test_failed_check_exits_one(runner, tmp_path):

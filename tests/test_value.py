@@ -45,7 +45,7 @@ def brute_force_value(c, g, grid):
     return best
 
 
-# rollout and costs ------------------------------------------------------
+# costs ------------------------------------------------------------------
 
 
 def test_rollout_cost_matches_hand_value():
@@ -56,6 +56,13 @@ def test_rollout_cost_matches_hand_value():
     assert cost_J(sc.coefficients, g, u) == pytest.approx(0.5, abs=1e-12)
     u0 = ControlSignal.constant(0.0, 0.0, 1.0, sc.grid.step)
     assert cost_J(sc.coefficients, g, u0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_cost_refuses_a_control_step_off_the_path_step():
+    sc = eikonal()
+    # two steps of 0.5 end at T = 1; stepping them at the path's 0.25 would not
+    with pytest.raises(ValueError, match="step"):
+        cost_J(sc.coefficients, sc.initial, ControlSignal(0.0, 0.5, (1.0, 1.0)))
 
 
 def test_hamiltonian_argmax_and_minimize():
@@ -162,6 +169,16 @@ def test_optimal_control_cost_matches_value():
     assert traj.horizon == pytest.approx(sc.grid.T)
 
 
+def test_policy_trajectory_ends_at_the_optimal_terminal_cost():
+    sc = runmax()
+    table = ValueTable(sc.coefficients, sc.grid)
+    controls, traj = table.policy(sc.initial)
+    assert len(controls) == sc.grid.n_steps - (sc.initial.n_nodes - 1)
+    assert table.value(traj) == float(sc.coefficients.terminal_cost(traj))
+    sig = ControlSignal(sc.initial.horizon, sc.grid.step, controls)
+    assert cost_J(sc.coefficients, sc.initial, sig) == table.value(sc.initial)
+
+
 # memoization and budget -------------------------------------------------
 
 
@@ -190,6 +207,15 @@ def test_budget_guard_also_watches_memo_growth():
     sc = eikonal(step=1.0 / 16)
     with pytest.raises(BudgetExceeded):
         value_dpp(sc.coefficients, sc.initial, sc.grid, budget=10)
+
+
+def test_dpp_enumeration_is_refused_beyond_the_budget():
+    sc = eikonal(step=1.0 / 8)
+    table = ValueTable(sc.coefficients, sc.grid, budget=1000)
+    assert table.value(sc.initial) == 0.0
+    assert len(table.memo) <= 1000  # the recursion fits, 3^8 leaves do not
+    with pytest.raises(BudgetExceeded, match="3\\^8"):
+        verify_dpp_consistency(sc.coefficients, sc.initial, sc.grid, table=table)
 
 
 def test_smaller_control_set_never_beats_larger():
