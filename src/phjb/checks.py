@@ -193,7 +193,7 @@ def build_net(
                 for sign in (1.0, -1.0):
                     samples = point.samples.copy()
                     samples[j, k] += sign * d
-                    net.append(Path.from_samples(space, h, samples))
+                    net.append(Path(space, h, samples))
 
     # seeded wiggles of the extensions
     for s in grid.times:
@@ -203,7 +203,7 @@ def build_net(
         for r in radii:
             for _ in range(n_wiggles):
                 noise = rng.normal(scale=r, size=base.samples.shape)
-                net.append(Path.from_samples(space, h, base.samples + noise))
+                net.append(Path(space, h, base.samples + noise))
     return net
 
 
@@ -443,15 +443,19 @@ def stability_experiment(
     *,
     budget: int = 10**6,
     tol: float = 1e-9,
+    table: Optional[ValueTable] = None,
 ) -> StabilityResult:
     """Value gaps under coefficient shifts against their oracles.
 
     phi_shift: gap is eps exactly. q_shift: gap is eps * (T - t) exactly.
     drift_shift: |gap| <= e^{LT} eps with L of the base family, and gaps
-    shrink with eps at every point.
+    shrink with eps at every point. `table`, if given, holds the values of
+    the unperturbed coefficients.
     """
     epsilons = tuple(float(e) for e in epsilons)
-    base_table = ValueTable(coeffs, grid, budget=budget)
+    base_table = table
+    if base_table is None:
+        base_table = ValueTable(coeffs, grid, budget=budget)
     rows = []
     ok = True
     gaps = {}  # (point index, eps) -> gap

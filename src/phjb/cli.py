@@ -7,6 +7,7 @@ but failed validation.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -46,7 +47,7 @@ EXIT_VALIDATION = 3
 # check runners ---------------------------------------------------------
 
 
-def _run_hypothesis(cfg: RunConfig) -> CheckRecord:
+def _run_hypothesis(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     rep = validate_hypothesis(
         sc.coefficients, sc.space, sc.grid, n_pairs=200, seed=cfg.seed
@@ -60,7 +61,7 @@ def _run_hypothesis(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_estimates(cfg: RunConfig) -> CheckRecord:
+def _run_estimates(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     rep = verify_state_estimates(
         sc.coefficients, sc.space, sc.grid, n_samples=100, seed=cfg.seed
@@ -73,10 +74,10 @@ def _run_estimates(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_value(cfg: RunConfig) -> CheckRecord:
+def _run_value(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     v, sig, traj = optimal_control(
-        sc.coefficients, sc.initial, sc.grid, budget=cfg.budget
+        sc.coefficients, sc.initial, sc.grid, table=value_table()
     )
     summary = {"value": v, "horizon": sc.initial.horizon}
     passed = bool(np.isfinite(v))
@@ -95,9 +96,9 @@ def _run_value(cfg: RunConfig) -> CheckRecord:
     return CheckRecord(name="value", passed=passed, summary=summary, rows=rows)
 
 
-def _run_dpp(cfg: RunConfig) -> CheckRecord:
+def _run_dpp(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    table = ValueTable(sc.coefficients, sc.grid, budget=cfg.budget)
+    table = value_table()
     residuals = verify_dpp_consistency(
         sc.coefficients, sc.initial, sc.grid, table=table
     )
@@ -113,10 +114,10 @@ def _run_dpp(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_regularity(cfg: RunConfig) -> CheckRecord:
+def _run_regularity(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     rep = verify_value_regularity(
-        sc.coefficients, sc.space, sc.grid, seed=cfg.seed, budget=cfg.budget
+        sc.coefficients, sc.space, sc.grid, seed=cfg.seed, table=value_table()
     )
     return CheckRecord(
         name="regularity",
@@ -126,7 +127,7 @@ def _run_regularity(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_ito(cfg: RunConfig) -> CheckRecord:
+def _run_ito(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     space, grid = sc.space, sc.grid
     g0 = Path.constant(space, grid.step, sc.initial.samples[0], horizon=0.0)
@@ -157,7 +158,7 @@ def _run_ito(cfg: RunConfig) -> CheckRecord:
     return CheckRecord(name="ito", passed=ok, summary={}, rows=rows)
 
 
-def _run_gauge(cfg: RunConfig) -> CheckRecord:
+def _run_gauge(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     rng = np.random.default_rng(cfg.seed)
     space, grid, c = sc.space, sc.grid, sc.coefficients
@@ -188,16 +189,14 @@ def _run_gauge(cfg: RunConfig) -> CheckRecord:
 def _walk(rng, space, step, n_nodes, scale) -> Path:
     start = rng.normal(0.0, scale, size=(1, space.dim))
     if n_nodes == 1:
-        return Path.from_samples(space, step, start)
+        return Path(space, step, start)
     steps = rng.normal(0.0, scale * np.sqrt(step), size=(n_nodes - 1, space.dim))
-    return Path.from_samples(
-        space, step, np.vstack([start, start + np.cumsum(steps, axis=0)])
-    )
+    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
 
 
-def _run_viscosity(cfg: RunConfig) -> CheckRecord:
+def _run_viscosity(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    table = ValueTable(sc.coefficients, sc.grid, budget=cfg.budget)
+    value = value_table().value
     tol = cfg.tolerances["viscosity"]
     rows, ok = [], True
     for tp in touching_points(sc):
@@ -207,7 +206,7 @@ def _run_viscosity(cfg: RunConfig) -> CheckRecord:
             ("super", tp.phi_super, tp.pack_super),
         ):
             r = viscosity_check(
-                table.value, sc.coefficients, tp.point, phi, pack, side,
+                value, sc.coefficients, tp.point, phi, pack, side,
                 net=net, tol=tol, label=tp.label,
             )
             rows.append(
@@ -226,7 +225,7 @@ def _run_viscosity(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_classical(cfg: RunConfig) -> CheckRecord:
+def _run_classical(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     w, points = classical_candidate(sc)
     res = classical_check(
@@ -240,7 +239,7 @@ def _run_classical(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_stability(cfg: RunConfig) -> CheckRecord:
+def _run_stability(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     res = stability_experiment(
         sc.coefficients,
@@ -250,6 +249,7 @@ def _run_stability(cfg: RunConfig) -> CheckRecord:
         [sc.initial],
         budget=cfg.budget,
         tol=cfg.tolerances["residual"],
+        table=value_table(),
     )
     summary = {"kind": res.kind, "monotone_ok": res.monotone_ok}
     passed = res.passed
@@ -258,11 +258,11 @@ def _run_stability(cfg: RunConfig) -> CheckRecord:
         pts = touching_points(sc)
         if pts:
             tp = pts[0]
-            table = ValueTable(sc.coefficients, sc.grid, budget=cfg.budget)
             net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
             lim = viscosity_check(
-                table.value, sc.coefficients, tp.point, tp.phi_sub, tp.pack_sub,
-                "sub", net=net, tol=cfg.tolerances["viscosity"],
+                value_table().value, sc.coefficients, tp.point,
+                tp.phi_sub, tp.pack_sub, "sub",
+                net=net, tol=cfg.tolerances["viscosity"],
             )
             summary["limit_point_ok"] = lim.passed
             passed = passed and lim.passed
@@ -271,7 +271,7 @@ def _run_stability(cfg: RunConfig) -> CheckRecord:
     )
 
 
-def _run_bp(cfg: RunConfig) -> CheckRecord:
+def _run_bp(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     start = sc.initial
     net = build_net(sc.coefficients, start, sc.grid, seed=cfg.seed)
@@ -349,12 +349,19 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         )
         return EXIT_VALIDATION
 
+    sc = cfg.scenario
+    # one value table per run, built on first use; a check that runs it out of
+    # budget drops it, so the next check starts from an empty memo
+    value_table = functools.cache(
+        lambda: ValueTable(sc.coefficients, sc.grid, budget=cfg.budget)
+    )
     t_start = time.perf_counter()
     records = []
     for name in selected:
         try:
-            records.append(_RUNNERS[name](cfg))
+            records.append(_RUNNERS[name](cfg, value_table))
         except BudgetExceeded as exc:
+            value_table.cache_clear()
             records.append(
                 CheckRecord(name=name, passed=False, summary={"error": str(exc)})
             )

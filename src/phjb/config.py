@@ -146,7 +146,7 @@ def parse_config(
                     f"need shape (k, {sc.space.dim}), got {samples.shape}",
                 )
             try:
-                initial = Path.from_samples(sc.space, sc.grid.step, samples)
+                initial = Path(sc.space, sc.grid.step, samples)
             except ValueError as exc:
                 raise ConfigError("initial.samples", str(exc)) from None
         elif "constant" in init_doc:

@@ -18,7 +18,15 @@ from typing import Callable, Hashable, Optional, Sequence
 import numpy as np
 
 from .hilbert import SpectralSpace
-from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, metric_d_infty, sup_norm
+from .paths import (
+    GRID_TOL,
+    Path,
+    TimeGrid,
+    all_finite,
+    extend_semigroup,
+    metric_d_infty,
+    sup_norm,
+)
 
 __all__ = [
     "Coefficients",
@@ -101,17 +109,13 @@ class ControlSignal:
         return ControlSignal(start, step, (u,) * n)
 
 
-def _append(prefix: Path, x_new: np.ndarray) -> Path:
-    return Path(prefix.space, prefix.step, np.vstack([prefix.samples, x_new[None, :]]))
-
-
 def _checked_drift(c: Coefficients, prefix: Path, u) -> np.ndarray:
     f = np.asarray(c.drift(prefix, u), dtype=np.float64)
     if f.shape != (prefix.space.dim,):
         raise ValueError(
             f"drift returned shape {f.shape}, expected ({prefix.space.dim},)"
         )
-    if not np.all(np.isfinite(f)):
+    if not all_finite(f):
         raise ValueError(
             f"non-finite drift at t={prefix.horizon} with control {u!r}, "
             f"endpoint {prefix.endpoint!r}"
@@ -119,36 +123,22 @@ def _checked_drift(c: Coefficients, prefix: Path, u) -> np.ndarray:
     return f
 
 
-def step_once(
-    c: Coefficients,
-    prefix: Path,
-    u,
-    *,
-    picard: bool = False,
-    picard_tol: float = 1e-10,
-    picard_cap: int = 100,
-) -> Path:
-    """Advance the mild solution by one grid step under a frozen control."""
+def step_once(c: Coefficients, prefix: Path, u) -> Path:
+    """Advance the mild solution by one grid step under a frozen control.
+
+    Only the predictor and the new sample are validated; the prefix already is.
+    """
     h = prefix.step
     E = prefix.space.semigroup_factors(h)
-    x = prefix.endpoint
+    x = prefix.samples[-1]
     f0 = _checked_drift(c, prefix, u)
-    drift_part = E * x
     pred = E * (x + h * f0)
-    f1 = _checked_drift(c, _append(prefix, pred), u)
-    x1 = drift_part + 0.5 * h * (E * f0 + f1)
-    if picard:
-        for _ in range(picard_cap):
-            f1 = _checked_drift(c, _append(prefix, x1), u)
-            x2 = drift_part + 0.5 * h * (E * f0 + f1)
-            if np.linalg.norm(x2 - x1) <= picard_tol:
-                x1 = x2
-                break
-            x1 = x2
-    return _append(prefix, x1)
+    f1 = _checked_drift(c, prefix._extended(pred[None, :]), u)
+    x1 = E * x + 0.5 * h * (E * f0 + f1)
+    return prefix._extended(x1[None, :])
 
 
-def mild_solve(c: Coefficients, g: Path, u: ControlSignal, *, picard: bool = False) -> Path:
+def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
     """Integrate the controlled state from the prefix g out to u.end."""
     if abs(u.start - g.horizon) > GRID_TOL * max(1.0, g.horizon):
         raise ValueError(f"control starts at {u.start}, prefix ends at {g.horizon}")
@@ -156,7 +146,7 @@ def mild_solve(c: Coefficients, g: Path, u: ControlSignal, *, picard: bool = Fal
         raise ValueError(f"control step {u.step} differs from path step {g.step}")
     x = g
     for uk in u.values:
-        x = step_once(c, x, uk, picard=picard)
+        x = step_once(c, x, uk)
     return x
 
 

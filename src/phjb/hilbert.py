@@ -8,6 +8,7 @@ A is self-adjoint (A* = A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,8 @@ class SpectralSpace:
 
     dim: int
     eigenvalues: np.ndarray = field(repr=False)
+    # semigroup_factors(t) by t, computed once each
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -52,7 +55,7 @@ class SpectralSpace:
             raise ValueError(f"vector shape {x.shape}, expected ({self.dim},)")
         return x
 
-    @property
+    @cached_property
     def is_zero_generator(self) -> bool:
         return bool(np.all(self.eigenvalues == 0.0))
 
@@ -66,10 +69,15 @@ class SpectralSpace:
         return x * np.exp(self.eigenvalues * t)
 
     def semigroup_factors(self, t: float) -> np.ndarray:
-        """The diagonal of e^{tA} as a vector, for vectorized evolution."""
-        if t < 0.0:
-            raise ValueError(f"semigroup time must be >= 0, got {t}")
-        return np.exp(self.eigenvalues * t)
+        """The diagonal of e^{tA} as a read-only vector, computed once per t."""
+        E = self._factors.get(t)
+        if E is None:
+            if t < 0.0:
+                raise ValueError(f"semigroup time must be >= 0, got {t}")
+            E = np.exp(self.eigenvalues * t)
+            E.flags.writeable = False
+            self._factors[t] = E
+        return E
 
     def yosida_apply(self, mu: float, x) -> np.ndarray:
         """Yosida approximation A_mu x = mu A (mu - A)^{-1} x.

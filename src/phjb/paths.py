@@ -9,7 +9,9 @@ deliberately out of scope and results are grid-resolution dependent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +34,17 @@ __all__ = [
 
 # tolerance for "time lies on the grid" checks
 GRID_TOL = 1e-12
+
+# up to this many values, all_finite tests them one by one in Python, which
+# costs a fraction of numpy's reduction call on the few values of one step
+_SCALAR_FINITE_MAX = 16
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() for a float array, fast on small ones."""
+    if a.size <= _SCALAR_FINITE_MAX:
+        return all(map(math.isfinite, a.ravel().tolist()))
+    return bool(np.isfinite(a).all())
 
 
 def grid_index(t: float, step: float, *, what: str = "time") -> int:
@@ -56,7 +69,7 @@ class TimeGrid:
             raise ValueError(f"T must be > 0, got {self.T}")
         grid_index(self.T, self.step, what="T")
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
         return grid_index(self.T, self.step, what="T")
 
@@ -91,16 +104,34 @@ class Path:
             raise ValueError(
                 f"samples shape {arr.shape}, expected (k+1, {self.space.dim})"
             )
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     # -- constructors ----------------------------------------------------
 
-    @staticmethod
-    def from_samples(space: SpectralSpace, step: float, samples) -> "Path":
-        return Path(space, step, samples)
+    def _extended(self, rows: np.ndarray) -> "Path":
+        """This path followed by the (m, dim) block `rows`, validating only `rows`.
+
+        The prefix already holds finite, read-only float64 samples, so it is
+        copied into the new buffer without the full copy and rescan that
+        `__post_init__` would make.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        old = self.samples
+        n, dim = old.shape
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise ValueError(f"new samples shape {rows.shape}, expected (m, {dim})")
+        if not all_finite(rows):
+            raise ValueError("samples must be finite")
+        arr = np.empty((n + rows.shape[0], dim))
+        arr[:n] = old
+        arr[n:] = rows
+        arr.flags.writeable = False
+        out = object.__new__(Path)
+        out.__dict__.update(space=self.space, step=self.step, samples=arr)
+        return out
 
     @staticmethod
     def constant(space: SpectralSpace, step: float, value, horizon: float) -> "Path":
@@ -198,8 +229,7 @@ def extend_flat(g: Path, tbar: float) -> Path:
         raise ValueError(f"tbar {tbar} precedes horizon {g.horizon}")
     if k_new == k_old:
         return g
-    tail = np.tile(g.endpoint, (k_new - k_old, 1))
-    return Path(g.space, g.step, np.vstack([g.samples, tail]))
+    return g._extended(g.samples[-1:].repeat(k_new - k_old, axis=0))
 
 
 def extend_semigroup(g: Path, tbar: float) -> Path:
@@ -214,16 +244,24 @@ def extend_semigroup(g: Path, tbar: float) -> Path:
         return extend_flat(g, tbar)
     j = np.arange(1, k_new - k_old + 1)
     factors = np.exp(np.outer(j * g.step, g.space.eigenvalues))
-    tail = factors * g.endpoint
-    return Path(g.space, g.step, np.vstack([g.samples, tail]))
+    return g._extended(factors * g.endpoint)
 
 
 # -- norms and metric ----------------------------------------------------
 
 
 def sup_norm(g: Path) -> float:
-    """||gamma||_0: the largest euclidean sample norm."""
-    return float(np.max(np.linalg.norm(g.samples, axis=1)))
+    """||gamma||_0: the largest euclidean sample norm.
+
+    The square root is taken once, of the largest squared norm: it is
+    monotone and correctly rounded, so this equals the largest of
+    `np.linalg.norm(g.samples, axis=1)` bit for bit.
+    """
+    return _largest_row_norm(g.samples)
+
+
+def _largest_row_norm(s: np.ndarray) -> float:
+    return math.sqrt(np.maximum.reduce(np.add.reduce(s * s, axis=1)))
 
 
 def metric_d_infty(g: Path, h: Path) -> float:
@@ -236,7 +274,7 @@ def metric_d_infty(g: Path, h: Path) -> float:
     tbar = max(g.horizon, h.horizon)
     ge = extend_semigroup(g, tbar)
     he = extend_semigroup(h, tbar)
-    gap = float(np.max(np.linalg.norm(ge.samples - he.samples, axis=1)))
+    gap = _largest_row_norm(ge.samples - he.samples)
     return abs(g.horizon - h.horizon) + gap
 
 

@@ -18,6 +18,7 @@ super-side premises at selected points with analytically known margins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,8 +108,14 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
     return Scenario("runmax", space, grid, coeffs, initial, runmax_value)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a float vector: sqrt(x . x), which is exactly what
+    np.linalg.norm computes for one, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def _retract(x: np.ndarray) -> np.ndarray:
-    r = float(np.linalg.norm(x))
+    r = _norm(x)
     return x if r <= 1.0 else x / r
 
 
@@ -125,8 +132,8 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
         name="feedback",
         control_set=(-1.0, 0.0, 1.0),
         drift=lambda g, u: u * e1 - _retract(g.endpoint),
-        running_cost=lambda g, u: float(np.linalg.norm(g.endpoint)),
-        terminal_cost=lambda g: float(np.linalg.norm(g.endpoint)),
+        running_cost=lambda g, u: _norm(g.endpoint),
+        terminal_cost=lambda g: _norm(g.endpoint),
         lipschitz_L=2.0,
         state_key=lambda g: (g.samples[-1].tobytes(),),
     )
@@ -154,7 +161,7 @@ class TouchingPoint:
 
 def _path(sc: Scenario, values) -> Path:
     samples = np.asarray(values, dtype=float).reshape(-1, sc.space.dim)
-    return Path.from_samples(sc.space, sc.grid.step, samples)
+    return Path(sc.space, sc.grid.step, samples)
 
 
 def _eikonal_slope_point(sc: Scenario, values, label: str) -> TouchingPoint:

@@ -118,9 +118,10 @@ class ValueTable:
                 )
 
     def entry(self, g: Path) -> tuple[float, object]:
-        if g.n_nodes - 1 > self.grid.n_steps:
+        k, n_steps = g.n_nodes - 1, self.grid.n_steps
+        if k > n_steps:
             raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
-        if g.n_nodes - 1 == self.grid.n_steps:
+        if k == n_steps:
             return float(self.c.terminal_cost(g)), None
         self._check_budget(g)
         key = self._key(g)
@@ -173,10 +174,16 @@ def value_dpp(
 
 
 def optimal_control(
-    c: Coefficients, g: Path, grid: TimeGrid, **kw
+    c: Coefficients,
+    g: Path,
+    grid: TimeGrid,
+    *,
+    table: Optional[ValueTable] = None,
+    **kw,
 ) -> tuple[float, ControlSignal, Path]:
     """Value, an optimal control signal, and its trajectory."""
-    table = ValueTable(c, grid, **kw)
+    if table is None:
+        table = ValueTable(c, grid, **kw)
     v = table.value(g)
     controls, traj = table.policy(g)
     return v, ControlSignal(g.horizon, g.step, controls), traj
@@ -255,6 +262,7 @@ def verify_value_regularity(
     scale: float = 1.0,
     budget: int = 10**6,
     paths: Optional[list] = None,
+    table: Optional[ValueTable] = None,
 ) -> RegularityReport:
     """Empirical constants for growth, space-Lipschitz, and time regularity.
 
@@ -262,10 +270,12 @@ def verify_value_regularity(
       growth:   max |V(gamma_t)| / (1 + ||gamma||_0)
       space:    max |V(gamma_t) - V(eta_t)| / ||gamma - eta||_0
       time:     max |V(ext gamma to tbar) - V(gamma_t)| / ((1 + ||gamma||_0)(tbar - t))
-    Pass `paths` to pin the sample set (used for grid-refinement stability).
+    Pass `paths` to pin the sample set (used for grid-refinement stability),
+    and `table` to read values from a table of c already in use.
     """
     rng = np.random.default_rng(seed)
-    table = ValueTable(c, grid, budget=budget)
+    if table is None:
+        table = ValueTable(c, grid, budget=budget)
     if paths is None:
         paths = [
             random_prefix(rng, space, grid, scale=scale) for _ in range(n_samples)

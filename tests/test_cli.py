@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path as FsPath
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import phjb
 from phjb.cli import execute, main
 from phjb.config import ConfigError, load_config, parse_config
+from phjb.value import ValueTable
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -173,6 +175,39 @@ def test_reports_are_deterministic_modulo_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _checks_of(path, **kw):
+    target = path.parent / f"{path.name}.out.json"
+    execute(str(path), out=str(target), **kw)
+    return json.loads(target.read_text())["checks"]
+
+
+def test_one_value_table_per_run(tmp_path, monkeypatch):
+    made = []
+    init = ValueTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    cfg = tmp_path / "feedback.json"
+    cfg.write_text((CONFIGS / "feedback.json").read_text())
+    alone = _checks_of(cfg, checks=("value",), grid=7) + _checks_of(
+        cfg, checks=("dpp",), grid=7
+    )
+    monkeypatch.setattr(ValueTable, "__init__", counting_init)
+    together = _checks_of(cfg, checks=("value", "dpp"), grid=7)
+    assert len(made) == 1
+    assert together == alone
+
+
+def test_shared_table_leaves_every_record_unchanged(tmp_path):
+    # every check that reads the value table, each first alone, then in one run
+    listed = ["value", "dpp", "regularity", "viscosity", "stability"]
+    cfg = FsPath(_write(tmp_path, _doc("runmax.json", checks=listed)))
+    alone = [_checks_of(cfg, checks=(name,))[0] for name in listed]
+    assert _checks_of(cfg) == alone
+
+
 # config parsing ---------------------------------------------------------
 
 
@@ -199,9 +234,14 @@ def test_parse_rejects_bool_numbers():
 
 
 def test_installed_entry_point_answers_version():
+    # the child imports phjb from where this process did: an install, or src/
+    # when pytest put it on the path
+    env = dict(os.environ)
+    where = str(FsPath(phjb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [where, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "phjb.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
     assert "phjb" in out.stdout

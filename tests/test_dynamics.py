@@ -99,15 +99,30 @@ def test_flow_property_is_bit_exact():
     assert np.array_equal(whole.samples, glued.samples)
 
 
-def test_picard_agrees_with_predictor_on_smooth_drift():
-    space = make_space([-1.0])
-    c = _const_coeffs(1, lambda g, u: np.array([np.sin(float(g.endpoint[0])) + u]))
-    g = Path.constant(space, 0.125, np.array([0.3]), horizon=0.0)
-    u = ControlSignal.constant(1.0, 0.0, 1.0, 0.125)
-    a = mild_solve(c, g, u)
-    b = mild_solve(c, g, u, picard=True)
-    assert np.allclose(a.samples, b.samples, atol=5e-3)
-    assert not np.array_equal(a.samples, b.samples)  # cap actually iterates
+def test_stepped_path_is_read_only_and_keeps_its_prefix():
+    space = make_space([-1.5, -0.25])
+    c = _const_coeffs(2, lambda g, u: np.array([u, -float(g.endpoint[0])]))
+    g = mild_solve(
+        c,
+        Path.constant(space, 0.125, np.array([0.4, -0.2]), horizon=0.0),
+        ControlSignal.constant(1.0, 0.0, 0.5, 0.125),
+    )
+    nxt = step_once(c, g, 0.0)
+    assert nxt.samples.shape == (g.n_nodes + 1, 2)
+    assert nxt.samples.dtype == np.float64
+    assert not nxt.samples.flags.writeable
+    assert np.array_equal(nxt.samples[: g.n_nodes], g.samples)
+    with pytest.raises(ValueError):
+        nxt.samples[0, 0] = 1.0
+
+
+def test_finite_drift_that_overflows_the_sample_is_refused():
+    space = make_space([0.0])
+    c = _const_coeffs(1, lambda g, u: np.array([1e308]))
+    g = Path.constant(space, 0.25, np.array([1e308]), horizon=0.0)
+    # the predictor 1.25e308 is finite; the corrected sample overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        step_once(c, g, 0.0)
 
 
 def test_step_alignment_rejected():

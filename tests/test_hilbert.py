@@ -49,6 +49,18 @@ def test_semigroup_rejects_negative_time():
         sp.semigroup_apply(-0.1, np.array([1.0]))
 
 
+def test_semigroup_factors_cached_read_only_and_refuse_negative_time():
+    sp = make_space([-2.0, -0.5, 0.0])
+    E = sp.semigroup_factors(0.25)
+    assert np.array_equal(E, np.exp(sp.eigenvalues * 0.25))
+    assert not E.flags.writeable
+    assert sp.semigroup_factors(0.25) is E
+    with pytest.raises(ValueError):
+        E[0] = 1.0
+    with pytest.raises(ValueError):
+        sp.semigroup_factors(-0.25)
+
+
 def test_semigroup_contraction_random():
     rng = np.random.default_rng(SEED)
     sp = make_space([-3.0, -1.0, 0.0, -0.25])

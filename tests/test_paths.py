@@ -115,6 +115,27 @@ def test_extend_semigroup_preserves_sup_norm():
         assert sup_norm(e) == sup_norm(p)
 
 
+def test_extensions_are_read_only_and_keep_the_prefix():
+    rng = np.random.default_rng(SEED + 2)
+    sp = make_space([-2.0, -0.5])
+    p = random_path(rng, sp)
+    tbar = p.horizon + 3 * p.step
+    for e in (extend_flat(p, tbar), extend_semigroup(p, tbar)):
+        assert e.samples.shape == (p.n_nodes + 3, 2)
+        assert not e.samples.flags.writeable
+        assert np.array_equal(e.samples[: p.n_nodes], p.samples)
+
+
+def test_extension_validates_the_new_rows():
+    p = Path.zero(flat_space(2), 0.25, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        p._extended(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError, match="shape"):
+        p._extended(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        p._extended(np.zeros(2))
+
+
 def test_extension_rejects_earlier_time():
     p = Path.zero(flat_space(1), 0.25, 0.5)
     with pytest.raises(ValueError):
@@ -128,6 +149,17 @@ def test_sup_norm_example():
     sp = flat_space(2)
     p = Path(sp, 1.0, [[3.0, 4.0], [1.0, 0.0]])
     assert sup_norm(p) == 5.0
+
+
+def test_sup_norm_is_bit_exact_against_row_norms():
+    rng = np.random.default_rng(SEED + 3)
+    for dim in (1, 2, 5):
+        sp = flat_space(dim)
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-150, 150)
+            p = random_path(rng, sp, scale=scale)
+            reference = float(np.max(np.linalg.norm(p.samples, axis=1)))
+            assert sup_norm(p) == reference
 
 
 def test_metric_equal_horizon_flat():

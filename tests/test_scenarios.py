@@ -49,7 +49,7 @@ def test_eikonal_closed_form_table():
 
 def test_runmax_closed_form_is_prefix_sup():
     sc = runmax()
-    g = Path.from_samples(sc.space, sc.grid.step, np.array([[0.2], [-1.7], [0.5]]))
+    g = Path(sc.space, sc.grid.step, np.array([[0.2], [-1.7], [0.5]]))
     assert runmax_value(g, sc.grid) == pytest.approx(1.7)
 
 
@@ -69,7 +69,7 @@ def test_feedback_drift_is_bounded_by_declared_constant():
 def test_linear_endpoint_derivatives_validate():
     space = make_space([-1.0, 0.0])
     phi = TestFunctionPhi.linear_endpoint(np.array([2.0, -1.0]), c=0.3)
-    g = Path.from_samples(space, 0.25, np.array([[0.1, 0.2], [0.4, -0.3]]))
+    g = Path(space, 0.25, np.array([[0.1, 0.2], [0.4, -0.3]]))
     assert phi(g) == pytest.approx(0.3 + 2.0 * 0.4 - 1.0 * (-0.3))
     phi.validate_on([g], t_final=1.0)
 
@@ -122,7 +122,7 @@ def test_anchored_pack_value_and_derivatives():
     space = make_space([0.0])
     a = _anchor(space)
     pack = GaugePack.anchored(a, 2.0)
-    g = Path.from_samples(space, 0.25, np.array([[0.3], [0.3], [0.8]]))
+    g = Path(space, 0.25, np.array([[0.3], [0.3], [0.8]]))
     assert pack.value(g) > 0.0
     assert pack.dt(g) == pytest.approx(2.0 * 2 * (0.5 - 0.25))
     assert pack.dx(g).shape == (1,)

@@ -11,9 +11,7 @@ from phjb.value import value_dpp
 
 def _points(sc):
     g0 = sc.initial
-    g1 = Path.from_samples(
-        sc.space, sc.grid.step, np.tile(sc.initial.endpoint * 0.8, (3, 1))
-    )
+    g1 = Path(sc.space, sc.grid.step, np.tile(sc.initial.endpoint * 0.8, (3, 1)))
     return [g0, g1]
 
 

@@ -99,7 +99,7 @@ def test_eikonal_value_equals_brute_force():
 
 def test_runmax_value_equals_brute_force_on_finer_grid():
     sc = runmax(step=1.0 / 6)  # 3^6 assignments
-    g = Path.from_samples(sc.space, sc.grid.step, np.array([[0.2], [0.6]]))
+    g = Path(sc.space, sc.grid.step, np.array([[0.2], [0.6]]))
     v = value_dpp(sc.coefficients, g, sc.grid)
     assert v == brute_force_value(sc.coefficients, g, sc.grid)
 
@@ -129,7 +129,7 @@ def test_runmax_value_equals_running_max_of_prefix():
     for _ in range(50):
         n = int(rng.integers(1, sc.grid.n_steps + 2))
         samples = rng.normal(scale=1.2, size=(n, 1))
-        g = Path.from_samples(sc.space, sc.grid.step, samples)
+        g = Path(sc.space, sc.grid.step, samples)
         v = table.value(g)
         assert v == np.max(np.abs(samples))
         assert v == runmax_value(g, sc.grid)
@@ -156,7 +156,7 @@ def test_dpp_residuals_are_exactly_zero(build):
 
 def test_dpp_residuals_zero_from_nontrivial_prefix():
     sc = runmax()
-    g = Path.from_samples(sc.space, sc.grid.step, np.array([[0.2], [1.0], [0.5]]))
+    g = Path(sc.space, sc.grid.step, np.array([[0.2], [1.0], [0.5]]))
     res = verify_dpp_consistency(sc.coefficients, g, sc.grid)
     assert all(r == 0.0 for r in res.values())
 
