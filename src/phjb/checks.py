@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Coefficients, ControlSignal, mild_solve, step_once
-from .gauge import eval_upsilon, grad_upsilon
+from .gauge import pair_difference, upsilon_on_prefixes
 from .hilbert import SpectralSpace
 from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, vertical_bump
 from .testfn import GaugePack, TestFunctionPhi, differentiability_probe
@@ -122,21 +122,21 @@ def upsilon_margin(
     if abs(g.horizon - eta.horizon) > GRID_TOL:
         raise ValueError("g and eta must share their horizon")
     traj = mild_solve(coeffs, g, u)
+    # y = X - (eta extended along the semigroup) over the whole run at once: a
+    # shorter extension is a prefix of the longer one row for row, so the
+    # gauge at node k is that of a prefix of y, bit-identical to the gauge of
+    # X_t minus eta extended to t
+    y = pair_difference(eta, traj)
     h = g.step
-    start = g.n_nodes - 1
+    start = g.n_nodes
     n = traj.n_nodes - g.n_nodes
-
-    def y_at(k: int) -> Path:
-        t = (start + k) * h
-        return traj.prefix(t) - extend_semigroup(eta, t)
+    values, grads = upsilon_on_prefixes(M, y, start)
 
     def coupling(k: int, ctrl: float) -> float:
-        t = (start + k) * h
-        grad = grad_upsilon(M, y_at(k))
-        return float(grad @ coeffs.drift(traj.prefix(t), ctrl))
+        return float(grads[k] @ coeffs.drift(traj._head(start + k), ctrl))
 
-    base = eval_upsilon(M, y_at(0))
-    lhs = eval_upsilon(M, y_at(n))
+    base = values[0]
+    lhs = values[n]
     total = 0.0
     for k in range(n):
         ctrl = u.values[k]

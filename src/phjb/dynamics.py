@@ -296,7 +296,7 @@ def verify_state_estimates(
                 )
             # same-horizon Lipschitz dependence on the prefix
             eta = random_prefix(rng, space, grid, scale=scale)
-            eta = Path(space, grid.step, eta.samples[: g.n_nodes]) if (
+            eta = eta._head(g.n_nodes) if (
                 eta.n_nodes >= g.n_nodes
             ) else extend_semigroup(eta, t)
             Y = solve_from(eta, u)

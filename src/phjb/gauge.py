@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, extend_semigroup, sup_norm
+from .paths import Path, all_finite, prefix_sup_norms, semigroup_rows, sup_norm
 
 __all__ = [
     "eval_S",
     "grad_S",
     "eval_upsilon",
     "grad_upsilon",
+    "upsilon_on_prefixes",
     "pair_difference",
     "eval_upsilon_pair",
 ]
@@ -53,17 +54,43 @@ def grad_S(g: Path) -> np.ndarray:
 def eval_upsilon(M: float, g: Path) -> float:
     """Upsilon^M(gamma) = S(gamma) + M |gamma(t)|^2."""
     a, _, b = _a_b(g)
+    return _upsilon(M, a, b)
+
+
+def grad_upsilon(M: float, g: Path) -> np.ndarray:
+    """Vertical gradient of Upsilon^M: grad S + 2 M gamma(t)."""
+    return _grad_upsilon(M, *_a_b(g))
+
+
+def _upsilon(M: float, a: float, b: float) -> float:
     if a == 0.0:
         return 0.0
     return (a - b) ** 2 / a + M * b
 
 
-def grad_upsilon(M: float, g: Path) -> np.ndarray:
-    """Vertical gradient of Upsilon^M: grad S + 2 M gamma(t)."""
-    a, end, b = _a_b(g)
+def _grad_upsilon(M: float, a: float, end: np.ndarray, b: float) -> np.ndarray:
     if a == 0.0:
-        return np.zeros(g.space.dim)
+        return np.zeros(end.shape)
     return (-4.0 * (a - b) / a) * end + (2.0 * M) * end
+
+
+def upsilon_on_prefixes(M: float, g: Path, first: int) -> tuple[list, list]:
+    """Upsilon^M and its vertical gradient at the prefixes of g with
+    first, first + 1, ..., n_nodes nodes, as two lists.
+
+    The sup norms come from one running maximum (`prefix_sup_norms`), so
+    the entries equal `eval_upsilon` and `grad_upsilon` of those prefixes
+    bit for bit, in O(n) work instead of O(n^2).
+    """
+    norms = prefix_sup_norms(g)
+    values, grads = [], []
+    for k in range(first - 1, g.n_nodes):
+        end = g.samples[k]
+        a = float(norms[k]) ** 2
+        b = float(end @ end)
+        values.append(_upsilon(M, a, b))
+        grads.append(_grad_upsilon(M, a, end, b))
+    return values, grads
 
 
 def pair_difference(anchor: Path, g: Path) -> Path:
@@ -72,10 +99,28 @@ def pair_difference(anchor: Path, g: Path) -> Path:
     The path with the earlier horizon is carried forward along the semigroup
     to the later horizon and subtracted there; with equal horizons this is a
     plain samplewise difference.
+
+    The difference is written straight into one new array: the later path
+    minus the earlier one over their shared nodes, then minus the extension
+    rows, which are the rows `extend_semigroup` would append, so the result
+    equals `later - extend_semigroup(earlier, later.horizon)` bit for bit
+    without building the extension.
     """
-    if anchor.horizon <= g.horizon:
-        return g - extend_semigroup(anchor, g.horizon)
-    return anchor - extend_semigroup(g, anchor.horizon)
+    late, early = (g, anchor) if anchor.horizon <= g.horizon else (anchor, g)
+    late._check_same_space_and_step(early)
+    n_late, n_early = late.n_nodes, early.n_nodes
+    out = np.empty_like(late.samples)
+    np.subtract(late.samples[:n_early], early.samples, out=out[:n_early])
+    if n_late > n_early:
+        if early.space.is_zero_generator:
+            rows = early.samples[-1]
+        else:
+            rows = semigroup_rows(early, n_late - n_early)
+        np.subtract(late.samples[n_early:], rows, out=out[n_early:])
+    if not all_finite(out):
+        raise ValueError("samples must be finite")
+    out.flags.writeable = False
+    return late._trusted(out)
 
 
 def eval_upsilon_pair(M: float, anchor: Path, g: Path, *, with_time: bool = False) -> float:

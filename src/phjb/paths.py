@@ -26,7 +26,9 @@ __all__ = [
     "vertical_bump",
     "extend_flat",
     "extend_semigroup",
+    "semigroup_rows",
     "sup_norm",
+    "prefix_sup_norms",
     "metric_d_infty",
     "DupireDerivatives",
     "dupire_derivatives",
@@ -129,9 +131,21 @@ class Path:
         arr[:n] = old
         arr[n:] = rows
         arr.flags.writeable = False
+        return self._trusted(arr)
+
+    def _trusted(self, samples: np.ndarray) -> "Path":
+        """A path on this path's space and step holding `samples` as they are.
+
+        The caller vouches that `samples` is a finite, read-only float64
+        (k + 1, dim) block; nothing is copied or rescanned.
+        """
         out = object.__new__(Path)
-        out.__dict__.update(space=self.space, step=self.step, samples=arr)
+        out.__dict__.update(space=self.space, step=self.step, samples=samples)
         return out
+
+    def _head(self, n_nodes: int) -> "Path":
+        """The first n_nodes samples as a trusted read-only view (1 <= n_nodes <= n)."""
+        return self._trusted(self.samples[:n_nodes])
 
     @staticmethod
     def constant(space: SpectralSpace, step: float, value, horizon: float) -> "Path":
@@ -169,11 +183,15 @@ class Path:
         return self.samples[k]
 
     def prefix(self, t: float) -> "Path":
-        """Restriction to [0, t]; t must be an on-grid time <= horizon."""
+        """Restriction to [0, t]; t must be an on-grid time <= horizon.
+
+        The result is a trusted view: its samples are a read-only slice of
+        this path's already validated buffer, neither copied nor rescanned.
+        """
         k = grid_index(t, self.step, what="time")
         if k >= self.n_nodes:
             raise ValueError(f"time {t} beyond horizon {self.horizon}")
-        return Path(self.space, self.step, self.samples[: k + 1])
+        return self._head(k + 1)
 
     def signature(self) -> bytes:
         """Exact bytes of the sample block; used for memo keys."""
@@ -181,13 +199,16 @@ class Path:
 
     # -- same-grid arithmetic -------------------------------------------
 
-    def _check_same_grid(self, other: "Path") -> None:
+    def _check_same_space_and_step(self, other: "Path") -> None:
         if self.space is not other.space and not np.array_equal(
             self.space.eigenvalues, other.space.eigenvalues
         ):
             raise ValueError("paths live on different spaces")
         if abs(self.step - other.step) > GRID_TOL:
             raise ValueError(f"step mismatch: {self.step} vs {other.step}")
+
+    def _check_same_grid(self, other: "Path") -> None:
+        self._check_same_space_and_step(other)
         if self.n_nodes != other.n_nodes:
             raise ValueError(
                 f"horizon mismatch: {self.horizon} vs {other.horizon}"
@@ -242,9 +263,14 @@ def extend_semigroup(g: Path, tbar: float) -> Path:
         return g
     if g.space.is_zero_generator:
         return extend_flat(g, tbar)
-    j = np.arange(1, k_new - k_old + 1)
-    factors = np.exp(np.outer(j * g.step, g.space.eigenvalues))
-    return g._extended(factors * g.endpoint)
+    return g._extended(semigroup_rows(g, k_new - k_old))
+
+
+def semigroup_rows(g: Path, m: int) -> np.ndarray:
+    """The m samples after g's horizon along the semigroup, e^{j step A} gamma(t)
+    for j = 1..m, as an (m, dim) block; callers validate what they build."""
+    j = np.arange(1, m + 1)
+    return np.exp(np.outer(j * g.step, g.space.eigenvalues)) * g.endpoint
 
 
 # -- norms and metric ----------------------------------------------------
@@ -261,7 +287,20 @@ def sup_norm(g: Path) -> float:
 
 
 def _largest_row_norm(s: np.ndarray) -> float:
-    return math.sqrt(np.maximum.reduce(np.add.reduce(s * s, axis=1)))
+    return math.sqrt(np.maximum.reduce(_row_sq_norms(s)))
+
+
+def _row_sq_norms(s: np.ndarray) -> np.ndarray:
+    return np.add.reduce(s * s, axis=1)
+
+
+def prefix_sup_norms(g: Path) -> np.ndarray:
+    """The sup norm of every prefix: entry k is ||gamma_{k step}||_0.
+
+    A running maximum of the squared sample norms, rooted per entry, so
+    entry k equals `sup_norm(g.prefix(k * g.step))` bit for bit.
+    """
+    return np.sqrt(np.maximum.accumulate(_row_sq_norms(g.samples)))
 
 
 def metric_d_infty(g: Path, h: Path) -> float:

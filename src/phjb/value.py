@@ -42,10 +42,7 @@ def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
     solution, so the cost reproduces the value recursion exactly.
     """
     traj = mild_solve(c, g, u)
-    nodes = [
-        Path(traj.space, traj.step, traj.samples[:k])
-        for k in range(g.n_nodes, traj.n_nodes + 1)
-    ]
+    nodes = [traj._head(k) for k in range(g.n_nodes, traj.n_nodes + 1)]
     total = float(c.terminal_cost(traj))
     for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
         total = _interval_cost(c, prefix, nxt, uk) + total

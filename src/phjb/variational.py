@@ -63,6 +63,13 @@ def bp_search(
     with ties resolved toward the incumbent; a stage that reproduces its
     incumbent ends the search. Only paths at or after the incumbent's
     horizon compete.
+
+    Each anchor's gauge row rho(anchor, g) is computed once per net path,
+    and only for the paths that compete after the anchor is set, which all
+    lie at or after its horizon. A running perturbed value per path has the
+    rows subtracted in anchor order, the same float sequence as summing the
+    gauges afresh at every stage. The incumbent is always the last anchor,
+    so its row also serves the stop test and the strictness scan.
     """
     if eps <= 0.0 or delta0 <= 0.0:
         raise ValueError("eps and delta0 must be positive")
@@ -77,47 +84,55 @@ def bp_search(
             f"start is not eps-maximal: f(start)={f_start}, max={f_max}, eps={eps}"
         )
 
+    n = len(net)
     anchors = [start]
     deltas = [delta0]
-    incumbent = start
+    rows = [[None] * n]  # rows[j][i] = rho(anchors[j], net[i]), filled on demand
+    pert = list(f_vals)  # f minus the gauges of the first done[i] anchors
+    done = [0] * n
+    inc = next(i for i, p in enumerate(net) if p is start)  # incumbent's index
     iterations = 0
 
-    def perturbed(g: Path, fg: float) -> float:
-        total = fg
-        for a, d in zip(anchors, deltas):
-            r = rho(a, g)
+    def perturbed(i: int) -> float:
+        g = net[i]
+        for j in range(done[i], len(anchors)):
+            r = rho(anchors[j], g)
             if r < 0.0:
                 raise ValueError("gauge returned a negative value")
-            total -= d * r
-        return total
+            rows[j][i] = r
+            pert[i] -= deltas[j] * r
+        done[i] = len(anchors)
+        return pert[i]
+
+    def competitors() -> list:
+        floor = net[inc].horizon - GRID_TOL
+        return [i for i, g in enumerate(net) if g.horizon >= floor]
 
     while iterations < max_anchors:
         iterations += 1
-        best = incumbent
-        best_v = perturbed(incumbent, float(f(incumbent)))
-        for g, fg in zip(net, f_vals):
-            if g.horizon < incumbent.horizon - GRID_TOL:
-                continue
-            v = perturbed(g, fg)
+        best, best_v = inc, perturbed(inc)
+        for i in competitors():
+            v = perturbed(i)
             if v > best_v:
-                best, best_v = g, v
-        if best is incumbent or rho(incumbent, best) <= gauge_tol:
+                best, best_v = i, v
+        if net[best] is net[inc] or rows[-1][best] <= gauge_tol:
             break
-        anchors.append(best)
+        anchors.append(net[best])
         deltas.append(delta0 * 2.0 ** (-len(deltas)))
-        incumbent = best
+        rows.append([None] * n)
+        inc = best
 
     # strictness over the final functional, distinct paths only
-    final_v = perturbed(incumbent, float(f(incumbent)))
+    final_v = perturbed(inc)
     gap = float("inf")
-    for g, fg in zip(net, f_vals):
-        if g.horizon < incumbent.horizon - GRID_TOL:
+    for i in competitors():
+        v = perturbed(i)
+        if rows[-1][i] <= gauge_tol:
             continue
-        if rho(incumbent, g) <= gauge_tol:
-            continue
-        gap = min(gap, final_v - perturbed(g, fg))
+        gap = min(gap, final_v - v)
 
-    sum_rho = sum(d * rho(a, incumbent) for a, d in zip(anchors, deltas))
+    incumbent = net[inc]
+    sum_rho = sum(d * row[inc] for d, row in zip(deltas, rows))
     return BPResult(
         maximizer=incumbent,
         anchors=tuple(anchors),
@@ -126,7 +141,7 @@ def bp_search(
         f_start=f_start,
         f_max_net=f_max,
         sum_rho=sum_rho,
-        perturbed_value=float(f(incumbent)) - sum_rho,
+        perturbed_value=f_vals[inc] - sum_rho,
         strict_gap=gap,
         stalled=(incumbent.horizon <= start.horizon + GRID_TOL)
         and (incumbent is not start),

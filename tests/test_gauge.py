@@ -18,6 +18,7 @@ from phjb import (
     pair_difference,
     sup_norm,
 )
+from phjb.gauge import upsilon_on_prefixes
 
 SEED = 4242
 
@@ -142,6 +143,22 @@ def test_grad_upsilon_adds_endpoint_term():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("M", [2.0, 5.0])
+@pytest.mark.parametrize("dim", [1, 2, 12])
+def test_upsilon_on_prefixes_is_bit_exact_against_each_prefix(M, dim):
+    rng = np.random.default_rng(SEED + 10)
+    sp = flat_space(dim)
+    paths = [random_path(rng, sp) for _ in range(50)] + [Path.zero(sp, 0.25, 1.0)]
+    for p in paths:
+        first = int(rng.integers(1, p.n_nodes + 1))
+        values, grads = upsilon_on_prefixes(M, p, first)
+        assert len(values) == len(grads) == p.n_nodes - first + 1
+        for k, (v, gr) in enumerate(zip(values, grads)):
+            q = p.prefix((first - 1 + k) * p.step)
+            assert v == eval_upsilon(M, q)
+            assert np.array_equal(gr, grad_upsilon(M, q))
+
+
 # pair gauge ------------------------------------------------------------
 
 
@@ -152,6 +169,45 @@ def test_pair_difference_equal_horizons():
     d = pair_difference(h, g)
     assert np.allclose(d.samples[:, 0], [0.5, -1.0], atol=1e-15)
     assert eval_upsilon_pair(2.0, h, g) == eval_upsilon(2.0, g - h)
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0], [-1.0, -0.4], [-2.0]])
+def test_pair_difference_is_bit_exact_against_the_extension(eigenvalues):
+    rng = np.random.default_rng(SEED + 5)
+    sp = make_space(eigenvalues)
+    for i in range(200):
+        g = random_path(rng, sp)
+        # every tenth pair shares its horizon
+        h = random_path(rng, sp, min_nodes=g.n_nodes - 1, max_nodes=g.n_nodes - 1) if (
+            i % 10 == 0
+        ) else random_path(rng, sp)
+        for anchor, other in ((g, h), (h, g)):
+            if anchor.horizon <= other.horizon:
+                ref = other - extend_semigroup(anchor, other.horizon)
+            else:
+                ref = anchor - extend_semigroup(other, anchor.horizon)
+            d = pair_difference(anchor, other)
+            assert np.array_equal(d.samples, ref.samples)
+            assert d.step == ref.step and d.space is ref.space
+            assert not d.samples.flags.writeable
+
+
+def test_pair_difference_refuses_overflow_and_mismatched_grids():
+    sp = flat_space(1)
+    big = Path(sp, 0.25, [[1e308], [1e308]])
+    neg = Path(sp, 0.25, [[-1e308]])
+    # the same overflow past the shared node, against a semigroup extension
+    slow = make_space([-1e-6])
+    short, long = Path(slow, 0.25, [[-1e308]]), Path(slow, 0.25, [[0.0], [1e308]])
+    cases = ((neg, big), (big, neg), (short, long), (long, short))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for anchor, g in cases:
+            with pytest.raises(ValueError, match="finite"):
+                pair_difference(anchor, g)
+    with pytest.raises(ValueError, match="step"):
+        pair_difference(Path(sp, 0.5, [[0.0]]), big)
+    with pytest.raises(ValueError, match="space"):
+        pair_difference(Path(make_space([-1.0]), 0.25, [[0.0]]), big)
 
 
 def test_pair_gauge_symmetric_under_swap():

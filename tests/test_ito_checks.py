@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from phjb.checks import (
+    GaugeMarginResult,
     classical_check,
     ito_residual,
     transport_instance,
     upsilon_margin,
 )
-from phjb.dynamics import Coefficients, ControlSignal, random_prefix
-from phjb.paths import Path, TimeGrid
+from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
+from phjb.gauge import eval_upsilon, grad_upsilon
+from phjb.paths import Path, TimeGrid, extend_semigroup
 from phjb.scenarios import classical_candidate, eikonal, runmax
 from phjb.testfn import TestFunctionPhi
 
@@ -132,6 +134,55 @@ def test_margin_mean_positive_under_strict_decay():
         margins.append(upsilon_margin(c, 2.0, g, eta, u).margin)
     assert np.mean(margins) > 0.0
     assert min(margins) > -1e-9  # no drift: dissipation is clean
+
+
+def reference_margin(coeffs, M, g, eta, u):
+    """The margin with every prefix copied and every difference rebuilt."""
+    traj = mild_solve(coeffs, g, u)
+    h = g.step
+    start = g.n_nodes - 1
+    n = traj.n_nodes - g.n_nodes
+
+    def x_at(k):
+        return Path(traj.space, traj.step, traj.samples[: start + k + 1])
+
+    def y_at(k):
+        return x_at(k) - extend_semigroup(eta, (start + k) * h)
+
+    def coupling(k, ctrl):
+        return float(grad_upsilon(M, y_at(k)) @ coeffs.drift(x_at(k), ctrl))
+
+    base = eval_upsilon(M, y_at(0))
+    lhs = eval_upsilon(M, y_at(n))
+    total = 0.0
+    for k in range(n):
+        ctrl = u.values[k]
+        total += 0.5 * h * (coupling(k, ctrl) + coupling(k + 1, ctrl))
+    return GaugeMarginResult(margin=base + total - lhs, lhs=lhs, base=base, integral=total)
+
+
+@pytest.mark.parametrize("M", [2.0, 5.0])
+@pytest.mark.parametrize(
+    "eigenvalues", [[-1.0, -0.4], [0.0, 0.0], list(np.linspace(-2.0, 0.0, 12))]
+)
+def test_margin_is_bit_exact_against_the_copying_reference(M, eigenvalues):
+    space = make_space(eigenvalues)
+    c = _coeffs(
+        space.dim, lambda g, u: np.array([u, *(0.3 * np.tanh(g.endpoint[:-1]))])
+    )
+    grid = TimeGrid(1.0, 0.125)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        g = random_prefix(rng, space, grid)
+        eta = random_prefix(rng, space, grid)
+        # eta of any length, cut or extended to g's horizon
+        eta = eta.prefix(g.horizon) if eta.horizon >= g.horizon else (
+            extend_semigroup(eta, g.horizon)
+        )
+        u = ControlSignal.constant(
+            float(rng.choice(c.control_set)), g.horizon, grid.T, grid.step
+        )
+        assert upsilon_margin(c, M, g, eta, u) == reference_margin(c, M, g, eta, u)
 
 
 # classical residuals ----------------------------------------------------

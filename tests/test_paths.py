@@ -14,6 +14,7 @@ from phjb import (
     sup_norm,
     vertical_bump,
 )
+from phjb.paths import prefix_sup_norms
 
 SEED = 907
 
@@ -60,6 +61,25 @@ def test_prefix_and_value_at():
     assert q.endpoint[0] == 2.0
     with pytest.raises(ValueError):
         p.value_at(0.3)
+
+
+def test_prefix_is_a_read_only_view_that_still_checks_its_time():
+    rng = np.random.default_rng(SEED + 1)
+    p = random_path(rng, make_space([-1.0, -0.4]), min_nodes=4)
+    q = p.prefix(2 * p.step)
+    assert np.shares_memory(q.samples, p.samples)
+    assert not q.samples.flags.writeable
+    with pytest.raises(ValueError):
+        q.samples[0, 0] = 1.0
+    assert np.array_equal(q.samples, p.samples[:3])
+    assert q.space is p.space and q.step == p.step and q.horizon == 2 * p.step
+    assert p.prefix(p.horizon).n_nodes == p.n_nodes
+    with pytest.raises(ValueError, match="grid multiple"):
+        p.prefix(0.5 * p.step)
+    with pytest.raises(ValueError, match="beyond horizon"):
+        p.prefix(p.horizon + p.step)
+    with pytest.raises(ValueError):
+        p.prefix(-p.step)
 
 
 # constructions ---------------------------------------------------------
@@ -153,13 +173,17 @@ def test_sup_norm_example():
 
 def test_sup_norm_is_bit_exact_against_row_norms():
     rng = np.random.default_rng(SEED + 3)
-    for dim in (1, 2, 5):
+    for dim in (1, 2, 5, 12):
         sp = flat_space(dim)
         for _ in range(200):
             scale = 10.0 ** rng.integers(-150, 150)
             p = random_path(rng, sp, scale=scale)
             reference = float(np.max(np.linalg.norm(p.samples, axis=1)))
             assert sup_norm(p) == reference
+            running = prefix_sup_norms(p)
+            assert running.shape == (p.n_nodes,)
+            for k in range(p.n_nodes):
+                assert running[k] == sup_norm(p.prefix(k * p.step))
 
 
 def test_metric_equal_horizon_flat():

@@ -1,14 +1,19 @@
 """Perturbed-maximization search on finite nets."""
 
+from pathlib import Path as FsPath
+
 import numpy as np
 import pytest
 
 from phjb.checks import build_net
+from phjb.config import load_config
+from phjb.paths import GRID_TOL, Path
 from phjb.scenarios import eikonal
-from phjb.variational import bp_search, pair_gauge
+from phjb.variational import BPResult, bp_search, pair_gauge
 
 from conftest import make_space
-from phjb.paths import Path
+
+CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +108,118 @@ def test_search_is_deterministic(setting):
     assert a.maximizer is b.maximizer
     assert a.sum_rho == b.sum_rho
     assert a.anchor_times == b.anchor_times
+
+
+# the search against a plain reference --------------------------------
+
+
+def reference_bp_search(f, net, start, eps, *, rho=pair_gauge, delta0=1.0,
+                        max_anchors=64, gauge_tol=1e-12):
+    """The search summing every anchored gauge afresh at every stage."""
+    net = list(net)
+    if not any(p is start for p in net):
+        net.append(start)
+    f_vals = [float(f(p)) for p in net]
+    f_max = max(f_vals)
+    f_start = float(f(start))
+    assert f_start >= f_max - eps
+    anchors, deltas, incumbent, iterations = [start], [delta0], start, 0
+
+    def perturbed(g, fg):
+        total = fg
+        for a, d in zip(anchors, deltas):
+            r = rho(a, g)
+            assert r >= 0.0
+            total -= d * r
+        return total
+
+    while iterations < max_anchors:
+        iterations += 1
+        best, best_v = incumbent, perturbed(incumbent, float(f(incumbent)))
+        for g, fg in zip(net, f_vals):
+            if g.horizon < incumbent.horizon - GRID_TOL:
+                continue
+            v = perturbed(g, fg)
+            if v > best_v:
+                best, best_v = g, v
+        if best is incumbent or rho(incumbent, best) <= gauge_tol:
+            break
+        anchors.append(best)
+        deltas.append(delta0 * 2.0 ** (-len(deltas)))
+        incumbent = best
+
+    final_v = perturbed(incumbent, float(f(incumbent)))
+    gap = float("inf")
+    for g, fg in zip(net, f_vals):
+        if g.horizon < incumbent.horizon - GRID_TOL:
+            continue
+        if rho(incumbent, g) <= gauge_tol:
+            continue
+        gap = min(gap, final_v - perturbed(g, fg))
+    sum_rho = sum(d * rho(a, incumbent) for a, d in zip(anchors, deltas))
+    return BPResult(
+        maximizer=incumbent,
+        anchors=tuple(anchors),
+        deltas=tuple(deltas),
+        anchor_times=tuple(a.horizon for a in anchors),
+        f_start=f_start,
+        f_max_net=f_max,
+        sum_rho=sum_rho,
+        perturbed_value=float(f(incumbent)) - sum_rho,
+        strict_gap=gap,
+        stalled=(incumbent.horizon <= start.horizon + GRID_TOL)
+        and (incumbent is not start),
+        iterations=iterations,
+    )
+
+
+def assert_same_result(res, ref):
+    assert res.maximizer is ref.maximizer
+    assert len(res.anchors) == len(ref.anchors)
+    assert all(a is b for a, b in zip(res.anchors, ref.anchors))
+    for name in ("deltas", "anchor_times", "f_start", "f_max_net", "sum_rho",
+                 "perturbed_value", "strict_gap", "stalled", "iterations"):
+        assert getattr(res, name) == getattr(ref, name), name
+
+
+def counting(rho):
+    calls = [0]
+
+    def counted(a, g):
+        calls[0] += 1
+        return rho(a, g)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("config", ["eikonal", "runmax", "feedback"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_search_matches_the_reference_with_one_gauge_per_anchor_and_path(config, seed):
+    sc = load_config(str(CONFIGS / f"{config}.json"), seed=seed).scenario
+    start = sc.initial
+    net = build_net(sc.coefficients, start, sc.grid, seed=seed)
+    t0, T = start.horizon, sc.grid.T
+    modes = [  # the two modes of the bp check
+        (lambda g: -pair_gauge(start, g), 0.1),
+        (lambda g: g.horizon - pair_gauge(start, g), 0.3 * (T - t0) + 0.1),
+    ]
+    for f, eps in modes:
+        rho, calls = counting(pair_gauge)
+        res = bp_search(f, net, start, eps, rho=rho)
+        assert_same_result(res, reference_bp_search(f, net, start, eps))
+        k = len(res.anchors)
+        assert calls[0] <= k * len(net) + 2 * k, (calls[0], k, len(net))
+
+
+def test_anchor_cap_matches_the_reference():
+    space = make_space([0.0])
+    paths = [
+        Path.constant(space, 0.25, np.array([0.01 * k]), horizon=0.0)
+        for k in range(8)
+    ]
+    f = lambda g: float(g.endpoint[0])
+    for cap in (1, 2, 5, 64):
+        res = bp_search(f, paths, paths[0], eps=1.0, max_anchors=cap)
+        assert_same_result(
+            res, reference_bp_search(f, paths, paths[0], eps=1.0, max_anchors=cap)
+        )
