@@ -35,8 +35,6 @@ from .value import (
     ValueTable,
     cost_J,
     hamiltonian,
-    optimal_control,
-    value_dpp,
     verify_dpp_consistency,
     verify_value_regularity,
 )

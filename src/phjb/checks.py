@@ -148,17 +148,7 @@ def upsilon_margin(
 # comparison nets -------------------------------------------------------
 
 
-def build_net(
-    coeffs: Coefficients,
-    point: Path,
-    grid: TimeGrid,
-    *,
-    seed: int = 0,
-    tree_budget: int = 400,
-    radii=(0.05, 0.2, 0.5, 1.0),
-    n_wiggles: int = 2,
-    bump_sizes=(1e-3, 1e-2, 0.05, 0.1, 0.3),
-) -> list:
+def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 0) -> list:
     """Finite family of comparison paths at and after the point's horizon.
 
     Contains the point itself, its semigroup extensions, the control tree
@@ -177,11 +167,11 @@ def build_net(
         if s > point.horizon + GRID_TOL:
             net.append(extend_semigroup(point, s))
 
-    # control tree, breadth-first, capped
+    # control tree, breadth-first, whole levels while the net stays <= 400
     level = [point]
     while level and level[0].horizon < grid.T - GRID_TOL:
         nxt = [step_once(coeffs, p, u) for p in level for u in coeffs.control_set]
-        if len(net) + len(nxt) > tree_budget:
+        if len(net) + len(nxt) > 400:
             break
         net.extend(nxt)
         level = nxt
@@ -189,25 +179,28 @@ def build_net(
     # single-sample vertical edits
     for j in range(point.n_nodes):
         for k in range(space.dim):
-            for d in bump_sizes:
+            for d in (1e-3, 1e-2, 0.05, 0.1, 0.3):
                 for sign in (1.0, -1.0):
                     samples = point.samples.copy()
                     samples[j, k] += sign * d
                     net.append(Path(space, h, samples))
 
-    # seeded wiggles of the extensions
+    # seeded wiggles of the extensions, two per radius
     for s in grid.times:
         if s < point.horizon - GRID_TOL:
             continue
         base = extend_semigroup(point, s)
-        for r in radii:
-            for _ in range(n_wiggles):
+        for r in (0.05, 0.2, 0.5, 1.0):
+            for _ in range(2):
                 noise = rng.normal(scale=r, size=base.samples.shape)
                 net.append(Path(space, h, base.samples + noise))
     return net
 
 
 # viscosity-style point check ------------------------------------------
+
+
+_PREMISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -235,29 +228,28 @@ def viscosity_check(
     *,
     net,
     tol: float = 1e-3,
-    premise_tol: float = 1e-9,
-    validate: bool = True,
     label: str = "",
 ) -> ViscosityResult:
     """One-sided equation test for a value candidate at one point.
 
-    The certificate is renormalized by a constant so the premise holds
-    with equality at the point; the scan then verifies the point is a
-    global max (sub) or min (super) of w -/+ (phi + pack) over the net.
-    If not, the check refuses with a witness. Otherwise the one-sided
-    operator inequality is evaluated with analytic derivatives.
+    The analytic derivatives of phi are first validated at the point and its
+    vertical bumps. The certificate is renormalized by a constant so the
+    premise holds with equality at the point; the scan then verifies the
+    point is a global max (sub) or min (super) of w -/+ (phi + pack) over the
+    net, up to _PREMISE_TOL. If not, the check refuses with a witness.
+    Otherwise the one-sided operator inequality is evaluated with analytic
+    derivatives.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     sgn = 1.0 if side == "sub" else -1.0
-    if validate:
-        probes = [point]
-        for k in range(point.space.dim):
-            e = np.zeros(point.space.dim)
-            e[k] = 0.05
-            probes.append(vertical_bump(point, e))
-            probes.append(vertical_bump(point, -e))
-        phi.validate_on(probes, t_final=max(p.horizon for p in net))
+    probes = [point]
+    for k in range(point.space.dim):
+        e = np.zeros(point.space.dim)
+        e[k] = 0.05
+        probes.append(vertical_bump(point, e))
+        probes.append(vertical_bump(point, -e))
+    phi.validate_on(probes, t_final=max(p.horizon for p in net))
 
     def f(g: Path) -> float:
         return float(w(g)) - sgn * (float(phi.value(g)) + pack.value(g))
@@ -273,7 +265,7 @@ def viscosity_check(
         if gap > worst_gap:
             worst_gap = gap
             witness = g
-    premise_ok = worst_gap <= premise_tol
+    premise_ok = worst_gap <= _PREMISE_TOL
     if premise_ok:
         witness = None
 
@@ -435,32 +427,27 @@ class StabilityResult:
 
 
 def stability_experiment(
-    coeffs: Coefficients,
-    grid: TimeGrid,
+    base_table: ValueTable,
     kind: str,
     epsilons,
     points,
     *,
-    budget: int = 10**6,
     tol: float = 1e-9,
-    table: Optional[ValueTable] = None,
 ) -> StabilityResult:
     """Value gaps under coefficient shifts against their oracles.
 
     phi_shift: gap is eps exactly. q_shift: gap is eps * (T - t) exactly.
     drift_shift: |gap| <= e^{LT} eps with L of the base family, and gaps
-    shrink with eps at every point. `table`, if given, holds the values of
-    the unperturbed coefficients.
+    shrink with eps at every point. Each perturbed family gets a table on
+    the grid and budget of `base_table`, which holds the unperturbed values.
     """
+    coeffs, grid = base_table.c, base_table.grid
     epsilons = tuple(float(e) for e in epsilons)
-    base_table = table
-    if base_table is None:
-        base_table = ValueTable(coeffs, grid, budget=budget)
     rows = []
     ok = True
     gaps = {}  # (point index, eps) -> gap
     for eps in epsilons:
-        table = ValueTable(perturbed(coeffs, kind, eps), grid, budget=budget)
+        table = ValueTable(perturbed(coeffs, kind, eps), grid, budget=base_table.budget)
         for i, g in enumerate(points):
             v0 = base_table.value(g)
             v1 = table.value(g)

@@ -25,14 +25,13 @@ from .checks import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import ControlSignal, validate_hypothesis, verify_state_estimates
-from .paths import Path, TimeGrid, extend_semigroup
+from .paths import Path, TimeGrid
 from .report import CheckRecord, RunReport, write_report
-from .scenarios import classical_candidate, touching_points
+from .scenarios import classical_candidate, has_certificates, touching_points
 from .testfn import TestFunctionPhi
 from .value import (
     BudgetExceeded,
     ValueTable,
-    optimal_control,
     verify_dpp_consistency,
     verify_value_regularity,
 )
@@ -76,9 +75,9 @@ def _run_estimates(cfg: RunConfig, value_table) -> CheckRecord:
 
 def _run_value(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    v, sig, traj = optimal_control(
-        sc.coefficients, sc.initial, sc.grid, table=value_table()
-    )
+    table = value_table()
+    v = table.value(sc.initial)
+    sig, traj = table.policy(sc.initial)
     summary = {"value": v, "horizon": sc.initial.horizon}
     passed = bool(np.isfinite(v))
     if sc.closed_form is not None:
@@ -99,9 +98,7 @@ def _run_value(cfg: RunConfig, value_table) -> CheckRecord:
 def _run_dpp(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     table = value_table()
-    residuals = verify_dpp_consistency(
-        sc.coefficients, sc.initial, sc.grid, table=table
-    )
+    residuals = verify_dpp_consistency(table, sc.initial)
     _, traj = table.policy(sc.initial)
     terminal_gap = abs(table.value(traj) - float(sc.coefficients.terminal_cost(traj)))
     worst = max(residuals.values(), default=0.0)
@@ -116,9 +113,7 @@ def _run_dpp(cfg: RunConfig, value_table) -> CheckRecord:
 
 def _run_regularity(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    rep = verify_value_regularity(
-        sc.coefficients, sc.space, sc.grid, seed=cfg.seed, table=value_table()
-    )
+    rep = verify_value_regularity(value_table(), sc.space, seed=cfg.seed)
     return CheckRecord(
         name="regularity",
         passed=rep.passed,
@@ -242,18 +237,15 @@ def _run_classical(cfg: RunConfig, value_table) -> CheckRecord:
 def _run_stability(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     res = stability_experiment(
-        sc.coefficients,
-        sc.grid,
+        value_table(),
         cfg.perturbation,
         cfg.epsilons,
         [sc.initial],
-        budget=cfg.budget,
         tol=cfg.tolerances["residual"],
-        table=value_table(),
     )
     summary = {"kind": res.kind, "monotone_ok": res.monotone_ok}
     passed = res.passed
-    if sc.name in ("eikonal", "runmax"):
+    if has_certificates(sc):
         # the unperturbed member of the family must still pass a point check
         pts = touching_points(sc)
         if pts:
@@ -339,17 +331,15 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         return EXIT_VALIDATION
 
     selected = checks if checks is not None else cfg.checks
-    if cfg.scenario.name == "feedback" and any(
-        c in ("viscosity", "classical") for c in selected
-    ):
+    sc = cfg.scenario
+    if not has_certificates(sc) and any(c in ("viscosity", "classical") for c in selected):
         click.echo(
-            "error: invalid config: checks: feedback has no certificate library; "
+            f"error: invalid config: checks: {sc.name} has no certificate library; "
             "viscosity/classical unavailable",
             err=True,
         )
         return EXIT_VALIDATION
 
-    sc = cfg.scenario
     # one value table per run, built on first use; a check that runs it out of
     # budget drops it, so the next check starts from an empty memo
     value_table = functools.cache(

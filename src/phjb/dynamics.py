@@ -13,7 +13,7 @@ over [t, T] bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
@@ -196,7 +196,6 @@ def validate_hypothesis(
     *,
     n_pairs: int = 200,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> HypothesisReport:
     """Sample path pairs and controls; report worst lhs/rhs ratios.
 
@@ -212,8 +211,8 @@ def validate_hypothesis(
             worst[name] = max(worst[name], lhs / rhs)
 
     for _ in range(n_pairs):
-        g = random_prefix(rng, space, grid, scale=scale)
-        h = random_prefix(rng, space, grid, scale=scale)
+        g = random_prefix(rng, space, grid)
+        h = random_prefix(rng, space, grid)
         d = metric_d_infty(g, h)
         ng, nh = sup_norm(g), sup_norm(h)
         for u in c.control_set:
@@ -261,7 +260,6 @@ def verify_state_estimates(
     *,
     n_samples: int = 100,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> StateEstimateReport:
     """Sample trajectories and report worst-case estimate constants.
 
@@ -280,7 +278,7 @@ def verify_state_estimates(
         return mild_solve(c, g, ControlSignal.constant(u, g.horizon, grid.T, grid.step))
 
     for _ in range(n_samples):
-        g = random_prefix(rng, space, grid, scale=scale)
+        g = random_prefix(rng, space, grid)
         u = c.control_set[int(rng.integers(len(c.control_set)))]
         t = g.horizon
         ng = sup_norm(g)
@@ -295,7 +293,7 @@ def verify_state_estimates(
                     consts["near_initial"], gap / ((1.0 + ng) * (s - t))
                 )
             # same-horizon Lipschitz dependence on the prefix
-            eta = random_prefix(rng, space, grid, scale=scale)
+            eta = random_prefix(rng, space, grid)
             eta = eta._head(g.n_nodes) if (
                 eta.n_nodes >= g.n_nodes
             ) else extend_semigroup(eta, t)

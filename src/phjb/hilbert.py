@@ -17,28 +17,27 @@ __all__ = ["SpectralSpace"]
 
 @dataclass(frozen=True)
 class SpectralSpace:
-    """Finite spectral truncation: dimension and nonpositive eigenvalues.
+    """Finite spectral truncation given by its nonpositive eigenvalues.
 
     Parameters
     ----------
-    dim : int
-        Number of retained modes, >= 1.
     eigenvalues : array_like
-        Shape (dim,), all entries <= 0. Eigenvalue k drives coordinate k.
+        One non-empty row, all entries <= 0. Eigenvalue k drives coordinate
+        k, and the number of retained modes is `dim`.
     """
 
-    dim: int
     eigenvalues: np.ndarray = field(repr=False)
+    # len(eigenvalues), set once: a plain instance attribute keeps the hot-path
+    # reads as cheap as a constructor field (a cached_property read is not)
+    dim: int = field(init=False, compare=False)
     # semigroup_factors(t) by t, computed once each
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if lam.shape != (self.dim,):
+        if lam.ndim != 1 or lam.size == 0:
             raise ValueError(
-                f"eigenvalues shape {lam.shape} does not match dim {self.dim}"
+                f"eigenvalues must be one non-empty row, got shape {lam.shape}"
             )
         if not np.all(np.isfinite(lam)):
             raise ValueError("eigenvalues must be finite")
@@ -46,6 +45,7 @@ class SpectralSpace:
             raise ValueError(f"eigenvalues must be <= 0, got max {lam.max()}")
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "dim", lam.size)
 
     # -- helpers ---------------------------------------------------------
 

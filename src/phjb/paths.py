@@ -222,13 +222,6 @@ class Path:
         self._check_same_grid(other)
         return Path(self.space, self.step, self.samples - other.samples)
 
-    def __rmul__(self, c: float) -> "Path":
-        return Path(self.space, self.step, float(c) * self.samples)
-
-    def allclose(self, other: "Path", tol: float = 1e-12) -> bool:
-        if self.n_nodes != other.n_nodes:
-            return False
-        return bool(np.allclose(self.samples, other.samples, rtol=0.0, atol=tol))
 
 
 # -- constructions -------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Reports are plain dict trees with one volatile subtree: everything under
 "timestamp" (wall-clock data) changes run to run, the rest is a pure
-function of config + seed. canonical_json drops that subtree so callers
-can byte-compare runs. CSV output is a long-format flattening: one line
+function of config + seed, so two runs compare byte for byte once that
+subtree is removed. CSV output is a long-format flattening: one line
 per (check, row index, field).
 """
 
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CheckRecord", "RunReport", "canonical_json", "render", "write_report"]
+__all__ = ["CheckRecord", "RunReport", "render", "write_report"]
 
 
 @dataclass
@@ -84,13 +84,6 @@ def report_to_dict(report: RunReport) -> dict:
             "elapsed_s": report.elapsed_s,
         },
     }
-
-
-def canonical_json(report: RunReport) -> str:
-    """Deterministic serialization: the timestamp subtree is removed."""
-    payload = report_to_dict(report)
-    payload.pop("timestamp")
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _to_csv(payload: dict) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "SCENARIOS",
     "eikonal_value",
     "runmax_value",
+    "has_certificates",
     "touching_points",
 ]
 
@@ -73,7 +74,7 @@ def runmax_value(g: Path, grid: TimeGrid) -> float:
 
 
 def _flat_space(dim: int) -> SpectralSpace:
-    return SpectralSpace(dim=dim, eigenvalues=np.zeros(dim))
+    return SpectralSpace(np.zeros(dim))
 
 
 def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
@@ -142,6 +143,17 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
 
 
 SCENARIOS = {"eikonal": eikonal, "runmax": runmax, "feedback": feedback}
+
+
+def has_certificates(sc: Scenario) -> bool:
+    """Whether sc carries a certificate library: touching points and a
+    classical candidate. Only the closed-form scenarios do."""
+    return sc.name in ("eikonal", "runmax")
+
+
+def _require_certificates(sc: Scenario) -> None:
+    if not has_certificates(sc):
+        raise ValueError(f"no certificate library for scenario {sc.name!r}")
 
 
 # touching certificates -------------------------------------------------
@@ -292,6 +304,7 @@ def classical_candidate(sc: Scenario) -> tuple:
     Runmax points with the endpoint holding the max are excluded: there the
     value is one-sided in time and only the certificate check applies.
     """
+    _require_certificates(sc)
     if sc.name == "eikonal":
         T = sc.grid.T
 
@@ -317,31 +330,29 @@ def classical_candidate(sc: Scenario) -> tuple:
             _path(sc, [[1.2]] * (sc.grid.n_steps + 1)),  # terminal row
         ]
         return w, [p for p in points if p.horizon <= T + 1e-12]
-    if sc.name == "runmax":
 
-        def strict_end(g: Path) -> bool:
-            others = np.abs(g.samples[:-1, 0])
-            return others.size == 0 or abs(float(g.endpoint[0])) > float(others.max())
+    def strict_end(g: Path) -> bool:
+        others = np.abs(g.samples[:-1, 0])
+        return others.size == 0 or abs(float(g.endpoint[0])) > float(others.max())
 
-        w = TestFunctionPhi(
-            value=lambda g: sup_norm(g),
-            dt=lambda g: 0.0,
-            dx=lambda g: (
-                np.array([np.sign(float(g.endpoint[0]))])
-                if strict_end(g)
-                else np.array([0.0])
-            ),
-            label="runmax-value",
-        )
-        points = [
-            _path(sc, [[0.2], [1.0], [0.5]]),
-            _path(sc, [[-0.1], [-0.9], [0.3]]),
-            _path(sc, [[0.5], [1.2], [0.9], [0.2]]),
-            _path(sc, [[0.5], [0.5]]),  # endpoint ties the max: kink, flagged
-            _path(sc, [[0.2], [1.0]] + [[0.5]] * (sc.grid.n_steps - 1)),  # terminal
-        ]
-        return w, [p for p in points if p.horizon <= sc.grid.T + 1e-12]
-    raise ValueError(f"no classical candidate for scenario {sc.name!r}")
+    w = TestFunctionPhi(
+        value=lambda g: sup_norm(g),
+        dt=lambda g: 0.0,
+        dx=lambda g: (
+            np.array([np.sign(float(g.endpoint[0]))])
+            if strict_end(g)
+            else np.array([0.0])
+        ),
+        label="runmax-value",
+    )
+    points = [
+        _path(sc, [[0.2], [1.0], [0.5]]),
+        _path(sc, [[-0.1], [-0.9], [0.3]]),
+        _path(sc, [[0.5], [1.2], [0.9], [0.2]]),
+        _path(sc, [[0.5], [0.5]]),  # endpoint ties the max: kink, flagged
+        _path(sc, [[0.2], [1.0]] + [[0.5]] * (sc.grid.n_steps - 1)),  # terminal
+    ]
+    return w, [p for p in points if p.horizon <= sc.grid.T + 1e-12]
 
 
 def touching_points(sc: Scenario) -> list:
@@ -351,6 +362,7 @@ def touching_points(sc: Scenario) -> list:
     lattice value no smooth-plus-pack test can touch from above, so such
     points carry no sub-side content and are not used.
     """
+    _require_certificates(sc)
     if sc.name == "eikonal":
         candidates = [
             (_eikonal_slope_point, [[1.2], [1.2], [1.2]], "slope+const"),
@@ -360,7 +372,7 @@ def touching_points(sc: Scenario) -> list:
             (_eikonal_slope_point, [[0.3], [0.8], [0.8], [0.8]], "slope+late"),
             (_eikonal_slope_point, [[0.0], [0.5], [1.0]], "slope+ramp"),
         ]
-    elif sc.name == "runmax":
+    else:
         candidates = [
             (lambda s, v, l: _runmax_interior_point(s, v, 1, l), [[0.2], [1.0], [0.5]], "interior+mid"),
             (lambda s, v, l: _runmax_interior_point(s, v, 1, l), [[-0.1], [-0.9], [0.3]], "interior-mid"),
@@ -369,8 +381,6 @@ def touching_points(sc: Scenario) -> list:
             (_runmax_endpoint_point, [[-0.2], [-0.5], [-0.9]], "endpoint-"),
             (_runmax_endpoint_point, [[0.3], [0.6]], "endpoint+short"),
         ]
-    else:
-        raise ValueError(f"no touching certificates for scenario {sc.name!r}")
     out = []
     for build, values, label in candidates:
         if (len(values) - 1) * sc.grid.step >= sc.grid.T - 1e-12:

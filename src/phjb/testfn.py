@@ -49,11 +49,6 @@ class TestFunctionPhi:
     def __call__(self, g: Path) -> float:
         return float(self.value(g))
 
-    def shifted(self, const: float) -> "TestFunctionPhi":
-        """Same functional plus a constant (derivatives unchanged)."""
-        base = self.value
-        return replace(self, value=lambda g: float(base(g)) + const)
-
     def time_ramp(self, k: float, t_final: float) -> "TestFunctionPhi":
         """Add k*(t_final - s); shifts the time derivative by -k."""
         base_v, base_t = self.value, self.dt
@@ -64,21 +59,15 @@ class TestFunctionPhi:
             label=(self.label + "+ramp") if self.label else "ramp",
         )
 
-    def validate_on(
-        self,
-        paths,
-        *,
-        t_final: Optional[float] = None,
-        tol: float = 1e-5,
-        h: Optional[float] = None,
-    ) -> None:
+    def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences.
 
-        Raises ValueError at the first sample where they disagree beyond tol
-        (absolute, relative to max(1, |analytic|)).
+        Raises ValueError at the first sample where they disagree beyond
+        1e-5 (absolute, relative to max(1, |analytic|)).
         """
+        tol = 1e-5
         for g in paths:
-            fd = dupire_derivatives(self.value, g, t_final=t_final, h=h)
+            fd = dupire_derivatives(self.value, g, t_final=t_final)
             ax = np.asarray(self.dx(g), dtype=float)
             gap = np.max(np.abs(ax - fd.dx))
             if gap > tol * max(1.0, float(np.max(np.abs(ax)))):
@@ -125,7 +114,6 @@ def differentiability_probe(
     g: Path,
     *,
     t_final: Optional[float] = None,
-    h_base: float = 1e-3,
 ) -> bool:
     """True when finite differences converge to the supplied derivatives.
 
@@ -134,6 +122,7 @@ def differentiability_probe(
     differences agree (central differences alone cancel at a symmetric
     cone); and the flat-extension time slope matches when it exists.
     """
+    h_base = 1e-3
     fd1 = dupire_derivatives(value, g, t_final=t_final, h=h_base)
     fd2 = dupire_derivatives(value, g, t_final=t_final, h=0.5 * h_base)
     ax = np.asarray(dx(g), dtype=float)

@@ -1,7 +1,10 @@
 """Cost functional, Hamiltonian, and the exact dynamic-programming value.
 
-value_dpp computes the exact minimum of cost_J over piecewise-constant control
-trees by backward recursion. Per-interval running costs use the same trapezoid
+ValueTable computes the exact minimum of cost_J over piecewise-constant
+control trees by backward recursion. It carries the coefficients, grid and
+budget of one control problem, and the checks here read all three from the
+table they are given, so a check cannot mix one problem's values with
+another's coefficients. Per-interval running costs use the same trapezoid
 rule as cost_J and are accumulated in the same (backward) association, so the
 dynamic-programming identity holds to roundoff by construction, and the value
 matches brute-force enumeration bit for bit.
@@ -22,8 +25,6 @@ __all__ = [
     "cost_J",
     "hamiltonian",
     "ValueTable",
-    "value_dpp",
-    "optimal_control",
     "verify_dpp_consistency",
     "RegularityReport",
     "verify_value_regularity",
@@ -83,18 +84,11 @@ class ValueTable:
     tests covering the built-in scenarios).
     """
 
-    def __init__(
-        self,
-        c: Coefficients,
-        grid: TimeGrid,
-        *,
-        budget: int = 10**6,
-        use_state_key: bool = True,
-    ):
+    def __init__(self, c: Coefficients, grid: TimeGrid, *, budget: int = 10**6):
         self.c = c
         self.grid = grid
         self.budget = int(budget)
-        self.state_key = c.state_key if use_state_key else None
+        self.state_key = c.state_key
         self.memo: dict = {}
         self.hits = 0
 
@@ -144,64 +138,25 @@ class ValueTable:
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
 
-    def policy(self, g: Path) -> tuple[tuple, Path]:
-        """Optimal controls from g to T and their trajectory, following stored argmins."""
+    def policy(self, g: Path) -> tuple[ControlSignal, Path]:
+        """An optimal control signal from g to T and its trajectory, by stored argmins."""
         controls = []
         x = g
         while x.n_nodes - 1 < self.grid.n_steps:
             _, u = self.entry(x)
             controls.append(u)
             x = step_once(self.c, x, u)
-        return tuple(controls), x
+        return ControlSignal(g.horizon, g.step, controls), x
 
 
-def value_dpp(
-    c: Coefficients,
-    g: Path,
-    grid: TimeGrid,
-    *,
-    budget: int = 10**6,
-    use_state_key: bool = True,
-    table: Optional[ValueTable] = None,
-) -> float:
-    """V(gamma_t): exact minimum of cost_J over the control tree."""
-    if table is None:
-        table = ValueTable(c, grid, budget=budget, use_state_key=use_state_key)
-    return table.value(g)
-
-
-def optimal_control(
-    c: Coefficients,
-    g: Path,
-    grid: TimeGrid,
-    *,
-    table: Optional[ValueTable] = None,
-    **kw,
-) -> tuple[float, ControlSignal, Path]:
-    """Value, an optimal control signal, and its trajectory."""
-    if table is None:
-        table = ValueTable(c, grid, **kw)
-    v = table.value(g)
-    controls, traj = table.policy(g)
-    return v, ControlSignal(g.horizon, g.step, controls), traj
-
-
-def verify_dpp_consistency(
-    c: Coefficients,
-    g: Path,
-    grid: TimeGrid,
-    *,
-    table: Optional[ValueTable] = None,
-    budget: int = 10**6,
-) -> dict:
+def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     """Residuals |V(gamma_t) - min_u [ sum costs + V(X_s) ]| at every grid s.
 
     The inner minimum enumerates control assignments on [t, s] explicitly and
     accumulates tail-first, matching the recursion's association. The
     width^steps_left leaves are refused up front beyond the table's budget.
     """
-    if table is None:
-        table = ValueTable(c, grid, budget=budget)
+    c, grid = table.c, table.grid
     width = len(c.control_set)
     steps_left = grid.n_steps - (g.n_nodes - 1)
     if width**steps_left > table.budget:
@@ -250,16 +205,11 @@ class RegularityReport:
 
 
 def verify_value_regularity(
-    c: Coefficients,
+    table: ValueTable,
     space: SpectralSpace,
-    grid: TimeGrid,
     *,
-    n_samples: int = 30,
-    seed: int = 0,
-    scale: float = 1.0,
-    budget: int = 10**6,
+    seed: int,
     paths: Optional[list] = None,
-    table: Optional[ValueTable] = None,
 ) -> RegularityReport:
     """Empirical constants for growth, space-Lipschitz, and time regularity.
 
@@ -267,23 +217,20 @@ def verify_value_regularity(
       growth:   max |V(gamma_t)| / (1 + ||gamma||_0)
       space:    max |V(gamma_t) - V(eta_t)| / ||gamma - eta||_0
       time:     max |V(ext gamma to tbar) - V(gamma_t)| / ((1 + ||gamma||_0)(tbar - t))
-    Pass `paths` to pin the sample set (used for grid-refinement stability),
-    and `table` to read values from a table of c already in use.
+    Without `paths`, 30 seeded random prefixes are sampled; pass `paths` to
+    pin the sample set (used for grid-refinement stability).
     """
+    grid = table.grid
     rng = np.random.default_rng(seed)
-    if table is None:
-        table = ValueTable(c, grid, budget=budget)
     if paths is None:
-        paths = [
-            random_prefix(rng, space, grid, scale=scale) for _ in range(n_samples)
-        ]
+        paths = [random_prefix(rng, space, grid) for _ in range(30)]
     consts = {"growth": 0.0, "space": 0.0, "time": 0.0}
     for g in paths:
         vg = table.value(g)
         ng = sup_norm(g)
         consts["growth"] = max(consts["growth"], abs(vg) / (1.0 + ng))
         # vertical companion at the same horizon
-        bump = rng.normal(0.0, scale, size=space.dim)
+        bump = rng.normal(0.0, 1.0, size=space.dim)
         eta = vertical_bump(g, bump)
         gap = sup_norm(g - eta)
         if gap > 1e-12:
@@ -296,7 +243,7 @@ def verify_value_regularity(
                 consts["time"], abs(ve - vg) / ((1.0 + ng) * grid.step)
             )
     return RegularityReport(
-        coefficients=c.name,
+        coefficients=table.c.name,
         grid_step=grid.step,
         n_samples=len(paths),
         constants=consts,

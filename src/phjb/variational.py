@@ -11,12 +11,15 @@ to stall at the starting horizon and says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .gauge import eval_upsilon_pair
 from .paths import GRID_TOL, Path
 
 __all__ = ["pair_gauge", "BPResult", "bp_search"]
+
+# a gauge at or below this separates no two paths
+_GAUGE_TOL = 1e-12
 
 
 def pair_gauge(anchor: Path, g: Path) -> float:
@@ -52,16 +55,15 @@ def bp_search(
     eps: float,
     *,
     rho: Callable[[Path, Path], float] = pair_gauge,
-    delta0: float = 1.0,
     max_anchors: int = 64,
-    gauge_tol: float = 1e-12,
 ) -> BPResult:
     """Anchor-and-perturb argmax refinement over a finite net.
 
     Requires f(start) >= max f - eps over the net (raises otherwise).
     Each stage maximizes f minus the anchored gauges accumulated so far,
-    with ties resolved toward the incumbent; a stage that reproduces its
-    incumbent ends the search. Only paths at or after the incumbent's
+    with weights 1, 1/2, 1/4, ... and ties resolved toward the incumbent; a
+    stage that reproduces its incumbent, or one within _GAUGE_TOL of it,
+    ends the search. Only paths at or after the incumbent's
     horizon compete.
 
     Each anchor's gauge row rho(anchor, g) is computed once per net path,
@@ -71,8 +73,8 @@ def bp_search(
     gauges afresh at every stage. The incumbent is always the last anchor,
     so its row also serves the stop test and the strictness scan.
     """
-    if eps <= 0.0 or delta0 <= 0.0:
-        raise ValueError("eps and delta0 must be positive")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
     net = list(net)
     if not any(p is start for p in net):
         net.append(start)
@@ -86,7 +88,7 @@ def bp_search(
 
     n = len(net)
     anchors = [start]
-    deltas = [delta0]
+    deltas = [1.0]
     rows = [[None] * n]  # rows[j][i] = rho(anchors[j], net[i]), filled on demand
     pert = list(f_vals)  # f minus the gauges of the first done[i] anchors
     done = [0] * n
@@ -115,10 +117,10 @@ def bp_search(
             v = perturbed(i)
             if v > best_v:
                 best, best_v = i, v
-        if net[best] is net[inc] or rows[-1][best] <= gauge_tol:
+        if net[best] is net[inc] or rows[-1][best] <= _GAUGE_TOL:
             break
         anchors.append(net[best])
-        deltas.append(delta0 * 2.0 ** (-len(deltas)))
+        deltas.append(2.0 ** (-len(deltas)))
         rows.append([None] * n)
         inc = best
 
@@ -127,7 +129,7 @@ def bp_search(
     gap = float("inf")
     for i in competitors():
         v = perturbed(i)
-        if rows[-1][i] <= gauge_tol:
+        if rows[-1][i] <= _GAUGE_TOL:
             continue
         gap = min(gap, final_v - v)
 

@@ -7,7 +7,7 @@ from phjb import Path, SpectralSpace
 
 def make_space(eigenvalues) -> SpectralSpace:
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    return SpectralSpace(dim=lam.size, eigenvalues=lam)
+    return SpectralSpace(lam)
 
 
 def flat_space(dim: int = 1) -> SpectralSpace:

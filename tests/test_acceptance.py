@@ -24,7 +24,7 @@ from phjb.gauge import eval_S, eval_upsilon, grad_S
 from phjb.paths import Path, TimeGrid
 from phjb.scenarios import eikonal, runmax, runmax_value, touching_points
 from phjb.testfn import TestFunctionPhi
-from phjb.value import ValueTable, value_dpp, verify_dpp_consistency, verify_value_regularity
+from phjb.value import ValueTable, verify_dpp_consistency, verify_value_regularity
 from phjb.variational import bp_search, pair_gauge
 
 from conftest import make_space, random_path
@@ -171,16 +171,12 @@ def _enumerate_value(c, g, grid):
 def test_criterion_05_dpp_enumeration():
     t0 = time.perf_counter()
     ok = True
-    sc4 = eikonal()
-    ok = ok and value_dpp(sc4.coefficients, sc4.initial, sc4.grid) == _enumerate_value(
-        sc4.coefficients, sc4.initial, sc4.grid
-    )
-    sc6 = runmax(step=1.0 / 6)
-    ok = ok and value_dpp(sc6.coefficients, sc6.initial, sc6.grid) == _enumerate_value(
-        sc6.coefficients, sc6.initial, sc6.grid
-    )
-    for sc in (sc4, sc6):
-        res = verify_dpp_consistency(sc.coefficients, sc.initial, sc.grid)
+    for sc in (eikonal(), runmax(step=1.0 / 6)):
+        table = ValueTable(sc.coefficients, sc.grid)
+        ok = ok and table.value(sc.initial) == _enumerate_value(
+            sc.coefficients, sc.initial, sc.grid
+        )
+        res = verify_dpp_consistency(table, sc.initial)
         ok = ok and res and all(r <= 1e-9 for r in res.values())
     _verdict(5, "dpp-enumeration", ok, time.perf_counter() - t0, 10.0)
 
@@ -194,7 +190,7 @@ def test_criterion_06_closed_forms():
     sc = eikonal()
     for x, v in ((0.5, 0.0), (1.5, 0.5)):
         g = Path.constant(sc.space, sc.grid.step, np.array([x]), horizon=0.0)
-        ok = ok and value_dpp(sc.coefficients, g, sc.grid) == v
+        ok = ok and ValueTable(sc.coefficients, sc.grid).value(g) == v
     rm = runmax()
     table = ValueTable(rm.coefficients, rm.grid)
     rng = np.random.default_rng(106)
@@ -360,16 +356,13 @@ def test_criterion_10_stability():
             sc.initial,
             Path(sc.space, sc.grid.step, np.tile(sc.initial.endpoint * 0.8, (3, 1))),
         ]
+        table = ValueTable(sc.coefficients, sc.grid)
         for kind in ("phi_shift", "q_shift"):
-            rep = stability_experiment(
-                sc.coefficients, sc.grid, kind, (0.1, 0.05, 0.025), pts
-            )
+            rep = stability_experiment(table, kind, (0.1, 0.05, 0.025), pts)
             ok = ok and rep.passed
             for row in rep.rows:
                 ok = ok and abs(row["gap"] - row["oracle"]) <= 1e-9
-        rep = stability_experiment(
-            sc.coefficients, sc.grid, "drift_shift", (0.1, 0.05, 0.025), pts
-        )
+        rep = stability_experiment(table, "drift_shift", (0.1, 0.05, 0.025), pts)
         ok = ok and rep.passed and rep.monotone_ok
         env = np.exp(sc.coefficients.lipschitz_L * sc.grid.T)
         for row in rep.rows:
@@ -434,7 +427,7 @@ def test_criterion_12_regularity_refinement():
                 Path(sc.space, grid.step, _refine_samples(g.samples, k)) for g in base
             ]
             rep = verify_value_regularity(
-                sc.coefficients, sc.space, grid, paths=paths, seed=112
+                ValueTable(sc.coefficients, grid), sc.space, paths=paths, seed=112
             )
             ok = ok and all(np.isfinite(v) for v in rep.constants.values())
             per_grid[k] = rep.constants

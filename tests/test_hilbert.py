@@ -14,12 +14,15 @@ SEED = 20230817
 
 def test_rejects_positive_eigenvalue():
     with pytest.raises(ValueError):
-        SpectralSpace(dim=2, eigenvalues=np.array([0.0, 1e-3]))
+        SpectralSpace(np.array([0.0, 1e-3]))
 
 
 def test_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        SpectralSpace(dim=3, eigenvalues=np.array([0.0, -1.0]))
+    # the dimension is the eigenvalue count, so only a non-row can mismatch
+    assert SpectralSpace(np.array([0.0, -1.0])).dim == 2
+    for bad in (np.zeros((2, 2)), np.zeros(0), 0.0):
+        with pytest.raises(ValueError, match="one non-empty row"):
+            SpectralSpace(bad)
 
 
 def test_eigenvalues_read_only():

@@ -91,9 +91,6 @@ def test_shifted_and_time_ramp():
     space = make_space([0.0])
     phi = TestFunctionPhi.quadratic_endpoint()
     g = Path.constant(space, 0.25, np.array([0.5]), horizon=0.5)
-    up = phi.shifted(2.0)
-    assert up(g) == pytest.approx(phi(g) + 2.0)
-    assert up.dt(g) == phi.dt(g)
     ramp = phi.time_ramp(3.0, 1.0)
     assert ramp(g) == pytest.approx(phi(g) + 3.0 * 0.5)
     assert ramp.dt(g) == pytest.approx(phi.dt(g) - 3.0)

@@ -6,7 +6,11 @@ import pytest
 from phjb.checks import perturbed, stability_experiment
 from phjb.paths import Path
 from phjb.scenarios import eikonal, feedback, runmax
-from phjb.value import value_dpp
+from phjb.value import ValueTable
+
+
+def _table(sc):
+    return ValueTable(sc.coefficients, sc.grid)
 
 
 def _points(sc):
@@ -18,9 +22,7 @@ def _points(sc):
 @pytest.mark.parametrize("build", [eikonal, runmax])
 def test_terminal_shift_moves_value_by_exactly_eps(build):
     sc = build()
-    rep = stability_experiment(
-        sc.coefficients, sc.grid, "phi_shift", (0.1, 0.05), _points(sc)
-    )
+    rep = stability_experiment(_table(sc), "phi_shift", (0.1, 0.05), _points(sc))
     assert rep.passed
     for row in rep.rows:
         assert abs(row["gap"] - row["eps"]) <= 1e-9
@@ -29,9 +31,7 @@ def test_terminal_shift_moves_value_by_exactly_eps(build):
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 def test_running_shift_scales_with_time_to_go(build):
     sc = build()
-    rep = stability_experiment(
-        sc.coefficients, sc.grid, "q_shift", (0.1, 0.02), _points(sc)
-    )
+    rep = stability_experiment(_table(sc), "q_shift", (0.1, 0.02), _points(sc))
     assert rep.passed
     for row in rep.rows:
         assert row["oracle"] == pytest.approx(row["eps"] * (1.0 - row["horizon"]))
@@ -42,7 +42,7 @@ def test_running_shift_scales_with_time_to_go(build):
 def test_drift_shift_within_gronwall_envelope_and_monotone(build):
     sc = build()
     rep = stability_experiment(
-        sc.coefficients, sc.grid, "drift_shift", (0.1, 0.05, 0.025), _points(sc)
+        _table(sc), "drift_shift", (0.1, 0.05, 0.025), _points(sc)
     )
     assert rep.passed
     assert rep.monotone_ok
@@ -57,8 +57,8 @@ def test_eikonal_drift_shift_from_origin_is_exact():
     sc = eikonal()
     g = Path.constant(sc.space, sc.grid.step, np.array([0.5]), horizon=0.0)
     for eps in (0.1, 0.05):
-        v0 = value_dpp(sc.coefficients, g, sc.grid)
-        v1 = value_dpp(perturbed(sc.coefficients, "drift_shift", eps), g, sc.grid)
+        v0 = _table(sc).value(g)
+        v1 = ValueTable(perturbed(sc.coefficients, "drift_shift", eps), sc.grid).value(g)
         assert v1 - v0 == pytest.approx(eps * sc.grid.T, abs=1e-12)
 
 

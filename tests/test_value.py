@@ -19,8 +19,6 @@ from phjb.value import (
     ValueTable,
     cost_J,
     hamiltonian,
-    optimal_control,
-    value_dpp,
     verify_dpp_consistency,
 )
 
@@ -93,20 +91,20 @@ def test_hamiltonian_argmax_scale_invariant():
 
 def test_eikonal_value_equals_brute_force():
     sc = eikonal()  # 3^4 assignments
-    v = value_dpp(sc.coefficients, sc.initial, sc.grid)
+    v = ValueTable(sc.coefficients, sc.grid).value(sc.initial)
     assert v == brute_force_value(sc.coefficients, sc.initial, sc.grid)
 
 
 def test_runmax_value_equals_brute_force_on_finer_grid():
     sc = runmax(step=1.0 / 6)  # 3^6 assignments
     g = Path(sc.space, sc.grid.step, np.array([[0.2], [0.6]]))
-    v = value_dpp(sc.coefficients, g, sc.grid)
+    v = ValueTable(sc.coefficients, sc.grid).value(g)
     assert v == brute_force_value(sc.coefficients, g, sc.grid)
 
 
 def test_feedback_value_equals_brute_force():
     sc = feedback()
-    v = value_dpp(sc.coefficients, sc.initial, sc.grid)
+    v = ValueTable(sc.coefficients, sc.grid).value(sc.initial)
     assert v == pytest.approx(
         brute_force_value(sc.coefficients, sc.initial, sc.grid), abs=1e-12
     )
@@ -116,8 +114,9 @@ def test_eikonal_desk_values():
     sc = eikonal()
     g1 = Path.constant(sc.space, sc.grid.step, np.array([0.5]), horizon=0.0)
     g2 = Path.constant(sc.space, sc.grid.step, np.array([1.5]), horizon=0.0)
-    assert value_dpp(sc.coefficients, g1, sc.grid) == 0.0
-    assert value_dpp(sc.coefficients, g2, sc.grid) == 0.5
+    table = ValueTable(sc.coefficients, sc.grid)
+    assert table.value(g1) == 0.0
+    assert table.value(g2) == 0.5
     assert eikonal_value(g1, sc.grid) == 0.0
     assert eikonal_value(g2, sc.grid) == 0.5
 
@@ -148,7 +147,7 @@ def test_closed_forms_reject_prefix_past_horizon():
 @pytest.mark.parametrize("build", [eikonal, runmax])
 def test_dpp_residuals_are_exactly_zero(build):
     sc = build()
-    res = verify_dpp_consistency(sc.coefficients, sc.initial, sc.grid)
+    res = verify_dpp_consistency(ValueTable(sc.coefficients, sc.grid), sc.initial)
     assert res  # at least one intermediate horizon
     for s, r in res.items():
         assert r == 0.0, (s, r)
@@ -157,14 +156,16 @@ def test_dpp_residuals_are_exactly_zero(build):
 def test_dpp_residuals_zero_from_nontrivial_prefix():
     sc = runmax()
     g = Path(sc.space, sc.grid.step, np.array([[0.2], [1.0], [0.5]]))
-    res = verify_dpp_consistency(sc.coefficients, g, sc.grid)
+    res = verify_dpp_consistency(ValueTable(sc.coefficients, sc.grid), g)
     assert all(r == 0.0 for r in res.values())
 
 
 def test_optimal_control_cost_matches_value():
     sc = eikonal()
     g = Path.constant(sc.space, sc.grid.step, np.array([0.6]), horizon=0.0)
-    v, sig, traj = optimal_control(sc.coefficients, g, sc.grid)
+    table = ValueTable(sc.coefficients, sc.grid)
+    v = table.value(g)
+    sig, traj = table.policy(g)
     assert cost_J(sc.coefficients, g, sig) == v
     assert traj.horizon == pytest.approx(sc.grid.T)
 
@@ -172,10 +173,9 @@ def test_optimal_control_cost_matches_value():
 def test_policy_trajectory_ends_at_the_optimal_terminal_cost():
     sc = runmax()
     table = ValueTable(sc.coefficients, sc.grid)
-    controls, traj = table.policy(sc.initial)
-    assert len(controls) == sc.grid.n_steps - (sc.initial.n_nodes - 1)
+    sig, traj = table.policy(sc.initial)
+    assert len(sig.values) == sc.grid.n_steps - (sc.initial.n_nodes - 1)
     assert table.value(traj) == float(sc.coefficients.terminal_cost(traj))
-    sig = ControlSignal(sc.initial.horizon, sc.grid.step, controls)
     assert cost_J(sc.coefficients, sc.initial, sig) == table.value(sc.initial)
 
 
@@ -200,13 +200,13 @@ def test_budget_exceeded_without_state_key():
         lipschitz_L=sc.coefficients.lipschitz_L,
     )
     with pytest.raises(BudgetExceeded):
-        value_dpp(stripped, sc.initial, sc.grid, budget=1000, use_state_key=False)
+        ValueTable(stripped, sc.grid, budget=1000).value(sc.initial)
 
 
 def test_budget_guard_also_watches_memo_growth():
     sc = eikonal(step=1.0 / 16)
     with pytest.raises(BudgetExceeded):
-        value_dpp(sc.coefficients, sc.initial, sc.grid, budget=10)
+        ValueTable(sc.coefficients, sc.grid, budget=10).value(sc.initial)
 
 
 def test_dpp_enumeration_is_refused_beyond_the_budget():
@@ -215,7 +215,7 @@ def test_dpp_enumeration_is_refused_beyond_the_budget():
     assert table.value(sc.initial) == 0.0
     assert len(table.memo) <= 1000  # the recursion fits, 3^8 leaves do not
     with pytest.raises(BudgetExceeded, match="3\\^8"):
-        verify_dpp_consistency(sc.coefficients, sc.initial, sc.grid, table=table)
+        verify_dpp_consistency(table, sc.initial)
 
 
 def test_smaller_control_set_never_beats_larger():
@@ -223,6 +223,6 @@ def test_smaller_control_set_never_beats_larger():
     from dataclasses import replace
 
     restricted = replace(sc.coefficients, control_set=(-1.0, 0.0))
-    v_full = value_dpp(sc.coefficients, sc.initial, sc.grid)
-    v_restricted = value_dpp(restricted, sc.initial, sc.grid)
+    v_full = ValueTable(sc.coefficients, sc.grid).value(sc.initial)
+    v_restricted = ValueTable(restricted, sc.grid).value(sc.initial)
     assert v_full <= v_restricted
