@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Coefficients, ControlSignal, mild_solve, step_once
+from .dynamics import Coefficients, ControlSignal, mild_solve, step_level
 from .gauge import pair_difference, upsilon_on_prefixes
 from .hilbert import SpectralSpace
 from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, vertical_bump
@@ -167,14 +167,13 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
         if s > point.horizon + GRID_TOL:
             net.append(extend_semigroup(point, s))
 
-    # control tree, breadth-first, whole levels while the net stays <= 400
+    # control tree, breadth-first, whole levels while the net stays <= 400;
+    # a level that would not fit is not stepped
     level = [point]
-    while level and level[0].horizon < grid.T - GRID_TOL:
-        nxt = [step_once(coeffs, p, u) for p in level for u in coeffs.control_set]
-        if len(net) + len(nxt) > 400:
-            break
-        net.extend(nxt)
-        level = nxt
+    width = len(coeffs.control_set)
+    while level[0].horizon < grid.T - GRID_TOL and len(net) + width * len(level) <= 400:
+        level = step_level(coeffs, level, coeffs.control_set)
+        net.extend(level)
 
     # single-sample vertical edits
     for j in range(point.n_nodes):

@@ -32,6 +32,7 @@ __all__ = [
     "Coefficients",
     "ControlSignal",
     "step_once",
+    "step_level",
     "mild_solve",
     "HypothesisReport",
     "validate_hypothesis",
@@ -123,19 +124,95 @@ def _checked_drift(c: Coefficients, prefix: Path, u) -> np.ndarray:
     return f
 
 
+def _trapezoid(E: np.ndarray, x: np.ndarray, h: float, f0: np.ndarray, drift_at) -> np.ndarray:
+    """One exponential trapezoid step from x with drift f0 = F(x):
+    e^{hA} x + (h/2) (e^{hA} f0 + F(pred)), pred = e^{hA} (x + h f0),
+    where drift_at(pred) supplies F(pred).
+
+    Every operation is elementwise, so a (dim,) state and a block of states
+    with a trailing dim axis give the same bits state for state.
+    """
+    pred = E * (x + h * f0)
+    return E * x + 0.5 * h * (E * f0 + drift_at(pred))
+
+
 def step_once(c: Coefficients, prefix: Path, u) -> Path:
     """Advance the mild solution by one grid step under a frozen control.
 
     Only the predictor and the new sample are validated; the prefix already is.
     """
-    h = prefix.step
-    E = prefix.space.semigroup_factors(h)
-    x = prefix.samples[-1]
     f0 = _checked_drift(c, prefix, u)
-    pred = E * (x + h * f0)
-    f1 = _checked_drift(c, prefix._extended(pred[None, :]), u)
-    x1 = E * x + 0.5 * h * (E * f0 + f1)
+    x1 = _trapezoid(
+        prefix.space.semigroup_factors(prefix.step),
+        prefix.samples[-1],
+        prefix.step,
+        f0,
+        lambda pred: _checked_drift(c, prefix._extended(pred[None, :]), u),
+    )
     return prefix._extended(x1[None, :])
+
+
+class _Refused(Exception):
+    """A level block failed a check; step_level re-steps it child by child."""
+
+
+def step_level(c: Coefficients, prefixes: list, controls) -> list:
+    """`step_once(c, p, u)` for every prefix p and control u, as one block.
+
+    The prefixes share their space, step and node count n. The B * W children
+    come back parent-major, in control order, as trusted read-only views of
+    one (B, W, n + 1, dim) block, each equal to its `step_once` bit for bit.
+    The drift is still called once per child (it takes a Path); its shape
+    and finiteness, and the finiteness of the predictors and new samples,
+    are checked once per block. On any refusal the level is re-stepped child
+    by child, so the error raised is the one `step_once` raises first.
+    """
+    if not prefixes:
+        return []
+    try:
+        return _step_block(c, prefixes, controls)
+    except _Refused:
+        return [step_once(c, p, u) for p in prefixes for u in controls]
+
+
+def _step_block(c: Coefficients, prefixes: list, controls) -> list:
+    first = prefixes[0]
+    h = first.step
+    P = np.stack([p.samples for p in prefixes])  # (B, n, dim)
+    B, n, dim = P.shape
+    controls = list(controls)
+    W = len(controls)
+
+    def extended(rows: np.ndarray) -> list:
+        # the prefixes followed by one (B, W, dim) row block, and its paths
+        if not all_finite(rows):
+            raise _Refused
+        block = np.empty((B, W, n + 1, dim))
+        block[:, :, :n] = P[:, None]
+        block[:, :, n] = rows
+        block.flags.writeable = False
+        return [first._trusted(v) for v in block.reshape(B * W, n + 1, dim)]
+
+    def drift(paths: list) -> np.ndarray:
+        try:
+            f = np.array(
+                [c.drift(p, u) for p, u in zip(paths, controls * B)], dtype=np.float64
+            )
+        except Exception as exc:  # the drift's own error, or rows of mixed shapes
+            raise _Refused from exc
+        if f.shape != (B * W, dim) or not all_finite(f):
+            raise _Refused
+        return f.reshape(B, W, dim)
+
+    parents = [p for p in prefixes for _ in range(W)]
+    x1 = _trapezoid(
+        first.space.semigroup_factors(h),
+        P[:, None, -1],
+        h,
+        drift(parents),
+        lambda pred: drift(extended(pred)),
+    )
+    return extended(x1)
 
 
 def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, all_finite, prefix_sup_norms, semigroup_rows, sup_norm
+from .paths import Path, prefix_sup_norms, semigroup_rows, sup_norm
 
 __all__ = [
     "eval_S",
@@ -117,10 +117,7 @@ def pair_difference(anchor: Path, g: Path) -> Path:
         else:
             rows = semigroup_rows(early, n_late - n_early)
         np.subtract(late.samples[n_early:], rows, out=out[n_early:])
-    if not all_finite(out):
-        raise ValueError("samples must be finite")
-    out.flags.writeable = False
-    return late._trusted(out)
+    return late._sealed(out)
 
 
 def eval_upsilon_pair(M: float, anchor: Path, g: Path, *, with_time: bool = False) -> float:

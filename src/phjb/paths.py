@@ -133,6 +133,15 @@ class Path:
         arr.flags.writeable = False
         return self._trusted(arr)
 
+    def _sealed(self, samples: np.ndarray) -> "Path":
+        """A path on this path's space and step over `samples`, a fresh float64
+        (k + 1, dim) array that nothing else writes to: checked finite once,
+        made read-only and wrapped as it is, without `__post_init__`'s copy."""
+        if not all_finite(samples):
+            raise ValueError("samples must be finite")
+        samples.flags.writeable = False
+        return self._trusted(samples)
+
     def _trusted(self, samples: np.ndarray) -> "Path":
         """A path on this path's space and step holding `samples` as they are.
 
@@ -140,7 +149,10 @@ class Path:
         (k + 1, dim) block; nothing is copied or rescanned.
         """
         out = object.__new__(Path)
-        out.__dict__.update(space=self.space, step=self.step, samples=samples)
+        fields = out.__dict__
+        fields["space"] = self.space
+        fields["step"] = self.step
+        fields["samples"] = samples
         return out
 
     def _head(self, n_nodes: int) -> "Path":
@@ -216,12 +228,11 @@ class Path:
 
     def __add__(self, other: "Path") -> "Path":
         self._check_same_grid(other)
-        return Path(self.space, self.step, self.samples + other.samples)
+        return self._sealed(self.samples + other.samples)
 
     def __sub__(self, other: "Path") -> "Path":
         self._check_same_grid(other)
-        return Path(self.space, self.step, self.samples - other.samples)
-
+        return self._sealed(self.samples - other.samples)
 
 
 # -- constructions -------------------------------------------------------

@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Coefficients, ControlSignal, mild_solve, random_prefix, step_once
+from .dynamics import (
+    Coefficients,
+    ControlSignal,
+    mild_solve,
+    random_prefix,
+    step_level,
+    step_once,
+)
 from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, sup_norm, vertical_bump
 from .hilbert import SpectralSpace
 
@@ -70,6 +77,13 @@ def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
 # -- exact DPP value -----------------------------------------------------
 
 
+# parents stepped as one block by the value recursion and the DPP enumeration.
+# A block's fixed cost is about that of stepping two children one by one, so
+# 48 children spread it thin; 64 parents were no faster, and the recursion
+# holds depth * _BATCH * width paths at a time (under 1,000 at grid 16)
+_BATCH = 16
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when the control tree is too large to enumerate exactly."""
 
@@ -120,20 +134,56 @@ class ValueTable:
         if hit is not None:
             self.hits += 1
             return hit
-        best_val: Optional[float] = None
-        best_u = None
-        for u in self.c.control_set:
-            nxt = step_once(self.c, g, u)
-            val = _interval_cost(self.c, g, nxt, u) + self.entry(nxt)[0]
-            if best_val is None or val < best_val:
-                best_val, best_u = val, u
-        self.memo[key] = (best_val, best_u)
-        if len(self.memo) > self.budget:
-            raise BudgetExceeded(
-                f"memo grew beyond budget {self.budget}; the declared state "
-                "statistic does not collapse this instance"
-            )
-        return best_val, best_u
+        self._expand([g], [key])
+        return self.memo[key]
+
+    def _expand(self, parents: list, keys: list) -> None:
+        """Memo entries for non-terminal prefixes of one node count whose
+        keys are distinct and not yet in the memo.
+
+        Depth-first over batches of at most _BATCH parents: each batch is
+        stepped as one level, children whose key is in the memo or earlier
+        in the batch count as hits, and the rest are expanded the same way
+        before the batch backs up. Prefixes of one node count are thereby
+        met in the order of the one-node-at-a-time recursion, so the first
+        prefix to carry a key is the one expanded, and the memo ends with
+        the same entries, values and argmins. A budget met by the root
+        prefix holds below it, where fewer steps are left.
+        """
+        c, memo = self.c, self.memo
+        controls = c.control_set
+        width = len(controls)
+        leaves = parents[0].n_nodes == self.grid.n_steps
+        for lo in range(0, len(parents), _BATCH):
+            batch = parents[lo : lo + _BATCH]
+            children = step_level(c, batch, controls)
+            if leaves:
+                values = [float(c.terminal_cost(x)) for x in children]
+            else:
+                child_keys = [self._key(x) for x in children]
+                fresh = {}  # key -> the first child to carry it
+                for x, key in zip(children, child_keys):
+                    if key in memo or key in fresh:
+                        self.hits += 1
+                    else:
+                        fresh[key] = x
+                if fresh:
+                    self._expand(list(fresh.values()), list(fresh))
+                values = [memo[key][0] for key in child_keys]
+            for i, (g, key) in enumerate(zip(batch, keys[lo : lo + _BATCH])):
+                best_val: Optional[float] = None
+                best_u = None
+                for j, u in enumerate(controls):
+                    nxt = children[i * width + j]
+                    val = _interval_cost(c, g, nxt, u) + values[i * width + j]
+                    if best_val is None or val < best_val:
+                        best_val, best_u = val, u
+                memo[key] = (best_val, best_u)
+                if len(memo) > self.budget:
+                    raise BudgetExceeded(
+                        f"memo grew beyond budget {self.budget}; the declared state "
+                        "statistic does not collapse this instance"
+                    )
 
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
@@ -170,12 +220,15 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     level = [(g, [])]
     k0 = g.n_nodes - 1
     for k in range(k0 + 1, grid.n_steps + 1):
-        nxt_level = []
-        for prefix, pieces in level:
-            for u in c.control_set:
-                nxt = step_once(c, prefix, u)
-                nxt_level.append((nxt, pieces + [_interval_cost(c, prefix, nxt, u)]))
-        level = nxt_level
+        children = []
+        for lo in range(0, len(level), _BATCH):
+            batch = [prefix for prefix, _ in level[lo : lo + _BATCH]]
+            children += step_level(c, batch, c.control_set)
+        steps = [(prefix, pieces, u) for prefix, pieces in level for u in c.control_set]
+        level = [
+            (nxt, pieces + [_interval_cost(c, prefix, nxt, u)])
+            for (prefix, pieces, u), nxt in zip(steps, children)
+        ]
         best = None
         for prefix, pieces in level:
             total = table.value(prefix)

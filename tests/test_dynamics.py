@@ -13,14 +13,16 @@ from phjb.dynamics import (
     ControlSignal,
     mild_solve,
     random_prefix,
+    step_level,
     step_once,
     validate_hypothesis,
     verify_state_estimates,
 )
+from phjb.checks import perturbed
 from phjb.paths import Path, TimeGrid
 from phjb.scenarios import eikonal, feedback, runmax
 
-from conftest import make_space
+from conftest import make_space, random_path
 
 
 def _const_coeffs(dim, drift, name="test", L=2.0, q=None, phi=None):
@@ -123,6 +125,109 @@ def test_finite_drift_that_overflows_the_sample_is_refused():
     # the predictor 1.25e308 is finite; the corrected sample overflows
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         step_once(c, g, 0.0)
+
+
+# level stepping ----------------------------------------------------------
+
+
+def _decaying_coeffs():
+    return Coefficients(
+        name="decaying",
+        control_set=(-1.0, 0.0, 1.0),
+        drift=lambda g, u: np.array(
+            [u, -np.sin(g.endpoint[0]), 0.5 * np.tanh(g.endpoint[2]) - u]
+        ),
+        running_cost=lambda g, u: 0.0,
+        terminal_cost=lambda g: 0.0,
+        lipschitz_L=2.0,
+    )
+
+
+def _level_case(name):
+    """(coefficients, space, step) of one stepping case."""
+    if name == "decaying":
+        return _decaying_coeffs(), make_space([-0.5, -2.0, -4.5]), 0.125
+    if name == "feedback+F":
+        sc = feedback()
+        return perturbed(sc.coefficients, "drift_shift", 0.3), sc.space, sc.grid.step
+    sc = {"eikonal": eikonal, "runmax": runmax, "feedback": feedback}[name]()
+    return sc.coefficients, sc.space, sc.grid.step
+
+
+@pytest.mark.parametrize("name", ["eikonal", "runmax", "feedback", "decaying", "feedback+F"])
+@pytest.mark.parametrize("n_prefixes", [1, 5])
+def test_level_children_equal_step_once_bit_for_bit(name, n_prefixes):
+    c, space, step = _level_case(name)
+    rng = np.random.default_rng(11)
+    prefixes = [
+        random_path(rng, space, step=step, min_nodes=3, max_nodes=3)
+        for _ in range(n_prefixes)
+    ]
+    before = [p.samples.copy() for p in prefixes]
+    children = step_level(c, prefixes, c.control_set)
+    expected = [step_once(c, p, u) for p in prefixes for u in c.control_set]
+    assert len(children) == len(expected) == n_prefixes * len(c.control_set)
+    for child, want in zip(children, expected):
+        assert child.samples.tobytes() == want.samples.tobytes()
+        assert child.space is want.space and child.step == want.step
+        assert child.samples.shape == want.samples.shape
+        assert not child.samples.flags.writeable
+        with pytest.raises(ValueError):
+            child.samples[0, 0] = 1.0
+    for p, old in zip(prefixes, before):
+        assert p.samples.tobytes() == old.tobytes()
+
+
+def _spoiled(spoil):
+    """2-D coefficients whose drift is spoil(g, u) wherever that is not None."""
+
+    def drift(g, u):
+        out = spoil(g, u)
+        return np.array([u, -0.5 * float(g.endpoint[1])]) if out is None else out
+
+    return _const_coeffs(2, drift)
+
+
+def _starts_at(g, x):
+    return float(g.samples[0, 0]) == x
+
+
+# each spoils the middle prefix, which starts at 1.5e308, under control 1
+_SPOILS = {
+    "shape": lambda g, u: np.zeros(3) if _starts_at(g, 1.5e308) and u == 1.0 else None,
+    # the predictor of the middle prefix refuses first in child order, although
+    # the last prefix's own drift, which a block computes earlier, refuses too
+    "non-finite": lambda g, u: (
+        np.array([np.nan, 0.0])
+        if (_starts_at(g, 1.5e308) and g.n_nodes == 4 and u == 1.0)
+        or (_starts_at(g, 0.3) and g.n_nodes == 3 and u == 0.0)
+        else None
+    ),
+    # x + h f = 1.5e308 + 0.25 * 1.5e308 overflows
+    "predictor": lambda g, u: (
+        np.array([1.5e308, 0.0]) if _starts_at(g, 1.5e308) and u == 1.0 else None
+    ),
+    # the predictor 1.75e308 is finite; the corrected sample overflows
+    "sample": lambda g, u: (
+        np.array([1e308, 0.0]) if _starts_at(g, 1.5e308) and u == 1.0 else None
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPOILS))
+def test_level_refusals_are_those_of_the_scalar_stepper(kind):
+    c = _spoiled(_SPOILS[kind])
+    space = make_space([0.0, 0.0])
+    prefixes = [
+        Path.constant(space, 0.25, np.array([x, 0.0]), horizon=0.5)
+        for x in (0.1, 1.5e308, 0.3)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as scalar:
+            [step_once(c, p, u) for p in prefixes for u in c.control_set]
+        with pytest.raises(ValueError) as level:
+            step_level(c, prefixes, c.control_set)
+    assert str(level.value) == str(scalar.value)
 
 
 def test_step_alignment_rejected():

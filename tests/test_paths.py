@@ -102,6 +102,21 @@ def test_vertical_bump_involution():
     assert np.allclose(back.samples, p.samples, rtol=0.0, atol=1e-12)
 
 
+def test_sum_and_difference_are_read_only_and_refuse_overflow():
+    sp = flat_space(1)
+    big = Path.constant(sp, 0.25, [1e308], horizon=0.25)
+    low = Path.constant(sp, 0.25, [-1e308], horizon=0.25)
+    for out in (big + low, big - big):
+        assert np.array_equal(out.samples, np.zeros((2, 1)))
+        assert not out.samples.flags.writeable
+    assert np.array_equal(big.samples, np.full((2, 1), 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            big - low
+        with pytest.raises(ValueError, match="finite"):
+            big + big
+
+
 def test_extend_flat_copies_endpoint():
     sp = flat_space(1)
     p = Path(sp, 0.25, [[3.0], [5.0]])

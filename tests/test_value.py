@@ -1,22 +1,29 @@
 """Value function tests: brute-force equality, desk values, DPP residuals."""
 
 import itertools
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import phjb.value
+from phjb.checks import build_net
 from phjb.dynamics import Coefficients, ControlSignal, step_once
 from phjb.paths import Path, TimeGrid
 from phjb.scenarios import (
     eikonal,
     eikonal_value,
     feedback,
+    has_certificates,
     runmax,
     runmax_value,
+    touching_points,
 )
 from phjb.value import (
     BudgetExceeded,
     ValueTable,
+    _interval_cost,
     cost_J,
     hamiltonian,
     verify_dpp_consistency,
@@ -226,3 +233,101 @@ def test_smaller_control_set_never_beats_larger():
     v_full = ValueTable(sc.coefficients, sc.grid).value(sc.initial)
     v_restricted = ValueTable(restricted, sc.grid).value(sc.initial)
     assert v_full <= v_restricted
+
+
+# level-batched recursion against the one-node-at-a-time recursion -------
+
+
+class NodeByNodeTable(ValueTable):
+    """The value recursion as it was before it stepped whole levels: one
+    prefix at a time, depth-first, in control order."""
+
+    def entry(self, g: Path) -> tuple[float, object]:
+        k, n_steps = g.n_nodes - 1, self.grid.n_steps
+        if k > n_steps:
+            raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
+        if k == n_steps:
+            return float(self.c.terminal_cost(g)), None
+        self._check_budget(g)
+        key = self._key(g)
+        hit = self.memo.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        best_val: Optional[float] = None
+        best_u = None
+        for u in self.c.control_set:
+            nxt = step_once(self.c, g, u)
+            val = _interval_cost(self.c, g, nxt, u) + self.entry(nxt)[0]
+            if best_val is None or val < best_val:
+                best_val, best_u = val, u
+        self.memo[key] = (best_val, best_u)
+        if len(self.memo) > self.budget:
+            raise BudgetExceeded(
+                f"memo grew beyond budget {self.budget}; the declared state "
+                "statistic does not collapse this instance"
+            )
+        return best_val, best_u
+
+
+def _roots(sc) -> list:
+    """The initial path and every comparison path the certificate scans read."""
+    points = [tp.point for tp in touching_points(sc)] if has_certificates(sc) else []
+    roots = [sc.initial]
+    for point in points or [sc.initial]:
+        roots += build_net(sc.coefficients, point, sc.grid, seed=3)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "build, step",
+    [
+        (eikonal, 0.25),
+        (eikonal, 0.2),  # not grid 6 or 8, where a touching point is refused
+        (runmax, 0.25),
+        (runmax, 0.125),
+        (feedback, 0.25),
+        (feedback, 0.2),
+    ],
+)
+@pytest.mark.parametrize("batch", [2, None])
+def test_batched_table_matches_the_node_by_node_recursion(build, step, batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr(phjb.value, "_BATCH", batch)
+    sc = build(step=step)
+    roots = _roots(sc)
+    table = ValueTable(sc.coefficients, sc.grid)
+    ref = NodeByNodeTable(sc.coefficients, sc.grid)
+    for g in roots:
+        assert table.entry(g) == ref.entry(g)
+    assert table.memo == ref.memo
+    assert table.hits == ref.hits
+    assert len(table.memo) > 0
+
+
+def _smallest_passing_budget(table_type, c, grid, roots) -> int:
+    def passes(budget):
+        table = table_type(c, grid, budget=budget)
+        try:
+            for g in roots:
+                table.value(g)
+        except BudgetExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 10**6
+    assert not passes(lo) and passes(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("keyed", [True, False])
+def test_batched_table_refuses_at_the_same_budgets(build, keyed):
+    sc = build()
+    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
+    roots = _roots(sc)[:40]
+    smallest = _smallest_passing_budget(ValueTable, c, sc.grid, roots)
+    assert smallest == _smallest_passing_budget(NodeByNodeTable, c, sc.grid, roots)
