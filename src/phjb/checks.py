@@ -381,7 +381,15 @@ def transport_instance(space: SpectralSpace, weights, T: float) -> tuple:
 
 
 def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
-    """Shifted coefficient family; declares the enlarged constant L+eps."""
+    """Shifted coefficient family; declares the enlarged constant L+eps.
+
+    A block form is shifted by the same operations, row for row.
+    """
+    block = coeffs.block
+
+    def shifted_block(**fields):
+        return None if block is None else block._replace(**fields)
+
     if kind == "phi_shift":
         base = coeffs.terminal_cost
         return replace(
@@ -389,6 +397,10 @@ def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
             name=f"{coeffs.name}+phi{eps}",
             terminal_cost=lambda g: float(base(g)) + eps,
             lipschitz_L=coeffs.lipschitz_L + eps,
+            block=shifted_block(
+                terminal_cost=lambda S: np.asarray(block.terminal_cost(S), dtype=float)
+                + eps
+            ),
         )
     if kind == "q_shift":
         base_q = coeffs.running_cost
@@ -397,6 +409,10 @@ def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
             name=f"{coeffs.name}+q{eps}",
             running_cost=lambda g, u: float(base_q(g, u)) + eps,
             lipschitz_L=coeffs.lipschitz_L + eps,
+            block=shifted_block(
+                running_cost=lambda S, U: np.asarray(block.running_cost(S, U), dtype=float)
+                + eps
+            ),
         )
     if kind == "drift_shift":
         base_f = coeffs.drift
@@ -406,6 +422,10 @@ def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
             drift=lambda g, u: np.asarray(base_f(g, u), dtype=float)
             + eps * _e1(g.space.dim),
             lipschitz_L=coeffs.lipschitz_L + eps,
+            block=shifted_block(
+                drift=lambda S, U: np.asarray(block.drift(S, U), dtype=float)
+                + eps * _e1(S.shape[2])
+            ),
         )
     raise ValueError(f"unknown perturbation kind {kind!r}")
 

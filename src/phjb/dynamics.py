@@ -13,7 +13,7 @@ over [t, T] bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,10 +29,13 @@ from .paths import (
 )
 
 __all__ = [
+    "BlockForm",
     "Coefficients",
+    "block_form",
     "ControlSignal",
     "step_once",
     "step_level",
+    "step_rows",
     "mild_solve",
     "HypothesisReport",
     "validate_hypothesis",
@@ -43,6 +46,27 @@ __all__ = [
 
 RATIO_PASS = 1.0 + 1e-9
 _DENOM_FLOOR = 1e-12
+
+
+class BlockForm(NamedTuple):
+    """Coefficients on sample blocks, row for row equal to the scalar callables.
+
+    S is an (N, n, dim) array of N paths with n nodes on one space and step,
+    U an (N,) array of controls (numeric when the control labels are
+    numbers). For every row i, each callable must give the bits its scalar
+    counterpart gives on the path S[i] under the control U[i]:
+
+    - drift(S, U) -> (N, dim) array;
+    - running_cost(S, U) -> (N,) array;
+    - terminal_cost(S) -> (N,) array;
+    - state_key(S) -> list of N hashables (None when the coefficients
+      declare no state_key).
+    """
+
+    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    running_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    terminal_cost: Callable[[np.ndarray], np.ndarray]
+    state_key: Optional[Callable[[np.ndarray], list]] = None
 
 
 @dataclass(frozen=True)
@@ -66,6 +90,11 @@ class Coefficients:
     state_key : callable, optional
         Sufficient statistic for the value recursion: prefix -> hashable.
         Must be validated against full enumeration before trusting it.
+    block : BlockForm, optional
+        The same coefficients on sample blocks, used by the value recursion
+        and the level stepper; without one, the scalar callables are applied
+        row by row. A copy that replaces a scalar callable must replace or
+        drop the block too.
     """
 
     name: str
@@ -75,6 +104,7 @@ class Coefficients:
     terminal_cost: Callable[[Path], float]
     lipschitz_L: float
     state_key: Optional[Callable[[Path], Hashable]] = None
+    block: Optional[BlockForm] = None
 
     def __post_init__(self):
         if len(self.control_set) == 0:
@@ -153,66 +183,114 @@ def step_once(c: Coefficients, prefix: Path, u) -> Path:
 
 
 class _Refused(Exception):
-    """A level block failed a check; step_level re-steps it child by child."""
+    """A block failed a check; step_rows re-steps it child by child."""
+
+
+def block_form(c: Coefficients, proto: Path) -> BlockForm:
+    """c.block, or else c's scalar callables applied to each row of a block
+    as a trusted path on proto's space and step (the rows are read-only
+    views of an already checked block)."""
+    if c.block is not None:
+        return c.block
+
+    def paths(S: np.ndarray) -> list:
+        return [proto._trusted(s) for s in S]
+
+    def per_row(fn, S, U) -> list:
+        return [fn(p, u) for p, u in zip(paths(S), U.tolist())]
+
+    return BlockForm(
+        drift=lambda S, U: np.array(per_row(c.drift, S, U), dtype=np.float64),
+        running_cost=lambda S, U: np.array(
+            [float(q) for q in per_row(c.running_cost, S, U)]
+        ),
+        terminal_cost=lambda S: np.array([float(c.terminal_cost(p)) for p in paths(S)]),
+        state_key=(
+            None if c.state_key is None else lambda S: [c.state_key(p) for p in paths(S)]
+        ),
+    )
+
+
+def _control_array(controls) -> np.ndarray:
+    """The control labels as a (W,) array: numeric when they are numbers,
+    else an object array holding the labels themselves."""
+    U = np.asarray(controls)
+    if U.ndim != 1 or U.dtype.kind not in "biuf":
+        U = np.fromiter(controls, dtype=object, count=len(controls))
+    return U
+
+
+def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
+    """Every row of P stepped under every control, as one block.
+
+    P is a read-only (B, n, dim) block of prefixes on proto's space and
+    step. Returns (S, U, X) over the B * W children, parent-major in control
+    order: S[i] is child i's parent, U[i] its control, and X[i] the child,
+    an (n + 1, dim) row of a read-only block equal to `step_once(c, S[i],
+    U[i])` bit for bit. The drift's shape and finiteness, and the
+    finiteness of the predictors and new samples, are checked once per
+    block. On any refusal the block is re-stepped child by child, so the
+    error raised is the one `step_once` raises first.
+    """
+    S = np.repeat(P, len(controls), axis=0)
+    S.flags.writeable = False
+    U = _control_array(controls)[None].repeat(len(P), axis=0).ravel()
+    try:
+        X = _step_block(block_form(c, proto), proto, S, U)
+    except _Refused:
+        X = np.stack(
+            [step_once(c, proto._trusted(p), u).samples for p in P for u in controls]
+        )
+        X.flags.writeable = False
+    return S, U, X
+
+
+def _step_block(form: BlockForm, proto: Path, S: np.ndarray, U: np.ndarray) -> np.ndarray:
+    h = proto.step
+    N, n, dim = S.shape
+
+    def extended(rows: np.ndarray) -> np.ndarray:
+        # S followed by one (N, dim) row block
+        if not all_finite(rows):
+            raise _Refused
+        X = np.empty((N, n + 1, dim))
+        X[:, :n] = S
+        X[:, n] = rows
+        X.flags.writeable = False
+        return X
+
+    def drift(block: np.ndarray) -> np.ndarray:
+        try:
+            f = np.asarray(form.drift(block, U), dtype=np.float64)
+        except Exception as exc:  # the drift's own error, or rows of mixed shapes
+            raise _Refused from exc
+        if f.shape != (N, dim) or not all_finite(f):
+            raise _Refused
+        return f
+
+    x1 = _trapezoid(
+        proto.space.semigroup_factors(h),
+        S[:, -1],
+        h,
+        drift(S),
+        lambda pred: drift(extended(pred)),
+    )
+    return extended(x1)
 
 
 def step_level(c: Coefficients, prefixes: list, controls) -> list:
     """`step_once(c, p, u)` for every prefix p and control u, as one block.
 
-    The prefixes share their space, step and node count n. The B * W children
-    come back parent-major, in control order, as trusted read-only views of
-    one (B, W, n + 1, dim) block, each equal to its `step_once` bit for bit.
-    The drift is still called once per child (it takes a Path); its shape
-    and finiteness, and the finiteness of the predictors and new samples,
-    are checked once per block. On any refusal the level is re-stepped child
-    by child, so the error raised is the one `step_once` raises first.
+    The prefixes share their space, step and node count. The children come
+    back parent-major, in control order, as trusted read-only paths over the
+    rows of one `step_rows` block, each equal to its `step_once` bit for bit.
     """
     if not prefixes:
         return []
-    try:
-        return _step_block(c, prefixes, controls)
-    except _Refused:
-        return [step_once(c, p, u) for p in prefixes for u in controls]
-
-
-def _step_block(c: Coefficients, prefixes: list, controls) -> list:
     first = prefixes[0]
-    h = first.step
-    P = np.stack([p.samples for p in prefixes])  # (B, n, dim)
-    B, n, dim = P.shape
-    controls = list(controls)
-    W = len(controls)
-
-    def extended(rows: np.ndarray) -> list:
-        # the prefixes followed by one (B, W, dim) row block, and its paths
-        if not all_finite(rows):
-            raise _Refused
-        block = np.empty((B, W, n + 1, dim))
-        block[:, :, :n] = P[:, None]
-        block[:, :, n] = rows
-        block.flags.writeable = False
-        return [first._trusted(v) for v in block.reshape(B * W, n + 1, dim)]
-
-    def drift(paths: list) -> np.ndarray:
-        try:
-            f = np.array(
-                [c.drift(p, u) for p, u in zip(paths, controls * B)], dtype=np.float64
-            )
-        except Exception as exc:  # the drift's own error, or rows of mixed shapes
-            raise _Refused from exc
-        if f.shape != (B * W, dim) or not all_finite(f):
-            raise _Refused
-        return f.reshape(B, W, dim)
-
-    parents = [p for p in prefixes for _ in range(W)]
-    x1 = _trapezoid(
-        first.space.semigroup_factors(h),
-        P[:, None, -1],
-        h,
-        drift(parents),
-        lambda pred: drift(extended(pred)),
-    )
-    return extended(x1)
+    P = np.stack([p.samples for p in prefixes])
+    P.flags.writeable = False
+    return [first._trusted(x) for x in step_rows(c, first, P, controls)[2]]
 
 
 def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:

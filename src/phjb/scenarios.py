@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Coefficients
+from .dynamics import BlockForm, Coefficients
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
 from .paths import Path, TimeGrid, sup_norm
@@ -77,6 +77,35 @@ def _flat_space(dim: int) -> SpectralSpace:
     return SpectralSpace(np.zeros(dim))
 
 
+# block forms: S is an (N, n, dim) block of paths, U an (N,) control array
+
+
+def _endpoint_bytes(S: np.ndarray) -> list:
+    """`g.samples[-1].tobytes()` for the path g of each row of S."""
+    raw = np.ascontiguousarray(S[:, -1]).tobytes()
+    width = S.itemsize * S.shape[2]
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
+
+
+def _endpoint_key(S: np.ndarray) -> list:
+    return [(b,) for b in _endpoint_bytes(S)]
+
+
+def _control_column(S: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The drift np.array([u]) of each row, as an (N, 1) block."""
+    return np.asarray(U, dtype=np.float64)[:, None]
+
+
+def _no_cost(S: np.ndarray, U: np.ndarray) -> np.ndarray:
+    return np.zeros(len(S))
+
+
+def _running_sup(S: np.ndarray) -> np.ndarray:
+    """`sup_norm` of each row of S, in one reduction over the block, with
+    the same operations per row."""
+    return np.sqrt(np.maximum.reduce(np.add.reduce(S * S, axis=2), axis=1))
+
+
 def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
     space = _flat_space(1)
     grid = TimeGrid(T=T, step=step)
@@ -88,6 +117,12 @@ def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         terminal_cost=lambda g: abs(float(g.endpoint[0])),
         lipschitz_L=1.0,
         state_key=lambda g: (g.samples[-1].tobytes(),),
+        block=BlockForm(
+            drift=_control_column,
+            running_cost=_no_cost,
+            terminal_cost=lambda S: np.abs(S[:, -1, 0]),
+            state_key=_endpoint_key,
+        ),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("eikonal", space, grid, coeffs, initial, eikonal_value)
@@ -104,6 +139,12 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         terminal_cost=sup_norm,
         lipschitz_L=1.0,
         state_key=lambda g: (g.samples[-1].tobytes(), float(sup_norm(g))),
+        block=BlockForm(
+            drift=_control_column,
+            running_cost=_no_cost,
+            terminal_cost=_running_sup,
+            state_key=lambda S: list(zip(_endpoint_bytes(S), _running_sup(S).tolist())),
+        ),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("runmax", space, grid, coeffs, initial, runmax_value)
@@ -115,9 +156,26 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _norms(E: np.ndarray) -> np.ndarray:
+    """`_norm` of each row of the (N, dim) array E, bit for bit.
+
+    The stacked row-by-column product reduces each row with the same dot
+    routine as `x.dot(x)`; `(E * E).sum(-1)` and `einsum` round differently
+    in about one row in six, because the dot fuses multiply and add.
+    """
+    return np.sqrt((E[:, None, :] @ E[:, :, None])[:, 0, 0])
+
+
 def _retract(x: np.ndarray) -> np.ndarray:
     r = _norm(x)
     return x if r <= 1.0 else x / r
+
+
+def _retract_rows(E: np.ndarray) -> np.ndarray:
+    """`_retract` of each row of E; a row of norm <= 1 is kept as it is,
+    and dividing the others by max(r, 1) divides them by r."""
+    r = _norms(E)[:, None]
+    return np.where(r <= 1.0, E, E / np.maximum(r, 1.0))
 
 
 def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario:
@@ -137,6 +195,12 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
         terminal_cost=lambda g: _norm(g.endpoint),
         lipschitz_L=2.0,
         state_key=lambda g: (g.samples[-1].tobytes(),),
+        block=BlockForm(
+            drift=lambda S, U: _control_column(S, U) * e1 - _retract_rows(S[:, -1]),
+            running_cost=lambda S, U: _norms(S[:, -1]),
+            terminal_cost=lambda S: _norms(S[:, -1]),
+            state_key=_endpoint_key,
+        ),
     )
     initial = Path.constant(space, step, np.asarray(x0, dtype=float), horizon=0.0)
     return Scenario("feedback", space, grid, coeffs, initial, None)

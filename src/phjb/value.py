@@ -18,14 +18,24 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
+    BlockForm,
     Coefficients,
     ControlSignal,
+    block_form,
     mild_solve,
     random_prefix,
-    step_level,
     step_once,
+    step_rows,
 )
-from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, sup_norm, vertical_bump
+from .paths import (
+    GRID_TOL,
+    Path,
+    TimeGrid,
+    all_finite,
+    extend_semigroup,
+    sup_norm,
+    vertical_bump,
+)
 from .hilbert import SpectralSpace
 
 __all__ = [
@@ -80,12 +90,46 @@ def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
 # parents stepped as one block by the value recursion and the DPP enumeration.
 # A block's fixed cost is about that of stepping two children one by one, so
 # 48 children spread it thin; 64 parents were no faster, and the recursion
-# holds depth * _BATCH * width paths at a time (under 1,000 at grid 16)
+# holds depth * _BATCH * width rows at a time
 _BATCH = 16
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when the control tree is too large to enumerate exactly."""
+
+
+def _costs(values, n: int, what: str) -> np.ndarray:
+    """A block cost as an (n,) float array; any other shape is refused."""
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != (n,):
+        raise ValueError(f"block {what} returned shape {out.shape}, expected ({n},)")
+    return out
+
+
+def _step_costs(form: BlockForm, h: float, S, U, X) -> np.ndarray:
+    """The trapezoid running cost of each step S[i] -> X[i] under U[i], as
+    `_interval_cost` computes it."""
+    n = len(S)
+    q0 = _costs(form.running_cost(S, U), n, "running_cost")
+    q1 = _costs(form.running_cost(X, U), n, "running_cost")
+    return 0.5 * h * (q0 + q1)
+
+
+def _first_minima(vals: np.ndarray) -> list:
+    """For each row of a (B, W) array, the index that a strict `<` scan in
+    order picks, as the one-at-a-time recursion picked it. On finite rows
+    that is argmin's first minimum; where any value is not finite, the rows
+    are scanned that way, so a NaN is kept or passed over as it was."""
+    if all_finite(vals):
+        return vals.argmin(axis=1).tolist()
+    picks = []
+    for row in vals.tolist():
+        best = 0
+        for j, v in enumerate(row):
+            if v < row[best]:
+                best = j
+        picks.append(best)
+    return picks
 
 
 class ValueTable:
@@ -96,6 +140,11 @@ class ValueTable:
     scenario-declared sufficient statistic collapses the tree and must be
     validated against enumeration before being trusted (see
     tests covering the built-in scenarios).
+
+    Below the root prefix the recursion works on sample blocks: children are
+    stepped, keyed and priced a block at a time through the coefficients'
+    `BlockForm` (or the scalar callables row by row), and only the roots are
+    `Path` objects.
     """
 
     def __init__(self, c: Coefficients, grid: TimeGrid, *, budget: int = 10**6):
@@ -111,6 +160,13 @@ class ValueTable:
         if self.state_key is not None:
             return (g.n_nodes, self.state_key(g))
         return (g.n_nodes, g.signature())
+
+    def _keys(self, form: BlockForm, S: np.ndarray) -> list:
+        """`_key` of every row of S, a block of prefixes of one node count."""
+        n = S.shape[1]
+        if self.state_key is not None:
+            return [(n, k) for k in form.state_key(S)]
+        return [(n, s.tobytes()) for s in S]
 
     def _check_budget(self, g: Path) -> None:
         steps_left = self.grid.n_steps - (g.n_nodes - 1)
@@ -134,51 +190,58 @@ class ValueTable:
         if hit is not None:
             self.hits += 1
             return hit
-        self._expand([g], [key])
+        self._expand(g, block_form(self.c, g), g.samples[None], [key])
         return self.memo[key]
 
-    def _expand(self, parents: list, keys: list) -> None:
-        """Memo entries for non-terminal prefixes of one node count whose
-        keys are distinct and not yet in the memo.
+    def _values(self, proto: Path, form: BlockForm, S: np.ndarray) -> np.ndarray:
+        """V of every row of S, a read-only block of prefixes of one node count
+        on proto's space and step.
+
+        Terminal rows are priced by the terminal cost. Otherwise each row is
+        looked up in the memo, and a row whose key is in the memo or earlier
+        in S counts as a hit, as `entry` would count it; the first row to
+        carry each missing key is expanded.
+        """
+        if S.shape[1] - 1 == self.grid.n_steps:
+            return _costs(form.terminal_cost(S), len(S), "terminal_cost")
+        memo = self.memo
+        keys = self._keys(form, S)
+        fresh = {}  # key -> the first row to carry it
+        for i, key in enumerate(keys):
+            if key in memo or key in fresh:
+                self.hits += 1
+            else:
+                fresh[key] = i
+        if fresh:
+            rows = S if len(fresh) == len(S) else S[list(fresh.values())]
+            rows.flags.writeable = False
+            self._expand(proto, form, rows, list(fresh))
+        return np.array([memo[key][0] for key in keys])
+
+    def _expand(self, proto: Path, form: BlockForm, P: np.ndarray, keys: list) -> None:
+        """Memo entries for the rows of P, a read-only block of non-terminal
+        prefixes of one node count whose keys are distinct and not yet in
+        the memo.
 
         Depth-first over batches of at most _BATCH parents: each batch is
-        stepped as one level, children whose key is in the memo or earlier
-        in the batch count as hits, and the rest are expanded the same way
-        before the batch backs up. Prefixes of one node count are thereby
-        met in the order of the one-node-at-a-time recursion, so the first
-        prefix to carry a key is the one expanded, and the memo ends with
-        the same entries, values and argmins. A budget met by the root
-        prefix holds below it, where fewer steps are left.
+        stepped as one block, its children are valued by `_values` (which
+        expands the new ones the same way) before the batch backs up, and
+        each parent keeps its first cheapest control. Prefixes of one node
+        count are thereby met in the order of the one-node-at-a-time
+        recursion, so the first prefix to carry a key is the one expanded,
+        and the memo ends with the same entries, values and argmins. A
+        budget met by the root prefix holds below it, where fewer steps are
+        left.
         """
         c, memo = self.c, self.memo
         controls = c.control_set
         width = len(controls)
-        leaves = parents[0].n_nodes == self.grid.n_steps
-        for lo in range(0, len(parents), _BATCH):
-            batch = parents[lo : lo + _BATCH]
-            children = step_level(c, batch, controls)
-            if leaves:
-                values = [float(c.terminal_cost(x)) for x in children]
-            else:
-                child_keys = [self._key(x) for x in children]
-                fresh = {}  # key -> the first child to carry it
-                for x, key in zip(children, child_keys):
-                    if key in memo or key in fresh:
-                        self.hits += 1
-                    else:
-                        fresh[key] = x
-                if fresh:
-                    self._expand(list(fresh.values()), list(fresh))
-                values = [memo[key][0] for key in child_keys]
-            for i, (g, key) in enumerate(zip(batch, keys[lo : lo + _BATCH])):
-                best_val: Optional[float] = None
-                best_u = None
-                for j, u in enumerate(controls):
-                    nxt = children[i * width + j]
-                    val = _interval_cost(c, g, nxt, u) + values[i * width + j]
-                    if best_val is None or val < best_val:
-                        best_val, best_u = val, u
-                memo[key] = (best_val, best_u)
+        for lo in range(0, len(P), _BATCH):
+            S, U, X = step_rows(c, proto, P[lo : lo + _BATCH], controls)
+            vals = _step_costs(form, proto.step, S, U, X) + self._values(proto, form, X)
+            vals = vals.reshape(-1, width)
+            for key, row, j in zip(keys[lo : lo + _BATCH], vals.tolist(), _first_minima(vals)):
+                memo[key] = (row[j], controls[j])
                 if len(memo) > self.budget:
                     raise BudgetExceeded(
                         f"memo grew beyond budget {self.budget}; the declared state "
@@ -202,12 +265,15 @@ class ValueTable:
 def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     """Residuals |V(gamma_t) - min_u [ sum costs + V(X_s) ]| at every grid s.
 
-    The inner minimum enumerates control assignments on [t, s] explicitly and
-    accumulates tail-first, matching the recursion's association. The
-    width^steps_left leaves are refused up front beyond the table's budget.
+    The inner minimum enumerates control assignments on [t, s] explicitly,
+    one block row per assignment, and accumulates tail-first, matching the
+    recursion's association: one column of step costs per level, added to
+    the values read from the table last column first. The width^steps_left
+    leaves are refused up front beyond the table's budget.
     """
     c, grid = table.c, table.grid
-    width = len(c.control_set)
+    controls = c.control_set
+    width = len(controls)
     steps_left = grid.n_steps - (g.n_nodes - 1)
     if width**steps_left > table.budget:
         raise BudgetExceeded(
@@ -215,28 +281,27 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
             f"{table.budget}; coarsen the grid"
         )
     v0 = table.value(g)
+    form = block_form(c, g)
     residuals = {}
     # enumerate level by level so every intermediate horizon is covered
-    level = [(g, [])]
-    k0 = g.n_nodes - 1
-    for k in range(k0 + 1, grid.n_steps + 1):
-        children = []
-        for lo in range(0, len(level), _BATCH):
-            batch = [prefix for prefix, _ in level[lo : lo + _BATCH]]
-            children += step_level(c, batch, c.control_set)
-        steps = [(prefix, pieces, u) for prefix, pieces in level for u in c.control_set]
-        level = [
-            (nxt, pieces + [_interval_cost(c, prefix, nxt, u)])
-            for (prefix, pieces, u), nxt in zip(steps, children)
-        ]
-        best = None
-        for prefix, pieces in level:
-            total = table.value(prefix)
-            for piece in reversed(pieces):
-                total = piece + total
-            if best is None or total < best:
-                best = total
-        residuals[k * grid.step] = abs(v0 - best)
+    level = g.samples[None]
+    columns = []  # step costs of each level so far, one entry per row of level
+    for k in range(g.n_nodes, grid.n_steps + 1):
+        m, n, dim = level.shape
+        children = np.empty((m * width, n + 1, dim))
+        costs = np.empty(m * width)
+        for lo in range(0, m, _BATCH):
+            S, U, X = step_rows(c, g, level[lo : lo + _BATCH], controls)
+            children[lo * width : lo * width + len(X)] = X
+            costs[lo * width : lo * width + len(X)] = _step_costs(form, g.step, S, U, X)
+        children.flags.writeable = False
+        level = children
+        columns = [np.repeat(col, width) for col in columns] + [costs]
+        total = table._values(g, form, level)
+        for col in reversed(columns):
+            total = col + total
+        best = total[_first_minima(total[None])[0]]
+        residuals[k * grid.step] = abs(v0 - float(best))
     return residuals
 
 

@@ -29,10 +29,14 @@ def pair_gauge(anchor: Path, g: Path) -> float:
 
 @dataclass(frozen=True)
 class BPResult:
+    """The search's outcome. rho_terms[j] = deltas[j] * rho(anchors[j],
+    maximizer) under the gauge the search ran with; sum_rho is their sum."""
+
     maximizer: Path
     anchors: tuple
     deltas: tuple
     anchor_times: tuple
+    rho_terms: tuple
     f_start: float
     f_max_net: float
     sum_rho: float
@@ -40,12 +44,6 @@ class BPResult:
     strict_gap: float
     stalled: bool
     iterations: int
-
-    @property
-    def rho_terms(self) -> tuple:
-        return tuple(
-            d * pair_gauge(a, self.maximizer) for a, d in zip(self.anchors, self.deltas)
-        )
 
 
 def bp_search(
@@ -134,12 +132,14 @@ def bp_search(
         gap = min(gap, final_v - v)
 
     incumbent = net[inc]
-    sum_rho = sum(d * row[inc] for d, row in zip(deltas, rows))
+    terms = tuple(d * row[inc] for d, row in zip(deltas, rows))
+    sum_rho = sum(terms)
     return BPResult(
         maximizer=incumbent,
         anchors=tuple(anchors),
         deltas=tuple(deltas),
         anchor_times=tuple(a.horizon for a in anchors),
+        rho_terms=terms,
         f_start=f_start,
         f_max_net=f_max,
         sum_rho=sum_rho,

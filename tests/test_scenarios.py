@@ -1,10 +1,14 @@
 """Scenario builders, closed forms, test functions, and gauge packs."""
 
+import math
+
 import numpy as np
 import pytest
 
+from phjb.checks import perturbed
 from phjb.paths import Path
 from phjb.scenarios import (
+    _norms,
     SCENARIOS,
     classical_candidate,
     eikonal,
@@ -20,6 +24,50 @@ from conftest import make_space
 
 
 # registry and builders --------------------------------------------------
+
+
+def _block_rows(rng, dim, n_rows=600, n_nodes=4):
+    """Random paths as one block, with endpoint norms below, at and above 1,
+    zero endpoints, -0.0 coordinates, and controls -1, 0 and 1."""
+    S = rng.normal(size=(n_rows, n_nodes, dim))
+    E = S[:, -1]
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    E *= rng.choice([0.3, 0.999, 1.0, 1.0 + 2e-16, 1.001, 2.5, 40.0], size=(n_rows, 1))
+    E[0] = 0.0
+    E[1] = -0.0
+    E[2, 0] = -0.0
+    E[3, -1] = -0.0
+    S[4] = -0.0
+    U = rng.choice([-1.0, 0.0, 1.0], size=n_rows)
+    return S, U
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("kind", [None, "phi_shift", "q_shift", "drift_shift"])
+def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
+    sc = build()
+    c = sc.coefficients if kind is None else perturbed(sc.coefficients, kind, 0.3)
+    S, U = _block_rows(np.random.default_rng(5), sc.space.dim)
+    S.flags.writeable = False
+    paths = [Path(sc.space, sc.grid.step, s) for s in S]
+    drift = np.array([np.asarray(c.drift(p, u), dtype=float) for p, u in zip(paths, U)])
+    q = np.array([float(c.running_cost(p, u)) for p, u in zip(paths, U)])
+    phi = np.array([float(c.terminal_cost(p)) for p in paths])
+    keys = [c.state_key(p) for p in paths]
+    b = c.block
+    assert np.asarray(b.drift(S, U), dtype=float).tobytes() == drift.tobytes()
+    assert np.asarray(b.running_cost(S, U), dtype=float).tobytes() == q.tobytes()
+    assert np.asarray(b.terminal_cost(S), dtype=float).tobytes() == phi.tobytes()
+    assert repr(b.state_key(S)) == repr(keys)  # repr tells -0.0 from 0.0
+
+
+def test_block_norm_matches_the_scalar_dot():
+    rng = np.random.default_rng(9)
+    E = rng.normal(size=(20000, 2)) * rng.choice([1e-200, 1e-3, 1.0, 1e5, 1e150], size=(20000, 1))
+    E[:3] = [[0.0, -0.0], [-0.0, -0.0], [3.0, -0.0]]
+    want = np.array([math.sqrt(x.dot(x)) for x in E])
+    assert _norms(E).tobytes() == want.tobytes()
+    assert _norms(np.stack([E, E], axis=1)[:, 1]).tobytes() == want.tobytes()  # a strided view
 
 
 def test_registry_has_all_three():

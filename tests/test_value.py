@@ -9,7 +9,7 @@ import pytest
 
 import phjb.value
 from phjb.checks import build_net
-from phjb.dynamics import Coefficients, ControlSignal, step_once
+from phjb.dynamics import Coefficients, ControlSignal, step_level, step_once
 from phjb.paths import Path, TimeGrid
 from phjb.scenarios import (
     eikonal,
@@ -296,13 +296,15 @@ def test_batched_table_matches_the_node_by_node_recursion(build, step, batch, mo
         monkeypatch.setattr(phjb.value, "_BATCH", batch)
     sc = build(step=step)
     roots = _roots(sc)
-    table = ValueTable(sc.coefficients, sc.grid)
     ref = NodeByNodeTable(sc.coefficients, sc.grid)
-    for g in roots:
-        assert table.entry(g) == ref.entry(g)
-    assert table.memo == ref.memo
-    assert table.hits == ref.hits
-    assert len(table.memo) > 0
+    want = [ref.entry(g) for g in roots]
+    assert len(ref.memo) > 0
+    # the scenario's block form, and its scalar callables row by row
+    for c in (sc.coefficients, replace(sc.coefficients, block=None)):
+        table = ValueTable(c, sc.grid)
+        assert [table.entry(g) for g in roots] == want
+        assert table.memo == ref.memo
+        assert table.hits == ref.hits
 
 
 def _smallest_passing_budget(table_type, c, grid, roots) -> int:
@@ -331,3 +333,86 @@ def test_batched_table_refuses_at_the_same_budgets(build, keyed):
     roots = _roots(sc)[:40]
     smallest = _smallest_passing_budget(ValueTable, c, sc.grid, roots)
     assert smallest == _smallest_passing_budget(NodeByNodeTable, c, sc.grid, roots)
+
+
+# the DPP enumeration against one that steps and prices Path objects --------
+
+
+def path_dpp_residuals(table, g) -> dict:
+    """The DPP residuals as they were computed before the enumeration worked
+    on sample blocks: one Path and one list of step costs per sequence."""
+    c, grid = table.c, table.grid
+    v0 = table.value(g)
+    residuals = {}
+    level = [(g, [])]
+    for k in range(g.n_nodes, grid.n_steps + 1):
+        children = step_level(c, [prefix for prefix, _ in level], c.control_set)
+        steps = [(prefix, pieces, u) for prefix, pieces in level for u in c.control_set]
+        level = [
+            (nxt, pieces + [_interval_cost(c, prefix, nxt, u)])
+            for (prefix, pieces, u), nxt in zip(steps, children)
+        ]
+        best = None
+        for prefix, pieces in level:
+            total = table.value(prefix)
+            for piece in reversed(pieces):
+                total = piece + total
+            if best is None or total < best:
+                best = total
+        residuals[k * grid.step] = abs(v0 - best)
+    return residuals
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("block", [True, False])
+def test_dpp_residuals_equal_the_path_enumeration(build, block):
+    sc = build(step=0.2)
+    c = sc.coefficients if block else replace(sc.coefficients, block=None)
+    roots = [sc.initial] + [r for r in _roots(sc)[1:] if r.n_nodes <= 3][:6]
+    for g in roots:
+        table, ref = ValueTable(c, sc.grid), ValueTable(c, sc.grid)
+        got = verify_dpp_consistency(table, g)
+        want = path_dpp_residuals(ref, g)
+        assert repr(got) == repr(want)
+        assert table.memo == ref.memo and table.hits == ref.hits
+
+
+# refusals inside a block are the scalar stepper's -------------------------
+
+
+def _spoiled_feedback(kind):
+    """feedback whose drift, scalar and block alike, is NaN or of the wrong
+    shape for the paths starting at 9.0 (the middle parent below)."""
+    base = feedback().coefficients
+    bad = np.array([np.nan, 0.0]) if kind == "nan" else np.zeros(3)
+
+    def drift(g, u):
+        return bad if g.samples[0, 0] == 9.0 else base.drift(g, u)
+
+    def block_drift(S, U):
+        f = base.block.drift(S, U)
+        if kind == "nan":
+            f[S[:, 0, 0] == 9.0] = np.nan
+            return f
+        return np.zeros((len(S), 3)) if (S[:, 0, 0] == 9.0).any() else f
+
+    return replace(base, drift=drift, block=base.block._replace(drift=block_drift))
+
+
+@pytest.mark.parametrize("kind", ["nan", "shape"])
+def test_block_refusals_raise_the_scalar_error(kind):
+    c = _spoiled_feedback(kind)
+    sc = feedback()
+    prefixes = [
+        Path(sc.space, sc.grid.step, np.array([[x, 0.1], [0.2, -0.3]])) for x in (0.4, 9.0, -0.5)
+    ]
+    with pytest.raises(ValueError) as scalar:
+        [step_once(c, p, u) for p in prefixes for u in c.control_set]
+    with pytest.raises(ValueError) as level:
+        step_level(c, prefixes, c.control_set)
+    assert str(level.value) == str(scalar.value)
+    with pytest.raises(ValueError) as table:
+        ValueTable(c, sc.grid).value(prefixes[1])
+    with pytest.raises(ValueError) as one:
+        step_once(c, prefixes[1], c.control_set[0])
+    assert str(table.value) == str(one.value)

@@ -69,6 +69,24 @@ def test_horizon_bonus_run_satisfies_all_postconditions(setting):
     assert abs(sum(res.rho_terms) - res.sum_rho) <= 1e-12
 
 
+def test_rho_terms_are_those_of_the_gauge_searched_with(setting):
+    sc, start, net = setting
+
+    def rho(a, g):  # not the default gauge
+        return 0.5 * pair_gauge(a, g)
+
+    f = lambda g: g.horizon - pair_gauge(start, g)
+    res = bp_search(f, net, start, eps=0.3 * sc.grid.T + 0.1, rho=rho)
+    assert len(res.anchors) > 1
+    assert res.rho_terms == tuple(
+        d * rho(a, res.maximizer) for a, d in zip(res.anchors, res.deltas)
+    )
+    assert res.sum_rho == sum(res.rho_terms)
+    assert res.rho_terms != tuple(
+        d * pair_gauge(a, res.maximizer) for a, d in zip(res.anchors, res.deltas)
+    )
+
+
 def test_constant_functional_keeps_the_incumbent(setting):
     sc, start, net = setting
     f = lambda g: 1.0
@@ -156,12 +174,14 @@ def reference_bp_search(f, net, start, eps, *, rho=pair_gauge, delta0=1.0,
         if rho(incumbent, g) <= gauge_tol:
             continue
         gap = min(gap, final_v - perturbed(g, fg))
-    sum_rho = sum(d * rho(a, incumbent) for a, d in zip(anchors, deltas))
+    terms = tuple(d * rho(a, incumbent) for a, d in zip(anchors, deltas))
+    sum_rho = sum(terms)
     return BPResult(
         maximizer=incumbent,
         anchors=tuple(anchors),
         deltas=tuple(deltas),
         anchor_times=tuple(a.horizon for a in anchors),
+        rho_terms=terms,
         f_start=f_start,
         f_max_net=f_max,
         sum_rho=sum_rho,
@@ -177,8 +197,8 @@ def assert_same_result(res, ref):
     assert res.maximizer is ref.maximizer
     assert len(res.anchors) == len(ref.anchors)
     assert all(a is b for a, b in zip(res.anchors, ref.anchors))
-    for name in ("deltas", "anchor_times", "f_start", "f_max_net", "sum_rho",
-                 "perturbed_value", "strict_gap", "stalled", "iterations"):
+    for name in ("deltas", "anchor_times", "rho_terms", "f_start", "f_max_net",
+                 "sum_rho", "perturbed_value", "strict_gap", "stalled", "iterations"):
         assert getattr(res, name) == getattr(ref, name), name
 
 
