@@ -14,7 +14,7 @@ numbers that drove it; nothing here prints. Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -218,7 +218,7 @@ class ViscosityResult:
 
 
 def viscosity_check(
-    w: Callable[[Path], float],
+    values,
     coeffs: Coefficients,
     point: Path,
     phi: TestFunctionPhi,
@@ -231,16 +231,26 @@ def viscosity_check(
 ) -> ViscosityResult:
     """One-sided equation test for a value candidate at one point.
 
-    The analytic derivatives of phi are first validated at the point and its
+    `values` holds the candidate's value at every path of `net`, in net
+    order; net[0] must be the point itself, as `build_net` makes it. The
+    analytic derivatives of phi are first validated at the point and its
     vertical bumps. The certificate is renormalized by a constant so the
-    premise holds with equality at the point; the scan then verifies the
-    point is a global max (sub) or min (super) of w -/+ (phi + pack) over the
-    net, up to _PREMISE_TOL. If not, the check refuses with a witness.
+    premise holds with equality at net[0]; the scan then verifies the point
+    is a global max (sub) or min (super) of w -/+ (phi + pack) over the
+    net, up to _PREMISE_TOL. If not, the check refuses with a witness: the
+    first path with the largest gap, or the first path whose gap is NaN.
     Otherwise the one-sided operator inequality is evaluated with analytic
     derivatives.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
+    if not net or net[0] is not point:
+        raise ValueError("net[0] must be the point itself, as build_net makes it")
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(net),):
+        raise ValueError(
+            f"values has shape {values.shape}, expected one per net path ({len(net)},)"
+        )
     sgn = 1.0 if side == "sub" else -1.0
     probes = [point]
     for k in range(point.space.dim):
@@ -250,20 +260,19 @@ def viscosity_check(
         probes.append(vertical_bump(point, -e))
     phi.validate_on(probes, t_final=max(p.horizon for p in net))
 
-    def f(g: Path) -> float:
-        return float(w(g)) - sgn * (float(phi.value(g)) + pack.value(g))
-
-    renorm = f(point)
-    worst_gap = 0.0
-    witness = None
-    for g in net:
-        if g.horizon < point.horizon - GRID_TOL:
-            continue
-        v = f(g) - renorm
-        gap = v if side == "sub" else -v
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = g
+    kept = [i for i, g in enumerate(net) if g.horizon >= point.horizon - GRID_TOL]
+    scan = [net[i] for i in kept]
+    phis = np.array([float(phi.value(g)) for g in scan])
+    f = values[kept] - sgn * (phis + pack.values(scan))
+    renorm = float(f[0])
+    gaps = sgn * (f - renorm)
+    # the first NaN gap, else the first of the largest gaps (as a strict `>`
+    # scan keeps it) when it is positive
+    nan = np.flatnonzero(np.isnan(gaps))
+    i = int(nan[0]) if nan.size else int(gaps.argmax())
+    worst_gap, witness = 0.0, None
+    if nan.size or gaps[i] > worst_gap:
+        worst_gap, witness = float(gaps[i]), scan[i]
     premise_ok = worst_gap <= _PREMISE_TOL
     if premise_ok:
         witness = None

@@ -191,17 +191,18 @@ def _walk(rng, space, step, n_nodes, scale) -> Path:
 
 def _run_viscosity(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    value = value_table().value
+    table = value_table()
     tol = cfg.tolerances["viscosity"]
     rows, ok = [], True
     for tp in touching_points(sc):
         net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
+        values = table.values(net)  # one value pass, read by both sides
         for side, phi, pack in (
             ("sub", tp.phi_sub, tp.pack_sub),
             ("super", tp.phi_super, tp.pack_super),
         ):
             r = viscosity_check(
-                value, sc.coefficients, tp.point, phi, pack, side,
+                values, sc.coefficients, tp.point, phi, pack, side,
                 net=net, tol=tol, label=tp.label,
             )
             rows.append(
@@ -252,7 +253,7 @@ def _run_stability(cfg: RunConfig, value_table) -> CheckRecord:
             tp = pts[0]
             net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
             lim = viscosity_check(
-                value_table().value, sc.coefficients, tp.point,
+                value_table().values(net), sc.coefficients, tp.point,
                 tp.phi_sub, tp.pack_sub, "sub",
                 net=net, tol=cfg.tolerances["viscosity"],
             )

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, prefix_sup_norms, semigroup_rows, sup_norm
+from .paths import Path, all_finite, prefix_sup_norms, semigroup_rows, sup_norm, sup_norms
 
 __all__ = [
     "eval_S",
     "grad_S",
     "eval_upsilon",
+    "upsilon_rows",
     "grad_upsilon",
     "upsilon_on_prefixes",
     "pair_difference",
+    "pair_difference_rows",
     "eval_upsilon_pair",
 ]
 
@@ -55,6 +57,21 @@ def eval_upsilon(M: float, g: Path) -> float:
     """Upsilon^M(gamma) = S(gamma) + M |gamma(t)|^2."""
     a, _, b = _a_b(g)
     return _upsilon(M, a, b)
+
+
+def upsilon_rows(M: float, S: np.ndarray) -> list:
+    """`eval_upsilon(M, g)` for the path g of each row of S, an (N, n, dim)
+    sample block, as a list of floats.
+
+    The sup norms and the endpoint dots are each one reduction over the
+    block, with the operations `_a_b` applies to one path (the stacked
+    row-by-column product reduces each row with the routine of `end @ end`),
+    and `_upsilon` closes each row on Python floats, so every entry equals
+    `eval_upsilon` bit for bit.
+    """
+    E = S[:, -1]
+    ends = (E[:, None, :] @ E[:, :, None])[:, 0, 0]
+    return [_upsilon(M, r**2, b) for r, b in zip(sup_norms(S).tolist(), ends.tolist())]
 
 
 def grad_upsilon(M: float, g: Path) -> np.ndarray:
@@ -118,6 +135,31 @@ def pair_difference(anchor: Path, g: Path) -> Path:
             rows = semigroup_rows(early, n_late - n_early)
         np.subtract(late.samples[n_early:], rows, out=out[n_early:])
     return late._sealed(out)
+
+
+def pair_difference_rows(anchor: Path, proto: Path, S: np.ndarray) -> np.ndarray:
+    """`pair_difference(anchor, g).samples` for the path g of each row of S,
+    a block of paths on proto's space and step with at least anchor's node
+    count, as one (N, n, dim) array.
+
+    The anchor carried to n nodes (its samples, then the rows
+    `pair_difference` subtracts past them) is subtracted from the whole
+    block in one broadcast, and the block of differences is checked finite
+    once, with `pair_difference`'s error.
+    """
+    proto._check_same_space_and_step(anchor)
+    n, n_anchor = S.shape[1], anchor.n_nodes
+    carried = np.empty(S.shape[1:])
+    carried[:n_anchor] = anchor.samples
+    if n > n_anchor:
+        if anchor.space.is_zero_generator:
+            carried[n_anchor:] = anchor.samples[-1]
+        else:
+            carried[n_anchor:] = semigroup_rows(anchor, n - n_anchor)
+    out = S - carried
+    if not all_finite(out):
+        raise ValueError("samples must be finite")
+    return out
 
 
 def eval_upsilon_pair(M: float, anchor: Path, g: Path, *, with_time: bool = False) -> float:

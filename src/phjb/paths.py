@@ -27,7 +27,9 @@ __all__ = [
     "extend_flat",
     "extend_semigroup",
     "semigroup_rows",
+    "node_count_blocks",
     "sup_norm",
+    "sup_norms",
     "prefix_sup_norms",
     "metric_d_infty",
     "DupireDerivatives",
@@ -277,6 +279,24 @@ def semigroup_rows(g: Path, m: int) -> np.ndarray:
     return np.exp(np.outer(j * g.step, g.space.eigenvalues)) * g.endpoint
 
 
+def node_count_blocks(paths) -> list:
+    """The runs of consecutive paths with one node count, in order, as
+    (lo, hi, S): paths[lo:hi] is a run and S its samples stacked into one
+    read-only (hi - lo, n, dim) block."""
+    runs = []
+    lo = 0
+    while lo < len(paths):
+        n = paths[lo].n_nodes
+        hi = lo + 1
+        while hi < len(paths) and paths[hi].n_nodes == n:
+            hi += 1
+        S = np.stack([g.samples for g in paths[lo:hi]])
+        S.flags.writeable = False
+        runs.append((lo, hi, S))
+        lo = hi
+    return runs
+
+
 # -- norms and metric ----------------------------------------------------
 
 
@@ -288,6 +308,12 @@ def sup_norm(g: Path) -> float:
     `np.linalg.norm(g.samples, axis=1)` bit for bit.
     """
     return _largest_row_norm(g.samples)
+
+
+def sup_norms(S: np.ndarray) -> np.ndarray:
+    """`sup_norm` of the path of each row of S, an (N, n, dim) sample block,
+    in one reduction over the block with the same operations per row."""
+    return np.sqrt(np.maximum.reduce(np.add.reduce(S * S, axis=2), axis=1))
 
 
 def _largest_row_norm(s: np.ndarray) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import BlockForm, Coefficients
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
-from .paths import Path, TimeGrid, sup_norm
+from .paths import Path, TimeGrid, sup_norm, sup_norms
 from .testfn import GaugePack, TestFunctionPhi
 
 __all__ = [
@@ -100,12 +100,6 @@ def _no_cost(S: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.zeros(len(S))
 
 
-def _running_sup(S: np.ndarray) -> np.ndarray:
-    """`sup_norm` of each row of S, in one reduction over the block, with
-    the same operations per row."""
-    return np.sqrt(np.maximum.reduce(np.add.reduce(S * S, axis=2), axis=1))
-
-
 def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
     space = _flat_space(1)
     grid = TimeGrid(T=T, step=step)
@@ -142,8 +136,8 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         block=BlockForm(
             drift=_control_column,
             running_cost=_no_cost,
-            terminal_cost=_running_sup,
-            state_key=lambda S: list(zip(_endpoint_bytes(S), _running_sup(S).tolist())),
+            terminal_cost=sup_norms,
+            state_key=lambda S: list(zip(_endpoint_bytes(S), sup_norms(S).tolist())),
         ),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)

@@ -11,13 +11,27 @@ terms at their own anchor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .gauge import eval_upsilon, grad_upsilon, pair_difference
-from .paths import Path, dupire_derivatives, extend_flat, sup_norm, vertical_bump
+from .gauge import (
+    eval_upsilon,
+    grad_upsilon,
+    pair_difference,
+    pair_difference_rows,
+    upsilon_rows,
+)
+from .paths import (
+    Path,
+    dupire_derivatives,
+    extend_flat,
+    node_count_blocks,
+    sup_norm,
+    vertical_bump,
+)
 
 __all__ = ["TestFunctionPhi", "GaugePack", "differentiability_probe"]
 
@@ -179,8 +193,8 @@ class GaugePack:
     def __post_init__(self):
         total = 0.0
         for anchor, delta in self.anchors:
-            if delta <= 0.0:
-                raise ValueError(f"anchor weight must be > 0, got {delta}")
+            if not (math.isfinite(delta) and delta > 0.0):
+                raise ValueError(f"anchor weight must be finite and > 0, got {delta}")
             total += delta
         if np.isfinite(self.bound_N):
             if total > self.bound_N:
@@ -199,22 +213,43 @@ class GaugePack:
 
     def _hy_checked(self, s: float, y: float) -> float:
         hy = float(self.h_y(s, y))
-        if hy < 0.0:
-            raise ValueError(f"pack outer slope h_y={hy} < 0 at (s={s}, y={y})")
+        if not hy >= 0.0:  # a NaN slope is refused too
+            raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
         return hy
 
     def value(self, g: Path) -> float:
-        s = g.horizon
-        y = eval_upsilon(2.0, g)
-        self._hy_checked(s, y)
-        out = float(self.h(s, y))
+        return float(self._block_values(g, g.samples[None])[0])
+
+    def values(self, paths) -> np.ndarray:
+        """`value` of every path, in order, as one float array; the paths
+        share a space and step, and each run of one node count is evaluated
+        as one block."""
+        out = np.empty(len(paths))
+        for lo, hi, S in node_count_blocks(paths):
+            out[lo:hi] = self._block_values(paths[lo], S)
+        return out
+
+    def _block_values(self, proto: Path, S: np.ndarray) -> np.ndarray:
+        """The pack at the path of each row of S, a block of paths on proto's
+        space and step with proto's node count.
+
+        Upsilon^2 of the rows and of each anchor's pair differences is one
+        block reduction (`upsilon_rows`); h and h_y are called once per row
+        on Python floats, in row order. Every entry equals the one-path
+        formula bit for bit.
+        """
+        s = proto.horizon
+        out = np.empty(len(S))
+        for i, y in enumerate(upsilon_rows(2.0, S)):
+            self._hy_checked(s, y)
+            out[i] = float(self.h(s, y))
         for anchor, delta in self.anchors:
             if anchor.horizon > s + 1e-12:
                 raise ValueError(
                     f"anchor horizon {anchor.horizon} beyond evaluated path {s}"
                 )
-            diff = pair_difference(anchor, g)
-            out += delta * (eval_upsilon(2.0, diff) + (s - anchor.horizon) ** 2)
+            gaps = upsilon_rows(2.0, pair_difference_rows(anchor, proto, S))
+            out += delta * (np.array(gaps) + (s - anchor.horizon) ** 2)
         return out
 
     def dt(self, g: Path) -> float:

@@ -33,6 +33,7 @@ from .paths import (
     TimeGrid,
     all_finite,
     extend_semigroup,
+    node_count_blocks,
     sup_norm,
     vertical_bump,
 )
@@ -178,13 +179,20 @@ class ValueTable:
                     f"{self.budget}; declare a state_key or coarsen the grid"
                 )
 
-    def entry(self, g: Path) -> tuple[float, object]:
+    def _check_root(self, g: Path) -> bool:
+        """Refuse a root prefix beyond T, or a non-terminal one whose tree is
+        over budget; True when g is terminal."""
         k, n_steps = g.n_nodes - 1, self.grid.n_steps
         if k > n_steps:
             raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
         if k == n_steps:
-            return float(self.c.terminal_cost(g)), None
+            return True
         self._check_budget(g)
+        return False
+
+    def entry(self, g: Path) -> tuple[float, object]:
+        if self._check_root(g):
+            return float(self.c.terminal_cost(g)), None
         key = self._key(g)
         hit = self.memo.get(key)
         if hit is not None:
@@ -250,6 +258,23 @@ class ValueTable:
 
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
+
+    def values(self, paths) -> np.ndarray:
+        """`value` of every path, in order, as one float array.
+
+        The paths share a space and step, as the paths of a net do. Each run
+        of consecutive paths with one node count is valued as one block by
+        `_values`, in order, so the first path to carry a key is the one
+        expanded: values, memo entries, argmins and hits are those that
+        `value` on each path in turn gives. A run is refused as `entry`
+        refuses its first path, after the runs before it are valued.
+        """
+        out = np.empty(len(paths))
+        for lo, hi, S in node_count_blocks(paths):
+            g = paths[lo]
+            self._check_root(g)
+            out[lo:hi] = self._values(g, block_form(self.c, g), S)
+        return out
 
     def policy(self, g: Path) -> tuple[ControlSignal, Path]:
         """An optimal control signal from g to T and its trajectory, by stored argmins."""

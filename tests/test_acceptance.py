@@ -322,15 +322,16 @@ def test_criterion_09_certificates_both_sides():
         table = ValueTable(sc.coefficients, sc.grid)
         pts = touching_points(sc)
         ok = ok and len(pts) >= 5
-        w_plus = lambda g: table.value(g) + (sc.grid.T - g.horizon)
         for tp in pts:
             net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
+            values = table.values(net)
+            w_plus = values + np.array([sc.grid.T - g.horizon for g in net])
             sub = viscosity_check(
-                table.value, sc.coefficients, tp.point, tp.phi_sub, tp.pack_sub,
+                values, sc.coefficients, tp.point, tp.phi_sub, tp.pack_sub,
                 "sub", net=net, tol=1e-3,
             )
             sup = viscosity_check(
-                table.value, sc.coefficients, tp.point, tp.phi_super, tp.pack_super,
+                values, sc.coefficients, tp.point, tp.phi_super, tp.pack_super,
                 "super", net=net, tol=1e-3,
             )
             imp = viscosity_check(

@@ -18,7 +18,7 @@ from phjb import (
     pair_difference,
     sup_norm,
 )
-from phjb.gauge import upsilon_on_prefixes
+from phjb.gauge import pair_difference_rows, upsilon_on_prefixes, upsilon_rows
 
 SEED = 4242
 
@@ -157,6 +157,32 @@ def test_upsilon_on_prefixes_is_bit_exact_against_each_prefix(M, dim):
             q = p.prefix((first - 1 + k) * p.step)
             assert v == eval_upsilon(M, q)
             assert np.array_equal(gr, grad_upsilon(M, q))
+
+
+@pytest.mark.parametrize("M", [2.0, 5.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_upsilon_rows_is_bit_exact_against_each_path(M, dim):
+    # enough rows that a squaring or a dot rounded another way shows
+    rng = np.random.default_rng(SEED + 11)
+    sp = flat_space(dim)
+    S = rng.normal(size=(4000, 3, dim)) * np.exp(rng.uniform(-3, 3, size=(4000, 1, 1)))
+    S[:5] = 0.0
+    S.flags.writeable = False
+    want = [eval_upsilon(M, Path(sp, 0.25, s)) for s in S]
+    assert upsilon_rows(M, S) == want
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0, 0.0], [-1.0, -0.4], [-2.0]])
+def test_pair_difference_rows_is_bit_exact_against_each_pair(eigenvalues):
+    rng = np.random.default_rng(SEED + 12)
+    sp = make_space(eigenvalues)
+    for n_anchor in (1, 2, 4):  # an earlier horizon, and an equal one
+        anchor = random_path(rng, sp, min_nodes=n_anchor - 1, max_nodes=n_anchor - 1)
+        paths = [random_path(rng, sp, min_nodes=3, max_nodes=3) for _ in range(20)]
+        S = np.stack([g.samples for g in paths])
+        got = pair_difference_rows(anchor, paths[0], S)
+        for row, g in zip(got, paths):
+            assert np.array_equal(row, pair_difference(anchor, g).samples)
 
 
 # pair gauge ------------------------------------------------------------

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from phjb.checks import perturbed
+from phjb.checks import build_net, perturbed
+from phjb.gauge import eval_upsilon, pair_difference
 from phjb.paths import Path
 from phjb.scenarios import (
     _norms,
@@ -194,6 +195,108 @@ def test_pack_rejects_anchor_outliving_path():
     g = Path.constant(space, 0.25, np.array([0.1]), horizon=0.5)
     with pytest.raises(ValueError):
         pack.value(g)
+
+
+def test_pack_refuses_non_finite_weights_and_slopes():
+    space = make_space([0.0])
+    a = _anchor(space)
+    for delta in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="weight"):
+            GaugePack(anchors=((a, delta),))
+    nan_slope = GaugePack(h_y=lambda s, y: math.nan, anchors=((a, 1.0),))
+    g = Path.constant(space, 0.25, np.array([0.1]), horizon=0.5)
+    for evaluate in (nan_slope.value, nan_slope.dx):
+        with pytest.raises(ValueError, match="h_y=nan"):
+            evaluate(g)
+
+
+def _one_path_pack_value(pack, g):
+    """GaugePack.value as it was computed one path at a time, with
+    eval_upsilon of the path and of each anchor's pair_difference."""
+    s = g.horizon
+    y = eval_upsilon(2.0, g)
+    hy = float(pack.h_y(s, y))
+    if not hy >= 0.0:
+        raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
+    out = float(pack.h(s, y))
+    for anchor, delta in pack.anchors:
+        if anchor.horizon > s + 1e-12:
+            raise ValueError(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
+        diff = pair_difference(anchor, g)
+        out += delta * (eval_upsilon(2.0, diff) + (s - anchor.horizon) ** 2)
+    return out
+
+
+def _assert_pack_matches_one_path_formula(pack, paths):
+    want = np.array([_one_path_pack_value(pack, g) for g in paths])
+    assert pack.values(paths).tobytes() == want.tobytes()
+    assert [pack.value(g) for g in paths] == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "eigenvalues", [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0], [-2.0], [-1.0, -0.4, -0.05]]
+)
+def test_block_pack_is_bit_exact_against_the_one_path_formula(eigenvalues):
+    rng = np.random.default_rng(11)
+    space = make_space(eigenvalues)
+    dim, step = space.dim, 0.25
+    # runs of one node count, a run of all-zero paths (a == 0), lone paths
+    paths = []
+    for n in (2, 2, 3, 5, 5, 5, 4, 6):
+        for _ in range(int(rng.integers(1, 12))):
+            paths.append(Path(space, step, rng.normal(scale=2.0, size=(n, dim))))
+    paths += [Path.zero(space, step, 0.75)] * 3 + [Path.zero(space, step, 0.25)]
+    early = Path(space, step, rng.normal(size=(1, dim)))  # an earlier horizon
+    equal = Path(space, step, rng.normal(size=(2, dim)))  # the first run's horizon
+    packs = [
+        GaugePack.zero(),
+        GaugePack.anchored(early, 2.0),
+        GaugePack(
+            h=lambda s, y: 0.3 * (y - 0.1) + s,
+            h_y=lambda s, y: 0.3,
+            anchors=((early, 0.7), (equal, 3.0)),
+        ),
+    ]
+    for pack in packs:
+        _assert_pack_matches_one_path_formula(pack, paths)
+
+
+def test_block_pack_is_bit_exact_on_the_runmax_interior_nets():
+    sc = runmax()
+    for tp in touching_points(sc):
+        if tp.label.startswith("interior"):
+            net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
+            _assert_pack_matches_one_path_formula(tp.pack_sub, net)
+
+
+def _refusal(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_block_pack_refuses_as_the_one_path_formula():
+    space = make_space([0.0])
+    step = 0.25
+    paths = [Path(space, step, [[0.1 * i], [0.2 * i], [0.3]]) for i in range(5)]
+    y_mid = eval_upsilon(2.0, paths[2])
+    cases = [
+        # h_y < 0 at the middle row only
+        (GaugePack(h_y=lambda s, y: -1.0 if y == y_mid else 1.0), paths),
+        # an anchor beyond the evaluated horizon
+        (GaugePack.anchored(Path.zero(space, step, 0.75), 1.0), paths),
+        # a pair difference that overflows
+        (
+            GaugePack.anchored(Path(space, step, [[-1e308]]), 1.0),
+            paths + [Path(space, step, [[0.0], [1e308]])],
+        ),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pack, rows in cases:
+            want = _refusal(lambda: [_one_path_pack_value(pack, g) for g in rows])
+            assert _refusal(lambda: pack.values(rows)) == want
+            assert _refusal(lambda: [pack.value(g) for g in rows]) == want
+    assert "h_y=-1.0" in _refusal(lambda: cases[0][0].values(paths))
 
 
 def test_pack_bound_caps_weights_and_anchors():

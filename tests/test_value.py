@@ -335,6 +335,78 @@ def test_batched_table_refuses_at_the_same_budgets(build, keyed):
     assert smallest == _smallest_passing_budget(NodeByNodeTable, c, sc.grid, roots)
 
 
+# a net valued a node-count block at a time against value path by path ------
+
+
+def _nets(sc, seed=3) -> list:
+    """The comparison net of every touching point, or of the initial path
+    when the scenario has no certificates."""
+    points = [tp.point for tp in touching_points(sc)] if has_certificates(sc) else []
+    return [build_net(sc.coefficients, p, sc.grid, seed=seed) for p in points or [sc.initial]]
+
+
+@pytest.mark.parametrize(
+    "build, step",
+    [
+        (eikonal, 0.25),
+        (eikonal, 0.2),
+        (runmax, 0.25),
+        (runmax, 0.125),
+        (feedback, 0.25),
+        (feedback, 0.2),
+    ],
+)
+def test_values_of_a_net_match_value_path_by_path(build, step):
+    sc = build(step=step)
+    nets = _nets(sc)
+    if build is feedback:
+        nets += _nets(replace(sc, initial=Path(sc.space, step, [[0.5, -0.25], [0.9, 0.1]])))
+    # the scenario's block form, and its scalar callables row by row
+    for c in (sc.coefficients, replace(sc.coefficients, block=None)):
+        ref = ValueTable(c, sc.grid)
+        table = ValueTable(c, sc.grid)
+        for net in nets:
+            want = np.array([ref.value(g) for g in net])
+            got = table.values(net)
+            assert got.tobytes() == want.tobytes()
+            assert table.memo == ref.memo
+            assert table.hits == ref.hits
+
+
+def _refusal(fn):
+    with pytest.raises((ValueError, BudgetExceeded)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_values_refuse_where_value_refuses_path_by_path():
+    sc = eikonal()
+    grid = sc.grid
+    net = _nets(sc)[0]
+    beyond = Path(sc.space, grid.step, np.zeros((grid.n_steps + 2, 1)))
+    stripped = replace(sc.coefficients, state_key=None)
+    cases = [
+        # a path beyond T, after paths that are valued first
+        (sc.coefficients, 10**6, net[:40] + [beyond] + net[40:]),
+        # a root whose control tree is over budget, 3^4 sequences against 27,
+        # after paths whose trees fit (and whose memo stays below 27)
+        (stripped, 27, net[:6] + [sc.initial]),
+    ]
+    for c, budget, paths in cases:
+        ref = ValueTable(c, grid, budget=budget)
+        table = ValueTable(c, grid, budget=budget)
+        want = _refusal(lambda: [ref.value(g) for g in paths])
+        assert _refusal(lambda: table.values(paths)) == want
+        assert table.memo == ref.memo and len(ref.memo) > 0
+        assert table.hits == ref.hits
+    # a memo that outgrows its budget is refused with the same error
+    fine = eikonal(step=1.0 / 16)
+    net = build_net(fine.coefficients, fine.initial, fine.grid, seed=3)
+    want = _refusal(lambda: [ValueTable(fine.coefficients, fine.grid, budget=10).value(g) for g in net])
+    got = _refusal(lambda: ValueTable(fine.coefficients, fine.grid, budget=10).values(net))
+    assert got == want and want[0] is BudgetExceeded
+
+
 # the DPP enumeration against one that steps and prices Path objects --------
 
 
