@@ -18,9 +18,18 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Coefficients, ControlSignal, mild_solve, step_level
+from .dynamics import (
+    Coefficients,
+    ControlSignal,
+    _Refused,
+    _control_array,
+    _drift_rows,
+    by_node_count,
+    mild_solve,
+    solve_rows,
+    step_rows,
+)
 from .gauge import pair_difference, upsilon_on_prefixes
-from .hilbert import SpectralSpace
 from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, vertical_bump
 from .testfn import GaugePack, TestFunctionPhi, differentiability_probe
 from .value import ValueTable, hamiltonian
@@ -35,7 +44,6 @@ __all__ = [
     "viscosity_check",
     "ClassicalResult",
     "classical_check",
-    "transport_instance",
     "StabilityResult",
     "stability_experiment",
     "perturbed",
@@ -76,7 +84,8 @@ def ito_residual(
     def integrand(prefix: Path, ctrl: float) -> float:
         dx = np.asarray(phi.dx(prefix), dtype=float)
         adj = float(space.adjoint_apply(dx) @ prefix.endpoint)
-        drive = float(dx @ coeffs.drift(prefix, ctrl))
+        f = coeffs.drift(prefix.samples[None], _control_array((ctrl,)))
+        drive = float(dx @ np.asarray(f, dtype=np.float64)[0])
         return float(phi.dt(prefix)) + adj + drive
 
     start = g.n_nodes - 1
@@ -103,46 +112,60 @@ class GaugeMarginResult:
     integral: float
 
 
-def upsilon_margin(
-    coeffs: Coefficients,
-    M: float,
-    g: Path,
-    eta: Path,
-    u: ControlSignal,
-) -> GaugeMarginResult:
-    """Margin of the dissipation inequality for Upsilon^M along the flow.
+def upsilon_margin(coeffs: Coefficients, cases) -> list:
+    """Margins of the dissipation inequality for Upsilon^M along the flow,
+    one GaugeMarginResult per case (M, g, eta, u), in order.
 
-    Runs X from g under u, compares Upsilon^M of X - (semigroup-extended
-    eta) at the final time against its initial value plus the drift
-    coupling integral. Requires M >= 2: the generator contribution
-    (grad Upsilon^M, A y) = (y, A y) [2M - 4(a-b)/a] is only signed then.
+    Each case runs X from g under u and compares Upsilon^M of X -
+    (semigroup-extended eta) at the final time against its initial value
+    plus the drift coupling integral. Requires M >= 2: the generator
+    contribution (grad Upsilon^M, A y) = (y, A y) [2M - 4(a-b)/a] is only
+    signed then.
+
+    The flows of the cases whose g share a node count and whose u share a
+    length are solved as one block, and the coupling drift is evaluated on
+    that block a node at a time. The margins are then summed case by case,
+    each equal to the one-case computation bit for bit, and a refusal is
+    the first that one case at a time raises.
     """
-    if M < 2.0:
-        raise ValueError(f"M must be >= 2, got {M}")
-    if abs(g.horizon - eta.horizon) > GRID_TOL:
-        raise ValueError("g and eta must share their horizon")
-    traj = mild_solve(coeffs, g, u)
-    # y = X - (eta extended along the semigroup) over the whole run at once: a
-    # shorter extension is a prefix of the longer one row for row, so the
-    # gauge at node k is that of a prefix of y, bit-identical to the gauge of
-    # X_t minus eta extended to t
-    y = pair_difference(eta, traj)
-    h = g.step
-    start = g.n_nodes
-    n = traj.n_nodes - g.n_nodes
-    values, grads = upsilon_on_prefixes(M, y, start)
 
-    def coupling(k: int, ctrl: float) -> float:
-        return float(grads[k] @ coeffs.drift(traj._head(start + k), ctrl))
+    def flows(rows, S):
+        for i in rows:
+            M, g, eta, _ = cases[i]
+            if M < 2.0:
+                raise _Refused(ValueError(f"M must be >= 2, got {M}"))
+            if abs(g.horizon - eta.horizon) > GRID_TOL:
+                raise _Refused(ValueError("g and eta must share their horizon"))
+        proto = cases[rows[0]][1]
+        signals = [cases[i][3] for i in rows]
+        X = solve_rows(coeffs, proto, S, signals)
+        # the drift at both ends of each interval, under its control
+        ends = [
+            [_drift_rows(coeffs, X[:, : S.shape[1] + k + j], _control_array(step)) for j in (0, 1)]
+            for k, step in enumerate(zip(*(u.values for u in signals)))
+        ]
+        return [(proto._trusted(x), [(f0[r], f1[r]) for f0, f1 in ends]) for r, x in enumerate(X)]
 
-    base = values[0]
-    lhs = values[n]
-    total = 0.0
-    for k in range(n):
-        ctrl = u.values[k]
-        total += 0.5 * h * (coupling(k, ctrl) + coupling(k + 1, ctrl))
-    rhs = base + total
-    return GaugeMarginResult(margin=rhs - lhs, lhs=lhs, base=base, integral=total)
+    starts = [g for _, g, _, _ in cases]
+    keys = [(g.n_nodes, len(u.values)) for _, g, _, u in cases]
+    results = []
+    for (M, g, eta, u), (traj, ends) in zip(cases, by_node_count(flows, starts, keys)):
+        # y = X - (eta extended along the semigroup) over the whole run at
+        # once: a shorter extension is a prefix of the longer one row for
+        # row, so the gauge at node k is that of a prefix of y, bit-identical
+        # to the gauge of X_t minus eta extended to t
+        y = pair_difference(eta, traj)
+        h = g.step
+        n = traj.n_nodes - g.n_nodes
+        values, grads = upsilon_on_prefixes(M, y, g.n_nodes)
+        base = values[0]
+        lhs = values[n]
+        total = 0.0
+        for k, (f0, f1) in enumerate(ends):
+            total += 0.5 * h * (float(grads[k] @ f0) + float(grads[k + 1] @ f1))
+        rhs = base + total
+        results.append(GaugeMarginResult(margin=rhs - lhs, lhs=lhs, base=base, integral=total))
+    return results
 
 
 # comparison nets -------------------------------------------------------
@@ -169,11 +192,11 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
 
     # control tree, breadth-first, whole levels while the net stays <= 400;
     # a level that would not fit is not stepped
-    level = [point]
+    level = point.samples[None]
     width = len(coeffs.control_set)
-    while level[0].horizon < grid.T - GRID_TOL and len(net) + width * len(level) <= 400:
-        level = step_level(coeffs, level, coeffs.control_set)
-        net.extend(level)
+    while level.shape[1] <= grid.n_steps and len(net) + width * len(level) <= 400:
+        level = step_rows(coeffs, point, level, coeffs.control_set)[2]
+        net.extend(point._trusted(x) for x in level)
 
     # single-sample vertical edits
     for j in range(point.n_nodes):
@@ -329,7 +352,7 @@ def classical_check(
     ok = True
     for g in points:
         if g.horizon >= t_final - GRID_TOL:
-            gap = abs(float(w.value(g)) - float(coeffs.terminal_cost(g)))
+            gap = abs(float(w.value(g)) - float(coeffs.terminal_cost(g.samples[None])[0]))
             rows.append({"horizon": g.horizon, "kind": "terminal", "gap": gap})
             ok = ok and gap <= tol
             continue
@@ -353,96 +376,38 @@ def classical_check(
     )
 
 
-def transport_instance(space: SpectralSpace, weights, T: float) -> tuple:
-    """Uncontrolled transport pair (coefficients, solution candidate).
-
-    w(eta_s) = (weights, e^{(T-s)A} eta(s)) solves the equation with no
-    drift and no running cost exactly, for any generator; its residual is
-    a genuine exercise of the adjoint term.
-    """
-    c_vec = np.asarray(weights, dtype=float)
-    lam = space.eigenvalues
-
-    coeffs = Coefficients(
-        name="transport",
-        control_set=(0.0,),
-        drift=lambda g, u: np.zeros(space.dim),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: float(c_vec @ g.endpoint),
-        lipschitz_L=float(np.linalg.norm(c_vec)) + 1.0,
-        state_key=lambda g: (g.samples[-1].tobytes(),),
-    )
-
-    def val(g: Path) -> float:
-        return float((c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
-
-    def dt(g: Path) -> float:
-        return float((-lam * c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
-
-    def dx(g: Path) -> np.ndarray:
-        return c_vec * np.exp((T - g.horizon) * lam)
-
-    w = TestFunctionPhi(value=val, dt=dt, dx=dx, label="transport")
-    return coeffs, w
-
-
 # stability under coefficient perturbation ------------------------------
 
 
 def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
-    """Shifted coefficient family; declares the enlarged constant L+eps.
-
-    A block form is shifted by the same operations, row for row.
-    """
-    block = coeffs.block
-
-    def shifted_block(**fields):
-        return None if block is None else block._replace(**fields)
-
+    """Shifted coefficient family; declares the enlarged constant L+eps."""
+    L = coeffs.lipschitz_L + eps
     if kind == "phi_shift":
         base = coeffs.terminal_cost
         return replace(
             coeffs,
             name=f"{coeffs.name}+phi{eps}",
-            terminal_cost=lambda g: float(base(g)) + eps,
-            lipschitz_L=coeffs.lipschitz_L + eps,
-            block=shifted_block(
-                terminal_cost=lambda S: np.asarray(block.terminal_cost(S), dtype=float)
-                + eps
-            ),
+            terminal_cost=lambda S: np.asarray(base(S), dtype=float) + eps,
+            lipschitz_L=L,
         )
     if kind == "q_shift":
         base_q = coeffs.running_cost
         return replace(
             coeffs,
             name=f"{coeffs.name}+q{eps}",
-            running_cost=lambda g, u: float(base_q(g, u)) + eps,
-            lipschitz_L=coeffs.lipschitz_L + eps,
-            block=shifted_block(
-                running_cost=lambda S, U: np.asarray(block.running_cost(S, U), dtype=float)
-                + eps
-            ),
+            running_cost=lambda S, U: np.asarray(base_q(S, U), dtype=float) + eps,
+            lipschitz_L=L,
         )
     if kind == "drift_shift":
         base_f = coeffs.drift
         return replace(
             coeffs,
             name=f"{coeffs.name}+F{eps}",
-            drift=lambda g, u: np.asarray(base_f(g, u), dtype=float)
-            + eps * _e1(g.space.dim),
-            lipschitz_L=coeffs.lipschitz_L + eps,
-            block=shifted_block(
-                drift=lambda S, U: np.asarray(block.drift(S, U), dtype=float)
-                + eps * _e1(S.shape[2])
-            ),
+            drift=lambda S, U: np.asarray(base_f(S, U), dtype=float)
+            + eps * np.eye(S.shape[2])[0],
+            lipschitz_L=L,
         )
     raise ValueError(f"unknown perturbation kind {kind!r}")
-
-
-def _e1(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .checks import (
     upsilon_margin,
     viscosity_check,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_names, load_config
 from .dynamics import ControlSignal, validate_hypothesis, verify_state_estimates
 from .paths import Path, TimeGrid
 from .report import CheckRecord, RunReport, write_report
@@ -89,7 +89,7 @@ def _run_value(cfg: RunConfig, value_table) -> CheckRecord:
         {
             "controls": list(sig.values),
             "endpoint": traj.endpoint.tolist(),
-            "terminal_cost": float(sc.coefficients.terminal_cost(traj)),
+            "terminal_cost": float(sc.coefficients.terminal_cost(traj.samples[None])[0]),
         }
     ]
     return CheckRecord(name="value", passed=passed, summary=summary, rows=rows)
@@ -100,7 +100,8 @@ def _run_dpp(cfg: RunConfig, value_table) -> CheckRecord:
     table = value_table()
     residuals = verify_dpp_consistency(table, sc.initial)
     _, traj = table.policy(sc.initial)
-    terminal_gap = abs(table.value(traj) - float(sc.coefficients.terminal_cost(traj)))
+    phi = float(sc.coefficients.terminal_cost(traj.samples[None])[0])
+    terminal_gap = abs(table.value(traj) - phi)
     worst = max(residuals.values(), default=0.0)
     tol = cfg.tolerances["residual"]
     return CheckRecord(
@@ -157,7 +158,7 @@ def _run_gauge(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
     rng = np.random.default_rng(cfg.seed)
     space, grid, c = sc.space, sc.grid, sc.coefficients
-    margins = []
+    cases = []
     for i in range(100):
         n_nodes = int(rng.integers(1, grid.n_steps + 1))
         g = _walk(rng, space, grid.step, n_nodes, 1.0)
@@ -165,8 +166,8 @@ def _run_gauge(cfg: RunConfig, value_table) -> CheckRecord:
         u = c.control_set[int(rng.integers(len(c.control_set)))]
         sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
         M = 2.0 if i % 2 == 0 else 5.0
-        margins.append(upsilon_margin(c, M, g, eta, sig).margin)
-    margins = np.array(margins)
+        cases.append((M, g, eta, sig))
+    margins = np.array([r.margin for r in upsilon_margin(c, cases)])
     floor = -cfg.tolerances["margin_c0"] * grid.step
     return CheckRecord(
         name="gauge",
@@ -332,6 +333,7 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
     """Load config, run the selected checks, emit a report; returns exit code."""
     try:
         cfg = load_config(config_path, grid_steps=grid, seed=seed)
+        selected = cfg.checks if checks is None else check_names(checks)
     except (OSError, json.JSONDecodeError) as exc:
         click.echo(f"error: cannot read config: {exc}", err=True)
         return EXIT_PARSE
@@ -339,7 +341,6 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         click.echo(f"error: invalid config: {exc}", err=True)
         return EXIT_VALIDATION
 
-    selected = checks if checks is not None else cfg.checks
     sc = cfg.scenario
     if not has_certificates(sc) and any(c in ("viscosity", "classical") for c in selected):
         click.echo(

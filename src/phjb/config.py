@@ -69,6 +69,8 @@ def _num(value, where: str) -> float:
 
 
 def _int(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # as it is: a float round trip loses digits past 2**53
     out = _num(value, where)
     if out != int(out):
         raise ConfigError(where, f"expected an integer, got {value!r}")
@@ -85,6 +87,16 @@ class RunConfig:
     budget: int
     tolerances: dict
     doc: dict
+
+
+def check_names(names) -> tuple:
+    """The check names as a tuple, refused unless a non-empty list of known ones."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ConfigError("checks", "must be a non-empty list")
+    for c in names:
+        if c not in KNOWN_CHECKS:
+            raise ConfigError("checks", f"unknown check {c!r}")
+    return tuple(names)
 
 
 def parse_config(
@@ -169,14 +181,11 @@ def parse_config(
             raise ConfigError("initial", "starts beyond the horizon")
         sc = Scenario(sc.name, sc.space, sc.grid, sc.coefficients, initial, sc.closed_form)
 
-    seed_val = seed if seed is not None else _int(doc.get("seed", 0), "seed")
+    seed_val = _int(doc.get("seed", 0) if seed is None else seed, "seed")
+    if seed_val < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed_val}")
 
-    checks_doc = doc.get("checks", ["hypothesis", "value", "dpp"])
-    if not isinstance(checks_doc, list) or not checks_doc:
-        raise ConfigError("checks", "must be a non-empty list")
-    for c in checks_doc:
-        if c not in KNOWN_CHECKS:
-            raise ConfigError("checks", f"unknown check {c!r}")
+    checks = check_names(doc.get("checks", ["hypothesis", "value", "dpp"]))
 
     eps_doc = doc.get("epsilons", ["0.1", "0.05", "0.025"])
     if not isinstance(eps_doc, list) or not eps_doc:
@@ -207,7 +216,7 @@ def parse_config(
     return RunConfig(
         scenario=sc,
         seed=seed_val,
-        checks=tuple(checks_doc),
+        checks=checks,
         epsilons=epsilons,
         perturbation=pert,
         budget=budget,

@@ -12,8 +12,9 @@ over [t, T] bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,14 +30,13 @@ from .paths import (
 )
 
 __all__ = [
-    "BlockForm",
     "Coefficients",
-    "block_form",
     "ControlSignal",
     "step_once",
-    "step_level",
     "step_rows",
+    "solve_rows",
     "mild_solve",
+    "by_node_count",
     "HypothesisReport",
     "validate_hypothesis",
     "StateEstimateReport",
@@ -48,30 +48,15 @@ RATIO_PASS = 1.0 + 1e-9
 _DENOM_FLOOR = 1e-12
 
 
-class BlockForm(NamedTuple):
-    """Coefficients on sample blocks, row for row equal to the scalar callables.
-
-    S is an (N, n, dim) array of N paths with n nodes on one space and step,
-    U an (N,) array of controls (numeric when the control labels are
-    numbers). For every row i, each callable must give the bits its scalar
-    counterpart gives on the path S[i] under the control U[i]:
-
-    - drift(S, U) -> (N, dim) array;
-    - running_cost(S, U) -> (N,) array;
-    - terminal_cost(S) -> (N,) array;
-    - state_key(S) -> list of N hashables (None when the coefficients
-      declare no state_key).
-    """
-
-    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    running_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    terminal_cost: Callable[[np.ndarray], np.ndarray]
-    state_key: Optional[Callable[[np.ndarray], list]] = None
-
-
 @dataclass(frozen=True)
 class Coefficients:
     """Problem data: control set, drift F, running cost q, terminal cost phi.
+
+    Every formula takes sample blocks: S is an (N, n, dim) array of N paths
+    with n nodes on one space and step, and U an (N,) array of controls
+    (numeric when the control labels are numbers). Row i of each result
+    belongs to the path S[i] under the control U[i] and must not depend on
+    the other rows. A single path g is the one-row block `g.samples[None]`.
 
     Attributes
     ----------
@@ -80,37 +65,32 @@ class Coefficients:
     control_set : tuple
         Finite control labels, iterated in order for tie-breaking.
     drift : callable
-        F(gamma_t, u) -> (dim,) array.
+        F(S, U) -> (N, dim) array.
     running_cost : callable
-        q(gamma_t, u) -> float.
+        q(S, U) -> (N,) array.
     terminal_cost : callable
-        phi(zeta_T) -> float, evaluated on full-horizon paths.
+        phi(S) -> (N,) array, evaluated on full-horizon paths.
     lipschitz_L : float
-        The constant L in the growth/Lipschitz assumptions.
+        The constant L in the growth/Lipschitz assumptions; finite and > 0.
     state_key : callable, optional
-        Sufficient statistic for the value recursion: prefix -> hashable.
-        Must be validated against full enumeration before trusting it.
-    block : BlockForm, optional
-        The same coefficients on sample blocks, used by the value recursion
-        and the level stepper; without one, the scalar callables are applied
-        row by row. A copy that replaces a scalar callable must replace or
-        drop the block too.
+        Sufficient statistic for the value recursion: S -> list of N
+        hashables. Must be validated against full enumeration before
+        trusting it.
     """
 
     name: str
     control_set: tuple
-    drift: Callable[[Path, object], np.ndarray]
-    running_cost: Callable[[Path, object], float]
-    terminal_cost: Callable[[Path], float]
+    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    running_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    terminal_cost: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
-    state_key: Optional[Callable[[Path], Hashable]] = None
-    block: Optional[BlockForm] = None
+    state_key: Optional[Callable[[np.ndarray], list]] = None
 
     def __post_init__(self):
         if len(self.control_set) == 0:
             raise ValueError("control_set must be nonempty")
-        if self.lipschitz_L <= 0.0:
-            raise ValueError(f"lipschitz_L must be > 0, got {self.lipschitz_L}")
+        if not (math.isfinite(self.lipschitz_L) and self.lipschitz_L > 0.0):
+            raise ValueError(f"lipschitz_L must be finite and > 0, got {self.lipschitz_L}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +102,8 @@ class ControlSignal:
     values: tuple
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.start < -GRID_TOL:
             raise ValueError(f"start must be >= 0, got {self.start}")
         object.__setattr__(self, "values", tuple(self.values))
@@ -140,75 +120,25 @@ class ControlSignal:
         return ControlSignal(start, step, (u,) * n)
 
 
-def _checked_drift(c: Coefficients, prefix: Path, u) -> np.ndarray:
-    f = np.asarray(c.drift(prefix, u), dtype=np.float64)
-    if f.shape != (prefix.space.dim,):
-        raise ValueError(
-            f"drift returned shape {f.shape}, expected ({prefix.space.dim},)"
-        )
-    if not all_finite(f):
-        raise ValueError(
-            f"non-finite drift at t={prefix.horizon} with control {u!r}, "
-            f"endpoint {prefix.endpoint!r}"
-        )
-    return f
-
-
-def _trapezoid(E: np.ndarray, x: np.ndarray, h: float, f0: np.ndarray, drift_at) -> np.ndarray:
-    """One exponential trapezoid step from x with drift f0 = F(x):
-    e^{hA} x + (h/2) (e^{hA} f0 + F(pred)), pred = e^{hA} (x + h f0),
-    where drift_at(pred) supplies F(pred).
-
-    Every operation is elementwise, so a (dim,) state and a block of states
-    with a trailing dim axis give the same bits state for state.
-    """
-    pred = E * (x + h * f0)
-    return E * x + 0.5 * h * (E * f0 + drift_at(pred))
-
-
-def step_once(c: Coefficients, prefix: Path, u) -> Path:
-    """Advance the mild solution by one grid step under a frozen control.
-
-    Only the predictor and the new sample are validated; the prefix already is.
-    """
-    f0 = _checked_drift(c, prefix, u)
-    x1 = _trapezoid(
-        prefix.space.semigroup_factors(prefix.step),
-        prefix.samples[-1],
-        prefix.step,
-        f0,
-        lambda pred: _checked_drift(c, prefix._extended(pred[None, :]), u),
-    )
-    return prefix._extended(x1[None, :])
+# -- the block stepper ----------------------------------------------------
 
 
 class _Refused(Exception):
-    """A block failed a check; step_rows re-steps it child by child."""
+    """A block failed a check. `error` is what a one-row block raises in
+    its place: the drift's own exception, or a ValueError naming the
+    refusal."""
+
+    def __init__(self, error: Exception):
+        super().__init__(error)
+        self.error = error
 
 
-def block_form(c: Coefficients, proto: Path) -> BlockForm:
-    """c.block, or else c's scalar callables applied to each row of a block
-    as a trusted path on proto's space and step (the rows are read-only
-    views of an already checked block)."""
-    if c.block is not None:
-        return c.block
-
-    def paths(S: np.ndarray) -> list:
-        return [proto._trusted(s) for s in S]
-
-    def per_row(fn, S, U) -> list:
-        return [fn(p, u) for p, u in zip(paths(S), U.tolist())]
-
-    return BlockForm(
-        drift=lambda S, U: np.array(per_row(c.drift, S, U), dtype=np.float64),
-        running_cost=lambda S, U: np.array(
-            [float(q) for q in per_row(c.running_cost, S, U)]
-        ),
-        terminal_cost=lambda S: np.array([float(c.terminal_cost(p)) for p in paths(S)]),
-        state_key=(
-            None if c.state_key is None else lambda S: [c.state_key(p) for p in paths(S)]
-        ),
-    )
+def _one_row(fn, *args):
+    """fn(*args) on one-row blocks, raising a refusal as its own error."""
+    try:
+        return fn(*args)
+    except _Refused as refusal:
+        raise refusal.error from None
 
 
 def _control_array(controls) -> np.ndarray:
@@ -220,6 +150,77 @@ def _control_array(controls) -> np.ndarray:
     return U
 
 
+def _drift_rows(c: Coefficients, S: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """F of every row of S under U as an (N, dim) float array; an error of
+    the drift's own, or a result of another shape, is a refusal."""
+    try:
+        f = np.asarray(c.drift(S, U), dtype=np.float64)
+    except Exception as exc:
+        raise _Refused(exc) from exc
+    if f.shape != (len(S), S.shape[2]):
+        message = f"drift returned shape {f.shape[1:]}, expected ({S.shape[2]},)"
+        raise _Refused(ValueError(message))
+    return f
+
+
+def _finite_drift(c: Coefficients, h: float, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
+    """`_drift_rows`, refused unless finite; `label` is the control label of
+    row 0, which a one-row refusal names."""
+    f = _drift_rows(c, S, U)
+    if not all_finite(f):
+        t = h * (S.shape[1] - 1)
+        message = f"non-finite drift at t={t} with control {label!r}, endpoint {S[0, -1]!r}"
+        raise _Refused(ValueError(message))
+    return f
+
+
+def _costs(values, n: int, what: str) -> np.ndarray:
+    """A block cost as an (n,) float array; any other shape is refused."""
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != (n,):
+        raise ValueError(f"block {what} returned shape {out.shape}, expected ({n},)")
+    return out
+
+
+def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
+    """Every row of S, a read-only (N, n, dim) block of prefixes on proto's
+    space and step, advanced one grid step under its control U[i], as a
+    read-only (N, n + 1, dim) block.
+
+    The step is the exponential trapezoid rule from x with f0 = F(x):
+    e^{hA} x + (h/2) (e^{hA} f0 + F(pred)), pred = e^{hA} (x + h f0). Every
+    operation is elementwise, so each row is stepped independently of the
+    others. The drift's shape and finiteness, and the finiteness of the
+    predictors and new samples, are checked once per block; a failure is a
+    refusal. `label` is the control label of row 0, which a one-row refusal
+    names.
+    """
+    h = proto.step
+    N, n, dim = S.shape
+
+    def extended(rows: np.ndarray) -> np.ndarray:
+        # S followed by one (N, dim) row block
+        if not all_finite(rows):
+            raise _Refused(ValueError("samples must be finite"))
+        X = np.empty((N, n + 1, dim))
+        X[:, :n] = S
+        X[:, n] = rows
+        X.flags.writeable = False
+        return X
+
+    E, x = proto.space.semigroup_factors(h), S[:, -1]
+    f0 = _finite_drift(c, h, S, U, label)
+    pred = E * (x + h * f0)
+    return extended(E * x + 0.5 * h * (E * f0 + _finite_drift(c, h, extended(pred), U, label)))
+
+
+def step_once(c: Coefficients, prefix: Path, u) -> Path:
+    """Advance the mild solution by one grid step under a frozen control:
+    the one-row case of the block stepper."""
+    X = _one_row(_step_block, c, prefix, prefix.samples[None], _control_array((u,)), u)
+    return prefix._trusted(X[0])
+
+
 def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     """Every row of P stepped under every control, as one block.
 
@@ -227,16 +228,14 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     step. Returns (S, U, X) over the B * W children, parent-major in control
     order: S[i] is child i's parent, U[i] its control, and X[i] the child,
     an (n + 1, dim) row of a read-only block equal to `step_once(c, S[i],
-    U[i])` bit for bit. The drift's shape and finiteness, and the
-    finiteness of the predictors and new samples, are checked once per
-    block. On any refusal the block is re-stepped child by child, so the
-    error raised is the one `step_once` raises first.
+    U[i])` bit for bit. On a refusal the block is re-stepped child by
+    child, so the error raised is the one `step_once` raises first.
     """
     S = np.repeat(P, len(controls), axis=0)
     S.flags.writeable = False
     U = _control_array(controls)[None].repeat(len(P), axis=0).ravel()
     try:
-        X = _step_block(block_form(c, proto), proto, S, U)
+        X = _step_block(c, proto, S, U, controls[0])
     except _Refused:
         X = np.stack(
             [step_once(c, proto._trusted(p), u).samples for p in P for u in controls]
@@ -245,64 +244,59 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     return S, U, X
 
 
-def _step_block(form: BlockForm, proto: Path, S: np.ndarray, U: np.ndarray) -> np.ndarray:
-    h = proto.step
-    N, n, dim = S.shape
+def solve_rows(c: Coefficients, proto: Path, P: np.ndarray, signals) -> np.ndarray:
+    """The mild solution from every row of P under its own control signal.
 
-    def extended(rows: np.ndarray) -> np.ndarray:
-        # S followed by one (N, dim) row block
-        if not all_finite(rows):
-            raise _Refused
-        X = np.empty((N, n + 1, dim))
-        X[:, :n] = S
-        X[:, n] = rows
-        X.flags.writeable = False
-        return X
-
-    def drift(block: np.ndarray) -> np.ndarray:
-        try:
-            f = np.asarray(form.drift(block, U), dtype=np.float64)
-        except Exception as exc:  # the drift's own error, or rows of mixed shapes
-            raise _Refused from exc
-        if f.shape != (N, dim) or not all_finite(f):
-            raise _Refused
-        return f
-
-    x1 = _trapezoid(
-        proto.space.semigroup_factors(h),
-        S[:, -1],
-        h,
-        drift(S),
-        lambda pred: drift(extended(pred)),
-    )
-    return extended(x1)
-
-
-def step_level(c: Coefficients, prefixes: list, controls) -> list:
-    """`step_once(c, p, u)` for every prefix p and control u, as one block.
-
-    The prefixes share their space, step and node count. The children come
-    back parent-major, in control order, as trusted read-only paths over the
-    rows of one `step_rows` block, each equal to its `step_once` bit for bit.
+    P is a read-only (N, n, dim) block of prefixes on proto's space and
+    step, and signals[i], a ControlSignal starting at their horizon, drives
+    row i; the signals have one length m. Returns the read-only
+    (N, n + m, dim) block of trajectories; row i equals
+    `mild_solve(c, P[i], signals[i])` bit for bit. A misaligned signal or a
+    refused step raises `_Refused`.
     """
-    if not prefixes:
-        return []
-    first = prefixes[0]
-    P = np.stack([p.samples for p in prefixes])
-    P.flags.writeable = False
-    return [first._trusted(x) for x in step_rows(c, first, P, controls)[2]]
+    t = proto.step * (P.shape[1] - 1)
+    for u in signals:
+        if abs(u.start - t) > GRID_TOL * max(1.0, t):
+            raise _Refused(ValueError(f"control starts at {u.start}, prefix ends at {t}"))
+        if abs(u.step - proto.step) > GRID_TOL:
+            raise _Refused(
+                ValueError(f"control step {u.step} differs from path step {proto.step}")
+            )
+    X = P
+    for step in zip(*(u.values for u in signals)):
+        X = _step_block(c, proto, X, _control_array(step), step[0])
+    return X
 
 
 def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
-    """Integrate the controlled state from the prefix g out to u.end."""
-    if abs(u.start - g.horizon) > GRID_TOL * max(1.0, g.horizon):
-        raise ValueError(f"control starts at {u.start}, prefix ends at {g.horizon}")
-    if abs(u.step - g.step) > GRID_TOL:
-        raise ValueError(f"control step {u.step} differs from path step {g.step}")
-    x = g
-    for uk in u.values:
-        x = step_once(c, x, uk)
-    return x
+    """Integrate the controlled state from the prefix g out to u.end: the
+    one-row case of `solve_rows`."""
+    return g._trusted(_one_row(solve_rows, c, g, g.samples[None], [u])[0])
+
+
+def by_node_count(fn, paths, keys=None) -> list:
+    """fn over the paths a block at a time, as one result per path in order.
+
+    The paths share a space and step. Those with one node count (and one
+    keys[i], when keys are given) form a group, and fn(rows, S) returns the
+    results of the paths at the indices `rows`, whose samples are stacked
+    into the read-only block S. When fn refuses a block, it is run on each
+    path alone, in order, so the error raised is the first that one path at
+    a time raises.
+    """
+    groups: dict = {}
+    for i, g in enumerate(paths):
+        groups.setdefault(g.n_nodes if keys is None else keys[i], []).append(i)
+    out = [None] * len(paths)
+    try:
+        for rows in groups.values():
+            S = np.stack([paths[i].samples for i in rows])
+            S.flags.writeable = False
+            for i, result in zip(rows, fn(rows, S)):
+                out[i] = result
+    except _Refused:
+        return [_one_row(fn, [i], g.samples[None])[0] for i, g in enumerate(paths)]
+    return out
 
 
 # -- hypothesis validation ----------------------------------------------
@@ -354,7 +348,11 @@ def validate_hypothesis(
 ) -> HypothesisReport:
     """Sample path pairs and controls; report worst lhs/rhs ratios.
 
-    The report never raises on a violation; callers read `passed`.
+    Every pair is drawn first. The drift and running cost of each prefix
+    under each control are then priced a node-count block at a time, and
+    the terminal cost of every extension to T as one block; the ratios are
+    taken pair by pair. The report never raises on a violation; callers
+    read `passed`.
     """
     rng = np.random.default_rng(seed)
     L = c.lipschitz_L
@@ -365,24 +363,35 @@ def validate_hypothesis(
         if rhs > _DENOM_FLOOR:
             worst[name] = max(worst[name], lhs / rhs)
 
-    for _ in range(n_pairs):
-        g = random_prefix(rng, space, grid)
-        h = random_prefix(rng, space, grid)
+    pairs = [
+        (random_prefix(rng, space, grid), random_prefix(rng, space, grid))
+        for _ in range(n_pairs)
+    ]
+    # (prefix, control) in the order the ratios read them
+    units = [(x, u) for g, h in pairs for u in c.control_set for x in (g, h)]
+
+    def price(rows, S):
+        U = _control_array([units[i][1] for i in rows])
+        f = _finite_drift(c, grid.step, S, U, units[rows[0]][1])
+        return list(zip(f, _costs(c.running_cost(S, U), len(S), "running_cost").tolist()))
+
+    def terminal(rows, Z):
+        return _costs(c.terminal_cost(Z), len(Z), "terminal_cost").tolist()
+
+    priced = iter(by_node_count(price, [x for x, _ in units]))
+    ends = [(extend_semigroup(g, grid.T), extend_semigroup(h, grid.T)) for g, h in pairs]
+    phis = iter(by_node_count(terminal, [z for pair in ends for z in pair]))
+
+    for (g, h), (zg, zh) in zip(pairs, ends):
         d = metric_d_infty(g, h)
-        ng, nh = sup_norm(g), sup_norm(h)
-        for u in c.control_set:
-            fg = _checked_drift(c, g, u)
-            fh = _checked_drift(c, h, u)
-            qg = float(c.running_cost(g, u))
-            qh = float(c.running_cost(h, u))
+        ng = sup_norm(g)
+        for _ in c.control_set:
+            (fg, qg), (fh, qh) = next(priced), next(priced)
             bump("growth_F", float(fg @ fg), L**2 * (1.0 + ng**2))
             bump("lip_F", float(np.linalg.norm(fg - fh)), L * d)
             bump("growth_q", abs(qg), L * (1.0 + ng))
             bump("lip_q", abs(qg - qh), L * d)
-        zg = extend_semigroup(g, grid.T)
-        zh = extend_semigroup(h, grid.T)
-        pg = float(c.terminal_cost(zg))
-        ph = float(c.terminal_cost(zh))
+        pg, ph = next(phis), next(phis)
         bump("growth_phi", abs(pg), L * (1.0 + sup_norm(zg)))
         bump("lip_phi", abs(pg - ph), L * sup_norm(zg - zh))
 
@@ -429,44 +438,58 @@ def verify_state_estimates(
     rng = np.random.default_rng(seed)
     consts = {k: 0.0 for k in ["bounded", "lip_initial", "near_initial", "time_shift"]}
 
-    def solve_from(g: Path, u) -> Path:
-        return mild_solve(c, g, ControlSignal.constant(u, g.horizon, grid.T, grid.step))
-
+    # every sample is drawn first, in the order of the checks, with its
+    # solves from g, from eta and from the later restart; solves draw nothing
+    draws, starts = [], []
     for _ in range(n_samples):
         g = random_prefix(rng, space, grid)
         u = c.control_set[int(rng.integers(len(c.control_set)))]
         t = g.horizon
-        ng = sup_norm(g)
         if t < grid.T - GRID_TOL:
-            X = solve_from(g, u)
-            consts["bounded"] = max(consts["bounded"], sup_norm(X) / (1.0 + ng))
-            # short-time departure from the free flow
-            for s in [t + grid.step, min(grid.T, t + 2 * grid.step)]:
-                free = space.semigroup_apply(s - t, g.endpoint)
-                gap = float(np.linalg.norm(X.value_at(s) - free))
-                consts["near_initial"] = max(
-                    consts["near_initial"], gap / ((1.0 + ng) * (s - t))
-                )
-            # same-horizon Lipschitz dependence on the prefix
             eta = random_prefix(rng, space, grid)
             eta = eta._head(g.n_nodes) if (
                 eta.n_nodes >= g.n_nodes
             ) else extend_semigroup(eta, t)
-            Y = solve_from(eta, u)
-            gap0 = sup_norm(g - eta)
-            if gap0 > _DENOM_FLOOR:
-                consts["lip_initial"] = max(
-                    consts["lip_initial"], sup_norm(X - Y) / gap0
-                )
-            # restart from the semigroup extension at a later time
             tbar = t + grid.step * int(rng.integers(1, grid.n_steps - g.n_nodes + 2))
+            draws.append((g, eta, tbar))
+            starts += [(g, u), (eta, u)]
             if tbar < grid.T - GRID_TOL:
-                Z = solve_from(extend_semigroup(g, tbar), u)
-                denom = (1.0 + sup_norm(eta)) * (tbar - t) + sup_norm(g - eta)
-                consts["time_shift"] = max(
-                    consts["time_shift"],
-                    sup_norm(Z - Y) / denom if denom > _DENOM_FLOOR else 0.0,
-                )
+                starts.append((extend_semigroup(g, tbar), u))
+    signals = [ControlSignal.constant(u, x.horizon, grid.T, grid.step) for x, u in starts]
+
+    def solve(rows, S):
+        proto = starts[rows[0]][0]
+        return [proto._trusted(x) for x in solve_rows(c, proto, S, [signals[i] for i in rows])]
+
+    solved = iter(by_node_count(solve, [x for x, _ in starts]))
+
+    for g, eta, tbar in draws:
+        t = g.horizon
+        ng = sup_norm(g)
+        X = next(solved)
+        consts["bounded"] = max(consts["bounded"], sup_norm(X) / (1.0 + ng))
+        # short-time departure from the free flow
+        for s in [t + grid.step, min(grid.T, t + 2 * grid.step)]:
+            free = space.semigroup_apply(s - t, g.endpoint)
+            gap = float(np.linalg.norm(X.value_at(s) - free))
+            consts["near_initial"] = max(
+                consts["near_initial"], gap / ((1.0 + ng) * (s - t))
+            )
+        # same-horizon Lipschitz dependence on the prefix
+        Y = next(solved)
+        gap0 = sup_norm(g - eta)
+        if gap0 > _DENOM_FLOOR:
+            consts["lip_initial"] = max(
+                consts["lip_initial"], sup_norm(X - Y) / gap0
+            )
+        # restart from the semigroup extension at a later time
+        if tbar < grid.T - GRID_TOL:
+            Z = next(solved)
+            denom = (1.0 + sup_norm(eta)) * (tbar - t) + sup_norm(g - eta)
+            consts["time_shift"] = max(
+                consts["time_shift"],
+                sup_norm(Z - Y) / denom if denom > _DENOM_FLOOR else 0.0,
+            )
 
     return StateEstimateReport(
         coefficients=c.name,

@@ -79,18 +79,6 @@ class SpectralSpace:
             self._factors[t] = E
         return E
 
-    def yosida_apply(self, mu: float, x) -> np.ndarray:
-        """Yosida approximation A_mu x = mu A (mu - A)^{-1} x.
-
-        Coordinatewise mu lambda_k / (mu - lambda_k) x_k. Requires mu > 0,
-        which keeps mu - lambda_k > 0 for lambda_k <= 0.
-        """
-        x = self.check_vector(x)
-        if mu <= 0.0:
-            raise ValueError(f"Yosida parameter must be > 0, got {mu}")
-        lam = self.eigenvalues
-        return (mu * lam / (mu - lam)) * x
-
     def adjoint_apply(self, x) -> np.ndarray:
         """A* x = A x (diagonal real generator is self-adjoint)."""
         x = self.check_vector(x)

@@ -18,13 +18,12 @@ super-side premises at selected points with analytically known margins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import BlockForm, Coefficients
+from .dynamics import Coefficients
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
 from .paths import Path, TimeGrid, sup_norm, sup_norms
@@ -77,11 +76,12 @@ def _flat_space(dim: int) -> SpectralSpace:
     return SpectralSpace(np.zeros(dim))
 
 
-# block forms: S is an (N, n, dim) block of paths, U an (N,) control array
+# coefficients on blocks: S is an (N, n, dim) block of paths, U an (N,)
+# control array
 
 
 def _endpoint_bytes(S: np.ndarray) -> list:
-    """`g.samples[-1].tobytes()` for the path g of each row of S."""
+    """The bytes of the endpoint of the path of each row of S."""
     raw = np.ascontiguousarray(S[:, -1]).tobytes()
     width = S.itemsize * S.shape[2]
     return [raw[i : i + width] for i in range(0, len(raw), width)]
@@ -92,7 +92,7 @@ def _endpoint_key(S: np.ndarray) -> list:
 
 
 def _control_column(S: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The drift np.array([u]) of each row, as an (N, 1) block."""
+    """The control of each row as a one-dimensional drift, an (N, 1) block."""
     return np.asarray(U, dtype=np.float64)[:, None]
 
 
@@ -106,17 +106,11 @@ def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
     coeffs = Coefficients(
         name="eikonal",
         control_set=(-1.0, 0.0, 1.0),
-        drift=lambda g, u: np.array([u]),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: abs(float(g.endpoint[0])),
+        drift=_control_column,
+        running_cost=_no_cost,
+        terminal_cost=lambda S: np.abs(S[:, -1, 0]),
         lipschitz_L=1.0,
-        state_key=lambda g: (g.samples[-1].tobytes(),),
-        block=BlockForm(
-            drift=_control_column,
-            running_cost=_no_cost,
-            terminal_cost=lambda S: np.abs(S[:, -1, 0]),
-            state_key=_endpoint_key,
-        ),
+        state_key=_endpoint_key,
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("eikonal", space, grid, coeffs, initial, eikonal_value)
@@ -128,46 +122,31 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
     coeffs = Coefficients(
         name="runmax",
         control_set=(-1.0, 0.0, 1.0),
-        drift=lambda g, u: np.array([u]),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=sup_norm,
+        drift=_control_column,
+        running_cost=_no_cost,
+        terminal_cost=sup_norms,
         lipschitz_L=1.0,
-        state_key=lambda g: (g.samples[-1].tobytes(), float(sup_norm(g))),
-        block=BlockForm(
-            drift=_control_column,
-            running_cost=_no_cost,
-            terminal_cost=sup_norms,
-            state_key=lambda S: list(zip(_endpoint_bytes(S), sup_norms(S).tolist())),
-        ),
+        state_key=lambda S: list(zip(_endpoint_bytes(S), sup_norms(S).tolist())),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("runmax", space, grid, coeffs, initial, runmax_value)
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a float vector: sqrt(x . x), which is exactly what
-    np.linalg.norm computes for one, without its dispatch."""
-    return math.sqrt(x.dot(x))
-
-
 def _norms(E: np.ndarray) -> np.ndarray:
-    """`_norm` of each row of the (N, dim) array E, bit for bit.
+    """The Euclidean norm sqrt(x . x) of each row x of the (N, dim) array E.
 
     The stacked row-by-column product reduces each row with the same dot
-    routine as `x.dot(x)`; `(E * E).sum(-1)` and `einsum` round differently
-    in about one row in six, because the dot fuses multiply and add.
+    routine as `x.dot(x)`, whatever the number of rows; `(E * E).sum(-1)`
+    and `einsum` round differently in about one row in six, because the
+    dot fuses multiply and add.
     """
     return np.sqrt((E[:, None, :] @ E[:, :, None])[:, 0, 0])
 
 
-def _retract(x: np.ndarray) -> np.ndarray:
-    r = _norm(x)
-    return x if r <= 1.0 else x / r
-
-
 def _retract_rows(E: np.ndarray) -> np.ndarray:
-    """`_retract` of each row of E; a row of norm <= 1 is kept as it is,
-    and dividing the others by max(r, 1) divides them by r."""
+    """The metric projection of each row of E onto the unit ball: a row of
+    norm <= 1 is kept as it is, and dividing the others by max(r, 1)
+    divides them by their norm r."""
     r = _norms(E)[:, None]
     return np.where(r <= 1.0, E, E / np.maximum(r, 1.0))
 
@@ -184,17 +163,11 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
     coeffs = Coefficients(
         name="feedback",
         control_set=(-1.0, 0.0, 1.0),
-        drift=lambda g, u: u * e1 - _retract(g.endpoint),
-        running_cost=lambda g, u: _norm(g.endpoint),
-        terminal_cost=lambda g: _norm(g.endpoint),
+        drift=lambda S, U: _control_column(S, U) * e1 - _retract_rows(S[:, -1]),
+        running_cost=lambda S, U: _norms(S[:, -1]),
+        terminal_cost=lambda S: _norms(S[:, -1]),
         lipschitz_L=2.0,
-        state_key=lambda g: (g.samples[-1].tobytes(),),
-        block=BlockForm(
-            drift=lambda S, U: _control_column(S, U) * e1 - _retract_rows(S[:, -1]),
-            running_cost=lambda S, U: _norms(S[:, -1]),
-            terminal_cost=lambda S: _norms(S[:, -1]),
-            state_key=_endpoint_key,
-        ),
+        state_key=_endpoint_key,
     )
     initial = Path.constant(space, step, np.asarray(x0, dtype=float), horizon=0.0)
     return Scenario("feedback", space, grid, coeffs, initial, None)

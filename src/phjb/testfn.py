@@ -12,7 +12,7 @@ terms at their own anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,16 +62,6 @@ class TestFunctionPhi:
 
     def __call__(self, g: Path) -> float:
         return float(self.value(g))
-
-    def time_ramp(self, k: float, t_final: float) -> "TestFunctionPhi":
-        """Add k*(t_final - s); shifts the time derivative by -k."""
-        base_v, base_t = self.value, self.dt
-        return replace(
-            self,
-            value=lambda g: float(base_v(g)) + k * (t_final - g.horizon),
-            dt=lambda g: float(base_t(g)) - k,
-            label=(self.label + "+ramp") if self.label else "ramp",
-        )
 
     def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences.

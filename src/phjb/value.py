@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
-    BlockForm,
     Coefficients,
     ControlSignal,
-    block_form,
+    _control_array,
+    _costs,
     mild_solve,
     random_prefix,
     step_once,
@@ -50,8 +50,9 @@ __all__ = [
 
 
 def _interval_cost(c: Coefficients, prefix: Path, nxt: Path, u) -> float:
-    h = prefix.step
-    return 0.5 * h * (float(c.running_cost(prefix, u)) + float(c.running_cost(nxt, u)))
+    """The trapezoid running cost of the step prefix -> nxt under u."""
+    U = _control_array((u,))
+    return float(_step_costs(c, prefix.step, prefix.samples[None], U, nxt.samples[None])[0])
 
 
 def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
@@ -62,7 +63,7 @@ def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
     """
     traj = mild_solve(c, g, u)
     nodes = [traj._head(k) for k in range(g.n_nodes, traj.n_nodes + 1)]
-    total = float(c.terminal_cost(traj))
+    total = float(c.terminal_cost(traj.samples[None])[0])
     for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
         total = _interval_cost(c, prefix, nxt, uk) + total
     return total
@@ -76,10 +77,14 @@ def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
     of a minimized cost satisfies; the equation-side checks use that form.
     """
     p = g.space.check_vector(p)
+    S = g.samples[None].repeat(len(c.control_set), axis=0)
+    U = _control_array(c.control_set)
+    F = np.asarray(c.drift(S, U), dtype=np.float64)
+    q = c.running_cost(S, U)
     best_val: Optional[float] = None
     best_u = None
-    for u in c.control_set:
-        val = float(p @ np.asarray(c.drift(g, u))) + float(c.running_cost(g, u))
+    for u, f, qu in zip(c.control_set, F, q):
+        val = float(p @ f) + float(qu)
         if best_val is None or (val < best_val if minimize else val > best_val):
             best_val, best_u = val, u
     return best_val, best_u
@@ -99,20 +104,11 @@ class BudgetExceeded(RuntimeError):
     """Raised when the control tree is too large to enumerate exactly."""
 
 
-def _costs(values, n: int, what: str) -> np.ndarray:
-    """A block cost as an (n,) float array; any other shape is refused."""
-    out = np.asarray(values, dtype=np.float64)
-    if out.shape != (n,):
-        raise ValueError(f"block {what} returned shape {out.shape}, expected ({n},)")
-    return out
-
-
-def _step_costs(form: BlockForm, h: float, S, U, X) -> np.ndarray:
-    """The trapezoid running cost of each step S[i] -> X[i] under U[i], as
-    `_interval_cost` computes it."""
+def _step_costs(c: Coefficients, h: float, S, U, X) -> np.ndarray:
+    """The trapezoid running cost of each step S[i] -> X[i] under U[i]."""
     n = len(S)
-    q0 = _costs(form.running_cost(S, U), n, "running_cost")
-    q1 = _costs(form.running_cost(X, U), n, "running_cost")
+    q0 = _costs(c.running_cost(S, U), n, "running_cost")
+    q1 = _costs(c.running_cost(X, U), n, "running_cost")
     return 0.5 * h * (q0 + q1)
 
 
@@ -143,8 +139,7 @@ class ValueTable:
     tests covering the built-in scenarios).
 
     Below the root prefix the recursion works on sample blocks: children are
-    stepped, keyed and priced a block at a time through the coefficients'
-    `BlockForm` (or the scalar callables row by row), and only the roots are
+    stepped, keyed and priced a block at a time, and only the roots are
     `Path` objects.
     """
 
@@ -156,17 +151,12 @@ class ValueTable:
         self.memo: dict = {}
         self.hits = 0
 
-    # one entry per (prefix signature): (value, best control)
-    def _key(self, g: Path):
-        if self.state_key is not None:
-            return (g.n_nodes, self.state_key(g))
-        return (g.n_nodes, g.signature())
-
-    def _keys(self, form: BlockForm, S: np.ndarray) -> list:
-        """`_key` of every row of S, a block of prefixes of one node count."""
+    # one entry per (node count, state key or sample bytes): (value, best control)
+    def _keys(self, S: np.ndarray) -> list:
+        """The memo key of every row of S, a block of prefixes of one node count."""
         n = S.shape[1]
         if self.state_key is not None:
-            return [(n, k) for k in form.state_key(S)]
+            return [(n, k) for k in self.state_key(S)]
         return [(n, s.tobytes()) for s in S]
 
     def _check_budget(self, g: Path) -> None:
@@ -191,17 +181,18 @@ class ValueTable:
         return False
 
     def entry(self, g: Path) -> tuple[float, object]:
+        S = g.samples[None]
         if self._check_root(g):
-            return float(self.c.terminal_cost(g)), None
-        key = self._key(g)
+            return float(self._values(g, S)[0]), None
+        key = self._keys(S)[0]
         hit = self.memo.get(key)
         if hit is not None:
             self.hits += 1
             return hit
-        self._expand(g, block_form(self.c, g), g.samples[None], [key])
+        self._expand(g, S, [key])
         return self.memo[key]
 
-    def _values(self, proto: Path, form: BlockForm, S: np.ndarray) -> np.ndarray:
+    def _values(self, proto: Path, S: np.ndarray) -> np.ndarray:
         """V of every row of S, a read-only block of prefixes of one node count
         on proto's space and step.
 
@@ -211,9 +202,9 @@ class ValueTable:
         carry each missing key is expanded.
         """
         if S.shape[1] - 1 == self.grid.n_steps:
-            return _costs(form.terminal_cost(S), len(S), "terminal_cost")
+            return _costs(self.c.terminal_cost(S), len(S), "terminal_cost")
         memo = self.memo
-        keys = self._keys(form, S)
+        keys = self._keys(S)
         fresh = {}  # key -> the first row to carry it
         for i, key in enumerate(keys):
             if key in memo or key in fresh:
@@ -223,10 +214,10 @@ class ValueTable:
         if fresh:
             rows = S if len(fresh) == len(S) else S[list(fresh.values())]
             rows.flags.writeable = False
-            self._expand(proto, form, rows, list(fresh))
+            self._expand(proto, rows, list(fresh))
         return np.array([memo[key][0] for key in keys])
 
-    def _expand(self, proto: Path, form: BlockForm, P: np.ndarray, keys: list) -> None:
+    def _expand(self, proto: Path, P: np.ndarray, keys: list) -> None:
         """Memo entries for the rows of P, a read-only block of non-terminal
         prefixes of one node count whose keys are distinct and not yet in
         the memo.
@@ -246,7 +237,7 @@ class ValueTable:
         width = len(controls)
         for lo in range(0, len(P), _BATCH):
             S, U, X = step_rows(c, proto, P[lo : lo + _BATCH], controls)
-            vals = _step_costs(form, proto.step, S, U, X) + self._values(proto, form, X)
+            vals = _step_costs(c, proto.step, S, U, X) + self._values(proto, X)
             vals = vals.reshape(-1, width)
             for key, row, j in zip(keys[lo : lo + _BATCH], vals.tolist(), _first_minima(vals)):
                 memo[key] = (row[j], controls[j])
@@ -273,7 +264,7 @@ class ValueTable:
         for lo, hi, S in node_count_blocks(paths):
             g = paths[lo]
             self._check_root(g)
-            out[lo:hi] = self._values(g, block_form(self.c, g), S)
+            out[lo:hi] = self._values(g, S)
         return out
 
     def policy(self, g: Path) -> tuple[ControlSignal, Path]:
@@ -306,7 +297,6 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
             f"{table.budget}; coarsen the grid"
         )
     v0 = table.value(g)
-    form = block_form(c, g)
     residuals = {}
     # enumerate level by level so every intermediate horizon is covered
     level = g.samples[None]
@@ -318,11 +308,11 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
         for lo in range(0, m, _BATCH):
             S, U, X = step_rows(c, g, level[lo : lo + _BATCH], controls)
             children[lo * width : lo * width + len(X)] = X
-            costs[lo * width : lo * width + len(X)] = _step_costs(form, g.step, S, U, X)
+            costs[lo * width : lo * width + len(X)] = _step_costs(c, g.step, S, U, X)
         children.flags.writeable = False
         level = children
         columns = [np.repeat(col, width) for col in columns] + [costs]
-        total = table._values(g, form, level)
+        total = table._values(g, level)
         for col in reversed(columns):
             total = col + total
         best = total[_first_minima(total[None])[0]]

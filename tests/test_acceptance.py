@@ -125,9 +125,9 @@ def test_criterion_04_integrator():
     space = make_space([-1.0])
     c = Coefficients(
         name="ode", control_set=(1.0,),
-        drift=lambda g, u: np.array([u]),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        drift=lambda S, U: np.asarray(U, dtype=float)[:, None],
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=1.0,
     )
     target = 1.0 - np.exp(-1.0)
@@ -158,9 +158,10 @@ def _enumerate_value(c, g, grid):
         for u in assign:
             nxt = step_once(c, traj, u)
             dt = nxt.horizon - traj.horizon
-            pieces.append(0.5 * dt * (c.running_cost(traj, u) + c.running_cost(nxt, u)))
+            q = [float(c.running_cost(p.samples[None], np.array([u]))[0]) for p in (traj, nxt)]
+            pieces.append(0.5 * dt * (q[0] + q[1]))
             traj = nxt
-        total = c.terminal_cost(traj)
+        total = float(c.terminal_cost(traj.samples[None])[0])
         for piece in reversed(pieces):
             total = piece + total
         if best is None or total < best:
@@ -212,9 +213,9 @@ def test_criterion_07_ito_rates():
     space = make_space([-0.8, -1.6])
     c = Coefficients(
         name="ito", control_set=(0.5,),
-        drift=lambda g, u: np.array([u, np.sin(float(g.endpoint[0]))]),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        drift=lambda S, U: np.stack([U, np.sin(S[:, -1, 0])], axis=1),
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=2.0,
     )
     w = np.array([1.0, -0.6])
@@ -242,9 +243,9 @@ def test_criterion_07_ito_rates():
     flat = make_space([0.0])
     cf = Coefficients(
         name="flat", control_set=(1.0,),
-        drift=lambda g, u: np.array([u]),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        drift=lambda S, U: np.asarray(U, dtype=float)[:, None],
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=1.0,
     )
     g = Path.constant(flat, 0.125, np.array([0.2]), horizon=0.0)
@@ -276,9 +277,9 @@ def test_criterion_08_dissipation_floor():
         w = rng.normal(size=dim)
         c = Coefficients(
             name="inst", control_set=(-1.0, 0.0, 1.0),
-            drift=lambda g, u, a=amp, w=w: a * np.tanh(w * g.endpoint + u),
-            running_cost=lambda g, u: 0.0,
-            terminal_cost=lambda g: 0.0,
+            drift=lambda S, U, a=amp, w=w: a * np.tanh(w * S[:, -1] + U[:, None]),
+            running_cost=lambda S, U: np.zeros(len(S)),
+            terminal_cost=lambda S: np.zeros(len(S)),
             lipschitz_L=2.0,
         )
         M = 2.0 if i % 2 == 0 else 5.0
@@ -287,15 +288,15 @@ def test_criterion_08_dissipation_floor():
         u = ControlSignal.constant(
             float(rng.choice(c.control_set)), g.horizon, grid.T, grid.step
         )
-        m = upsilon_margin(c, M, g, eta, u).margin
+        m = upsilon_margin(c, [(M, g, eta, u)])[0].margin
         ok = ok and m >= -_FLOOR_C0 * step
 
     decay = make_space([-1.0, -1.0])
     cd = Coefficients(
         name="decay", control_set=(1.0,),
-        drift=lambda g, u: np.zeros(2),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        drift=lambda S, U: np.zeros((len(S), 2)),
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=1.0,
     )
     grid = TimeGrid(1.0, 0.125)
@@ -304,7 +305,7 @@ def test_criterion_08_dissipation_floor():
         g = random_prefix(rng, decay, grid)
         eta = random_prefix(rng, decay, grid, min_nodes=g.n_nodes).prefix(g.horizon)
         u = ControlSignal.constant(1.0, g.horizon, grid.T, grid.step)
-        margins.append(upsilon_margin(cd, 2.0, g, eta, u).margin)
+        margins.append(upsilon_margin(cd, [(2.0, g, eta, u)])[0].margin)
     ok = ok and np.mean(margins) > 0.0
     _verdict(8, "dissipation-floor", ok, time.perf_counter() - t0, 30.0)
 

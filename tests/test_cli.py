@@ -70,11 +70,39 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"epsilons": ["-0.1"]},
         {"tolerances": {"ito": "1e-8"}},
         {"tolerances": {"hyp_ratio": "1e-9"}},
+        {"seed": -3},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):
     res = runner.invoke(main, ["run", _write(tmp_path, _doc(**overrides))])
     assert res.exit_code == 3, res.output
+
+
+@pytest.mark.parametrize(
+    "args", [["--seed", "-1"], ["--seed=-1"]], ids=["separate", "joined"]
+)
+def test_negative_seed_override_is_a_validation_error(runner, args):
+    res = runner.invoke(main, ["run", str(CONFIGS / "eikonal.json"), *args])
+    assert res.exit_code == 3, res.output
+    assert "invalid config: seed: must be >= 0, got -1" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_negative_seed_in_the_file_names_the_field(tmp_path, capsys):
+    assert execute(_write(tmp_path, _doc(seed=-3)), checks=("hypothesis",)) == 3
+    assert "invalid config: seed: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [(("nope",), "unknown check 'nope'"), ((), "must be a non-empty list")],
+    ids=["unknown", "empty"],
+)
+def test_execute_refuses_unknown_or_empty_checks(capsys, checks, message):
+    assert execute(str(CONFIGS / "eikonal.json"), checks=checks) == 3
+    captured = capsys.readouterr()
+    assert f"invalid config: checks: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_feedback_has_no_certificates(runner, tmp_path):

@@ -5,6 +5,8 @@ generator and constant drift the scheme integrates exactly; the scalar
 linear problem X' = -X + 1 has X(t) = 1 - e^{-t} from zero.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,25 +15,32 @@ from phjb.dynamics import (
     ControlSignal,
     mild_solve,
     random_prefix,
-    step_level,
+    solve_rows,
     step_once,
     validate_hypothesis,
     verify_state_estimates,
 )
 from phjb.checks import perturbed
-from phjb.paths import Path, TimeGrid
+from phjb.paths import GRID_TOL, Path, TimeGrid, extend_semigroup, metric_d_infty, sup_norm
 from phjb.scenarios import eikonal, feedback, runmax
 
-from conftest import make_space, random_path
+from conftest import (
+    control_column,
+    level_children,
+    make_space,
+    out_of_block_order,
+    random_path,
+    spoil_drift,
+)
 
 
-def _const_coeffs(dim, drift, name="test", L=2.0, q=None, phi=None):
+def _const_coeffs(dim, drift, name="test", L=2.0):
     return Coefficients(
         name=name,
         control_set=(0.0, 1.0),
         drift=drift,
-        running_cost=q or (lambda g, u: 0.0),
-        terminal_cost=phi or (lambda g: 0.0),
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=L,
     )
 
@@ -41,7 +50,7 @@ def _const_coeffs(dim, drift, name="test", L=2.0, q=None, phi=None):
 
 def test_zero_drift_reproduces_semigroup():
     space = make_space([-2.0, -0.5])
-    c = _const_coeffs(2, lambda g, u: np.zeros(2))
+    c = _const_coeffs(2, lambda S, U: np.zeros((len(S), 2)))
     x0 = np.array([1.0, -3.0])
     g = Path.constant(space, 0.125, x0, horizon=0.0)
     u = ControlSignal.constant(0.0, 0.0, 1.0, 0.125)
@@ -53,7 +62,7 @@ def test_zero_drift_reproduces_semigroup():
 
 def test_flat_space_constant_drift_is_exact():
     space = make_space([0.0])
-    c = _const_coeffs(1, lambda g, u: np.array([0.75]))
+    c = _const_coeffs(1, lambda S, U: np.full((len(S), 1), 0.75))
     g = Path.constant(space, 0.25, np.array([0.5]), horizon=0.0)
     u = ControlSignal.constant(1.0, 0.0, 1.0, 0.25)
     X = mild_solve(c, g, u)
@@ -64,7 +73,7 @@ def test_flat_space_constant_drift_is_exact():
 def test_linear_ode_value_at_horizon():
     # X' = -X + 1 from 0: X(1) = 1 - e^{-1}, within 1e-3 at step 1/64
     space = make_space([-1.0])
-    c = _const_coeffs(1, lambda g, u: np.array([u]))
+    c = _const_coeffs(1, lambda S, U: control_column(U))
     h = 1.0 / 64
     g = Path.constant(space, h, np.array([0.0]), horizon=0.0)
     u = ControlSignal.constant(1.0, 0.0, 1.0, h)
@@ -74,7 +83,7 @@ def test_linear_ode_value_at_horizon():
 
 def test_integrator_refinement_rate_is_second_order():
     space = make_space([-1.0])
-    c = _const_coeffs(1, lambda g, u: np.array([np.cos(float(g.endpoint[0]))]))
+    c = _const_coeffs(1, lambda S, U: np.cos(S[:, -1, :1]))
     errs = []
     # reference at a much finer grid stands in for the true solution
     ref = None
@@ -93,7 +102,7 @@ def test_integrator_refinement_rate_is_second_order():
 
 def test_flow_property_is_bit_exact():
     space = make_space([-1.5, -0.25])
-    c = _const_coeffs(2, lambda g, u: np.array([u, -float(g.endpoint[0])]))
+    c = _const_coeffs(2, lambda S, U: np.stack([U, -S[:, -1, 0]], axis=1))
     g = Path.constant(space, 0.125, np.array([0.4, -0.2]), horizon=0.0)
     whole = mild_solve(c, g, ControlSignal.constant(1.0, 0.0, 1.0, 0.125))
     half = mild_solve(c, g, ControlSignal.constant(1.0, 0.0, 0.5, 0.125))
@@ -103,7 +112,7 @@ def test_flow_property_is_bit_exact():
 
 def test_stepped_path_is_read_only_and_keeps_its_prefix():
     space = make_space([-1.5, -0.25])
-    c = _const_coeffs(2, lambda g, u: np.array([u, -float(g.endpoint[0])]))
+    c = _const_coeffs(2, lambda S, U: np.stack([U, -S[:, -1, 0]], axis=1))
     g = mild_solve(
         c,
         Path.constant(space, 0.125, np.array([0.4, -0.2]), horizon=0.0),
@@ -120,7 +129,7 @@ def test_stepped_path_is_read_only_and_keeps_its_prefix():
 
 def test_finite_drift_that_overflows_the_sample_is_refused():
     space = make_space([0.0])
-    c = _const_coeffs(1, lambda g, u: np.array([1e308]))
+    c = _const_coeffs(1, lambda S, U: np.full((len(S), 1), 1e308))
     g = Path.constant(space, 0.25, np.array([1e308]), horizon=0.0)
     # the predictor 1.25e308 is finite; the corrected sample overflows
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -134,11 +143,11 @@ def _decaying_coeffs():
     return Coefficients(
         name="decaying",
         control_set=(-1.0, 0.0, 1.0),
-        drift=lambda g, u: np.array(
-            [u, -np.sin(g.endpoint[0]), 0.5 * np.tanh(g.endpoint[2]) - u]
+        drift=lambda S, U: np.stack(
+            [U, -np.sin(S[:, -1, 0]), 0.5 * np.tanh(S[:, -1, 2]) - U], axis=1
         ),
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=2.0,
     )
 
@@ -164,7 +173,7 @@ def test_level_children_equal_step_once_bit_for_bit(name, n_prefixes):
         for _ in range(n_prefixes)
     ]
     before = [p.samples.copy() for p in prefixes]
-    children = step_level(c, prefixes, c.control_set)
+    children = level_children(c, prefixes)
     expected = [step_once(c, p, u) for p in prefixes for u in c.control_set]
     assert len(children) == len(expected) == n_prefixes * len(c.control_set)
     for child, want in zip(children, expected):
@@ -179,17 +188,21 @@ def test_level_children_equal_step_once_bit_for_bit(name, n_prefixes):
 
 
 def _spoiled(spoil):
-    """2-D coefficients whose drift is spoil(g, u) wherever that is not None."""
+    """2-D coefficients whose drift is spoil(s, u) on each row s (under u)
+    where that is not None."""
 
-    def drift(g, u):
-        out = spoil(g, u)
-        return np.array([u, -0.5 * float(g.endpoint[1])]) if out is None else out
+    def drift(S, U):
+        rows = []
+        for s, u in zip(S, U.tolist()):
+            out = spoil(s, u)
+            rows.append(np.array([u, -0.5 * float(s[-1, 1])]) if out is None else out)
+        return np.array(rows)
 
     return _const_coeffs(2, drift)
 
 
-def _starts_at(g, x):
-    return float(g.samples[0, 0]) == x
+def _starts_at(s, x):
+    return float(s[0, 0]) == x
 
 
 # each spoils the middle prefix, which starts at 1.5e308, under control 1
@@ -199,8 +212,8 @@ _SPOILS = {
     # the last prefix's own drift, which a block computes earlier, refuses too
     "non-finite": lambda g, u: (
         np.array([np.nan, 0.0])
-        if (_starts_at(g, 1.5e308) and g.n_nodes == 4 and u == 1.0)
-        or (_starts_at(g, 0.3) and g.n_nodes == 3 and u == 0.0)
+        if (_starts_at(g, 1.5e308) and len(g) == 4 and u == 1.0)
+        or (_starts_at(g, 0.3) and len(g) == 3 and u == 0.0)
         else None
     ),
     # x + h f = 1.5e308 + 0.25 * 1.5e308 overflows
@@ -226,13 +239,13 @@ def test_level_refusals_are_those_of_the_scalar_stepper(kind):
         with pytest.raises(ValueError) as scalar:
             [step_once(c, p, u) for p in prefixes for u in c.control_set]
         with pytest.raises(ValueError) as level:
-            step_level(c, prefixes, c.control_set)
+            level_children(c, prefixes)
     assert str(level.value) == str(scalar.value)
 
 
 def test_step_alignment_rejected():
     space = make_space([0.0])
-    c = _const_coeffs(1, lambda g, u: np.zeros(1))
+    c = _const_coeffs(1, lambda S, U: np.zeros((len(S), 1)))
     g = Path.constant(space, 0.25, np.array([0.0]), horizon=0.25)
     with pytest.raises(ValueError):
         mild_solve(c, g, ControlSignal.constant(0.0, 0.5, 1.0, 0.25))
@@ -240,11 +253,11 @@ def test_step_alignment_rejected():
 
 def test_drift_shape_and_finiteness_diagnostics():
     space = make_space([0.0, 0.0])
-    bad_shape = _const_coeffs(2, lambda g, u: np.zeros(3))
+    bad_shape = _const_coeffs(2, lambda S, U: np.zeros((len(S), 3)))
     g = Path.constant(space, 0.25, np.zeros(2), horizon=0.0)
     with pytest.raises(ValueError, match="shape"):
         step_once(bad_shape, g, 0.0)
-    bad_nan = _const_coeffs(2, lambda g, u: np.array([np.nan, 0.0]))
+    bad_nan = _const_coeffs(2, lambda S, U: np.tile([np.nan, 0.0], (len(S), 1)))
     with pytest.raises(ValueError, match="finite"):
         step_once(bad_nan, g, 0.0)
 
@@ -279,8 +292,6 @@ def test_scenarios_satisfy_growth_and_lipschitz(build):
 
 def test_understated_constant_is_caught():
     sc = feedback()
-    from dataclasses import replace
-
     weak = replace(sc.coefficients, lipschitz_L=0.4)
     rep = validate_hypothesis(weak, sc.space, sc.grid, n_pairs=100, seed=7)
     assert not rep.passed
@@ -308,6 +319,193 @@ def test_state_estimates_within_gronwall(build):
 
 def test_state_estimates_on_decaying_space():
     space = make_space([-3.0, -1.0])
-    c = _const_coeffs(2, lambda g, u: np.array([u, 0.5 * np.tanh(float(g.endpoint[1]))]))
+    c = _const_coeffs(2, lambda S, U: np.stack([U, 0.5 * np.tanh(S[:, -1, 1])], axis=1))
     rep = verify_state_estimates(c, space, TimeGrid(1.0, 0.125), n_samples=60, seed=2)
     assert rep.constants["lip_initial"] <= 1.05 * rep.gronwall_bound
+
+
+def test_lipschitz_constant_and_control_step_must_be_finite_and_positive():
+    sc = eikonal()
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lipschitz_L must be finite and > 0"):
+            replace(sc.coefficients, lipschitz_L=bad)
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            ControlSignal(0.0, bad, (1.0,))
+
+
+# batched sampling checks against the one-path-at-a-time loops ------------
+
+
+def _checked_drift(c, g, u):
+    """The drift of one path under one control, refused as the
+    path-at-a-time checks refused it."""
+    f = np.asarray(c.drift(g.samples[None], np.array([u])), dtype=float)[0]
+    if f.shape != (g.space.dim,):
+        raise ValueError(f"drift returned shape {f.shape}, expected ({g.space.dim},)")
+    if not np.isfinite(f).all():
+        raise ValueError(
+            f"non-finite drift at t={g.horizon} with control {u!r}, endpoint {g.endpoint!r}"
+        )
+    return f
+
+
+def _one(fn, g, u=None):
+    """A block formula on the one-row block of g, as a float."""
+    S = g.samples[None]
+    return float((fn(S) if u is None else fn(S, np.array([u])))[0])
+
+
+def per_pair_hypothesis(c, space, grid, n_pairs, seed):
+    """`validate_hypothesis` as it ran before it priced blocks: one pair,
+    one control and one path at a time."""
+    rng = np.random.default_rng(seed)
+    L = c.lipschitz_L
+    worst = {k: 0.0 for k in ["growth_F", "lip_F", "growth_q", "lip_q", "growth_phi", "lip_phi"]}
+
+    def bump(name, lhs, rhs):
+        if rhs > 1e-12:
+            worst[name] = max(worst[name], lhs / rhs)
+
+    for _ in range(n_pairs):
+        g = random_prefix(rng, space, grid)
+        h = random_prefix(rng, space, grid)
+        d = metric_d_infty(g, h)
+        ng = sup_norm(g)
+        for u in c.control_set:
+            fg = _checked_drift(c, g, u)
+            fh = _checked_drift(c, h, u)
+            qg = _one(c.running_cost, g, u)
+            qh = _one(c.running_cost, h, u)
+            bump("growth_F", float(fg @ fg), L**2 * (1.0 + ng**2))
+            bump("lip_F", float(np.linalg.norm(fg - fh)), L * d)
+            bump("growth_q", abs(qg), L * (1.0 + ng))
+            bump("lip_q", abs(qg - qh), L * d)
+        zg = extend_semigroup(g, grid.T)
+        zh = extend_semigroup(h, grid.T)
+        pg = _one(c.terminal_cost, zg)
+        ph = _one(c.terminal_cost, zh)
+        bump("growth_phi", abs(pg), L * (1.0 + sup_norm(zg)))
+        bump("lip_phi", abs(pg - ph), L * sup_norm(zg - zh))
+    return worst
+
+
+def per_sample_estimates(c, space, grid, n_samples, seed):
+    """`verify_state_estimates` as it ran before it solved blocks: one
+    sample and one `mild_solve` at a time."""
+    rng = np.random.default_rng(seed)
+    consts = {k: 0.0 for k in ["bounded", "lip_initial", "near_initial", "time_shift"]}
+
+    def solve_from(g, u):
+        return mild_solve(c, g, ControlSignal.constant(u, g.horizon, grid.T, grid.step))
+
+    for _ in range(n_samples):
+        g = random_prefix(rng, space, grid)
+        u = c.control_set[int(rng.integers(len(c.control_set)))]
+        t = g.horizon
+        ng = sup_norm(g)
+        if t < grid.T - GRID_TOL:
+            X = solve_from(g, u)
+            consts["bounded"] = max(consts["bounded"], sup_norm(X) / (1.0 + ng))
+            for s in [t + grid.step, min(grid.T, t + 2 * grid.step)]:
+                free = space.semigroup_apply(s - t, g.endpoint)
+                gap = float(np.linalg.norm(X.value_at(s) - free))
+                consts["near_initial"] = max(consts["near_initial"], gap / ((1.0 + ng) * (s - t)))
+            eta = random_prefix(rng, space, grid)
+            eta = eta.prefix(t) if eta.n_nodes >= g.n_nodes else extend_semigroup(eta, t)
+            Y = solve_from(eta, u)
+            gap0 = sup_norm(g - eta)
+            if gap0 > 1e-12:
+                consts["lip_initial"] = max(consts["lip_initial"], sup_norm(X - Y) / gap0)
+            tbar = t + grid.step * int(rng.integers(1, grid.n_steps - g.n_nodes + 2))
+            if tbar < grid.T - GRID_TOL:
+                Z = solve_from(extend_semigroup(g, tbar), u)
+                denom = (1.0 + sup_norm(eta)) * (tbar - t) + sup_norm(g - eta)
+                consts["time_shift"] = max(
+                    consts["time_shift"], sup_norm(Z - Y) / denom if denom > 1e-12 else 0.0
+                )
+    return consts
+
+
+def _bytes(d: dict) -> tuple:
+    return sorted(d), np.array([d[k] for k in sorted(d)]).tobytes()
+
+
+_SAMPLED = ["eikonal", "runmax", "feedback", "feedback+F", "decaying"]
+
+
+def _sampled_case(name, n_steps):
+    """(coefficients, space, grid) of a sampling case on a grid of n_steps."""
+    if name == "decaying":
+        return _decaying_coeffs(), make_space([-0.5, -2.0, -4.5]), TimeGrid(1.0, 1.0 / n_steps)
+    sc = {"eikonal": eikonal, "runmax": runmax, "feedback": feedback}[name.split("+")[0]](
+        step=1.0 / n_steps
+    )
+    c = perturbed(sc.coefficients, "drift_shift", 0.3) if "+F" in name else sc.coefficients
+    return c, sc.space, sc.grid
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_hypothesis_equals_the_per_pair_loop(name, n_steps, seed):
+    c, space, grid = _sampled_case(name, n_steps)
+    rep = validate_hypothesis(c, space, grid, n_pairs=40, seed=seed)
+    assert _bytes(rep.ratios) == _bytes(per_pair_hypothesis(c, space, grid, 40, seed))
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_estimates_equal_the_per_sample_loop(name, n_steps, seed):
+    c, space, grid = _sampled_case(name, n_steps)
+    rep = verify_state_estimates(c, space, grid, n_samples=30, seed=seed)
+    assert _bytes(rep.constants) == _bytes(per_sample_estimates(c, space, grid, 30, seed))
+
+
+def test_block_solver_rows_equal_one_row_solves():
+    for name in ("feedback+F", "decaying"):
+        c, space, grid = _sampled_case(name, 7)
+        rng = np.random.default_rng(3)
+        prefixes = [random_path(rng, space, step=grid.step, min_nodes=3, max_nodes=3) for _ in range(6)]
+        signals = [
+            ControlSignal(p.horizon, grid.step, rng.choice(c.control_set, size=3).tolist())
+            for p in prefixes
+        ]
+        P = np.stack([p.samples for p in prefixes])
+        P.flags.writeable = False
+        X = solve_rows(c, prefixes[0], P, signals)
+        assert X.shape == (6, 7, space.dim) and not X.flags.writeable
+        for x, p, u in zip(X, prefixes, signals):
+            assert x.tobytes() == mild_solve(c, p, u).samples.tobytes()
+
+
+def _message(fn, *args, **kwargs):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+def test_a_spoiled_drift_is_refused_at_the_first_path_drawn():
+    c, space, grid = _sampled_case("feedback", 7)
+    rng = np.random.default_rng(2)
+    drawn = [random_prefix(rng, space, grid) for _ in range(60)]
+    first, later = out_of_block_order(drawn)
+    bad = spoil_drift(c, first, later)
+    want = _message(per_pair_hypothesis, bad, space, grid, 30, 2)
+    assert f"endpoint {first.endpoint!r}" in want
+    assert _message(validate_hypothesis, bad, space, grid, n_pairs=30, seed=2) == want
+
+    rng = np.random.default_rng(4)
+    starts = []
+    for _ in range(30):  # the prefixes g the estimates draw, in order
+        g = random_prefix(rng, space, grid)
+        rng.integers(len(c.control_set))
+        if g.horizon < grid.T - GRID_TOL:
+            starts.append(g)
+            random_prefix(rng, space, grid)
+            rng.integers(1, grid.n_steps - g.n_nodes + 2)
+    first, later = out_of_block_order(starts)
+    bad = spoil_drift(c, first, later)
+    want = _message(per_sample_estimates, bad, space, grid, 30, 4)
+    assert f"endpoint {first.endpoint!r}" in want
+    assert _message(verify_state_estimates, bad, space, grid, n_samples=30, seed=4) == want

@@ -7,16 +7,16 @@ from phjb.checks import (
     GaugeMarginResult,
     classical_check,
     ito_residual,
-    transport_instance,
+    perturbed,
     upsilon_margin,
 )
 from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
 from phjb.gauge import eval_upsilon, grad_upsilon
 from phjb.paths import Path, TimeGrid, extend_semigroup
-from phjb.scenarios import classical_candidate, eikonal, runmax
+from phjb.scenarios import classical_candidate, eikonal, feedback, runmax
 from phjb.testfn import TestFunctionPhi
 
-from conftest import make_space
+from conftest import control_column, make_space, out_of_block_order, spoil_drift
 
 
 def _coeffs(dim, drift, name="ito"):
@@ -24,10 +24,15 @@ def _coeffs(dim, drift, name="ito"):
         name=name,
         control_set=(-1.0, 1.0),
         drift=drift,
-        running_cost=lambda g, u: 0.0,
-        terminal_cost=lambda g: 0.0,
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: np.zeros(len(S)),
         lipschitz_L=2.0,
     )
+
+
+def _margin(c, M, g, eta, u) -> GaugeMarginResult:
+    """The margin of one case."""
+    return upsilon_margin(c, [(M, g, eta, u)])[0]
 
 
 # functional chain rule --------------------------------------------------
@@ -35,7 +40,7 @@ def _coeffs(dim, drift, name="ito"):
 
 def test_quadratic_flat_space_residual_is_machine_zero():
     space = make_space([0.0])
-    c = _coeffs(1, lambda g, u: np.array([u]))
+    c = _coeffs(1, lambda S, U: control_column(U))
     phi = TestFunctionPhi.quadratic_endpoint()
     g = Path.constant(space, 1.0 / 32, np.array([0.3]), horizon=0.0)
     u = ControlSignal.constant(1.0, 0.0, 1.0, 1.0 / 32)
@@ -46,7 +51,7 @@ def test_quadratic_flat_space_residual_is_machine_zero():
 
 def test_linear_flat_space_residual_is_machine_zero():
     space = make_space([0.0, 0.0])
-    c = _coeffs(2, lambda g, u: np.array([u, -0.5]))
+    c = _coeffs(2, lambda S, U: np.stack([U, np.full(len(U), -0.5)], axis=1))
     phi = TestFunctionPhi.linear_endpoint(np.array([1.0, 2.0]))
     g = Path.constant(space, 0.125, np.array([0.1, -0.2]), horizon=0.0)
     u = ControlSignal.constant(-1.0, 0.0, 1.0, 0.125)
@@ -56,7 +61,7 @@ def test_linear_flat_space_residual_is_machine_zero():
 
 def test_linear_phi_with_generator_converges_at_second_order():
     space = make_space([-1.0, -0.3])
-    c = _coeffs(2, lambda g, u: np.array([u, float(g.endpoint[0])]))
+    c = _coeffs(2, lambda S, U: np.stack([U, S[:, -1, 0]], axis=1))
     phi = TestFunctionPhi.linear_endpoint(np.array([1.5, -0.7]))
     errs = []
     for n in (16, 32, 64):
@@ -70,7 +75,7 @@ def test_linear_phi_with_generator_converges_at_second_order():
 
 def test_refuses_discontinuous_adjoint_gradient():
     space = make_space([-1.0])
-    c = _coeffs(1, lambda g, u: np.array([u]))
+    c = _coeffs(1, lambda S, U: control_column(U))
     phi = TestFunctionPhi(
         value=lambda g: float(g.endpoint[0]),
         dt=lambda g: 0.0,
@@ -88,15 +93,15 @@ def test_refuses_discontinuous_adjoint_gradient():
 
 def test_margin_rejects_small_exponent_and_mismatched_horizons():
     space = make_space([-1.0])
-    c = _coeffs(1, lambda g, u: np.array([u]))
+    c = _coeffs(1, lambda S, U: control_column(U))
     g = Path.constant(space, 0.25, np.array([0.2]), horizon=0.25)
     eta = Path.constant(space, 0.25, np.array([0.1]), horizon=0.25)
     u = ControlSignal.constant(1.0, 0.25, 1.0, 0.25)
     with pytest.raises(ValueError):
-        upsilon_margin(c, 1.5, g, eta, u)
+        _margin(c, 1.5, g, eta, u)
     eta_short = Path.constant(space, 0.25, np.array([0.1]), horizon=0.0)
     with pytest.raises(ValueError):
-        upsilon_margin(c, 2.0, g, eta_short, u)
+        _margin(c, 2.0, g, eta_short, u)
 
 
 @pytest.mark.parametrize("M", [2.0, 5.0])
@@ -105,7 +110,7 @@ def test_margin_batch_stays_above_discretization_floor(M):
     # observed was > -0.12 * step; 2.0 leaves wide slack
     c0 = 2.0
     space = make_space([-1.0, -0.4])
-    c = _coeffs(2, lambda g, u: np.array([u, 0.3 * np.tanh(float(g.endpoint[0]))]))
+    c = _coeffs(2, lambda S, U: np.stack([U, 0.3 * np.tanh(S[:, -1, 0])], axis=1))
     grid = TimeGrid(1.0, 0.125)
     rng = np.random.default_rng(42)
     worst = np.inf
@@ -116,14 +121,14 @@ def test_margin_batch_stays_above_discretization_floor(M):
         u = ControlSignal.constant(
             float(rng.choice(c.control_set)), g.horizon, grid.T, grid.step
         )
-        m = upsilon_margin(c, M, g, eta, u).margin
+        m = _margin(c, M, g, eta, u).margin
         worst = min(worst, m)
     assert worst >= -c0 * grid.step, worst
 
 
 def test_margin_mean_positive_under_strict_decay():
     space = make_space([-1.0, -1.0])
-    c = _coeffs(2, lambda g, u: np.zeros(2))
+    c = _coeffs(2, lambda S, U: np.zeros((len(S), 2)))
     grid = TimeGrid(1.0, 0.125)
     rng = np.random.default_rng(5)
     margins = []
@@ -131,7 +136,7 @@ def test_margin_mean_positive_under_strict_decay():
         g = random_prefix(rng, space, grid)
         eta = random_prefix(rng, space, grid, min_nodes=g.n_nodes).prefix(g.horizon)
         u = ControlSignal.constant(1.0, g.horizon, grid.T, grid.step)
-        margins.append(upsilon_margin(c, 2.0, g, eta, u).margin)
+        margins.append(_margin(c, 2.0, g, eta, u).margin)
     assert np.mean(margins) > 0.0
     assert min(margins) > -1e-9  # no drift: dissipation is clean
 
@@ -150,7 +155,8 @@ def reference_margin(coeffs, M, g, eta, u):
         return x_at(k) - extend_semigroup(eta, (start + k) * h)
 
     def coupling(k, ctrl):
-        return float(grad_upsilon(M, y_at(k)) @ coeffs.drift(x_at(k), ctrl))
+        f = coeffs.drift(x_at(k).samples[None], np.array([ctrl]))[0]
+        return float(grad_upsilon(M, y_at(k)) @ f)
 
     base = eval_upsilon(M, y_at(0))
     lhs = eval_upsilon(M, y_at(n))
@@ -168,7 +174,8 @@ def reference_margin(coeffs, M, g, eta, u):
 def test_margin_is_bit_exact_against_the_copying_reference(M, eigenvalues):
     space = make_space(eigenvalues)
     c = _coeffs(
-        space.dim, lambda g, u: np.array([u, *(0.3 * np.tanh(g.endpoint[:-1]))])
+        space.dim,
+        lambda S, U: np.concatenate([control_column(U), 0.3 * np.tanh(S[:, -1, :-1])], axis=1),
     )
     grid = TimeGrid(1.0, 0.125)
     rng = np.random.default_rng(31)
@@ -182,10 +189,100 @@ def test_margin_is_bit_exact_against_the_copying_reference(M, eigenvalues):
         u = ControlSignal.constant(
             float(rng.choice(c.control_set)), g.horizon, grid.T, grid.step
         )
-        assert upsilon_margin(c, M, g, eta, u) == reference_margin(c, M, g, eta, u)
+        assert _margin(c, M, g, eta, u) == reference_margin(c, M, g, eta, u)
+
+
+def _gauge_cases(c, space, grid, seed, n=100):
+    """Cases (M, g, eta, u) drawn as the gauge check of the CLI draws them."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        n_nodes = int(rng.integers(1, grid.n_steps + 1))
+        g, eta = (random_walk(rng, space, grid.step, n_nodes) for _ in range(2))
+        u = c.control_set[int(rng.integers(len(c.control_set)))]
+        sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
+        cases.append((2.0 if i % 2 == 0 else 5.0, g, eta, sig))
+    return cases
+
+
+def random_walk(rng, space, step, n_nodes):
+    start = rng.normal(0.0, 1.0, size=(1, space.dim))
+    steps = rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, space.dim))
+    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+
+
+def _scenario_coefficients(name, n_steps):
+    sc = {"eikonal": eikonal, "runmax": runmax, "feedback": feedback}[name.split("+")[0]](
+        step=1.0 / n_steps
+    )
+    c = perturbed(sc.coefficients, "drift_shift", 0.3) if "+F" in name else sc.coefficients
+    return c, sc.space, sc.grid
+
+
+@pytest.mark.parametrize("name", ["eikonal", "runmax", "feedback", "feedback+F"])
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_margins_equal_the_per_case_loop(name, n_steps, seed):
+    c, space, grid = _scenario_coefficients(name, n_steps)
+    cases = _gauge_cases(c, space, grid, seed, n=60)
+    got = upsilon_margin(c, cases)
+    want = [reference_margin(c, *case) for case in cases]
+    assert got == want
+    assert np.array([r.margin for r in got]).tobytes() == np.array([r.margin for r in want]).tobytes()
+
+
+def test_batched_margins_refuse_at_the_first_case_in_order():
+    c, space, grid = _scenario_coefficients("feedback", 7)
+    cases = _gauge_cases(c, space, grid, 1, n=60)
+    starts = [g for _, g, _, _ in cases]
+    first, later = out_of_block_order(starts)
+    bad = spoil_drift(c, first, later)
+    with pytest.raises(ValueError) as one_by_one:
+        [reference_margin(bad, *case) for case in cases]
+    assert f"endpoint {first.endpoint!r}" in str(one_by_one.value)
+    with pytest.raises(ValueError) as batched:
+        upsilon_margin(bad, cases)
+    assert str(batched.value) == str(one_by_one.value)
+    # and a case refused before its flow is solved, inside a block
+    invalid = list(cases)
+    invalid[starts.index(later)] = (1.5,) + cases[starts.index(later)][1:]
+    with pytest.raises(ValueError, match="M must be >= 2"):
+        upsilon_margin(c, invalid)
 
 
 # classical residuals ----------------------------------------------------
+
+
+def transport_instance(space, weights, T: float) -> tuple:
+    """Uncontrolled transport pair (coefficients, solution candidate).
+
+    w(eta_s) = (weights, e^{(T-s)A} eta(s)) solves the equation with no
+    drift and no running cost exactly, for any generator; its residual is
+    a genuine exercise of the adjoint term.
+    """
+    c_vec = np.asarray(weights, dtype=float)
+    lam = space.eigenvalues
+
+    coeffs = Coefficients(
+        name="transport",
+        control_set=(0.0,),
+        drift=lambda S, U: np.zeros((len(S), space.dim)),
+        running_cost=lambda S, U: np.zeros(len(S)),
+        terminal_cost=lambda S: S[:, -1] @ c_vec,
+        lipschitz_L=float(np.linalg.norm(c_vec)) + 1.0,
+    )
+
+    def val(g: Path) -> float:
+        return float((c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
+
+    def dt(g: Path) -> float:
+        return float((-lam * c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
+
+    def dx(g: Path) -> np.ndarray:
+        return c_vec * np.exp((T - g.horizon) * lam)
+
+    w = TestFunctionPhi(value=val, dt=dt, dx=dx, label="transport")
+    return coeffs, w
 
 
 def test_transport_solution_has_zero_residual_with_generator():

@@ -7,7 +7,7 @@ import pytest
 
 from phjb.checks import build_net, perturbed
 from phjb.gauge import eval_upsilon, pair_difference
-from phjb.paths import Path
+from phjb.paths import Path, sup_norm
 from phjb.scenarios import (
     _norms,
     SCENARIOS,
@@ -21,7 +21,7 @@ from phjb.scenarios import (
 )
 from phjb.testfn import GaugePack, TestFunctionPhi, differentiability_probe
 
-from conftest import make_space
+from conftest import make_space, time_ramp
 
 
 # registry and builders --------------------------------------------------
@@ -43,23 +43,89 @@ def _block_rows(rng, dim, n_rows=600, n_nodes=4):
     return S, U
 
 
+# the scenarios' formulas on one Path and one control label, as they were
+# written before the coefficients took sample blocks
+
+
+def _norm(x):
+    return math.sqrt(x.dot(x))
+
+
+def _retract(x):
+    r = _norm(x)
+    return x if r <= 1.0 else x / r
+
+
+_E1 = np.array([1.0, 0.0])
+
+SCALAR_FORMS = {
+    "eikonal": dict(
+        drift=lambda g, u: np.array([u]),
+        running_cost=lambda g, u: 0.0,
+        terminal_cost=lambda g: abs(float(g.endpoint[0])),
+        state_key=lambda g: (g.samples[-1].tobytes(),),
+    ),
+    "runmax": dict(
+        drift=lambda g, u: np.array([u]),
+        running_cost=lambda g, u: 0.0,
+        terminal_cost=sup_norm,
+        state_key=lambda g: (g.samples[-1].tobytes(), float(sup_norm(g))),
+    ),
+    "feedback": dict(
+        drift=lambda g, u: u * _E1 - _retract(g.endpoint),
+        running_cost=lambda g, u: _norm(g.endpoint),
+        terminal_cost=lambda g: _norm(g.endpoint),
+        state_key=lambda g: (g.samples[-1].tobytes(),),
+    ),
+}
+
+
+def _scalar_perturbed(forms, kind, eps):
+    """The scalar forms shifted as `perturbed` shifted them."""
+    out = dict(forms)
+    if kind == "phi_shift":
+        out["terminal_cost"] = lambda g: float(forms["terminal_cost"](g)) + eps
+    elif kind == "q_shift":
+        out["running_cost"] = lambda g, u: float(forms["running_cost"](g, u)) + eps
+    elif kind == "drift_shift":
+
+        def drift(g, u):
+            e = np.zeros(g.space.dim)
+            e[0] = 1.0
+            return np.asarray(forms["drift"](g, u), dtype=float) + eps * e
+
+        out["drift"] = drift
+    return out
+
+
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("kind", [None, "phi_shift", "q_shift", "drift_shift"])
 def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
     sc = build()
     c = sc.coefficients if kind is None else perturbed(sc.coefficients, kind, 0.3)
+    scalar = SCALAR_FORMS[sc.name]
+    if kind is not None:
+        scalar = _scalar_perturbed(scalar, kind, 0.3)
     S, U = _block_rows(np.random.default_rng(5), sc.space.dim)
     S.flags.writeable = False
     paths = [Path(sc.space, sc.grid.step, s) for s in S]
-    drift = np.array([np.asarray(c.drift(p, u), dtype=float) for p, u in zip(paths, U)])
-    q = np.array([float(c.running_cost(p, u)) for p, u in zip(paths, U)])
-    phi = np.array([float(c.terminal_cost(p)) for p in paths])
-    keys = [c.state_key(p) for p in paths]
-    b = c.block
-    assert np.asarray(b.drift(S, U), dtype=float).tobytes() == drift.tobytes()
-    assert np.asarray(b.running_cost(S, U), dtype=float).tobytes() == q.tobytes()
-    assert np.asarray(b.terminal_cost(S), dtype=float).tobytes() == phi.tobytes()
-    assert repr(b.state_key(S)) == repr(keys)  # repr tells -0.0 from 0.0
+    drift = np.array(
+        [np.asarray(scalar["drift"](p, u), dtype=float) for p, u in zip(paths, U.tolist())]
+    )
+    q = np.array([float(scalar["running_cost"](p, u)) for p, u in zip(paths, U.tolist())])
+    phi = np.array([float(scalar["terminal_cost"](p)) for p in paths])
+    keys = [scalar["state_key"](p) for p in paths]
+    assert np.asarray(c.drift(S, U), dtype=float).tobytes() == drift.tobytes()
+    assert np.asarray(c.running_cost(S, U), dtype=float).tobytes() == q.tobytes()
+    assert np.asarray(c.terminal_cost(S), dtype=float).tobytes() == phi.tobytes()
+    assert repr(c.state_key(S)) == repr(keys)  # repr tells -0.0 from 0.0
+    # a single path is the one-row block
+    for i in range(0, len(S), 37):
+        one, u = S[i : i + 1], U[i : i + 1]
+        assert np.asarray(c.drift(one, u), dtype=float).tobytes() == drift[i : i + 1].tobytes()
+        assert np.asarray(c.running_cost(one, u), dtype=float).tobytes() == q[i : i + 1].tobytes()
+        assert np.asarray(c.terminal_cost(one), dtype=float).tobytes() == phi[i : i + 1].tobytes()
+        assert repr(c.state_key(one)) == repr(keys[i : i + 1])
 
 
 def test_block_norm_matches_the_scalar_dot():
@@ -108,7 +174,7 @@ def test_feedback_drift_is_bounded_by_declared_constant():
     for _ in range(100):
         x = rng.normal(scale=2.0, size=2)
         g = Path.constant(sc.space, sc.grid.step, x, horizon=0.0)
-        f = sc.coefficients.drift(g, 1.0)
+        f = sc.coefficients.drift(g.samples[None], np.array([1.0]))[0]
         assert np.linalg.norm(f) <= 1.0 + np.linalg.norm(x[:1]) + 1.0 + 1e-12
 
 
@@ -140,7 +206,7 @@ def test_shifted_and_time_ramp():
     space = make_space([0.0])
     phi = TestFunctionPhi.quadratic_endpoint()
     g = Path.constant(space, 0.25, np.array([0.5]), horizon=0.5)
-    ramp = phi.time_ramp(3.0, 1.0)
+    ramp = time_ramp(phi, 3.0, 1.0)
     assert ramp(g) == pytest.approx(phi(g) + 3.0 * 0.5)
     assert ramp.dt(g) == pytest.approx(phi.dt(g) - 3.0)
     np.testing.assert_allclose(ramp.dx(g), phi.dx(g))

@@ -9,7 +9,7 @@ import pytest
 
 import phjb.value
 from phjb.checks import build_net
-from phjb.dynamics import Coefficients, ControlSignal, step_level, step_once
+from phjb.dynamics import Coefficients, ControlSignal, step_once
 from phjb.paths import Path, TimeGrid
 from phjb.scenarios import (
     eikonal,
@@ -29,6 +29,18 @@ from phjb.value import (
     verify_dpp_consistency,
 )
 
+from conftest import level_children
+
+
+def _q(c, g, u) -> float:
+    """The running cost of one path under one control, as a float."""
+    return float(c.running_cost(g.samples[None], np.array([u]))[0])
+
+
+def _phi(c, g) -> float:
+    """The terminal cost of one path, as a float."""
+    return float(c.terminal_cost(g.samples[None])[0])
+
 
 def brute_force_value(c, g, grid):
     """Enumerate every control assignment; accumulate costs tail-first."""
@@ -40,9 +52,9 @@ def brute_force_value(c, g, grid):
         for u in assign:
             nxt = step_once(c, traj, u)
             dt = nxt.horizon - traj.horizon
-            pieces.append(0.5 * dt * (c.running_cost(traj, u) + c.running_cost(nxt, u)))
+            pieces.append(0.5 * dt * (_q(c, traj, u) + _q(c, nxt, u)))
             traj = nxt
-        total = c.terminal_cost(traj)
+        total = _phi(c, traj)
         for piece in reversed(pieces):
             total = piece + total
         if best is None or total < best:
@@ -182,7 +194,7 @@ def test_policy_trajectory_ends_at_the_optimal_terminal_cost():
     table = ValueTable(sc.coefficients, sc.grid)
     sig, traj = table.policy(sc.initial)
     assert len(sig.values) == sc.grid.n_steps - (sc.initial.n_nodes - 1)
-    assert table.value(traj) == float(sc.coefficients.terminal_cost(traj))
+    assert table.value(traj) == _phi(sc.coefficients, traj)
     assert cost_J(sc.coefficients, sc.initial, sig) == table.value(sc.initial)
 
 
@@ -247,9 +259,9 @@ class NodeByNodeTable(ValueTable):
         if k > n_steps:
             raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
         if k == n_steps:
-            return float(self.c.terminal_cost(g)), None
+            return _phi(self.c, g), None
         self._check_budget(g)
-        key = self._key(g)
+        key = self._keys(g.samples[None])[0]
         hit = self.memo.get(key)
         if hit is not None:
             self.hits += 1
@@ -299,12 +311,10 @@ def test_batched_table_matches_the_node_by_node_recursion(build, step, batch, mo
     ref = NodeByNodeTable(sc.coefficients, sc.grid)
     want = [ref.entry(g) for g in roots]
     assert len(ref.memo) > 0
-    # the scenario's block form, and its scalar callables row by row
-    for c in (sc.coefficients, replace(sc.coefficients, block=None)):
-        table = ValueTable(c, sc.grid)
-        assert [table.entry(g) for g in roots] == want
-        assert table.memo == ref.memo
-        assert table.hits == ref.hits
+    table = ValueTable(sc.coefficients, sc.grid)
+    assert [table.entry(g) for g in roots] == want
+    assert table.memo == ref.memo
+    assert table.hits == ref.hits
 
 
 def _smallest_passing_budget(table_type, c, grid, roots) -> int:
@@ -361,16 +371,14 @@ def test_values_of_a_net_match_value_path_by_path(build, step):
     nets = _nets(sc)
     if build is feedback:
         nets += _nets(replace(sc, initial=Path(sc.space, step, [[0.5, -0.25], [0.9, 0.1]])))
-    # the scenario's block form, and its scalar callables row by row
-    for c in (sc.coefficients, replace(sc.coefficients, block=None)):
-        ref = ValueTable(c, sc.grid)
-        table = ValueTable(c, sc.grid)
-        for net in nets:
-            want = np.array([ref.value(g) for g in net])
-            got = table.values(net)
-            assert got.tobytes() == want.tobytes()
-            assert table.memo == ref.memo
-            assert table.hits == ref.hits
+    ref = ValueTable(sc.coefficients, sc.grid)
+    table = ValueTable(sc.coefficients, sc.grid)
+    for net in nets:
+        want = np.array([ref.value(g) for g in net])
+        got = table.values(net)
+        assert got.tobytes() == want.tobytes()
+        assert table.memo == ref.memo
+        assert table.hits == ref.hits
 
 
 def _refusal(fn):
@@ -418,7 +426,7 @@ def path_dpp_residuals(table, g) -> dict:
     residuals = {}
     level = [(g, [])]
     for k in range(g.n_nodes, grid.n_steps + 1):
-        children = step_level(c, [prefix for prefix, _ in level], c.control_set)
+        children = level_children(c, [prefix for prefix, _ in level])
         steps = [(prefix, pieces, u) for prefix, pieces in level for u in c.control_set]
         level = [
             (nxt, pieces + [_interval_cost(c, prefix, nxt, u)])
@@ -436,10 +444,10 @@ def path_dpp_residuals(table, g) -> dict:
 
 
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
-@pytest.mark.parametrize("block", [True, False])
-def test_dpp_residuals_equal_the_path_enumeration(build, block):
+@pytest.mark.parametrize("keyed", [True, False])
+def test_dpp_residuals_equal_the_path_enumeration(build, keyed):
     sc = build(step=0.2)
-    c = sc.coefficients if block else replace(sc.coefficients, block=None)
+    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
     roots = [sc.initial] + [r for r in _roots(sc)[1:] if r.n_nodes <= 3][:6]
     for g in roots:
         table, ref = ValueTable(c, sc.grid), ValueTable(c, sc.grid)
@@ -453,22 +461,19 @@ def test_dpp_residuals_equal_the_path_enumeration(build, block):
 
 
 def _spoiled_feedback(kind):
-    """feedback whose drift, scalar and block alike, is NaN or of the wrong
-    shape for the paths starting at 9.0 (the middle parent below)."""
+    """feedback whose drift is NaN, or of the wrong shape, on the paths
+    starting at 9.0 (the middle parent below)."""
     base = feedback().coefficients
-    bad = np.array([np.nan, 0.0]) if kind == "nan" else np.zeros(3)
 
-    def drift(g, u):
-        return bad if g.samples[0, 0] == 9.0 else base.drift(g, u)
+    def drift(S, U):
+        spoiled = S[:, 0, 0] == 9.0
+        if kind == "shape":
+            return np.zeros((len(S), 3)) if spoiled.any() else base.drift(S, U)
+        f = base.drift(S, U)
+        f[spoiled] = np.nan
+        return f
 
-    def block_drift(S, U):
-        f = base.block.drift(S, U)
-        if kind == "nan":
-            f[S[:, 0, 0] == 9.0] = np.nan
-            return f
-        return np.zeros((len(S), 3)) if (S[:, 0, 0] == 9.0).any() else f
-
-    return replace(base, drift=drift, block=base.block._replace(drift=block_drift))
+    return replace(base, drift=drift)
 
 
 @pytest.mark.parametrize("kind", ["nan", "shape"])
@@ -481,7 +486,7 @@ def test_block_refusals_raise_the_scalar_error(kind):
     with pytest.raises(ValueError) as scalar:
         [step_once(c, p, u) for p in prefixes for u in c.control_set]
     with pytest.raises(ValueError) as level:
-        step_level(c, prefixes, c.control_set)
+        level_children(c, prefixes)
     assert str(level.value) == str(scalar.value)
     with pytest.raises(ValueError) as table:
         ValueTable(c, sc.grid).value(prefixes[1])

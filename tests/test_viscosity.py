@@ -11,6 +11,8 @@ from phjb.testfn import GaugePack, TestFunctionPhi
 from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable, hamiltonian
 
+from conftest import time_ramp
+
 
 def _setup(build):
     sc = build()
@@ -107,7 +109,7 @@ def test_retangented_clock_shift_fails_on_margin(eik):
         w_plus = values[tp.label] + _clock(nets[tp.label], T)
         w_minus = values[tp.label] - _clock(nets[tp.label], T)
         up = viscosity_check(
-            w_plus, sc.coefficients, tp.point, tp.phi_sub.time_ramp(1.0, T),
+            w_plus, sc.coefficients, tp.point, time_ramp(tp.phi_sub, 1.0, T),
             tp.pack_sub, "sub", net=nets[tp.label],
         )
         assert up.premise_ok
@@ -115,7 +117,7 @@ def test_retangented_clock_shift_fails_on_margin(eik):
         assert not up.passed
         # premise keeps w + phi + pack fixed, so phi gains +(T-s) here too
         dn = viscosity_check(
-            w_minus, sc.coefficients, tp.point, tp.phi_super.time_ramp(1.0, T),
+            w_minus, sc.coefficients, tp.point, time_ramp(tp.phi_super, 1.0, T),
             tp.pack_super, "super", net=nets[tp.label],
         )
         assert dn.premise_ok
@@ -265,9 +267,9 @@ def test_array_scan_matches_the_path_by_path_scan(which, request):
             (table.value, tp.phi_super, tp.pack_super, "super"),
             (plus, tp.phi_super, tp.pack_super, "super"),
             (plus, tp.phi_sub, tp.pack_sub, "sub"),
-            (plus, tp.phi_sub.time_ramp(1.0, T), tp.pack_sub, "sub"),
+            (plus, time_ramp(tp.phi_sub, 1.0, T), tp.pack_sub, "sub"),
             (minus, tp.phi_sub, tp.pack_sub, "sub"),
-            (minus, tp.phi_super.time_ramp(1.0, T), tp.pack_super, "super"),
+            (minus, time_ramp(tp.phi_super, 1.0, T), tp.pack_super, "super"),
             (table.value, tp.phi_super, tp.pack_sub, "sub"),  # the other side's slope
         ]
         for w, phi, pack, side in candidates:
