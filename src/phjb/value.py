@@ -13,6 +13,7 @@ matches brute-force enumeration bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -93,11 +94,12 @@ def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
 # -- exact DPP value -----------------------------------------------------
 
 
-# parents stepped as one block by the value recursion and the DPP enumeration.
-# A block's fixed cost is about that of stepping two children one by one, so
-# 48 children spread it thin; 64 parents were no faster, and the recursion
-# holds depth * _BATCH * width rows at a time
-_BATCH = 16
+# the most parents stepped as one block by the value recursion and the DPP
+# enumeration, which step a tree level at a time: a larger level is stepped in
+# blocks of this many parents, so one block of children holds at most
+# _ROW_CAP * width rows (3.5 MB at 18 nodes in 2-D under 3 controls), and a
+# block's fixed cost of about 87 us is spread over thousands of children
+_ROW_CAP = 4096
 
 
 class BudgetExceeded(RuntimeError):
@@ -129,6 +131,50 @@ def _first_minima(vals: np.ndarray) -> list:
     return picks
 
 
+def _stepped(c: Coefficients, proto: Path, m: int, block, controls):
+    """`step_rows` over m prefixes of one node count, _ROW_CAP parents at a
+    time; block(lo, hi) gives prefixes lo to hi as a read-only block. Yields,
+    for each block in order, its first index, its children's step costs and
+    the children themselves."""
+    for lo in range(0, m, _ROW_CAP):
+        S, U, X = step_rows(c, proto, block(lo, min(lo + _ROW_CAP, m)), controls)
+        yield lo, _step_costs(c, proto.step, S, U, X), X
+
+
+def _prefixes(base: np.ndarray, trail: list, lo: int, hi: int) -> np.ndarray:
+    """Prefixes lo to hi of a tree level, rebuilt as a read-only block.
+
+    base is a read-only block of the prefixes of a level above, and trail
+    holds, for each level below it down to this one, (up, last): the index
+    in the level above of each prefix's parent, and the prefix's last
+    sample. A child holds its parent's samples unchanged, so the rebuilt
+    prefixes are bit for bit those that were stepped.
+    """
+    if not trail:
+        return base[lo:hi]
+    n = base.shape[1]
+    P = np.empty((hi - lo, n + len(trail), base.shape[2]))
+    at = np.arange(lo, hi)
+    for k in range(len(trail) - 1, -1, -1):
+        up, last = trail[k]
+        P[:, n + k] = last[at]
+        at = up[at]
+    P[:, :n] = base[at]
+    P.flags.writeable = False
+    return P
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of parts end to end, without a copy when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _resolve(known: np.ndarray, ref: np.ndarray, vals: np.ndarray) -> None:
+    """Fill in known[i] = vals[ref[i]] wherever ref[i] is not -1."""
+    at = ref >= 0
+    known[at] = vals[ref[at]]
+
+
 class ValueTable:
     """Backward-recursion values over path prefixes, memoized.
 
@@ -138,8 +184,10 @@ class ValueTable:
     validated against enumeration before being trusted (see
     tests covering the built-in scenarios).
 
-    Below the root prefix the recursion works on sample blocks: children are
-    stepped, keyed and priced a block at a time, and only the roots are
+    Below the root prefixes the recursion works on sample blocks, a tree
+    level at a time (see `_expand`): a forward pass steps, keys and
+    deduplicates each level as one block, split only at _ROW_CAP parents,
+    and a backward pass prices the levels deepest first. Only the roots are
     `Path` objects.
     """
 
@@ -203,49 +251,116 @@ class ValueTable:
         """
         if S.shape[1] - 1 == self.grid.n_steps:
             return _costs(self.c.terminal_cost(S), len(S), "terminal_cost")
-        memo = self.memo
-        keys = self._keys(S)
-        fresh = {}  # key -> the first row to carry it
-        for i, key in enumerate(keys):
-            if key in memo or key in fresh:
-                self.hits += 1
-            else:
-                fresh[key] = i
-        if fresh:
-            rows = S if len(fresh) == len(S) else S[list(fresh.values())]
-            rows.flags.writeable = False
-            self._expand(proto, rows, list(fresh))
-        return np.array([memo[key][0] for key in keys])
+        fresh: dict = {}
+        known, ref, rows = self._lookup(self._keys(S), fresh)
+        if len(rows):
+            P = S if len(rows) == len(S) else S[rows]
+            P.flags.writeable = False
+            _resolve(known, ref, self._expand(proto, P, list(fresh)))
+        return known
 
-    def _expand(self, proto: Path, P: np.ndarray, keys: list) -> None:
-        """Memo entries for the rows of P, a read-only block of non-terminal
-        prefixes of one node count whose keys are distinct and not yet in
-        the memo.
+    def _lookup(self, keys: list, fresh: dict) -> tuple:
+        """The values of keys as far as the memo holds them.
 
-        Depth-first over batches of at most _BATCH parents: each batch is
-        stepped as one block, its children are valued by `_values` (which
-        expands the new ones the same way) before the batch backs up, and
-        each parent keeps its first cheapest control. Prefixes of one node
-        count are thereby met in the order of the one-node-at-a-time
-        recursion, so the first prefix to carry a key is the one expanded,
-        and the memo ends with the same entries, values and argmins. A
-        budget met by the root prefix holds below it, where fewer steps are
-        left.
+        A key in neither the memo nor fresh joins fresh, mapped to its index
+        there; every other key counts as a hit. Returns (known, ref, rows):
+        known[i] is the memo value of keys[i] where ref[i] is -1, and
+        otherwise ref[i] is the key's index in fresh; rows are the indices of
+        the keys that joined fresh.
+        """
+        memo, start = self.memo, len(fresh)
+        found = [memo.get(key) for key in keys]
+        ref = [-1 if hit else fresh.setdefault(key, len(fresh)) for key, hit in zip(keys, found)]
+        rows, new = [], start  # where each new index in fresh first occurs
+        for i, j in enumerate(ref):
+            if j == new:
+                rows.append(i)
+                new += 1
+        self.hits += len(keys) - len(rows)
+        known = np.array([hit[0] if hit else 0.0 for hit in found])
+        return known, np.array(ref, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+    def _expand(self, proto: Path, P: np.ndarray, keys: list) -> np.ndarray:
+        """Memo entries for the rows of P, a block of non-terminal prefixes
+        of one node count whose keys are distinct and not yet in the memo;
+        returns the rows' values.
+
+        Two passes, a level at a time. The forward pass steps each level's
+        parents in blocks of at most _ROW_CAP rows and keys the children;
+        the first child to carry a key that is neither in the memo nor
+        earlier in the level becomes a parent of the next level, and every
+        other child is a hit. Children at T are priced by the terminal cost
+        instead. The backward pass, deepest level first, prices each child
+        as its step cost plus its value, and each parent keeps its first
+        cheapest control. A level is met parent-major in control order, the
+        order of the one-node-at-a-time recursion, so the first prefix to
+        carry a key is the one expanded, and the memo ends with the same
+        entries, values and argmins.
+
+        The parents found by a level of one block are held whole. Those
+        found by a level of several blocks are held as a `_prefixes` trail,
+        an index and a last sample each, below the last level held whole.
+        So the forward pass holds the full samples of a few blocks at a
+        time, besides the keys, costs and child values of every level.
+
+        Every parent becomes a memo entry, so the forward pass refuses as
+        soon as the parents found so far would grow the memo beyond the
+        budget, before it steps them. A budget met by the root prefix holds
+        below it, where fewer steps are left.
         """
         c, memo = self.c, self.memo
         controls = c.control_set
-        width = len(controls)
-        for lo in range(0, len(P), _BATCH):
-            S, U, X = step_rows(c, proto, P[lo : lo + _BATCH], controls)
-            vals = _step_costs(c, proto.step, S, U, X) + self._values(proto, X)
-            vals = vals.reshape(-1, width)
-            for key, row, j in zip(keys[lo : lo + _BATCH], vals.tolist(), _first_minima(vals)):
-                memo[key] = (row[j], controls[j])
-                if len(memo) > self.budget:
-                    raise BudgetExceeded(
-                        f"memo grew beyond budget {self.budget}; the declared state "
-                        "statistic does not collapse this instance"
-                    )
+        levels = []  # per level: parent keys, step costs, and child values as `_lookup` gives them
+        trail = []  # per level below P, as `_prefixes` reads it
+        pending = len(keys)  # parents found so far, each a memo entry to come
+        self._check_memo(pending)
+        while True:
+            at_T = P.shape[1] + len(trail) == self.grid.n_steps
+            split = len(keys) > _ROW_CAP  # stepped in several blocks
+            costs, known, ref, up, last, fresh = [], [], [], [], [], {}
+            block = partial(_prefixes, P, trail)
+            for lo, cost, X in _stepped(c, proto, len(keys), block, controls):
+                costs.append(cost)
+                if at_T:
+                    known.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
+                    continue
+                k, r, rows = self._lookup(self._keys(X), fresh)
+                self._check_memo(pending + len(fresh))
+                known.append(k)
+                ref.append(r)
+                if split:
+                    up.append(lo + rows // len(controls))
+                    last.append(X[rows, -1])
+                else:
+                    whole = X[rows]
+            levels.append((keys, _joined(costs), _joined(known), ref))
+            if not fresh:
+                break
+            if split:
+                trail.append((_joined(up), _joined(last)))
+            else:  # the next level is held whole
+                P, trail = whole, []
+                P.flags.writeable = False
+            keys = list(fresh)
+            pending += len(keys)
+        vals = None  # the values of the parents of the level below
+        while levels:  # freeing each level once it is priced
+            keys, costs, known, ref = levels.pop()
+            if vals is not None:
+                _resolve(known, _joined(ref), vals)
+            total = (costs + known).reshape(-1, len(controls))
+            picks = _first_minima(total)
+            vals = total[np.arange(len(total)), picks]
+            memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))
+        return vals
+
+    def _check_memo(self, pending: int) -> None:
+        """Refuse when pending more entries would grow the memo beyond budget."""
+        if len(self.memo) + pending > self.budget:
+            raise BudgetExceeded(
+                f"memo grew beyond budget {self.budget}; the declared state "
+                "statistic does not collapse this instance"
+            )
 
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
@@ -284,8 +399,10 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     The inner minimum enumerates control assignments on [t, s] explicitly,
     one block row per assignment, and accumulates tail-first, matching the
     recursion's association: one column of step costs per level, added to
-    the values read from the table last column first. The width^steps_left
-    leaves are refused up front beyond the table's budget.
+    the values read from the table last column first. Each level is stepped
+    as one block, split at _ROW_CAP parents as the recursion's forward pass
+    splits it. The width^steps_left leaves are refused up front beyond the
+    table's budget.
     """
     c, grid = table.c, table.grid
     controls = c.control_set
@@ -305,10 +422,9 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
         m, n, dim = level.shape
         children = np.empty((m * width, n + 1, dim))
         costs = np.empty(m * width)
-        for lo in range(0, m, _BATCH):
-            S, U, X = step_rows(c, g, level[lo : lo + _BATCH], controls)
+        for lo, cost, X in _stepped(c, g, m, lambda lo, hi: level[lo:hi], controls):
             children[lo * width : lo * width + len(X)] = X
-            costs[lo * width : lo * width + len(X)] = _step_costs(c, g.step, S, U, X)
+            costs[lo * width : lo * width + len(X)] = cost
         children.flags.writeable = False
         level = children
         columns = [np.repeat(col, width) for col in columns] + [costs]

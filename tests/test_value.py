@@ -1,6 +1,7 @@
 """Value function tests: brute-force equality, desk values, DPP residuals."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from typing import Optional
 
@@ -10,7 +11,7 @@ import pytest
 import phjb.value
 from phjb.checks import build_net
 from phjb.dynamics import Coefficients, ControlSignal, step_once
-from phjb.paths import Path, TimeGrid
+from phjb.paths import Path, TimeGrid, node_count_blocks
 from phjb.scenarios import (
     eikonal,
     eikonal_value,
@@ -304,8 +305,8 @@ def _roots(sc) -> list:
 )
 @pytest.mark.parametrize("batch", [2, None])
 def test_batched_table_matches_the_node_by_node_recursion(build, step, batch, monkeypatch):
-    if batch is not None:
-        monkeypatch.setattr(phjb.value, "_BATCH", batch)
+    if batch is not None:  # levels then span several blocks
+        monkeypatch.setattr(phjb.value, "_ROW_CAP", batch)
     sc = build(step=step)
     roots = _roots(sc)
     ref = NodeByNodeTable(sc.coefficients, sc.grid)
@@ -343,6 +344,102 @@ def test_batched_table_refuses_at_the_same_budgets(build, keyed):
     roots = _roots(sc)[:40]
     smallest = _smallest_passing_budget(ValueTable, c, sc.grid, roots)
     assert smallest == _smallest_passing_budget(NodeByNodeTable, c, sc.grid, roots)
+
+
+# the level-synchronous recursion: blocks stepped and refusals met in level order
+
+
+@pytest.fixture
+def stepped(monkeypatch) -> list:
+    """(node count, parents) of every `step_rows` block the value module steps."""
+    blocks = []
+    step_rows = phjb.value.step_rows
+
+    def counting(c, proto, P, controls):
+        blocks.append((P.shape[1], len(P)))
+        return step_rows(c, proto, P, controls)
+
+    monkeypatch.setattr(phjb.value, "step_rows", counting)
+    return blocks
+
+
+@pytest.mark.parametrize("cap", [16, None])
+def test_each_level_of_a_run_is_stepped_once_per_row_cap_chunk(cap, stepped, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(phjb.value, "_ROW_CAP", cap)
+    sc = runmax(step=0.125)
+    roots = _roots(sc)
+    table = ValueTable(sc.coefficients, sc.grid)
+    split = False  # whether a level spanned several blocks
+    for lo, hi, _ in node_count_blocks(roots):
+        stepped.clear()
+        table.values(roots[lo:hi])
+        levels = [n for n, _ in stepped]
+        assert levels == sorted(levels)
+        rows = Counter()
+        for n, parents in stepped:
+            rows[n] += parents
+        chunks = Counter({n: -(-count // phjb.value._ROW_CAP) for n, count in rows.items()})
+        assert Counter(levels) == chunks
+        split |= any(count > 1 for count in chunks.values())
+    assert split == (cap is not None)
+
+
+def test_memo_refusal_steps_no_level_past_the_overflow(stepped):
+    sc = eikonal(step=1.0 / 16)
+    full = ValueTable(sc.coefficients, sc.grid)
+    full.value(sc.initial)
+    # the fresh parents of each level are the memo entries of its node count
+    per_level = sorted(Counter(n for n, _ in full.memo).items())
+    budget = 10
+    fits, entries = [], 0
+    for n, count in per_level:
+        entries += count
+        if entries > budget:
+            break
+        fits.append((n, count))
+    stepped.clear()
+    with pytest.raises(BudgetExceeded, match=f"memo grew beyond budget {budget}"):
+        ValueTable(sc.coefficients, sc.grid, budget=budget).value(sc.initial)
+    assert stepped == fits and len(fits) > 1
+
+
+def _spoiled_at(c, *prefixes):
+    """c with a NaN drift on the rows equal to one of the given prefixes."""
+    base = c.drift
+
+    def drift(S, U):
+        f = np.array(base(S, U), dtype=float)
+        for p in prefixes:
+            if S.shape[1] == p.n_nodes:
+                f[(S == p.samples).all(axis=(1, 2))] = np.nan
+        return f
+
+    return replace(c, drift=drift)
+
+
+def test_refusals_at_two_depths_raise_the_first_in_level_order():
+    sc = feedback(step=0.2)
+    c = sc.coefficients
+    level = [sc.initial]
+    for _ in range(3):
+        level = level_children(c, level)
+    # 27 prefixes of distinct keys: the last is stepped after the first
+    # one's children in depth-first order, and before them in level order
+    shallow, deep = level[-1], level_children(c, level[:1])[0]
+    spoiled = _spoiled_at(c, shallow, deep)
+
+    def message(fn) -> str:
+        with pytest.raises(ValueError) as info:
+            fn()
+        return str(info.value)
+
+    first_u = c.control_set[0]
+    shallow_msg = message(lambda: step_once(spoiled, shallow, first_u))
+    deep_msg = message(lambda: step_once(spoiled, deep, first_u))
+    assert shallow_msg != deep_msg
+    assert message(lambda: ValueTable(spoiled, sc.grid).value(sc.initial)) == shallow_msg
+    assert message(lambda: NodeByNodeTable(spoiled, sc.grid).value(sc.initial)) == deep_msg
 
 
 # a net valued a node-count block at a time against value path by path ------
