@@ -17,7 +17,6 @@ from .paths import (
 from .gauge import (
     eval_S,
     eval_upsilon,
-    eval_upsilon_pair,
     grad_S,
     grad_upsilon,
     pair_difference,

@@ -132,7 +132,7 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     def flows(rows, S):
         for i in rows:
             M, g, eta, _ = cases[i]
-            if M < 2.0:
+            if not M >= 2.0:  # a NaN M is refused too
                 raise _Refused(ValueError(f"M must be >= 2, got {M}"))
             if abs(g.horizon - eta.horizon) > GRID_TOL:
                 raise _Refused(ValueError("g and eta must share their horizon"))

@@ -35,7 +35,7 @@ from .value import (
     verify_dpp_consistency,
     verify_value_regularity,
 )
-from .variational import bp_search, pair_gauge
+from .variational import bp_search, pair_gauges
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -272,20 +272,15 @@ def _run_bp(cfg: RunConfig, value_table) -> CheckRecord:
     t0, T = start.horizon, sc.grid.T
     rows, ok = [], True
 
-    # the gauge from start to each net path, computed once: both modes' f
-    # read it, and so does the search's first gauge row, whose anchor is start
+    # the gauge from start to each net path, one row that both modes' f read
     # (keyed by identity; net keeps its paths alive)
-    start_gauge = {id(g): pair_gauge(start, g) for g in net}
-
-    def rho(anchor: Path, g: Path) -> float:
-        return start_gauge[id(g)] if anchor is start else pair_gauge(anchor, g)
-
+    start_gauge = dict(zip(map(id, net), pair_gauges(start, net)))
     modes = [
         ("at-max", lambda g: -start_gauge[id(g)], 0.1),
         ("horizon-bonus", lambda g: g.horizon - start_gauge[id(g)], 0.3 * (T - t0) + 0.1),
     ]
     for label, f, eps in modes:
-        res = bp_search(f, net, start, eps, rho=rho)
+        res = bp_search(f, net, start, eps)
         terms = res.rho_terms
         post = (
             all(r <= eps / 2**i + 1e-12 for i, r in enumerate(terms))

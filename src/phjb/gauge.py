@@ -9,13 +9,16 @@ S is vertically smooth with gradient -4 (a - b) gamma(t) / a and is invariant
 under flat extension, so its Dupire time derivative vanishes identically.
 The identity S + 2 b = (a^2 + b^2) / a gives the sandwich
 a <= S + 2 b <= 3 a used throughout.
+
+Each gauge is stated once, on rows: a block of paths is an (N, n, dim)
+sample array, and a single path g is the one-row block g.samples[None].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, all_finite, prefix_sup_norms, semigroup_rows, sup_norm, sup_norms
+from .paths import Path, all_finite, carried, prefix_sup_norms, sup_norms
 
 __all__ = [
     "eval_S",
@@ -26,88 +29,75 @@ __all__ = [
     "upsilon_on_prefixes",
     "pair_difference",
     "pair_difference_rows",
-    "eval_upsilon_pair",
+    "pair_gauge_rows",
 ]
 
 
-def _a_b(g: Path) -> tuple[float, np.ndarray, float]:
-    end = g.endpoint
-    a = sup_norm(g) ** 2
-    b = float(end @ end)
-    return a, end, b
+def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
+    """Upsilon^M at the paths whose sup norms are `norms` and whose endpoints
+    are the rows of E, an (N, dim) array, as a list of floats; with grad, also
+    the vertical gradients grad S + 2 M gamma(t), as an (N, dim) array.
+
+    b is the stacked row-by-column product, which reduces each row with the
+    routine of `end @ end`. Each value is closed on Python floats, because C
+    `pow` (`x ** 2`) rounds differently from `x * x`. A zero path (a = 0) has
+    value 0 and gradient 0.
+    """
+    values, coef, zero = [], [], []
+    for r, b in zip(norms, (E[:, None, :] @ E[:, :, None])[:, 0, 0].tolist()):
+        a = r**2
+        zero.append(a == 0.0)
+        if a == 0.0:
+            values.append(0.0)
+            coef.append(0.0)
+        else:
+            values.append((a - b) ** 2 / a + M * b)
+            coef.append(-4.0 * (a - b) / a)
+    if not grad:
+        return values
+    G = np.array(coef)[:, None] * E + (2.0 * M) * E
+    G[zero] = 0.0
+    return values, G
 
 
-def eval_S(g: Path) -> float:
-    """S(gamma) = (||gamma||_0^2 - |gamma(t)|^2)^2 / ||gamma||_0^2."""
-    a, _, b = _a_b(g)
-    if a == 0.0:
-        return 0.0
-    return (a - b) ** 2 / a
-
-
-def grad_S(g: Path) -> np.ndarray:
-    """Vertical gradient of S: -4 (a - b) gamma(t) / a (zero path gives 0)."""
-    a, end, b = _a_b(g)
-    if a == 0.0:
-        return np.zeros(g.space.dim)
-    return (-4.0 * (a - b) / a) * end
+def upsilon_rows(M: float, S: np.ndarray) -> list:
+    """Upsilon^M of the path of each row of S, an (N, n, dim) sample block,
+    as a list of floats; the sup norms are one reduction over the block."""
+    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1])
 
 
 def eval_upsilon(M: float, g: Path) -> float:
     """Upsilon^M(gamma) = S(gamma) + M |gamma(t)|^2."""
-    a, _, b = _a_b(g)
-    return _upsilon(M, a, b)
-
-
-def upsilon_rows(M: float, S: np.ndarray) -> list:
-    """`eval_upsilon(M, g)` for the path g of each row of S, an (N, n, dim)
-    sample block, as a list of floats.
-
-    The sup norms and the endpoint dots are each one reduction over the
-    block, with the operations `_a_b` applies to one path (the stacked
-    row-by-column product reduces each row with the routine of `end @ end`),
-    and `_upsilon` closes each row on Python floats, so every entry equals
-    `eval_upsilon` bit for bit.
-    """
-    E = S[:, -1]
-    ends = (E[:, None, :] @ E[:, :, None])[:, 0, 0]
-    return [_upsilon(M, r**2, b) for r, b in zip(sup_norms(S).tolist(), ends.tolist())]
+    return upsilon_rows(M, g.samples[None])[0]
 
 
 def grad_upsilon(M: float, g: Path) -> np.ndarray:
     """Vertical gradient of Upsilon^M: grad S + 2 M gamma(t)."""
-    return _grad_upsilon(M, *_a_b(g))
+    S = g.samples[None]
+    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1], True)[1][0]
 
 
-def _upsilon(M: float, a: float, b: float) -> float:
-    if a == 0.0:
-        return 0.0
-    return (a - b) ** 2 / a + M * b
+def eval_S(g: Path) -> float:
+    """S(gamma) = (||gamma||_0^2 - |gamma(t)|^2)^2 / ||gamma||_0^2, Upsilon^0."""
+    return eval_upsilon(0.0, g)
 
 
-def _grad_upsilon(M: float, a: float, end: np.ndarray, b: float) -> np.ndarray:
-    if a == 0.0:
-        return np.zeros(end.shape)
-    return (-4.0 * (a - b) / a) * end + (2.0 * M) * end
+def grad_S(g: Path) -> np.ndarray:
+    """Vertical gradient of S: -4 (a - b) gamma(t) / a (zero path gives 0)."""
+    return grad_upsilon(0.0, g)
 
 
-def upsilon_on_prefixes(M: float, g: Path, first: int) -> tuple[list, list]:
+def upsilon_on_prefixes(M: float, g: Path, first: int) -> tuple[list, np.ndarray]:
     """Upsilon^M and its vertical gradient at the prefixes of g with
-    first, first + 1, ..., n_nodes nodes, as two lists.
+    first, first + 1, ..., n_nodes nodes, as a list of values and an array
+    of gradient rows.
 
     The sup norms come from one running maximum (`prefix_sup_norms`), so
     the entries equal `eval_upsilon` and `grad_upsilon` of those prefixes
     bit for bit, in O(n) work instead of O(n^2).
     """
-    norms = prefix_sup_norms(g)
-    values, grads = [], []
-    for k in range(first - 1, g.n_nodes):
-        end = g.samples[k]
-        a = float(norms[k]) ** 2
-        b = float(end @ end)
-        values.append(_upsilon(M, a, b))
-        grads.append(_grad_upsilon(M, a, end, b))
-    return values, grads
+    norms = prefix_sup_norms(g)[first - 1 :].tolist()
+    return _upsilon_rows(M, norms, g.samples[first - 1 :], True)
 
 
 def pair_difference(anchor: Path, g: Path) -> Path:
@@ -115,60 +105,42 @@ def pair_difference(anchor: Path, g: Path) -> Path:
 
     The path with the earlier horizon is carried forward along the semigroup
     to the later horizon and subtracted there; with equal horizons this is a
-    plain samplewise difference.
-
-    The difference is written straight into one new array: the later path
-    minus the earlier one over their shared nodes, then minus the extension
-    rows, which are the rows `extend_semigroup` would append, so the result
-    equals `later - extend_semigroup(earlier, later.horizon)` bit for bit
-    without building the extension.
+    plain samplewise difference. This is the one-row case of
+    `pair_difference_rows`, with the earlier path as the anchor.
     """
-    late, early = (g, anchor) if anchor.horizon <= g.horizon else (anchor, g)
-    late._check_same_space_and_step(early)
-    n_late, n_early = late.n_nodes, early.n_nodes
-    out = np.empty_like(late.samples)
-    np.subtract(late.samples[:n_early], early.samples, out=out[:n_early])
-    if n_late > n_early:
-        if early.space.is_zero_generator:
-            rows = early.samples[-1]
-        else:
-            rows = semigroup_rows(early, n_late - n_early)
-        np.subtract(late.samples[n_early:], rows, out=out[n_early:])
-    return late._sealed(out)
+    if anchor.n_nodes > g.n_nodes:
+        anchor, g = g, anchor
+    out = pair_difference_rows(anchor, g, g.samples[None])[0]
+    out.flags.writeable = False
+    return g._trusted(out)
 
 
 def pair_difference_rows(anchor: Path, proto: Path, S: np.ndarray) -> np.ndarray:
-    """`pair_difference(anchor, g).samples` for the path g of each row of S,
-    a block of paths on proto's space and step with at least anchor's node
-    count, as one (N, n, dim) array.
+    """The path of each row of S minus the anchor carried along the semigroup
+    to its node count, as one (N, n, dim) array checked finite once.
 
-    The anchor carried to n nodes (its samples, then the rows
-    `pair_difference` subtracts past them) is subtracted from the whole
-    block in one broadcast, and the block of differences is checked finite
-    once, with `pair_difference`'s error.
+    S is a block of paths on proto's space and step; a block that ends
+    before its anchor is refused.
     """
     proto._check_same_space_and_step(anchor)
-    n, n_anchor = S.shape[1], anchor.n_nodes
-    carried = np.empty(S.shape[1:])
-    carried[:n_anchor] = anchor.samples
-    if n > n_anchor:
-        if anchor.space.is_zero_generator:
-            carried[n_anchor:] = anchor.samples[-1]
-        else:
-            carried[n_anchor:] = semigroup_rows(anchor, n - n_anchor)
-    out = S - carried
+    n = S.shape[1]
+    if n < anchor.n_nodes:
+        raise ValueError(
+            f"block of {n} nodes ends before its anchor of {anchor.n_nodes} nodes"
+        )
+    out = S - carried(anchor, n)
     if not all_finite(out):
         raise ValueError("samples must be finite")
     return out
 
 
-def eval_upsilon_pair(M: float, anchor: Path, g: Path, *, with_time: bool = False) -> float:
-    """Upsilon^M of the pair difference, optionally plus |s - t|^2.
+def pair_gauge_rows(anchor: Path, proto: Path, S: np.ndarray) -> list:
+    """The anchored pair gauge Upsilon^2(eta - ext gamma) + |s - t|^2 from
+    the anchor gamma_t to the path eta_s of each row of S, a block as
+    `pair_difference_rows` takes it, as a list of floats.
 
-    The with_time form is the gauge whose sublevel sets control d_infty:
-    a value <= delta forces d_infty <= (1 + sqrt 3) sqrt(delta).
+    Its sublevel sets control d_infty: a value <= delta forces
+    d_infty <= (1 + sqrt 3) sqrt(delta).
     """
-    val = eval_upsilon(M, pair_difference(anchor, g))
-    if with_time:
-        val += (g.horizon - anchor.horizon) ** 2
-    return val
+    lag = (proto.horizon - anchor.horizon) ** 2
+    return [u + lag for u in upsilon_rows(2.0, pair_difference_rows(anchor, proto, S))]

@@ -27,6 +27,7 @@ __all__ = [
     "extend_flat",
     "extend_semigroup",
     "semigroup_rows",
+    "carried",
     "node_count_blocks",
     "sup_norm",
     "sup_norms",
@@ -207,10 +208,6 @@ class Path:
             raise ValueError(f"time {t} beyond horizon {self.horizon}")
         return self._head(k + 1)
 
-    def signature(self) -> bytes:
-        """Exact bytes of the sample block; used for memo keys."""
-        return self.samples.tobytes()
-
     # -- same-grid arithmetic -------------------------------------------
 
     def _check_same_space_and_step(self, other: "Path") -> None:
@@ -267,16 +264,29 @@ def extend_semigroup(g: Path, tbar: float) -> Path:
         raise ValueError(f"tbar {tbar} precedes horizon {g.horizon}")
     if k_new == k_old:
         return g
-    if g.space.is_zero_generator:
-        return extend_flat(g, tbar)
     return g._extended(semigroup_rows(g, k_new - k_old))
 
 
 def semigroup_rows(g: Path, m: int) -> np.ndarray:
     """The m samples after g's horizon along the semigroup, e^{j step A} gamma(t)
-    for j = 1..m, as an (m, dim) block; callers validate what they build."""
+    for j = 1..m, as an (m, dim) block; callers validate what they build.
+    Under a zero generator these are copies of the endpoint, which is what
+    the exponential gives too (e^0 = 1 exactly), without computing it."""
+    if g.space.is_zero_generator:
+        return g.samples[-1:].repeat(m, axis=0)
     j = np.arange(1, m + 1)
     return np.exp(np.outer(j * g.step, g.space.eigenvalues)) * g.endpoint
+
+
+def carried(g: Path, n: int) -> np.ndarray:
+    """g carried along the semigroup to n >= g.n_nodes nodes: its own samples,
+    then `semigroup_rows`, as one fresh (n, dim) array."""
+    k = g.n_nodes
+    out = np.empty((n, g.space.dim))
+    out[:k] = g.samples
+    if n > k:
+        out[k:] = semigroup_rows(g, n - k)
+    return out
 
 
 def node_count_blocks(paths) -> list:
@@ -336,14 +346,13 @@ def prefix_sup_norms(g: Path) -> np.ndarray:
 def metric_d_infty(g: Path, h: Path) -> float:
     """d_infty(gamma_t, eta_s) = |t - s| + sup-norm gap of semigroup extensions.
 
-    Both paths are extended along the semigroup to the later horizon; beyond
-    that the gap only contracts, so the value does not depend on any global
-    terminal time.
+    The earlier path is carried along the semigroup to the later horizon;
+    beyond that the gap only contracts, so the value does not depend on any
+    global terminal time. Both paths must share a space and a step.
     """
-    tbar = max(g.horizon, h.horizon)
-    ge = extend_semigroup(g, tbar)
-    he = extend_semigroup(h, tbar)
-    gap = _largest_row_norm(ge.samples - he.samples)
+    g._check_same_space_and_step(h)
+    late, early = (g, h) if g.n_nodes >= h.n_nodes else (h, g)
+    gap = _largest_row_norm(late.samples - carried(early, late.n_nodes))
     return abs(g.horizon - h.horizon) + gap
 
 

@@ -21,7 +21,7 @@ from .gauge import (
     eval_upsilon,
     grad_upsilon,
     pair_difference,
-    pair_difference_rows,
+    pair_gauge_rows,
     upsilon_rows,
 )
 from .paths import (
@@ -223,10 +223,10 @@ class GaugePack:
         """The pack at the path of each row of S, a block of paths on proto's
         space and step with proto's node count.
 
-        Upsilon^2 of the rows and of each anchor's pair differences is one
-        block reduction (`upsilon_rows`); h and h_y are called once per row
-        on Python floats, in row order. Every entry equals the one-path
-        formula bit for bit.
+        Upsilon^2 of the rows (`upsilon_rows`) and each anchor's pair gauge
+        (`pair_gauge_rows`) are block reductions; h and h_y are called once
+        per row on Python floats, in row order. Every entry equals the
+        one-path formula bit for bit.
         """
         s = proto.horizon
         out = np.empty(len(S))
@@ -238,8 +238,7 @@ class GaugePack:
                 raise ValueError(
                     f"anchor horizon {anchor.horizon} beyond evaluated path {s}"
                 )
-            gaps = upsilon_rows(2.0, pair_difference_rows(anchor, proto, S))
-            out += delta * (np.array(gaps) + (s - anchor.horizon) ** 2)
+            out += delta * np.array(pair_gauge_rows(anchor, proto, S))
         return out
 
     def dt(self, g: Path) -> float:

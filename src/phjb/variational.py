@@ -10,21 +10,36 @@ to stall at the starting horizon and says so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .gauge import eval_upsilon_pair
-from .paths import GRID_TOL, Path
+from .gauge import pair_gauge_rows
+from .paths import GRID_TOL, Path, node_count_blocks
 
-__all__ = ["pair_gauge", "BPResult", "bp_search"]
+__all__ = ["pair_gauge", "pair_gauges", "BPResult", "bp_search"]
 
 # a gauge at or below this separates no two paths
 _GAUGE_TOL = 1e-12
 
 
 def pair_gauge(anchor: Path, g: Path) -> float:
-    """Default gauge: time-augmented Upsilon^2 of the semigroup gap."""
-    return eval_upsilon_pair(2.0, anchor, g, with_time=True)
+    """Default gauge: time-augmented Upsilon^2 of the semigroup gap, symmetric
+    in its arguments; the one-row case of `pair_gauge_rows`, anchored at the
+    earlier path."""
+    if anchor.n_nodes > g.n_nodes:
+        anchor, g = g, anchor
+    return pair_gauge_rows(anchor, g, g.samples[None])[0]
+
+
+def pair_gauges(anchor: Path, paths) -> list:
+    """`pair_gauge(anchor, g)` for each g of paths, none of which may end
+    before the anchor, as a list of floats: each run of one node count is
+    one `pair_gauge_rows` block. This is bp_search's default row gauge."""
+    row = []
+    for lo, _, S in node_count_blocks(paths):
+        row += pair_gauge_rows(anchor, paths[lo], S)
+    return row
 
 
 @dataclass(frozen=True)
@@ -52,27 +67,28 @@ def bp_search(
     start: Path,
     eps: float,
     *,
-    rho: Callable[[Path, Path], float] = pair_gauge,
+    rho: Callable[[Path, list], list] = pair_gauges,
     max_anchors: int = 64,
 ) -> BPResult:
     """Anchor-and-perturb argmax refinement over a finite net.
 
-    Requires f(start) >= max f - eps over the net (raises otherwise).
-    Each stage maximizes f minus the anchored gauges accumulated so far,
-    with weights 1, 1/2, 1/4, ... and ties resolved toward the incumbent; a
-    stage that reproduces its incumbent, or one within _GAUGE_TOL of it,
-    ends the search. Only paths at or after the incumbent's
-    horizon compete.
+    Requires f(start) >= max f - eps over the net, with eps finite and > 0
+    (raises otherwise). Each stage maximizes f minus the anchored gauges
+    accumulated so far, with weights 1, 1/2, 1/4, ... and ties resolved
+    toward the incumbent; a stage that reproduces its incumbent, or one
+    within _GAUGE_TOL of it, ends the search. Only paths at or after the
+    incumbent's horizon compete.
 
-    Each anchor's gauge row rho(anchor, g) is computed once per net path,
-    and only for the paths that compete after the anchor is set, which all
-    lie at or after its horizon. A running perturbed value per path has the
-    rows subtracted in anchor order, the same float sequence as summing the
+    rho is a row gauge: rho(anchor, paths) gives the gauge from the anchor
+    to each path, in order, none of them ending before the anchor. It is
+    called once per anchor, when the anchor is set, over the paths that
+    compete from then on. A running perturbed value per path has the rows
+    subtracted in anchor order, the same float sequence as summing the
     gauges afresh at every stage. The incumbent is always the last anchor,
     so its row also serves the stop test and the strictness scan.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     net = list(net)
     if not any(p is start for p in net):
         net.append(start)
@@ -84,52 +100,45 @@ def bp_search(
             f"start is not eps-maximal: f(start)={f_start}, max={f_max}, eps={eps}"
         )
 
-    n = len(net)
-    anchors = [start]
-    deltas = [1.0]
-    rows = [[None] * n]  # rows[j][i] = rho(anchors[j], net[i]), filled on demand
-    pert = list(f_vals)  # f minus the gauges of the first done[i] anchors
-    done = [0] * n
+    pert = list(f_vals)  # f minus the gauges of the anchors set so far
+    anchors, deltas, rows = [], [], []  # rows[j]: {net index: gauge of anchor j}
+
+    def set_anchor(i: int) -> list:
+        """Make net[i] the next anchor; return the paths that compete from now on."""
+        floor = net[i].horizon - GRID_TOL
+        competing = [k for k, g in enumerate(net) if g.horizon >= floor]
+        row = [float(r) for r in rho(net[i], [net[k] for k in competing])]
+        if len(row) != len(competing):
+            raise ValueError(f"gauge row has {len(row)} entries for {len(competing)} paths")
+        if any(r < 0.0 for r in row):
+            raise ValueError("gauge returned a negative value")
+        delta = 2.0 ** (-len(deltas))
+        for k, r in zip(competing, row):
+            pert[k] -= delta * r
+        anchors.append(net[i])
+        deltas.append(delta)
+        rows.append(dict(zip(competing, row)))
+        return competing
+
     inc = next(i for i, p in enumerate(net) if p is start)  # incumbent's index
+    competing = set_anchor(inc)
     iterations = 0
-
-    def perturbed(i: int) -> float:
-        g = net[i]
-        for j in range(done[i], len(anchors)):
-            r = rho(anchors[j], g)
-            if r < 0.0:
-                raise ValueError("gauge returned a negative value")
-            rows[j][i] = r
-            pert[i] -= deltas[j] * r
-        done[i] = len(anchors)
-        return pert[i]
-
-    def competitors() -> list:
-        floor = net[inc].horizon - GRID_TOL
-        return [i for i, g in enumerate(net) if g.horizon >= floor]
-
     while iterations < max_anchors:
         iterations += 1
-        best, best_v = inc, perturbed(inc)
-        for i in competitors():
-            v = perturbed(i)
-            if v > best_v:
-                best, best_v = i, v
+        best = inc
+        for i in competing:
+            if pert[i] > pert[best]:
+                best = i
         if net[best] is net[inc] or rows[-1][best] <= _GAUGE_TOL:
             break
-        anchors.append(net[best])
-        deltas.append(2.0 ** (-len(deltas)))
-        rows.append([None] * n)
         inc = best
+        competing = set_anchor(inc)
 
     # strictness over the final functional, distinct paths only
-    final_v = perturbed(inc)
     gap = float("inf")
-    for i in competitors():
-        v = perturbed(i)
-        if rows[-1][i] <= _GAUGE_TOL:
-            continue
-        gap = min(gap, final_v - v)
+    for i in competing:
+        if rows[-1][i] > _GAUGE_TOL:
+            gap = min(gap, pert[inc] - pert[i])
 
     incumbent = net[inc]
     terms = tuple(d * row[inc] for d, row in zip(deltas, rows))

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: spaces, seeded random paths, block
-drifts, level stepping and a time ramp of test functionals."""
+drifts, level stepping, a time ramp of test functionals, and the gauges as
+one-path scalar formulas."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from phjb import Path, SpectralSpace
+from phjb import Path, SpectralSpace, sup_norm
 from phjb.dynamics import step_rows
 
 
@@ -73,3 +75,83 @@ def out_of_block_order(paths) -> tuple:
     later = next(g for g in paths[1:] if g.n_nodes == lead)
     first = next(g for g in paths[: paths.index(later)] if g.n_nodes != lead)
     return first, later
+
+
+# the gauges as one-path scalar code: references for the row forms of
+# phjb.gauge and phjb.variational, independent of their shared kernel
+
+
+def _scalar_a_b(g):
+    end = g.endpoint
+    a = sup_norm(g) ** 2
+    b = float(end @ end)
+    return a, end, b
+
+
+def scalar_upsilon(M, g) -> float:
+    a, _, b = _scalar_a_b(g)
+    if a == 0.0:
+        return 0.0
+    return (a - b) ** 2 / a + M * b
+
+
+def scalar_grad_upsilon(M, g) -> np.ndarray:
+    a, end, b = _scalar_a_b(g)
+    if a == 0.0:
+        return np.zeros(end.shape)
+    return (-4.0 * (a - b) / a) * end + (2.0 * M) * end
+
+
+def scalar_S(g) -> float:
+    a, _, b = _scalar_a_b(g)
+    if a == 0.0:
+        return 0.0
+    return (a - b) ** 2 / a
+
+
+def scalar_grad_S(g) -> np.ndarray:
+    a, end, b = _scalar_a_b(g)
+    if a == 0.0:
+        return np.zeros(g.space.dim)
+    return (-4.0 * (a - b) / a) * end
+
+
+def _scalar_rows(g, m) -> np.ndarray:
+    """The m samples after g's horizon: flat under a zero generator, else
+    along the semigroup."""
+    if g.space.is_zero_generator:
+        return g.samples[-1:].repeat(m, axis=0)
+    j = np.arange(1, m + 1)
+    return np.exp(np.outer(j * g.step, g.space.eigenvalues)) * g.endpoint
+
+
+def scalar_pair_difference(anchor, g) -> Path:
+    late, early = (g, anchor) if anchor.horizon <= g.horizon else (anchor, g)
+    n_early = early.n_nodes
+    out = np.empty_like(late.samples)
+    np.subtract(late.samples[:n_early], early.samples, out=out[:n_early])
+    np.subtract(
+        late.samples[n_early:], _scalar_rows(early, late.n_nodes - n_early), out=out[n_early:]
+    )
+    return Path(late.space, late.step, out)
+
+
+def scalar_upsilon_pair(M, anchor, g, with_time=False) -> float:
+    val = scalar_upsilon(M, scalar_pair_difference(anchor, g))
+    if with_time:
+        val += (g.horizon - anchor.horizon) ** 2
+    return val
+
+
+def scalar_pair_gauge(anchor, g) -> float:
+    return scalar_upsilon_pair(2.0, anchor, g, with_time=True)
+
+
+def scalar_metric_d_infty(g, h) -> float:
+    """|t - s| plus the sup-norm gap of both paths extended to the later horizon."""
+    n = max(g.n_nodes, h.n_nodes)
+    ge = np.vstack([g.samples, _scalar_rows(g, n - g.n_nodes)])
+    he = np.vstack([h.samples, _scalar_rows(h, n - h.n_nodes)])
+    d = ge - he
+    gap = math.sqrt(np.maximum.reduce(np.add.reduce(d * d, axis=1)))
+    return abs(g.horizon - h.horizon) + gap

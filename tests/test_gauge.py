@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
-from conftest import flat_space, make_space, random_path
+from conftest import (
+    flat_space,
+    make_space,
+    random_path,
+    scalar_grad_S,
+    scalar_grad_upsilon,
+    scalar_metric_d_infty,
+    scalar_pair_difference,
+    scalar_S,
+    scalar_upsilon,
+    scalar_upsilon_pair,
+)
 from phjb import (
     Path,
     dupire_derivatives,
     eval_S,
     eval_upsilon,
-    eval_upsilon_pair,
     extend_flat,
     extend_semigroup,
     grad_S,
@@ -18,7 +28,14 @@ from phjb import (
     pair_difference,
     sup_norm,
 )
-from phjb.gauge import pair_difference_rows, upsilon_on_prefixes, upsilon_rows
+from phjb.gauge import (
+    pair_difference_rows,
+    pair_gauge_rows,
+    upsilon_on_prefixes,
+    upsilon_rows,
+)
+from phjb.paths import node_count_blocks
+from phjb.variational import pair_gauge, pair_gauges
 
 SEED = 4242
 
@@ -155,8 +172,8 @@ def test_upsilon_on_prefixes_is_bit_exact_against_each_prefix(M, dim):
         assert len(values) == len(grads) == p.n_nodes - first + 1
         for k, (v, gr) in enumerate(zip(values, grads)):
             q = p.prefix((first - 1 + k) * p.step)
-            assert v == eval_upsilon(M, q)
-            assert np.array_equal(gr, grad_upsilon(M, q))
+            assert v == scalar_upsilon(M, q)
+            assert np.array_equal(gr, scalar_grad_upsilon(M, q))
 
 
 @pytest.mark.parametrize("M", [2.0, 5.0])
@@ -168,7 +185,7 @@ def test_upsilon_rows_is_bit_exact_against_each_path(M, dim):
     S = rng.normal(size=(4000, 3, dim)) * np.exp(rng.uniform(-3, 3, size=(4000, 1, 1)))
     S[:5] = 0.0
     S.flags.writeable = False
-    want = [eval_upsilon(M, Path(sp, 0.25, s)) for s in S]
+    want = [scalar_upsilon(M, Path(sp, 0.25, s)) for s in S]
     assert upsilon_rows(M, S) == want
 
 
@@ -182,7 +199,99 @@ def test_pair_difference_rows_is_bit_exact_against_each_pair(eigenvalues):
         S = np.stack([g.samples for g in paths])
         got = pair_difference_rows(anchor, paths[0], S)
         for row, g in zip(got, paths):
-            assert np.array_equal(row, pair_difference(anchor, g).samples)
+            assert np.array_equal(row, scalar_pair_difference(anchor, g).samples)
+
+
+# one formula per gauge: the row forms against the scalar formulas -------
+
+# (dim, generator): dims 1, 2, 3 and 12 under a zero and a nonzero generator
+FORMULA_SPACES = [
+    [0.0], [-1.0],
+    [0.0, 0.0], [-1.0, -0.4],
+    [0.0, 0.0, 0.0], [-2.0, -0.5, 0.0],
+    [0.0] * 12, list(-np.linspace(0.0, 3.0, 12)),
+]
+
+
+def _bytes(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _formula_paths(rng, sp) -> list:
+    """Random paths of 1 to 9 nodes over six decades of scale, and zero paths
+    (one of them all -0.0)."""
+    paths = [
+        random_path(rng, sp, scale=float(np.exp(rng.uniform(-7.0, 7.0))))
+        for _ in range(80)
+    ]
+    paths += [Path.zero(sp, 0.25, 0.0), Path.zero(sp, 0.25, 1.0)]
+    paths.append(Path(sp, 0.25, -np.zeros((3, sp.dim))))
+    return paths
+
+
+@pytest.mark.parametrize("eigenvalues", FORMULA_SPACES)
+def test_upsilon_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
+    rng = np.random.default_rng(SEED + 20)
+    sp = make_space(eigenvalues)
+    paths = _formula_paths(rng, sp)
+    for p in paths:
+        for M in (0.0, 2.0, 5.0):
+            assert _bytes(eval_upsilon(M, p)) == _bytes(scalar_upsilon(M, p))
+            assert _bytes(grad_upsilon(M, p)) == _bytes(scalar_grad_upsilon(M, p))
+            values, grads = upsilon_on_prefixes(M, p, 1)
+            for k, (v, gr) in enumerate(zip(values, grads)):
+                q = p.prefix(k * p.step)
+                assert _bytes(v) == _bytes(scalar_upsilon(M, q))
+                assert _bytes(gr) == _bytes(scalar_grad_upsilon(M, q))
+        assert _bytes(eval_S(p)) == _bytes(scalar_S(p))
+        # S is Upsilon^0: its gradient adds 0 * gamma(t), which may flip a
+        # zero's sign and nothing else
+        assert np.array_equal(grad_S(p), scalar_grad_S(p))
+    for lo, hi, S in node_count_blocks(paths):
+        assert _bytes(upsilon_rows(2.0, S)) == _bytes(
+            [scalar_upsilon(2.0, p) for p in paths[lo:hi]]
+        )
+
+
+@pytest.mark.parametrize("eigenvalues", FORMULA_SPACES)
+def test_pair_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
+    rng = np.random.default_rng(SEED + 21)
+    sp = make_space(eigenvalues)
+    paths = _formula_paths(rng, sp)
+    for i, g in enumerate(paths):
+        h = paths[(7 * i + 3) % len(paths)]
+        for a, b in ((g, h), (h, g), (g, g)):
+            assert _bytes(pair_difference(a, b).samples) == _bytes(
+                scalar_pair_difference(a, b).samples
+            )
+            assert _bytes(pair_gauge(a, b)) == _bytes(
+                scalar_upsilon_pair(2.0, a, b, with_time=True)
+            )
+            assert _bytes(metric_d_infty(a, b)) == _bytes(scalar_metric_d_infty(a, b))
+    for anchor in paths[:10] + paths[-3:]:
+        later = [g for g in paths if g.n_nodes >= anchor.n_nodes]
+        want = [scalar_upsilon_pair(2.0, anchor, g, with_time=True) for g in later]
+        assert _bytes(pair_gauges(anchor, later)) == _bytes(want)
+        for lo, hi, S in node_count_blocks(later):
+            assert _bytes(pair_gauge_rows(anchor, later[lo], S)) == _bytes(want[lo:hi])
+            assert _bytes(pair_difference_rows(anchor, later[lo], S)) == _bytes(
+                [scalar_pair_difference(anchor, g).samples for g in later[lo:hi]]
+            )
+
+
+def test_a_block_that_ends_before_its_anchor_is_refused():
+    sp = make_space([-1.0])
+    anchor = Path(sp, 0.25, [[0.1], [0.2], [0.3], [0.4]])
+    g = Path(sp, 0.25, [[0.5], [0.6]])
+    with pytest.raises(ValueError, match="2 nodes ends before its anchor of 4 nodes"):
+        pair_difference_rows(anchor, g, g.samples[None])
+    with pytest.raises(ValueError, match="ends before its anchor"):
+        pair_gauge_rows(anchor, g, g.samples[None])
+    with pytest.raises(ValueError, match="ends before its anchor"):
+        pair_gauges(anchor, [anchor, g])
+    # the symmetric one-row forms order the pair themselves
+    assert pair_gauge(anchor, g) == pair_gauge(g, anchor)
+    assert np.array_equal(pair_difference(anchor, g).samples, pair_difference(g, anchor).samples)
 
 
 # pair gauge ------------------------------------------------------------
@@ -194,7 +303,7 @@ def test_pair_difference_equal_horizons():
     h = Path(sp, 0.25, [[0.5], [3.0]])
     d = pair_difference(h, g)
     assert np.allclose(d.samples[:, 0], [0.5, -1.0], atol=1e-15)
-    assert eval_upsilon_pair(2.0, h, g) == eval_upsilon(2.0, g - h)
+    assert pair_gauge(h, g) == eval_upsilon(2.0, g - h)
 
 
 @pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0], [-1.0, -0.4], [-2.0]])
@@ -242,8 +351,8 @@ def test_pair_gauge_symmetric_under_swap():
     for _ in range(100):
         g = random_path(rng, sp)
         h = random_path(rng, sp)
-        ab = eval_upsilon_pair(2.0, g, h, with_time=True)
-        ba = eval_upsilon_pair(2.0, h, g, with_time=True)
+        ab = pair_gauge(g, h)
+        ba = pair_gauge(h, g)
         assert ab == ba
 
 
@@ -254,7 +363,7 @@ def test_gauge_sublevels_control_metric():
     for _ in range(300):
         g = random_path(rng, sp, scale=0.5)
         h = random_path(rng, sp, scale=0.5)
-        delta = eval_upsilon_pair(2.0, g, h, with_time=True)
+        delta = pair_gauge(g, h)
         d = metric_d_infty(g, h)
         assert d <= c_spec * np.sqrt(delta) + 1e-12
         # sharper desk bound, recorded for headroom

@@ -104,6 +104,16 @@ def test_margin_rejects_small_exponent_and_mismatched_horizons():
         _margin(c, 2.0, g, eta_short, u)
 
 
+def test_margin_rejects_a_nan_exponent():
+    space = make_space([-1.0])
+    c = _coeffs(1, lambda S, U: control_column(U))
+    g = Path.constant(space, 0.25, np.array([0.2]), horizon=0.25)
+    eta = Path.constant(space, 0.25, np.array([0.1]), horizon=0.25)
+    u = ControlSignal.constant(1.0, 0.25, 1.0, 0.25)
+    with pytest.raises(ValueError, match="M must be >= 2, got nan"):
+        _margin(c, float("nan"), g, eta, u)
+
+
 @pytest.mark.parametrize("M", [2.0, 5.0])
 def test_margin_batch_stays_above_discretization_floor(M):
     # c0 floor calibrated once on a pilot batch (seed 999): worst margin

@@ -228,6 +228,14 @@ def test_metric_separates_horizons():
     assert metric_d_infty(g, h) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_metric_refuses_paths_on_different_grids():
+    g = Path.constant(flat_space(1), 0.25, [1.0], 0.5)
+    with pytest.raises(ValueError, match="step mismatch"):
+        metric_d_infty(g, Path.constant(flat_space(1), 0.5, [1.0], 0.5))
+    with pytest.raises(ValueError, match="different spaces"):
+        metric_d_infty(g, Path.constant(make_space([-1.0]), 0.25, [1.0], 0.5))
+
+
 # Dupire derivatives ----------------------------------------------------
 
 

@@ -1,17 +1,20 @@
 """Perturbed-maximization search on finite nets."""
 
+import contextlib
+import io
 from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
+from phjb import cli, variational
 from phjb.checks import build_net
 from phjb.config import load_config
 from phjb.paths import GRID_TOL, Path
 from phjb.scenarios import eikonal
-from phjb.variational import BPResult, bp_search, pair_gauge
+from phjb.variational import BPResult, bp_search, pair_gauge, pair_gauges
 
-from conftest import make_space
+from conftest import make_space, scalar_pair_gauge
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +42,13 @@ def test_precondition_guard(setting):
         bp_search(f, net, start, eps=0.01)
     with pytest.raises(ValueError):
         bp_search(f, net, start, eps=-1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_eps_must_be_finite_and_positive(setting, eps):
+    sc, start, net = setting
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        bp_search(lambda p: p.horizon, net, start, eps)
 
 
 def test_at_max_start_terminates_immediately(setting):
@@ -72,14 +82,14 @@ def test_horizon_bonus_run_satisfies_all_postconditions(setting):
 def test_rho_terms_are_those_of_the_gauge_searched_with(setting):
     sc, start, net = setting
 
-    def rho(a, g):  # not the default gauge
-        return 0.5 * pair_gauge(a, g)
+    def rho(a, paths):  # not the default gauge
+        return [0.5 * r for r in pair_gauges(a, paths)]
 
     f = lambda g: g.horizon - pair_gauge(start, g)
     res = bp_search(f, net, start, eps=0.3 * sc.grid.T + 0.1, rho=rho)
     assert len(res.anchors) > 1
     assert res.rho_terms == tuple(
-        d * rho(a, res.maximizer) for a, d in zip(res.anchors, res.deltas)
+        d * rho(a, [res.maximizer])[0] for a, d in zip(res.anchors, res.deltas)
     )
     assert res.sum_rho == sum(res.rho_terms)
     assert res.rho_terms != tuple(
@@ -97,9 +107,12 @@ def test_constant_functional_keeps_the_incumbent(setting):
 
 def test_negative_gauge_is_rejected(setting):
     sc, start, net = setting
-    bad = lambda a, g: -1.0
+    bad = lambda a, paths: [-1.0] * len(paths)
     with pytest.raises(ValueError, match="negative"):
         bp_search(lambda g: 0.0, net, start, eps=0.5, rho=bad)
+    short = lambda a, paths: [0.0] * (len(paths) - 1)
+    with pytest.raises(ValueError, match="entries for"):
+        bp_search(lambda g: 0.0, net, start, eps=0.5, rho=short)
 
 
 def test_anchor_cap_reports_progress_not_a_crash():
@@ -131,9 +144,10 @@ def test_search_is_deterministic(setting):
 # the search against a plain reference --------------------------------
 
 
-def reference_bp_search(f, net, start, eps, *, rho=pair_gauge, delta0=1.0,
+def reference_bp_search(f, net, start, eps, *, rho=scalar_pair_gauge, delta0=1.0,
                         max_anchors=64, gauge_tol=1e-12):
-    """The search summing every anchored gauge afresh at every stage."""
+    """The search summing every anchored gauge afresh at every stage, with
+    the scalar gauge formula of the test suite as its default."""
     net = list(net)
     if not any(p is start for p in net):
         net.append(start)
@@ -203,13 +217,16 @@ def assert_same_result(res, ref):
 
 
 def counting(rho):
-    calls = [0]
+    """rho, counting its calls and the gauges they return."""
+    calls, gauges = [0], [0]
 
-    def counted(a, g):
+    def counted(a, paths):
         calls[0] += 1
-        return rho(a, g)
+        row = rho(a, paths)
+        gauges[0] += len(row)
+        return row
 
-    return counted, calls
+    return counted, calls, gauges
 
 
 @pytest.mark.parametrize("config", ["eikonal", "runmax", "feedback"])
@@ -224,11 +241,12 @@ def test_search_matches_the_reference_with_one_gauge_per_anchor_and_path(config,
         (lambda g: g.horizon - pair_gauge(start, g), 0.3 * (T - t0) + 0.1),
     ]
     for f, eps in modes:
-        rho, calls = counting(pair_gauge)
+        rho, calls, gauges = counting(pair_gauges)
         res = bp_search(f, net, start, eps, rho=rho)
         assert_same_result(res, reference_bp_search(f, net, start, eps))
         k = len(res.anchors)
-        assert calls[0] <= k * len(net) + 2 * k, (calls[0], k, len(net))
+        assert calls[0] == k
+        assert gauges[0] <= k * len(net), (gauges[0], k, len(net))
 
 
 def test_anchor_cap_matches_the_reference():
@@ -243,3 +261,31 @@ def test_anchor_cap_matches_the_reference():
         assert_same_result(
             res, reference_bp_search(f, paths, paths[0], eps=1.0, max_anchors=cap)
         )
+
+
+def test_bp_check_takes_one_gauge_row_per_anchor(monkeypatch):
+    """The bp check makes no scalar gauge call, and each search calls its
+    row gauge once per anchor."""
+    scalar = [0]
+
+    def scalar_gauge(a, g):
+        scalar[0] += 1
+        return pair_gauge(a, g)
+
+    monkeypatch.setattr(variational, "pair_gauge", scalar_gauge)
+    monkeypatch.setattr(cli, "pair_gauge", scalar_gauge, raising=False)
+    searches = []
+
+    def search(f, net, start, eps, **kw):
+        rho, calls, _ = counting(kw.pop("rho") if "rho" in kw else variational.pair_gauges)
+        res = bp_search(f, net, start, eps, rho=rho, **kw)
+        searches.append((calls[0], len(res.anchors)))
+        return res
+
+    monkeypatch.setattr(cli, "bp_search", search)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.execute(str(CONFIGS / "feedback.json"), checks=("bp",), grid=16, seed=0)
+    assert code == 0
+    assert scalar[0] == 0
+    assert len(searches) == 2
+    assert all(calls == anchors for calls, anchors in searches), searches
