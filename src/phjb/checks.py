@@ -439,11 +439,10 @@ def stability_experiment(
     rows = []
     ok = True
     gaps = {}  # (point index, eps) -> gap
+    base = base_table.values(points).tolist()
     for eps in epsilons:
         table = ValueTable(perturbed(coeffs, kind, eps), grid, budget=base_table.budget)
-        for i, g in enumerate(points):
-            v0 = base_table.value(g)
-            v1 = table.value(g)
+        for i, (g, v0, v1) in enumerate(zip(points, base, table.values(points).tolist())):
             gap = v1 - v0
             gaps[(i, eps)] = gap
             row = {"eps": eps, "point": i, "gap": gap, "horizon": g.horizon}

@@ -73,9 +73,9 @@ class Coefficients:
     lipschitz_L : float
         The constant L in the growth/Lipschitz assumptions; finite and > 0.
     state_key : callable, optional
-        Sufficient statistic for the value recursion: S -> list of N
-        hashables. Must be validated against full enumeration before
-        trusting it.
+        Sufficient statistic for the value recursion: S -> (N, k) numeric
+        array; prefixes of one node count whose rows hold the same bytes
+        share a memo entry. Must be validated against full enumeration.
     """
 
     name: str
@@ -84,7 +84,7 @@ class Coefficients:
     running_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     terminal_cost: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
-    state_key: Optional[Callable[[np.ndarray], list]] = None
+    state_key: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if len(self.control_set) == 0:

@@ -54,8 +54,10 @@ def all_finite(a: np.ndarray) -> bool:
 
 def grid_index(t: float, step: float, *, what: str = "time") -> int:
     """Index of t on the grid {0, step, ...}; raises if t is off-grid."""
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not math.isfinite(t):
+        raise ValueError(f"{what} {t!r} is not finite")
     k = int(round(t / step))
     if k < 0 or abs(k * step - t) > GRID_TOL * max(1.0, abs(t)):
         raise ValueError(f"{what} {t!r} is not a grid multiple of step {step!r}")
@@ -92,7 +94,7 @@ class Path:
     space : SpectralSpace
         The ambient state space (supplies the generator).
     step : float
-        Grid spacing, > 0.
+        Grid spacing, finite and > 0.
     samples : np.ndarray
         Shape (k + 1, dim) where horizon = k * step. Stored read-only.
     """
@@ -102,8 +104,8 @@ class Path:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.space.dim:
             raise ValueError(

@@ -80,17 +80,6 @@ def _flat_space(dim: int) -> SpectralSpace:
 # control array
 
 
-def _endpoint_bytes(S: np.ndarray) -> list:
-    """The bytes of the endpoint of the path of each row of S."""
-    raw = np.ascontiguousarray(S[:, -1]).tobytes()
-    width = S.itemsize * S.shape[2]
-    return [raw[i : i + width] for i in range(0, len(raw), width)]
-
-
-def _endpoint_key(S: np.ndarray) -> list:
-    return [(b,) for b in _endpoint_bytes(S)]
-
-
 def _control_column(S: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The control of each row as a one-dimensional drift, an (N, 1) block."""
     return np.asarray(U, dtype=np.float64)[:, None]
@@ -110,7 +99,7 @@ def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         running_cost=_no_cost,
         terminal_cost=lambda S: np.abs(S[:, -1, 0]),
         lipschitz_L=1.0,
-        state_key=_endpoint_key,
+        state_key=lambda S: S[:, -1],
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("eikonal", space, grid, coeffs, initial, eikonal_value)
@@ -126,7 +115,7 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         running_cost=_no_cost,
         terminal_cost=sup_norms,
         lipschitz_L=1.0,
-        state_key=lambda S: list(zip(_endpoint_bytes(S), sup_norms(S).tolist())),
+        state_key=lambda S: np.column_stack([S[:, -1], sup_norms(S)]),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("runmax", space, grid, coeffs, initial, runmax_value)
@@ -167,7 +156,7 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
         running_cost=lambda S, U: _norms(S[:, -1]),
         terminal_cost=lambda S: _norms(S[:, -1]),
         lipschitz_L=2.0,
-        state_key=_endpoint_key,
+        state_key=lambda S: S[:, -1],
     )
     initial = Path.constant(space, step, np.asarray(x0, dtype=float), horizon=0.0)
     return Scenario("feedback", space, grid, coeffs, initial, None)

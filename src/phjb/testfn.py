@@ -181,6 +181,8 @@ class GaugePack:
     label: str = ""
 
     def __post_init__(self):
+        if not self.bound_N > 0.0:  # a NaN bound is refused too
+            raise ValueError(f"bound_N must be > 0, got {self.bound_N}")
         total = 0.0
         for anchor, delta in self.anchors:
             if not (math.isfinite(delta) and delta > 0.0):

@@ -178,8 +178,8 @@ def _resolve(known: np.ndarray, ref: np.ndarray, vals: np.ndarray) -> None:
 class ValueTable:
     """Backward-recursion values over path prefixes, memoized.
 
-    With no declared state_key the memo key is the exact sample bytes, so the
-    recursion is plain brute force with sharing of identical prefixes; a
+    With no declared state_key the memo key holds the exact sample bytes, so
+    the recursion is plain brute force with sharing of identical prefixes; a
     scenario-declared sufficient statistic collapses the tree and must be
     validated against enumeration before being trusted (see
     tests covering the built-in scenarios).
@@ -199,46 +199,45 @@ class ValueTable:
         self.memo: dict = {}
         self.hits = 0
 
-    # one entry per (node count, state key or sample bytes): (value, best control)
+    # one entry per (node count, bytes of the row's statistic): (value, best control)
     def _keys(self, S: np.ndarray) -> list:
-        """The memo key of every row of S, a block of prefixes of one node count."""
-        n = S.shape[1]
-        if self.state_key is not None:
-            return [(n, k) for k in self.state_key(S)]
-        return [(n, s.tobytes()) for s in S]
+        """The memo key of every row of S, a block of prefixes of one node
+        count: the node count and the bytes of the row's statistic, which is
+        the row's samples unless the coefficients declare a state_key."""
+        N, n = S.shape[:2]
+        K = S.reshape(N, -1) if self.state_key is None else self.state_key(S)
+        block = isinstance(K, np.ndarray) and K.ndim == 2 and len(K) == N
+        if not (block and K.dtype.kind in "biuf"):  # an object's bytes are its address
+            got = f"{K.dtype} {K.shape}" if isinstance(K, np.ndarray) else type(K).__name__
+            raise ValueError(f"state_key returned {got}, expected an ({N}, k) numeric array")
+        raw = np.ascontiguousarray(K).tobytes()
+        width = K.itemsize * K.shape[1]
+        return [(n, raw[i * width : (i + 1) * width]) for i in range(N)]
 
-    def _check_budget(self, g: Path) -> None:
-        steps_left = self.grid.n_steps - (g.n_nodes - 1)
-        if self.state_key is None:
-            width = len(self.c.control_set)
-            if width**steps_left > self.budget:
-                raise BudgetExceeded(
-                    f"{width}^{steps_left} control sequences exceed budget "
-                    f"{self.budget}; declare a state_key or coarsen the grid"
-                )
-
-    def _check_root(self, g: Path) -> bool:
-        """Refuse a root prefix beyond T, or a non-terminal one whose tree is
-        over budget; True when g is terminal."""
-        k, n_steps = g.n_nodes - 1, self.grid.n_steps
-        if k > n_steps:
-            raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
-        if k == n_steps:
-            return True
-        self._check_budget(g)
-        return False
+    def _check_root(self, g: Path) -> None:
+        """The one gate of a root prefix: refuse one on another step, one
+        beyond T, or a non-terminal one whose control tree is over budget
+        without a state_key."""
+        grid = self.grid
+        if abs(g.step - grid.step) > GRID_TOL:
+            raise ValueError(f"prefix step {g.step} is not the grid step {grid.step}")
+        steps_left = grid.n_steps - (g.n_nodes - 1)
+        if steps_left < 0:
+            raise ValueError(f"prefix horizon {g.horizon} beyond T {grid.T}")
+        width = len(self.c.control_set)
+        if self.state_key is None and steps_left > 0 and width**steps_left > self.budget:
+            raise BudgetExceeded(
+                f"{width}^{steps_left} control sequences exceed budget "
+                f"{self.budget}; declare a state_key or coarsen the grid"
+            )
 
     def entry(self, g: Path) -> tuple[float, object]:
-        S = g.samples[None]
-        if self._check_root(g):
-            return float(self._values(g, S)[0]), None
-        key = self._keys(S)[0]
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self._expand(g, S, [key])
-        return self.memo[key]
+        """V(g) and the first optimal control at g (None at T): the one-row
+        case of `values`, with the control stored in the memo."""
+        v = self.values([g])[0]
+        if g.n_nodes - 1 == self.grid.n_steps:
+            return float(v), None
+        return self.memo[self._keys(g.samples[None])[0]]
 
     def _values(self, proto: Path, S: np.ndarray) -> np.ndarray:
         """V of every row of S, a read-only block of prefixes of one node count
@@ -246,8 +245,8 @@ class ValueTable:
 
         Terminal rows are priced by the terminal cost. Otherwise each row is
         looked up in the memo, and a row whose key is in the memo or earlier
-        in S counts as a hit, as `entry` would count it; the first row to
-        carry each missing key is expanded.
+        in S counts as a hit, as `value` on each row in turn would count it;
+        the first row to carry each missing key is expanded.
         """
         if S.shape[1] - 1 == self.grid.n_steps:
             return _costs(self.c.terminal_cost(S), len(S), "terminal_cost")
@@ -368,18 +367,19 @@ class ValueTable:
     def values(self, paths) -> np.ndarray:
         """`value` of every path, in order, as one float array.
 
-        The paths share a space and step, as the paths of a net do. Each run
-        of consecutive paths with one node count is valued as one block by
-        `_values`, in order, so the first path to carry a key is the one
-        expanded: values, memo entries, argmins and hits are those that
-        `value` on each path in turn gives. A run is refused as `entry`
-        refuses its first path, after the runs before it are valued.
+        The paths share a space and the table's step, as the paths of a net
+        do. Each run of consecutive paths with one node count is valued as
+        one block by `_values`, in order, so the first path to carry a key
+        is the one expanded: values, memo entries, argmins and hits are
+        those that `value` on each path in turn gives. A run holding a path
+        that `_check_root` refuses is refused, after the runs before it are
+        valued.
         """
         out = np.empty(len(paths))
         for lo, hi, S in node_count_blocks(paths):
-            g = paths[lo]
-            self._check_root(g)
-            out[lo:hi] = self._values(g, S)
+            for g in paths[lo:hi]:
+                self._check_root(g)
+            out[lo:hi] = self._values(paths[lo], S)
         return out
 
     def policy(self, g: Path) -> tuple[ControlSignal, Path]:
@@ -473,23 +473,28 @@ def verify_value_regularity(
     rng = np.random.default_rng(seed)
     if paths is None:
         paths = [random_prefix(rng, space, grid) for _ in range(30)]
+    bumps = [vertical_bump(g, rng.normal(0.0, 1.0, size=space.dim)) for g in paths]
+    gaps = [sup_norm(g - eta) for g, eta in zip(paths, bumps)]
+    # by path index: the vertical companion at the same horizon, and the
+    # one-step semigroup extension in time, where each is taken
+    bumped = {i: eta for i, eta in enumerate(bumps) if gaps[i] > 1e-12}
+    extended = {
+        i: extend_semigroup(g, min(g.horizon + grid.step, grid.T))
+        for i, g in enumerate(paths)
+        if g.horizon + grid.step <= grid.T + GRID_TOL
+    }
+    vg = table.values(paths).tolist()
+    ve = dict(zip(bumped, table.values(list(bumped.values())).tolist()))
+    vx = dict(zip(extended, table.values(list(extended.values())).tolist()))
     consts = {"growth": 0.0, "space": 0.0, "time": 0.0}
-    for g in paths:
-        vg = table.value(g)
+    for i, g in enumerate(paths):
         ng = sup_norm(g)
-        consts["growth"] = max(consts["growth"], abs(vg) / (1.0 + ng))
-        # vertical companion at the same horizon
-        bump = rng.normal(0.0, 1.0, size=space.dim)
-        eta = vertical_bump(g, bump)
-        gap = sup_norm(g - eta)
-        if gap > 1e-12:
-            consts["space"] = max(consts["space"], abs(vg - table.value(eta)) / gap)
-        # one-step semigroup extension in time
-        tbar = g.horizon + grid.step
-        if tbar <= grid.T + GRID_TOL:
-            ve = table.value(extend_semigroup(g, min(tbar, grid.T)))
+        consts["growth"] = max(consts["growth"], abs(vg[i]) / (1.0 + ng))
+        if i in ve:
+            consts["space"] = max(consts["space"], abs(vg[i] - ve[i]) / gaps[i])
+        if i in vx:
             consts["time"] = max(
-                consts["time"], abs(ve - vg) / ((1.0 + ng) * grid.step)
+                consts["time"], abs(vx[i] - vg[i]) / ((1.0 + ng) * grid.step)
             )
     return RegularityReport(
         coefficients=table.c.name,

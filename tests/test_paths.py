@@ -14,7 +14,7 @@ from phjb import (
     sup_norm,
     vertical_bump,
 )
-from phjb.paths import prefix_sup_norms
+from phjb.paths import grid_index, prefix_sup_norms
 
 SEED = 907
 
@@ -31,6 +31,24 @@ def test_time_grid_counts():
 def test_time_grid_rejects_non_multiple():
     with pytest.raises(ValueError):
         TimeGrid(T=1.0, step=0.3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TimeGrid(T=1.0, step=np.inf),
+        lambda: TimeGrid(T=np.inf, step=0.25),
+        lambda: TimeGrid(T=np.nan, step=0.25),
+        lambda: grid_index(0.5, np.inf),
+        lambda: grid_index(np.inf, 0.25),
+        lambda: grid_index(np.nan, 0.25),
+        lambda: Path(flat_space(1), np.nan, np.zeros((2, 1))),
+        lambda: Path(flat_space(1), np.inf, np.zeros((2, 1))),
+    ],
+)
+def test_non_finite_times_and_steps_are_refused(make):
+    with pytest.raises(ValueError, match="not finite|finite and > 0"):
+        make()
 
 
 def test_horizon_derived_from_sample_count():

@@ -63,19 +63,19 @@ SCALAR_FORMS = {
         drift=lambda g, u: np.array([u]),
         running_cost=lambda g, u: 0.0,
         terminal_cost=lambda g: abs(float(g.endpoint[0])),
-        state_key=lambda g: (g.samples[-1].tobytes(),),
+        state_key=lambda g: g.samples[-1],
     ),
     "runmax": dict(
         drift=lambda g, u: np.array([u]),
         running_cost=lambda g, u: 0.0,
         terminal_cost=sup_norm,
-        state_key=lambda g: (g.samples[-1].tobytes(), float(sup_norm(g))),
+        state_key=lambda g: np.array([*g.samples[-1], sup_norm(g)]),
     ),
     "feedback": dict(
         drift=lambda g, u: u * _E1 - _retract(g.endpoint),
         running_cost=lambda g, u: _norm(g.endpoint),
         terminal_cost=lambda g: _norm(g.endpoint),
-        state_key=lambda g: (g.samples[-1].tobytes(),),
+        state_key=lambda g: g.samples[-1],
     ),
 }
 
@@ -98,6 +98,11 @@ def _scalar_perturbed(forms, kind, eps):
     return out
 
 
+def _as_bytes(K):
+    """A statistic block as the memo compares it: its shape and its bytes."""
+    return K.shape, np.ascontiguousarray(K).tobytes()
+
+
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("kind", [None, "phi_shift", "q_shift", "drift_shift"])
 def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
@@ -114,18 +119,18 @@ def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
     )
     q = np.array([float(scalar["running_cost"](p, u)) for p, u in zip(paths, U.tolist())])
     phi = np.array([float(scalar["terminal_cost"](p)) for p in paths])
-    keys = [scalar["state_key"](p) for p in paths]
+    keys = np.array([scalar["state_key"](p) for p in paths])  # one statistic row a path
     assert np.asarray(c.drift(S, U), dtype=float).tobytes() == drift.tobytes()
     assert np.asarray(c.running_cost(S, U), dtype=float).tobytes() == q.tobytes()
     assert np.asarray(c.terminal_cost(S), dtype=float).tobytes() == phi.tobytes()
-    assert repr(c.state_key(S)) == repr(keys)  # repr tells -0.0 from 0.0
+    assert _as_bytes(c.state_key(S)) == _as_bytes(keys)  # bytes tell -0.0 from 0.0
     # a single path is the one-row block
     for i in range(0, len(S), 37):
         one, u = S[i : i + 1], U[i : i + 1]
         assert np.asarray(c.drift(one, u), dtype=float).tobytes() == drift[i : i + 1].tobytes()
         assert np.asarray(c.running_cost(one, u), dtype=float).tobytes() == q[i : i + 1].tobytes()
         assert np.asarray(c.terminal_cost(one), dtype=float).tobytes() == phi[i : i + 1].tobytes()
-        assert repr(c.state_key(one)) == repr(keys[i : i + 1])
+        assert _as_bytes(c.state_key(one)) == _as_bytes(keys[i : i + 1])
 
 
 def test_block_norm_matches_the_scalar_dot():
@@ -373,6 +378,13 @@ def test_pack_bound_caps_weights_and_anchors():
     far = Path.constant(space, 0.25, np.array([5.0]), horizon=0.25)
     with pytest.raises(ValueError):
         GaugePack(anchors=((far, 1.0),), bound_N=2.0)
+
+
+@pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0])
+def test_pack_bound_must_be_positive(bound):
+    far = Path.constant(make_space([0.0]), 0.25, np.array([5.0]), horizon=0.25)
+    with pytest.raises(ValueError, match="bound_N must be > 0"):
+        GaugePack(anchors=((far, 5.0),), bound_N=bound)
 
 
 # certificate libraries --------------------------------------------------

@@ -74,3 +74,20 @@ def test_unknown_perturbation_kind_rejected():
     sc = eikonal()
     with pytest.raises(ValueError):
         perturbed(sc.coefficients, "noise", 0.1)
+
+
+def test_each_table_values_the_points_in_one_call(monkeypatch):
+    tables = []
+    values = ValueTable.values
+
+    def counting(self, paths):
+        tables.append(self)
+        return values(self, paths)
+
+    monkeypatch.setattr(ValueTable, "values", counting)
+    monkeypatch.setattr(ValueTable, "entry", None)  # no path is valued alone
+    sc = feedback()
+    base = _table(sc)
+    rep = stability_experiment(base, "q_shift", (0.1, 0.02), _points(sc))
+    assert rep.passed
+    assert len(tables) == 3 and tables[0] is base and len(set(map(id, tables))) == 3

@@ -28,6 +28,7 @@ from phjb.value import (
     cost_J,
     hamiltonian,
     verify_dpp_consistency,
+    verify_value_regularity,
 )
 
 from conftest import level_children
@@ -229,6 +230,72 @@ def test_budget_guard_also_watches_memo_growth():
         ValueTable(sc.coefficients, sc.grid, budget=10).value(sc.initial)
 
 
+def test_a_root_on_another_step_is_refused():
+    sc = eikonal()  # grid step 0.25
+    table = ValueTable(sc.coefficients, sc.grid)
+    coarse = Path(sc.space, 0.5, [[1.6]])  # valued 0.1, and run to horizon 2.0, if let in
+    fine = Path(sc.space, sc.grid.step, [[1.6], [1.6]])
+    calls = [
+        lambda: table.value(coarse),
+        lambda: table.policy(coarse),
+        # the path is not the first of its node-count run
+        lambda: table.values([sc.initial, fine, Path(sc.space, 0.5, [[1.6], [1.6]])]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="step 0.5 is not the grid step 0.25"):
+            call()
+
+
+# memo keys ---------------------------------------------------------------
+
+
+_STATISTIC_BYTES = {"eikonal": 8, "runmax": 16, "feedback": 16}
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("keyed", [True, False])
+def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keyed):
+    sc = build()
+    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
+    table = ValueTable(c, sc.grid)
+    table.value(sc.initial)
+    assert len(table.memo) > 0
+    for n, raw in table.memo:
+        assert type(n) is int and type(raw) is bytes
+        assert len(raw) == (_STATISTIC_BYTES[sc.name] if keyed else n * sc.space.dim * 8)
+
+
+@pytest.mark.parametrize(
+    "state_key",
+    [
+        lambda S: [s.tobytes() for s in S[:, -1]],  # a list
+        lambda S: S[:, -1, 0],  # one dimension
+        lambda S: S[:1, -1],  # one row for any block
+        lambda S: S[:, -1].astype(object),  # objects, whose bytes are addresses
+    ],
+)
+def test_a_statistic_that_is_not_a_numeric_row_block_is_refused(state_key):
+    sc = eikonal()
+    table = ValueTable(replace(sc.coefficients, state_key=state_key), sc.grid)
+    with pytest.raises(ValueError, match="state_key returned"):
+        table.value(sc.initial)
+
+
+def test_regularity_values_three_lists_and_calls_no_entry(monkeypatch):
+    calls = Counter()
+    for name in ("entry", "values"):
+
+        def counting(self, arg, _real=getattr(ValueTable, name), _name=name):
+            calls[_name] += 1
+            return _real(self, arg)
+
+        monkeypatch.setattr(ValueTable, name, counting)
+    sc = eikonal(step=0.125)
+    rep = verify_value_regularity(ValueTable(sc.coefficients, sc.grid), sc.space, seed=0)
+    assert rep.n_samples == 30 and rep.passed
+    assert calls == Counter(values=3)
+
+
 def test_dpp_enumeration_is_refused_beyond_the_budget():
     sc = eikonal(step=1.0 / 8)
     table = ValueTable(sc.coefficients, sc.grid, budget=1000)
@@ -256,12 +323,9 @@ class NodeByNodeTable(ValueTable):
     prefix at a time, depth-first, in control order."""
 
     def entry(self, g: Path) -> tuple[float, object]:
-        k, n_steps = g.n_nodes - 1, self.grid.n_steps
-        if k > n_steps:
-            raise ValueError(f"prefix horizon {g.horizon} beyond T {self.grid.T}")
-        if k == n_steps:
+        self._check_root(g)
+        if g.n_nodes - 1 == self.grid.n_steps:
             return _phi(self.c, g), None
-        self._check_budget(g)
         key = self._keys(g.samples[None])[0]
         hit = self.memo.get(key)
         if hit is not None:
