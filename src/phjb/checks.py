@@ -24,6 +24,8 @@ from .dynamics import (
     _Refused,
     _control_array,
     _drift_rows,
+    _one_row,
+    _terminal_cost,
     by_node_count,
     mild_solve,
     solve_rows,
@@ -84,8 +86,8 @@ def ito_residual(
     def integrand(prefix: Path, ctrl: float) -> float:
         dx = np.asarray(phi.dx(prefix), dtype=float)
         adj = float(space.adjoint_apply(dx) @ prefix.endpoint)
-        f = coeffs.drift(prefix.samples[None], _control_array((ctrl,)))
-        drive = float(dx @ np.asarray(f, dtype=np.float64)[0])
+        f = _one_row(_drift_rows, coeffs, prefix.samples[None], _control_array((ctrl,)))
+        drive = float(dx @ f[0])
         return float(phi.dt(prefix)) + adj + drive
 
     start = g.n_nodes - 1
@@ -122,11 +124,11 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     contribution (grad Upsilon^M, A y) = (y, A y) [2M - 4(a-b)/a] is only
     signed then.
 
-    The flows of the cases whose g share a node count and whose u share a
-    length are solved as one block, and the coupling drift is evaluated on
-    that block a node at a time. The margins are then summed case by case,
-    each equal to the one-case computation bit for bit, and a refusal is
-    the first that one case at a time raises.
+    The flows of the cases whose g share a node count are solved as one
+    block (case by case when their signals differ in length), and the
+    coupling drift is evaluated on that block a node at a time. The margins
+    are then summed case by case, each equal to the one-case computation
+    bit for bit, and a refusal is the first that one case at a time raises.
     """
 
     def flows(rows, S):
@@ -147,9 +149,8 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
         return [(proto._trusted(x), [(f0[r], f1[r]) for f0, f1 in ends]) for r, x in enumerate(X)]
 
     starts = [g for _, g, _, _ in cases]
-    keys = [(g.n_nodes, len(u.values)) for _, g, _, u in cases]
     results = []
-    for (M, g, eta, u), (traj, ends) in zip(cases, by_node_count(flows, starts, keys)):
+    for (M, g, eta, u), (traj, ends) in zip(cases, by_node_count(flows, starts)):
         # y = X - (eta extended along the semigroup) over the whole run at
         # once: a shorter extension is a prefix of the longer one row for
         # row, so the gauge at node k is that of a prefix of y, bit-identical
@@ -217,6 +218,17 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
                 noise = rng.normal(scale=r, size=base.samples.shape)
                 net.append(Path(space, h, base.samples + noise))
     return net
+
+
+# the equation operator ------------------------------------------------
+
+
+def _operator(coeffs: Coefficients, g: Path, dt: float, dx: np.ndarray) -> tuple:
+    """E(psi) at g from psi's derivatives dt and dx, with its three terms:
+    (dt + (A* dx, gamma(t))) + min_u [ (dx, F) + q ]."""
+    adj = float(g.space.adjoint_apply(dx) @ g.endpoint)
+    hmin, _ = hamiltonian(coeffs, g, dx)
+    return dt + adj + hmin, {"dt": dt, "adjoint": adj, "hamiltonian": hmin}
 
 
 # viscosity-style point check ------------------------------------------
@@ -302,9 +314,7 @@ def viscosity_check(
 
     psi_dt = sgn * (float(phi.dt(point)) + pack.dt(point))
     psi_dx = sgn * (np.asarray(phi.dx(point), dtype=float) + pack.dx(point))
-    adj = float(point.space.adjoint_apply(psi_dx) @ point.endpoint)
-    hmin, _ = hamiltonian(coeffs, point, psi_dx, minimize=True)
-    margin = psi_dt + adj + hmin
+    margin, terms = _operator(coeffs, point, psi_dt, psi_dx)
     inequality_ok = margin >= -tol if side == "sub" else margin <= tol
     return ViscosityResult(
         side=side,
@@ -317,7 +327,7 @@ def viscosity_check(
         inequality_ok=inequality_ok,
         passed=premise_ok and inequality_ok,
         net_size=len(net),
-        terms={"dt": psi_dt, "adjoint": adj, "hamiltonian": hmin},
+        terms=terms,
     )
 
 
@@ -352,7 +362,7 @@ def classical_check(
     ok = True
     for g in points:
         if g.horizon >= t_final - GRID_TOL:
-            gap = abs(float(w.value(g)) - float(coeffs.terminal_cost(g.samples[None])[0]))
+            gap = abs(float(w.value(g)) - _terminal_cost(coeffs, g))
             rows.append({"horizon": g.horizon, "kind": "terminal", "gap": gap})
             ok = ok and gap <= tol
             continue
@@ -360,10 +370,7 @@ def classical_check(
             rows.append({"horizon": g.horizon, "kind": "kink", "gap": float("nan")})
             n_flagged += 1
             continue
-        dx = np.asarray(w.dx(g), dtype=float)
-        adj = float(g.space.adjoint_apply(dx) @ g.endpoint)
-        hmin, _ = hamiltonian(coeffs, g, dx, minimize=True)
-        res = float(w.dt(g)) + adj + hmin
+        res, _ = _operator(coeffs, g, float(w.dt(g)), np.asarray(w.dx(g), dtype=float))
         rows.append({"horizon": g.horizon, "kind": "interior", "gap": res})
         max_res = max(max_res, abs(res))
         n_interior += 1

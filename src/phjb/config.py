@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .paths import Path, TimeGrid
-from .scenarios import SCENARIOS, Scenario
+from .scenarios import SCENARIOS, Scenario, has_certificates
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "KNOWN_CHECKS"]
 
@@ -89,13 +89,20 @@ class RunConfig:
     doc: dict
 
 
-def check_names(names) -> tuple:
-    """The check names as a tuple, refused unless a non-empty list of known ones."""
+def check_names(names, scenario: Scenario) -> tuple:
+    """The check names as a tuple, refused unless a non-empty list of known
+    ones that the scenario can run: viscosity and classical need its
+    certificate library."""
     if not isinstance(names, (list, tuple)) or not names:
         raise ConfigError("checks", "must be a non-empty list")
     for c in names:
         if c not in KNOWN_CHECKS:
             raise ConfigError("checks", f"unknown check {c!r}")
+    if not has_certificates(scenario) and any(c in ("viscosity", "classical") for c in names):
+        raise ConfigError(
+            "checks",
+            f"{scenario.name} has no certificate library; viscosity/classical unavailable",
+        )
     return tuple(names)
 
 
@@ -185,7 +192,7 @@ def parse_config(
     if seed_val < 0:
         raise ConfigError("seed", f"must be >= 0, got {seed_val}")
 
-    checks = check_names(doc.get("checks", ["hypothesis", "value", "dpp"]))
+    checks = check_names(doc.get("checks", ["hypothesis", "value", "dpp"]), sc)
 
     eps_doc = doc.get("epsilons", ["0.1", "0.05", "0.025"])
     if not isinstance(eps_doc, list) or not eps_doc:

@@ -24,9 +24,11 @@ from .paths import (
     Path,
     TimeGrid,
     all_finite,
+    carried,
     extend_semigroup,
     metric_d_infty,
     sup_norm,
+    sup_norms,
 )
 
 __all__ = [
@@ -182,6 +184,11 @@ def _costs(values, n: int, what: str) -> np.ndarray:
     return out
 
 
+def _terminal_cost(c: Coefficients, g: Path) -> float:
+    """phi of one path: the one-row block terminal cost, with its shape checked."""
+    return float(_costs(c.terminal_cost(g.samples[None]), 1, "terminal_cost")[0])
+
+
 def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
     """Every row of S, a read-only (N, n, dim) block of prefixes on proto's
     space and step, advanced one grid step under its control U[i], as a
@@ -249,12 +256,14 @@ def solve_rows(c: Coefficients, proto: Path, P: np.ndarray, signals) -> np.ndarr
 
     P is a read-only (N, n, dim) block of prefixes on proto's space and
     step, and signals[i], a ControlSignal starting at their horizon, drives
-    row i; the signals have one length m. Returns the read-only
-    (N, n + m, dim) block of trajectories; row i equals
-    `mild_solve(c, P[i], signals[i])` bit for bit. A misaligned signal or a
-    refused step raises `_Refused`.
+    row i. Returns the read-only (N, n + m, dim) block of trajectories,
+    where m is the signals' one length; row i equals
+    `mild_solve(c, P[i], signals[i])` bit for bit. Signals of unequal
+    length, a misaligned signal or a refused step raise `_Refused`.
     """
     t = proto.step * (P.shape[1] - 1)
+    if len({len(u.values) for u in signals}) > 1:
+        raise _Refused(ValueError("control signals differ in length"))
     for u in signals:
         if abs(u.start - t) > GRID_TOL * max(1.0, t):
             raise _Refused(ValueError(f"control starts at {u.start}, prefix ends at {t}"))
@@ -274,19 +283,18 @@ def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
     return g._trusted(_one_row(solve_rows, c, g, g.samples[None], [u])[0])
 
 
-def by_node_count(fn, paths, keys=None) -> list:
+def by_node_count(fn, paths) -> list:
     """fn over the paths a block at a time, as one result per path in order.
 
-    The paths share a space and step. Those with one node count (and one
-    keys[i], when keys are given) form a group, and fn(rows, S) returns the
-    results of the paths at the indices `rows`, whose samples are stacked
-    into the read-only block S. When fn refuses a block, it is run on each
-    path alone, in order, so the error raised is the first that one path at
-    a time raises.
+    The paths share a space and step. Those with one node count form a
+    group, and fn(rows, S) returns the results of the paths at the indices
+    `rows`, whose samples are stacked into the read-only block S. When fn
+    refuses a block, it is run on each path alone, in order, so the error
+    raised is the first that one path at a time raises.
     """
     groups: dict = {}
     for i, g in enumerate(paths):
-        groups.setdefault(g.n_nodes if keys is None else keys[i], []).append(i)
+        groups.setdefault(g.n_nodes, []).append(i)
     out = [None] * len(paths)
     try:
         for rows in groups.values():
@@ -315,8 +323,6 @@ def random_prefix(
     n = int(rng.integers(min_nodes, n_max + 1))
     steps = rng.normal(0.0, scale * np.sqrt(grid.step), size=(n - 1, space.dim))
     start = rng.normal(0.0, scale, size=(1, space.dim))
-    if n == 1:
-        return Path(space, grid.step, start)
     samples = np.vstack([start, start + np.cumsum(steps, axis=0)])
     return Path(space, grid.step, samples)
 
@@ -350,8 +356,9 @@ def validate_hypothesis(
 
     Every pair is drawn first. The drift and running cost of each prefix
     under each control are then priced a node-count block at a time, and
-    the terminal cost of every extension to T as one block; the ratios are
-    taken pair by pair. The report never raises on a violation; callers
+    every prefix is carried along the semigroup to T in one block, whose
+    terminal costs and sup norms are each one call; the ratios are taken
+    pair by pair. The report never raises on a violation; callers
     read `passed`.
     """
     rng = np.random.default_rng(seed)
@@ -375,14 +382,16 @@ def validate_hypothesis(
         f = _finite_drift(c, grid.step, S, U, units[rows[0]][1])
         return list(zip(f, _costs(c.running_cost(S, U), len(S), "running_cost").tolist()))
 
-    def terminal(rows, Z):
-        return _costs(c.terminal_cost(Z), len(Z), "terminal_cost").tolist()
-
     priced = iter(by_node_count(price, [x for x, _ in units]))
-    ends = [(extend_semigroup(g, grid.T), extend_semigroup(h, grid.T)) for g, h in pairs]
-    phis = iter(by_node_count(terminal, [z for pair in ends for z in pair]))
+    # every prefix carried along the semigroup to T, pair by pair, as one block
+    n = grid.n_steps + 1
+    Z = np.array([carried(x, n) for pair in pairs for x in pair]).reshape(-1, n, space.dim)
+    Z.flags.writeable = False
+    phis = _costs(c.terminal_cost(Z), len(Z), "terminal_cost").tolist()
+    G, H = Z[0::2], Z[1::2]
+    ends = zip(phis[0::2], phis[1::2], sup_norms(G).tolist(), sup_norms(G - H).tolist())
 
-    for (g, h), (zg, zh) in zip(pairs, ends):
+    for (g, h), (pg, ph, nz, gap) in zip(pairs, ends):
         d = metric_d_infty(g, h)
         ng = sup_norm(g)
         for _ in c.control_set:
@@ -391,9 +400,8 @@ def validate_hypothesis(
             bump("lip_F", float(np.linalg.norm(fg - fh)), L * d)
             bump("growth_q", abs(qg), L * (1.0 + ng))
             bump("lip_q", abs(qg - qh), L * d)
-        pg, ph = next(phis), next(phis)
-        bump("growth_phi", abs(pg), L * (1.0 + sup_norm(zg)))
-        bump("lip_phi", abs(pg - ph), L * sup_norm(zg - zh))
+        bump("growth_phi", abs(pg), L * (1.0 + nz))
+        bump("lip_phi", abs(pg - ph), L * gap)
 
     return HypothesisReport(coefficients=c.name, n_pairs=n_pairs, ratios=worst)
 

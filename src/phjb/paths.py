@@ -118,26 +118,6 @@ class Path:
 
     # -- constructors ----------------------------------------------------
 
-    def _extended(self, rows: np.ndarray) -> "Path":
-        """This path followed by the (m, dim) block `rows`, validating only `rows`.
-
-        The prefix already holds finite, read-only float64 samples, so it is
-        copied into the new buffer without the full copy and rescan that
-        `__post_init__` would make.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        old = self.samples
-        n, dim = old.shape
-        if rows.ndim != 2 or rows.shape[1] != dim:
-            raise ValueError(f"new samples shape {rows.shape}, expected (m, {dim})")
-        if not all_finite(rows):
-            raise ValueError("samples must be finite")
-        arr = np.empty((n + rows.shape[0], dim))
-        arr[:n] = old
-        arr[n:] = rows
-        arr.flags.writeable = False
-        return self._trusted(arr)
-
     def _sealed(self, samples: np.ndarray) -> "Path":
         """A path on this path's space and step over `samples`, a fresh float64
         (k + 1, dim) array that nothing else writes to: checked finite once,
@@ -247,31 +227,33 @@ def vertical_bump(g: Path, h) -> Path:
     return Path(g.space, g.step, arr)
 
 
+def _extension(g: Path, tbar: float, rows: Callable[[int], np.ndarray]) -> Path:
+    """g extended to horizon tbar: rows(n) is the fresh (n, dim) array of
+    the extended samples, finite because g's are, wrapped read-only as it is."""
+    k_new = grid_index(tbar, g.step, what="tbar")
+    if k_new < g.n_nodes - 1:
+        raise ValueError(f"tbar {tbar} precedes horizon {g.horizon}")
+    if k_new == g.n_nodes - 1:
+        return g
+    out = rows(k_new + 1)
+    out.flags.writeable = False
+    return g._trusted(out)
+
+
 def extend_flat(g: Path, tbar: float) -> Path:
     """Extend to horizon tbar holding the endpoint constant."""
-    k_new = grid_index(tbar, g.step, what="tbar")
-    k_old = g.n_nodes - 1
-    if k_new < k_old:
-        raise ValueError(f"tbar {tbar} precedes horizon {g.horizon}")
-    if k_new == k_old:
-        return g
-    return g._extended(g.samples[-1:].repeat(k_new - k_old, axis=0))
+    return _extension(g, tbar, lambda n: g.samples[np.minimum(np.arange(n), g.n_nodes - 1)])
 
 
 def extend_semigroup(g: Path, tbar: float) -> Path:
     """Extend to horizon tbar along the semigroup, s -> e^{(s-t)A} gamma(t)."""
-    k_new = grid_index(tbar, g.step, what="tbar")
-    k_old = g.n_nodes - 1
-    if k_new < k_old:
-        raise ValueError(f"tbar {tbar} precedes horizon {g.horizon}")
-    if k_new == k_old:
-        return g
-    return g._extended(semigroup_rows(g, k_new - k_old))
+    return _extension(g, tbar, lambda n: carried(g, n))
 
 
 def semigroup_rows(g: Path, m: int) -> np.ndarray:
     """The m samples after g's horizon along the semigroup, e^{j step A} gamma(t)
-    for j = 1..m, as an (m, dim) block; callers validate what they build.
+    for j = 1..m, as an (m, dim) block. The factors lie in [0, 1] (the
+    eigenvalues are <= 0), so the rows of a finite endpoint are finite.
     Under a zero generator these are copies of the endpoint, which is what
     the exponential gives too (e^0 = 1 exactly), without computing it."""
     if g.space.is_zero_generator:

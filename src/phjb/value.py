@@ -23,6 +23,9 @@ from .dynamics import (
     ControlSignal,
     _control_array,
     _costs,
+    _drift_rows,
+    _one_row,
+    _terminal_cost,
     mild_solve,
     random_prefix,
     step_once,
@@ -64,31 +67,31 @@ def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
     """
     traj = mild_solve(c, g, u)
     nodes = [traj._head(k) for k in range(g.n_nodes, traj.n_nodes + 1)]
-    total = float(c.terminal_cost(traj.samples[None])[0])
+    total = _terminal_cost(c, traj)
     for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
         total = _interval_cost(c, prefix, nxt, uk) + total
     return total
 
 
-def hamiltonian(c: Coefficients, g: Path, p, *, minimize: bool = False):
-    """max_u [ (p, F(gamma,u)) + q(gamma,u) ] with the achieving control.
+def hamiltonian(c: Coefficients, g: Path, p):
+    """min_u [ (p, F(gamma,u)) + q(gamma,u) ] with the achieving control.
 
-    Ties break toward the earliest control in c.control_set. minimize=True
-    returns the min form, which is the one the dynamic-programming equation
-    of a minimized cost satisfies; the equation-side checks use that form.
+    This is the min form, the Hamiltonian that the dynamic-programming
+    equation of a minimized cost satisfies. The W controls are priced as
+    one block of rows, checked as the value recursion checks its blocks,
+    and ties break toward the earliest control in c.control_set, as the
+    recursion's `_first_minima` breaks them.
     """
     p = g.space.check_vector(p)
-    S = g.samples[None].repeat(len(c.control_set), axis=0)
+    W = len(c.control_set)
+    S = g.samples[None].repeat(W, axis=0)
     U = _control_array(c.control_set)
-    F = np.asarray(c.drift(S, U), dtype=np.float64)
-    q = c.running_cost(S, U)
-    best_val: Optional[float] = None
-    best_u = None
-    for u, f, qu in zip(c.control_set, F, q):
-        val = float(p @ f) + float(qu)
-        if best_val is None or (val < best_val if minimize else val > best_val):
-            best_val, best_u = val, u
-    return best_val, best_u
+    F = _one_row(_drift_rows, c, S, U)
+    q = _costs(c.running_cost(S, U), W, "running_cost")
+    # the stacked row-by-column product reduces each row with the routine of `p @ f`
+    vals = (p[None, None, :] @ F[:, :, None])[:, 0, 0] + q
+    j = _first_minima(vals[None])[0]
+    return float(vals[j]), c.control_set[j]
 
 
 # -- exact DPP value -----------------------------------------------------
@@ -116,19 +119,14 @@ def _step_costs(c: Coefficients, h: float, S, U, X) -> np.ndarray:
 
 def _first_minima(vals: np.ndarray) -> list:
     """For each row of a (B, W) array, the index that a strict `<` scan in
-    order picks, as the one-at-a-time recursion picked it. On finite rows
-    that is argmin's first minimum; where any value is not finite, the rows
-    are scanned that way, so a NaN is kept or passed over as it was."""
+    order picks, as the one-at-a-time recursion picked it: argmin's first
+    minimum, with a NaN passed over, and 0 in a row that starts with NaN."""
     if all_finite(vals):
         return vals.argmin(axis=1).tolist()
-    picks = []
-    for row in vals.tolist():
-        best = 0
-        for j, v in enumerate(row):
-            if v < row[best]:
-                best = j
-        picks.append(best)
-    return picks
+    nan = np.isnan(vals)
+    picks = np.where(nan, np.inf, vals).argmin(axis=1)
+    picks[nan[:, 0]] = 0
+    return picks.tolist()
 
 
 def _stepped(c: Coefficients, proto: Path, m: int, block, controls):

@@ -1,17 +1,20 @@
 """Command line: exit codes, report formats, overrides, determinism."""
 
 import csv
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import pytest
 from click.testing import CliRunner
 
 import phjb
+import phjb.cli
 from phjb.cli import execute, main
 from phjb.config import ConfigError, load_config, parse_config
 from phjb.value import ValueTable
@@ -115,6 +118,19 @@ def test_feedback_has_no_certificates(runner, tmp_path):
         res = runner.invoke(main, ["run", _write(tmp_path, doc)])
         assert res.exit_code == 3, res.output
         assert "viscosity/classical unavailable" in res.output
+
+
+@pytest.mark.parametrize("run", ["_run_value", "_run_dpp"])
+def test_terminal_reads_refuse_a_cost_that_is_not_a_one_row_block(run):
+    # the table prices blocks of several rows; the runners read one path
+    cfg = load_config(str(CONFIGS / "eikonal.json"))
+    c = cfg.scenario.coefficients
+    base = c.terminal_cost
+    bad = replace(c, terminal_cost=lambda S: base(S) if len(S) > 1 else float(base(S)[0]))
+    cfg = replace(cfg, scenario=replace(cfg.scenario, coefficients=bad))
+    table = functools.cache(lambda: ValueTable(bad, cfg.scenario.grid))
+    with pytest.raises(ValueError, match="terminal_cost returned shape"):
+        getattr(phjb.cli, run)(cfg, table)
 
 
 def test_failed_check_exits_one(runner, tmp_path):

@@ -13,6 +13,8 @@ import pytest
 from phjb.dynamics import (
     Coefficients,
     ControlSignal,
+    _Refused,
+    by_node_count,
     mild_solve,
     random_prefix,
     solve_rows,
@@ -477,6 +479,23 @@ def test_block_solver_rows_equal_one_row_solves():
         assert X.shape == (6, 7, space.dim) and not X.flags.writeable
         for x, p, u in zip(X, prefixes, signals):
             assert x.tobytes() == mild_solve(c, p, u).samples.tobytes()
+
+
+def test_block_solver_refuses_signals_of_unequal_length():
+    sc = eikonal()
+    c, space, step = sc.coefficients, sc.space, sc.grid.step
+    starts = [Path.constant(space, step, [x], horizon=0.0) for x in (0.5, -0.5)]
+    signals = [ControlSignal(0.0, step, (1.0, 0.0)), ControlSignal(0.0, step, (-1.0,) * 4)]
+    P = np.stack([g.samples for g in starts])
+    P.flags.writeable = False
+    with pytest.raises(_Refused, match="differ in length"):
+        solve_rows(c, starts[0], P, signals)
+    # grouped by node count alone, the refused block is solved row by row
+    solved = by_node_count(
+        lambda rows, S: solve_rows(c, starts[0], S, [signals[i] for i in rows]), starts
+    )
+    for x, g, u in zip(solved, starts, signals):
+        assert x.tobytes() == mild_solve(c, g, u).samples.tobytes()
 
 
 def _message(fn, *args, **kwargs):

@@ -1,5 +1,7 @@
 """Functional chain rule, gauge dissipation margins, classical residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,20 @@ def test_refuses_discontinuous_adjoint_gradient():
     u = ControlSignal.constant(1.0, 0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="continuous"):
         ito_residual(c, phi, g, u)
+
+
+def test_ito_refuses_a_drift_of_the_wrong_shape_at_the_horizon():
+    # the mild solve never reads the drift at the trajectory's last prefix;
+    # the compensator reads it there as a one-row block
+    space = make_space([-1.0])
+    g = Path.constant(space, 0.25, np.array([0.4]), horizon=0.0)
+    u = ControlSignal.constant(1.0, 0.0, 1.0, 0.25)
+    end = mild_solve(_coeffs(1, lambda S, U: -S[:, -1]), g, u).endpoint[0]
+    c = _coeffs(
+        1, lambda S, U: -S[:, -1] if S[0, -1, 0] != end else np.zeros((len(S), 2))
+    )
+    with pytest.raises(ValueError, match="drift returned shape"):
+        ito_residual(c, TestFunctionPhi.linear_endpoint(np.ones(1)), g, u)
 
 
 # gauge dissipation ------------------------------------------------------
@@ -241,6 +257,16 @@ def test_batched_margins_equal_the_per_case_loop(name, n_steps, seed):
     assert np.array([r.margin for r in got]).tobytes() == np.array([r.margin for r in want]).tobytes()
 
 
+def test_margins_under_signals_of_unequal_length_equal_the_per_case_loop():
+    c, space, grid = _scenario_coefficients("feedback", 7)
+    rng = np.random.default_rng(8)
+    cases = []
+    for M, g, eta, sig in _gauge_cases(c, space, grid, 4, n=40):
+        k = int(rng.integers(1, len(sig.values) + 1))  # signals end before T too
+        cases.append((M, g, eta, ControlSignal(g.horizon, grid.step, sig.values[:k])))
+    assert upsilon_margin(c, cases) == [reference_margin(c, *case) for case in cases]
+
+
 def test_batched_margins_refuse_at_the_first_case_in_order():
     c, space, grid = _scenario_coefficients("feedback", 7)
     cases = _gauge_cases(c, space, grid, 1, n=60)
@@ -317,6 +343,14 @@ def test_candidate_kinks_are_flagged_not_scored(build, expect_flagged):
     assert rep.max_residual <= 1e-9
     interior_ok = [r for r in rep.rows if r["kind"] == "interior"]
     assert len(interior_ok) >= 3
+
+
+def test_terminal_rows_refuse_a_terminal_cost_that_is_not_a_one_row_block():
+    sc = eikonal()
+    w, pts = classical_candidate(sc)
+    c = replace(sc.coefficients, terminal_cost=lambda S: float(abs(S[0, -1, 0])))
+    with pytest.raises(ValueError, match="terminal_cost returned shape"):
+        classical_check(w, c, pts, t_final=sc.grid.T)
 
 
 def test_terminal_rows_compare_against_terminal_cost():

@@ -179,14 +179,17 @@ def test_extensions_are_read_only_and_keep_the_prefix():
         assert np.array_equal(e.samples[: p.n_nodes], p.samples)
 
 
-def test_extension_validates_the_new_rows():
-    p = Path.zero(flat_space(2), 0.25, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        p._extended(np.array([[0.0, np.inf]]))
-    with pytest.raises(ValueError, match="shape"):
-        p._extended(np.zeros((1, 3)))
-    with pytest.raises(ValueError, match="shape"):
-        p._extended(np.zeros(2))
+def test_extensions_of_a_large_path_are_finite_without_a_rescan():
+    # the carried rows are factors in [0, 1] times the endpoint, so the
+    # extension of a finite path is finite however large its samples are
+    sp = make_space([-2.0, -0.5])
+    p = Path(sp, 0.25, [[1e300, -1e-300], [-1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    for e in (extend_flat(p, 5.0), extend_semigroup(p, 5.0)):
+        assert e.samples.shape == (21, 2)
+        assert np.isfinite(e.samples).all()
+        assert not e.samples.flags.writeable
+        assert np.array_equal(e.samples[: p.n_nodes], p.samples)
+        assert (np.abs(e.samples[p.n_nodes :]) <= np.abs(p.endpoint)).all()
 
 
 def test_extension_rejects_earlier_time():

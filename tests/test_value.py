@@ -10,7 +10,7 @@ import pytest
 
 import phjb.value
 from phjb.checks import build_net
-from phjb.dynamics import Coefficients, ControlSignal, step_once
+from phjb.dynamics import Coefficients, ControlSignal, _control_array, step_once
 from phjb.paths import Path, TimeGrid, node_count_blocks
 from phjb.scenarios import (
     eikonal,
@@ -24,6 +24,7 @@ from phjb.scenarios import (
 from phjb.value import (
     BudgetExceeded,
     ValueTable,
+    _first_minima,
     _interval_cost,
     cost_J,
     hamiltonian,
@@ -84,13 +85,80 @@ def test_cost_refuses_a_control_step_off_the_path_step():
         cost_J(sc.coefficients, sc.initial, ControlSignal(0.0, 0.5, (1.0, 1.0)))
 
 
-def test_hamiltonian_argmax_and_minimize():
+def test_hamiltonian_is_the_min_form():
     sc = eikonal()
-    g = sc.initial
-    val, u = hamiltonian(sc.coefficients, g, np.array([2.0]))
-    assert (val, u) == (2.0, 1.0)
-    val, u = hamiltonian(sc.coefficients, g, np.array([2.0]), minimize=True)
+    val, u = hamiltonian(sc.coefficients, sc.initial, np.array([2.0]))
     assert (val, u) == (-2.0, -1.0)
+
+
+def _scan_hamiltonian(c, g, p):
+    """hamiltonian's min form as it scanned the controls one at a time."""
+    p = g.space.check_vector(p)
+    S = g.samples[None].repeat(len(c.control_set), axis=0)
+    U = _control_array(c.control_set)
+    F = np.asarray(c.drift(S, U), dtype=np.float64)
+    q = c.running_cost(S, U)
+    best_val, best_u = None, None
+    for u, f, qu in zip(c.control_set, F, q):
+        val = float(p @ f) + float(qu)
+        if best_val is None or val < best_val:
+            best_val, best_u = val, u
+    return best_val, best_u
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+def test_hamiltonian_equals_the_control_scan_bit_for_bit(build):
+    sc = build()
+    rng = np.random.default_rng(11)
+    dim = sc.space.dim
+    ps = [np.zeros(dim), np.ones(dim)] + [rng.normal(0.0, 3.0, dim) for _ in range(40)]
+    for n in range(1, sc.grid.n_steps + 2):
+        g = Path(sc.space, sc.grid.step, rng.normal(size=(n, dim)))
+        for p in ps:
+            val, u = hamiltonian(sc.coefficients, g, p)
+            want, want_u = _scan_hamiltonian(sc.coefficients, g, p)
+            assert (np.float64(val).tobytes(), u) == (np.float64(want).tobytes(), want_u)
+
+
+def test_hamiltonian_refuses_a_one_row_running_cost_or_drift():
+    sc = eikonal()
+    p = np.array([-1.0])
+    one_row_cost = replace(sc.coefficients, running_cost=lambda S, U: np.zeros(1))
+    with pytest.raises(ValueError, match="running_cost returned shape"):
+        hamiltonian(one_row_cost, sc.initial, p)
+    one_row_drift = replace(sc.coefficients, drift=lambda S, U: np.zeros((1, S.shape[2])))
+    with pytest.raises(ValueError, match="drift returned shape"):
+        hamiltonian(one_row_drift, sc.initial, p)
+
+
+def _scan_first_minima(vals) -> list:
+    """_first_minima as it scanned each row with a strict `<`."""
+    picks = []
+    for row in vals.tolist():
+        best = 0
+        for j, v in enumerate(row):
+            if v < row[best]:
+                best = j
+        picks.append(best)
+    return picks
+
+
+def test_first_minima_equals_the_strict_scan_on_non_finite_rows():
+    rng = np.random.default_rng(5)
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0])
+    for width in (1, 2, 3, 5):
+        vals = pool[rng.integers(len(pool), size=(4000, width))]
+        assert _first_minima(vals) == _scan_first_minima(vals)
+        finite = vals[np.isfinite(vals).all(axis=1)]
+        assert _first_minima(finite) == _scan_first_minima(finite)
+
+
+def test_cost_refuses_a_terminal_cost_that_is_not_a_one_row_block():
+    sc = eikonal()
+    c = replace(sc.coefficients, terminal_cost=lambda S: float(abs(S[0, -1, 0])))
+    u = ControlSignal.constant(0.0, 0.0, 1.0, sc.grid.step)
+    with pytest.raises(ValueError, match="terminal_cost returned shape"):
+        cost_J(c, sc.initial, u)
 
 
 def test_hamiltonian_tie_breaks_to_first_control():

@@ -234,7 +234,7 @@ def _path_by_path_check(w, coeffs, point, phi, pack, side, *, net, tol=1e-3, lab
     psi_dt = sgn * (float(phi.dt(point)) + pack.dt(point))
     psi_dx = sgn * (np.asarray(phi.dx(point), dtype=float) + pack.dx(point))
     adj = float(point.space.adjoint_apply(psi_dx) @ point.endpoint)
-    hmin, _ = hamiltonian(coeffs, point, psi_dx, minimize=True)
+    hmin, _ = hamiltonian(coeffs, point, psi_dx)
     margin = psi_dt + adj + hmin
     inequality_ok = margin >= -tol if side == "sub" else margin <= tol
     return ViscosityResult(
