@@ -40,7 +40,7 @@ from .value import (
     verify_dpp_consistency,
     verify_value_regularity,
 )
-from .variational import bp_search, pair_gauges
+from .variational import NotEpsMaximal, bp_search, pair_gauges
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -283,7 +283,21 @@ def _run_bp(cfg: RunConfig, value_table) -> CheckRecord:
         ("horizon-bonus", lambda g: g.horizon - start_gauge[id(g)], 0.3 * (T - t0) + 0.1),
     ]
     for label, f, eps in modes:
-        res = bp_search(f, net, start, eps)
+        try:
+            res = bp_search(f, net, start, eps)
+        except NotEpsMaximal as exc:  # a failed row with the witness
+            rows.append(
+                {
+                    "mode": label,
+                    "postconditions_ok": False,
+                    "reason": "start is not eps-maximal",
+                    "f_start": exc.f_start,
+                    "f_max": exc.f_max,
+                    "eps": exc.eps,
+                }
+            )
+            ok = False
+            continue
         terms = res.rho_terms
         post = (
             all(r <= eps / 2**i + 1e-12 for i, r in enumerate(terms))

@@ -160,7 +160,7 @@ def _drift_rows(c: Coefficients, S: np.ndarray, U: np.ndarray) -> np.ndarray:
     except Exception as exc:
         raise _Refused(exc) from exc
     if f.shape != (len(S), S.shape[2]):
-        message = f"drift returned shape {f.shape[1:]}, expected ({S.shape[2]},)"
+        message = f"drift returned shape {f.shape}, expected {(len(S), S.shape[2])}"
         raise _Refused(ValueError(message))
     return f
 

@@ -37,7 +37,6 @@ from .paths import (
     TimeGrid,
     all_finite,
     extend_semigroup,
-    node_count_blocks,
     sup_norm,
     vertical_bump,
 )
@@ -135,8 +134,14 @@ def _stepped(c: Coefficients, proto: Path, m: int, block, controls):
     for each block in order, its first index, its children's step costs and
     the children themselves."""
     for lo in range(0, m, _ROW_CAP):
-        S, U, X = step_rows(c, proto, block(lo, min(lo + _ROW_CAP, m)), controls)
-        yield lo, _step_costs(c, proto.step, S, U, X), X
+        yield (lo, *_priced(c, proto, block(lo, min(lo + _ROW_CAP, m)), controls))
+
+
+def _priced(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
+    """The step costs and the children of `step_rows` on P; the repeated
+    parents die here, so a block's are gone before the next is stepped."""
+    S, U, X = step_rows(c, proto, P, controls)
+    return _step_costs(c, proto.step, S, U, X), X
 
 
 def _prefixes(base: np.ndarray, trail: list, lo: int, hi: int) -> np.ndarray:
@@ -167,6 +172,16 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _interleaved(A: np.ndarray, B: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The rows of A with each row B[j] placed before A[at[j]], or after
+    the last row when at[j] is len(A); at is ascending."""
+    out = np.empty((len(A) + len(B),) + A.shape[1:], dtype=A.dtype)
+    pos = at + np.arange(len(at))
+    out[np.delete(np.arange(len(out)), pos)] = A
+    out[pos] = B
+    return out
+
+
 def _resolve(known: np.ndarray, ref: np.ndarray, vals: np.ndarray) -> None:
     """Fill in known[i] = vals[ref[i]] wherever ref[i] is not -1."""
     at = ref >= 0
@@ -183,10 +198,11 @@ class ValueTable:
     tests covering the built-in scenarios).
 
     Below the root prefixes the recursion works on sample blocks, a tree
-    level at a time (see `_expand`): a forward pass steps, keys and
+    level at a time (see `_sweep`): a forward pass steps, keys and
     deduplicates each level as one block, split only at _ROW_CAP parents,
-    and a backward pass prices the levels deepest first. Only the roots are
-    `Path` objects.
+    with the roots of every node count joining their level, and a backward
+    pass prices the levels deepest first. Only the roots are `Path`
+    objects.
     """
 
     def __init__(self, c: Coefficients, grid: TimeGrid, *, budget: int = 10**6):
@@ -208,9 +224,11 @@ class ValueTable:
         if not (block and K.dtype.kind in "biuf"):  # an object's bytes are its address
             got = f"{K.dtype} {K.shape}" if isinstance(K, np.ndarray) else type(K).__name__
             raise ValueError(f"state_key returned {got}, expected an ({N}, k) numeric array")
-        raw = np.ascontiguousarray(K).tobytes()
         width = K.itemsize * K.shape[1]
-        return [(n, raw[i * width : (i + 1) * width]) for i in range(N)]
+        if width == 0:  # a void view of no bytes has no rows
+            return [(n, b"")] * N
+        rows = np.ascontiguousarray(K).view(np.dtype((np.void, width))).ravel().tolist()
+        return [(n, raw) for raw in rows]
 
     def _check_root(self, g: Path) -> None:
         """The one gate of a root prefix: refuse one on another step, one
@@ -237,24 +255,45 @@ class ValueTable:
             return float(v), None
         return self.memo[self._keys(g.samples[None])[0]]
 
+    def value(self, g: Path) -> float:
+        return self.entry(g)[0]
+
+    def values(self, paths) -> np.ndarray:
+        """`value` of every path, in order, as one float array.
+
+        The paths share a space and the table's step, as the paths of a net
+        do, and are valued in one sweep (see `_sweep`) whose values, memo
+        entries, argmins and hits are those that `value` on each path in
+        turn gives. A path that `_check_root` refuses is refused after every
+        path before it is valued.
+        """
+        refused = None
+        for r, g in enumerate(paths):
+            try:
+                self._check_root(g)
+            except (ValueError, BudgetExceeded) as exc:
+                refused, paths = exc, paths[:r]
+                break
+        out = np.empty(len(paths))
+        groups: dict = {}
+        for i, g in enumerate(paths):
+            groups.setdefault(g.n_nodes, []).append(i)
+        for n, rows in groups.items():
+            S = np.stack([paths[i].samples for i in rows])
+            S.flags.writeable = False
+            groups[n] = (np.array(rows, dtype=np.intp), S)
+        if paths:
+            self._sweep(paths[0], groups, out)
+        if refused is not None:
+            raise refused
+        return out
+
     def _values(self, proto: Path, S: np.ndarray) -> np.ndarray:
         """V of every row of S, a read-only block of prefixes of one node count
-        on proto's space and step.
-
-        Terminal rows are priced by the terminal cost. Otherwise each row is
-        looked up in the memo, and a row whose key is in the memo or earlier
-        in S counts as a hit, as `value` on each row in turn would count it;
-        the first row to carry each missing key is expanded.
-        """
-        if S.shape[1] - 1 == self.grid.n_steps:
-            return _costs(self.c.terminal_cost(S), len(S), "terminal_cost")
-        fresh: dict = {}
-        known, ref, rows = self._lookup(self._keys(S), fresh)
-        if len(rows):
-            P = S if len(rows) == len(S) else S[rows]
-            P.flags.writeable = False
-            _resolve(known, ref, self._expand(proto, P, list(fresh)))
-        return known
+        on proto's space and step: the one-block case of `_sweep`."""
+        out = np.empty(len(S))
+        self._sweep(proto, {S.shape[1]: (np.arange(len(S)), S)}, out)
+        return out
 
     def _lookup(self, keys: list, fresh: dict) -> tuple:
         """The values of keys as far as the memo holds them.
@@ -268,88 +307,133 @@ class ValueTable:
         memo, start = self.memo, len(fresh)
         found = [memo.get(key) for key in keys]
         ref = [-1 if hit else fresh.setdefault(key, len(fresh)) for key, hit in zip(keys, found)]
-        rows, new = [], start  # where each new index in fresh first occurs
-        for i, j in enumerate(ref):
-            if j == new:
-                rows.append(i)
-                new += 1
+        ref = np.array(ref, dtype=np.intp)
+        # new indices first occur in increasing order, each above every index before it
+        rows = np.flatnonzero(ref > np.maximum.accumulate(np.append(start - 1, ref[:-1])))
         self.hits += len(keys) - len(rows)
         known = np.array([hit[0] if hit else 0.0 for hit in found])
-        return known, np.array(ref, dtype=np.intp), np.array(rows, dtype=np.intp)
+        return known, ref, rows
 
-    def _expand(self, proto: Path, P: np.ndarray, keys: list) -> np.ndarray:
-        """Memo entries for the rows of P, a block of non-terminal prefixes
-        of one node count whose keys are distinct and not yet in the memo;
-        returns the rows' values.
+    def _sweep(self, proto: Path, roots: dict, out: np.ndarray) -> None:
+        """out[i] = V of root i, for the roots of every node count at once.
 
-        Two passes, a level at a time. The forward pass steps each level's
-        parents in blocks of at most _ROW_CAP rows and keys the children;
-        the first child to carry a key that is neither in the memo nor
-        earlier in the level becomes a parent of the next level, and every
-        other child is a hit. Children at T are priced by the terminal cost
-        instead. The backward pass, deepest level first, prices each child
-        as its step cost plus its value, and each parent keeps its first
-        cheapest control. A level is met parent-major in control order, the
-        order of the one-node-at-a-time recursion, so the first prefix to
-        carry a key is the one expanded, and the memo ends with the same
-        entries, values and argmins.
+        roots maps a node count to (origins, S): S is the read-only block of
+        the roots of that node count on proto's space and step, and origins
+        their indices, ascending. Roots at T are priced by the terminal cost.
 
-        The parents found by a level of one block are held whole. Those
-        found by a level of several blocks are held as a `_prefixes` trail,
-        an index and a last sample each, below the last level held whole.
-        So the forward pass holds the full samples of a few blocks at a
-        time, besides the keys, costs and child values of every level.
+        Two passes over node counts. The forward pass steps each level's
+        parents in blocks of at most _ROW_CAP rows and keys the children,
+        and the roots of the level's node count join it: the level's rows go
+        in stable order of origin, the root each row descends from, and
+        parent-major in control order within one origin. That is the order
+        in which `value` on each root in turn meets them, so the first row
+        to carry a key that is neither in the memo nor earlier in the level
+        is the one that path by path would expand: it becomes a parent of
+        the next level, and every other row is a hit. Children at T are
+        priced by the terminal cost instead. The backward pass, deepest
+        level first, prices each child as its step cost plus its value, and
+        each parent keeps its first cheapest control, so the memo ends with
+        the entries, values and argmins of the path-by-path recursion.
+
+        The parents found by a level of one block, or by a level that roots
+        join, are held whole. Those found by any other level are held as a
+        `_prefixes` trail, an index and a last sample each, below the last
+        level held whole. So the forward pass holds the full samples of a
+        few blocks at a time, besides the keys, costs and row values of
+        every level.
 
         Every parent becomes a memo entry, so the forward pass refuses as
         soon as the parents found so far would grow the memo beyond the
-        budget, before it steps them. A budget met by the root prefix holds
+        budget, before it steps them. A budget met by a root prefix holds
         below it, where fewer steps are left.
         """
         c, memo = self.c, self.memo
         controls = c.control_set
-        levels = []  # per level: parent keys, step costs, and child values as `_lookup` gives them
-        trail = []  # per level below P, as `_prefixes` reads it
-        pending = len(keys)  # parents found so far, each a memo entry to come
-        self._check_memo(pending)
+        W = len(controls)
+        n_T = self.grid.n_steps + 1  # the node count at T
+        if n_T in roots:
+            at, S = roots.pop(n_T)
+            out[at] = _costs(c.terminal_cost(S), len(S), "terminal_cost")
+        if not roots:
+            return
+        n = min(roots)
+        keys, origin = [], np.empty(0, dtype=np.intp)  # the parents at n - 1, and their origins
+        P, trail = None, []  # the parents' samples, as `_prefixes` reads them
+        levels = []  # per level: parent keys, step costs, row values as `_lookup` gives them, roots
+        pending = 0  # parents found so far, each a memo entry to come
         while True:
-            at_T = P.shape[1] + len(trail) == self.grid.n_steps
-            split = len(keys) > _ROW_CAP  # stepped in several blocks
-            costs, known, ref, up, last, fresh = [], [], [], [], [], {}
-            block = partial(_prefixes, P, trail)
-            for lo, cost, X in _stepped(c, proto, len(keys), block, controls):
-                costs.append(cost)
-                if at_T:
+            joining = roots.pop(n, None)
+            if joining is not None:  # each root goes before the children of the first later origin
+                r_origin, r_S = joining
+                r_at = np.searchsorted(origin, r_origin) * W
+            whole = joining is not None or len(keys) <= _ROW_CAP  # the parents found, held whole
+            costs, known, ref, child_at, root_at = [], [], [], [], []
+            up, last, parts, found, fresh = [], [], [], [], {}
+            if keys:
+                blocks = _stepped(c, proto, len(keys), partial(_prefixes, P, trail), controls)
+            else:
+                blocks = [(0, None, r_S[:0])]
+            done = seen = 0  # the roots and rows of the level met so far
+            for lo, cost, X in blocks:
+                if cost is not None:
+                    costs.append(cost)
+                if n == n_T:
                     known.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
                     continue
+                if joining is not None:  # the block's rows with its roots among them
+                    end = lo * W + len(X)
+                    hi = len(r_S) if end == len(keys) * W else int(np.searchsorted(r_at, end))
+                    at = r_at[done:hi] - lo * W
+                    o = _interleaved(origin[lo + np.arange(len(X)) // W], r_origin[done:hi], at)
+                    X = _interleaved(X, r_S[done:hi], at)
+                    r_pos = at + np.arange(len(at))
+                    child_at.append(seen + np.delete(np.arange(len(X)), r_pos))
+                    root_at.append(seen + r_pos)
+                    done = hi
                 k, r, rows = self._lookup(self._keys(X), fresh)
                 self._check_memo(pending + len(fresh))
                 known.append(k)
                 ref.append(r)
-                if split:
-                    up.append(lo + rows // len(controls))
-                    last.append(X[rows, -1])
+                seen += len(k)
+                if joining is not None:
+                    found.append(o[rows])
+                elif roots:  # origins order the roots still to join
+                    found.append(origin[lo + rows // W])
+                if whole:
+                    parts.append(X[rows])
                 else:
-                    whole = X[rows]
-            levels.append((keys, _joined(costs), _joined(known), ref))
-            if not fresh:
+                    up.append(lo + rows // W)
+                    last.append(X[rows, -1])
+            joined = None if joining is None else (_joined(root_at), r_origin)
+            levels.append((keys, costs, _joined(known), ref, child_at, joined))
+            if fresh:
+                if whole:
+                    P, trail = _joined(parts), []
+                    P.flags.writeable = False
+                else:
+                    trail.append((_joined(up), _joined(last)))
+                keys, origin = list(fresh), _joined(found) if found else None
+                pending += len(keys)
+                n += 1
+            elif roots:  # no parents between here and the next roots
+                keys, origin = [], np.empty(0, dtype=np.intp)
+                n = min(roots)
+            else:
                 break
-            if split:
-                trail.append((_joined(up), _joined(last)))
-            else:  # the next level is held whole
-                P, trail = whole, []
-                P.flags.writeable = False
-            keys = list(fresh)
-            pending += len(keys)
-        vals = None  # the values of the parents of the level below
+        vals = np.empty(0)  # the values of the parents of the level below
         while levels:  # freeing each level once it is priced
-            keys, costs, known, ref = levels.pop()
-            if vals is not None:
+            keys, costs, known, ref, child_at, joined = levels.pop()
+            if ref:
                 _resolve(known, _joined(ref), vals)
-            total = (costs + known).reshape(-1, len(controls))
-            picks = _first_minima(total)
-            vals = total[np.arange(len(total)), picks]
-            memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))
-        return vals
+            if joined:
+                root_at, r_origin = joined
+                out[r_origin] = known[root_at]
+            if keys:
+                child = known[_joined(child_at)] if child_at else known
+                total = (_joined(costs) + child).reshape(-1, W)
+                picks = _first_minima(total)
+                vals = total[np.arange(len(total)), picks]
+                memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))
 
     def _check_memo(self, pending: int) -> None:
         """Refuse when pending more entries would grow the memo beyond budget."""
@@ -358,27 +442,6 @@ class ValueTable:
                 f"memo grew beyond budget {self.budget}; the declared state "
                 "statistic does not collapse this instance"
             )
-
-    def value(self, g: Path) -> float:
-        return self.entry(g)[0]
-
-    def values(self, paths) -> np.ndarray:
-        """`value` of every path, in order, as one float array.
-
-        The paths share a space and the table's step, as the paths of a net
-        do. Each run of consecutive paths with one node count is valued as
-        one block by `_values`, in order, so the first path to carry a key
-        is the one expanded: values, memo entries, argmins and hits are
-        those that `value` on each path in turn gives. A run holding a path
-        that `_check_root` refuses is refused, after the runs before it are
-        valued.
-        """
-        out = np.empty(len(paths))
-        for lo, hi, S in node_count_blocks(paths):
-            for g in paths[lo:hi]:
-                self._check_root(g)
-            out[lo:hi] = self._values(paths[lo], S)
-        return out
 
     def policy(self, g: Path) -> tuple[ControlSignal, Path]:
         """An optimal control signal from g to T and its trajectory, by stored argmins."""

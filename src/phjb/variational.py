@@ -17,7 +17,7 @@ from typing import Callable
 from .gauge import pair_gauge_rows
 from .paths import GRID_TOL, Path, node_count_blocks
 
-__all__ = ["pair_gauge", "pair_gauges", "BPResult", "bp_search"]
+__all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
 # a gauge at or below this separates no two paths
 _GAUGE_TOL = 1e-12
@@ -40,6 +40,15 @@ def pair_gauges(anchor: Path, paths) -> list:
     for lo, _, S in node_count_blocks(paths):
         row += pair_gauge_rows(anchor, paths[lo], S)
     return row
+
+
+class NotEpsMaximal(ValueError):
+    """bp_search's precondition failed: f(start) is more than eps below the
+    largest f over the net. Holds the witness f_start, f_max and eps."""
+
+    def __init__(self, f_start: float, f_max: float, eps: float):
+        super().__init__(f"start is not eps-maximal: f(start)={f_start}, max={f_max}, eps={eps}")
+        self.f_start, self.f_max, self.eps = f_start, f_max, eps
 
 
 @dataclass(frozen=True)
@@ -72,12 +81,13 @@ def bp_search(
 ) -> BPResult:
     """Anchor-and-perturb argmax refinement over a finite net.
 
-    Requires f(start) >= max f - eps over the net, with eps finite and > 0
-    (raises otherwise). Each stage maximizes f minus the anchored gauges
-    accumulated so far, with weights 1, 1/2, 1/4, ... and ties resolved
-    toward the incumbent; a stage that reproduces its incumbent, or one
-    within _GAUGE_TOL of it, ends the search. Only paths at or after the
-    incumbent's horizon compete.
+    Requires eps finite and > 0 (raises ValueError otherwise) and f(start)
+    >= max f - eps over the net (raises NotEpsMaximal otherwise). Each
+    stage maximizes f minus the anchored gauges accumulated so far, with
+    weights 1, 1/2, 1/4, ... and ties resolved toward the incumbent; a
+    stage that reproduces its incumbent, or one within _GAUGE_TOL of it,
+    ends the search. Only paths at or after the incumbent's horizon
+    compete.
 
     rho is a row gauge: rho(anchor, paths) gives the gauge from the anchor
     to each path, in order, none of them ending before the anchor. It is
@@ -96,9 +106,7 @@ def bp_search(
     f_max = max(f_vals)
     f_start = float(f(start))
     if f_start < f_max - eps:
-        raise ValueError(
-            f"start is not eps-maximal: f(start)={f_start}, max={f_max}, eps={eps}"
-        )
+        raise NotEpsMaximal(f_start, f_max, eps)
 
     pert = list(f_vals)  # f minus the gauges of the anchors set so far
     anchors, deltas, rows = [], [], []  # rows[j]: {net index: gauge of anchor j}

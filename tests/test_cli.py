@@ -167,6 +167,18 @@ def test_bp_subcommand_postconditions(runner):
         assert r["postconditions_ok"] is True
 
 
+def test_bp_precondition_is_a_failed_row_with_its_witness(runner):
+    # at grid 3 the horizon bonus puts a later net path more than eps above start
+    res = runner.invoke(main, ["bp-search", str(CONFIGS / "runmax.json"), "--grid", "3"])
+    assert res.exit_code == 1
+    rows = {r["mode"]: r for r in json.loads(res.output)["checks"][0]["rows"]}
+    failed = rows["horizon-bonus"]
+    assert failed["postconditions_ok"] is False
+    assert failed["reason"] == "start is not eps-maximal"
+    assert failed["f_start"] < failed["f_max"] - failed["eps"]
+    assert rows["at-max"]["postconditions_ok"] is True
+
+
 def test_ito_and_stability_subcommands(runner):
     for cmd in ("check-ito", "stability"):
         res = runner.invoke(main, [cmd, str(CONFIGS / "feedback.json")])

@@ -1,6 +1,7 @@
 """Value function tests: brute-force equality, desk values, DPP residuals."""
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import replace
 from typing import Optional
@@ -129,6 +130,16 @@ def test_hamiltonian_refuses_a_one_row_running_cost_or_drift():
     one_row_drift = replace(sc.coefficients, drift=lambda S, U: np.zeros((1, S.shape[2])))
     with pytest.raises(ValueError, match="drift returned shape"):
         hamiltonian(one_row_drift, sc.initial, p)
+
+
+def test_a_drift_with_the_wrong_row_count_is_refused_with_both_shapes():
+    sc = eikonal()
+    one_row = replace(sc.coefficients, drift=lambda S, U: np.zeros((1, S.shape[2])))
+    with pytest.raises(ValueError, match=re.escape("drift returned shape (1, 1), expected (3, 1)")):
+        hamiltonian(one_row, sc.initial, np.array([-1.0]))
+    two_rows = replace(sc.coefficients, drift=lambda S, U: np.zeros((2, S.shape[2])))
+    with pytest.raises(ValueError, match=re.escape("drift returned shape (2, 1), expected (1, 1)")):
+        step_once(two_rows, sc.initial, 1.0)
 
 
 def _scan_first_minima(vals) -> list:
@@ -320,6 +331,15 @@ def test_a_root_on_another_step_is_refused():
 _STATISTIC_BYTES = {"eikonal": 8, "runmax": 16, "feedback": 16}
 
 
+def test_a_zero_width_statistic_keys_each_node_count_once():
+    sc = eikonal()
+    c = replace(sc.coefficients, state_key=lambda S: np.zeros((len(S), 0)))
+    table = ValueTable(c, sc.grid)
+    assert table._keys(np.zeros((3, 2, 1))) == [(2, b"")] * 3
+    table.value(sc.initial)
+    assert sorted(table.memo) == [(n, b"") for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
+
+
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("keyed", [True, False])
 def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keyed):
@@ -497,24 +517,21 @@ def stepped(monkeypatch) -> list:
 
 @pytest.mark.parametrize("cap", [16, None])
 def test_each_level_of_a_run_is_stepped_once_per_row_cap_chunk(cap, stepped, monkeypatch):
+    # one `values` call over roots of every node count
     if cap is not None:
         monkeypatch.setattr(phjb.value, "_ROW_CAP", cap)
     sc = runmax(step=0.125)
     roots = _roots(sc)
-    table = ValueTable(sc.coefficients, sc.grid)
-    split = False  # whether a level spanned several blocks
-    for lo, hi, _ in node_count_blocks(roots):
-        stepped.clear()
-        table.values(roots[lo:hi])
-        levels = [n for n, _ in stepped]
-        assert levels == sorted(levels)
-        rows = Counter()
-        for n, parents in stepped:
-            rows[n] += parents
-        chunks = Counter({n: -(-count // phjb.value._ROW_CAP) for n, count in rows.items()})
-        assert Counter(levels) == chunks
-        split |= any(count > 1 for count in chunks.values())
-    assert split == (cap is not None)
+    assert len(node_count_blocks(roots)) > len({g.n_nodes for g in roots})  # node counts recur
+    ValueTable(sc.coefficients, sc.grid).values(roots)
+    levels = [n for n, _ in stepped]
+    assert levels == sorted(levels)
+    rows = Counter()
+    for n, parents in stepped:
+        rows[n] += parents
+    chunks = Counter({n: -(-count // phjb.value._ROW_CAP) for n, count in rows.items()})
+    assert Counter(levels) == chunks
+    assert any(count > 1 for count in chunks.values()) == (cap is not None)
 
 
 def test_memo_refusal_steps_no_level_past_the_overflow(stepped):
@@ -574,7 +591,7 @@ def test_refusals_at_two_depths_raise_the_first_in_level_order():
     assert message(lambda: NodeByNodeTable(spoiled, sc.grid).value(sc.initial)) == deep_msg
 
 
-# a net valued a node-count block at a time against value path by path ------
+# nets valued in one sweep against value path by path ----------------------
 
 
 def _nets(sc, seed=3) -> list:
@@ -595,19 +612,29 @@ def _nets(sc, seed=3) -> list:
         (feedback, 0.2),
     ],
 )
-def test_values_of_a_net_match_value_path_by_path(build, step):
+def test_values_of_a_net_match_value_path_by_path(build, step, monkeypatch):
     sc = build(step=step)
     nets = _nets(sc)
     if build is feedback:
         nets += _nets(replace(sc, initial=Path(sc.space, step, [[0.5, -0.25], [0.9, 0.1]])))
-    ref = ValueTable(sc.coefficients, sc.grid)
-    table = ValueTable(sc.coefficients, sc.grid)
-    for net in nets:
-        want = np.array([ref.value(g) for g in net])
-        got = table.values(net)
-        assert got.tobytes() == want.tobytes()
-        assert table.memo == ref.memo
-        assert table.hits == ref.hits
+    joined = [g for net in nets for g in net]
+    interleaved = [g for group in itertools.zip_longest(*nets) for g in group if g is not None]
+    # each net in turn, then every net in one call in three orders, so node
+    # counts recur and later roots hit keys that earlier roots carry
+    for calls in (nets, [joined], [joined[::-1]], [interleaved]):
+        ref = ValueTable(sc.coefficients, sc.grid)
+        want = []  # after each call: the values, the memo and the hits
+        for paths in calls:
+            values = np.array([ref.value(g) for g in paths])
+            want.append((values.tobytes(), dict(ref.memo), ref.hits))
+        for cap in (phjb.value._ROW_CAP, 2):  # at 2, levels span several blocks that roots join
+            monkeypatch.setattr(phjb.value, "_ROW_CAP", cap)
+            table = ValueTable(sc.coefficients, sc.grid)
+            got = []
+            for paths in calls:
+                got.append((table.values(paths).tobytes(), dict(table.memo), table.hits))
+            assert got == want
+            monkeypatch.undo()
 
 
 def _refusal(fn):
@@ -622,12 +649,16 @@ def test_values_refuse_where_value_refuses_path_by_path():
     net = _nets(sc)[0]
     beyond = Path(sc.space, grid.step, np.zeros((grid.n_steps + 2, 1)))
     stripped = replace(sc.coefficients, state_key=None)
+    i = next(i for i in range(1, len(net)) if net[i - 1].n_nodes == net[i].n_nodes > 1)
+    halved = Path(sc.space, grid.step / 2, net[i].samples)
     cases = [
         # a path beyond T, after paths that are valued first
         (sc.coefficients, 10**6, net[:40] + [beyond] + net[40:]),
         # a root whose control tree is over budget, 3^4 sequences against 27,
         # after paths whose trees fit (and whose memo stays below 27)
         (stripped, 27, net[:6] + [sc.initial]),
+        # a root on another step between two paths of its node count
+        (sc.coefficients, 10**6, net[:i] + [halved] + net[i:]),
     ]
     for c, budget, paths in cases:
         ref = ValueTable(c, grid, budget=budget)

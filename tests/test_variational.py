@@ -12,7 +12,7 @@ from phjb.checks import build_net
 from phjb.config import load_config
 from phjb.paths import GRID_TOL, Path
 from phjb.scenarios import eikonal
-from phjb.variational import BPResult, bp_search, pair_gauge, pair_gauges
+from phjb.variational import BPResult, NotEpsMaximal, bp_search, pair_gauge, pair_gauges
 
 from conftest import make_space, scalar_pair_gauge
 
@@ -38,8 +38,11 @@ def test_gauge_is_zero_only_on_the_diagonal(setting):
 def test_precondition_guard(setting):
     sc, start, net = setting
     f = lambda g: g.horizon  # start sits at horizon 0, far from the max
-    with pytest.raises(ValueError, match="eps-maximal"):
+    with pytest.raises(NotEpsMaximal, match="eps-maximal") as info:
         bp_search(f, net, start, eps=0.01)
+    witness = info.value
+    assert isinstance(witness, ValueError)
+    assert (witness.f_start, witness.f_max, witness.eps) == (0.0, max(g.horizon for g in net), 0.01)
     with pytest.raises(ValueError):
         bp_search(f, net, start, eps=-1.0)
 
