@@ -53,9 +53,7 @@ EXIT_VALIDATION = 3
 
 def _run_hypothesis(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    rep = validate_hypothesis(
-        sc.coefficients, sc.space, sc.grid, n_pairs=200, seed=cfg.seed
-    )
+    rep = validate_hypothesis(sc.coefficients, sc.space, sc.grid, seed=cfg.seed)
     name, ratio = rep.worst()
     return CheckRecord(
         name="hypothesis",
@@ -67,9 +65,7 @@ def _run_hypothesis(cfg: RunConfig, value_table) -> CheckRecord:
 
 def _run_estimates(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    rep = verify_state_estimates(
-        sc.coefficients, sc.space, sc.grid, n_samples=100, seed=cfg.seed
-    )
+    rep = verify_state_estimates(sc.coefficients, sc.space, sc.grid, seed=cfg.seed)
     return CheckRecord(
         name="estimates",
         passed=rep.passed,
@@ -231,12 +227,10 @@ def _run_classical(cfg: RunConfig, value_table) -> CheckRecord:
     res = classical_check(
         w, sc.coefficients, points, t_final=sc.grid.T, tol=cfg.tolerances["residual"]
     )
-    return CheckRecord(
-        name="classical",
-        passed=res.passed,
-        summary={"max_residual": res.max_residual, "n_flagged": res.n_flagged},
-        rows=list(res.rows),
-    )
+    summary = {"max_residual": res.max_residual, "n_flagged": res.n_flagged}
+    if not any(row["kind"] == "interior" for row in res.rows):
+        summary["reason"] = "no interior probe fits the grid"
+    return CheckRecord(name="classical", passed=res.passed, summary=summary, rows=list(res.rows))
 
 
 def _run_stability(cfg: RunConfig, value_table) -> CheckRecord:

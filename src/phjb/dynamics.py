@@ -27,6 +27,7 @@ from .paths import (
     carried,
     extend_semigroup,
     metric_d_infty,
+    node_count_groups,
     sup_norm,
     sup_norms,
 )
@@ -77,7 +78,10 @@ class Coefficients:
     state_key : callable, optional
         Sufficient statistic for the value recursion: S -> (N, k) numeric
         array; prefixes of one node count whose rows hold the same bytes
-        share a memo entry. Must be validated against full enumeration.
+        share a memo entry, so they must have the same value. Under that
+        contract `ValueTable.values` equals `value` path by path; a key that
+        merges states of different value may expand another representative.
+        Must be validated against full enumeration.
     """
 
     name: str
@@ -287,19 +291,15 @@ def by_node_count(fn, paths) -> list:
     """fn over the paths a block at a time, as one result per path in order.
 
     The paths share a space and step. Those with one node count form a
-    group, and fn(rows, S) returns the results of the paths at the indices
-    `rows`, whose samples are stacked into the read-only block S. When fn
-    refuses a block, it is run on each path alone, in order, so the error
-    raised is the first that one path at a time raises.
+    group (`node_count_groups`), and fn(rows, S) returns the results of the
+    paths at the indices `rows`, whose samples are stacked into the
+    read-only block S. When fn refuses a block, it is run on each path
+    alone, in order, so the error raised is the first that one path at a
+    time raises.
     """
-    groups: dict = {}
-    for i, g in enumerate(paths):
-        groups.setdefault(g.n_nodes, []).append(i)
     out = [None] * len(paths)
     try:
-        for rows in groups.values():
-            S = np.stack([paths[i].samples for i in rows])
-            S.flags.writeable = False
+        for rows, S in node_count_groups(paths).values():
             for i, result in zip(rows, fn(rows, S)):
                 out[i] = result
     except _Refused:

@@ -28,7 +28,7 @@ __all__ = [
     "extend_semigroup",
     "semigroup_rows",
     "carried",
-    "node_count_blocks",
+    "node_count_groups",
     "sup_norm",
     "sup_norms",
     "prefix_sup_norms",
@@ -273,22 +273,19 @@ def carried(g: Path, n: int) -> np.ndarray:
     return out
 
 
-def node_count_blocks(paths) -> list:
-    """The runs of consecutive paths with one node count, in order, as
-    (lo, hi, S): paths[lo:hi] is a run and S its samples stacked into one
-    read-only (hi - lo, n, dim) block."""
-    runs = []
-    lo = 0
-    while lo < len(paths):
-        n = paths[lo].n_nodes
-        hi = lo + 1
-        while hi < len(paths) and paths[hi].n_nodes == n:
-            hi += 1
-        S = np.stack([g.samples for g in paths[lo:hi]])
+def node_count_groups(paths) -> dict:
+    """The paths grouped by node count, in order of each count's first
+    occurrence, as {n: (rows, S)}: rows are the ascending indices of the
+    paths with n nodes, and S their samples stacked into one read-only
+    (len(rows), n, dim) block."""
+    groups: dict = {}
+    for i, g in enumerate(paths):
+        groups.setdefault(g.n_nodes, []).append(i)
+    for n, rows in groups.items():
+        S = np.stack([paths[i].samples for i in rows])
         S.flags.writeable = False
-        runs.append((lo, hi, S))
-        lo = hi
-    return runs
+        groups[n] = (rows, S)
+    return groups
 
 
 # -- norms and metric ----------------------------------------------------

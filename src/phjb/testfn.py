@@ -28,7 +28,7 @@ from .paths import (
     Path,
     dupire_derivatives,
     extend_flat,
-    node_count_blocks,
+    node_count_groups,
     sup_norm,
     vertical_bump,
 )
@@ -214,11 +214,16 @@ class GaugePack:
 
     def values(self, paths) -> np.ndarray:
         """`value` of every path, in order, as one float array; the paths
-        share a space and step, and each run of one node count is evaluated
-        as one block."""
+        share a space and step, and those of one node count are evaluated
+        as one block. When a block refuses, the paths are evaluated one at a
+        time, in order, so the error raised is the first that `value` on
+        each path in turn raises."""
         out = np.empty(len(paths))
-        for lo, hi, S in node_count_blocks(paths):
-            out[lo:hi] = self._block_values(paths[lo], S)
+        try:
+            for rows, S in node_count_groups(paths).values():
+                out[rows] = self._block_values(paths[rows[0]], S)
+        except ValueError:
+            return np.array([self.value(g) for g in paths])
         return out
 
     def _block_values(self, proto: Path, S: np.ndarray) -> np.ndarray:

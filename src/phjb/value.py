@@ -12,6 +12,7 @@ matches brute-force enumeration bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -37,6 +38,7 @@ from .paths import (
     TimeGrid,
     all_finite,
     extend_semigroup,
+    node_count_groups,
     sup_norm,
     vertical_bump,
 )
@@ -172,16 +174,6 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _interleaved(A: np.ndarray, B: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The rows of A with each row B[j] placed before A[at[j]], or after
-    the last row when at[j] is len(A); at is ascending."""
-    out = np.empty((len(A) + len(B),) + A.shape[1:], dtype=A.dtype)
-    pos = at + np.arange(len(at))
-    out[np.delete(np.arange(len(out)), pos)] = A
-    out[pos] = B
-    return out
-
-
 def _resolve(known: np.ndarray, ref: np.ndarray, vals: np.ndarray) -> None:
     """Fill in known[i] = vals[ref[i]] wherever ref[i] is not -1."""
     at = ref >= 0
@@ -200,9 +192,9 @@ class ValueTable:
     Below the root prefixes the recursion works on sample blocks, a tree
     level at a time (see `_sweep`): a forward pass steps, keys and
     deduplicates each level as one block, split only at _ROW_CAP parents,
-    with the roots of every node count joining their level, and a backward
-    pass prices the levels deepest first. Only the roots are `Path`
-    objects.
+    with the roots of every node count keyed first in their level, and a
+    backward pass prices the levels deepest first. Only the roots are
+    `Path` objects.
     """
 
     def __init__(self, c: Coefficients, grid: TimeGrid, *, budget: int = 10**6):
@@ -262,10 +254,11 @@ class ValueTable:
         """`value` of every path, in order, as one float array.
 
         The paths share a space and the table's step, as the paths of a net
-        do, and are valued in one sweep (see `_sweep`) whose values, memo
-        entries, argmins and hits are those that `value` on each path in
-        turn gives. A path that `_check_root` refuses is refused after every
-        path before it is valued.
+        do, and are valued in one sweep (see `_sweep`). Under the contract
+        of `Coefficients.state_key`, its values, memo entries, argmins and
+        hits are those that `value` on each path in turn gives. A path that
+        `_check_root` refuses is refused after every path before it is
+        valued.
         """
         refused = None
         for r, g in enumerate(paths):
@@ -275,15 +268,8 @@ class ValueTable:
                 refused, paths = exc, paths[:r]
                 break
         out = np.empty(len(paths))
-        groups: dict = {}
-        for i, g in enumerate(paths):
-            groups.setdefault(g.n_nodes, []).append(i)
-        for n, rows in groups.items():
-            S = np.stack([paths[i].samples for i in rows])
-            S.flags.writeable = False
-            groups[n] = (np.array(rows, dtype=np.intp), S)
         if paths:
-            self._sweep(paths[0], groups, out)
+            self._sweep(paths[0], node_count_groups(paths), out)
         if refused is not None:
             raise refused
         return out
@@ -315,25 +301,26 @@ class ValueTable:
         return known, ref, rows
 
     def _sweep(self, proto: Path, roots: dict, out: np.ndarray) -> None:
-        """out[i] = V of root i, for the roots of every node count at once.
+        """out[rows] = V of the roots of every node count at once.
 
-        roots maps a node count to (origins, S): S is the read-only block of
-        the roots of that node count on proto's space and step, and origins
-        their indices, ascending. Roots at T are priced by the terminal cost.
+        roots maps a node count to (rows, S): S is the read-only block of the
+        roots of that node count on proto's space and step, and rows their
+        indices in out.
 
-        Two passes over node counts. The forward pass steps each level's
-        parents in blocks of at most _ROW_CAP rows and keys the children,
-        and the roots of the level's node count join it: the level's rows go
-        in stable order of origin, the root each row descends from, and
-        parent-major in control order within one origin. That is the order
-        in which `value` on each root in turn meets them, so the first row
-        to carry a key that is neither in the memo nor earlier in the level
-        is the one that path by path would expand: it becomes a parent of
-        the next level, and every other row is a hit. Children at T are
-        priced by the terminal cost instead. The backward pass, deepest
-        level first, prices each child as its step cost plus its value, and
-        each parent keeps its first cheapest control, so the memo ends with
-        the entries, values and argmins of the path-by-path recursion.
+        Two passes over node counts. The forward pass keys each level as
+        blocks of rows: the roots of the level's node count first, then the
+        children of the level's parents, stepped in blocks of at most
+        _ROW_CAP parents, parent-major in control order. The first row to
+        carry a key that is neither in the memo nor earlier in the level
+        becomes a parent of the next level, and every other row is a hit.
+        The rows at T, roots and children, are priced by the terminal cost
+        instead. The backward
+        pass, deepest level first, reads the roots' values from the head of
+        each level, prices each child as its step cost plus its value, and
+        keeps each parent's first cheapest control. Where rows of equal key
+        have equal values, as `Coefficients.state_key` requires, the memo
+        ends with the entries, values and argmins of `value` on each root in
+        turn, and the same hits.
 
         The parents found by a level of one block, or by a level that roots
         join, are held whole. Those found by any other level are held as a
@@ -351,86 +338,56 @@ class ValueTable:
         controls = c.control_set
         W = len(controls)
         n_T = self.grid.n_steps + 1  # the node count at T
-        if n_T in roots:
-            at, S = roots.pop(n_T)
-            out[at] = _costs(c.terminal_cost(S), len(S), "terminal_cost")
-        if not roots:
-            return
         n = min(roots)
-        keys, origin = [], np.empty(0, dtype=np.intp)  # the parents at n - 1, and their origins
+        keys = []  # the parents at n - 1
         P, trail = None, []  # the parents' samples, as `_prefixes` reads them
         levels = []  # per level: parent keys, step costs, row values as `_lookup` gives them, roots
         pending = 0  # parents found so far, each a memo entry to come
         while True:
-            joining = roots.pop(n, None)
-            if joining is not None:  # each root goes before the children of the first later origin
-                r_origin, r_S = joining
-                r_at = np.searchsorted(origin, r_origin) * W
-            whole = joining is not None or len(keys) <= _ROW_CAP  # the parents found, held whole
-            costs, known, ref, child_at, root_at = [], [], [], [], []
-            up, last, parts, found, fresh = [], [], [], [], {}
-            if keys:
-                blocks = _stepped(c, proto, len(keys), partial(_prefixes, P, trail), controls)
-            else:
-                blocks = [(0, None, r_S[:0])]
-            done = seen = 0  # the roots and rows of the level met so far
+            at, R = roots.pop(n, ([], None))
+            whole = R is not None or len(keys) <= _ROW_CAP  # the parents found, held whole
+            costs, known, ref = [], [], []
+            up, last, parts, fresh = [], [], [], {}
+            blocks = _stepped(c, proto, len(keys), partial(_prefixes, P, trail), controls)
+            if R is not None:  # the roots, keyed first
+                blocks = itertools.chain([(0, None, R)], blocks)
             for lo, cost, X in blocks:
-                if cost is not None:
+                if cost is not None:  # children, not roots
                     costs.append(cost)
                 if n == n_T:
                     known.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
                     continue
-                if joining is not None:  # the block's rows with its roots among them
-                    end = lo * W + len(X)
-                    hi = len(r_S) if end == len(keys) * W else int(np.searchsorted(r_at, end))
-                    at = r_at[done:hi] - lo * W
-                    o = _interleaved(origin[lo + np.arange(len(X)) // W], r_origin[done:hi], at)
-                    X = _interleaved(X, r_S[done:hi], at)
-                    r_pos = at + np.arange(len(at))
-                    child_at.append(seen + np.delete(np.arange(len(X)), r_pos))
-                    root_at.append(seen + r_pos)
-                    done = hi
                 k, r, rows = self._lookup(self._keys(X), fresh)
                 self._check_memo(pending + len(fresh))
                 known.append(k)
                 ref.append(r)
-                seen += len(k)
-                if joining is not None:
-                    found.append(o[rows])
-                elif roots:  # origins order the roots still to join
-                    found.append(origin[lo + rows // W])
                 if whole:
                     parts.append(X[rows])
                 else:
                     up.append(lo + rows // W)
                     last.append(X[rows, -1])
-            joined = None if joining is None else (_joined(root_at), r_origin)
-            levels.append((keys, costs, _joined(known), ref, child_at, joined))
+            levels.append((keys, costs, _joined(known), ref, at))
             if fresh:
                 if whole:
                     P, trail = _joined(parts), []
                     P.flags.writeable = False
                 else:
                     trail.append((_joined(up), _joined(last)))
-                keys, origin = list(fresh), _joined(found) if found else None
+                keys = list(fresh)
                 pending += len(keys)
                 n += 1
             elif roots:  # no parents between here and the next roots
-                keys, origin = [], np.empty(0, dtype=np.intp)
-                n = min(roots)
+                keys, n = [], min(roots)
             else:
                 break
         vals = np.empty(0)  # the values of the parents of the level below
         while levels:  # freeing each level once it is priced
-            keys, costs, known, ref, child_at, joined = levels.pop()
+            keys, costs, known, ref, at = levels.pop()
             if ref:
                 _resolve(known, _joined(ref), vals)
-            if joined:
-                root_at, r_origin = joined
-                out[r_origin] = known[root_at]
+            out[at] = known[: len(at)]
             if keys:
-                child = known[_joined(child_at)] if child_at else known
-                total = (_joined(costs) + child).reshape(-1, W)
+                total = (_joined(costs) + known[len(at) :]).reshape(-1, W)
                 picks = _first_minima(total)
                 vals = total[np.arange(len(total)), picks]
                 memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))

@@ -179,6 +179,18 @@ def test_bp_precondition_is_a_failed_row_with_its_witness(runner):
     assert rows["at-max"]["postconditions_ok"] is True
 
 
+def test_classical_names_why_no_interior_probe_is_checked(runner):
+    # at grid 2 the would-be interior probes sit at T, and the one left is a kink
+    res = runner.invoke(main, ["check-classical", str(CONFIGS / "eikonal.json"), "--grid", "2"])
+    assert res.exit_code == 1
+    record = json.loads(res.output)["checks"][0]
+    assert "interior" not in {row["kind"] for row in record["rows"]}
+    assert record["summary"]["reason"] == "no interior probe fits the grid"
+    res = runner.invoke(main, ["check-classical", str(CONFIGS / "eikonal.json")])
+    assert res.exit_code == 0
+    assert "reason" not in json.loads(res.output)["checks"][0]["summary"]
+
+
 def test_ito_and_stability_subcommands(runner):
     for cmd in ("check-ito", "stability"):
         res = runner.invoke(main, [cmd, str(CONFIGS / "feedback.json")])

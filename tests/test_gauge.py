@@ -34,7 +34,7 @@ from phjb.gauge import (
     upsilon_on_prefixes,
     upsilon_rows,
 )
-from phjb.paths import node_count_blocks
+from phjb.paths import node_count_groups
 from phjb.variational import pair_gauge, pair_gauges
 
 SEED = 4242
@@ -247,9 +247,9 @@ def test_upsilon_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
         # S is Upsilon^0: its gradient adds 0 * gamma(t), which may flip a
         # zero's sign and nothing else
         assert np.array_equal(grad_S(p), scalar_grad_S(p))
-    for lo, hi, S in node_count_blocks(paths):
+    for rows, S in node_count_groups(paths).values():
         assert _bytes(upsilon_rows(2.0, S)) == _bytes(
-            [scalar_upsilon(2.0, p) for p in paths[lo:hi]]
+            [scalar_upsilon(2.0, paths[i]) for i in rows]
         )
 
 
@@ -272,10 +272,12 @@ def test_pair_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
         later = [g for g in paths if g.n_nodes >= anchor.n_nodes]
         want = [scalar_upsilon_pair(2.0, anchor, g, with_time=True) for g in later]
         assert _bytes(pair_gauges(anchor, later)) == _bytes(want)
-        for lo, hi, S in node_count_blocks(later):
-            assert _bytes(pair_gauge_rows(anchor, later[lo], S)) == _bytes(want[lo:hi])
-            assert _bytes(pair_difference_rows(anchor, later[lo], S)) == _bytes(
-                [scalar_pair_difference(anchor, g).samples for g in later[lo:hi]]
+        for rows, S in node_count_groups(later).values():
+            assert _bytes(pair_gauge_rows(anchor, later[rows[0]], S)) == _bytes(
+                [want[i] for i in rows]
+            )
+            assert _bytes(pair_difference_rows(anchor, later[rows[0]], S)) == _bytes(
+                [scalar_pair_difference(anchor, later[i]).samples for i in rows]
             )
 
 

@@ -27,6 +27,8 @@ def bench():
     "workload, seed",
     [
         pytest.param("sample", 0, id="sample"),
+        # a second seed's draws, since the bp pair gauges are grouped by node count
+        pytest.param("sample", 7, id="sample-seed7"),
         pytest.param("tree-certify", 0, id="tree-certify"),
         # a second seed's nets, since the value recursion orders its work by node count
         pytest.param("tree-certify", 7, id="tree-certify-seed7"),

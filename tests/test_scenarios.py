@@ -361,6 +361,11 @@ def test_block_pack_refuses_as_the_one_path_formula():
             GaugePack.anchored(Path(space, step, [[-1e308]]), 1.0),
             paths + [Path(space, step, [[0.0], [1e308]])],
         ),
+        # h_y < 0 on a path of another node count, before a later row of the first
+        (
+            GaugePack(h_y=lambda s, y: -1.0 if y == y_mid or s < 0.5 else 1.0),
+            paths[:2] + [Path(space, step, [[0.4], [0.5]])] + paths[2:],
+        ),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         for pack, rows in cases:

@@ -12,7 +12,7 @@ import pytest
 import phjb.value
 from phjb.checks import build_net
 from phjb.dynamics import Coefficients, ControlSignal, _control_array, step_once
-from phjb.paths import Path, TimeGrid, node_count_blocks
+from phjb.paths import Path, TimeGrid
 from phjb.scenarios import (
     eikonal,
     eikonal_value,
@@ -340,6 +340,19 @@ def test_a_zero_width_statistic_keys_each_node_count_once():
     assert sorted(table.memo) == [(n, b"") for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
 
 
+def test_roots_are_keyed_before_the_children_of_their_level():
+    # under a zero-width key every prefix of one node count shares one entry,
+    # so the entry at 2 nodes is that of whichever row of the level is keyed
+    # first: the root r, ahead of the children of the initial path
+    sc = eikonal()
+    c = replace(sc.coefficients, state_key=lambda S: np.zeros((len(S), 0)))
+    r = Path(sc.space, sc.grid.step, [[1.5], [1.5]])
+    table = ValueTable(c, sc.grid)
+    table.values([sc.initial, r])
+    assert ValueTable(c, sc.grid).entry(r) == (0.75, -1.0)
+    assert table.memo[(2, b"")] == (0.75, -1.0)
+
+
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("keyed", [True, False])
 def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keyed):
@@ -522,7 +535,8 @@ def test_each_level_of_a_run_is_stepped_once_per_row_cap_chunk(cap, stepped, mon
         monkeypatch.setattr(phjb.value, "_ROW_CAP", cap)
     sc = runmax(step=0.125)
     roots = _roots(sc)
-    assert len(node_count_blocks(roots)) > len({g.n_nodes for g in roots})  # node counts recur
+    runs = itertools.groupby(g.n_nodes for g in roots)
+    assert len(list(runs)) > len({g.n_nodes for g in roots})  # node counts recur
     ValueTable(sc.coefficients, sc.grid).values(roots)
     levels = [n for n, _ in stepped]
     assert levels == sorted(levels)
@@ -601,6 +615,12 @@ def _nets(sc, seed=3) -> list:
     return [build_net(sc.coefficients, p, sc.grid, seed=seed) for p in points or [sc.initial]]
 
 
+def unkeyed_runmax(step):
+    """runmax with the exact sample bytes as its memo key."""
+    sc = runmax(step=step)
+    return replace(sc, coefficients=replace(sc.coefficients, state_key=None))
+
+
 @pytest.mark.parametrize(
     "build, step",
     [
@@ -610,6 +630,7 @@ def _nets(sc, seed=3) -> list:
         (runmax, 0.125),
         (feedback, 0.25),
         (feedback, 0.2),
+        (unkeyed_runmax, 0.25),
     ],
 )
 def test_values_of_a_net_match_value_path_by_path(build, step, monkeypatch):
