@@ -32,7 +32,16 @@ from .dynamics import (
     step_rows,
 )
 from .gauge import pair_difference, upsilon_on_prefixes
-from .paths import GRID_TOL, Path, TimeGrid, extend_semigroup, vertical_bump
+from .paths import (
+    GRID_TOL,
+    Net,
+    Path,
+    TimeGrid,
+    _seal,
+    carried,
+    node_count_groups,
+    vertical_bump,
+)
 from .testfn import GaugePack, TestFunctionPhi, differentiability_probe
 from .value import ValueTable, hamiltonian
 
@@ -172,24 +181,39 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
 # comparison nets -------------------------------------------------------
 
 
-def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 0) -> list:
+# the sizes of the single-sample vertical edits, each added and subtracted
+_EDIT_SIZES = (1e-3, 1e-2, 0.05, 0.1, 0.3)
+# the radii of the seeded wiggles of each extension, two per radius
+_WIGGLE_SCALES = np.repeat((0.05, 0.2, 0.5, 1.0), 2)
+
+
+def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 0) -> Net:
     """Finite family of comparison paths at and after the point's horizon.
 
     Contains the point itself, its semigroup extensions, the control tree
     grown by the mild stepper (width-capped), single-sample vertical edits
     at every node and coordinate, and seeded Gaussian wiggles of the
     extensions at several radii. Premise scans run over this net.
+
+    The paths are made as blocks, each checked finite once: the extensions
+    are heads of one carried block, each tree level is one stepped block,
+    the edits are one broadcast block, and the eight wiggles of each
+    extension are one block, drawn in the order of one draw per path.
+    Every path but the point is a read-only view into its block, and none
+    is a validated `Path` of its own. The net is a `Net`: it is grouped by
+    node count once, here, and every reader of the net (its values, gauge
+    packs, pair gauges and premise scan) reads that one grouping.
     """
     if abs(grid.step - point.step) > GRID_TOL:
         raise ValueError(f"grid step {grid.step} differs from point step {point.step}")
     rng = np.random.default_rng(seed)
-    space = point.space
-    h = grid.step
     net = [point]
-
-    for s in grid.times:
-        if s > point.horizon + GRID_TOL:
-            net.append(extend_semigroup(point, s))
+    # the node counts of the extensions after the point, and of those the
+    # wiggles perturb, the point's own count included
+    after = [j + 1 for j, s in enumerate(grid.times) if s > point.horizon + GRID_TOL]
+    wiggled = [j + 1 for j, s in enumerate(grid.times) if s >= point.horizon - GRID_TOL]
+    carry = _seal(carried(point, max(wiggled, default=point.n_nodes)))
+    net.extend(point._trusted(carry[:n]) for n in after)
 
     # control tree, breadth-first, whole levels while the net stays <= 400;
     # a level that would not fit is not stepped
@@ -199,25 +223,19 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
         level = step_rows(coeffs, point, level, coeffs.control_set)[2]
         net.extend(point._trusted(x) for x in level)
 
-    # single-sample vertical edits
-    for j in range(point.n_nodes):
-        for k in range(space.dim):
-            for d in (1e-3, 1e-2, 0.05, 0.1, 0.3):
-                for sign in (1.0, -1.0):
-                    samples = point.samples.copy()
-                    samples[j, k] += sign * d
-                    net.append(Path(space, h, samples))
+    # single-sample vertical edits, node-major, then coordinate, size and sign
+    k, dim = point.samples.shape
+    edits = np.broadcast_to(point.samples, (k, dim, len(_EDIT_SIZES), 2, k, dim)).copy()
+    node, coord = np.arange(k)[:, None], np.arange(dim)
+    edits[node, coord, :, :, node, coord] += np.multiply.outer(_EDIT_SIZES, (1.0, -1.0))
+    net.extend(point._trusted(x) for x in _seal(edits.reshape(-1, k, dim)))
 
-    # seeded wiggles of the extensions, two per radius
-    for s in grid.times:
-        if s < point.horizon - GRID_TOL:
-            continue
-        base = extend_semigroup(point, s)
-        for r in (0.05, 0.2, 0.5, 1.0):
-            for _ in range(2):
-                noise = rng.normal(scale=r, size=base.samples.shape)
-                net.append(Path(space, h, base.samples + noise))
-    return net
+    # seeded wiggles of the extensions, drawn in the order of one draw per path
+    for n in wiggled:
+        shape = (len(_WIGGLE_SCALES), n, point.space.dim)
+        noise = rng.normal(scale=_WIGGLE_SCALES[:, None, None], size=shape)
+        net.extend(point._trusted(x) for x in _seal(carry[:n] + noise))
+    return Net(net)
 
 
 # the equation operator ------------------------------------------------
@@ -267,15 +285,20 @@ def viscosity_check(
     """One-sided equation test for a value candidate at one point.
 
     `values` holds the candidate's value at every path of `net`, in net
-    order; net[0] must be the point itself, as `build_net` makes it. The
-    analytic derivatives of phi are first validated at the point and its
-    vertical bumps. The certificate is renormalized by a constant so the
-    premise holds with equality at net[0]; the scan then verifies the point
-    is a global max (sub) or min (super) of w -/+ (phi + pack) over the
-    net, up to _PREMISE_TOL. If not, the check refuses with a witness: the
-    first path with the largest gap, or the first path whose gap is NaN.
-    Otherwise the one-sided operator inequality is evaluated with analytic
-    derivatives.
+    order; net[0] must be the point itself, as `build_net` makes it, and
+    the paths share its step. The analytic derivatives of phi are first
+    validated at the point and its vertical bumps, up to the net's last
+    horizon. The certificate is renormalized by a constant so the premise
+    holds with equality at net[0]; the scan then verifies the point is a
+    global max (sub) or min (super) of w -/+ (phi + pack) over the paths of
+    the net that do not end before it, up to _PREMISE_TOL. If not, the check
+    refuses with a witness: the first path with the largest gap, or the
+    first path whose gap is NaN. Otherwise the one-sided operator
+    inequality is evaluated with analytic derivatives.
+
+    Horizons are read once per node count (`node_count_groups`), and when
+    no path ends before the point the scan runs over the net itself, so a
+    `Net`'s grouping serves the pack's values too.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
@@ -293,12 +316,19 @@ def viscosity_check(
         e[k] = 0.05
         probes.append(vertical_bump(point, e))
         probes.append(vertical_bump(point, -e))
-    phi.validate_on(probes, t_final=max(p.horizon for p in net))
+    groups = node_count_groups(net)
+    # the horizon of each node count, read off the first path that has it
+    horizon = {n: net[rows[0]].horizon for n, (rows, _) in groups.items()}
+    phi.validate_on(probes, t_final=max(horizon.values()))
 
-    kept = [i for i, g in enumerate(net) if g.horizon >= point.horizon - GRID_TOL]
-    scan = [net[i] for i in kept]
+    # the paths that end before the point are not scanned
+    kept = [rows for n, (rows, _) in groups.items() if horizon[n] >= point.horizon - GRID_TOL]
+    scan = net
+    if len(kept) < len(groups):
+        kept = np.sort(np.concatenate(kept))
+        scan, values = [net[i] for i in kept], values[kept]
     phis = np.array([float(phi.value(g)) for g in scan])
-    f = values[kept] - sgn * (phis + pack.values(scan))
+    f = values - sgn * (phis + pack.values(scan))
     renorm = float(f[0])
     gaps = sgn * (f - renorm)
     # the first NaN gap, else the first of the largest gaps (as a strict `>`

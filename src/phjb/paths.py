@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "semigroup_rows",
     "carried",
     "node_count_groups",
+    "Net",
     "sup_norm",
     "sup_norms",
     "prefix_sup_norms",
@@ -50,6 +52,15 @@ def all_finite(a: np.ndarray) -> bool:
     if a.size <= _SCALAR_FINITE_MAX:
         return all(map(math.isfinite, a.ravel().tolist()))
     return bool(np.isfinite(a).all())
+
+
+def _seal(a: np.ndarray) -> np.ndarray:
+    """a, a fresh float64 array of samples that nothing else writes to,
+    checked finite once and made read-only."""
+    if not all_finite(a):
+        raise ValueError("samples must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def grid_index(t: float, step: float, *, what: str = "time") -> int:
@@ -120,12 +131,9 @@ class Path:
 
     def _sealed(self, samples: np.ndarray) -> "Path":
         """A path on this path's space and step over `samples`, a fresh float64
-        (k + 1, dim) array that nothing else writes to: checked finite once,
-        made read-only and wrapped as it is, without `__post_init__`'s copy."""
-        if not all_finite(samples):
-            raise ValueError("samples must be finite")
-        samples.flags.writeable = False
-        return self._trusted(samples)
+        (k + 1, dim) array that nothing else writes to: sealed (`_seal`) and
+        wrapped as it is, without `__post_init__`'s copy."""
+        return self._trusted(_seal(samples))
 
     def _trusted(self, samples: np.ndarray) -> "Path":
         """A path on this path's space and step holding `samples` as they are.
@@ -273,19 +281,38 @@ def carried(g: Path, n: int) -> np.ndarray:
     return out
 
 
-def node_count_groups(paths) -> dict:
+def node_count_groups(paths) -> Mapping:
     """The paths grouped by node count, in order of each count's first
     occurrence, as {n: (rows, S)}: rows are the ascending indices of the
-    paths with n nodes, and S their samples stacked into one read-only
-    (len(rows), n, dim) block."""
+    paths with n nodes, as a read-only index array, and S their samples
+    stacked into one read-only (len(rows), n, dim) block. A `Net` gives
+    the grouping it made when it was built; no reader may change it."""
+    if isinstance(paths, Net):
+        return paths.groups
     groups: dict = {}
     for i, g in enumerate(paths):
         groups.setdefault(g.n_nodes, []).append(i)
     for n, rows in groups.items():
-        S = np.stack([paths[i].samples for i in rows])
+        S = np.array([paths[i].samples for i in rows])  # as np.stack, without its per-array overhead
         S.flags.writeable = False
+        rows = np.array(rows, dtype=np.intp)
+        rows.flags.writeable = False
         groups[n] = (rows, S)
     return groups
+
+
+class Net(tuple):
+    """An immutable family of paths on one space and step, grouped by node
+    count once, when it is made: `node_count_groups` returns that grouping,
+    as a read-only mapping, to every reader. A net cannot be appended to and
+    its paths' samples and its group blocks are read-only, so the grouping
+    cannot go stale."""
+
+    def __new__(cls, paths):
+        net = super().__new__(cls, paths)
+        # grouped as a plain tuple: the net itself has no grouping yet
+        net.groups = MappingProxyType(node_count_groups(tuple(net)))
+        return net
 
 
 # -- norms and metric ----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -300,12 +300,13 @@ class ValueTable:
         known = np.array([hit[0] if hit else 0.0 for hit in found])
         return known, ref, rows
 
-    def _sweep(self, proto: Path, roots: dict, out: np.ndarray) -> None:
+    def _sweep(self, proto: Path, roots: Mapping, out: np.ndarray) -> None:
         """out[rows] = V of the roots of every node count at once.
 
         roots maps a node count to (rows, S): S is the read-only block of the
         roots of that node count on proto's space and step, and rows their
-        indices in out.
+        indices in out. roots is only read, so one grouping (a `Net`'s) can
+        be valued again.
 
         Two passes over node counts. The forward pass keys each level as
         blocks of rows: the roots of the level's node count first, then the
@@ -344,7 +345,7 @@ class ValueTable:
         levels = []  # per level: parent keys, step costs, row values as `_lookup` gives them, roots
         pending = 0  # parents found so far, each a memo entry to come
         while True:
-            at, R = roots.pop(n, ([], None))
+            at, R = roots.get(n, ([], None))
             whole = R is not None or len(keys) <= _ROW_CAP  # the parents found, held whole
             costs, known, ref = [], [], []
             up, last, parts, fresh = [], [], [], {}
@@ -376,8 +377,8 @@ class ValueTable:
                 keys = list(fresh)
                 pending += len(keys)
                 n += 1
-            elif roots:  # no parents between here and the next roots
-                keys, n = [], min(roots)
+            elif n < max(roots):  # no parents between here and the next roots
+                keys, n = [], min(m for m in roots if m > n)
             else:
                 break
         vals = np.empty(0)  # the values of the parents of the level below

@@ -93,16 +93,17 @@ def bp_search(
     rho is a row gauge: rho(anchor, paths) gives the gauge from the anchor
     to each path, in order, none of them ending before the anchor. It is
     called once per anchor, when the anchor is set, over the paths that
-    compete from then on. A running perturbed value per path has the rows
-    subtracted in anchor order, the same float sequence as summing the
-    gauges afresh at every stage. The incumbent is always the last anchor,
-    so its row also serves the stop test and the strictness scan.
+    compete from then on; while every path competes, that is the net
+    itself (a sequence of paths), so `pair_gauges` reads a `Net`'s
+    grouping. A running perturbed value per path has the rows subtracted
+    in anchor order, the same float sequence as summing the gauges afresh
+    at every stage. The incumbent is always the last anchor, so its row
+    also serves the stop test and the strictness scan.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    net = list(net)
     if not any(p is start for p in net):
-        net.append(start)
+        net = [*net, start]
     f_vals = [float(f(p)) for p in net]
     f_max = max(f_vals)
     f_start = float(f(start))
@@ -116,7 +117,8 @@ def bp_search(
         """Make net[i] the next anchor; return the paths that compete from now on."""
         floor = net[i].horizon - GRID_TOL
         competing = [k for k, g in enumerate(net) if g.horizon >= floor]
-        row = [float(r) for r in rho(net[i], [net[k] for k in competing])]
+        pool = net if len(competing) == len(net) else [net[k] for k in competing]
+        row = [float(r) for r in rho(net[i], pool)]
         if len(row) != len(competing):
             raise ValueError(f"gauge row has {len(row)} entries for {len(competing)} paths")
         if any(r < 0.0 for r in row):

@@ -1,0 +1,177 @@
+"""Comparison nets: the block-built net against the per-path construction,
+its read-only grouping, and every reader of a net against the same paths
+as a plain list."""
+
+from dataclasses import replace
+from pathlib import Path as FsPath
+
+import numpy as np
+import pytest
+
+from phjb.checks import build_net, viscosity_check
+from phjb.config import load_config
+from phjb.dynamics import step_rows
+from phjb.paths import GRID_TOL, Net, Path, extend_semigroup, node_count_groups
+from phjb.scenarios import eikonal, runmax, touching_points
+from phjb.value import ValueTable
+from phjb.variational import pair_gauges
+
+from conftest import time_ramp
+
+CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
+
+
+def per_path_build_net(coeffs, point, grid, *, seed=0) -> list:
+    """build_net as it made its paths one at a time: each extension, edit
+    and wiggle a validated `Path` of its own."""
+    rng = np.random.default_rng(seed)
+    space = point.space
+    h = grid.step
+    net = [point]
+    for s in grid.times:
+        if s > point.horizon + GRID_TOL:
+            net.append(extend_semigroup(point, s))
+    level = point.samples[None]
+    width = len(coeffs.control_set)
+    while level.shape[1] <= grid.n_steps and len(net) + width * len(level) <= 400:
+        level = step_rows(coeffs, point, level, coeffs.control_set)[2]
+        net.extend(point._trusted(x) for x in level)
+    for j in range(point.n_nodes):
+        for k in range(space.dim):
+            for d in (1e-3, 1e-2, 0.05, 0.1, 0.3):
+                for sign in (1.0, -1.0):
+                    samples = point.samples.copy()
+                    samples[j, k] += sign * d
+                    net.append(Path(space, h, samples))
+    for s in grid.times:
+        if s < point.horizon - GRID_TOL:
+            continue
+        base = extend_semigroup(point, s)
+        for r in (0.05, 0.2, 0.5, 1.0):
+            for _ in range(2):
+                noise = rng.normal(scale=r, size=base.samples.shape)
+                net.append(Path(space, h, base.samples + noise))
+    return net
+
+
+def _points(sc) -> list:
+    """The touching points that fit the scenario's grid, then the initial path."""
+    try:
+        points = [tp.point for tp in touching_points(sc)]
+    except ValueError:  # eikonal's slope walk refuses the grids from 6 up
+        points = []
+    return points + [sc.initial]
+
+
+def _same_groups(got, want) -> bool:
+    return list(got) == list(want) and all(
+        np.array_equal(got[n][0], want[n][0]) and got[n][1].tobytes() == want[n][1].tobytes()
+        for n in want
+    )
+
+
+@pytest.mark.parametrize("config", ["eikonal", "runmax"])
+@pytest.mark.parametrize("grid", [4, 8, 16])
+def test_the_block_built_net_is_the_per_path_net(config, grid):
+    for seed in range(4):
+        sc = load_config(str(CONFIGS / f"{config}.json"), grid_steps=grid, seed=seed).scenario
+        for point in _points(sc):
+            net = build_net(sc.coefficients, point, sc.grid, seed=seed)
+            want = per_path_build_net(sc.coefficients, point, sc.grid, seed=seed)
+            assert isinstance(net, Net) and net[0] is point
+            assert [g.n_nodes for g in net] == [g.n_nodes for g in want]
+            for g, w in zip(net, want):
+                assert g.space is point.space and g.step == point.step
+                assert g.samples.dtype == np.float64
+                assert g.samples.tobytes() == w.samples.tobytes()
+            assert _same_groups(node_count_groups(net), node_count_groups(want))
+
+
+def test_a_net_and_its_grouping_are_read_only():
+    sc = runmax()
+    net = build_net(sc.coefficients, sc.initial, sc.grid, seed=0)
+    groups = node_count_groups(net)
+    assert groups is node_count_groups(net)  # made once, when the net was built
+    assert not hasattr(net, "append") and not hasattr(net, "extend")
+    with pytest.raises(TypeError):
+        net[1] = net[0]
+    grown = net + (net[0],)  # a new plain tuple; the net keeps its paths
+    assert type(grown) is tuple and len(net) == len(grown) - 1
+    for g in net:
+        assert not g.samples.flags.writeable
+        with pytest.raises(ValueError):
+            g.samples[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        groups[0] = groups[net[0].n_nodes]
+    assert not hasattr(groups, "pop")
+    for rows, S in groups.values():
+        assert not rows.flags.writeable and not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rows[0] = 0
+
+
+# every reader gives on a net what it gives on the net's paths as a list ---
+
+
+def _nets():
+    """(scenario, touching point, net) for every certified point of both
+    closed-form scenarios at their default grids."""
+    out = []
+    for build in (eikonal, runmax):
+        sc = build()
+        for tp in touching_points(sc):
+            out.append((sc, tp, build_net(sc.coefficients, tp.point, sc.grid, seed=1)))
+    return out
+
+
+def test_every_reader_gives_on_a_net_what_it_gives_on_a_list():
+    n_witnesses = 0
+    for sc, tp, net in _nets():
+        paths = list(net)
+        runs = []
+        for arg in (net, paths, net):  # the net's grouping, read twice
+            table = ValueTable(sc.coefficients, sc.grid)
+            values = table.values(arg)
+            runs.append((values.tobytes(), dict(table.memo), table.hits))
+        assert runs[0] == runs[1] == runs[2]
+        for pack in (tp.pack_sub, tp.pack_super):
+            assert pack.values(net).tobytes() == pack.values(paths).tobytes()
+        for anchor in (tp.point, net[-1]):
+            later = [g for g in net if g.n_nodes >= anchor.n_nodes]
+            arg = net if len(later) == len(net) else later
+            assert pair_gauges(anchor, arg) == pair_gauges(anchor, list(arg))
+
+        T = sc.grid.T
+        for w in (values, values + np.array([T - g.horizon for g in net])):
+            for side, phi, pack in (
+                ("sub", tp.phi_sub, tp.pack_sub),
+                ("super", tp.phi_super, tp.pack_super),
+                ("sub", time_ramp(tp.phi_sub, 1.0, T), tp.pack_sub),
+            ):
+                got = viscosity_check(w, sc.coefficients, tp.point, phi, pack, side, net=net)
+                want = viscosity_check(w, sc.coefficients, tp.point, phi, pack, side, net=paths)
+                assert got.witness is want.witness
+                assert replace(got, witness=None) == replace(want, witness=None)
+                n_witnesses += want.witness is not None
+    assert n_witnesses > 0
+
+
+def test_a_path_that_ends_before_the_point_is_not_scanned():
+    sc, tp, net = next((sc, tp, net) for sc, tp, net in _nets() if tp.point.n_nodes > 2)
+    values = ValueTable(sc.coefficients, sc.grid).values(net)
+    short = tp.point._head(tp.point.n_nodes - 1)
+    # a value that breaks the premise by far, were the short path scanned
+    for at in (1, len(net)):
+        paths = list(net[:at]) + [short] + list(net[at:])
+        for side, phi, pack, far in (
+            ("sub", tp.phi_sub, tp.pack_sub, 1e6),
+            ("super", tp.phi_super, tp.pack_super, -1e6),
+        ):
+            got = viscosity_check(
+                np.insert(values, at, far), sc.coefficients, tp.point, phi, pack, side, net=paths
+            )
+            want = viscosity_check(values, sc.coefficients, tp.point, phi, pack, side, net=net)
+            assert got.premise_ok
+            assert replace(got, net_size=len(net)) == want

@@ -12,7 +12,7 @@ import pytest
 import phjb.value
 from phjb.checks import build_net
 from phjb.dynamics import Coefficients, ControlSignal, _control_array, step_once
-from phjb.paths import Path, TimeGrid
+from phjb.paths import Path, TimeGrid, node_count_groups
 from phjb.scenarios import (
     eikonal,
     eikonal_value,
@@ -658,6 +658,25 @@ def test_values_of_a_net_match_value_path_by_path(build, step, monkeypatch):
             monkeypatch.undo()
 
 
+def test_valuing_one_grouping_twice_leaves_it_as_it_was():
+    sc = runmax()
+    paths = list(_nets(sc)[0])
+    groups = node_count_groups(paths)
+    kept = {n: (rows.copy(), S.copy()) for n, (rows, S) in groups.items()}
+    ref = ValueTable(sc.coefficients, sc.grid)
+    want = [(ref.values(paths).tobytes(), dict(ref.memo), ref.hits) for _ in range(2)]
+    table = ValueTable(sc.coefficients, sc.grid)
+    got = []
+    for _ in range(2):
+        out = np.empty(len(paths))
+        table._sweep(paths[0], groups, out)
+        got.append((out.tobytes(), dict(table.memo), table.hits))
+    assert got == want
+    assert list(groups) == list(kept)
+    for n, (rows, S) in kept.items():
+        assert np.array_equal(groups[n][0], rows) and groups[n][1].tobytes() == S.tobytes()
+
+
 def _refusal(fn):
     with pytest.raises((ValueError, BudgetExceeded)) as info:
         fn()
@@ -667,7 +686,7 @@ def _refusal(fn):
 def test_values_refuse_where_value_refuses_path_by_path():
     sc = eikonal()
     grid = sc.grid
-    net = _nets(sc)[0]
+    net = list(_nets(sc)[0])  # spliced below, as a plain list
     beyond = Path(sc.space, grid.step, np.zeros((grid.n_steps + 2, 1)))
     stripped = replace(sc.coefficients, state_key=None)
     i = next(i for i in range(1, len(net)) if net[i - 1].n_nodes == net[i].n_nodes > 1)

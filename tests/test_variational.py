@@ -292,3 +292,25 @@ def test_bp_check_takes_one_gauge_row_per_anchor(monkeypatch):
     assert scalar[0] == 0
     assert len(searches) == 2
     assert all(calls == anchors for calls, anchors in searches), searches
+
+
+def test_the_row_gauge_gets_the_net_itself_while_every_path_competes():
+    """The first anchor is the start, where no net path ends earlier, so
+    `pair_gauges` reads the grouping the net was built with; a later anchor
+    that leaves paths out gets the competing paths as a list."""
+    sc = load_config(str(CONFIGS / "runmax.json"), grid_steps=8, seed=0).scenario
+    start = sc.initial
+    net = build_net(sc.coefficients, start, sc.grid, seed=0)
+    pools = []
+
+    def rho(anchor, paths):
+        pools.append(paths)
+        return pair_gauges(anchor, paths)
+
+    f = lambda g: g.horizon - pair_gauge(start, g)  # the bp check's horizon-bonus mode
+    eps = 0.3 * (sc.grid.T - start.horizon) + 0.1
+    res = bp_search(f, net, start, eps, rho=rho)
+    assert_same_result(res, reference_bp_search(f, net, start, eps))
+    assert pools[0] is net
+    later = [p for p, a in zip(pools[1:], res.anchors[1:]) if a.horizon > start.horizon + GRID_TOL]
+    assert later and all(isinstance(p, list) and len(p) < len(net) for p in later)
