@@ -32,6 +32,7 @@ from .dynamics import (
     step_rows,
 )
 from .gauge import pair_difference, upsilon_on_prefixes
+from .hilbert import SpectralSpace
 from .paths import (
     GRID_TOL,
     Net,
@@ -39,6 +40,8 @@ from .paths import (
     TimeGrid,
     _seal,
     carried,
+    formula_rows,
+    group_rows,
     node_count_groups,
     vertical_bump,
 )
@@ -50,6 +53,7 @@ __all__ = [
     "ito_residual",
     "GaugeMarginResult",
     "upsilon_margin",
+    "gauge_cases",
     "build_net",
     "ViscosityResult",
     "viscosity_check",
@@ -178,6 +182,35 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     return results
 
 
+# the cases `gauge_cases` draws, and the exponents M they take in turn
+_GAUGE_CASES = 100
+_GAUGE_EXPONENTS = (2.0, 5.0)
+
+
+def gauge_cases(coeffs: Coefficients, space: SpectralSpace, grid: TimeGrid, *, seed: int) -> list:
+    """Seeded cases (M, g, eta, u) for `upsilon_margin`, drawn case by case:
+    a node count, the random walks g and eta with that count, and a control
+    from the control set, held constant from g's horizon to T. M takes the
+    exponents in turn."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(_GAUGE_CASES):
+        n_nodes = int(rng.integers(1, grid.n_steps + 1))
+        g, eta = (_walk(rng, space, grid.step, n_nodes) for _ in range(2))
+        u = coeffs.control_set[int(rng.integers(len(coeffs.control_set)))]
+        sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
+        cases.append((_GAUGE_EXPONENTS[i % len(_GAUGE_EXPONENTS)], g, eta, sig))
+    return cases
+
+
+def _walk(rng, space, step, n_nodes) -> Path:
+    """A random walk of n_nodes samples: a standard normal start, then
+    steps of variance `step`."""
+    start = rng.normal(0.0, 1.0, size=(1, space.dim))
+    steps = rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, space.dim))
+    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+
+
 # comparison nets -------------------------------------------------------
 
 
@@ -198,44 +231,46 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
     The paths are made as blocks, each checked finite once: the extensions
     are heads of one carried block, each tree level is one stepped block,
     the edits are one broadcast block, and the eight wiggles of each
-    extension are one block, drawn in the order of one draw per path.
-    Every path but the point is a read-only view into its block, and none
-    is a validated `Path` of its own. The net is a `Net`: it is grouped by
-    node count once, here, and every reader of the net (its values, gauge
-    packs, pair gauges and premise scan) reads that one grouping.
+    extension are one block, drawn in the order of one draw per path. The
+    point and these blocks make a `Net`, grouped by node count once, here:
+    every path but the point is a read-only view into its group's block,
+    none is a validated `Path` of its own, and every reader of the net (its
+    values, gauge packs, pair gauges and premise scan) reads that one
+    grouping.
     """
     if abs(grid.step - point.step) > GRID_TOL:
         raise ValueError(f"grid step {grid.step} differs from point step {point.step}")
     rng = np.random.default_rng(seed)
-    net = [point]
     # the node counts of the extensions after the point, and of those the
     # wiggles perturb, the point's own count included
     after = [j + 1 for j, s in enumerate(grid.times) if s > point.horizon + GRID_TOL]
     wiggled = [j + 1 for j, s in enumerate(grid.times) if s >= point.horizon - GRID_TOL]
     carry = _seal(carried(point, max(wiggled, default=point.n_nodes)))
-    net.extend(point._trusted(carry[:n]) for n in after)
+    blocks = [carry[:n][None] for n in after]  # each a block of one path
+    size = 1 + len(after)
 
     # control tree, breadth-first, whole levels while the net stays <= 400;
     # a level that would not fit is not stepped
     level = point.samples[None]
     width = len(coeffs.control_set)
-    while level.shape[1] <= grid.n_steps and len(net) + width * len(level) <= 400:
+    while level.shape[1] <= grid.n_steps and size + width * len(level) <= 400:
         level = step_rows(coeffs, point, level, coeffs.control_set)[2]
-        net.extend(point._trusted(x) for x in level)
+        blocks.append(level)
+        size += len(level)
 
     # single-sample vertical edits, node-major, then coordinate, size and sign
     k, dim = point.samples.shape
     edits = np.broadcast_to(point.samples, (k, dim, len(_EDIT_SIZES), 2, k, dim)).copy()
     node, coord = np.arange(k)[:, None], np.arange(dim)
     edits[node, coord, :, :, node, coord] += np.multiply.outer(_EDIT_SIZES, (1.0, -1.0))
-    net.extend(point._trusted(x) for x in _seal(edits.reshape(-1, k, dim)))
+    blocks.append(_seal(edits.reshape(-1, k, dim)))
 
     # seeded wiggles of the extensions, drawn in the order of one draw per path
     for n in wiggled:
         shape = (len(_WIGGLE_SCALES), n, point.space.dim)
         noise = rng.normal(scale=_WIGGLE_SCALES[:, None, None], size=shape)
-        net.extend(point._trusted(x) for x in _seal(carry[:n] + noise))
-    return Net(net)
+        blocks.append(_seal(carry[:n] + noise))
+    return Net(point, blocks)
 
 
 # the equation operator ------------------------------------------------
@@ -296,9 +331,10 @@ def viscosity_check(
     first path whose gap is NaN. Otherwise the one-sided operator
     inequality is evaluated with analytic derivatives.
 
-    Horizons are read once per node count (`node_count_groups`), and when
-    no path ends before the point the scan runs over the net itself, so a
-    `Net`'s grouping serves the pack's values too.
+    The scan runs group by group over the net's node-count groups
+    (`node_count_groups`), with one horizon per group: phi's row formula
+    and the pack's rows each go through `group_rows`, so the first refusal
+    of either is the one that path by path order meets first.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
@@ -322,13 +358,16 @@ def viscosity_check(
     phi.validate_on(probes, t_final=max(horizon.values()))
 
     # the paths that end before the point are not scanned
-    kept = [rows for n, (rows, _) in groups.items() if horizon[n] >= point.horizon - GRID_TOL]
-    scan = net
+    kept = [group for n, group in groups.items() if horizon[n] >= point.horizon - GRID_TOL]
+
+    def scanned(f):  # the row formula f over the kept groups
+        return group_rows(lambda rows, S: formula_rows(f, net[rows[0]], S), net, kept)
+
+    f = values - sgn * (scanned(phi.rows) + scanned(pack.rows))
+    at = np.arange(len(net))
     if len(kept) < len(groups):
-        kept = np.sort(np.concatenate(kept))
-        scan, values = [net[i] for i in kept], values[kept]
-    phis = np.array([float(phi.value(g)) for g in scan])
-    f = values - sgn * (phis + pack.values(scan))
+        at = np.sort(np.concatenate([rows for rows, _ in kept]))
+        f = f[at]
     renorm = float(f[0])
     gaps = sgn * (f - renorm)
     # the first NaN gap, else the first of the largest gaps (as a strict `>`
@@ -337,7 +376,7 @@ def viscosity_check(
     i = int(nan[0]) if nan.size else int(gaps.argmax())
     worst_gap, witness = 0.0, None
     if nan.size or gaps[i] > worst_gap:
-        worst_gap, witness = float(gaps[i]), scan[i]
+        worst_gap, witness = float(gaps[i]), net[at[i]]
     premise_ok = worst_gap <= _PREMISE_TOL
     if premise_ok:
         witness = None

@@ -18,6 +18,7 @@ from . import __version__
 from .checks import (
     build_net,
     classical_check,
+    gauge_cases,
     ito_residual,
     stability_experiment,
     upsilon_margin,
@@ -157,19 +158,10 @@ def _run_ito(cfg: RunConfig, value_table) -> CheckRecord:
 
 def _run_gauge(cfg: RunConfig, value_table) -> CheckRecord:
     sc = cfg.scenario
-    rng = np.random.default_rng(cfg.seed)
-    space, grid, c = sc.space, sc.grid, sc.coefficients
-    cases = []
-    for i in range(100):
-        n_nodes = int(rng.integers(1, grid.n_steps + 1))
-        g = _walk(rng, space, grid.step, n_nodes, 1.0)
-        eta = _walk(rng, space, grid.step, n_nodes, 1.0)
-        u = c.control_set[int(rng.integers(len(c.control_set)))]
-        sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
-        M = 2.0 if i % 2 == 0 else 5.0
-        cases.append((M, g, eta, sig))
+    c = sc.coefficients
+    cases = gauge_cases(c, sc.space, sc.grid, seed=cfg.seed)
     margins = np.array([r.margin for r in upsilon_margin(c, cases)])
-    floor = -cfg.tolerances["margin_c0"] * grid.step
+    floor = -cfg.tolerances["margin_c0"] * sc.grid.step
     return CheckRecord(
         name="gauge",
         passed=bool(margins.min() >= floor),
@@ -181,12 +173,6 @@ def _run_gauge(cfg: RunConfig, value_table) -> CheckRecord:
         },
         rows=[],
     )
-
-
-def _walk(rng, space, step, n_nodes, scale) -> Path:
-    start = rng.normal(0.0, scale, size=(1, space.dim))
-    steps = rng.normal(0.0, scale * np.sqrt(step), size=(n_nodes - 1, space.dim))
-    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
 
 
 def _run_viscosity(cfg: RunConfig, value_table) -> CheckRecord:

@@ -26,8 +26,8 @@ from .paths import (
     all_finite,
     carried,
     extend_semigroup,
+    group_rows,
     metric_d_infty,
-    node_count_groups,
     sup_norm,
     sup_norms,
 )
@@ -139,10 +139,11 @@ class _Refused(Exception):
         self.error = error
 
 
-def _one_row(fn, *args):
-    """fn(*args) on one-row blocks, raising a refusal as its own error."""
+def _one_row(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on one-row blocks, raising a refusal as its own
+    error."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except _Refused as refusal:
         raise refusal.error from None
 
@@ -287,24 +288,12 @@ def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
     return g._trusted(_one_row(solve_rows, c, g, g.samples[None], [u])[0])
 
 
-def by_node_count(fn, paths) -> list:
-    """fn over the paths a block at a time, as one result per path in order.
-
-    The paths share a space and step. Those with one node count form a
-    group (`node_count_groups`), and fn(rows, S) returns the results of the
-    paths at the indices `rows`, whose samples are stacked into the
-    read-only block S. When fn refuses a block, it is run on each path
-    alone, in order, so the error raised is the first that one path at a
-    time raises.
-    """
-    out = [None] * len(paths)
-    try:
-        for rows, S in node_count_groups(paths).values():
-            for i, result in zip(rows, fn(rows, S)):
-                out[i] = result
-    except _Refused:
-        return [_one_row(fn, [i], g.samples[None])[0] for i, g in enumerate(paths)]
-    return out
+def by_node_count(fn, paths) -> np.ndarray:
+    """fn over the paths a node-count group at a time (`group_rows`), as
+    one object per path in order: fn(rows, S) returns the results of the
+    paths at the indices rows as a list, and refuses a block by raising
+    `_Refused`. A path that fn refuses alone raises the refusal's error."""
+    return _one_row(group_rows, fn, paths, refused=_Refused, dtype=object)
 
 
 # -- hypothesis validation ----------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, all_finite, carried, prefix_sup_norms, sup_norms
+from .paths import Path, all_finite, carried, prefix_sup_norms, row_dots, sup_norms
 
 __all__ = [
     "eval_S",
@@ -38,13 +38,13 @@ def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
     are the rows of E, an (N, dim) array, as a list of floats; with grad, also
     the vertical gradients grad S + 2 M gamma(t), as an (N, dim) array.
 
-    b is the stacked row-by-column product, which reduces each row with the
-    routine of `end @ end`. Each value is closed on Python floats, because C
+    b is `row_dots(E, E)`, which reduces each row with the routine of
+    `end @ end`. Each value is closed on Python floats, because C
     `pow` (`x ** 2`) rounds differently from `x * x`. A zero path (a = 0) has
     value 0 and gradient 0.
     """
     values, coef, zero = [], [], []
-    for r, b in zip(norms, (E[:, None, :] @ E[:, :, None])[:, 0, 0].tolist()):
+    for r, b in zip(norms, row_dots(E, E).tolist()):
         a = r**2
         zero.append(a == 0.0)
         if a == 0.0:

@@ -30,6 +30,10 @@ __all__ = [
     "semigroup_rows",
     "carried",
     "node_count_groups",
+    "group_rows",
+    "formula_rows",
+    "row_value",
+    "row_dots",
     "Net",
     "sup_norm",
     "sup_norms",
@@ -181,11 +185,15 @@ class Path:
     def endpoint(self) -> np.ndarray:
         return self.samples[-1]
 
-    def value_at(self, t: float) -> np.ndarray:
+    def node_at(self, t: float) -> int:
+        """The index of the sample at time t, an on-grid time <= horizon."""
         k = grid_index(t, self.step, what="time")
         if k >= self.n_nodes:
             raise ValueError(f"time {t} beyond horizon {self.horizon}")
-        return self.samples[k]
+        return k
+
+    def value_at(self, t: float) -> np.ndarray:
+        return self.samples[self.node_at(t)]
 
     def prefix(self, t: float) -> "Path":
         """Restriction to [0, t]; t must be an on-grid time <= horizon.
@@ -193,10 +201,7 @@ class Path:
         The result is a trusted view: its samples are a read-only slice of
         this path's already validated buffer, neither copied nor rescanned.
         """
-        k = grid_index(t, self.step, what="time")
-        if k >= self.n_nodes:
-            raise ValueError(f"time {t} beyond horizon {self.horizon}")
-        return self._head(k + 1)
+        return self._head(self.node_at(t) + 1)
 
     # -- same-grid arithmetic -------------------------------------------
 
@@ -284,38 +289,114 @@ def carried(g: Path, n: int) -> np.ndarray:
 def node_count_groups(paths) -> Mapping:
     """The paths grouped by node count, in order of each count's first
     occurrence, as {n: (rows, S)}: rows are the ascending indices of the
-    paths with n nodes, as a read-only index array, and S their samples
-    stacked into one read-only (len(rows), n, dim) block. A `Net` gives
-    the grouping it made when it was built; no reader may change it."""
+    paths with n nodes, as a read-only index array, and S their samples as
+    one read-only (len(rows), n, dim) block. A `Net` gives the grouping it
+    made of its blocks when it was built; no reader may change it. A list
+    of paths is the case of one-row blocks (`_grouped`)."""
     if isinstance(paths, Net):
         return paths.groups
-    groups: dict = {}
-    for i, g in enumerate(paths):
-        groups.setdefault(g.n_nodes, []).append(i)
-    for n, rows in groups.items():
-        S = np.array([paths[i].samples for i in rows])  # as np.stack, without its per-array overhead
+    return _grouped([g.samples[None] for g in paths])
+
+
+def _grouped(blocks) -> dict:
+    """The rows of blocks, (N, n, dim) sample arrays, grouped by node count
+    as `node_count_groups` groups paths, the rows numbered on from one
+    block to the next. The block of a group is its node count's blocks end
+    to end, in order."""
+    runs: dict = {}  # node count -> its blocks, in order
+    counts, sizes = [], []  # of each block
+    for B in blocks:
+        N, n, _ = B.shape
+        run = runs.get(n)
+        if run is None:
+            run = runs[n] = []
+        run.append(B)
+        counts.append(n)
+        sizes.append(N)
+    count_of_row = np.repeat(counts, sizes)
+    groups = {}
+    for n, run in runs.items():
+        S = np.concatenate(run)
         S.flags.writeable = False
-        rows = np.array(rows, dtype=np.intp)
+        rows = np.flatnonzero(count_of_row == n)
         rows.flags.writeable = False
         groups[n] = (rows, S)
     return groups
 
 
-class Net(tuple):
-    """An immutable family of paths on one space and step, grouped by node
-    count once, when it is made: `node_count_groups` returns that grouping,
-    as a read-only mapping, to every reader. A net cannot be appended to and
-    its paths' samples and its group blocks are read-only, so the grouping
-    cannot go stale."""
+def group_rows(fn, paths, groups=None, *, refused=ValueError, dtype=float) -> np.ndarray:
+    """fn over the paths a node-count group at a time, as one entry per path.
 
-    def __new__(cls, paths):
+    The paths share a space and step. fn(rows, S) gives the entries of the
+    paths at the indices rows, whose samples are the block S of their group
+    (`node_count_groups`). groups lists the groups to run, every group of
+    the paths by default; a path of no listed group gets 0. When fn raises
+    `refused` on a group, it is run on each path of the listed groups
+    alone, in path order, so the error raised is the first that one path
+    at a time raises. With dtype=object, fn gives its entries as a list.
+    """
+    out = np.zeros(len(paths), dtype)
+    if groups is None:
+        groups = node_count_groups(paths).values()
+    try:
+        for rows, S in groups:
+            out[rows] = fn(rows, S)
+    except refused:
+        for i in np.sort(np.concatenate([rows for rows, _ in groups])).tolist():
+            out[i] = fn([i], paths[i].samples[None])[0]
+    return out
+
+
+def formula_rows(f, proto: "Path", S: np.ndarray) -> np.ndarray:
+    """The row formula f(proto, S) as a float array, refused unless it
+    gives one float per row of S, a block of paths with proto's node count,
+    step and space."""
+    v = np.asarray(f(proto, S), dtype=np.float64)
+    if v.shape != (len(S),):
+        raise ValueError(f"row formula gave shape {v.shape} for {len(S)} rows")
+    return v
+
+
+def row_value(f, g: "Path") -> float:
+    """The row formula f at the one path g: its one-row block g.samples[None]."""
+    return float(formula_rows(f, g, g.samples[None])[0])
+
+
+class Net(tuple):
+    """An immutable family of paths on one space and step: a point, then
+    the rows of read-only sample blocks made from it, grouped by node count
+    once, when the net is made. `node_count_groups` returns that grouping,
+    as a read-only mapping, to every reader. The point is net[0] itself,
+    and every other path is a read-only view of its row of its group's
+    block, so a net holds one copy of its samples. A net cannot be appended
+    to and its paths' samples and its group blocks are read-only, so the
+    grouping cannot go stale."""
+
+    def __new__(cls, point: "Path", blocks):
+        groups = _grouped([point.samples[None], *blocks])
+        paths = [point] * sum(len(rows) for rows, _ in groups.values())
+        for rows, S in groups.values():
+            for i, x in zip(rows.tolist(), S):
+                paths[i] = point._trusted(x)
+        paths[0] = point
         net = super().__new__(cls, paths)
-        # grouped as a plain tuple: the net itself has no grouping yet
-        net.groups = MappingProxyType(node_count_groups(tuple(net)))
+        net.groups = MappingProxyType(groups)
         return net
 
 
 # -- norms and metric ----------------------------------------------------
+
+
+def row_dots(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dot product of each row of E, an (N, dim) array, with w, a (dim,)
+    vector or the matching row of an (N, dim) array.
+
+    The stacked row-by-column product reduces each row with the routine of
+    the one-row `x @ w`, whatever the number of rows; `(E * w).sum(-1)`
+    and `einsum` round differently in about one row in six, because the
+    dot fuses multiply and add.
+    """
+    return (E[:, None, :] @ w[..., :, None])[:, 0, 0]
 
 
 def sup_norm(g: Path) -> float:

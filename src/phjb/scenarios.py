@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import Coefficients
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
-from .paths import Path, TimeGrid, sup_norm, sup_norms
+from .paths import Path, TimeGrid, row_dots, sup_norm, sup_norms
 from .testfn import GaugePack, TestFunctionPhi
 
 __all__ = [
@@ -57,12 +57,19 @@ class Scenario:
 
 
 def eikonal_value(g: Path, grid: TimeGrid) -> float:
-    """min over reachable lattice endpoints of |x + k step|."""
-    k_left = grid.n_steps - (g.n_nodes - 1)
+    """min over reachable lattice endpoints of |x + k step|: the one-row
+    case of `_eikonal_rows`."""
+    return float(_eikonal_rows(g, g.samples[None], grid)[0])
+
+
+def _eikonal_rows(proto: Path, S: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """`eikonal_value` at the path of each row of S, a block with proto's
+    node count and step."""
+    k_left = grid.n_steps - (S.shape[1] - 1)
     if k_left < 0:
         raise ValueError("prefix outlives the horizon")
-    x = float(g.endpoint[0])
-    return min(abs(x + k * g.step) for k in range(-k_left, k_left + 1))
+    k = np.arange(-k_left, k_left + 1)
+    return np.abs(S[:, -1, :1] + k * proto.step).min(axis=1)
 
 
 def runmax_value(g: Path, grid: TimeGrid) -> float:
@@ -122,14 +129,9 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
 
 
 def _norms(E: np.ndarray) -> np.ndarray:
-    """The Euclidean norm sqrt(x . x) of each row x of the (N, dim) array E.
-
-    The stacked row-by-column product reduces each row with the same dot
-    routine as `x.dot(x)`, whatever the number of rows; `(E * E).sum(-1)`
-    and `einsum` round differently in about one row in six, because the
-    dot fuses multiply and add.
-    """
-    return np.sqrt((E[:, None, :] @ E[:, :, None])[:, 0, 0])
+    """The Euclidean norm sqrt(x . x) of each row x of the (N, dim) array E,
+    with `row_dots`, so each row is reduced as `x.dot(x)` reduces it."""
+    return np.sqrt(row_dots(E, E))
 
 
 def _retract_rows(E: np.ndarray) -> np.ndarray:
@@ -210,13 +212,13 @@ def _eikonal_slope_point(sc: Scenario, values, label: str) -> TouchingPoint:
     if gap <= 0.25:
         raise ValueError(f"{label}: endpoint too close to the cone, gap {gap}")
     phi_sub = TestFunctionPhi(
-        value=lambda g: sgn * float(g.endpoint[0]) - (T - g.horizon),
+        rows=lambda proto, S: sgn * S[:, -1, 0] - (T - proto.horizon),
         dt=lambda g: 1.0,
         dx=lambda g: np.array([sgn]),
         label=f"{label}-sub",
     )
     phi_super = TestFunctionPhi(
-        value=lambda g: -sgn * float(g.endpoint[0]) + (T - g.horizon),
+        rows=lambda proto, S: -sgn * S[:, -1, 0] + (T - proto.horizon),
         dt=lambda g: -1.0,
         dx=lambda g: np.array([-sgn]),
         label=f"{label}-super",
@@ -244,13 +246,13 @@ def _runmax_endpoint_point(sc: Scenario, values, label: str) -> TouchingPoint:
     t_hat = point.horizon
     delta0 = max(2.0, 1.0 / (2.0 * sc.grid.step), 1.0 / (2.0 * crossing))
     phi_sub = TestFunctionPhi(
-        value=lambda g: sgn * float(g.endpoint[0]) + (g.horizon - t_hat),
+        rows=lambda proto, S: sgn * S[:, -1, 0] + (proto.horizon - t_hat),
         dt=lambda g: 1.0,
         dx=lambda g: np.array([sgn]),
         label=f"{label}-sub",
     )
     phi_super = TestFunctionPhi(
-        value=lambda g: -sgn * float(g.endpoint[0]),
+        rows=lambda proto, S: -sgn * S[:, -1, 0],
         dt=lambda g: 0.0,
         dx=lambda g: np.array([-sgn]),
         label=f"{label}-super",
@@ -288,7 +290,7 @@ def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> Tou
     y0 = eval_upsilon(2.0, point)
     sigma_star = j_star * sc.grid.step
     phi_sub = TestFunctionPhi(
-        value=lambda g: m + float(w @ (g.endpoint - point.endpoint)),
+        rows=lambda proto, S: m + row_dots(S[:, -1] - point.endpoint, w),
         dt=lambda g: 0.0,
         dx=lambda g: w.copy(),
         label=f"{label}-sub",
@@ -301,7 +303,7 @@ def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> Tou
         label=f"{label}-pack",
     )
     phi_super = TestFunctionPhi(
-        value=lambda g: -sgn_m * float(g.value_at(sigma_star)[0]),
+        rows=lambda proto, S: -sgn_m * S[:, proto.node_at(sigma_star), 0],
         dt=lambda g: 0.0,
         dx=lambda g: np.zeros(1),
         label=f"{label}-super",
@@ -332,7 +334,7 @@ def classical_candidate(sc: Scenario) -> tuple:
             return abs(float(g.endpoint[0])) > (T - g.horizon)
 
         w = TestFunctionPhi(
-            value=lambda g: eikonal_value(g, sc.grid),
+            rows=lambda proto, S: _eikonal_rows(proto, S, sc.grid),
             dt=lambda g: 1.0 if slope(g) else 0.0,
             dx=lambda g: (
                 np.array([np.sign(float(g.endpoint[0]))])
@@ -356,7 +358,7 @@ def classical_candidate(sc: Scenario) -> tuple:
         return others.size == 0 or abs(float(g.endpoint[0])) > float(others.max())
 
     w = TestFunctionPhi(
-        value=lambda g: sup_norm(g),
+        rows=lambda proto, S: sup_norms(S),
         dt=lambda g: 0.0,
         dx=lambda g: (
             np.array([np.sign(float(g.endpoint[0]))])

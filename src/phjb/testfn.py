@@ -1,12 +1,16 @@
 """Smooth test functionals and gauge packs for equation-side checks.
 
-TestFunctionPhi bundles a cylinder path functional with analytic Dupire
-derivatives; the derivatives are cross-checked against finite differences on
-sampled paths before a functional is trusted. GaugePack is the confining
-perturbation class: an outer function of (time, gauge value) with nonnegative
-slope in the gauge argument plus anchored pair-gauge terms with positive
-weights; packs localize a touching premise without polluting the derivative
-terms at their own anchor.
+Both are stated on rows, as the coefficients and the gauges are: a block of
+paths is an (N, n, dim) sample array S with the node count, step and space
+of a prototype path, and a single path g is the one-row block
+g.samples[None]. TestFunctionPhi bundles a cylinder path functional, given
+on such blocks, with analytic Dupire derivatives; the derivatives are
+cross-checked against finite differences on sampled paths before a
+functional is trusted. GaugePack is the confining perturbation class: an
+outer function of (time, gauge values) with nonnegative slope in the gauge
+argument plus anchored pair-gauge terms with positive weights; packs
+localize a touching premise without polluting the derivative terms at their
+own anchor.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gauge import (
-    eval_upsilon,
     grad_upsilon,
     pair_difference,
     pair_gauge_rows,
@@ -28,7 +31,8 @@ from .paths import (
     Path,
     dupire_derivatives,
     extend_flat,
-    node_count_groups,
+    row_dots,
+    row_value,
     sup_norm,
     vertical_bump,
 )
@@ -42,8 +46,13 @@ class TestFunctionPhi:
 
     Attributes
     ----------
-    value, dt, dx : callables on Path
-        The functional, its horizontal (flat-extension) derivative, and its
+    rows : callable (proto, S) -> (N,) array
+        The functional at the path of each row of S, an (N, n, dim) block
+        with proto's node count, step and space. `value(g)` and `phi(g)`
+        are its one-row case, so a row formula must give every row the
+        float it gives that row alone.
+    dt, dx : callables on Path
+        The functional's horizontal (flat-extension) derivative and its
         vertical gradient.
     a_star_dx_continuous : bool
         Whether A* dx is continuous along paths; the functional Ito check
@@ -54,14 +63,17 @@ class TestFunctionPhi:
 
     __test__ = False  # keep pytest from collecting the class
 
-    value: Callable[[Path], float]
+    rows: Callable[[Path, np.ndarray], np.ndarray]
     dt: Callable[[Path], float]
     dx: Callable[[Path], np.ndarray]
     a_star_dx_continuous: bool = True
     label: str = ""
 
+    def value(self, g: Path) -> float:
+        return row_value(self.rows, g)
+
     def __call__(self, g: Path) -> float:
-        return float(self.value(g))
+        return self.value(g)
 
     def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences.
@@ -94,7 +106,7 @@ class TestFunctionPhi:
         """g -> (w, gamma(t)) + c."""
         w = np.asarray(w, dtype=float)
         return TestFunctionPhi(
-            value=lambda g: float(w @ g.endpoint) + c,
+            rows=lambda proto, S: row_dots(S[:, -1], w) + c,
             dt=lambda g: 0.0,
             dx=lambda g: w.copy(),
             label=label,
@@ -104,7 +116,7 @@ class TestFunctionPhi:
     def quadratic_endpoint(label: str = "quad") -> "TestFunctionPhi":
         """g -> |gamma(t)|^2."""
         return TestFunctionPhi(
-            value=lambda g: float(g.endpoint @ g.endpoint),
+            rows=lambda proto, S: row_dots(S[:, -1], S[:, -1]),
             dt=lambda g: 0.0,
             dx=lambda g: 2.0 * g.endpoint,
             label=label,
@@ -168,14 +180,17 @@ class GaugePack:
     g(eta_s) = h(s, Upsilon^2(eta_s))
                + sum_i delta_i [ Upsilon^2(eta_s - ext gamma^i) + (s - t_i)^2 ]
 
-    h_y must be >= 0 wherever evaluated. Anchors must not outlive the paths
-    they are evaluated against. The time derivative treats the pair terms'
-    Upsilon^2 part as time-flat, so dt g = h_t + 2 sum_i delta_i (s - t_i).
+    h, h_t and h_y take (s, y): s a horizon and y the array of Upsilon^2 of
+    the rows of a block of paths with that horizon. Each returns one float
+    per row, or one float that every row shares. h_y must be >= 0 wherever
+    evaluated. Anchors must not outlive the paths they are evaluated
+    against. The time derivative treats the pair terms' Upsilon^2 part as
+    time-flat, so dt g = h_t + 2 sum_i delta_i (s - t_i).
     """
 
-    h: Callable[[float, float], float] = staticmethod(lambda s, y: 0.0)
-    h_t: Callable[[float, float], float] = staticmethod(lambda s, y: 0.0)
-    h_y: Callable[[float, float], float] = staticmethod(lambda s, y: 0.0)
+    h: Callable[[float, np.ndarray], np.ndarray] = staticmethod(lambda s, y: 0.0)
+    h_t: Callable[[float, np.ndarray], np.ndarray] = staticmethod(lambda s, y: 0.0)
+    h_y: Callable[[float, np.ndarray], np.ndarray] = staticmethod(lambda s, y: 0.0)
     anchors: tuple = ()  # of (Path, positive weight)
     bound_N: float = float("inf")
     label: str = ""
@@ -203,43 +218,38 @@ class GaugePack:
     def anchored(anchor: Path, delta: float, label: str = "anchored") -> "GaugePack":
         return GaugePack(anchors=((anchor, delta),), label=label)
 
-    def _hy_checked(self, s: float, y: float) -> float:
-        hy = float(self.h_y(s, y))
-        if not hy >= 0.0:  # a NaN slope is refused too
-            raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
+    @staticmethod
+    def _outer(f, s: float, y: np.ndarray) -> np.ndarray:
+        """f(s, y) as one float per row of y, a shared float broadcast."""
+        return np.broadcast_to(np.asarray(f(s, y), dtype=np.float64), y.shape)
+
+    def _slopes(self, s: float, y: np.ndarray) -> np.ndarray:
+        """h_y(s, y), refused at the first row whose slope is not >= 0."""
+        hy = self._outer(self.h_y, s, y)
+        bad = ~(hy >= 0.0)  # a NaN slope is refused too
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"pack outer slope h_y={float(hy[i])} is not >= 0 at (s={s}, y={float(y[i])})"
+            )
         return hy
 
     def value(self, g: Path) -> float:
-        return float(self._block_values(g, g.samples[None])[0])
+        return row_value(self.rows, g)
 
-    def values(self, paths) -> np.ndarray:
-        """`value` of every path, in order, as one float array; the paths
-        share a space and step, and those of one node count are evaluated
-        as one block. When a block refuses, the paths are evaluated one at a
-        time, in order, so the error raised is the first that `value` on
-        each path in turn raises."""
-        out = np.empty(len(paths))
-        try:
-            for rows, S in node_count_groups(paths).values():
-                out[rows] = self._block_values(paths[rows[0]], S)
-        except ValueError:
-            return np.array([self.value(g) for g in paths])
-        return out
-
-    def _block_values(self, proto: Path, S: np.ndarray) -> np.ndarray:
+    def rows(self, proto: Path, S: np.ndarray) -> np.ndarray:
         """The pack at the path of each row of S, a block of paths on proto's
         space and step with proto's node count.
 
         Upsilon^2 of the rows (`upsilon_rows`) and each anchor's pair gauge
-        (`pair_gauge_rows`) are block reductions; h and h_y are called once
-        per row on Python floats, in row order. Every entry equals the
-        one-path formula bit for bit.
+        (`pair_gauge_rows`) are block reductions, and h and h_y are called
+        once per block, on the array of the rows' Upsilon^2. Every entry
+        equals the one-path formula bit for bit.
         """
         s = proto.horizon
-        out = np.empty(len(S))
-        for i, y in enumerate(upsilon_rows(2.0, S)):
-            self._hy_checked(s, y)
-            out[i] = float(self.h(s, y))
+        y = np.array(upsilon_rows(2.0, S))
+        self._slopes(s, y)
+        out = np.array(self._outer(self.h, s, y))
         for anchor, delta in self.anchors:
             if anchor.horizon > s + 1e-12:
                 raise ValueError(
@@ -250,16 +260,16 @@ class GaugePack:
 
     def dt(self, g: Path) -> float:
         s = g.horizon
-        y = eval_upsilon(2.0, g)
-        out = float(self.h_t(s, y))
+        y = np.array(upsilon_rows(2.0, g.samples[None]))
+        out = float(self._outer(self.h_t, s, y)[0])
         for anchor, delta in self.anchors:
             out += 2.0 * delta * (s - anchor.horizon)
         return out
 
     def dx(self, g: Path) -> np.ndarray:
         s = g.horizon
-        y = eval_upsilon(2.0, g)
-        out = self._hy_checked(s, y) * grad_upsilon(2.0, g)
+        y = np.array(upsilon_rows(2.0, g.samples[None]))
+        out = self._slopes(s, y)[0] * grad_upsilon(2.0, g)
         for anchor, delta in self.anchors:
             diff = pair_difference(anchor, g)
             out = out + delta * grad_upsilon(2.0, diff)

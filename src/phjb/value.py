@@ -39,6 +39,7 @@ from .paths import (
     all_finite,
     extend_semigroup,
     node_count_groups,
+    row_dots,
     sup_norm,
     vertical_bump,
 )
@@ -89,8 +90,7 @@ def hamiltonian(c: Coefficients, g: Path, p):
     U = _control_array(c.control_set)
     F = _one_row(_drift_rows, c, S, U)
     q = _costs(c.running_cost(S, U), W, "running_cost")
-    # the stacked row-by-column product reduces each row with the routine of `p @ f`
-    vals = (p[None, None, :] @ F[:, :, None])[:, 0, 0] + q
+    vals = row_dots(F, p) + q  # each row reduced as `p @ f` reduces it
     j = _first_minima(vals[None])[0]
     return float(vals[j]), c.control_set[j]
 
@@ -223,12 +223,10 @@ class ValueTable:
         return [(n, raw) for raw in rows]
 
     def _check_root(self, g: Path) -> None:
-        """The one gate of a root prefix: refuse one on another step, one
-        beyond T, or a non-terminal one whose control tree is over budget
-        without a state_key."""
+        """The gate of the root prefixes of g's node count: refuse them
+        beyond T, or non-terminal with a control tree over budget and no
+        state_key. Roots of one node count and step share the outcome."""
         grid = self.grid
-        if abs(g.step - grid.step) > GRID_TOL:
-            raise ValueError(f"prefix step {g.step} is not the grid step {grid.step}")
         steps_left = grid.n_steps - (g.n_nodes - 1)
         if steps_left < 0:
             raise ValueError(f"prefix horizon {g.horizon} beyond T {grid.T}")
@@ -256,20 +254,34 @@ class ValueTable:
         The paths share a space and the table's step, as the paths of a net
         do, and are valued in one sweep (see `_sweep`). Under the contract
         of `Coefficients.state_key`, its values, memo entries, argmins and
-        hits are those that `value` on each path in turn gives. A path that
-        `_check_root` refuses is refused after every path before it is
-        valued.
+        hits are those that `value` on each path in turn gives. A root on
+        another step, or one that `_check_root` refuses, is refused after
+        every path before it is valued. The step is read in one pass over
+        the paths, and the other gates once per node count.
         """
+        step = self.grid.step
         refused = None
-        for r, g in enumerate(paths):
-            try:
-                self._check_root(g)
-            except (ValueError, BudgetExceeded) as exc:
-                refused, paths = exc, paths[:r]
+        for i, g in enumerate(paths):
+            if abs(g.step - step) > GRID_TOL:
+                refused = ValueError(f"prefix step {g.step} is not the grid step {step}")
+                r, paths = i, paths[:i]
                 break
+        groups = node_count_groups(paths)
+        for rows, _ in groups.values():  # in order of their first root
+            try:
+                self._check_root(paths[rows[0]])
+            except (ValueError, BudgetExceeded) as exc:
+                refused, r = exc, int(rows[0])
+                break
+        if refused is not None:  # the roots before the first refused one
+            groups = {
+                n: (rows[:k], S[:k])
+                for n, (rows, S) in groups.items()
+                if (k := int(np.searchsorted(rows, r)))
+            }
         out = np.empty(len(paths))
-        if paths:
-            self._sweep(paths[0], node_count_groups(paths), out)
+        if groups:
+            self._sweep(paths[0], groups, out)
         if refused is not None:
             raise refused
         return out

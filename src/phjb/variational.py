@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .gauge import pair_gauge_rows
-from .paths import GRID_TOL, Path, node_count_groups
+from .paths import GRID_TOL, Path, group_rows
 
 __all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
@@ -35,12 +35,9 @@ def pair_gauge(anchor: Path, g: Path) -> float:
 def pair_gauges(anchor: Path, paths) -> list:
     """`pair_gauge(anchor, g)` for each g of paths, none of which may end
     before the anchor, as a list of floats: the paths of one node count are
-    one `pair_gauge_rows` block. This is bp_search's default row gauge."""
-    row = [0.0] * len(paths)
-    for rows, S in node_count_groups(paths).values():
-        for i, gauge in zip(rows, pair_gauge_rows(anchor, paths[rows[0]], S)):
-            row[i] = gauge
-    return row
+    one `pair_gauge_rows` block (`group_rows`). This is bp_search's default
+    row gauge."""
+    return group_rows(lambda rows, S: pair_gauge_rows(anchor, paths[rows[0]], S), paths).tolist()
 
 
 class NotEpsMaximal(ValueError):

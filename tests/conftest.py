@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: spaces, seeded random paths, block
-drifts, level stepping, a time ramp of test functionals, and the gauges as
-one-path scalar formulas."""
+drifts, level stepping, a time ramp of test functionals, and the gauges and
+gauge packs as one-path scalar formulas."""
 
 import math
 from dataclasses import replace
@@ -9,6 +9,8 @@ import numpy as np
 
 from phjb import Path, SpectralSpace, sup_norm
 from phjb.dynamics import step_rows
+from phjb.gauge import eval_upsilon, pair_difference
+from phjb.paths import formula_rows, group_rows
 
 
 def make_space(eigenvalues) -> SpectralSpace:
@@ -31,10 +33,10 @@ def random_path(rng, space, step=0.25, min_nodes=1, max_nodes=9, scale=1.0) -> P
 
 def time_ramp(phi, k: float, t_final: float):
     """phi plus k * (t_final - s); shifts the time derivative by -k."""
-    base_v, base_t = phi.value, phi.dt
+    base_v, base_t = phi.rows, phi.dt
     return replace(
         phi,
-        value=lambda g: float(base_v(g)) + k * (t_final - g.horizon),
+        rows=lambda proto, S: base_v(proto, S) + k * (t_final - proto.horizon),
         dt=lambda g: float(base_t(g)) - k,
         label=(phi.label + "+ramp") if phi.label else "ramp",
     )
@@ -155,3 +157,27 @@ def scalar_metric_d_infty(g, h) -> float:
     d = ge - he
     gap = math.sqrt(np.maximum.reduce(np.add.reduce(d * d, axis=1)))
     return abs(g.horizon - h.horizon) + gap
+
+
+def grouped(f, paths):
+    """The row formula f at every path, one node-count group at a time, as
+    the premise scan computes it (`group_rows`)."""
+    return group_rows(lambda rows, S: formula_rows(f, paths[rows[0]], S), paths)
+
+
+def one_path_pack_value(pack, g):
+    """GaugePack.value as it was computed one path at a time, with
+    eval_upsilon of the path and of each anchor's pair_difference; the
+    outer functions get the path's gauge as an array of one row."""
+    s = g.horizon
+    y = eval_upsilon(2.0, g)
+    hy = float(np.broadcast_to(pack.h_y(s, np.array([y])), (1,))[0])
+    if not hy >= 0.0:
+        raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
+    out = float(np.broadcast_to(pack.h(s, np.array([y])), (1,))[0])
+    for anchor, delta in pack.anchors:
+        if anchor.horizon > s + 1e-12:
+            raise ValueError(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
+        diff = pair_difference(anchor, g)
+        out += delta * (eval_upsilon(2.0, diff) + (s - anchor.horizon) ** 2)
+    return out

@@ -21,7 +21,7 @@ from phjb.checks import (
 )
 from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
 from phjb.gauge import eval_S, eval_upsilon, grad_S
-from phjb.paths import Path, TimeGrid
+from phjb.paths import Path, TimeGrid, row_dots
 from phjb.scenarios import eikonal, runmax, runmax_value, touching_points
 from phjb.testfn import TestFunctionPhi
 from phjb.value import ValueTable, verify_dpp_consistency, verify_value_regularity
@@ -223,7 +223,7 @@ def test_criterion_07_ito_rates():
         TestFunctionPhi.linear_endpoint(w),
         TestFunctionPhi.quadratic_endpoint(),
         TestFunctionPhi(
-            value=lambda g: float(np.sin(w @ g.endpoint)),
+            rows=lambda proto, S: np.sin(row_dots(S[:, -1], w)),
             dt=lambda g: 0.0,
             dx=lambda g: np.cos(w @ g.endpoint) * w,
             label="sin",

@@ -14,7 +14,7 @@ from phjb.checks import (
 )
 from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
 from phjb.gauge import eval_upsilon, grad_upsilon
-from phjb.paths import Path, TimeGrid, extend_semigroup
+from phjb.paths import Path, TimeGrid, extend_semigroup, row_dots
 from phjb.scenarios import classical_candidate, eikonal, feedback, runmax
 from phjb.testfn import TestFunctionPhi
 
@@ -79,7 +79,7 @@ def test_refuses_discontinuous_adjoint_gradient():
     space = make_space([-1.0])
     c = _coeffs(1, lambda S, U: control_column(U))
     phi = TestFunctionPhi(
-        value=lambda g: float(g.endpoint[0]),
+        rows=lambda proto, S: S[:, -1, 0],
         dt=lambda g: 0.0,
         dx=lambda g: np.ones(1),
         a_star_dx_continuous=False,
@@ -308,8 +308,8 @@ def transport_instance(space, weights, T: float) -> tuple:
         lipschitz_L=float(np.linalg.norm(c_vec)) + 1.0,
     )
 
-    def val(g: Path) -> float:
-        return float((c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
+    def rows(proto: Path, S: np.ndarray) -> np.ndarray:
+        return row_dots(S[:, -1], c_vec * np.exp((T - proto.horizon) * lam))
 
     def dt(g: Path) -> float:
         return float((-lam * c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
@@ -317,7 +317,7 @@ def transport_instance(space, weights, T: float) -> tuple:
     def dx(g: Path) -> np.ndarray:
         return c_vec * np.exp((T - g.horizon) * lam)
 
-    w = TestFunctionPhi(value=val, dt=dt, dx=dx, label="transport")
+    w = TestFunctionPhi(rows=rows, dt=dt, dx=dx, label="transport")
     return coeffs, w
 
 

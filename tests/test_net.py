@@ -16,7 +16,7 @@ from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable
 from phjb.variational import pair_gauges
 
-from conftest import time_ramp
+from conftest import grouped, time_ramp
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -112,6 +112,21 @@ def test_a_net_and_its_grouping_are_read_only():
             rows[0] = 0
 
 
+def test_net_paths_are_views_of_their_group_blocks():
+    for build in (eikonal, runmax):
+        sc = build()
+        for point in _points(sc):
+            net = build_net(sc.coefficients, point, sc.grid, seed=2)
+            for rows, S in node_count_groups(net).values():
+                for r, i in enumerate(rows.tolist()):
+                    if i == 0:  # the point itself, copied into its group
+                        assert net[0] is point and not np.shares_memory(S, point.samples)
+                        continue
+                    assert net[i].samples.base is not None
+                    assert np.shares_memory(net[i].samples, S)
+                    assert net[i].samples.__array_interface__ == S[r].__array_interface__
+
+
 # every reader gives on a net what it gives on the net's paths as a list ---
 
 
@@ -137,7 +152,7 @@ def test_every_reader_gives_on_a_net_what_it_gives_on_a_list():
             runs.append((values.tobytes(), dict(table.memo), table.hits))
         assert runs[0] == runs[1] == runs[2]
         for pack in (tp.pack_sub, tp.pack_super):
-            assert pack.values(net).tobytes() == pack.values(paths).tobytes()
+            assert grouped(pack.rows, net).tobytes() == grouped(pack.rows, paths).tobytes()
         for anchor in (tp.point, net[-1]):
             later = [g for g in net if g.n_nodes >= anchor.n_nodes]
             arg = net if len(later) == len(net) else later

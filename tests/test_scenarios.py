@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phjb.checks import build_net, perturbed
-from phjb.gauge import eval_upsilon, pair_difference
+from phjb.gauge import eval_upsilon
 from phjb.paths import Path, sup_norm
 from phjb.scenarios import (
     _norms,
@@ -21,7 +21,7 @@ from phjb.scenarios import (
 )
 from phjb.testfn import GaugePack, TestFunctionPhi, differentiability_probe
 
-from conftest import make_space, time_ramp
+from conftest import grouped, make_space, one_path_pack_value, time_ramp
 
 
 # registry and builders --------------------------------------------------
@@ -197,7 +197,7 @@ def test_linear_endpoint_derivatives_validate():
 def test_validate_on_catches_wrong_gradient():
     space = make_space([0.0])
     phi = TestFunctionPhi(
-        value=lambda g: float(g.endpoint[0]) ** 2,
+        rows=lambda proto, S: S[:, -1, 0] ** 2,
         dt=lambda g: 0.0,
         dx=lambda g: np.array([1.0]),  # should be 2*end
         label="broken",
@@ -281,26 +281,9 @@ def test_pack_refuses_non_finite_weights_and_slopes():
             evaluate(g)
 
 
-def _one_path_pack_value(pack, g):
-    """GaugePack.value as it was computed one path at a time, with
-    eval_upsilon of the path and of each anchor's pair_difference."""
-    s = g.horizon
-    y = eval_upsilon(2.0, g)
-    hy = float(pack.h_y(s, y))
-    if not hy >= 0.0:
-        raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
-    out = float(pack.h(s, y))
-    for anchor, delta in pack.anchors:
-        if anchor.horizon > s + 1e-12:
-            raise ValueError(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
-        diff = pair_difference(anchor, g)
-        out += delta * (eval_upsilon(2.0, diff) + (s - anchor.horizon) ** 2)
-    return out
-
-
 def _assert_pack_matches_one_path_formula(pack, paths):
-    want = np.array([_one_path_pack_value(pack, g) for g in paths])
-    assert pack.values(paths).tobytes() == want.tobytes()
+    want = np.array([one_path_pack_value(pack, g) for g in paths])
+    assert grouped(pack.rows, paths).tobytes() == want.tobytes()
     assert [pack.value(g) for g in paths] == want.tolist()
 
 
@@ -353,7 +336,7 @@ def test_block_pack_refuses_as_the_one_path_formula():
     y_mid = eval_upsilon(2.0, paths[2])
     cases = [
         # h_y < 0 at the middle row only
-        (GaugePack(h_y=lambda s, y: -1.0 if y == y_mid else 1.0), paths),
+        (GaugePack(h_y=lambda s, y: np.where(y == y_mid, -1.0, 1.0)), paths),
         # an anchor beyond the evaluated horizon
         (GaugePack.anchored(Path.zero(space, step, 0.75), 1.0), paths),
         # a pair difference that overflows
@@ -363,16 +346,16 @@ def test_block_pack_refuses_as_the_one_path_formula():
         ),
         # h_y < 0 on a path of another node count, before a later row of the first
         (
-            GaugePack(h_y=lambda s, y: -1.0 if y == y_mid or s < 0.5 else 1.0),
+            GaugePack(h_y=lambda s, y: np.where((y == y_mid) | (s < 0.5), -1.0, 1.0)),
             paths[:2] + [Path(space, step, [[0.4], [0.5]])] + paths[2:],
         ),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         for pack, rows in cases:
-            want = _refusal(lambda: [_one_path_pack_value(pack, g) for g in rows])
-            assert _refusal(lambda: pack.values(rows)) == want
+            want = _refusal(lambda: [one_path_pack_value(pack, g) for g in rows])
+            assert _refusal(lambda: grouped(pack.rows, rows)) == want
             assert _refusal(lambda: [pack.value(g) for g in rows]) == want
-    assert "h_y=-1.0" in _refusal(lambda: cases[0][0].values(paths))
+    assert "h_y=-1.0" in _refusal(lambda: grouped(cases[0][0].rows, paths))
 
 
 def test_pack_bound_caps_weights_and_anchors():

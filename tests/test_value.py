@@ -699,6 +699,10 @@ def test_values_refuse_where_value_refuses_path_by_path():
         (stripped, 27, net[:6] + [sc.initial]),
         # a root on another step between two paths of its node count
         (sc.coefficients, 10**6, net[:i] + [halved] + net[i:]),
+        # the step is gated in one pass and T once per node count, so the
+        # first refused path wins whichever gate refuses it
+        (sc.coefficients, 10**6, net[:i] + [halved] + net[i:40] + [beyond]),
+        (sc.coefficients, 10**6, net[:5] + [beyond] + net[5:i] + [halved]),
     ]
     for c, budget, paths in cases:
         ref = ValueTable(c, grid, budget=budget)

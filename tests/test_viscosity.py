@@ -143,7 +143,7 @@ def test_wrong_slope_certificate_is_refused_not_scored(eik):
     tp = pts[0]
     sgn = float(np.sign(tp.point.endpoint[0]))
     bad = TestFunctionPhi(
-        value=lambda g: -sgn * float(g.endpoint[0]) - (sc.grid.T - g.horizon),
+        rows=lambda proto, S: -sgn * S[:, -1, 0] - (sc.grid.T - proto.horizon),
         dt=lambda g: 1.0,
         dx=lambda g: np.array([-sgn]),
         label="wrong-slope",
