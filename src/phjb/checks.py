@@ -21,12 +21,9 @@ import numpy as np
 from .dynamics import (
     Coefficients,
     ControlSignal,
-    _Refused,
     _control_array,
     _drift_rows,
-    _one_row,
     _terminal_cost,
-    by_node_count,
     mild_solve,
     solve_rows,
     step_rows,
@@ -37,6 +34,7 @@ from .paths import (
     GRID_TOL,
     Net,
     Path,
+    Refused,
     TimeGrid,
     _seal,
     carried,
@@ -99,7 +97,7 @@ def ito_residual(
     def integrand(prefix: Path, ctrl: float) -> float:
         dx = np.asarray(phi.dx(prefix), dtype=float)
         adj = float(space.adjoint_apply(dx) @ prefix.endpoint)
-        f = _one_row(_drift_rows, coeffs, prefix.samples[None], _control_array((ctrl,)))
+        f = _drift_rows(coeffs, prefix.samples[None], _control_array((ctrl,)))
         drive = float(dx @ f[0])
         return float(phi.dt(prefix)) + adj + drive
 
@@ -138,19 +136,19 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     signed then.
 
     The flows of the cases whose g share a node count are solved as one
-    block (case by case when their signals differ in length), and the
-    coupling drift is evaluated on that block a node at a time. The margins
-    are then summed case by case, each equal to the one-case computation
-    bit for bit, and a refusal is the first that one case at a time raises.
+    block (`group_rows`; a case with M < 2, or that does not fit its block,
+    is `Refused`), and the coupling drift is evaluated on that block a node
+    at a time. The margins are then summed case by case, each equal to the
+    one-case computation bit for bit.
     """
 
     def flows(rows, S):
         for i in rows:
             M, g, eta, _ = cases[i]
             if not M >= 2.0:  # a NaN M is refused too
-                raise _Refused(ValueError(f"M must be >= 2, got {M}"))
+                raise Refused(f"M must be >= 2, got {M}")
             if abs(g.horizon - eta.horizon) > GRID_TOL:
-                raise _Refused(ValueError("g and eta must share their horizon"))
+                raise Refused("g and eta must share their horizon")
         proto = cases[rows[0]][1]
         signals = [cases[i][3] for i in rows]
         X = solve_rows(coeffs, proto, S, signals)
@@ -163,7 +161,7 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
 
     starts = [g for _, g, _, _ in cases]
     results = []
-    for (M, g, eta, u), (traj, ends) in zip(cases, by_node_count(flows, starts)):
+    for (M, g, eta, u), (traj, ends) in zip(cases, group_rows(flows, starts)):
         # y = X - (eta extended along the semigroup) over the whole run at
         # once: a shorter extension is a prefix of the longer one row for
         # row, so the gauge at node k is that of a prefix of y, bit-identical
@@ -333,8 +331,9 @@ def viscosity_check(
 
     The scan runs group by group over the net's node-count groups
     (`node_count_groups`), with one horizon per group: phi's row formula
-    and the pack's rows each go through `group_rows`, so the first refusal
-    of either is the one that path by path order meets first.
+    and the pack's rows each go through `group_rows`, so a `Refused` group
+    raises the refusal that path by path order meets first, and a formula
+    that does not give one float per row raises its block's own error.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")

@@ -22,6 +22,7 @@ from .hilbert import SpectralSpace
 from .paths import (
     GRID_TOL,
     Path,
+    Refused,
     TimeGrid,
     all_finite,
     carried,
@@ -39,7 +40,6 @@ __all__ = [
     "step_rows",
     "solve_rows",
     "mild_solve",
-    "by_node_count",
     "HypothesisReport",
     "validate_hypothesis",
     "StateEstimateReport",
@@ -60,6 +60,8 @@ class Coefficients:
     (numeric when the control labels are numbers). Row i of each result
     belongs to the path S[i] under the control U[i] and must not depend on
     the other rows. A single path g is the one-row block `g.samples[None]`.
+    A result of another shape, or a formula's own exception, is the block's
+    error; a non-finite drift is `paths.Refused`, a fault of one row.
 
     Attributes
     ----------
@@ -129,25 +131,6 @@ class ControlSignal:
 # -- the block stepper ----------------------------------------------------
 
 
-class _Refused(Exception):
-    """A block failed a check. `error` is what a one-row block raises in
-    its place: the drift's own exception, or a ValueError naming the
-    refusal."""
-
-    def __init__(self, error: Exception):
-        super().__init__(error)
-        self.error = error
-
-
-def _one_row(fn, *args, **kwargs):
-    """fn(*args, **kwargs) on one-row blocks, raising a refusal as its own
-    error."""
-    try:
-        return fn(*args, **kwargs)
-    except _Refused as refusal:
-        raise refusal.error from None
-
-
 def _control_array(controls) -> np.ndarray:
     """The control labels as a (W,) array: numeric when they are numbers,
     else an object array holding the labels themselves."""
@@ -158,26 +141,22 @@ def _control_array(controls) -> np.ndarray:
 
 
 def _drift_rows(c: Coefficients, S: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """F of every row of S under U as an (N, dim) float array; an error of
-    the drift's own, or a result of another shape, is a refusal."""
-    try:
-        f = np.asarray(c.drift(S, U), dtype=np.float64)
-    except Exception as exc:
-        raise _Refused(exc) from exc
+    """F of every row of S under U as an (N, dim) float array; a result of
+    another shape is the block's own error, naming both shapes."""
+    f = np.asarray(c.drift(S, U), dtype=np.float64)
     if f.shape != (len(S), S.shape[2]):
-        message = f"drift returned shape {f.shape}, expected {(len(S), S.shape[2])}"
-        raise _Refused(ValueError(message))
+        raise ValueError(f"drift returned shape {f.shape}, expected {(len(S), S.shape[2])}")
     return f
 
 
 def _finite_drift(c: Coefficients, h: float, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
-    """`_drift_rows`, refused unless finite; `label` is the control label of
-    row 0, which a one-row refusal names."""
+    """`_drift_rows`, `Refused` unless finite; `label` is the control label
+    of row 0, which a one-row refusal names."""
     f = _drift_rows(c, S, U)
     if not all_finite(f):
         t = h * (S.shape[1] - 1)
         message = f"non-finite drift at t={t} with control {label!r}, endpoint {S[0, -1]!r}"
-        raise _Refused(ValueError(message))
+        raise Refused(message)
     return f
 
 
@@ -203,9 +182,9 @@ def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, labe
     e^{hA} x + (h/2) (e^{hA} f0 + F(pred)), pred = e^{hA} (x + h f0). Every
     operation is elementwise, so each row is stepped independently of the
     others. The drift's shape and finiteness, and the finiteness of the
-    predictors and new samples, are checked once per block; a failure is a
-    refusal. `label` is the control label of row 0, which a one-row refusal
-    names.
+    predictors and new samples, are checked once per block: a wrong shape
+    is the block's own error, and a non-finite value is `Refused`. `label`
+    is the control label of row 0, which a one-row refusal names.
     """
     h = proto.step
     N, n, dim = S.shape
@@ -213,7 +192,7 @@ def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, labe
     def extended(rows: np.ndarray) -> np.ndarray:
         # S followed by one (N, dim) row block
         if not all_finite(rows):
-            raise _Refused(ValueError("samples must be finite"))
+            raise Refused("samples must be finite")
         X = np.empty((N, n + 1, dim))
         X[:, :n] = S
         X[:, n] = rows
@@ -229,7 +208,7 @@ def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, labe
 def step_once(c: Coefficients, prefix: Path, u) -> Path:
     """Advance the mild solution by one grid step under a frozen control:
     the one-row case of the block stepper."""
-    X = _one_row(_step_block, c, prefix, prefix.samples[None], _control_array((u,)), u)
+    X = _step_block(c, prefix, prefix.samples[None], _control_array((u,)), u)
     return prefix._trusted(X[0])
 
 
@@ -240,15 +219,16 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     step. Returns (S, U, X) over the B * W children, parent-major in control
     order: S[i] is child i's parent, U[i] its control, and X[i] the child,
     an (n + 1, dim) row of a read-only block equal to `step_once(c, S[i],
-    U[i])` bit for bit. On a refusal the block is re-stepped child by
-    child, so the error raised is the one `step_once` raises first.
+    U[i])` bit for bit. A block that raises `Refused` is stepped again child
+    by child, so the error raised is the one `step_once` raises first; any
+    other error is the block's own.
     """
     S = np.repeat(P, len(controls), axis=0)
     S.flags.writeable = False
     U = _control_array(controls)[None].repeat(len(P), axis=0).ravel()
     try:
         X = _step_block(c, proto, S, U, controls[0])
-    except _Refused:
+    except Refused:
         X = np.stack(
             [step_once(c, proto._trusted(p), u).samples for p in P for u in controls]
         )
@@ -264,18 +244,16 @@ def solve_rows(c: Coefficients, proto: Path, P: np.ndarray, signals) -> np.ndarr
     row i. Returns the read-only (N, n + m, dim) block of trajectories,
     where m is the signals' one length; row i equals
     `mild_solve(c, P[i], signals[i])` bit for bit. Signals of unequal
-    length, a misaligned signal or a refused step raise `_Refused`.
+    length or a misaligned signal raise `Refused`, as a refused step does.
     """
     t = proto.step * (P.shape[1] - 1)
     if len({len(u.values) for u in signals}) > 1:
-        raise _Refused(ValueError("control signals differ in length"))
+        raise Refused("control signals differ in length")
     for u in signals:
         if abs(u.start - t) > GRID_TOL * max(1.0, t):
-            raise _Refused(ValueError(f"control starts at {u.start}, prefix ends at {t}"))
+            raise Refused(f"control starts at {u.start}, prefix ends at {t}")
         if abs(u.step - proto.step) > GRID_TOL:
-            raise _Refused(
-                ValueError(f"control step {u.step} differs from path step {proto.step}")
-            )
+            raise Refused(f"control step {u.step} differs from path step {proto.step}")
     X = P
     for step in zip(*(u.values for u in signals)):
         X = _step_block(c, proto, X, _control_array(step), step[0])
@@ -285,15 +263,7 @@ def solve_rows(c: Coefficients, proto: Path, P: np.ndarray, signals) -> np.ndarr
 def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
     """Integrate the controlled state from the prefix g out to u.end: the
     one-row case of `solve_rows`."""
-    return g._trusted(_one_row(solve_rows, c, g, g.samples[None], [u])[0])
-
-
-def by_node_count(fn, paths) -> np.ndarray:
-    """fn over the paths a node-count group at a time (`group_rows`), as
-    one object per path in order: fn(rows, S) returns the results of the
-    paths at the indices rows as a list, and refuses a block by raising
-    `_Refused`. A path that fn refuses alone raises the refusal's error."""
-    return _one_row(group_rows, fn, paths, refused=_Refused, dtype=object)
+    return g._trusted(solve_rows(c, g, g.samples[None], [u])[0])
 
 
 # -- hypothesis validation ----------------------------------------------
@@ -371,7 +341,7 @@ def validate_hypothesis(
         f = _finite_drift(c, grid.step, S, U, units[rows[0]][1])
         return list(zip(f, _costs(c.running_cost(S, U), len(S), "running_cost").tolist()))
 
-    priced = iter(by_node_count(price, [x for x, _ in units]))
+    priced = iter(group_rows(price, [x for x, _ in units]))
     # every prefix carried along the semigroup to T, pair by pair, as one block
     n = grid.n_steps + 1
     Z = np.array([carried(x, n) for pair in pairs for x in pair]).reshape(-1, n, space.dim)
@@ -458,7 +428,7 @@ def verify_state_estimates(
         proto = starts[rows[0]][0]
         return [proto._trusted(x) for x in solve_rows(c, proto, S, [signals[i] for i in rows])]
 
-    solved = iter(by_node_count(solve, [x for x, _ in starts]))
+    solved = iter(group_rows(solve, [x for x, _ in starts]))
 
     for g, eta, tbar in draws:
         t = g.horizon

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, all_finite, carried, prefix_sup_norms, row_dots, sup_norms
+from .paths import Path, Refused, all_finite, carried, prefix_sup_norms, row_dots, sup_norms
 
 __all__ = [
     "eval_S",
@@ -120,17 +120,15 @@ def pair_difference_rows(anchor: Path, proto: Path, S: np.ndarray) -> np.ndarray
     to its node count, as one (N, n, dim) array checked finite once.
 
     S is a block of paths on proto's space and step; a block that ends
-    before its anchor is refused.
+    before its anchor, or a difference that is not finite, is `Refused`.
     """
     proto._check_same_space_and_step(anchor)
     n = S.shape[1]
     if n < anchor.n_nodes:
-        raise ValueError(
-            f"block of {n} nodes ends before its anchor of {anchor.n_nodes} nodes"
-        )
+        raise Refused(f"block of {n} nodes ends before its anchor of {anchor.n_nodes} nodes")
     out = S - carried(anchor, n)
     if not all_finite(out):
-        raise ValueError("samples must be finite")
+        raise Refused("samples must be finite")
     return out
 
 

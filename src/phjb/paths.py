@@ -29,6 +29,7 @@ __all__ = [
     "extend_semigroup",
     "semigroup_rows",
     "carried",
+    "Refused",
     "node_count_groups",
     "group_rows",
     "formula_rows",
@@ -324,26 +325,35 @@ def _grouped(blocks) -> dict:
     return groups
 
 
-def group_rows(fn, paths, groups=None, *, refused=ValueError, dtype=float) -> np.ndarray:
+class Refused(ValueError):
+    """A block formula's fault of one row, such as a non-finite drift or a
+    pack slope h_y < 0. The one rule of the block readers (`group_rows`,
+    `dynamics.step_rows`): a block that raises Refused is run again a path at
+    a time, in path order, raising the first path's error, and if every path
+    passes alone their results stand. Any other error, such as a result of
+    the wrong shape, is the block's own and is raised as it is."""
+
+
+def group_rows(fn, paths, groups=None) -> np.ndarray:
     """fn over the paths a node-count group at a time, as one entry per path.
 
     The paths share a space and step. fn(rows, S) gives the entries of the
     paths at the indices rows, whose samples are the block S of their group
-    (`node_count_groups`). groups lists the groups to run, every group of
-    the paths by default; a path of no listed group gets 0. When fn raises
-    `refused` on a group, it is run on each path of the listed groups
-    alone, in path order, so the error raised is the first that one path
-    at a time raises. With dtype=object, fn gives its entries as a list.
+    (`node_count_groups`), as a float array or as a list, which makes the
+    result an object array. groups lists the groups to run, every group of
+    the paths by default; a path of no listed group gets 0. A group that
+    raises `Refused` is run again path by path, by the rule stated there.
     """
-    out = np.zeros(len(paths), dtype)
     if groups is None:
         groups = node_count_groups(paths).values()
     try:
-        for rows, S in groups:
-            out[rows] = fn(rows, S)
-    except refused:
-        for i in np.sort(np.concatenate([rows for rows, _ in groups])).tolist():
-            out[i] = fn([i], paths[i].samples[None])[0]
+        parts = [(rows, fn(rows, S)) for rows, S in groups]
+    except Refused:
+        order = np.sort(np.concatenate([rows for rows, _ in groups])).tolist()
+        parts = [([i], fn([i], paths[i].samples[None])) for i in order]
+    out = np.zeros(len(paths), object if any(isinstance(v, list) for _, v in parts) else float)
+    for rows, v in parts:
+        out[rows] = v
     return out
 
 

@@ -29,6 +29,7 @@ from .gauge import (
 )
 from .paths import (
     Path,
+    Refused,
     dupire_derivatives,
     extend_flat,
     row_dots,
@@ -182,10 +183,11 @@ class GaugePack:
 
     h, h_t and h_y take (s, y): s a horizon and y the array of Upsilon^2 of
     the rows of a block of paths with that horizon. Each returns one float
-    per row, or one float that every row shares. h_y must be >= 0 wherever
-    evaluated. Anchors must not outlive the paths they are evaluated
-    against. The time derivative treats the pair terms' Upsilon^2 part as
-    time-flat, so dt g = h_t + 2 sum_i delta_i (s - t_i).
+    per row, or one float that every row shares; any other shape is
+    refused. h_y must be >= 0 wherever evaluated. Anchors must not outlive
+    the paths they are evaluated against. The time derivative treats the
+    pair terms' Upsilon^2 part as time-flat, so dt g = h_t + 2 sum_i
+    delta_i (s - t_i).
     """
 
     h: Callable[[float, np.ndarray], np.ndarray] = staticmethod(lambda s, y: 0.0)
@@ -220,16 +222,20 @@ class GaugePack:
 
     @staticmethod
     def _outer(f, s: float, y: np.ndarray) -> np.ndarray:
-        """f(s, y) as one float per row of y, a shared float broadcast."""
-        return np.broadcast_to(np.asarray(f(s, y), dtype=np.float64), y.shape)
+        """f(s, y) as one float per row of y, a shared float broadcast; any
+        other shape is refused."""
+        v = np.asarray(f(s, y), dtype=np.float64)
+        if v.shape not in ((), y.shape):
+            raise ValueError(f"pack outer gave shape {v.shape} for {len(y)} rows")
+        return np.broadcast_to(v, y.shape)
 
     def _slopes(self, s: float, y: np.ndarray) -> np.ndarray:
-        """h_y(s, y), refused at the first row whose slope is not >= 0."""
+        """h_y(s, y), `Refused` at the first row whose slope is not >= 0."""
         hy = self._outer(self.h_y, s, y)
         bad = ~(hy >= 0.0)  # a NaN slope is refused too
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(
+            raise Refused(
                 f"pack outer slope h_y={float(hy[i])} is not >= 0 at (s={s}, y={float(y[i])})"
             )
         return hy
@@ -252,9 +258,7 @@ class GaugePack:
         out = np.array(self._outer(self.h, s, y))
         for anchor, delta in self.anchors:
             if anchor.horizon > s + 1e-12:
-                raise ValueError(
-                    f"anchor horizon {anchor.horizon} beyond evaluated path {s}"
-                )
+                raise Refused(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
             out += delta * np.array(pair_gauge_rows(anchor, proto, S))
         return out
 

@@ -25,7 +25,6 @@ from .dynamics import (
     _control_array,
     _costs,
     _drift_rows,
-    _one_row,
     _terminal_cost,
     mild_solve,
     random_prefix,
@@ -88,7 +87,7 @@ def hamiltonian(c: Coefficients, g: Path, p):
     W = len(c.control_set)
     S = g.samples[None].repeat(W, axis=0)
     U = _control_array(c.control_set)
-    F = _one_row(_drift_rows, c, S, U)
+    F = _drift_rows(c, S, U)
     q = _costs(c.running_cost(S, U), W, "running_cost")
     vals = row_dots(F, p) + q  # each row reduced as `p @ f` reduces it
     j = _first_minima(vals[None])[0]
@@ -260,30 +259,20 @@ class ValueTable:
         the paths, and the other gates once per node count.
         """
         step = self.grid.step
-        refused = None
         for i, g in enumerate(paths):
             if abs(g.step - step) > GRID_TOL:
-                refused = ValueError(f"prefix step {g.step} is not the grid step {step}")
-                r, paths = i, paths[:i]
-                break
+                self.values(paths[:i])
+                raise ValueError(f"prefix step {g.step} is not the grid step {step}")
         groups = node_count_groups(paths)
         for rows, _ in groups.values():  # in order of their first root
             try:
                 self._check_root(paths[rows[0]])
-            except (ValueError, BudgetExceeded) as exc:
-                refused, r = exc, int(rows[0])
-                break
-        if refused is not None:  # the roots before the first refused one
-            groups = {
-                n: (rows[:k], S[:k])
-                for n, (rows, S) in groups.items()
-                if (k := int(np.searchsorted(rows, r)))
-            }
+            except (ValueError, BudgetExceeded):
+                self.values(paths[: rows[0]])
+                raise
         out = np.empty(len(paths))
         if groups:
             self._sweep(paths[0], groups, out)
-        if refused is not None:
-            raise refused
         return out
 
     def _values(self, proto: Path, S: np.ndarray) -> np.ndarray:

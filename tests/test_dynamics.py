@@ -5,6 +5,7 @@ generator and constant drift the scheme integrates exactly; the scalar
 linear problem X' = -X + 1 has X(t) = 1 - e^{-t} from zero.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,6 @@ import pytest
 from phjb.dynamics import (
     Coefficients,
     ControlSignal,
-    _Refused,
-    by_node_count,
     mild_solve,
     random_prefix,
     solve_rows,
@@ -23,8 +22,18 @@ from phjb.dynamics import (
     verify_state_estimates,
 )
 from phjb.checks import perturbed
-from phjb.paths import GRID_TOL, Path, TimeGrid, extend_semigroup, metric_d_infty, sup_norm
+from phjb.paths import (
+    GRID_TOL,
+    Path,
+    Refused,
+    TimeGrid,
+    extend_semigroup,
+    group_rows,
+    metric_d_infty,
+    sup_norm,
+)
 from phjb.scenarios import eikonal, feedback, runmax
+from phjb.value import ValueTable
 
 from conftest import (
     control_column,
@@ -209,6 +218,7 @@ def _starts_at(s, x):
 
 # each spoils the middle prefix, which starts at 1.5e308, under control 1
 _SPOILS = {
+    # a row of three makes the drift's own np.array raise on the block
     "shape": lambda g, u: np.zeros(3) if _starts_at(g, 1.5e308) and u == 1.0 else None,
     # the predictor of the middle prefix refuses first in child order, although
     # the last prefix's own drift, which a block computes earlier, refuses too
@@ -242,7 +252,15 @@ def test_level_refusals_are_those_of_the_scalar_stepper(kind):
             [step_once(c, p, u) for p in prefixes for u in c.control_set]
         with pytest.raises(ValueError) as level:
             level_children(c, prefixes)
-    assert str(level.value) == str(scalar.value)
+    if kind != "shape":
+        assert str(level.value) == str(scalar.value)
+        return
+    # an error of the drift's own is the block's, raised as it is: not retried
+    S = np.stack([p.samples for p in prefixes]).repeat(2, axis=0)
+    with pytest.raises(ValueError) as own:
+        c.drift(S, np.tile(c.control_set, len(prefixes)))
+    assert (level.type, str(level.value)) == (own.type, str(own.value))
+    assert str(scalar.value) == "drift returned shape (1, 3), expected (1, 2)"
 
 
 def test_step_alignment_rejected():
@@ -488,11 +506,11 @@ def test_block_solver_refuses_signals_of_unequal_length():
     signals = [ControlSignal(0.0, step, (1.0, 0.0)), ControlSignal(0.0, step, (-1.0,) * 4)]
     P = np.stack([g.samples for g in starts])
     P.flags.writeable = False
-    with pytest.raises(_Refused, match="differ in length"):
+    with pytest.raises(Refused, match="differ in length"):
         solve_rows(c, starts[0], P, signals)
     # grouped by node count alone, the refused block is solved row by row
-    solved = by_node_count(
-        lambda rows, S: solve_rows(c, starts[0], S, [signals[i] for i in rows]), starts
+    solved = group_rows(
+        lambda rows, S: list(solve_rows(c, starts[0], S, [signals[i] for i in rows])), starts
     )
     for x, g, u in zip(solved, starts, signals):
         assert x.tobytes() == mild_solve(c, g, u).samples.tobytes()
@@ -528,3 +546,23 @@ def test_a_spoiled_drift_is_refused_at_the_first_path_drawn():
     want = _message(per_sample_estimates, bad, space, grid, 30, 4)
     assert f"endpoint {first.endpoint!r}" in want
     assert _message(verify_state_estimates, bad, space, grid, n_samples=30, seed=4) == want
+
+
+def test_a_drift_that_gives_one_row_is_refused_by_every_block_reader():
+    """One row is the right shape for one path only: a block reader raises
+    the block's own shape error instead of running the block path by path."""
+    sc = feedback()
+    base = sc.coefficients.drift
+    c = replace(sc.coefficients, drift=lambda S, U: base(S[:1], U[:1]))
+    step_once(c, sc.initial, c.control_set[0])
+    one_row = r"drift returned shape \(1, 2\), expected \((\d+), 2\)"
+    readers = [
+        lambda: ValueTable(c, sc.grid).value(sc.initial),
+        lambda: level_children(c, [sc.initial]),
+        lambda: validate_hypothesis(c, sc.space, sc.grid, n_pairs=20),
+        lambda: verify_state_estimates(c, sc.space, sc.grid, n_samples=20),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=one_row) as info:
+            read()
+        assert int(re.search(one_row, str(info.value)).group(1)) > 1

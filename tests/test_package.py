@@ -1,6 +1,9 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and one rule refuses a
+block."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +23,21 @@ def test_all_names_resolve(name):
     exported = getattr(mod, "__all__", ())
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_only_the_two_block_readers_catch_a_refusal():
+    """`paths.Refused` is caught in `paths.group_rows` and
+    `dynamics.step_rows` alone, which run a refused block again path by
+    path; every other reader lets a refusal through as it is."""
+    catchers = set()
+    for name in MODULES:
+        todo = [(ast.parse(inspect.getsource(importlib.import_module(name))), None)]
+        while todo:
+            node, fn = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "Refused" in ast.unparse(node.type):
+                    catchers.add((name, fn))
+            todo += [(child, fn) for child in ast.iter_child_nodes(node)]
+    assert catchers == {("phjb.paths", "group_rows"), ("phjb.dynamics", "step_rows")}

@@ -177,6 +177,41 @@ def test_a_row_formula_must_give_one_float_per_row():
         grouped(scalar.rows, [g, g])
 
 
+def _interior_mid():
+    """runmax@8's interior+mid touching point, its net and the net's values."""
+    sc = _scenario("runmax", 8, 0)
+    tp = next(tp for tp in touching_points(sc) if tp.label == "interior+mid")
+    net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
+    return sc, tp, net, ValueTable(sc.coefficients, sc.grid).values(net)
+
+
+@pytest.mark.parametrize("side", ["sub", "super"])
+def test_the_premise_scan_refuses_a_row_formula_that_gives_one_row(side):
+    """One row is the right shape for one path only, so the scan raises the
+    block's own shape error and does not scan the block path by path."""
+    sc, tp, net, values = _interior_mid()
+    phi, pack = (tp.phi_sub, tp.pack_sub) if side == "sub" else (tp.phi_super, tp.pack_super)
+    first = replace(phi, rows=lambda proto, S: phi.rows(proto, S[:1]))
+    assert first.value(tp.point) == phi.value(tp.point)
+    with pytest.raises(ValueError, match=re.escape("row formula gave shape (1,) for 39 rows")):
+        viscosity_check(values, sc.coefficients, tp.point, first, pack, side, net=net)
+
+
+def test_a_pack_outer_gives_one_float_per_row_or_one_for_all():
+    """h, h_t and h_y give an array of y's shape or one shared float; a
+    one-element array is not broadcast across the block."""
+    sc, tp, net, values = _interior_mid()
+    pack = tp.pack_sub
+    first = replace(pack, h=lambda s, y: pack.h(s, y)[:1])
+    assert first.value(tp.point) == pack.value(tp.point)
+    with pytest.raises(ValueError, match=re.escape("pack outer gave shape (1,) for 39 rows")) as info:
+        viscosity_check(values, sc.coefficients, tp.point, tp.phi_sub, first, "sub", net=net)
+    assert info.type is ValueError  # the block's own error, not a refusal of a row
+    shared = grouped(replace(pack, h=lambda s, y: 0.5).rows, net)
+    per_row = grouped(replace(pack, h=lambda s, y: np.full(y.shape, 0.5)).rows, net)
+    assert shared.tobytes() == per_row.tobytes()
+
+
 def test_the_premise_scan_prices_each_group_once(monkeypatch):
     """On runmax@8 nets, per side: one row formula call per node-count
     group and no phi.value on a path outside derivative validation; one

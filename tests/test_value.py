@@ -791,9 +791,16 @@ def test_block_refusals_raise_the_scalar_error(kind):
         [step_once(c, p, u) for p in prefixes for u in c.control_set]
     with pytest.raises(ValueError) as level:
         level_children(c, prefixes)
-    assert str(level.value) == str(scalar.value)
     with pytest.raises(ValueError) as table:
         ValueTable(c, sc.grid).value(prefixes[1])
     with pytest.raises(ValueError) as one:
         step_once(c, prefixes[1], c.control_set[0])
-    assert str(table.value) == str(one.value)
+    if kind == "nan":
+        assert str(level.value) == str(scalar.value)
+        assert str(table.value) == str(one.value)
+        return
+    # a wrong shape is the block's own error, with the block's row count
+    W = len(c.control_set)
+    assert str(scalar.value) == str(one.value) == "drift returned shape (1, 3), expected (1, 2)"
+    assert str(level.value) == f"drift returned shape ({3 * W}, 3), expected ({3 * W}, 2)"
+    assert str(table.value) == f"drift returned shape ({W}, 3), expected ({W}, 2)"
