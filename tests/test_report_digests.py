@@ -1,0 +1,96 @@
+"""Reports stay byte-identical beyond the benchmark's cells: every shipped
+config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, plus one
+feedback run whose small budget turns two checks into budget records. Each
+cell pins its exit code and the sha256 of its JSON report (without the
+timestamp subtree) and of its CSV report, or the type and message of what it
+raised.
+
+Re-record the digests with
+
+    PYTHONPATH=src python3 tests/test_report_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path as FsPath
+
+import pytest
+
+from phjb.cli import execute
+
+ROOT = FsPath(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+DIGESTS = FsPath(__file__).resolve().parent / "report_digests.json"
+
+CHECKS = (
+    "hypothesis", "estimates", "value", "dpp", "regularity", "ito",
+    "gauge", "viscosity", "classical", "stability", "bp",
+)
+GRIDS = (1, 2, 3, 4, 6, 8)
+# feedback with a memo budget that dpp and regularity run out of
+BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
+
+
+def _cells() -> list:
+    """(label, config document, checks, grid) for each cell."""
+    cells = []
+    for name in ("eikonal", "runmax", "feedback"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g) for c in CHECKS for g in GRIDS]
+    doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
+    cells.append(("feedback@4/budget-50", doc, None, 4))
+    return cells
+
+
+def _digest(doc, checks, grid, fmt, tmp) -> dict:
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = execute(str(path), checks=checks, grid=grid, seed=0, fmt=fmt)
+    except Exception as exc:
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+    text = out.getvalue()
+    if fmt == "json" and text:
+        payload = json.loads(text)
+        payload.pop("timestamp")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return {"exit": code, fmt: hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _cell_digest(doc, checks, grid, tmp) -> dict:
+    as_json = _digest(doc, checks, grid, "json", tmp)
+    if "raised" in as_json:
+        return as_json
+    return {**as_json, **_digest(doc, checks, grid, "csv", tmp)}
+
+
+_CELLS = _cells()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("label, doc, checks, grid", _CELLS, ids=[c[0] for c in _CELLS])
+def test_report_bytes_match_the_recorded_digest(recorded, tmp_path, label, doc, checks, grid):
+    assert _cell_digest(doc, checks, grid, tmp_path) == recorded[label]
+
+
+def test_every_cell_is_recorded(recorded):
+    assert sorted(recorded) == sorted(c[0] for c in _CELLS)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        table = {label: _cell_digest(doc, checks, grid, FsPath(d)) for label, doc, checks, grid in _CELLS}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    codes = [v.get("exit", "raised") for v in table.values()]
+    print({c: codes.count(c) for c in set(codes)}, file=sys.stderr)
