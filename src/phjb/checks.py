@@ -1,7 +1,11 @@
 """Executable checks tying trajectories, values and certificates together.
 
-Each check returns a small result object with a ``passed`` flag plus the
-numbers that drove it; nothing here prints. Conventions:
+`CHECKS` names every check a run can select. Each is a function of the
+run config and a thunk for the run's value table, and builds its own
+report row: a `CheckRecord` with a ``passed`` flag plus the numbers that
+drove it. The pieces they are made of (`ito_residual`, `upsilon_margin`,
+`viscosity_check`) return small result objects; nothing here prints.
+Conventions:
 
 * the equation operator is E(psi) = dt psi + (A* dx psi, gamma(t))
   + min_u [ (dx psi, F) + q ], evaluated with analytic derivatives;
@@ -27,6 +31,8 @@ from .dynamics import (
     mild_solve,
     solve_rows,
     step_rows,
+    validate_hypothesis,
+    verify_state_estimates,
 )
 from .gauge import pair_difference, upsilon_on_prefixes
 from .hilbert import SpectralSpace
@@ -43,23 +49,30 @@ from .paths import (
     node_count_groups,
     vertical_bump,
 )
+from .report import CheckRecord
+from .scenarios import classical_candidate, has_certificates, touching_points
 from .testfn import GaugePack, TestFunctionPhi, differentiability_probe
-from .value import ValueTable, hamiltonian
+from .value import ValueTable, dpp_record, hamiltonian, value_record, verify_value_regularity
+from .variational import NotEpsMaximal, bp_search, pair_gauges
 
 __all__ = [
     "ItoResult",
     "ito_residual",
+    "ito_record",
     "GaugeMarginResult",
     "upsilon_margin",
     "gauge_cases",
+    "gauge_record",
     "build_net",
     "ViscosityResult",
     "viscosity_check",
-    "ClassicalResult",
+    "viscosity_record",
     "classical_check",
-    "StabilityResult",
     "stability_experiment",
+    "stability_record",
     "perturbed",
+    "bp_record",
+    "CHECKS",
 ]
 
 
@@ -112,6 +125,47 @@ def ito_residual(
         total += 0.5 * h * (left + right)
     inc = float(phi.value(traj)) - float(phi.value(g))
     return ItoResult(residual=inc - total, increment=inc, integral=total, n_steps=n)
+
+
+# a residual at or below this is exact; an inexact one must shrink at least
+# at this order when the step halves
+_ITO_EXACT = 1e-12
+_ITO_RATE_FLOOR = 0.9
+
+
+def ito_record(cfg, value_table) -> CheckRecord:
+    """`ito_residual` of a quadratic and a linear endpoint functional from
+    the constant path at the initial sample, under the last control held to
+    T, on the grid and on the grid at half its step. A functional passes
+    when both residuals are exact, or when they shrink at the rate floor."""
+    sc = cfg.scenario
+    space, grid = sc.space, sc.grid
+    g0 = Path.constant(space, grid.step, sc.initial.samples[0], horizon=0.0)
+    u_val = sc.coefficients.control_set[-1]
+    fine = TimeGrid(grid.T, grid.step / 2.0)
+    g0f = Path.constant(space, fine.step, sc.initial.samples[0], horizon=0.0)
+    functionals = [
+        TestFunctionPhi.quadratic_endpoint(),
+        TestFunctionPhi.linear_endpoint(np.ones(space.dim)),
+    ]
+    rows, ok = [], True
+    for phi in functionals:
+        r1 = ito_residual(
+            sc.coefficients, phi, g0,
+            ControlSignal.constant(u_val, 0.0, grid.T, grid.step),
+        ).residual
+        r2 = ito_residual(
+            sc.coefficients, phi, g0f,
+            ControlSignal.constant(u_val, 0.0, grid.T, fine.step),
+        ).residual
+        exact = abs(r1) <= _ITO_EXACT and abs(r2) <= _ITO_EXACT
+        rate = float(np.log2(abs(r1) / abs(r2))) if not exact and abs(r2) > 0 else None
+        row_ok = exact or (rate is not None and rate >= _ITO_RATE_FLOOR)
+        rows.append(
+            {"phi": phi.label, "residual": r1, "refined": r2, "rate": rate, "ok": row_ok}
+        )
+        ok = ok and row_ok
+    return CheckRecord(name="ito", passed=ok, summary={}, rows=rows)
 
 
 # gauge margin along trajectories --------------------------------------
@@ -207,6 +261,27 @@ def _walk(rng, space, step, n_nodes) -> Path:
     start = rng.normal(0.0, 1.0, size=(1, space.dim))
     steps = rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, space.dim))
     return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+
+
+def gauge_record(cfg, value_table) -> CheckRecord:
+    """`upsilon_margin` over the seeded `gauge_cases`; passes when the
+    smallest margin is at least -margin_c0 times the grid step."""
+    sc = cfg.scenario
+    c = sc.coefficients
+    cases = gauge_cases(c, sc.space, sc.grid, seed=cfg.seed)
+    margins = np.array([r.margin for r in upsilon_margin(c, cases)])
+    floor = -cfg.tolerances["margin_c0"] * sc.grid.step
+    return CheckRecord(
+        name="gauge",
+        passed=bool(margins.min() >= floor),
+        summary={
+            "min_margin": float(margins.min()),
+            "mean_margin": float(margins.mean()),
+            "floor": floor,
+            "n": len(margins),
+        },
+        rows=[],
+    )
 
 
 # comparison nets -------------------------------------------------------
@@ -399,15 +474,41 @@ def viscosity_check(
     )
 
 
+def viscosity_record(cfg, value_table) -> CheckRecord:
+    """Both sides of `viscosity_check` at every touching point of the
+    scenario, each point over its own net, whose values are read once."""
+    sc = cfg.scenario
+    table = value_table()
+    tol = cfg.tolerances["viscosity"]
+    rows, ok = [], True
+    for tp in touching_points(sc):
+        net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
+        values = table.values(net)  # one value pass, read by both sides
+        for side, phi, pack in (
+            ("sub", tp.phi_sub, tp.pack_sub),
+            ("super", tp.phi_super, tp.pack_super),
+        ):
+            r = viscosity_check(
+                values, sc.coefficients, tp.point, phi, pack, side,
+                net=net, tol=tol, label=tp.label,
+            )
+            rows.append(
+                {
+                    "label": tp.label,
+                    "side": side,
+                    "premise_ok": r.premise_ok,
+                    "margin": r.margin,
+                    "witness_gap": r.witness_gap,
+                    "passed": r.passed,
+                }
+            )
+            ok = ok and r.passed
+    return CheckRecord(
+        name="viscosity", passed=ok, summary={"points": len(rows) // 2}, rows=rows
+    )
+
+
 # classical residuals ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassicalResult:
-    rows: tuple
-    max_residual: float
-    n_flagged: int
-    passed: bool
 
 
 def classical_check(
@@ -417,11 +518,12 @@ def classical_check(
     *,
     t_final: float,
     tol: float = 1e-9,
-) -> ClassicalResult:
+) -> CheckRecord:
     """Equation residual of a smooth candidate at interior points, terminal
     match at horizon points. Points where finite differences refuse the
     supplied derivatives are flagged, reported, and excluded from the
-    residual; at least one unflagged interior point is required to pass.
+    residual; at least one unflagged interior point is required to pass,
+    and the record says so when there is none.
     """
     rows = []
     max_res = 0.0
@@ -443,11 +545,11 @@ def classical_check(
         max_res = max(max_res, abs(res))
         n_interior += 1
         ok = ok and abs(res) <= tol
-    return ClassicalResult(
-        rows=tuple(rows),
-        max_residual=max_res,
-        n_flagged=n_flagged,
-        passed=ok and n_interior > 0,
+    summary = {"max_residual": max_res, "n_flagged": n_flagged}
+    if not n_interior:
+        summary["reason"] = "no interior probe fits the grid"
+    return CheckRecord(
+        name="classical", passed=ok and n_interior > 0, summary=summary, rows=rows
     )
 
 
@@ -485,15 +587,6 @@ def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class StabilityResult:
-    kind: str
-    epsilons: tuple
-    rows: tuple
-    monotone_ok: bool
-    passed: bool
-
-
 def stability_experiment(
     base_table: ValueTable,
     kind: str,
@@ -501,7 +594,7 @@ def stability_experiment(
     points,
     *,
     tol: float = 1e-9,
-) -> StabilityResult:
+) -> CheckRecord:
     """Value gaps under coefficient shifts against their oracles.
 
     phi_shift: gap is eps exactly. q_shift: gap is eps * (T - t) exactly.
@@ -539,10 +632,140 @@ def stability_experiment(
             for big, small in zip(order, order[1:]):
                 if abs(gaps[(i, small)]) > abs(gaps[(i, big)]) + tol:
                     monotone_ok = False
-    return StabilityResult(
-        kind=kind,
-        epsilons=epsilons,
-        rows=tuple(rows),
-        monotone_ok=monotone_ok,
+    return CheckRecord(
+        name="stability",
         passed=ok and monotone_ok,
+        summary={"kind": kind, "monotone_ok": monotone_ok},
+        rows=rows,
     )
+
+
+def stability_record(cfg, value_table) -> CheckRecord:
+    """`stability_experiment` at the initial path under the config's
+    perturbation and epsilons. Where the scenario has certificates, the
+    unperturbed member must also pass the sub side of its first touching
+    point (`limit_point_ok`)."""
+    sc = cfg.scenario
+    table = value_table()
+    rec = stability_experiment(
+        table,
+        cfg.perturbation,
+        cfg.epsilons,
+        [sc.initial],
+        tol=cfg.tolerances["residual"],
+    )
+    if has_certificates(sc):
+        pts = touching_points(sc)
+        if pts:
+            tp = pts[0]
+            net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
+            lim = viscosity_check(
+                table.values(net), sc.coefficients, tp.point,
+                tp.phi_sub, tp.pack_sub, "sub",
+                net=net, tol=cfg.tolerances["viscosity"],
+            )
+            rec.summary["limit_point_ok"] = lim.passed
+            rec.passed = rec.passed and lim.passed
+    return rec
+
+
+# perturbed maximization on the net at the initial path ------------------
+
+
+# the roundoff that bp_search's postconditions allow
+_BP_SLACK = 1e-12
+
+
+def bp_record(cfg, value_table) -> CheckRecord:
+    """`bp_search` over the net at the initial path in two modes: at-max,
+    f = -(the pair gauge from the start), with eps 0.1, and horizon-bonus,
+    f = horizon - that gauge, with eps 0.3 (T - t0) + 0.1. A mode passes when
+    the search's postconditions hold up to _BP_SLACK; a start that is not
+    eps-maximal is a failed row with the witness."""
+    sc = cfg.scenario
+    start = sc.initial
+    net = build_net(sc.coefficients, start, sc.grid, seed=cfg.seed)
+    t0, T = start.horizon, sc.grid.T
+    rows, ok = [], True
+
+    # the gauge from start to each net path, one row that both modes' f read
+    # (keyed by identity; net keeps its paths alive)
+    start_gauge = dict(zip(map(id, net), pair_gauges(start, net)))
+    modes = [
+        ("at-max", lambda g: -start_gauge[id(g)], 0.1),
+        ("horizon-bonus", lambda g: g.horizon - start_gauge[id(g)], 0.3 * (T - t0) + 0.1),
+    ]
+    for label, f, eps in modes:
+        try:
+            res = bp_search(f, net, start, eps)
+        except NotEpsMaximal as exc:  # a failed row with the witness
+            rows.append(
+                {
+                    "mode": label,
+                    "postconditions_ok": False,
+                    "reason": "start is not eps-maximal",
+                    "f_start": exc.f_start,
+                    "f_max": exc.f_max,
+                    "eps": exc.eps,
+                }
+            )
+            ok = False
+            continue
+        terms, times = res.rho_terms, res.anchor_times
+        post = (
+            all(r <= eps / 2**i + _BP_SLACK for i, r in enumerate(terms))
+            and res.sum_rho <= 2.0 * eps + _BP_SLACK
+            and res.strict_gap > 0.0
+            and res.perturbed_value >= res.f_start - _BP_SLACK
+            and all(a <= b + _BP_SLACK for a, b in zip(times, times[1:]))
+        )
+        rows.append(
+            {
+                "mode": label,
+                "iterations": res.iterations,
+                "anchor_times": list(times),
+                "sum_rho": res.sum_rho,
+                "strict_gap": res.strict_gap,
+                "stalled": res.stalled,
+                "postconditions_ok": post,
+            }
+        )
+        ok = ok and post
+    return CheckRecord(
+        name="bp", passed=ok, summary={"net_size": len(net)}, rows=rows
+    )
+
+
+# the check table -------------------------------------------------------
+
+
+def _problem(cfg) -> tuple:
+    """The coefficients, space and grid of the config's scenario."""
+    return cfg.scenario.coefficients, cfg.scenario.space, cfg.scenario.grid
+
+
+def _classical(cfg, value_table) -> CheckRecord:
+    sc = cfg.scenario
+    w, points = classical_candidate(sc)
+    return classical_check(
+        w, sc.coefficients, points, t_final=sc.grid.T, tol=cfg.tolerances["residual"]
+    )
+
+
+# every check a run can select, by name: each takes the run config and a
+# thunk for the run's one value table, and returns its CheckRecord
+CHECKS = {
+    "hypothesis": lambda cfg, table: validate_hypothesis(*_problem(cfg), seed=cfg.seed),
+    "estimates": lambda cfg, table: verify_state_estimates(*_problem(cfg), seed=cfg.seed),
+    "value": value_record,
+    "dpp": dpp_record,
+    "regularity": lambda cfg, table: verify_value_regularity(
+        table(), cfg.scenario.space, seed=cfg.seed
+    ),
+    "ito": ito_record,
+    "gauge": gauge_record,
+    "viscosity": viscosity_record,
+    "classical": _classical,
+    "stability": stability_record,
+    "bp": bp_record,
+}

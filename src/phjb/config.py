@@ -15,24 +15,11 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import CHECKS
 from .paths import Path, TimeGrid
 from .scenarios import SCENARIOS, Scenario, has_certificates
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "KNOWN_CHECKS"]
-
-KNOWN_CHECKS = (
-    "hypothesis",
-    "estimates",
-    "value",
-    "dpp",
-    "regularity",
-    "ito",
-    "gauge",
-    "viscosity",
-    "classical",
-    "stability",
-    "bp",
-)
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 _PERTURBATIONS = ("phi_shift", "q_shift", "drift_shift")
 
@@ -96,7 +83,7 @@ def check_names(names, scenario: Scenario) -> tuple:
     if not isinstance(names, (list, tuple)) or not names:
         raise ConfigError("checks", "must be a non-empty list")
     for c in names:
-        if c not in KNOWN_CHECKS:
+        if c not in CHECKS:
             raise ConfigError("checks", f"unknown check {c!r}")
     if not has_certificates(scenario) and any(c in ("viscosity", "classical") for c in names):
         raise ConfigError(

@@ -13,7 +13,7 @@ over [t, T] bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .paths import (
     sup_norm,
     sup_norms,
 )
+from .report import CheckRecord
 
 __all__ = [
     "Coefficients",
@@ -40,9 +41,7 @@ __all__ = [
     "step_rows",
     "solve_rows",
     "mild_solve",
-    "HypothesisReport",
     "validate_hypothesis",
-    "StateEstimateReport",
     "verify_state_estimates",
     "random_prefix",
 ]
@@ -286,23 +285,6 @@ def random_prefix(
     return Path(space, grid.step, samples)
 
 
-@dataclass
-class HypothesisReport:
-    """Worst observed ratios for the six growth/Lipschitz inequalities."""
-
-    coefficients: str
-    n_pairs: int
-    ratios: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= RATIO_PASS for r in self.ratios.values())
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.ratios, key=self.ratios.get)
-        return name, self.ratios[name]
-
-
 def validate_hypothesis(
     c: Coefficients,
     space: SpectralSpace,
@@ -310,15 +292,15 @@ def validate_hypothesis(
     *,
     n_pairs: int = 200,
     seed: int = 0,
-) -> HypothesisReport:
+) -> CheckRecord:
     """Sample path pairs and controls; report worst lhs/rhs ratios.
 
     Every pair is drawn first. The drift and running cost of each prefix
     under each control are then priced a node-count block at a time, and
     every prefix is carried along the semigroup to T in one block, whose
     terminal costs and sup norms are each one call; the ratios are taken
-    pair by pair. The report never raises on a violation; callers
-    read `passed`.
+    pair by pair. A violation fails the record, it never raises; the
+    worst ratio is the first largest in the order of `names`.
     """
     rng = np.random.default_rng(seed)
     L = c.lipschitz_L
@@ -362,26 +344,16 @@ def validate_hypothesis(
         bump("growth_phi", abs(pg), L * (1.0 + nz))
         bump("lip_phi", abs(pg - ph), L * gap)
 
-    return HypothesisReport(coefficients=c.name, n_pairs=n_pairs, ratios=worst)
+    name = max(worst, key=worst.get)
+    return CheckRecord(
+        name="hypothesis",
+        passed=all(r <= RATIO_PASS for r in worst.values()),
+        summary={"worst": name, "worst_ratio": worst[name], "n_pairs": n_pairs},
+        rows=[{"inequality": k, "ratio": v} for k, v in sorted(worst.items())],
+    )
 
 
 # -- solution map estimates ---------------------------------------------
-
-
-@dataclass
-class StateEstimateReport:
-    """Empirical constants for the solution-map estimates."""
-
-    coefficients: str
-    grid_step: float
-    n_samples: int
-    constants: dict = field(default_factory=dict)
-    gronwall_bound: float = float("nan")
-
-    @property
-    def passed(self) -> bool:
-        finite = all(np.isfinite(v) for v in self.constants.values())
-        return finite and self.constants.get("lip_initial", np.inf) <= 1.05 * self.gronwall_bound
 
 
 def verify_state_estimates(
@@ -391,7 +363,7 @@ def verify_state_estimates(
     *,
     n_samples: int = 100,
     seed: int = 0,
-) -> StateEstimateReport:
+) -> CheckRecord:
     """Sample trajectories and report worst-case estimate constants.
 
     Checked (with empirical constants as max ratios):
@@ -400,7 +372,8 @@ def verify_state_estimates(
       near_initial: |X(s) - e^{(s-t)A} gamma(t)| <= C (1 + ||gamma||_0)(s - t)
       time_shift:   ||X_T^eta - X_T^{ext gamma}||_0
                       <= C [(1 + ||eta||_0)(tbar - t) + ||eta - gamma||_0]
-    The Gronwall comparison value e^{LT} is reported alongside.
+    The Gronwall comparison value e^{LT} is reported alongside; the record
+    passes when every constant is finite and lip_initial is within 5% of it.
     """
     rng = np.random.default_rng(seed)
     consts = {k: 0.0 for k in ["bounded", "lip_initial", "near_initial", "time_shift"]}
@@ -458,10 +431,11 @@ def verify_state_estimates(
                 sup_norm(Z - Y) / denom if denom > _DENOM_FLOOR else 0.0,
             )
 
-    return StateEstimateReport(
-        coefficients=c.name,
-        grid_step=grid.step,
-        n_samples=n_samples,
-        constants=consts,
-        gronwall_bound=float(np.exp(c.lipschitz_L * grid.T)),
+    bound = float(np.exp(c.lipschitz_L * grid.T))
+    finite = all(np.isfinite(v) for v in consts.values())
+    return CheckRecord(
+        name="estimates",
+        passed=finite and consts["lip_initial"] <= 1.05 * bound,
+        summary={"gronwall_bound": bound},
+        rows=[{"estimate": k, "constant": v} for k, v in sorted(consts.items())],
     )

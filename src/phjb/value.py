@@ -13,7 +13,6 @@ matches brute-force enumeration bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional
 
@@ -43,13 +42,15 @@ from .paths import (
     vertical_bump,
 )
 from .hilbert import SpectralSpace
+from .report import CheckRecord
 
 __all__ = [
     "cost_J",
     "hamiltonian",
     "ValueTable",
+    "value_record",
     "verify_dpp_consistency",
-    "RegularityReport",
+    "dpp_record",
     "verify_value_regularity",
 ]
 
@@ -413,6 +414,31 @@ class ValueTable:
         return ControlSignal(g.horizon, g.step, controls), x
 
 
+def value_record(cfg, value_table) -> CheckRecord:
+    """The value at the config's initial path and its optimal control. Passes
+    when the value is finite and, where the scenario has a closed form, within
+    the residual tolerance of it."""
+    sc = cfg.scenario
+    table = value_table()
+    v = table.value(sc.initial)
+    sig, traj = table.policy(sc.initial)
+    summary = {"value": v, "horizon": sc.initial.horizon}
+    passed = bool(np.isfinite(v))
+    if sc.closed_form is not None:
+        cf = sc.closed_form(sc.initial, sc.grid)
+        summary["closed_form"] = cf
+        summary["gap"] = abs(v - cf)
+        passed = passed and summary["gap"] <= cfg.tolerances["residual"]
+    rows = [
+        {
+            "controls": list(sig.values),
+            "endpoint": traj.endpoint.tolist(),
+            "terminal_cost": _terminal_cost(sc.coefficients, traj),
+        }
+    ]
+    return CheckRecord(name="value", passed=passed, summary=summary, rows=rows)
+
+
 def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     """Residuals |V(gamma_t) - min_u [ sum costs + V(X_s) ]| at every grid s.
 
@@ -456,21 +482,27 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     return residuals
 
 
+def dpp_record(cfg, value_table) -> CheckRecord:
+    """The recursion residuals at the config's initial path, and the gap
+    between the value and the terminal cost at the end of its optimal
+    trajectory; both within the residual tolerance to pass."""
+    sc = cfg.scenario
+    table = value_table()
+    residuals = verify_dpp_consistency(table, sc.initial)
+    _, traj = table.policy(sc.initial)
+    phi = _terminal_cost(sc.coefficients, traj)
+    terminal_gap = abs(table.value(traj) - phi)
+    worst = max(residuals.values(), default=0.0)
+    tol = cfg.tolerances["residual"]
+    return CheckRecord(
+        name="dpp",
+        passed=worst <= tol and terminal_gap <= tol,
+        summary={"max_residual": worst, "terminal_gap": terminal_gap},
+        rows=[{"s": s, "residual": r} for s, r in sorted(residuals.items())],
+    )
+
+
 # -- value regularity ----------------------------------------------------
-
-
-@dataclass
-class RegularityReport:
-    """Empirical value-regularity constants on a sampled set of prefixes."""
-
-    coefficients: str
-    grid_step: float
-    n_samples: int
-    constants: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(np.isfinite(v) for v in self.constants.values())
 
 
 def verify_value_regularity(
@@ -479,7 +511,7 @@ def verify_value_regularity(
     *,
     seed: int,
     paths: Optional[list] = None,
-) -> RegularityReport:
+) -> CheckRecord:
     """Empirical constants for growth, space-Lipschitz, and time regularity.
 
     constants:
@@ -487,7 +519,8 @@ def verify_value_regularity(
       space:    max |V(gamma_t) - V(eta_t)| / ||gamma - eta||_0
       time:     max |V(ext gamma to tbar) - V(gamma_t)| / ((1 + ||gamma||_0)(tbar - t))
     Without `paths`, 30 seeded random prefixes are sampled; pass `paths` to
-    pin the sample set (used for grid-refinement stability).
+    pin the sample set (used for grid-refinement stability). The record
+    passes when every constant is finite.
     """
     grid = table.grid
     rng = np.random.default_rng(seed)
@@ -516,9 +549,9 @@ def verify_value_regularity(
             consts["time"] = max(
                 consts["time"], abs(vx[i] - vg[i]) / ((1.0 + ng) * grid.step)
             )
-    return RegularityReport(
-        coefficients=table.c.name,
-        grid_step=grid.step,
-        n_samples=len(paths),
-        constants=consts,
+    return CheckRecord(
+        name="regularity",
+        passed=all(np.isfinite(v) for v in consts.values()),
+        summary={"n_samples": len(paths)},
+        rows=[{"constant": k, "value": v} for k, v in sorted(consts.items())],
     )

@@ -42,6 +42,12 @@ def time_ramp(phi, k: float, t_final: float):
     )
 
 
+def row_map(rec, key, value) -> dict:
+    """A check record's rows as {row[key]: row[value]}, e.g. the ratios of a
+    hypothesis record by inequality."""
+    return {row[key]: row[value] for row in rec.rows}
+
+
 def level_children(c, prefixes) -> list:
     """The children of prefixes of one node count under every control,
     parent-major, stepped as one `step_rows` block and wrapped as paths."""

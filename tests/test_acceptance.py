@@ -27,7 +27,7 @@ from phjb.testfn import TestFunctionPhi
 from phjb.value import ValueTable, verify_dpp_consistency, verify_value_regularity
 from phjb.variational import bp_search, pair_gauge
 
-from conftest import make_space, random_path
+from conftest import make_space, random_path, row_map
 
 
 def _verdict(num, name, ok, elapsed, budget):
@@ -365,7 +365,7 @@ def test_criterion_10_stability():
             for row in rep.rows:
                 ok = ok and abs(row["gap"] - row["oracle"]) <= 1e-9
         rep = stability_experiment(table, "drift_shift", (0.1, 0.05, 0.025), pts)
-        ok = ok and rep.passed and rep.monotone_ok
+        ok = ok and rep.passed and rep.summary["monotone_ok"]
         env = np.exp(sc.coefficients.lipschitz_L * sc.grid.T)
         for row in rep.rows:
             ok = ok and abs(row["gap"]) <= env * row["eps"] + 1e-9
@@ -431,8 +431,8 @@ def test_criterion_12_regularity_refinement():
             rep = verify_value_regularity(
                 ValueTable(sc.coefficients, grid), sc.space, paths=paths, seed=112
             )
-            ok = ok and all(np.isfinite(v) for v in rep.constants.values())
-            per_grid[k] = rep.constants
+            per_grid[k] = row_map(rep, "constant", "value")
+            ok = ok and all(np.isfinite(v) for v in per_grid[k].values())
         for key in ("growth", "space", "time"):
             ref = per_grid[1][key]
             for k in (2, 4):

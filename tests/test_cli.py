@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import phjb
-import phjb.cli
+from phjb.checks import CHECKS
 from phjb.cli import execute, main
 from phjb.config import ConfigError, load_config, parse_config
 from phjb.value import ValueTable
@@ -120,9 +120,9 @@ def test_feedback_has_no_certificates(runner, tmp_path):
         assert "viscosity/classical unavailable" in res.output
 
 
-@pytest.mark.parametrize("run", ["_run_value", "_run_dpp"])
-def test_terminal_reads_refuse_a_cost_that_is_not_a_one_row_block(run):
-    # the table prices blocks of several rows; the runners read one path
+@pytest.mark.parametrize("name", ["value", "dpp"])
+def test_terminal_reads_refuse_a_cost_that_is_not_a_one_row_block(name):
+    # the table prices blocks of several rows; the checks read one path
     cfg = load_config(str(CONFIGS / "eikonal.json"))
     c = cfg.scenario.coefficients
     base = c.terminal_cost
@@ -130,7 +130,14 @@ def test_terminal_reads_refuse_a_cost_that_is_not_a_one_row_block(run):
     cfg = replace(cfg, scenario=replace(cfg.scenario, coefficients=bad))
     table = functools.cache(lambda: ValueTable(bad, cfg.scenario.grid))
     with pytest.raises(ValueError, match="terminal_cost returned shape"):
-        getattr(phjb.cli, run)(cfg, table)
+        CHECKS[name](cfg, table)
+
+
+def test_every_check_of_the_table_gives_its_own_record():
+    cfg = load_config(str(CONFIGS / "eikonal.json"))
+    table = functools.cache(lambda: ValueTable(cfg.scenario.coefficients, cfg.scenario.grid))
+    for name, check in CHECKS.items():
+        assert check(cfg, table).name == name
 
 
 def test_failed_check_exits_one(runner, tmp_path):

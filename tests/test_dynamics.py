@@ -41,6 +41,7 @@ from conftest import (
     make_space,
     out_of_block_order,
     random_path,
+    row_map,
     spoil_drift,
 )
 
@@ -307,7 +308,7 @@ def test_random_prefix_respects_grid():
 def test_scenarios_satisfy_growth_and_lipschitz(build):
     sc = build()
     rep = validate_hypothesis(sc.coefficients, sc.space, sc.grid, n_pairs=150, seed=7)
-    assert rep.passed, rep.ratios
+    assert rep.passed, rep.rows
 
 
 def test_understated_constant_is_caught():
@@ -315,15 +316,15 @@ def test_understated_constant_is_caught():
     weak = replace(sc.coefficients, lipschitz_L=0.4)
     rep = validate_hypothesis(weak, sc.space, sc.grid, n_pairs=100, seed=7)
     assert not rep.passed
-    name, ratio = rep.worst()
-    assert ratio > 1.0
+    ratios = row_map(rep, "inequality", "ratio")
+    assert rep.summary["worst_ratio"] == ratios[rep.summary["worst"]] > 1.0
 
 
 def test_hypothesis_report_is_seed_stable():
     sc = eikonal()
     a = validate_hypothesis(sc.coefficients, sc.space, sc.grid, n_pairs=60, seed=3)
     b = validate_hypothesis(sc.coefficients, sc.space, sc.grid, n_pairs=60, seed=3)
-    assert a.ratios == b.ratios
+    assert row_map(a, "inequality", "ratio") == row_map(b, "inequality", "ratio")
 
 
 # solution-map estimates ------------------------------------------------
@@ -333,15 +334,16 @@ def test_hypothesis_report_is_seed_stable():
 def test_state_estimates_within_gronwall(build):
     sc = build()
     rep = verify_state_estimates(sc.coefficients, sc.space, sc.grid, n_samples=80, seed=1)
-    assert rep.passed, rep.constants
-    assert all(np.isfinite(v) for v in rep.constants.values())
+    assert rep.passed, rep.rows
+    assert all(np.isfinite(v) for v in row_map(rep, "estimate", "constant").values())
 
 
 def test_state_estimates_on_decaying_space():
     space = make_space([-3.0, -1.0])
     c = _const_coeffs(2, lambda S, U: np.stack([U, 0.5 * np.tanh(S[:, -1, 1])], axis=1))
     rep = verify_state_estimates(c, space, TimeGrid(1.0, 0.125), n_samples=60, seed=2)
-    assert rep.constants["lip_initial"] <= 1.05 * rep.gronwall_bound
+    lip = row_map(rep, "estimate", "constant")["lip_initial"]
+    assert lip <= 1.05 * rep.summary["gronwall_bound"]
 
 
 def test_lipschitz_constant_and_control_step_must_be_finite_and_positive():
@@ -470,7 +472,8 @@ def _sampled_case(name, n_steps):
 def test_batched_hypothesis_equals_the_per_pair_loop(name, n_steps, seed):
     c, space, grid = _sampled_case(name, n_steps)
     rep = validate_hypothesis(c, space, grid, n_pairs=40, seed=seed)
-    assert _bytes(rep.ratios) == _bytes(per_pair_hypothesis(c, space, grid, 40, seed))
+    ratios = row_map(rep, "inequality", "ratio")
+    assert _bytes(ratios) == _bytes(per_pair_hypothesis(c, space, grid, 40, seed))
 
 
 @pytest.mark.parametrize("name", _SAMPLED)
@@ -479,7 +482,8 @@ def test_batched_hypothesis_equals_the_per_pair_loop(name, n_steps, seed):
 def test_batched_estimates_equal_the_per_sample_loop(name, n_steps, seed):
     c, space, grid = _sampled_case(name, n_steps)
     rep = verify_state_estimates(c, space, grid, n_samples=30, seed=seed)
-    assert _bytes(rep.constants) == _bytes(per_sample_estimates(c, space, grid, 30, seed))
+    constants = row_map(rep, "estimate", "constant")
+    assert _bytes(constants) == _bytes(per_sample_estimates(c, space, grid, 30, seed))
 
 
 def test_block_solver_rows_equal_one_row_solves():

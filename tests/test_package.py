@@ -41,3 +41,28 @@ def test_only_the_two_block_readers_catch_a_refusal():
                     catchers.add((name, fn))
             todo += [(child, fn) for child in ast.iter_child_nodes(node)]
     assert catchers == {("phjb.paths", "group_rows"), ("phjb.dynamics", "step_rows")}
+
+
+def test_the_command_line_holds_no_check_logic():
+    """`phjb.cli` defines only `execute` and the click plumbing, imports no
+    numpy, and builds a `CheckRecord` only for a check that ran out of
+    budget; every other record is built by its check."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("phjb.cli")))
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert defined == {"execute", "_common", "main", "_command"}
+    imported = {
+        alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names
+    } | {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert not any(m and m.split(".")[0] == "numpy" for m in imported)
+    builders = []
+    todo = [(tree, ())]
+    while todo:
+        node, where = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            where += (node.name,)
+        if isinstance(node, ast.ExceptHandler):
+            where += (ast.unparse(node.type),)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckRecord":
+            builders.append(where)
+        todo += [(child, where) for child in ast.iter_child_nodes(node)]
+    assert builders == [("execute", "BudgetExceeded")]

@@ -45,7 +45,7 @@ def test_drift_shift_within_gronwall_envelope_and_monotone(build):
         _table(sc), "drift_shift", (0.1, 0.05, 0.025), _points(sc)
     )
     assert rep.passed
-    assert rep.monotone_ok
+    assert rep.summary["monotone_ok"]
     L, T = sc.coefficients.lipschitz_L, sc.grid.T
     for row in rep.rows:
         assert abs(row["gap"]) <= np.exp(L * T) * row["eps"] + 1e-9

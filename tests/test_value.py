@@ -393,7 +393,7 @@ def test_regularity_values_three_lists_and_calls_no_entry(monkeypatch):
         monkeypatch.setattr(ValueTable, name, counting)
     sc = eikonal(step=0.125)
     rep = verify_value_regularity(ValueTable(sc.coefficients, sc.grid), sc.space, seed=0)
-    assert rep.n_samples == 30 and rep.passed
+    assert rep.summary["n_samples"] == 30 and rep.passed
     assert calls == Counter(values=3)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from phjb import cli, variational
+from phjb import checks, cli, variational
 from phjb.checks import build_net
 from phjb.config import load_config
 from phjb.paths import GRID_TOL, Path
@@ -276,7 +276,7 @@ def test_bp_check_takes_one_gauge_row_per_anchor(monkeypatch):
         return pair_gauge(a, g)
 
     monkeypatch.setattr(variational, "pair_gauge", scalar_gauge)
-    monkeypatch.setattr(cli, "pair_gauge", scalar_gauge, raising=False)
+    monkeypatch.setattr(checks, "pair_gauge", scalar_gauge, raising=False)
     searches = []
 
     def search(f, net, start, eps, **kw):
@@ -285,7 +285,7 @@ def test_bp_check_takes_one_gauge_row_per_anchor(monkeypatch):
         searches.append((calls[0], len(res.anchors)))
         return res
 
-    monkeypatch.setattr(cli, "bp_search", search)
+    monkeypatch.setattr(checks, "bp_search", search)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.execute(str(CONFIGS / "feedback.json"), checks=("bp",), grid=16, seed=0)
     assert code == 0
