@@ -1,6 +1,8 @@
 """Reports stay byte-identical beyond the benchmark's cells: every shipped
-config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, plus one
-feedback run whose small budget turns two checks into budget records. Each
+config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, each
+sampling check (the checks of the benchmark's `sample` workload) also at
+grids 5, 7, 12 and 16, plus one feedback run whose small budget turns two
+checks into budget records. Each
 cell pins its exit code and the sha256 of its JSON report (without the
 timestamp subtree) and of its CSV report, or the type and message of what it
 raised.
@@ -30,6 +32,10 @@ CHECKS = (
     "gauge", "viscosity", "classical", "stability", "bp",
 )
 GRIDS = (1, 2, 3, 4, 6, 8)
+# the checks that draw random paths and read no value table, and the grids
+# past 8 where their blocks are larger
+SAMPLING_CHECKS = ("hypothesis", "estimates", "ito", "gauge", "classical", "bp")
+SAMPLING_GRIDS = (5, 7, 12, 16)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
@@ -40,6 +46,7 @@ def _cells() -> list:
     for name in ("eikonal", "runmax", "feedback"):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
         cells += [(f"{name}@{g}/{c}", doc, (c,), g) for c in CHECKS for g in GRIDS]
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g) for c in SAMPLING_CHECKS for g in SAMPLING_GRIDS]
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
     cells.append(("feedback@4/budget-50", doc, None, 4))
     return cells
