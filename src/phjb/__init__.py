@@ -14,13 +14,7 @@ from .paths import (
     sup_norm,
     vertical_bump,
 )
-from .gauge import (
-    eval_S,
-    eval_upsilon,
-    grad_S,
-    grad_upsilon,
-    pair_difference,
-)
+from .gauge import eval_upsilon, grad_upsilon, pair_difference
 from .dynamics import (
     Coefficients,
     ControlSignal,
@@ -32,7 +26,6 @@ from .dynamics import (
 from .value import (
     BudgetExceeded,
     ValueTable,
-    cost_J,
     hamiltonian,
     verify_dpp_consistency,
     verify_value_regularity,

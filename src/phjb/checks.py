@@ -34,7 +34,7 @@ from .dynamics import (
     validate_hypothesis,
     verify_state_estimates,
 )
-from .gauge import pair_difference, upsilon_on_prefixes
+from .gauge import _upsilon_rows
 from .hilbert import SpectralSpace
 from .paths import (
     GRID_TOL,
@@ -43,11 +43,17 @@ from .paths import (
     Refused,
     TimeGrid,
     _seal,
+    all_finite,
     carried,
+    carry_walks,
     formula_rows,
     group_rows,
     node_count_groups,
+    prefix_sup_norms,
+    row_dots,
+    trusted_path,
     vertical_bump,
+    write_walk,
 )
 from .report import CheckRecord
 from .scenarios import classical_candidate, has_certificates, touching_points
@@ -191,9 +197,10 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
 
     The flows of the cases whose g share a node count are solved as one
     block (`group_rows`; a case with M < 2, or that does not fit its block,
-    is `Refused`), and the coupling drift is evaluated on that block a node
-    at a time. The margins are then summed case by case, each equal to the
-    one-case computation bit for bit.
+    is `Refused`), with y and the coupling drift. The gauges of all cases
+    with one M are one `_upsilon_rows` call and their couplings one
+    `row_dots` over the case x interval block; each case's trapezoids are
+    summed in order, so each margin equals the one-case loop bit for bit.
     """
 
     def flows(rows, S):
@@ -203,34 +210,45 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
                 raise Refused(f"M must be >= 2, got {M}")
             if abs(g.horizon - eta.horizon) > GRID_TOL:
                 raise Refused("g and eta must share their horizon")
-        proto = cases[rows[0]][1]
-        signals = [cases[i][3] for i in rows]
+            g._check_same_space_and_step(eta)
+        proto, signals = cases[rows[0]][1], [cases[i][3] for i in rows]
         X = solve_rows(coeffs, proto, S, signals)
-        # the drift at both ends of each interval, under its control
-        ends = [
-            [_drift_rows(coeffs, X[:, : S.shape[1] + k + j], _control_array(step)) for j in (0, 1)]
-            for k, step in enumerate(zip(*(u.values for u in signals)))
-        ]
-        return [(proto._trusted(x), [(f0[r], f1[r]) for f0, f1 in ends]) for r, x in enumerate(X)]
+        (N, n_run, dim), n = X.shape, S.shape[1]
+        # y = X - (eta extended along the semigroup), over the whole run
+        E = np.empty(X.shape)
+        E[:, :n] = [cases[i][2].samples for i in rows]
+        Y = X - carry_walks(E, np.full(N, n), proto.space, proto.step)
+        if not all_finite(Y):
+            raise Refused("samples must be finite")
+        # the drift at both ends of each interval under its control; a left
+        # end is the right end before it where the controls are the same bytes
+        F, before = np.empty((2, N, n_run - n, dim)), None
+        for k, step in enumerate(zip(*(u.values for u in signals))):
+            U = _control_array(step)
+            same = before is not None and U.tobytes() == before.tobytes()
+            F[0, :, k] = F[1, :, k - 1] if same else _drift_rows(coeffs, X[:, : n + k], U)
+            F[1, :, k], before = _drift_rows(coeffs, X[:, : n + k + 1], U), U
+        norms = prefix_sup_norms(Y)
+        return [(Y[r, n - 1 :], norms[r, n - 1 :], F[0, r], F[1, r]) for r in range(N)]
 
-    starts = [g for _, g, _, _ in cases]
-    results = []
-    for (M, g, eta, u), (traj, ends) in zip(cases, group_rows(flows, starts)):
-        # y = X - (eta extended along the semigroup) over the whole run at
-        # once: a shorter extension is a prefix of the longer one row for
-        # row, so the gauge at node k is that of a prefix of y, bit-identical
-        # to the gauge of X_t minus eta extended to t
-        y = pair_difference(eta, traj)
-        h = g.step
-        n = traj.n_nodes - g.n_nodes
-        values, grads = upsilon_on_prefixes(M, y, g.n_nodes)
-        base = values[0]
-        lhs = values[n]
-        total = 0.0
-        for k, (f0, f1) in enumerate(ends):
-            total += 0.5 * h * (float(grads[k] @ f0) + float(grads[k + 1] @ f1))
-        rhs = base + total
-        results.append(GaugeMarginResult(margin=rhs - lhs, lhs=lhs, base=base, integral=total))
+    flowed = group_rows(flows, [g for _, g, _, _ in cases])
+    results = [None] * len(cases)
+    for M in dict.fromkeys(M for M, *_ in cases):
+        idx = [i for i, case in enumerate(cases) if case[0] == M]
+        y, norms, F0, F1 = (np.concatenate(part) for part in zip(*flowed[idx]))
+        values, grads = _upsilon_rows(M, norms.tolist(), y, True)
+        # case c has the rows first[c] .. first[c] + m[c] and m[c] intervals
+        m = np.array([len(flowed[i][2]) for i in idx])
+        case, first = np.repeat(np.arange(len(idx)), m), np.cumsum(m + 1) - m - 1
+        k = np.arange(len(case)) - np.repeat(np.cumsum(m) - m, m)
+        left, h = first[case] + k, np.repeat([cases[i][1].step for i in idx], m)
+        # each case's trapezoids, summed in order from 0.0
+        trapezoids = np.zeros((len(idx), m.max() + 1))
+        trapezoids[case, k + 1] = 0.5 * h * (row_dots(grads[left], F0) + row_dots(grads[left + 1], F1))
+        total = np.add.accumulate(trapezoids, axis=1)[:, -1]
+        base, lhs = np.array(values)[first], np.array(values)[first + m]
+        for i, *row in zip(idx, (base + total - lhs).tolist(), lhs.tolist(), base.tolist(), total.tolist()):
+            results[i] = GaugeMarginResult(*row)
     return results
 
 
@@ -241,26 +259,30 @@ _GAUGE_EXPONENTS = (2.0, 5.0)
 
 def gauge_cases(coeffs: Coefficients, space: SpectralSpace, grid: TimeGrid, *, seed: int) -> list:
     """Seeded cases (M, g, eta, u) for `upsilon_margin`, drawn case by case:
-    a node count, the random walks g and eta with that count, and a control
-    from the control set, held constant from g's horizon to T. M takes the
-    exponents in turn."""
+    a node count, the random walks g and eta with that count (`_walk`), and
+    a control from the control set, held constant from g's horizon to T. M
+    takes the exponents in turn. g and eta are views of rows of one block."""
     rng = np.random.default_rng(seed)
-    cases = []
+    B = np.empty((2 * _GAUGE_CASES, grid.n_steps + 1, space.dim))
+    counts, controls = [], []
     for i in range(_GAUGE_CASES):
         n_nodes = int(rng.integers(1, grid.n_steps + 1))
-        g, eta = (_walk(rng, space, grid.step, n_nodes) for _ in range(2))
-        u = coeffs.control_set[int(rng.integers(len(coeffs.control_set)))]
+        counts += [_walk(rng, B[2 * i + j], grid.step, n_nodes) for j in (0, 1)]
+        controls.append(coeffs.control_set[int(rng.integers(len(coeffs.control_set)))])
+    B = carry_walks(B, np.array(counts), space, grid.step)
+    cases = []
+    for i, (u, n) in enumerate(zip(controls, counts[0::2])):
+        g, eta = (trusted_path(space, grid.step, x[:n]) for x in B[2 * i : 2 * i + 2])
         sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
         cases.append((_GAUGE_EXPONENTS[i % len(_GAUGE_EXPONENTS)], g, eta, sig))
     return cases
 
 
-def _walk(rng, space, step, n_nodes) -> Path:
-    """A random walk of n_nodes samples: a standard normal start, then
-    steps of variance `step`."""
-    start = rng.normal(0.0, 1.0, size=(1, space.dim))
-    steps = rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, space.dim))
-    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+def _walk(rng, row, step, n_nodes) -> int:
+    """Draw a random walk of n_nodes samples into row, a standard normal
+    start, then steps of variance `step` (`paths.write_walk`)."""
+    start = rng.normal(0.0, 1.0, size=(1, row.shape[1]))
+    return write_walk(row, start, rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, row.shape[1])))
 
 
 def gauge_record(cfg, value_table) -> CheckRecord:

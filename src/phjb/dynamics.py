@@ -24,13 +24,16 @@ from .paths import (
     Path,
     Refused,
     TimeGrid,
+    _seal,
     all_finite,
-    carried,
-    extend_semigroup,
+    carry_walks,
+    count_groups,
     group_rows,
-    metric_d_infty,
-    sup_norm,
+    prefix_sup_norms,
+    row_dots,
     sup_norms,
+    trusted_path,
+    write_walk,
 )
 from .report import CheckRecord
 
@@ -268,6 +271,14 @@ def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
 # -- hypothesis validation ----------------------------------------------
 
 
+def _draw_prefix(rng: np.random.Generator, row: np.ndarray, grid: TimeGrid, scale=1.0, min_nodes=1) -> int:
+    """Draw `random_prefix`'s walk into row, an (n, dim) array, in its RNG
+    order (node count, steps, start), and return its node count."""
+    n = int(rng.integers(min_nodes, grid.n_steps + 2))
+    steps = rng.normal(0.0, scale * math.sqrt(grid.step), size=(n - 1, row.shape[1]))
+    return write_walk(row, rng.normal(0.0, scale, size=(1, row.shape[1])), steps)
+
+
 def random_prefix(
     rng: np.random.Generator,
     space: SpectralSpace,
@@ -277,12 +288,16 @@ def random_prefix(
     min_nodes: int = 1,
 ) -> Path:
     """Seeded random-walk prefix with a horizon drawn from the grid."""
-    n_max = grid.n_steps + 1
-    n = int(rng.integers(min_nodes, n_max + 1))
-    steps = rng.normal(0.0, scale * np.sqrt(grid.step), size=(n - 1, space.dim))
-    start = rng.normal(0.0, scale, size=(1, space.dim))
-    samples = np.vstack([start, start + np.cumsum(steps, axis=0)])
-    return Path(space, grid.step, samples)
+    row = np.empty((grid.n_steps + 1, space.dim))
+    return trusted_path(space, grid.step, _seal(row[: _draw_prefix(rng, row, grid, scale, min_nodes)]))
+
+
+def _worst(lhs, rhs, floor=True) -> float:
+    """The largest of 0.0 and lhs / rhs, broadcast, where rhs > _DENOM_FLOOR
+    if floor; a NaN ratio is passed over, as max(worst, r) passes it."""
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    kept = rhs > _DENOM_FLOOR if floor else ...
+    return float(np.fmax.reduce((lhs[kept] / rhs[kept]).ravel(), initial=0.0))
 
 
 def validate_hypothesis(
@@ -295,55 +310,52 @@ def validate_hypothesis(
 ) -> CheckRecord:
     """Sample path pairs and controls; report worst lhs/rhs ratios.
 
-    Every pair is drawn first. The drift and running cost of each prefix
-    under each control are then priced a node-count block at a time, and
-    every prefix is carried along the semigroup to T in one block, whose
-    terminal costs and sup norms are each one call; the ratios are taken
-    pair by pair. A violation fails the record, it never raises; the
-    worst ratio is the first largest in the order of `names`.
+    Every pair (g, h) is drawn first, into rows 2i and 2i + 1 of one block
+    carried to T. The drift and running cost of each prefix under each
+    control are priced a node-count block at a time, and each worst ratio
+    is one maximum over the (pair, control) block. A violation fails the
+    record, it never raises; the worst ratio is the first largest in the
+    order of `names`.
     """
     rng = np.random.default_rng(seed)
-    L = c.lipschitz_L
+    L, C, dim = c.lipschitz_L, len(c.control_set), space.dim
     names = ["growth_F", "lip_F", "growth_q", "lip_q", "growth_phi", "lip_phi"]
-    worst = {k: 0.0 for k in names}
+    B = np.empty((2 * n_pairs, grid.n_steps + 1, dim))
+    counts = np.array([_draw_prefix(rng, x, grid) for x in B], dtype=int)
+    B = carry_walks(B, counts, space, grid.step)
 
-    def bump(name, lhs, rhs):
-        if rhs > _DENOM_FLOOR:
-            worst[name] = max(worst[name], lhs / rhs)
-
-    pairs = [
-        (random_prefix(rng, space, grid), random_prefix(rng, space, grid))
-        for _ in range(n_pairs)
-    ]
-    # (prefix, control) in the order the ratios read them
-    units = [(x, u) for g, h in pairs for u in c.control_set for x in (g, h)]
+    # the (pair, control, g or h) units in the order the ratios read them
+    at = np.broadcast_to(2 * np.arange(n_pairs)[:, None, None] + np.arange(2), (n_pairs, C, 2)).ravel()
+    ctrl = np.broadcast_to(np.arange(C)[:, None], (n_pairs, C, 2)).ravel()
+    labels = _control_array(c.control_set)
 
     def price(rows, S):
-        U = _control_array([units[i][1] for i in rows])
-        f = _finite_drift(c, grid.step, S, U, units[rows[0]][1])
-        return list(zip(f, _costs(c.running_cost(S, U), len(S), "running_cost").tolist()))
+        U = labels[ctrl[rows]]
+        f = _finite_drift(c, grid.step, S, U, c.control_set[ctrl[rows[0]]])
+        return np.column_stack([f, _costs(c.running_cost(S, U), len(S), "running_cost")])
 
-    priced = iter(group_rows(price, [x for x, _ in units]))
-    # every prefix carried along the semigroup to T, pair by pair, as one block
-    n = grid.n_steps + 1
-    Z = np.array([carried(x, n) for pair in pairs for x in pair]).reshape(-1, n, space.dim)
-    Z.flags.writeable = False
-    phis = _costs(c.terminal_cost(Z), len(Z), "terminal_cost").tolist()
-    G, H = Z[0::2], Z[1::2]
-    ends = zip(phis[0::2], phis[1::2], sup_norms(G).tolist(), sup_norms(G - H).tolist())
+    FQ = group_rows(price, range(len(at)), count_groups(B, at, counts[at]))
+    F, Q = FQ[:, :dim].reshape(n_pairs, C, 2, dim), FQ[:, dim].reshape(n_pairs, C, 2)
+    Fg, dF = F[:, :, 0].reshape(-1, dim), (F[:, :, 0] - F[:, :, 1]).reshape(-1, dim)
 
-    for (g, h), (pg, ph, nz, gap) in zip(pairs, ends):
-        d = metric_d_infty(g, h)
-        ng = sup_norm(g)
-        for _ in c.control_set:
-            (fg, qg), (fh, qh) = next(priced), next(priced)
-            bump("growth_F", float(fg @ fg), L**2 * (1.0 + ng**2))
-            bump("lip_F", float(np.linalg.norm(fg - fh)), L * d)
-            bump("growth_q", abs(qg), L * (1.0 + ng))
-            bump("lip_q", abs(qg - qh), L * d)
-        bump("growth_phi", abs(pg), L * (1.0 + nz))
-        bump("lip_phi", abs(pg - ph), L * gap)
-
+    pair = np.arange(n_pairs)
+    norms, gaps = prefix_sup_norms(B), prefix_sup_norms(B[0::2] - B[1::2])
+    ng = norms[0::2][pair, counts[0::2] - 1]
+    t = grid.step * (counts - 1)
+    # d_infty: the earlier path carried to the later horizon
+    d = np.abs(t[0::2] - t[1::2]) + gaps[pair, np.maximum(counts[0::2], counts[1::2]) - 1]
+    phis = _costs(c.terminal_cost(B), len(B), "terminal_cost")
+    ng2 = np.array([r**2 for r in ng.tolist()])  # C `pow`, not numpy's x * x
+    each = (n_pairs, 1)  # a pair's bound, for each control
+    ratios = [
+        (row_dots(Fg, Fg).reshape(n_pairs, C), (L**2 * (1.0 + ng2)).reshape(each)),
+        (np.sqrt(row_dots(dF, dF)).reshape(n_pairs, C), (L * d).reshape(each)),
+        (np.abs(Q[:, :, 0]), (L * (1.0 + ng)).reshape(each)),
+        (np.abs(Q[:, :, 0] - Q[:, :, 1]), (L * d).reshape(each)),
+        (np.abs(phis[0::2]), L * (1.0 + norms[0::2, -1])),
+        (np.abs(phis[0::2] - phis[1::2]), L * gaps[:, -1]),
+    ]
+    worst = {k: _worst(*r) for k, r in zip(names, ratios)}
     name = max(worst, key=worst.get)
     return CheckRecord(
         name="hypothesis",
@@ -374,62 +386,51 @@ def verify_state_estimates(
                       <= C [(1 + ||eta||_0)(tbar - t) + ||eta - gamma||_0]
     The Gronwall comparison value e^{LT} is reported alongside; the record
     passes when every constant is finite and lip_initial is within 5% of it.
+
+    Every sample is drawn first, g and eta into rows 2i and 2i + 1 of one
+    block carried to T, so eta cut or carried to g's horizon is the head
+    of its row, and so is g carried to tbar. Each solve from them (a
+    restart at T takes no step) ends at T, as a row of one block.
     """
     rng = np.random.default_rng(seed)
-    consts = {k: 0.0 for k in ["bounded", "lip_initial", "near_initial", "time_shift"]}
-
-    # every sample is drawn first, in the order of the checks, with its
-    # solves from g, from eta and from the later restart; solves draw nothing
-    draws, starts = [], []
+    h, T, n = grid.step, grid.T, grid.n_steps + 1
+    B = np.empty((2 * n_samples, n, space.dim))
+    draws = []  # g's node count, eta's, the control index, tbar in steps after t
     for _ in range(n_samples):
-        g = random_prefix(rng, space, grid)
-        u = c.control_set[int(rng.integers(len(c.control_set)))]
-        t = g.horizon
-        if t < grid.T - GRID_TOL:
-            eta = random_prefix(rng, space, grid)
-            eta = eta._head(g.n_nodes) if (
-                eta.n_nodes >= g.n_nodes
-            ) else extend_semigroup(eta, t)
-            tbar = t + grid.step * int(rng.integers(1, grid.n_steps - g.n_nodes + 2))
-            draws.append((g, eta, tbar))
-            starts += [(g, u), (eta, u)]
-            if tbar < grid.T - GRID_TOL:
-                starts.append((extend_semigroup(g, tbar), u))
-    signals = [ControlSignal.constant(u, x.horizon, grid.T, grid.step) for x, u in starts]
+        k = _draw_prefix(rng, B[2 * len(draws)], grid)
+        u = int(rng.integers(len(c.control_set)))
+        if h * (k - 1) < T - GRID_TOL:
+            ke = _draw_prefix(rng, B[2 * len(draws) + 1], grid)
+            draws.append((k, ke, u, int(rng.integers(1, grid.n_steps - k + 2))))
+    k, ke, u, j = np.array(draws, dtype=int).reshape(-1, 4).T
+    m = len(k)
+    B = carry_walks(B[: 2 * m], np.column_stack([k, ke]).ravel(), space, h)
+    t, tbar = h * (k - 1), h * (k - 1) + h * j
+    restart = tbar < T - GRID_TOL
 
-    def solve(rows, S):
-        proto = starts[rows[0]][0]
-        return [proto._trusted(x) for x in solve_rows(c, proto, S, [signals[i] for i in rows])]
+    def solve(rows, S):  # the solves from g, eta and g carried to tbar
+        t0, labels = h * (S.shape[1] - 1), np.repeat(u, 3)[rows].tolist()
+        signal = {x: ControlSignal.constant(c.control_set[x], t0, T, h) for x in set(labels)}
+        return solve_rows(c, trusted_path(space, h, S[0]), S, [signal[x] for x in labels])
 
-    solved = iter(group_rows(solve, [x for x, _ in starts]))
+    at = (2 * np.arange(m)[:, None] + [0, 1, 0]).ravel()
+    starts = count_groups(B, at, np.column_stack([k, k, k + j]).ravel())
+    X, Y, Z = group_rows(solve, at, starts).reshape(m, 3, n, space.dim).transpose(1, 0, 2, 3)
 
-    for g, eta, tbar in draws:
-        t = g.horizon
-        ng = sup_norm(g)
-        X = next(solved)
-        consts["bounded"] = max(consts["bounded"], sup_norm(X) / (1.0 + ng))
-        # short-time departure from the free flow
-        for s in [t + grid.step, min(grid.T, t + 2 * grid.step)]:
-            free = space.semigroup_apply(s - t, g.endpoint)
-            gap = float(np.linalg.norm(X.value_at(s) - free))
-            consts["near_initial"] = max(
-                consts["near_initial"], gap / ((1.0 + ng) * (s - t))
-            )
-        # same-horizon Lipschitz dependence on the prefix
-        Y = next(solved)
-        gap0 = sup_norm(g - eta)
-        if gap0 > _DENOM_FLOOR:
-            consts["lip_initial"] = max(
-                consts["lip_initial"], sup_norm(X - Y) / gap0
-            )
-        # restart from the semigroup extension at a later time
-        if tbar < grid.T - GRID_TOL:
-            Z = next(solved)
-            denom = (1.0 + sup_norm(eta)) * (tbar - t) + sup_norm(g - eta)
-            consts["time_shift"] = max(
-                consts["time_shift"],
-                sup_norm(Z - Y) / denom if denom > _DENOM_FLOOR else 0.0,
-            )
+    draw, G, E = np.arange(m), B[0::2], B[1::2]
+    ng, n_eta, gap0 = (prefix_sup_norms(x)[draw, k - 1] for x in (G, E, G - E))
+    # short-time departure from the free flow, one and two steps on
+    near = []
+    for s, node in ((t + h, k), (np.minimum(T, t + 2 * h), np.minimum(k + 1, n - 1))):
+        gap = X[draw, node] - G[draw, k - 1] * np.exp(space.eigenvalues * (s - t)[:, None])
+        near.append(_worst(np.sqrt(row_dots(gap, gap)), (1.0 + ng) * (s - t), floor=False))
+    denom = (1.0 + n_eta) * (tbar - t) + gap0
+    consts = {
+        "bounded": _worst(sup_norms(X), 1.0 + ng, floor=False),
+        "lip_initial": _worst(sup_norms(X - Y), gap0),
+        "near_initial": max(near),
+        "time_shift": _worst(sup_norms(Z - Y)[restart], denom[restart]),
+    }
 
     bound = float(np.exp(c.lipschitz_L * grid.T))
     finite = all(np.isfinite(v) for v in consts.values())

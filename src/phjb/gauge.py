@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import Path, Refused, all_finite, carried, prefix_sup_norms, row_dots, sup_norms
+from .paths import Path, Refused, all_finite, carried, row_dots, sup_norms
 
 __all__ = [
-    "eval_S",
-    "grad_S",
     "eval_upsilon",
     "upsilon_rows",
     "grad_upsilon",
-    "upsilon_on_prefixes",
     "pair_difference",
     "pair_difference_rows",
     "pair_gauge_rows",
@@ -39,23 +36,19 @@ def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
     the vertical gradients grad S + 2 M gamma(t), as an (N, dim) array.
 
     b is `row_dots(E, E)`, which reduces each row with the routine of
-    `end @ end`. Each value is closed on Python floats, because C
-    `pow` (`x ** 2`) rounds differently from `x * x`. A zero path (a = 0) has
-    value 0 and gradient 0.
+    `end @ end`. Each square is taken on Python floats, because C `pow`
+    (`x ** 2`) rounds differently from numpy's `x * x`; the rest are the
+    same elementwise operations. A zero path (a = 0) has value 0 and
+    gradient 0.
     """
-    values, coef, zero = [], [], []
-    for r, b in zip(norms, row_dots(E, E).tolist()):
-        a = r**2
-        zero.append(a == 0.0)
-        if a == 0.0:
-            values.append(0.0)
-            coef.append(0.0)
-        else:
-            values.append((a - b) ** 2 / a + M * b)
-            coef.append(-4.0 * (a - b) / a)
+    a, b = np.array([r**2 for r in norms]), row_dots(E, E)
+    zero, d = a == 0.0, a - b
+    a[zero] = 1.0  # any nonzero divisor: the row is zeroed below
+    values = np.array([x**2 for x in d.tolist()]) / a + M * b
+    values = np.where(zero, 0.0, values).tolist()
     if not grad:
         return values
-    G = np.array(coef)[:, None] * E + (2.0 * M) * E
+    G = (-4.0 * d / a)[:, None] * E + (2.0 * M) * E
     G[zero] = 0.0
     return values, G
 
@@ -75,29 +68,6 @@ def grad_upsilon(M: float, g: Path) -> np.ndarray:
     """Vertical gradient of Upsilon^M: grad S + 2 M gamma(t)."""
     S = g.samples[None]
     return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1], True)[1][0]
-
-
-def eval_S(g: Path) -> float:
-    """S(gamma) = (||gamma||_0^2 - |gamma(t)|^2)^2 / ||gamma||_0^2, Upsilon^0."""
-    return eval_upsilon(0.0, g)
-
-
-def grad_S(g: Path) -> np.ndarray:
-    """Vertical gradient of S: -4 (a - b) gamma(t) / a (zero path gives 0)."""
-    return grad_upsilon(0.0, g)
-
-
-def upsilon_on_prefixes(M: float, g: Path, first: int) -> tuple[list, np.ndarray]:
-    """Upsilon^M and its vertical gradient at the prefixes of g with
-    first, first + 1, ..., n_nodes nodes, as a list of values and an array
-    of gradient rows.
-
-    The sup norms come from one running maximum (`prefix_sup_norms`), so
-    the entries equal `eval_upsilon` and `grad_upsilon` of those prefixes
-    bit for bit, in O(n) work instead of O(n^2).
-    """
-    norms = prefix_sup_norms(g)[first - 1 :].tolist()
-    return _upsilon_rows(M, norms, g.samples[first - 1 :], True)
 
 
 def pair_difference(anchor: Path, g: Path) -> Path:

@@ -29,6 +29,10 @@ __all__ = [
     "extend_semigroup",
     "semigroup_rows",
     "carried",
+    "trusted_path",
+    "write_walk",
+    "carry_walks",
+    "count_groups",
     "Refused",
     "node_count_groups",
     "group_rows",
@@ -134,24 +138,10 @@ class Path:
 
     # -- constructors ----------------------------------------------------
 
-    def _sealed(self, samples: np.ndarray) -> "Path":
-        """A path on this path's space and step over `samples`, a fresh float64
-        (k + 1, dim) array that nothing else writes to: sealed (`_seal`) and
-        wrapped as it is, without `__post_init__`'s copy."""
-        return self._trusted(_seal(samples))
-
     def _trusted(self, samples: np.ndarray) -> "Path":
-        """A path on this path's space and step holding `samples` as they are.
-
-        The caller vouches that `samples` is a finite, read-only float64
-        (k + 1, dim) block; nothing is copied or rescanned.
-        """
-        out = object.__new__(Path)
-        fields = out.__dict__
-        fields["space"] = self.space
-        fields["step"] = self.step
-        fields["samples"] = samples
-        return out
+        """A path on this path's space and step holding `samples` as they
+        are (`trusted_path`)."""
+        return trusted_path(self.space, self.step, samples)
 
     def _head(self, n_nodes: int) -> "Path":
         """The first n_nodes samples as a trusted read-only view (1 <= n_nodes <= n)."""
@@ -223,11 +213,22 @@ class Path:
 
     def __add__(self, other: "Path") -> "Path":
         self._check_same_grid(other)
-        return self._sealed(self.samples + other.samples)
+        return self._trusted(_seal(self.samples + other.samples))
 
     def __sub__(self, other: "Path") -> "Path":
         self._check_same_grid(other)
-        return self._sealed(self.samples - other.samples)
+        return self._trusted(_seal(self.samples - other.samples))
+
+
+def trusted_path(space: SpectralSpace, step: float, samples: np.ndarray) -> Path:
+    """A path on space and step holding `samples`, which the caller vouches
+    are a finite, read-only float64 (k + 1, dim) block, as they are."""
+    out = object.__new__(Path)
+    fields = out.__dict__
+    fields["space"] = space
+    fields["step"] = step
+    fields["samples"] = samples
+    return out
 
 
 # -- constructions -------------------------------------------------------
@@ -266,10 +267,8 @@ def extend_semigroup(g: Path, tbar: float) -> Path:
 
 def semigroup_rows(g: Path, m: int) -> np.ndarray:
     """The m samples after g's horizon along the semigroup, e^{j step A} gamma(t)
-    for j = 1..m, as an (m, dim) block. The factors lie in [0, 1] (the
-    eigenvalues are <= 0), so the rows of a finite endpoint are finite.
-    Under a zero generator these are copies of the endpoint, which is what
-    the exponential gives too (e^0 = 1 exactly), without computing it."""
+    for j = 1..m, as an (m, dim) block: finite, the factors lie in [0, 1].
+    Under a zero generator, copies of the endpoint, as e^0 = 1 gives too."""
     if g.space.is_zero_generator:
         return g.samples[-1:].repeat(m, axis=0)
     j = np.arange(1, m + 1)
@@ -285,6 +284,39 @@ def carried(g: Path, n: int) -> np.ndarray:
     if n > k:
         out[k:] = semigroup_rows(g, n - k)
     return out
+
+
+def write_walk(row: np.ndarray, start: np.ndarray, steps: np.ndarray) -> int:
+    """Write the walk from start, a (1, dim) draw, by steps, a (k - 1, dim)
+    draw, into the first k nodes of row and return k: the start, then the
+    running sum of the steps plus the start, `start + np.cumsum(steps)`."""
+    row[0], walk = start, row[1 : len(steps) + 1]
+    np.add.accumulate(steps, 0, out=walk)
+    walk += start
+    return len(steps) + 1
+
+
+def carry_walks(B: np.ndarray, counts: np.ndarray, space: SpectralSpace, step: float) -> np.ndarray:
+    """B, an (N, n, dim) block whose row i holds a path of counts[i] nodes,
+    each row carried along the semigroup over its other nodes as `carried`
+    carries a path (e^0 = 1 exactly), checked finite once, read-only."""
+    rows, nodes = np.nonzero(np.arange(B.shape[1]) >= counts[:, None])
+    factors = np.exp(np.outer(np.arange(1, B.shape[1]) * step, space.eigenvalues))
+    B[rows, nodes] = factors[nodes - counts[rows]] * B[rows, counts[rows] - 1]
+    return _seal(B)
+
+
+def count_groups(B: np.ndarray, at: np.ndarray, counts: np.ndarray) -> list:
+    """The paths whose samples are the first counts[j] nodes of row at[j] of
+    the block B, grouped by node count as `node_count_groups` groups paths,
+    as (rows, S) pairs: S the samples of the paths rows, one read-only block."""
+    groups = []
+    for n in dict.fromkeys(counts.tolist()):
+        rows = np.flatnonzero(counts == n)
+        S = B[at[rows], :n]
+        S.flags.writeable = False
+        groups.append((rows, S))
+    return groups
 
 
 def node_count_groups(paths) -> Mapping:
@@ -339,19 +371,24 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
 
     The paths share a space and step. fn(rows, S) gives the entries of the
     paths at the indices rows, whose samples are the block S of their group
-    (`node_count_groups`), as a float array or as a list, which makes the
-    result an object array. groups lists the groups to run, every group of
-    the paths by default; a path of no listed group gets 0. A group that
-    raises `Refused` is run again path by path, by the rule stated there.
+    (`node_count_groups`), as a float array with one row per path, or as a
+    list, which makes the result an object array. groups lists the groups
+    to run, every group of the paths by default (then paths may be any
+    sequence of their length); a path of no listed group gets 0. A group
+    that raises `Refused` is run again path by path, by the rule stated
+    there, each path on its row of its group's block.
     """
     if groups is None:
         groups = node_count_groups(paths).values()
     try:
         parts = [(rows, fn(rows, S)) for rows, S in groups]
     except Refused:
-        order = np.sort(np.concatenate([rows for rows, _ in groups])).tolist()
-        parts = [([i], fn([i], paths[i].samples[None])) for i in order]
-    out = np.zeros(len(paths), object if any(isinstance(v, list) for _, v in parts) else float)
+        at = {i: (S, j) for rows, S in groups for j, i in enumerate(rows.tolist())}
+        parts = [([i], fn([i], S[j : j + 1])) for i, (S, j) in sorted(at.items())]
+    if any(isinstance(v, list) for _, v in parts):
+        out = np.zeros(len(paths), object)
+    else:
+        out = np.zeros((len(paths),) + (np.shape(parts[0][1])[1:] if parts else ()))
     for rows, v in parts:
         out[rows] = v
     return out
@@ -426,20 +463,17 @@ def sup_norms(S: np.ndarray) -> np.ndarray:
 
 
 def _largest_row_norm(s: np.ndarray) -> float:
-    return math.sqrt(np.maximum.reduce(_row_sq_norms(s)))
+    return math.sqrt(np.maximum.reduce(np.add.reduce(s * s, axis=1)))
 
 
-def _row_sq_norms(s: np.ndarray) -> np.ndarray:
-    return np.add.reduce(s * s, axis=1)
-
-
-def prefix_sup_norms(g: Path) -> np.ndarray:
-    """The sup norm of every prefix: entry k is ||gamma_{k step}||_0.
+def prefix_sup_norms(S: np.ndarray) -> np.ndarray:
+    """The sup norm of every prefix of the path of each row of S, an
+    (N, n, dim) sample block: entry [i, k] is ||gamma_{k step}||_0 of row i.
 
     A running maximum of the squared sample norms, rooted per entry, so
-    entry k equals `sup_norm(g.prefix(k * g.step))` bit for bit.
+    entry [i, k] equals `sup_norm` of that prefix bit for bit.
     """
-    return np.sqrt(np.maximum.accumulate(_row_sq_norms(g.samples)))
+    return np.sqrt(np.maximum.accumulate(np.add.reduce(S * S, axis=2), axis=1))
 
 
 def metric_d_infty(g: Path, h: Path) -> float:

@@ -1,13 +1,13 @@
-"""Cost functional, Hamiltonian, and the exact dynamic-programming value.
+"""Hamiltonian and the exact dynamic-programming value.
 
-ValueTable computes the exact minimum of cost_J over piecewise-constant
-control trees by backward recursion. It carries the coefficients, grid and
-budget of one control problem, and the checks here read all three from the
-table they are given, so a check cannot mix one problem's values with
-another's coefficients. Per-interval running costs use the same trapezoid
-rule as cost_J and are accumulated in the same (backward) association, so the
-dynamic-programming identity holds to roundoff by construction, and the value
-matches brute-force enumeration bit for bit.
+ValueTable computes the exact minimum of the cost J(gamma_t; u), running
+cost trapezoids plus terminal cost, over piecewise-constant control trees
+by backward recursion. It carries the coefficients, grid and budget of one
+control problem, and the checks here read all three from the table they
+are given, so a check cannot mix one problem's values with another's
+coefficients. The per-interval trapezoids are accumulated tail-first, so
+the dynamic-programming identity holds to roundoff by construction, and
+the value matches brute-force enumeration bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .dynamics import (
     _costs,
     _drift_rows,
     _terminal_cost,
-    mild_solve,
     random_prefix,
     step_once,
     step_rows,
@@ -45,7 +44,6 @@ from .hilbert import SpectralSpace
 from .report import CheckRecord
 
 __all__ = [
-    "cost_J",
     "hamiltonian",
     "ValueTable",
     "value_record",
@@ -53,26 +51,6 @@ __all__ = [
     "dpp_record",
     "verify_value_regularity",
 ]
-
-
-def _interval_cost(c: Coefficients, prefix: Path, nxt: Path, u) -> float:
-    """The trapezoid running cost of the step prefix -> nxt under u."""
-    U = _control_array((u,))
-    return float(_step_costs(c, prefix.step, prefix.samples[None], U, nxt.samples[None])[0])
-
-
-def cost_J(c: Coefficients, g: Path, u: ControlSignal) -> float:
-    """J(gamma_t; u): running cost trapezoids plus terminal cost.
-
-    The trapezoids are summed tail-first over the prefixes of the mild
-    solution, so the cost reproduces the value recursion exactly.
-    """
-    traj = mild_solve(c, g, u)
-    nodes = [traj._head(k) for k in range(g.n_nodes, traj.n_nodes + 1)]
-    total = _terminal_cost(c, traj)
-    for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
-        total = _interval_cost(c, prefix, nxt, uk) + total
-    return total
 
 
 def hamiltonian(c: Coefficients, g: Path, p):

@@ -9,7 +9,7 @@ import numpy as np
 
 from phjb import Path, SpectralSpace, sup_norm
 from phjb.dynamics import step_rows
-from phjb.gauge import eval_upsilon, pair_difference
+from phjb.gauge import eval_upsilon, grad_upsilon, pair_difference
 from phjb.paths import formula_rows, group_rows
 
 
@@ -86,7 +86,20 @@ def out_of_block_order(paths) -> tuple:
 
 
 # the gauges as one-path scalar code: references for the row forms of
-# phjb.gauge and phjb.variational, independent of their shared kernel
+# phjb.gauge and phjb.variational, independent of their shared kernel; S
+# is also stated as Upsilon^0 of the package
+
+
+def eval_S(g) -> float:
+    """S(gamma) = (||gamma||_0^2 - |gamma(t)|^2)^2 / ||gamma||_0^2, which is
+    Upsilon^0."""
+    return eval_upsilon(0.0, g)
+
+
+def grad_S(g) -> np.ndarray:
+    """Vertical gradient of S, -4 (a - b) gamma(t) / a (0 at a zero path):
+    the gradient of Upsilon^0."""
+    return grad_upsilon(0.0, g)
 
 
 def _scalar_a_b(g):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    eval_S,
     flat_space,
+    grad_S,
     make_space,
     random_path,
     scalar_grad_S,
@@ -18,26 +20,27 @@ from conftest import (
 from phjb import (
     Path,
     dupire_derivatives,
-    eval_S,
     eval_upsilon,
     extend_flat,
     extend_semigroup,
-    grad_S,
     grad_upsilon,
     metric_d_infty,
     pair_difference,
     sup_norm,
 )
-from phjb.gauge import (
-    pair_difference_rows,
-    pair_gauge_rows,
-    upsilon_on_prefixes,
-    upsilon_rows,
-)
-from phjb.paths import node_count_groups
+from phjb.gauge import _upsilon_rows, pair_difference_rows, pair_gauge_rows, upsilon_rows
+from phjb.paths import node_count_groups, prefix_sup_norms
 from phjb.variational import pair_gauge, pair_gauges
 
 SEED = 4242
+
+
+def upsilon_on_prefixes(M, g, first):
+    """Upsilon^M and its vertical gradient at the prefixes of g with first,
+    first + 1, ..., n_nodes nodes, in the row form `upsilon_margin` takes
+    them in: one `_upsilon_rows` call over the running sup norms."""
+    norms = prefix_sup_norms(g.samples[None])[0, first - 1 :].tolist()
+    return _upsilon_rows(M, norms, g.samples[first - 1 :], True)
 
 
 def nondegenerate_path(rng, sp, margin=0.05):

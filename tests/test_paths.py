@@ -216,7 +216,7 @@ def test_sup_norm_is_bit_exact_against_row_norms():
             p = random_path(rng, sp, scale=scale)
             reference = float(np.max(np.linalg.norm(p.samples, axis=1)))
             assert sup_norm(p) == reference
-            running = prefix_sup_norms(p)
+            running = prefix_sup_norms(p.samples[None])[0]
             assert running.shape == (p.n_nodes,)
             for k in range(p.n_nodes):
                 assert running[k] == sup_norm(p.prefix(k * p.step))

@@ -11,7 +11,14 @@ import pytest
 
 import phjb.value
 from phjb.checks import build_net
-from phjb.dynamics import Coefficients, ControlSignal, _control_array, step_once
+from phjb.dynamics import (
+    Coefficients,
+    ControlSignal,
+    _control_array,
+    _terminal_cost,
+    mild_solve,
+    step_once,
+)
 from phjb.paths import Path, TimeGrid, node_count_groups
 from phjb.scenarios import (
     eikonal,
@@ -26,14 +33,32 @@ from phjb.value import (
     BudgetExceeded,
     ValueTable,
     _first_minima,
-    _interval_cost,
-    cost_J,
+    _step_costs,
     hamiltonian,
     verify_dpp_consistency,
     verify_value_regularity,
 )
 
 from conftest import level_children
+
+
+def _interval_cost(c, prefix, nxt, u) -> float:
+    """The trapezoid running cost of the step prefix -> nxt under u, as the
+    value recursion prices it."""
+    U = _control_array((u,))
+    return float(_step_costs(c, prefix.step, prefix.samples[None], U, nxt.samples[None])[0])
+
+
+def cost_J(c, g, u) -> float:
+    """J(gamma_t; u): running cost trapezoids plus terminal cost, one path
+    at a time. The trapezoids are summed tail-first over the prefixes of
+    the mild solution, so the cost reproduces the value recursion exactly."""
+    traj = mild_solve(c, g, u)
+    nodes = [traj._head(k) for k in range(g.n_nodes, traj.n_nodes + 1)]
+    total = _terminal_cost(c, traj)
+    for uk, prefix, nxt in reversed(list(zip(u.values, nodes, nodes[1:]))):
+        total = _interval_cost(c, prefix, nxt, uk) + total
+    return total
 
 
 def _q(c, g, u) -> float:
