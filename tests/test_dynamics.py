@@ -14,6 +14,7 @@ import pytest
 from phjb.dynamics import (
     Coefficients,
     ControlSignal,
+    _draw_prefix,
     mild_solve,
     random_prefix,
     solve_rows,
@@ -21,12 +22,14 @@ from phjb.dynamics import (
     validate_hypothesis,
     verify_state_estimates,
 )
-from phjb.checks import perturbed
+from phjb.checks import _walk, gauge_cases, perturbed
 from phjb.paths import (
     GRID_TOL,
     Path,
     Refused,
     TimeGrid,
+    carried,
+    carry_walks,
     extend_semigroup,
     group_rows,
     metric_d_infty,
@@ -301,6 +304,75 @@ def test_random_prefix_respects_grid():
         assert g.step == grid.step
 
 
+# the random walks, one path at a time and as blocks
+
+
+def one_path_prefix(rng, space, grid):
+    """`random_prefix` as it drew one path: node count, steps, start, then
+    the samples stacked from the start and the running sum."""
+    n = int(rng.integers(1, grid.n_steps + 2))
+    steps = rng.normal(0.0, np.sqrt(grid.step), size=(n - 1, space.dim))
+    start = rng.normal(0.0, 1.0, size=(1, space.dim))
+    return Path(space, grid.step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+
+
+def one_path_walk(rng, space, step, n_nodes):
+    """The gauge cases' walk as it drew one path: start, then steps."""
+    start = rng.normal(0.0, 1.0, size=(1, space.dim))
+    steps = rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, space.dim))
+    return Path(space, step, np.vstack([start, start + np.cumsum(steps, axis=0)]))
+
+
+_WALK_SPACES = {"flat-1": [0.0], "flat-2": [0.0, 0.0], "decaying-3": [-0.5, -2.0, -4.5]}
+
+
+@pytest.mark.parametrize("space_name", sorted(_WALK_SPACES))
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+def test_block_draws_equal_the_one_path_draws_row_for_row(space_name, n_steps):
+    """The block writer takes every RNG call in the order of the one-path
+    samplers, writes each walk's bytes into its row, and carries the row
+    past the walk's horizon as `carried` carries the path."""
+    space, grid = make_space(_WALK_SPACES[space_name]), TimeGrid(1.0, 1.0 / n_steps)
+    n = grid.n_steps + 1
+    block_rng, path_rng = np.random.default_rng(n_steps), np.random.default_rng(n_steps)
+    B = np.empty((60, n, space.dim))
+    counts = np.array([_draw_prefix(block_rng, row, grid) for row in B])
+    B = carry_walks(B, counts, space, grid.step)
+    for row, k in zip(B, counts.tolist()):
+        g = one_path_prefix(path_rng, space, grid)
+        assert row[:k].tobytes() == g.samples.tobytes()
+        assert row.tobytes() == carried(g, n).tobytes()
+    assert block_rng.bit_generator.state == path_rng.bit_generator.state
+    # random_prefix, the one-path case of the same writer
+    for _ in range(20):
+        g = random_prefix(block_rng, space, grid)
+        assert g.samples.tobytes() == one_path_prefix(path_rng, space, grid).samples.tobytes()
+        assert not g.samples.flags.writeable
+    assert block_rng.bit_generator.state == path_rng.bit_generator.state
+    # the gauge cases' walk, start first
+    for k in [1, 2, n - 1] * 5:
+        row = np.empty((n, space.dim))
+        assert _walk(block_rng, row, grid.step, k) == k
+        assert row[:k].tobytes() == one_path_walk(path_rng, space, grid.step, k).samples.tobytes()
+    assert block_rng.bit_generator.state == path_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("space_name", sorted(_WALK_SPACES))
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+def test_gauge_cases_equal_the_case_by_case_draws(space_name, n_steps):
+    space, grid = make_space(_WALK_SPACES[space_name]), TimeGrid(1.0, 1.0 / n_steps)
+    c = _decaying_coeffs()
+    rng = np.random.default_rng(9)
+    for M, g, eta, u in gauge_cases(c, space, grid, seed=9):
+        n_nodes = int(rng.integers(1, grid.n_steps + 1))
+        for got in (g, eta):
+            want = one_path_walk(rng, space, grid.step, n_nodes)
+            assert got.samples.tobytes() == want.samples.tobytes() and got.step == want.step
+        assert u == ControlSignal.constant(
+            c.control_set[int(rng.integers(len(c.control_set)))], g.horizon, grid.T, grid.step
+        )
+
+
 # hypothesis validation -------------------------------------------------
 
 
@@ -484,6 +556,30 @@ def test_batched_estimates_equal_the_per_sample_loop(name, n_steps, seed):
     rep = verify_state_estimates(c, space, grid, n_samples=30, seed=seed)
     constants = row_map(rep, "estimate", "constant")
     assert _bytes(constants) == _bytes(per_sample_estimates(c, space, grid, 30, seed))
+
+
+def nan_cost(c):
+    """c with a NaN running cost on the rows whose endpoint's first
+    coordinate is positive, which `_costs` lets through."""
+    base = c.running_cost
+
+    def running_cost(S, U):
+        q = np.array(base(S, U), dtype=float)
+        q[S[:, -1, 0] > 0.0] = np.nan
+        return q
+
+    return replace(c, running_cost=running_cost)
+
+
+@pytest.mark.parametrize("name", ["eikonal", "runmax", "feedback"])
+@pytest.mark.parametrize("n_steps", [4, 16])
+def test_a_nan_running_cost_is_passed_over_as_the_per_pair_loop_passes_it(name, n_steps):
+    c, space, grid = _sampled_case(name, n_steps)
+    c = nan_cost(c)
+    rep = validate_hypothesis(c, space, grid, n_pairs=40, seed=1)
+    ratios = row_map(rep, "inequality", "ratio")
+    assert _bytes(ratios) == _bytes(per_pair_hypothesis(c, space, grid, 40, 1))
+    assert np.isfinite(ratios["growth_q"]) and np.isfinite(ratios["lip_q"])
 
 
 def test_block_solver_rows_equal_one_row_solves():

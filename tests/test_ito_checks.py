@@ -267,6 +267,30 @@ def test_margins_under_signals_of_unequal_length_equal_the_per_case_loop():
     assert upsilon_margin(c, cases) == [reference_margin(c, *case) for case in cases]
 
 
+@pytest.mark.parametrize("eigenvalues", [[-1.0, -0.4], list(np.linspace(-2.0, -0.1, 3))])
+@pytest.mark.parametrize("n_steps", [4, 7, 16])
+def test_margins_under_controls_that_change_every_step_equal_the_per_case_loop(
+    eigenvalues, n_steps
+):
+    """Every signal switches control at every step, on a nonzero generator,
+    so an interval's left-end drift is never the right end before it."""
+    space = make_space(eigenvalues)
+    c = _coeffs(
+        space.dim,
+        lambda S, U: np.concatenate([control_column(U), 0.3 * np.tanh(S[:, -1, :-1])], axis=1),
+    )
+    grid = TimeGrid(1.0, 1.0 / n_steps)
+    rng = np.random.default_rng(n_steps)
+    cases = []
+    for M, g, eta, sig in _gauge_cases(c, space, grid, n_steps, n=60):
+        first = c.control_set[int(rng.integers(2))]
+        values = [first * (-1.0) ** k for k in range(len(sig.values))]
+        cases.append((M, g, eta, ControlSignal(g.horizon, grid.step, values)))
+    got = upsilon_margin(c, cases)
+    assert got == [reference_margin(c, *case) for case in cases]
+    assert any(len(u.values) > 1 for *_, u in cases)
+
+
 def test_batched_margins_refuse_at_the_first_case_in_order():
     c, space, grid = _scenario_coefficients("feedback", 7)
     cases = _gauge_cases(c, space, grid, 1, n=60)
