@@ -36,20 +36,17 @@ def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
     the vertical gradients grad S + 2 M gamma(t), as an (N, dim) array.
 
     b is `row_dots(E, E)`, which reduces each row with the routine of
-    `end @ end`. Each square is taken on Python floats, because C `pow`
-    (`x ** 2`) rounds differently from numpy's `x * x`; the rest are the
-    same elementwise operations. A zero path (a = 0) has value 0 and
-    gradient 0.
+    `end @ end`. Each value is closed on Python floats, because C
+    `pow` (`x ** 2`) rounds differently from `x * x`. A zero path (a = 0) has
+    value 0 and gradient 0.
     """
-    a, b = np.array([r**2 for r in norms]), row_dots(E, E)
-    zero, d = a == 0.0, a - b
-    a[zero] = 1.0  # any nonzero divisor: the row is zeroed below
-    values = np.array([x**2 for x in d.tolist()]) / a + M * b
-    values = np.where(zero, 0.0, values).tolist()
+    a, b = [r**2 for r in norms], row_dots(E, E).tolist()
+    values = [(x - y) ** 2 / x + M * y if x else 0.0 for x, y in zip(a, b)]
     if not grad:
         return values
-    G = (-4.0 * d / a)[:, None] * E + (2.0 * M) * E
-    G[zero] = 0.0
+    coef = np.array([-4.0 * (x - y) / x if x else 0.0 for x, y in zip(a, b)])
+    G = coef[:, None] * E + (2.0 * M) * E
+    G[np.array(a) == 0.0] = 0.0
     return values, G
 
 
