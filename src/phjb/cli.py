@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 import time
 
 import click
@@ -31,10 +32,10 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         cfg = load_config(config_path, grid_steps=grid, seed=seed)
         selected = cfg.checks if checks is None else check_names(checks, cfg.scenario)
     except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot read config: {exc}", err=True)
+        click.echo(f"error: cannot read config: {exc}", sys.stderr)
         return EXIT_PARSE
     except ConfigError as exc:
-        click.echo(f"error: invalid config: {exc}", err=True)
+        click.echo(f"error: invalid config: {exc}", sys.stderr)
         return EXIT_VALIDATION
 
     sc = cfg.scenario
@@ -61,7 +62,9 @@ def execute(config_path, *, checks=None, grid=None, seed=None, fmt="json", out=N
         records=records,
         elapsed_s=time.perf_counter() - t_start,
     )
-    click.echo(write_report(report, fmt, out), nl=False)
+    # the stream is named: click's own lookup of sys.stdout caches a stream
+    # that needs no wrapper under itself, so a redirected stream is kept alive
+    click.echo(write_report(report, fmt, out), sys.stdout, nl=False)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAIL
 
 

@@ -1,12 +1,15 @@
 """Command line: exit codes, report formats, overrides, determinism."""
 
+import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -94,6 +97,20 @@ def test_negative_seed_override_is_a_validation_error(runner, args):
 def test_negative_seed_in_the_file_names_the_field(tmp_path, capsys):
     assert execute(_write(tmp_path, _doc(seed=-3)), checks=("hypothesis",)) == 3
     assert "invalid config: seed: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [("hypothesis",), ("nope",)], ids=["report", "refused"])
+def test_execute_keeps_no_stream_it_wrote_to(checks):
+    """A caller that redirects stdout and stderr, as the benchmark and these
+    tests do, gets its streams back: nothing holds them after the call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        execute(str(CONFIGS / "eikonal.json"), checks=checks, grid=2)
+    assert out.getvalue() or err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize(
