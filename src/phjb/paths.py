@@ -309,7 +309,7 @@ def carry_walks(B: np.ndarray, counts: np.ndarray, space: SpectralSpace, step: f
 def count_groups(B: np.ndarray, at: np.ndarray, counts: np.ndarray) -> list:
     """The paths whose samples are the first counts[j] nodes of row at[j] of
     the block B, grouped by node count as `node_count_groups` groups paths,
-    as (rows, S) pairs: S the samples of the paths rows, one read-only block."""
+    as (rows, S) pairs: S holds the samples of the paths at rows, read-only."""
     groups = []
     for n in dict.fromkeys(counts.tolist()):
         rows = np.flatnonzero(counts == n)
