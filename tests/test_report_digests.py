@@ -1,11 +1,12 @@
 """Reports stay byte-identical beyond the benchmark's cells: every shipped
 config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, each
 sampling check (the checks of the benchmark's `sample` workload) also at
-grids 5, 7, 12 and 16, plus one feedback run whose small budget turns two
-checks into budget records. Each
-cell pins its exit code and the sha256 of its JSON report (without the
-timestamp subtree) and of its CSV report, or the type and message of what it
-raised.
+grids 5, 7, 12 and 16, the checks that solve trajectories from many start
+node counts at every grid from 9 to 15 and at grid 16 under seeds 3 and 7,
+plus one feedback run whose small budget turns two checks into budget
+records. Each cell pins its exit code and the sha256 of its JSON report
+(without the timestamp subtree) and of its CSV report, or the type and
+message of what it raised. A cell at a seed other than 0 names its seed.
 
 Re-record the digests with
 
@@ -36,29 +37,36 @@ GRIDS = (1, 2, 3, 4, 6, 8)
 # past 8 where their blocks are larger
 SAMPLING_CHECKS = ("hypothesis", "estimates", "ito", "gauge", "classical", "bp")
 SAMPLING_GRIDS = (5, 7, 12, 16)
+# the checks whose trajectories start at many node counts, the grids between
+# 8 and 16 and the seeds past 0 where they are also pinned
+SOLVING_CHECKS = ("estimates", "ito", "gauge")
+SOLVING_GRIDS = (9, 10, 11, 13, 14, 15)
+SOLVING_SEEDS = (3, 7)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
 
 def _cells() -> list:
-    """(label, config document, checks, grid) for each cell."""
+    """(label, config document, checks, grid, seed) for each cell."""
     cells = []
     for name in ("eikonal", "runmax", "feedback"):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
-        cells += [(f"{name}@{g}/{c}", doc, (c,), g) for c in CHECKS for g in GRIDS]
-        cells += [(f"{name}@{g}/{c}", doc, (c,), g) for c in SAMPLING_CHECKS for g in SAMPLING_GRIDS]
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CHECKS for g in GRIDS]
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SAMPLING_CHECKS for g in SAMPLING_GRIDS]
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SOLVING_CHECKS for g in SOLVING_GRIDS]
+        cells += [(f"{name}@16/{c}/seed{s}", doc, (c,), 16, s) for c in SOLVING_CHECKS for s in SOLVING_SEEDS]
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
-    cells.append(("feedback@4/budget-50", doc, None, 4))
+    cells.append(("feedback@4/budget-50", doc, None, 4, 0))
     return cells
 
 
-def _digest(doc, checks, grid, fmt, tmp) -> dict:
+def _digest(doc, checks, grid, seed, fmt, tmp) -> dict:
     path = tmp / "cfg.json"
     path.write_text(json.dumps(doc))
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = execute(str(path), checks=checks, grid=grid, seed=0, fmt=fmt)
+            code = execute(str(path), checks=checks, grid=grid, seed=seed, fmt=fmt)
     except Exception as exc:
         return {"raised": f"{type(exc).__name__}: {exc}"}
     text = out.getvalue()
@@ -69,11 +77,11 @@ def _digest(doc, checks, grid, fmt, tmp) -> dict:
     return {"exit": code, fmt: hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _cell_digest(doc, checks, grid, tmp) -> dict:
-    as_json = _digest(doc, checks, grid, "json", tmp)
+def _cell_digest(doc, checks, grid, seed, tmp) -> dict:
+    as_json = _digest(doc, checks, grid, seed, "json", tmp)
     if "raised" in as_json:
         return as_json
-    return {**as_json, **_digest(doc, checks, grid, "csv", tmp)}
+    return {**as_json, **_digest(doc, checks, grid, seed, "csv", tmp)}
 
 
 _CELLS = _cells()
@@ -84,9 +92,9 @@ def recorded():
     return json.loads(DIGESTS.read_text())
 
 
-@pytest.mark.parametrize("label, doc, checks, grid", _CELLS, ids=[c[0] for c in _CELLS])
-def test_report_bytes_match_the_recorded_digest(recorded, tmp_path, label, doc, checks, grid):
-    assert _cell_digest(doc, checks, grid, tmp_path) == recorded[label]
+@pytest.mark.parametrize("label, doc, checks, grid, seed", _CELLS, ids=[c[0] for c in _CELLS])
+def test_report_bytes_match_the_recorded_digest(recorded, tmp_path, label, doc, checks, grid, seed):
+    assert _cell_digest(doc, checks, grid, seed, tmp_path) == recorded[label]
 
 
 def test_every_cell_is_recorded(recorded):
@@ -97,7 +105,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        table = {label: _cell_digest(doc, checks, grid, FsPath(d)) for label, doc, checks, grid in _CELLS}
+        table = {label: _cell_digest(*cell, FsPath(d)) for label, *cell in _CELLS}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     codes = [v.get("exit", "raised") for v in table.values()]
     print({c: codes.count(c) for c in set(codes)}, file=sys.stderr)
