@@ -195,61 +195,55 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     contribution (grad Upsilon^M, A y) = (y, A y) [2M - 4(a-b)/a] is only
     signed then.
 
-    The flows of the cases whose g share a node count are solved as one
-    block (`group_rows`; a case with M < 2, or that does not fit its block,
-    is `Refused`), with y and the coupling drift. The gauges of all cases
-    with one M are one `_upsilon_rows` call and their couplings one
-    `row_dots` over the case x interval block; each case's trapezoids are
-    summed in order, so each margin equals the one-case loop bit for bit.
+    All cases are rows of one block, solved by one `solve_rows` under
+    `group_rows` (a case with M < 2, or whose flow is refused, is
+    `Refused`). The gauges of the cases with one M are one `_upsilon_rows`
+    call on their own nodes, and each case's trapezoids are summed in order
+    from 0.0, so each margin equals the one-case loop bit for bit.
     """
+    if not cases:
+        return []
+    first = np.array([g.n_nodes for _, g, _, _ in cases])
+    end = first + [len(u.values) for *_, u in cases]
+    G = np.zeros((len(cases), end.max(), cases[0][1].space.dim))
+    for row, (_, g, _, _) in zip(G, cases):
+        row[: g.n_nodes] = g.samples
 
-    def flows(rows, S):
-        for i in rows:
+    def margins(rows, S):
+        E = np.zeros(S.shape)  # eta in each row's head, then extended along the semigroup
+        for row, i in zip(E, rows):
             M, g, eta, _ = cases[i]
             if not M >= 2.0:  # a NaN M is refused too
                 raise Refused(f"M must be >= 2, got {M}")
             if abs(g.horizon - eta.horizon) > GRID_TOL:
                 raise Refused("g and eta must share their horizon")
             g._check_same_space_and_step(eta)
-        proto, signals = cases[rows[0]][1], [cases[i][3] for i in rows]
-        X = solve_rows(coeffs, proto, S, signals)
-        (N, n_run, dim), n = X.shape, S.shape[1]
-        # y = X - (eta extended along the semigroup), over the whole run
-        E = np.empty(X.shape)
-        E[:, :n] = [cases[i][2].samples for i in rows]
-        Y = X - carry_walks(E, np.full(N, n), proto.space, proto.step)
+            row[: eta.n_nodes] = eta.samples
+        proto, signals, k, e = cases[rows[0]][1], [cases[i][3] for i in rows], first[rows], end[rows]
+        X = solve_rows(coeffs, proto, S, k, signals)
+        Y = X - carry_walks(E, k, proto.space, proto.step)
         if not all_finite(Y):
             raise Refused("samples must be finite")
-        # the drift at both ends of each interval under its control; a left
-        # end is the right end before it where the controls are the same bytes
-        F, before = np.empty((2, N, n_run - n, dim)), None
-        for k, step in enumerate(zip(*(u.values for u in signals))):
-            U = _control_array(step)
-            same = before is not None and U.tobytes() == before.tobytes()
-            F[0, :, k] = F[1, :, k - 1] if same else _drift_rows(coeffs, X[:, : n + k], U)
-            F[1, :, k], before = _drift_rows(coeffs, X[:, : n + k + 1], U), U
-        norms = prefix_sup_norms(Y)
-        return [(Y[r, n - 1 :], norms[r, n - 1 :], F[0, r], F[1, r]) for r in range(N)]
+        nodes, norms = np.arange(X.shape[1]), prefix_sup_norms(Y)
+        steps = (k[:, None] <= nodes) & (nodes < e[:, None])  # the node counts each row steps from
+        own = steps | (nodes == k[:, None] - 1)  # each case's nodes from g's horizon on
+        V, grads = np.zeros(X.shape[:2]), np.zeros(X.shape)
+        for M in dict.fromkeys(cases[i][0] for i in rows):
+            mask = own & np.array([cases[i][0] == M for i in rows])[:, None]
+            V[mask], grads[mask] = _upsilon_rows(M, norms[mask].tolist(), Y[mask], True)
+        # each step's trapezoid, the drift at both ends two calls per node count
+        trapezoids = np.zeros(X.shape[:2])
+        for n in np.flatnonzero(steps.any(0)).tolist():
+            at = np.flatnonzero(steps[:, n])
+            U = _control_array([signals[r].values[n - k[r]] for r in at.tolist()])
+            f0, f1 = (_drift_rows(coeffs, X[at, :j], U) for j in (n, n + 1))
+            trapezoids[at, n] = 0.5 * proto.step * (row_dots(grads[at, n - 1], f0) + row_dots(grads[at, n], f1))
+        total = np.add.accumulate(trapezoids, axis=1)[:, -1]  # in order, from node count 0's 0.0
+        base, lhs = V[np.arange(len(rows)), k - 1], V[np.arange(len(rows)), e - 1]
+        return np.column_stack([base + total - lhs, lhs, base, total])
 
-    flowed = group_rows(flows, [g for _, g, _, _ in cases])
-    results = [None] * len(cases)
-    for M in dict.fromkeys(M for M, *_ in cases):
-        idx = [i for i, case in enumerate(cases) if case[0] == M]
-        y, norms, F0, F1 = (np.concatenate(part) for part in zip(*flowed[idx]))
-        values, grads = _upsilon_rows(M, norms.tolist(), y, True)
-        # case c has the rows first[c] .. first[c] + m[c] and m[c] intervals
-        m = np.array([len(flowed[i][2]) for i in idx])
-        case, first = np.repeat(np.arange(len(idx)), m), np.cumsum(m + 1) - m - 1
-        k = np.arange(len(case)) - np.repeat(np.cumsum(m) - m, m)
-        left, h = first[case] + k, np.repeat([cases[i][1].step for i in idx], m)
-        # each case's trapezoids, summed in order from 0.0
-        trapezoids = np.zeros((len(idx), m.max() + 1))
-        trapezoids[case, k + 1] = 0.5 * h * (row_dots(grads[left], F0) + row_dots(grads[left + 1], F1))
-        total = np.add.accumulate(trapezoids, axis=1)[:, -1]
-        base, lhs = np.array(values)[first], np.array(values)[first + m]
-        for i, *row in zip(idx, (base + total - lhs).tolist(), lhs.tolist(), base.tolist(), total.tolist()):
-            results[i] = GaugeMarginResult(*row)
-    return results
+    block = group_rows(margins, cases, [(np.arange(len(cases)), G)])
+    return [GaugeMarginResult(*row) for row in block.tolist()]
 
 
 # the cases `gauge_cases` draws, and the exponents M they take in turn

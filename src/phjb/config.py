@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import CHECKS
-from .paths import Path, TimeGrid
+from .paths import GRID_TOL, Path, TimeGrid
 from .scenarios import SCENARIOS, Scenario, has_certificates
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -171,7 +171,7 @@ def parse_config(
                 raise ConfigError("initial.horizon", str(exc)) from None
         else:
             raise ConfigError("initial", "need 'samples' or 'constant'")
-        if initial.horizon > sc.grid.T + 1e-12:
+        if initial.horizon > sc.grid.T + GRID_TOL:
             raise ConfigError("initial", "starts beyond the horizon")
         sc = Scenario(sc.name, sc.space, sc.grid, sc.coefficients, initial, sc.closed_form)
 

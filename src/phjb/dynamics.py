@@ -238,34 +238,43 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     return S, U, X
 
 
-def solve_rows(c: Coefficients, proto: Path, P: np.ndarray, signals) -> np.ndarray:
-    """The mild solution from every row of P under its own control signal.
+def solve_rows(c: Coefficients, proto: Path, B: np.ndarray, first, signals) -> np.ndarray:
+    """The mild solution from the head of every row of B, an (N, n, dim)
+    block on proto's space and step, under its own control signal.
 
-    P is a read-only (N, n, dim) block of prefixes on proto's space and
-    step, and signals[i], a ControlSignal starting at their horizon, drives
-    row i. Returns the read-only (N, n + m, dim) block of trajectories,
-    where m is the signals' one length; row i equals
-    `mild_solve(c, P[i], signals[i])` bit for bit. Signals of unequal
-    length or a misaligned signal raise `Refused`, as a refused step does.
+    Row i holds a prefix in its first first[i] nodes, driven from its horizon
+    by signals[i]. The rows that step from one node count are one
+    `_step_block`, each row joining and leaving at its own node counts.
+    Returns the read-only block of the trajectories, each followed by the
+    rest of its row of B (zeros past B), row i equal to `mild_solve` of its
+    prefix under signals[i] bit for bit. A misaligned signal is `Refused`.
     """
-    t = proto.step * (P.shape[1] - 1)
-    if len({len(u.values) for u in signals}) > 1:
-        raise Refused("control signals differ in length")
-    for u in signals:
+    first = np.asarray(first)
+    for t, u in zip([proto.step * (k - 1) for k in first.tolist()], signals):
         if abs(u.start - t) > GRID_TOL * max(1.0, t):
             raise Refused(f"control starts at {u.start}, prefix ends at {t}")
         if abs(u.step - proto.step) > GRID_TOL:
             raise Refused(f"control step {u.step} differs from path step {proto.step}")
-    X = P
-    for step in zip(*(u.values for u in signals)):
-        X = _step_block(c, proto, X, _control_array(step), step[0])
+    runs = [(None,) * k + u.values for k, u in zip(first.tolist(), signals)]  # runs[i][n]: row i's step from n
+    end = np.array([len(r) for r in runs])
+    X = np.zeros((len(B), max([B.shape[1]] + end.tolist()), B.shape[2]))
+    X[:, : B.shape[1]] = B
+    events = sorted(set(first.tolist() + end.tolist()))  # between two of them, the same rows step
+    for a, b in zip(events, events[1:]):
+        at = ((first <= a) & (a < end)).nonzero()[0]
+        S = X[at, :a]
+        S.flags.writeable = False
+        for step in zip(*(runs[i][a:b] for i in at.tolist())):
+            S = _step_block(c, proto, S, _control_array(step), step[0])
+        X[at, : S.shape[1]] = S
+    X.flags.writeable = False
     return X
 
 
 def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
     """Integrate the controlled state from the prefix g out to u.end: the
     one-row case of `solve_rows`."""
-    return g._trusted(solve_rows(c, g, g.samples[None], [u])[0])
+    return g._trusted(solve_rows(c, g, g.samples[None], [g.n_nodes], [u])[0])
 
 
 # -- hypothesis validation ----------------------------------------------
@@ -408,14 +417,14 @@ def verify_state_estimates(
     t, tbar = h * (k - 1), h * (k - 1) + h * j
     restart = tbar < T - GRID_TOL
 
-    def solve(rows, S):  # the solves from g, eta and g carried to tbar
-        t0, labels = h * (S.shape[1] - 1), np.repeat(u, 3)[rows].tolist()
-        signal = {x: ControlSignal.constant(c.control_set[x], t0, T, h) for x in set(labels)}
-        return solve_rows(c, trusted_path(space, h, S[0]), S, [signal[x] for x in labels])
+    at, first = (2 * np.arange(m)[:, None] + [0, 1, 0]).ravel(), np.column_stack([k, k, k + j]).ravel()
+    keys = list(zip(np.repeat(u, 3).tolist(), first.tolist()))
+    signal = {x: ControlSignal.constant(c.control_set[x[0]], h * (x[1] - 1), T, h) for x in set(keys)}
 
-    at = (2 * np.arange(m)[:, None] + [0, 1, 0]).ravel()
-    starts = count_groups(B, at, np.column_stack([k, k, k + j]).ravel())
-    X, Y, Z = group_rows(solve, at, starts).reshape(m, 3, n, space.dim).transpose(1, 0, 2, 3)
+    def solve(rows, S):  # the solves from g, eta and g carried to tbar, each to T
+        return solve_rows(c, Path.zero(space, h, 0.0), S, first[rows], [signal[keys[i]] for i in rows])
+
+    X, Y, Z = group_rows(solve, at, [(np.arange(len(at)), B[at])]).reshape(m, 3, n, space.dim).transpose(1, 0, 2, 3)
 
     draw, G, E = np.arange(m), B[0::2], B[1::2]
     ng, n_eta, gap0 = (prefix_sup_norms(x)[draw, k - 1] for x in (G, E, G - E))

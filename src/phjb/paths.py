@@ -371,12 +371,11 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
 
     The paths share a space and step. fn(rows, S) gives the entries of the
     paths at the indices rows, whose samples are the block S of their group
-    (`node_count_groups`), as a float array with one row per path, or as a
-    list, which makes the result an object array. groups lists the groups
-    to run, every group of the paths by default (then paths may be any
-    sequence of their length); a path of no listed group gets 0. A group
-    that raises `Refused` is run again path by path, by the rule stated
-    there, each path on its row of its group's block.
+    (`node_count_groups`), as floats with one row per path. groups lists
+    the groups to run, every group of the paths by default (then paths may
+    be any sequence of their length); a path of no listed group gets 0. A
+    group that raises `Refused` is run again path by path, by the rule
+    stated there, each path on its row of its group's block.
     """
     if groups is None:
         groups = node_count_groups(paths).values()
@@ -385,10 +384,7 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
     except Refused:
         at = {i: (S, j) for rows, S in groups for j, i in enumerate(rows.tolist())}
         parts = [([i], fn([i], S[j : j + 1])) for i, (S, j) in sorted(at.items())]
-    if any(isinstance(v, list) for _, v in parts):
-        out = np.zeros(len(paths), object)
-    else:
-        out = np.zeros((len(paths),) + (np.shape(parts[0][1])[1:] if parts else ()))
+    out = np.zeros((len(paths),) + (np.shape(parts[0][1])[1:] if parts else ()))
     for rows, v in parts:
         out[rows] = v
     return out

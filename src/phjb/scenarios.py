@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import Coefficients
 from .gauge import eval_upsilon, grad_upsilon
 from .hilbert import SpectralSpace
-from .paths import Path, TimeGrid, row_dots, sup_norm, sup_norms
+from .paths import GRID_TOL, Path, TimeGrid, row_dots, sup_norm, sup_norms
 from .testfn import GaugePack, TestFunctionPhi
 
 __all__ = [
@@ -351,7 +351,7 @@ def classical_candidate(sc: Scenario) -> tuple:
             _path(sc, [[0.25], [0.5]]),  # lattice cone tip: kink, flagged
             _path(sc, [[1.2]] * (sc.grid.n_steps + 1)),  # terminal row
         ]
-        return w, [p for p in points if p.horizon <= T + 1e-12]
+        return w, [p for p in points if p.horizon <= T + GRID_TOL]
 
     def strict_end(g: Path) -> bool:
         others = np.abs(g.samples[:-1, 0])
@@ -374,7 +374,7 @@ def classical_candidate(sc: Scenario) -> tuple:
         _path(sc, [[0.5], [0.5]]),  # endpoint ties the max: kink, flagged
         _path(sc, [[0.2], [1.0]] + [[0.5]] * (sc.grid.n_steps - 1)),  # terminal
     ]
-    return w, [p for p in points if p.horizon <= sc.grid.T + 1e-12]
+    return w, [p for p in points if p.horizon <= sc.grid.T + GRID_TOL]
 
 
 def touching_points(sc: Scenario) -> list:
@@ -405,7 +405,7 @@ def touching_points(sc: Scenario) -> list:
         ]
     out = []
     for build, values, label in candidates:
-        if (len(values) - 1) * sc.grid.step >= sc.grid.T - 1e-12:
+        if (len(values) - 1) * sc.grid.step >= sc.grid.T - GRID_TOL:
             continue  # point outlives a coarse grid; skip, do not fail
         out.append(build(sc, values, label))
     return out

@@ -28,6 +28,7 @@ from .gauge import (
     upsilon_rows,
 )
 from .paths import (
+    GRID_TOL,
     Path,
     Refused,
     dupire_derivatives,
@@ -257,7 +258,7 @@ class GaugePack:
         self._slopes(s, y)
         out = np.array(self._outer(self.h, s, y))
         for anchor, delta in self.anchors:
-            if anchor.horizon > s + 1e-12:
+            if anchor.horizon > s + GRID_TOL:
                 raise Refused(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
             out += delta * np.array(pair_gauge_rows(anchor, proto, S))
         return out

@@ -31,7 +31,6 @@ from phjb.paths import (
     carried,
     carry_walks,
     extend_semigroup,
-    group_rows,
     metric_d_infty,
     sup_norm,
 )
@@ -593,27 +592,81 @@ def test_block_solver_rows_equal_one_row_solves():
         ]
         P = np.stack([p.samples for p in prefixes])
         P.flags.writeable = False
-        X = solve_rows(c, prefixes[0], P, signals)
+        X = solve_rows(c, prefixes[0], P, [p.n_nodes for p in prefixes], signals)
         assert X.shape == (6, 7, space.dim) and not X.flags.writeable
         for x, p, u in zip(X, prefixes, signals):
             assert x.tobytes() == mild_solve(c, p, u).samples.tobytes()
 
 
-def test_block_solver_refuses_signals_of_unequal_length():
-    sc = eikonal()
-    c, space, step = sc.coefficients, sc.space, sc.grid.step
-    starts = [Path.constant(space, step, [x], horizon=0.0) for x in (0.5, -0.5)]
-    signals = [ControlSignal(0.0, step, (1.0, 0.0)), ControlSignal(0.0, step, (-1.0,) * 4)]
-    P = np.stack([g.samples for g in starts])
-    P.flags.writeable = False
-    with pytest.raises(Refused, match="differ in length"):
-        solve_rows(c, starts[0], P, signals)
-    # grouped by node count alone, the refused block is solved row by row
-    solved = group_rows(
-        lambda rows, S: list(solve_rows(c, starts[0], S, [signals[i] for i in rows])), starts
-    )
-    for x, g, u in zip(solved, starts, signals):
-        assert x.tobytes() == mild_solve(c, g, u).samples.tobytes()
+# (start node count, steps) of each row: rows out of start order, a row of
+# no steps, a gap of node counts 4 and 5 that no row steps from, and rows
+# that end before others start
+_MIXED_ROWS = ((6, 3), (1, 2), (2, 0), (2, 2), (7, 4), (3, 1))
+
+
+def test_block_solver_steps_rows_of_mixed_starts_and_lengths():
+    assert not any(k <= n < k + m for k, m in _MIXED_ROWS for n in (4, 5))
+    for name in ("feedback+F", "decaying"):
+        c, space, grid = _sampled_case(name, 10)
+        rng = np.random.default_rng(11)
+        prefixes = [
+            random_path(rng, space, step=grid.step, min_nodes=k - 1, max_nodes=k - 1) for k, _ in _MIXED_ROWS
+        ]
+        signals = [
+            ControlSignal(p.horizon, grid.step, rng.choice(c.control_set, size=m).tolist())
+            for p, (_, m) in zip(prefixes, _MIXED_ROWS)
+        ]
+        # each prefix in the head of its row, then finite samples the solve must not read
+        B = rng.normal(size=(len(prefixes), 8, space.dim))
+        for row, p in zip(B, prefixes):
+            row[: p.n_nodes] = p.samples
+        first = [k for k, _ in _MIXED_ROWS]
+        X = solve_rows(c, prefixes[0], B, first, signals)
+        assert X.shape == (len(prefixes), 11, space.dim) and not X.flags.writeable
+        for x, row, p, u in zip(X, B, prefixes, signals):
+            want = mild_solve(c, p, u).samples
+            assert x[: len(want)].tobytes() == want.tobytes()
+            # after its trajectory, the rest of its row of B, then zeros
+            rest = np.zeros((len(x) - len(want), space.dim))
+            rest[: max(0, len(row) - len(want))] = row[len(want) :]
+            assert x[len(want) :].tobytes() == rest.tobytes()
+        misaligned = list(signals)
+        misaligned[4] = ControlSignal(signals[4].start + grid.step, grid.step, signals[4].values)
+        with pytest.raises(Refused, match="control starts at"):
+            solve_rows(c, prefixes[0], B, first, misaligned)
+
+
+def test_block_solver_on_no_rows_returns_its_empty_block():
+    c, space, grid = _sampled_case("decaying", 4)
+    B = np.empty((0, 3, space.dim))
+    X = solve_rows(c, Path.zero(space, grid.step, 0.0), B, [], [])
+    assert X.shape == (0, 3, space.dim) and not X.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["eikonal", "feedback"])
+def test_each_sampling_solve_steps_once_per_node_count(name, monkeypatch):
+    """One `verify_state_estimates` call and one `upsilon_margin` call each
+    step every row that steps from a node count as one block, and the
+    margins read the drift twice more per node count, for the couplings."""
+    import phjb.dynamics as dynamics
+    from phjb.checks import upsilon_margin
+
+    c, space, grid = _sampled_case(name, 16)
+    blocks, drifts = [], []  # the node count of each stepped block; one entry per drift call
+    step_block = dynamics._step_block
+
+    def counted_step(c, proto, S, U, label):
+        blocks.append(S.shape[1])
+        return step_block(c, proto, S, U, label)
+
+    monkeypatch.setattr(dynamics, "_step_block", counted_step)
+    counted = replace(c, drift=lambda S, U: drifts.append(len(S)) or c.drift(S, U))
+    verify_state_estimates(counted, space, grid, seed=0)
+    assert sorted(blocks) == list(range(1, 17)) and len(drifts) == 2 * 16
+    blocks.clear()
+    drifts.clear()
+    upsilon_margin(counted, gauge_cases(counted, space, grid, seed=0))
+    assert sorted(blocks) == list(range(1, 17)) and len(drifts) == 4 * 16
 
 
 def _message(fn, *args, **kwargs):

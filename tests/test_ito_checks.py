@@ -120,6 +120,10 @@ def test_margin_rejects_small_exponent_and_mismatched_horizons():
         _margin(c, 2.0, g, eta_short, u)
 
 
+def test_margins_of_no_cases_are_an_empty_list():
+    assert upsilon_margin(feedback().coefficients, []) == []
+
+
 def test_margin_rejects_a_nan_exponent():
     space = make_space([-1.0])
     c = _coeffs(1, lambda S, U: control_column(U))
