@@ -255,7 +255,7 @@ def solve_rows(c: Coefficients, proto: Path, B: np.ndarray, first, signals) -> n
             raise Refused(f"control starts at {u.start}, prefix ends at {t}")
         if abs(u.step - proto.step) > GRID_TOL:
             raise Refused(f"control step {u.step} differs from path step {proto.step}")
-    runs = [(None,) * k + u.values for k, u in zip(first.tolist(), signals)]  # runs[i][n]: row i's step from n
+    runs = [(None,) * k + u.values for k, u in zip(first.tolist(), signals)]  # [i][n]: row i's control from n nodes
     end = np.array([len(r) for r in runs])
     X = np.zeros((len(B), max([B.shape[1]] + end.tolist()), B.shape[2]))
     X[:, : B.shape[1]] = B

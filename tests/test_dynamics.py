@@ -15,6 +15,7 @@ from phjb.dynamics import (
     Coefficients,
     ControlSignal,
     _draw_prefix,
+    _step_block,
     mild_solve,
     random_prefix,
     solve_rows,
@@ -22,7 +23,7 @@ from phjb.dynamics import (
     validate_hypothesis,
     verify_state_estimates,
 )
-from phjb.checks import _walk, gauge_cases, perturbed
+from phjb.checks import _walk, gauge_cases, perturbed, upsilon_margin
 from phjb.paths import (
     GRID_TOL,
     Path,
@@ -648,18 +649,14 @@ def test_each_sampling_solve_steps_once_per_node_count(name, monkeypatch):
     """One `verify_state_estimates` call and one `upsilon_margin` call each
     step every row that steps from a node count as one block, and the
     margins read the drift twice more per node count, for the couplings."""
-    import phjb.dynamics as dynamics
-    from phjb.checks import upsilon_margin
-
     c, space, grid = _sampled_case(name, 16)
     blocks, drifts = [], []  # the node count of each stepped block; one entry per drift call
-    step_block = dynamics._step_block
 
     def counted_step(c, proto, S, U, label):
         blocks.append(S.shape[1])
-        return step_block(c, proto, S, U, label)
+        return _step_block(c, proto, S, U, label)
 
-    monkeypatch.setattr(dynamics, "_step_block", counted_step)
+    monkeypatch.setattr("phjb.dynamics._step_block", counted_step)
     counted = replace(c, drift=lambda S, U: drifts.append(len(S)) or c.drift(S, U))
     verify_state_estimates(counted, space, grid, seed=0)
     assert sorted(blocks) == list(range(1, 17)) and len(drifts) == 2 * 16
