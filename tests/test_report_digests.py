@@ -2,7 +2,8 @@
 config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, each
 sampling check (the checks of the benchmark's `sample` workload) also at
 grids 5, 7, 12 and 16, the checks that solve trajectories from many start
-node counts at every grid from 9 to 15 and at grid 16 under seeds 3 and 7,
+node counts, and bp, whose anchors gauge the net's node-count groups, at
+every grid from 9 to 15 and at grid 16 under seeds 3 and 7,
 plus one feedback run whose small budget turns two checks into budget
 records. Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
@@ -37,9 +38,10 @@ GRIDS = (1, 2, 3, 4, 6, 8)
 # past 8 where their blocks are larger
 SAMPLING_CHECKS = ("hypothesis", "estimates", "ito", "gauge", "classical", "bp")
 SAMPLING_GRIDS = (5, 7, 12, 16)
-# the checks whose trajectories start at many node counts, the grids between
-# 8 and 16 and the seeds past 0 where they are also pinned
-SOLVING_CHECKS = ("estimates", "ito", "gauge")
+# the checks whose trajectories start at many node counts, and bp, whose
+# anchors read the net from many node counts: the grids between 8 and 16 and
+# the seeds past 0 where they are also pinned
+SOLVING_CHECKS = ("estimates", "ito", "gauge", "bp")
 SOLVING_GRIDS = (9, 10, 11, 13, 14, 15)
 SOLVING_SEEDS = (3, 7)
 # feedback with a memo budget that dpp and regularity run out of
