@@ -113,22 +113,22 @@ def ito_residual(
     space = g.space
     h = g.step
 
-    def integrand(prefix: Path, ctrl: float) -> float:
-        dx = np.asarray(phi.dx(prefix), dtype=float)
-        adj = float(space.adjoint_apply(dx) @ prefix.endpoint)
-        f = _drift_rows(coeffs, prefix.samples[None], _control_array((ctrl,)))
-        drive = float(dx @ f[0])
-        return float(phi.dt(prefix)) + adj + drive
-
-    start = g.n_nodes - 1
-    total = 0.0
     n = traj.n_nodes - g.n_nodes
-    for k in range(n):
-        t_left = (start + k) * h
-        ctrl = u.values[k]
-        left = integrand(traj.prefix(t_left), ctrl)
-        right = integrand(traj.prefix(t_left + h), ctrl)
-        total += 0.5 * h * (left + right)
+    nodes = [traj.prefix(j * h) for j in range(g.n_nodes - 1, traj.n_nodes)]
+    dxs = [np.asarray(phi.dx(p), dtype=float) for p in nodes]
+    # phi.dt plus the adjoint term, once per node
+    terms = [float(phi.dt(p)) + float(space.adjoint_apply(dx) @ p.endpoint) for p, dx in zip(nodes, dxs)]
+    drives = {}  # the drive term of each (node, control), one drift call each
+
+    def integrand(k: int, ctrl: float) -> float:
+        if (k, ctrl) not in drives:
+            f = _drift_rows(coeffs, nodes[k].samples[None], _control_array((ctrl,)))
+            drives[k, ctrl] = float(dxs[k] @ f[0])
+        return terms[k] + drives[k, ctrl]
+
+    total = 0.0
+    for k, ctrl in enumerate(u.values):
+        total += 0.5 * h * (integrand(k, ctrl) + integrand(k + 1, ctrl))
     inc = float(phi.value(traj)) - float(phi.value(g))
     return ItoResult(residual=inc - total, increment=inc, integral=total, n_steps=n)
 
@@ -196,10 +196,11 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
     signed then.
 
     All cases are rows of one block, solved by one `solve_rows` under
-    `group_rows` (a case with M < 2, or whose flow is refused, is
-    `Refused`). The gauges of the cases with one M are one `_upsilon_rows`
-    call on their own nodes, and each case's trapezoids are summed in order
-    from 0.0, so each margin equals the one-case loop bit for bit.
+    `group_rows` (a case with M < 2, on another step than the first case,
+    or whose flow is refused, is `Refused`). The gauges of the cases with
+    one M are one `_upsilon_rows` call on their own nodes, and each case's
+    trapezoids are summed in order from 0.0, so each margin equals the
+    one-case loop bit for bit.
     """
     if not cases:
         return []
@@ -210,16 +211,19 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
         row[: g.n_nodes] = g.samples
 
     def margins(rows, S):
+        proto = cases[rows[0]][1]
         E = np.zeros(S.shape)  # eta in each row's head, then extended along the semigroup
         for row, i in zip(E, rows):
             M, g, eta, _ = cases[i]
             if not M >= 2.0:  # a NaN M is refused too
                 raise Refused(f"M must be >= 2, got {M}")
+            if abs(g.step - proto.step) > GRID_TOL:
+                raise Refused(f"step {g.step} differs from the block's step {proto.step}")
             if abs(g.horizon - eta.horizon) > GRID_TOL:
                 raise Refused("g and eta must share their horizon")
             g._check_same_space_and_step(eta)
             row[: eta.n_nodes] = eta.samples
-        proto, signals, k, e = cases[rows[0]][1], [cases[i][3] for i in rows], first[rows], end[rows]
+        signals, k, e = [cases[i][3] for i in rows], first[rows], end[rows]
         X = solve_rows(coeffs, proto, S, k, signals)
         Y = X - carry_walks(E, k, proto.space, proto.step)
         if not all_finite(Y):
@@ -705,15 +709,14 @@ def bp_record(cfg, value_table) -> CheckRecord:
     rows, ok = [], True
 
     # the gauge from start to each net path, one row that both modes' f read
-    # (keyed by identity; net keeps its paths alive)
-    start_gauge = dict(zip(map(id, net), pair_gauges(start, net)))
+    gauge = np.array(pair_gauges(start, net))
     modes = [
-        ("at-max", lambda g: -start_gauge[id(g)], 0.1),
-        ("horizon-bonus", lambda g: g.horizon - start_gauge[id(g)], 0.3 * (T - t0) + 0.1),
+        ("at-max", -gauge, 0.1),
+        ("horizon-bonus", np.array([g.horizon for g in net]) - gauge, 0.3 * (T - t0) + 0.1),
     ]
     for label, f, eps in modes:
         try:
-            res = bp_search(f, net, start, eps)
+            res = bp_search(f, net, eps)
         except NotEpsMaximal as exc:  # a failed row with the witness
             rows.append(
                 {

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .gauge import pair_gauge_rows
-from .paths import GRID_TOL, Path, group_rows
+from .paths import GRID_TOL, Path, group_rows, node_count_groups
 
 __all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
@@ -33,11 +35,14 @@ def pair_gauge(anchor: Path, g: Path) -> float:
 
 
 def pair_gauges(anchor: Path, paths) -> list:
-    """`pair_gauge(anchor, g)` for each g of paths, none of which may end
-    before the anchor, as a list of floats: the paths of one node count are
-    one `pair_gauge_rows` block (`group_rows`). This is bp_search's default
-    row gauge."""
-    return group_rows(lambda rows, S: pair_gauge_rows(anchor, paths[rows[0]], S), paths).tolist()
+    """`pair_gauge(anchor, g)` for each g of paths as a list of floats, 0.0
+    for the paths that end before the anchor: the paths of one node count
+    are one `pair_gauge_rows` block (`group_rows`), and the groups that end
+    before the anchor are left out, as the premise scan leaves them out.
+    This is bp_search's default row gauge."""
+    floor = anchor.horizon - GRID_TOL
+    kept = [(rows, S) for rows, S in node_count_groups(paths).values() if paths[rows[0]].horizon >= floor]
+    return group_rows(lambda rows, S: pair_gauge_rows(anchor, paths[rows[0]], S), paths, kept).tolist()
 
 
 class NotEpsMaximal(ValueError):
@@ -69,9 +74,8 @@ class BPResult:
 
 
 def bp_search(
-    f: Callable[[Path], float],
+    f,
     net,
-    start: Path,
     eps: float,
     *,
     rho: Callable[[Path, list], list] = pair_gauges,
@@ -79,90 +83,80 @@ def bp_search(
 ) -> BPResult:
     """Anchor-and-perturb argmax refinement over a finite net.
 
-    Requires eps finite and > 0 (raises ValueError otherwise) and f(start)
-    >= max f - eps over the net (raises NotEpsMaximal otherwise). Each
-    stage maximizes f minus the anchored gauges accumulated so far, with
-    weights 1, 1/2, 1/4, ... and ties resolved toward the incumbent; a
-    stage that reproduces its incumbent, or one within _GAUGE_TOL of it,
-    ends the search. Only paths at or after the incumbent's horizon
-    compete.
+    f holds the functional at each path of net, in net order, and the
+    search starts at net[0], as `viscosity_check` reads its values.
+    Requires eps finite and > 0 (raises ValueError otherwise) and f[0] >=
+    max f - eps (raises NotEpsMaximal otherwise). Each stage maximizes f
+    minus the anchored gauges accumulated so far, with weights 1, 1/2,
+    1/4, ... and ties resolved toward the incumbent; a stage that
+    reproduces its incumbent, or one within _GAUGE_TOL of it, ends the
+    search. Only paths at or after the incumbent's horizon compete, and a
+    NaN is passed over, as a strict `>` scan passes it.
 
-    rho is a row gauge: rho(anchor, paths) gives the gauge from the anchor
-    to each path, in order, none of them ending before the anchor. It is
-    called once per anchor, when the anchor is set, over the paths that
-    compete from then on; while every path competes, that is the net
-    itself (a sequence of paths), so `pair_gauges` reads a `Net`'s
-    grouping. A running perturbed value per path has the rows subtracted
-    in anchor order, the same float sequence as summing the gauges afresh
-    at every stage. The incumbent is always the last anchor, so its row
-    also serves the stop test and the strictness scan.
+    rho is a row gauge: rho(anchor, net) gives the gauge from the anchor to
+    each net path, in net order, none of them negative; the paths that end
+    before the anchor do not compete, so their entries take no part. It is
+    called once per anchor, when the anchor is set. The perturbed values
+    are an array over the net with the rows subtracted in anchor order,
+    the same float sequence as summing the gauges afresh at every stage.
+    The incumbent is always the last anchor, so its row also serves the
+    stop test and the strictness scan.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not any(p is start for p in net):
-        net = [*net, start]
-    f_vals = [float(f(p)) for p in net]
+    pert = np.array(f, dtype=np.float64)  # f minus the gauges of the anchors set so far
+    if pert.shape != (len(net),):
+        raise ValueError(f"f has shape {pert.shape}, expected one value per net path ({len(net)},)")
+    f_vals = pert.tolist()
     f_max = max(f_vals)
-    f_start = float(f(start))
-    if f_start < f_max - eps:
-        raise NotEpsMaximal(f_start, f_max, eps)
+    if f_vals[0] < f_max - eps:
+        raise NotEpsMaximal(f_vals[0], f_max, eps)
 
-    pert = list(f_vals)  # f minus the gauges of the anchors set so far
-    anchors, deltas, rows = [], [], []  # rows[j]: {net index: gauge of anchor j}
-
-    def set_anchor(i: int) -> list:
-        """Make net[i] the next anchor; return the paths that compete from now on."""
-        floor = net[i].horizon - GRID_TOL
-        competing = [k for k, g in enumerate(net) if g.horizon >= floor]
-        pool = net if len(competing) == len(net) else [net[k] for k in competing]
-        row = [float(r) for r in rho(net[i], pool)]
-        if len(row) != len(competing):
-            raise ValueError(f"gauge row has {len(row)} entries for {len(competing)} paths")
-        if any(r < 0.0 for r in row):
+    horizons = np.array([g.horizon for g in net])
+    at, rows = [], []  # each anchor's net index and gauge row
+    inc, iterations = 0, 0  # inc: the incumbent's index, the last anchor
+    while True:
+        row = np.asarray(rho(net[inc], net), dtype=np.float64)
+        if row.shape != (len(net),):
+            raise ValueError(f"gauge row has {row.size} entries for {len(net)} paths")
+        if (row < 0.0).any():
             raise ValueError("gauge returned a negative value")
-        delta = 2.0 ** (-len(deltas))
-        for k, r in zip(competing, row):
-            pert[k] -= delta * r
-        anchors.append(net[i])
-        deltas.append(delta)
-        rows.append(dict(zip(competing, row)))
-        return competing
-
-    inc = next(i for i, p in enumerate(net) if p is start)  # incumbent's index
-    competing = set_anchor(inc)
-    iterations = 0
-    while iterations < max_anchors:
+        pert -= 2.0 ** -len(rows) * row
+        at.append(inc)
+        rows.append(row)
+        competing = horizons >= net[inc].horizon - GRID_TOL
+        if iterations >= max_anchors:
+            break
         iterations += 1
-        best = inc
-        for i in competing:
-            if pert[i] > pert[best]:
-                best = i
-        if net[best] is net[inc] or rows[-1][best] <= _GAUGE_TOL:
+        # the first of the largest competing values, NaN passed over
+        v = np.where(competing & ~np.isnan(pert), pert, -np.inf)
+        best = int(v.argmax())
+        if not v[best] > pert[inc] or net[best] is net[inc] or row[best] <= _GAUGE_TOL:
             break
         inc = best
-        competing = set_anchor(inc)
 
-    # strictness over the final functional, distinct paths only
-    gap = float("inf")
-    for i in competing:
-        if rows[-1][i] > _GAUGE_TOL:
-            gap = min(gap, pert[inc] - pert[i])
+    # strictness over the final functional, distinct paths only: the first
+    # of the smallest gaps, NaN passed over, as `min` keeps it
+    gaps = pert[inc] - pert[competing & (row > _GAUGE_TOL)]
+    gaps = gaps[~np.isnan(gaps)]
+    gap = float(gaps[gaps.argmin()]) if gaps.size else math.inf
 
     incumbent = net[inc]
-    terms = tuple(d * row[inc] for d, row in zip(deltas, rows))
+    deltas = tuple(2.0 ** -j for j in range(len(rows)))
+    terms = tuple(d * float(row[inc]) for d, row in zip(deltas, rows))
     sum_rho = sum(terms)
     return BPResult(
         maximizer=incumbent,
-        anchors=tuple(anchors),
-        deltas=tuple(deltas),
-        anchor_times=tuple(a.horizon for a in anchors),
+        anchors=tuple(net[i] for i in at),
+        deltas=deltas,
+        anchor_times=tuple(net[i].horizon for i in at),
         rho_terms=terms,
-        f_start=f_start,
+        f_start=f_vals[0],
         f_max_net=f_max,
         sum_rho=sum_rho,
         perturbed_value=f_vals[inc] - sum_rho,
         strict_gap=gap,
-        stalled=(incumbent.horizon <= start.horizon + GRID_TOL)
-        and (incumbent is not start),
+        stalled=(incumbent.horizon <= net[0].horizon + GRID_TOL)
+        and (incumbent is not net[0]),
         iterations=iterations,
     )

@@ -390,7 +390,7 @@ def test_criterion_11_bp_postconditions():
             (lambda g: 0.3 * g.horizon - pair_gauge(start, g), 0.3 * T + 0.1),
         ]
         for f, eps in modes:
-            res = bp_search(f, net, start, eps)
+            res = bp_search(list(map(f, net)), net, eps)
             ok = ok and res.perturbed_value >= res.f_start - 1e-12
             ok = ok and res.sum_rho <= 2.0 * eps + 1e-12
             for i, term in enumerate(res.rho_terms):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phjb import checks
 from phjb.checks import (
     GaugeMarginResult,
     classical_check,
@@ -105,6 +106,54 @@ def test_ito_refuses_a_drift_of_the_wrong_shape_at_the_horizon():
 
 
 # gauge dissipation ------------------------------------------------------
+
+
+def _reference_ito_integral(c, phi, traj, first, u) -> float:
+    """The compensator integral with both ends of every step evaluated
+    afresh, the node between two steps twice."""
+    h, total = traj.step, 0.0
+
+    def integrand(prefix, ctrl):
+        dx = np.asarray(phi.dx(prefix), dtype=float)
+        adj = float(traj.space.adjoint_apply(dx) @ prefix.endpoint)
+        drive = float(dx @ c.drift(prefix.samples[None], np.array([ctrl]))[0])
+        return float(phi.dt(prefix)) + adj + drive
+
+    for k, ctrl in enumerate(u.values):
+        t = (first - 1 + k) * h
+        total += 0.5 * h * (integrand(traj.prefix(t), ctrl) + integrand(traj.prefix(t + h), ctrl))
+    return total
+
+
+@pytest.mark.parametrize("switching", [False, True])
+def test_ito_differentiates_each_node_once_and_drives_it_once_per_control(monkeypatch, switching):
+    space = make_space([-1.0, -0.4])
+    c = _coeffs(
+        space.dim,
+        lambda S, U: np.concatenate([control_column(U), 0.3 * np.tanh(S[:, -1, :-1])], axis=1),
+    )
+    quad = TestFunctionPhi.quadratic_endpoint()
+    calls = {"dx": 0, "drift": 0}
+
+    def dx(g):
+        calls["dx"] += 1
+        return quad.dx(g)
+
+    drift_rows_of_checks = checks._drift_rows
+
+    def drift_rows(*args):
+        calls["drift"] += 1
+        return drift_rows_of_checks(*args)
+
+    monkeypatch.setattr(checks, "_drift_rows", drift_rows)
+    phi = replace(quad, dx=dx)
+    g = Path(space, 0.125, [[0.3, -0.1], [0.2, 0.0], [0.25, 0.1]])
+    u = ControlSignal(g.horizon, g.step, [(-1.0) ** k if switching else 1.0 for k in range(6)])
+    res = ito_residual(c, phi, g, u)
+    n = res.n_steps
+    assert n == 6
+    assert calls == {"dx": n + 1, "drift": 2 * n if switching else n + 1}
+    assert res.integral == _reference_ito_integral(c, quad, mild_solve(c, g, u), g.n_nodes, u)
 
 
 def test_margin_rejects_small_exponent_and_mismatched_horizons():
@@ -312,6 +361,27 @@ def test_batched_margins_refuse_at_the_first_case_in_order():
     invalid[starts.index(later)] = (1.5,) + cases[starts.index(later)][1:]
     with pytest.raises(ValueError, match="M must be >= 2"):
         upsilon_margin(c, invalid)
+
+
+def test_a_case_on_another_step_than_the_first_is_solved_alone():
+    """A case whose g is on another step than the block's first case is
+    refused in the block, so it is solved alone: a signal that does not fit
+    its own g raises `mild_solve`'s error, and cases that each fit their own
+    signal get the per-case margins."""
+    sc = feedback()
+    c, sp = sc.coefficients, sc.space
+    g1 = Path(sp, 0.25, [[0.1, 0.1], [0.2, 0.2]])
+    eta1 = Path(sp, 0.25, [[0.0, 0.1], [0.1, -0.1]])
+    g2 = Path(sp, 0.125, [[0.1, 0.1], [0.3, 0.3]])
+    eta2 = Path(sp, 0.125, [[0.2, 0.0], [0.1, 0.2]])
+    u = ControlSignal.constant(1.0, 0.25, 1.0, 0.25)
+    with pytest.raises(ValueError) as alone:
+        mild_solve(c, g2, u)
+    with pytest.raises(ValueError) as batched:
+        upsilon_margin(c, [(2.0, g1, eta1, u), (2.0, g2, eta2, u)])
+    assert str(batched.value) == str(alone.value) == "control starts at 0.25, prefix ends at 0.125"
+    cases = [(2.0, g1, eta1, u), (5.0, g2, eta2, ControlSignal.constant(-1.0, 0.125, 1.0, 0.125))]
+    assert upsilon_margin(c, cases) == [reference_margin(c, *case) for case in cases]
 
 
 # classical residuals ----------------------------------------------------
