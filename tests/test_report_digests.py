@@ -3,8 +3,10 @@ config, each check alone, at grids 1, 2, 3, 4, 6 and 8 and seed 0, each
 sampling check (the checks of the benchmark's `sample` workload) also at
 grids 5, 7, 12 and 16, the checks that solve trajectories from many start
 node counts, and bp, whose anchors gauge the net's node-count groups, at
-every grid from 9 to 15 and at grid 16 under seeds 3 and 7,
-plus one feedback run whose small budget turns two checks into budget
+every grid from 9 to 15 and at grid 16 under seeds 3 and 7, the two
+certificate checks, which scan nets at touching points, on eikonal and
+runmax at grids 5, 7 and 9 to 16, and on runmax at grid 16 under seeds 3
+and 7, plus one feedback run whose small budget turns two checks into budget
 records. Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
@@ -44,6 +46,12 @@ SAMPLING_GRIDS = (5, 7, 12, 16)
 SOLVING_CHECKS = ("estimates", "ito", "gauge", "bp")
 SOLVING_GRIDS = (9, 10, 11, 13, 14, 15)
 SOLVING_SEEDS = (3, 7)
+# the checks that scan a net at each touching point, the configs that have
+# touching points, and the grids past 4 and seeds past 0 where they are also
+# pinned (feedback has no touching points: its config refuses viscosity)
+CERTIFICATE_CHECKS = ("viscosity", "stability")
+CERTIFICATE_GRIDS = (5, 7, 9, 10, 11, 12, 13, 14, 15, 16)
+CERTIFICATE_SEEDS = (3, 7)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
@@ -57,6 +65,10 @@ def _cells() -> list:
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SAMPLING_CHECKS for g in SAMPLING_GRIDS]
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SOLVING_CHECKS for g in SOLVING_GRIDS]
         cells += [(f"{name}@16/{c}/seed{s}", doc, (c,), 16, s) for c in SOLVING_CHECKS for s in SOLVING_SEEDS]
+    for name in ("eikonal", "runmax"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CERTIFICATE_CHECKS for g in CERTIFICATE_GRIDS]
+    cells += [(f"runmax@16/{c}/seed{s}", doc, (c,), 16, s) for c in CERTIFICATE_CHECKS for s in CERTIFICATE_SEEDS]
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
     cells.append(("feedback@4/budget-50", doc, None, 4, 0))
     return cells
