@@ -494,35 +494,38 @@ def viscosity_check(
     )
 
 
-def viscosity_record(cfg, value_table) -> CheckRecord:
-    """Both sides of `viscosity_check` at every touching point of the
-    scenario, each point over its own net, whose values are read once."""
+def _touching_scans(cfg, table, sides):
+    """`viscosity_check` on each of sides ("sub", "super") at every touching
+    point of the config's scenario, in order, as (point, side, result): each
+    point over its own net, built when the point is reached, whose values
+    are read once from table."""
     sc = cfg.scenario
-    table = value_table()
-    tol = cfg.tolerances["viscosity"]
-    rows, ok = [], True
     for tp in touching_points(sc):
         net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
-        values = table.values(net)  # one value pass, read by both sides
-        for side, phi, pack in (
-            ("sub", tp.phi_sub, tp.pack_sub),
-            ("super", tp.phi_super, tp.pack_super),
-        ):
-            r = viscosity_check(
+        values = table.values(net)  # one value pass, read by every side
+        for side in sides:
+            phi, pack = (tp.phi_sub, tp.pack_sub) if side == "sub" else (tp.phi_super, tp.pack_super)
+            yield tp, side, viscosity_check(
                 values, sc.coefficients, tp.point, phi, pack, side,
-                net=net, tol=tol, label=tp.label,
+                net=net, tol=cfg.tolerances["viscosity"], label=tp.label,
             )
-            rows.append(
-                {
-                    "label": tp.label,
-                    "side": side,
-                    "premise_ok": r.premise_ok,
-                    "margin": r.margin,
-                    "witness_gap": r.witness_gap,
-                    "passed": r.passed,
-                }
-            )
-            ok = ok and r.passed
+
+
+def viscosity_record(cfg, value_table) -> CheckRecord:
+    """Both sides of `viscosity_check` at every touching point of the
+    scenario, a point's sub side then its super side."""
+    rows = [
+        {
+            "label": tp.label,
+            "side": side,
+            "premise_ok": r.premise_ok,
+            "margin": r.margin,
+            "witness_gap": r.witness_gap,
+            "passed": r.passed,
+        }
+        for tp, side, r in _touching_scans(cfg, value_table(), ("sub", "super"))
+    ]
+    ok = all(row["passed"] for row in rows)
     return CheckRecord(
         name="viscosity", passed=ok, summary={"points": len(rows) // 2}, rows=rows
     )
@@ -675,17 +678,10 @@ def stability_record(cfg, value_table) -> CheckRecord:
         tol=cfg.tolerances["residual"],
     )
     if has_certificates(sc):
-        pts = touching_points(sc)
-        if pts:
-            tp = pts[0]
-            net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
-            lim = viscosity_check(
-                table.values(net), sc.coefficients, tp.point,
-                tp.phi_sub, tp.pack_sub, "sub",
-                net=net, tol=cfg.tolerances["viscosity"],
-            )
-            rec.summary["limit_point_ok"] = lim.passed
-            rec.passed = rec.passed and lim.passed
+        first = next(_touching_scans(cfg, table, ("sub",)), None)  # every point is built
+        if first is not None:
+            rec.summary["limit_point_ok"] = first[2].passed
+            rec.passed = rec.passed and first[2].passed
     return rec
 
 

@@ -221,20 +221,21 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
     step. Returns (S, U, X) over the B * W children, parent-major in control
     order: S[i] is child i's parent, U[i] its control, and X[i] the child,
     an (n + 1, dim) row of a read-only block equal to `step_once(c, S[i],
-    U[i])` bit for bit. A block that raises `Refused` is stepped again child
-    by child, so the error raised is the one `step_once` raises first; any
-    other error is the block's own.
+    U[i])` bit for bit. The children are one `group_rows` group, so a block
+    that raises `Refused` is stepped again child by child, each labelled by
+    its own control, and the error raised is the one `step_once` raises
+    first; any other error is the block's own.
     """
     S = np.repeat(P, len(controls), axis=0)
     S.flags.writeable = False
     U = _control_array(controls)[None].repeat(len(P), axis=0).ravel()
-    try:
-        X = _step_block(c, proto, S, U, controls[0])
-    except Refused:
-        X = np.stack(
-            [step_once(c, proto._trusted(p), u).samples for p in P for u in controls]
-        )
-        X.flags.writeable = False
+
+    def stepped(rows, B):  # a block is labelled by its first child's control
+        label = controls[rows[0] % len(controls)] if len(B) else None
+        return _step_block(c, proto, B, U[rows], label)
+
+    X = group_rows(stepped, S, [(np.arange(len(S)), S)])
+    X.flags.writeable = False
     return S, U, X
 
 

@@ -359,11 +359,12 @@ def _grouped(blocks) -> dict:
 
 class Refused(ValueError):
     """A block formula's fault of one row, such as a non-finite drift or a
-    pack slope h_y < 0. The one rule of the block readers (`group_rows`,
-    `dynamics.step_rows`): a block that raises Refused is run again a path at
-    a time, in path order, raising the first path's error, and if every path
-    passes alone their results stand. Any other error, such as a result of
-    the wrong shape, is the block's own and is raised as it is."""
+    pack slope h_y < 0. The one rule of `group_rows`, the one block reader,
+    which `dynamics.step_rows` also steps its children through: a block that
+    raises Refused is run again a path at a time, in path order, raising the
+    first path's error, and if every path passes alone their results stand.
+    Any other error, such as a result of the wrong shape, is the block's own
+    and is raised as it is."""
 
 
 def group_rows(fn, paths, groups=None) -> np.ndarray:
@@ -372,10 +373,12 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
     The paths share a space and step. fn(rows, S) gives the entries of the
     paths at the indices rows, whose samples are the block S of their group
     (`node_count_groups`), as floats with one row per path. groups lists
-    the groups to run, every group of the paths by default (then paths may
-    be any sequence of their length); a path of no listed group gets 0. A
-    group that raises `Refused` is run again path by path, by the rule
-    stated there, each path on its row of its group's block.
+    the groups to run, each as (rows, S) with rows ascending, every group
+    of the paths by default (then paths may be any sequence of their
+    length); a path of no listed group gets 0. A group that raises
+    `Refused` is run again path by path, by the rule stated there, each
+    path on its row of its group's block. When one group holds every path,
+    its entries are returned as fn gave them (as floats), not copied.
     """
     if groups is None:
         groups = node_count_groups(paths).values()
@@ -384,6 +387,11 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
     except Refused:
         at = {i: (S, j) for rows, S in groups for j, i in enumerate(rows.tolist())}
         parts = [([i], fn([i], S[j : j + 1])) for i, (S, j) in sorted(at.items())]
+    if len(parts) == 1:
+        rows, v = parts[0]
+        if len(rows) == len(paths) and np.shape(v)[:1] == (len(paths),):
+            # one group of every path, in path order: its entries as they are
+            return np.asarray(v, dtype=np.float64)
     out = np.zeros((len(paths),) + (np.shape(parts[0][1])[1:] if parts else ()))
     for rows, v in parts:
         out[rows] = v
@@ -443,23 +451,20 @@ def row_dots(E: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sup_norm(g: Path) -> float:
-    """||gamma||_0: the largest euclidean sample norm.
-
-    The square root is taken once, of the largest squared norm: it is
-    monotone and correctly rounded, so this equals the largest of
-    `np.linalg.norm(g.samples, axis=1)` bit for bit.
-    """
-    return _largest_row_norm(g.samples)
+    """||gamma||_0, the largest euclidean sample norm: the one-row case of
+    `sup_norms`."""
+    return float(sup_norms(g.samples[None])[0])
 
 
 def sup_norms(S: np.ndarray) -> np.ndarray:
-    """`sup_norm` of the path of each row of S, an (N, n, dim) sample block,
-    in one reduction over the block with the same operations per row."""
+    """||gamma||_0 of the path of each row of S, an (N, n, dim) sample
+    block, in one reduction over the block with the same operations per row.
+
+    The square root is taken once, of the largest squared norm: it is
+    monotone and correctly rounded, so each entry equals the largest of
+    `np.linalg.norm(samples, axis=1)` of its row bit for bit.
+    """
     return np.sqrt(np.maximum.reduce(np.add.reduce(S * S, axis=2), axis=1))
-
-
-def _largest_row_norm(s: np.ndarray) -> float:
-    return math.sqrt(np.maximum.reduce(np.add.reduce(s * s, axis=1)))
 
 
 def prefix_sup_norms(S: np.ndarray) -> np.ndarray:
@@ -481,7 +486,7 @@ def metric_d_infty(g: Path, h: Path) -> float:
     """
     g._check_same_space_and_step(h)
     late, early = (g, h) if g.n_nodes >= h.n_nodes else (h, g)
-    gap = _largest_row_norm(late.samples - carried(early, late.n_nodes))
+    gap = float(sup_norms((late.samples - carried(early, late.n_nodes))[None])[0])
     return abs(g.horizon - h.horizon) + gap
 
 

@@ -198,6 +198,19 @@ def _path(sc: Scenario, values) -> Path:
     return Path(sc.space, sc.grid.step, samples)
 
 
+def _touching(point: Path, label: str, sub: tuple, pack_sub: GaugePack, sup: tuple) -> TouchingPoint:
+    """The certificates at point: the test functionals of the (rows, dt, dx)
+    triples sub and sup, sub confined by pack_sub and sup by the zero pack."""
+    return TouchingPoint(
+        point=point,
+        phi_sub=TestFunctionPhi(*sub, label=f"{label}-sub"),
+        pack_sub=pack_sub,
+        phi_super=TestFunctionPhi(*sup, label=f"{label}-super"),
+        pack_super=GaugePack.zero(),
+        label=label,
+    )
+
+
 def _eikonal_slope_point(sc: Scenario, values, label: str) -> TouchingPoint:
     """Certificates at a point with |end| > remaining time.
 
@@ -211,25 +224,19 @@ def _eikonal_slope_point(sc: Scenario, values, label: str) -> TouchingPoint:
     gap = abs(float(point.endpoint[0])) - (T - point.horizon)
     if gap <= 0.25:
         raise ValueError(f"{label}: endpoint too close to the cone, gap {gap}")
-    phi_sub = TestFunctionPhi(
-        rows=lambda proto, S: sgn * S[:, -1, 0] - (T - proto.horizon),
-        dt=lambda g: 1.0,
-        dx=lambda g: np.array([sgn]),
-        label=f"{label}-sub",
-    )
-    phi_super = TestFunctionPhi(
-        rows=lambda proto, S: -sgn * S[:, -1, 0] + (T - proto.horizon),
-        dt=lambda g: -1.0,
-        dx=lambda g: np.array([-sgn]),
-        label=f"{label}-super",
-    )
-    return TouchingPoint(
-        point=point,
-        phi_sub=phi_sub,
-        pack_sub=GaugePack.anchored(point, 2.0, label=f"{label}-pack"),
-        phi_super=phi_super,
-        pack_super=GaugePack.zero(),
-        label=label,
+    return _touching(
+        point, label,
+        (
+            lambda proto, S: sgn * S[:, -1, 0] - (T - proto.horizon),
+            lambda g: 1.0,
+            lambda g: np.array([sgn]),
+        ),
+        GaugePack.anchored(point, 2.0, label=f"{label}-pack"),
+        (
+            lambda proto, S: -sgn * S[:, -1, 0] + (T - proto.horizon),
+            lambda g: -1.0,
+            lambda g: np.array([-sgn]),
+        ),
     )
 
 
@@ -245,30 +252,21 @@ def _runmax_endpoint_point(sc: Scenario, values, label: str) -> TouchingPoint:
         raise ValueError(f"{label}: endpoint is not the strict max")
     t_hat = point.horizon
     delta0 = max(2.0, 1.0 / (2.0 * sc.grid.step), 1.0 / (2.0 * crossing))
-    phi_sub = TestFunctionPhi(
-        rows=lambda proto, S: sgn * S[:, -1, 0] + (proto.horizon - t_hat),
-        dt=lambda g: 1.0,
-        dx=lambda g: np.array([sgn]),
-        label=f"{label}-sub",
-    )
-    phi_super = TestFunctionPhi(
-        rows=lambda proto, S: -sgn * S[:, -1, 0],
-        dt=lambda g: 0.0,
-        dx=lambda g: np.array([-sgn]),
-        label=f"{label}-super",
-    )
-    return TouchingPoint(
-        point=point,
-        phi_sub=phi_sub,
-        pack_sub=GaugePack.anchored(point, delta0, label=f"{label}-pack"),
-        phi_super=phi_super,
-        pack_super=GaugePack.zero(),
-        label=label,
+    return _touching(
+        point, label,
+        (
+            lambda proto, S: sgn * S[:, -1, 0] + (proto.horizon - t_hat),
+            lambda g: 1.0,
+            lambda g: np.array([sgn]),
+        ),
+        GaugePack.anchored(point, delta0, label=f"{label}-pack"),
+        (lambda proto, S: -sgn * S[:, -1, 0], lambda g: 0.0, lambda g: np.array([-sgn])),
     )
 
 
-def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> TouchingPoint:
-    """Certificates where a past sample holds the strict running max.
+def _runmax_interior_point(sc: Scenario, values, label: str) -> TouchingPoint:
+    """Certificates where sample 1, a past sample, holds the strict running
+    max.
 
     Sub side: constant m plus a linear endpoint correction, confined by
     c (Upsilon^2 - Upsilon^2(point)) with c = m^3 / (2 (m^4 - x^4)); that
@@ -277,6 +275,7 @@ def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> Tou
     the pack. The linear weight kills the composite gradient, so the
     half-relaxed term evaluates at p = 0.
     """
+    j_star = 1
     point = _path(sc, values)
     m_signed = float(point.samples[j_star, 0])
     m = abs(m_signed)
@@ -289,12 +288,6 @@ def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> Tou
     w = -c * grad_upsilon(2.0, point)
     y0 = eval_upsilon(2.0, point)
     sigma_star = j_star * sc.grid.step
-    phi_sub = TestFunctionPhi(
-        rows=lambda proto, S: m + row_dots(S[:, -1] - point.endpoint, w),
-        dt=lambda g: 0.0,
-        dx=lambda g: w.copy(),
-        label=f"{label}-sub",
-    )
     pack_sub = GaugePack(
         h=lambda s, y: c * (y - y0),
         h_t=lambda s, y: 0.0,
@@ -302,19 +295,19 @@ def _runmax_interior_point(sc: Scenario, values, j_star: int, label: str) -> Tou
         anchors=((point, 2.0),),
         label=f"{label}-pack",
     )
-    phi_super = TestFunctionPhi(
-        rows=lambda proto, S: -sgn_m * S[:, proto.node_at(sigma_star), 0],
-        dt=lambda g: 0.0,
-        dx=lambda g: np.zeros(1),
-        label=f"{label}-super",
-    )
-    return TouchingPoint(
-        point=point,
-        phi_sub=phi_sub,
-        pack_sub=pack_sub,
-        phi_super=phi_super,
-        pack_super=GaugePack.zero(),
-        label=label,
+    return _touching(
+        point, label,
+        (
+            lambda proto, S: m + row_dots(S[:, -1] - point.endpoint, w),
+            lambda g: 0.0,
+            lambda g: w.copy(),
+        ),
+        pack_sub,
+        (
+            lambda proto, S: -sgn_m * S[:, proto.node_at(sigma_star), 0],
+            lambda g: 0.0,
+            lambda g: np.zeros(1),
+        ),
     )
 
 
@@ -396,9 +389,9 @@ def touching_points(sc: Scenario) -> list:
         ]
     else:
         candidates = [
-            (lambda s, v, l: _runmax_interior_point(s, v, 1, l), [[0.2], [1.0], [0.5]], "interior+mid"),
-            (lambda s, v, l: _runmax_interior_point(s, v, 1, l), [[-0.1], [-0.9], [0.3]], "interior-mid"),
-            (lambda s, v, l: _runmax_interior_point(s, v, 1, l), [[0.5], [1.2], [0.9], [0.2]], "interior+long"),
+            (_runmax_interior_point, [[0.2], [1.0], [0.5]], "interior+mid"),
+            (_runmax_interior_point, [[-0.1], [-0.9], [0.3]], "interior-mid"),
+            (_runmax_interior_point, [[0.5], [1.2], [0.9], [0.2]], "interior+long"),
             (_runmax_endpoint_point, [[0.1], [0.4], [0.8]], "endpoint+"),
             (_runmax_endpoint_point, [[-0.2], [-0.5], [-0.9]], "endpoint-"),
             (_runmax_endpoint_point, [[0.3], [0.6]], "endpoint+short"),

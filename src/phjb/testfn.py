@@ -80,22 +80,23 @@ class TestFunctionPhi:
     def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences.
 
-        Raises ValueError at the first sample where they disagree beyond
-        1e-5 (absolute, relative to max(1, |analytic|)).
+        Raises ValueError at the first sample where they do not agree
+        within 1e-5 (absolute, relative to max(1, |analytic|)), so a NaN
+        derivative is refused.
         """
         tol = 1e-5
         for g in paths:
             fd = dupire_derivatives(self.value, g, t_final=t_final)
             ax = np.asarray(self.dx(g), dtype=float)
             gap = np.max(np.abs(ax - fd.dx))
-            if gap > tol * max(1.0, float(np.max(np.abs(ax)))):
+            if not gap <= tol * max(1.0, float(np.max(np.abs(ax)))):
                 raise ValueError(
                     f"{self.label or 'phi'}: vertical derivative off by {gap:.3e} "
                     f"at horizon {g.horizon}"
                 )
             if fd.dt is not None:
                 at = float(self.dt(g))
-                if abs(at - fd.dt) > tol * max(1.0, abs(at)):
+                if not abs(at - fd.dt) <= tol * max(1.0, abs(at)):
                     raise ValueError(
                         f"{self.label or 'phi'}: time derivative off by "
                         f"{abs(at - fd.dt):.3e} at horizon {g.horizon}"

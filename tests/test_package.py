@@ -25,10 +25,10 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
-def test_only_the_two_block_readers_catch_a_refusal():
-    """`paths.Refused` is caught in `paths.group_rows` and
-    `dynamics.step_rows` alone, which run a refused block again path by
-    path; every other reader lets a refusal through as it is."""
+def test_only_group_rows_catches_a_refusal():
+    """`paths.Refused` is caught in `paths.group_rows` alone, which runs a
+    refused block again path by path; every other reader, `dynamics.step_rows`
+    among them, lets a refusal through as it is."""
     catchers = set()
     for name in MODULES:
         todo = [(ast.parse(inspect.getsource(importlib.import_module(name))), None)]
@@ -40,7 +40,7 @@ def test_only_the_two_block_readers_catch_a_refusal():
                 if "Refused" in ast.unparse(node.type):
                     catchers.add((name, fn))
             todo += [(child, fn) for child in ast.iter_child_nodes(node)]
-    assert catchers == {("phjb.paths", "group_rows"), ("phjb.dynamics", "step_rows")}
+    assert catchers == {("phjb.paths", "group_rows")}
 
 
 def test_the_command_line_holds_no_check_logic():

@@ -14,7 +14,7 @@ from phjb import (
     sup_norm,
     vertical_bump,
 )
-from phjb.paths import grid_index, prefix_sup_norms
+from phjb.paths import grid_index, group_rows, prefix_sup_norms
 
 SEED = 907
 
@@ -247,6 +247,16 @@ def test_metric_separates_horizons():
     g = Path.constant(sp, 0.25, [1.0], 0.25)
     h = Path.constant(sp, 0.25, [1.0], 0.75)
     assert metric_d_infty(g, h) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_one_group_of_every_path_keeps_its_entries_uncopied():
+    """group_rows returns the entries of one group that holds every path as
+    fn gave them, and assembles any other grouping into a zero block."""
+    S = np.arange(8.0).reshape(4, 2, 1)
+    V = np.array([1.5, -2.0, 0.25, 4.0])
+    assert group_rows(lambda rows, T: V, range(4), [(np.arange(4), S)]) is V
+    two = group_rows(lambda rows, T: V[rows], range(4), [(np.array([0, 2]), S[[0, 2]])])
+    assert two.tolist() == [1.5, 0.0, 0.25, 0.0]
 
 
 def test_metric_refuses_paths_on_different_grids():

@@ -207,6 +207,22 @@ def test_validate_on_catches_wrong_gradient():
         phi.validate_on([g], t_final=1.0)
 
 
+@pytest.mark.parametrize("dt, dx", [(0.0, [math.nan]), (math.nan, [1.0])], ids=["nan-dx", "nan-dt"])
+def test_validate_on_refuses_a_nan_derivative(dt, dx):
+    """A NaN gap to the finite differences is refused as a large one is:
+    validation passes only where each gap is at most its bound."""
+    g = Path(make_space([0.0]), 0.25, np.array([[0.5], [0.7]]))
+
+    def endpoint(dt, dx):
+        return TestFunctionPhi(
+            rows=lambda proto, S: S[:, -1, 0], dt=lambda g: dt, dx=lambda g: np.array(dx)
+        )
+
+    endpoint(0.0, [1.0]).validate_on([g], t_final=1.0)  # the true derivatives
+    with pytest.raises(ValueError, match="derivative off by nan"):
+        endpoint(dt, dx).validate_on([g], t_final=1.0)
+
+
 def test_shifted_and_time_ramp():
     space = make_space([0.0])
     phi = TestFunctionPhi.quadratic_endpoint()
