@@ -6,7 +6,8 @@ node counts, and bp, whose anchors gauge the net's node-count groups, at
 every grid from 9 to 15 and at grid 16 under seeds 3 and 7, the two
 certificate checks, which scan nets at touching points, on eikonal and
 runmax at grids 5, 7 and 9 to 16, and on runmax at grid 16 under seeds 3
-and 7, plus one feedback run whose small budget turns two checks into budget
+and 7, classical, whose kink flags are read off finite differences, on
+eikonal and runmax at every grid from 9 to 15, plus one feedback run whose small budget turns two checks into budget
 records. Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
@@ -52,6 +53,9 @@ SOLVING_SEEDS = (3, 7)
 CERTIFICATE_CHECKS = ("viscosity", "stability")
 CERTIFICATE_GRIDS = (5, 7, 9, 10, 11, 12, 13, 14, 15, 16)
 CERTIFICATE_SEEDS = (3, 7)
+# the grids between 8 and 16 where classical, whose kink flags are read off
+# finite differences, is also pinned on the configs with a classical candidate
+CLASSICAL_GRIDS = (9, 10, 11, 13, 14, 15)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
@@ -68,6 +72,7 @@ def _cells() -> list:
     for name in ("eikonal", "runmax"):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CERTIFICATE_CHECKS for g in CERTIFICATE_GRIDS]
+        cells += [(f"{name}@{g}/classical", doc, ("classical",), g, 0) for g in CLASSICAL_GRIDS]
     cells += [(f"runmax@16/{c}/seed{s}", doc, (c,), 16, s) for c in CERTIFICATE_CHECKS for s in CERTIFICATE_SEEDS]
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
     cells.append(("feedback@4/budget-50", doc, None, 4, 0))
