@@ -4,17 +4,14 @@ __version__ = "0.1.0"
 
 from .hilbert import SpectralSpace
 from .paths import (
-    DupireDerivatives,
     Path,
     TimeGrid,
-    dupire_derivatives,
     extend_flat,
     extend_semigroup,
-    metric_d_infty,
     sup_norm,
     vertical_bump,
 )
-from .gauge import eval_upsilon, grad_upsilon, pair_difference
+from .gauge import eval_upsilon, pair_difference
 from .dynamics import (
     Coefficients,
     ControlSignal,

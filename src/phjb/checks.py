@@ -46,6 +46,7 @@ from .paths import (
     all_finite,
     carried,
     carry_walks,
+    formula_paths,
     formula_rows,
     group_rows,
     node_count_groups,
@@ -95,42 +96,52 @@ class ItoResult:
 
 def ito_residual(
     coeffs: Coefficients,
-    phi: TestFunctionPhi,
+    functionals,
     g: Path,
     u: ControlSignal,
-) -> ItoResult:
-    """Gap between the increment of phi along the mild flow and its
-    compensator integral (trapezoid per interval).
+) -> list:
+    """Gap between the increment of each of functionals along the mild flow
+    from g under u and its compensator integral (trapezoid per interval),
+    one ItoResult per functional, in order, all along one solve.
 
     Refuses functionals that do not declare A* dx continuous along paths.
+    Each node of the flow has a node count of its own, so each functional
+    is read on each node's one-row block.
     """
-    if not phi.a_star_dx_continuous:
-        raise ValueError(
-            f"{phi.label or 'phi'} does not declare A*dx continuous; "
-            "the compensator integral is not defined for it"
-        )
+    for phi in functionals:
+        if not phi.a_star_dx_continuous:
+            raise ValueError(
+                f"{phi.label or 'phi'} does not declare A*dx continuous; "
+                "the compensator integral is not defined for it"
+            )
     traj = mild_solve(coeffs, g, u)
     space = g.space
     h = g.step
 
     n = traj.n_nodes - g.n_nodes
     nodes = [traj.prefix(j * h) for j in range(g.n_nodes - 1, traj.n_nodes)]
-    dxs = [np.asarray(phi.dx(p), dtype=float) for p in nodes]
-    # phi.dt plus the adjoint term, once per node
-    terms = [float(phi.dt(p)) + float(space.adjoint_apply(dx) @ p.endpoint) for p, dx in zip(nodes, dxs)]
-    drives = {}  # the drive term of each (node, control), one drift call each
+    drifts = {}  # the drift at each (node, control), one drift call each, for every functional
 
-    def integrand(k: int, ctrl: float) -> float:
-        if (k, ctrl) not in drives:
-            f = _drift_rows(coeffs, nodes[k].samples[None], _control_array((ctrl,)))
-            drives[k, ctrl] = float(dxs[k] @ f[0])
-        return terms[k] + drives[k, ctrl]
+    def one(f, p, vector=False):  # the row formula f at the one path p
+        return formula_rows(f, p, p.samples[None], vector)[0]
 
-    total = 0.0
-    for k, ctrl in enumerate(u.values):
-        total += 0.5 * h * (integrand(k, ctrl) + integrand(k + 1, ctrl))
-    inc = float(phi.value(traj)) - float(phi.value(g))
-    return ItoResult(residual=inc - total, increment=inc, integral=total, n_steps=n)
+    out = []
+    for phi in functionals:
+        dxs = [one(phi.dx, p, True) for p in nodes]
+        # phi.dt plus the adjoint term, once per node
+        terms = [float(one(phi.dt, p)) + float(space.adjoint_apply(dx) @ p.endpoint) for p, dx in zip(nodes, dxs)]
+
+        def integrand(k: int, ctrl: float) -> float:
+            if (k, ctrl) not in drifts:
+                drifts[k, ctrl] = _drift_rows(coeffs, nodes[k].samples[None], _control_array((ctrl,)))[0]
+            return terms[k] + float(dxs[k] @ drifts[k, ctrl])
+
+        total = 0.0
+        for k, ctrl in enumerate(u.values):
+            total += 0.5 * h * (integrand(k, ctrl) + integrand(k + 1, ctrl))
+        inc = float(one(phi.rows, traj)) - float(one(phi.rows, g))
+        out.append(ItoResult(residual=inc - total, increment=inc, integral=total, n_steps=n))
+    return out
 
 
 # a residual at or below this is exact; an inexact one must shrink at least
@@ -142,28 +153,27 @@ _ITO_RATE_FLOOR = 0.9
 def ito_record(cfg, value_table) -> CheckRecord:
     """`ito_residual` of a quadratic and a linear endpoint functional from
     the constant path at the initial sample, under the last control held to
-    T, on the grid and on the grid at half its step. A functional passes
-    when both residuals are exact, or when they shrink at the rate floor."""
+    T, on the grid and on the grid at half its step, one solve per grid. A
+    functional passes when both residuals are exact, or when they shrink at
+    the rate floor."""
     sc = cfg.scenario
     space, grid = sc.space, sc.grid
-    g0 = Path.constant(space, grid.step, sc.initial.samples[0], horizon=0.0)
     u_val = sc.coefficients.control_set[-1]
-    fine = TimeGrid(grid.T, grid.step / 2.0)
-    g0f = Path.constant(space, fine.step, sc.initial.samples[0], horizon=0.0)
     functionals = [
         TestFunctionPhi.quadratic_endpoint(),
         TestFunctionPhi.linear_endpoint(np.ones(space.dim)),
     ]
+    coarse, fine = (
+        ito_residual(
+            sc.coefficients, functionals,
+            Path.constant(space, step, sc.initial.samples[0], horizon=0.0),
+            ControlSignal.constant(u_val, 0.0, grid.T, step),
+        )
+        for step in (grid.step, TimeGrid(grid.T, grid.step / 2.0).step)
+    )
     rows, ok = [], True
-    for phi in functionals:
-        r1 = ito_residual(
-            sc.coefficients, phi, g0,
-            ControlSignal.constant(u_val, 0.0, grid.T, grid.step),
-        ).residual
-        r2 = ito_residual(
-            sc.coefficients, phi, g0f,
-            ControlSignal.constant(u_val, 0.0, grid.T, fine.step),
-        ).residual
+    for phi, a, b in zip(functionals, coarse, fine):
+        r1, r2 = a.residual, b.residual
         exact = abs(r1) <= _ITO_EXACT and abs(r2) <= _ITO_EXACT
         rate = float(np.log2(abs(r1) / abs(r2))) if not exact and abs(r2) > 0 else None
         row_ok = exact or (rate is not None and rate >= _ITO_RATE_FLOOR)
@@ -414,19 +424,18 @@ def viscosity_check(
 
     `values` holds the candidate's value at every path of `net`, in net
     order; net[0] must be the point itself, as `build_net` makes it, and
-    the paths share its step. The analytic derivatives of phi are first
-    validated at the point and its vertical bumps, up to the net's last
-    horizon. The certificate is renormalized by a constant so the premise
-    holds with equality at net[0]; the scan then verifies the point is a
-    global max (sub) or min (super) of w -/+ (phi + pack) over the paths of
-    the net that do not end before it, up to _PREMISE_TOL. If not, the check
-    refuses with a witness: the first path with the largest gap, or the
-    first path whose gap is NaN. Otherwise the one-sided operator
-    inequality is evaluated with analytic derivatives.
+    the paths share its step. The certificate is renormalized by a constant
+    so the premise holds with equality at net[0]; the scan verifies the
+    point is a global max (sub) or min (super) of w -/+ (phi + pack) over
+    the paths of the net that do not end before it, up to _PREMISE_TOL. If
+    not, the check refuses with a witness: the first path with the largest
+    gap, or the first path whose gap is NaN. The analytic derivatives of phi
+    are validated at the point and its vertical bumps, up to the net's last
+    horizon, and the one-sided operator inequality is evaluated with them.
 
     The scan runs group by group over the net's node-count groups
     (`node_count_groups`), with one horizon per group: phi's row formula
-    and the pack's rows each go through `group_rows`, so a `Refused` group
+    and the pack's rows each go through `formula_paths`, so a `Refused` group
     raises the refusal that path by path order meets first, and a formula
     that does not give one float per row raises its block's own error.
     """
@@ -440,24 +449,12 @@ def viscosity_check(
             f"values has shape {values.shape}, expected one per net path ({len(net)},)"
         )
     sgn = 1.0 if side == "sub" else -1.0
-    probes = [point]
-    for k in range(point.space.dim):
-        e = np.zeros(point.space.dim)
-        e[k] = 0.05
-        probes.append(vertical_bump(point, e))
-        probes.append(vertical_bump(point, -e))
     groups = node_count_groups(net)
     # the horizon of each node count, read off the first path that has it
     horizon = {n: net[rows[0]].horizon for n, (rows, _) in groups.items()}
-    phi.validate_on(probes, t_final=max(horizon.values()))
-
     # the paths that end before the point are not scanned
     kept = [group for n, group in groups.items() if horizon[n] >= point.horizon - GRID_TOL]
-
-    def scanned(f):  # the row formula f over the kept groups
-        return group_rows(lambda rows, S: formula_rows(f, net[rows[0]], S), net, kept)
-
-    f = values - sgn * (scanned(phi.rows) + scanned(pack.rows))
+    f = values - sgn * (formula_paths(phi.rows, net, kept) + formula_paths(pack.rows, net, kept))
     at = np.arange(len(net))
     if len(kept) < len(groups):
         at = np.sort(np.concatenate([rows for rows, _ in kept]))
@@ -475,8 +472,12 @@ def viscosity_check(
     if premise_ok:
         witness = None
 
-    psi_dt = sgn * (float(phi.dt(point)) + pack.dt(point))
-    psi_dx = sgn * (np.asarray(phi.dx(point), dtype=float) + pack.dx(point))
+    # the point and its vertical bumps by +0.05 and -0.05 along each coordinate
+    bumps = 0.05 * np.eye(point.space.dim).repeat(2, axis=0) * np.tile([1.0, -1.0], point.space.dim)[:, None]
+    phi.validate_on([point] + [vertical_bump(point, e) for e in bumps], t_final=max(horizon.values()))
+    P = point.samples[None]
+    psi_dt = sgn * float(formula_rows(phi.dt, point, P)[0] + pack.dt(point, P)[0])
+    psi_dx = sgn * (formula_rows(phi.dx, point, P, vector=True)[0] + pack.dx(point, P)[0])
     margin, terms = _operator(coeffs, point, psi_dt, psi_dx)
     inequality_ok = margin >= -tol if side == "sub" else margin <= tol
     return ViscosityResult(
@@ -546,8 +547,12 @@ def classical_check(
     match at horizon points. Points where finite differences refuse the
     supplied derivatives are flagged, reported, and excluded from the
     residual; at least one unflagged interior point is required to pass,
-    and the record says so when there is none.
+    and the record says so when there is none. The candidate's finite
+    differences and derivatives at the interior points are priced on blocks.
     """
+    points = list(points)
+    inner = [g for g in points if g.horizon < t_final - GRID_TOL]
+    probed = zip(*differentiability_probe(w, inner, t_final=t_final))  # (flag, dt, dx) per point
     rows = []
     max_res = 0.0
     n_flagged = 0
@@ -555,15 +560,16 @@ def classical_check(
     ok = True
     for g in points:
         if g.horizon >= t_final - GRID_TOL:
-            gap = abs(float(w.value(g)) - _terminal_cost(coeffs, g))
+            gap = abs(float(formula_rows(w.rows, g, g.samples[None])[0]) - _terminal_cost(coeffs, g))
             rows.append({"horizon": g.horizon, "kind": "terminal", "gap": gap})
             ok = ok and gap <= tol
             continue
-        if not differentiability_probe(w.value, w.dt, w.dx, g, t_final=t_final):
+        smooth, dt, dx = next(probed)
+        if not smooth:
             rows.append({"horizon": g.horizon, "kind": "kink", "gap": float("nan")})
             n_flagged += 1
             continue
-        res, _ = _operator(coeffs, g, float(w.dt(g)), np.asarray(w.dx(g), dtype=float))
+        res, _ = _operator(coeffs, g, dt, dx)
         rows.append({"horizon": g.horizon, "kind": "interior", "gap": res})
         max_res = max(max_res, abs(res))
         n_interior += 1

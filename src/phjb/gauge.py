@@ -23,7 +23,6 @@ from .paths import Path, Refused, all_finite, carried, row_dots, sup_norms
 __all__ = [
     "eval_upsilon",
     "upsilon_rows",
-    "grad_upsilon",
     "pair_difference",
     "pair_difference_rows",
     "pair_gauge_rows",
@@ -50,21 +49,17 @@ def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
     return values, G
 
 
-def upsilon_rows(M: float, S: np.ndarray) -> list:
+def upsilon_rows(M: float, S: np.ndarray, grad: bool = False):
     """Upsilon^M of the path of each row of S, an (N, n, dim) sample block,
-    as a list of floats; the sup norms are one reduction over the block."""
-    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1])
+    as a list of floats, and with grad also the vertical gradients as an
+    (N, dim) array (`_upsilon_rows`); the sup norms are one reduction over
+    the block."""
+    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1], grad)
 
 
 def eval_upsilon(M: float, g: Path) -> float:
     """Upsilon^M(gamma) = S(gamma) + M |gamma(t)|^2."""
     return upsilon_rows(M, g.samples[None])[0]
-
-
-def grad_upsilon(M: float, g: Path) -> np.ndarray:
-    """Vertical gradient of Upsilon^M: grad S + 2 M gamma(t)."""
-    S = g.samples[None]
-    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1], True)[1][0]
 
 
 def pair_difference(anchor: Path, g: Path) -> Path:

@@ -61,13 +61,6 @@ class SpectralSpace:
 
     # -- operators -------------------------------------------------------
 
-    def semigroup_apply(self, t: float, x) -> np.ndarray:
-        """e^{tA} x, coordinatewise x_k e^{lambda_k t}. Requires t >= 0."""
-        x = self.check_vector(x)
-        if t < 0.0:
-            raise ValueError(f"semigroup time must be >= 0, got {t}")
-        return x * np.exp(self.eigenvalues * t)
-
     def semigroup_factors(self, t: float) -> np.ndarray:
         """The diagonal of e^{tA} as a read-only vector, computed once per t."""
         E = self._factors.get(t)

@@ -1,9 +1,9 @@
-"""Grid-sampled paths, their extensions, the pseudometric, and Dupire derivatives.
+"""Grid-sampled paths, their extensions, norms, and row formulas over them.
 
 A path lives on the uniform grid {0, step, 2 step, ..., horizon} and stores one
 state vector per grid node. The horizon is always an integer multiple of the
 step by construction (it is derived from the sample count, never stored).
-Sup norms and the metric are taken over grid samples; between-node behaviour is
+Sup norms are taken over grid samples; between-node behaviour is
 deliberately out of scope and results are grid-resolution dependent.
 """
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,15 +37,12 @@ __all__ = [
     "node_count_groups",
     "group_rows",
     "formula_rows",
-    "row_value",
+    "formula_paths",
     "row_dots",
     "Net",
     "sup_norm",
     "sup_norms",
     "prefix_sup_norms",
-    "metric_d_infty",
-    "DupireDerivatives",
-    "dupire_derivatives",
 ]
 
 # tolerance for "time lies on the grid" checks
@@ -182,9 +179,6 @@ class Path:
         if k >= self.n_nodes:
             raise ValueError(f"time {t} beyond horizon {self.horizon}")
         return k
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.samples[self.node_at(t)]
 
     def prefix(self, t: float) -> "Path":
         """Restriction to [0, t]; t must be an on-grid time <= horizon.
@@ -398,19 +392,20 @@ def group_rows(fn, paths, groups=None) -> np.ndarray:
     return out
 
 
-def formula_rows(f, proto: "Path", S: np.ndarray) -> np.ndarray:
+def formula_rows(f, proto: "Path", S: np.ndarray, vector: bool = False) -> np.ndarray:
     """The row formula f(proto, S) as a float array, refused unless it
     gives one float per row of S, a block of paths with proto's node count,
-    step and space."""
+    step and space, or with vector one (dim,) row per row of S."""
     v = np.asarray(f(proto, S), dtype=np.float64)
-    if v.shape != (len(S),):
+    if v.shape != ((len(S),) + S.shape[2:] if vector else (len(S),)):
         raise ValueError(f"row formula gave shape {v.shape} for {len(S)} rows")
     return v
 
 
-def row_value(f, g: "Path") -> float:
-    """The row formula f at the one path g: its one-row block g.samples[None]."""
-    return float(formula_rows(f, g, g.samples[None])[0])
+def formula_paths(f, paths, groups=None, vector: bool = False) -> np.ndarray:
+    """The row formula f at each of paths, a node-count group at a time,
+    with `formula_rows` through `group_rows` (groups as it takes them)."""
+    return group_rows(lambda rows, S: formula_rows(f, paths[rows[0]], S, vector), paths, groups)
 
 
 class Net(tuple):
@@ -435,7 +430,7 @@ class Net(tuple):
         return net
 
 
-# -- norms and metric ----------------------------------------------------
+# -- norms ---------------------------------------------------------------
 
 
 def row_dots(E: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -475,70 +470,3 @@ def prefix_sup_norms(S: np.ndarray) -> np.ndarray:
     entry [i, k] equals `sup_norm` of that prefix bit for bit.
     """
     return np.sqrt(np.maximum.accumulate(np.add.reduce(S * S, axis=2), axis=1))
-
-
-def metric_d_infty(g: Path, h: Path) -> float:
-    """d_infty(gamma_t, eta_s) = |t - s| + sup-norm gap of semigroup extensions.
-
-    The earlier path is carried along the semigroup to the later horizon;
-    beyond that the gap only contracts, so the value does not depend on any
-    global terminal time. Both paths must share a space and a step.
-    """
-    g._check_same_space_and_step(h)
-    late, early = (g, h) if g.n_nodes >= h.n_nodes else (h, g)
-    gap = float(sup_norms((late.samples - carried(early, late.n_nodes))[None])[0])
-    return abs(g.horizon - h.horizon) + gap
-
-
-# -- Dupire derivatives --------------------------------------------------
-
-
-class DupireDerivatives(NamedTuple):
-    dt: Optional[float]
-    dx: np.ndarray
-
-
-def dupire_derivatives(
-    f: Callable[[Path], float],
-    g: Path,
-    *,
-    t_final: Optional[float] = None,
-    h: Optional[float] = None,
-) -> DupireDerivatives:
-    """Grid Dupire derivatives of a path functional at gamma_t.
-
-    dt is the forward difference along the flat extension by one grid step;
-    when t_final is given and the step would cross it, dt is None (signaled)
-    and dx is still returned. dx uses central differences on vertical bumps
-    with step h, default 1e-5 * max(1, |gamma(t)|).
-
-    Parameters
-    ----------
-    f : callable
-        Path functional, Path -> float.
-    g : Path
-        Evaluation point.
-    t_final : float, optional
-        Terminal horizon; forward time difference is refused at it.
-    h : float, optional
-        Vertical difference step override.
-    """
-    if t_final is not None and g.horizon + g.step > t_final + GRID_TOL:
-        dt = None
-    else:
-        dt = (f(extend_flat(g, g.horizon + g.step)) - f(g)) / g.step
-
-    end = g.endpoint
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(end)))
-    dx = np.empty(g.space.dim)
-    base = g.samples.copy()
-    for k in range(g.space.dim):
-        up = base.copy()
-        up[-1, k] += h
-        dn = base.copy()
-        dn[-1, k] -= h
-        fu = f(Path(g.space, g.step, up))
-        fd = f(Path(g.space, g.step, dn))
-        dx[k] = (fu - fd) / (2.0 * h)
-    return DupireDerivatives(dt, dx)

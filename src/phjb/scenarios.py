@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Coefficients
-from .gauge import eval_upsilon, grad_upsilon
+from .gauge import upsilon_rows
 from .hilbert import SpectralSpace
 from .paths import GRID_TOL, Path, TimeGrid, row_dots, sup_norm, sup_norms
 from .testfn import GaugePack, TestFunctionPhi
@@ -198,6 +198,13 @@ def _path(sc: Scenario, values) -> Path:
     return Path(sc.space, sc.grid.step, samples)
 
 
+def _constant(v):
+    """The row formula that gives every row of a block the value v, a float
+    or a (dim,) vector."""
+    v = np.asarray(v, dtype=float)
+    return lambda proto, S: np.full((len(S),) + v.shape, v)
+
+
 def _touching(point: Path, label: str, sub: tuple, pack_sub: GaugePack, sup: tuple) -> TouchingPoint:
     """The certificates at point: the test functionals of the (rows, dt, dx)
     triples sub and sup, sub confined by pack_sub and sup by the zero pack."""
@@ -226,17 +233,9 @@ def _eikonal_slope_point(sc: Scenario, values, label: str) -> TouchingPoint:
         raise ValueError(f"{label}: endpoint too close to the cone, gap {gap}")
     return _touching(
         point, label,
-        (
-            lambda proto, S: sgn * S[:, -1, 0] - (T - proto.horizon),
-            lambda g: 1.0,
-            lambda g: np.array([sgn]),
-        ),
+        (lambda proto, S: sgn * S[:, -1, 0] - (T - proto.horizon), _constant(1.0), _constant([sgn])),
         GaugePack.anchored(point, 2.0, label=f"{label}-pack"),
-        (
-            lambda proto, S: -sgn * S[:, -1, 0] + (T - proto.horizon),
-            lambda g: -1.0,
-            lambda g: np.array([-sgn]),
-        ),
+        (lambda proto, S: -sgn * S[:, -1, 0] + (T - proto.horizon), _constant(-1.0), _constant([-sgn])),
     )
 
 
@@ -254,13 +253,9 @@ def _runmax_endpoint_point(sc: Scenario, values, label: str) -> TouchingPoint:
     delta0 = max(2.0, 1.0 / (2.0 * sc.grid.step), 1.0 / (2.0 * crossing))
     return _touching(
         point, label,
-        (
-            lambda proto, S: sgn * S[:, -1, 0] + (proto.horizon - t_hat),
-            lambda g: 1.0,
-            lambda g: np.array([sgn]),
-        ),
+        (lambda proto, S: sgn * S[:, -1, 0] + (proto.horizon - t_hat), _constant(1.0), _constant([sgn])),
         GaugePack.anchored(point, delta0, label=f"{label}-pack"),
-        (lambda proto, S: -sgn * S[:, -1, 0], lambda g: 0.0, lambda g: np.array([-sgn])),
+        (lambda proto, S: -sgn * S[:, -1, 0], _constant(0.0), _constant([-sgn])),
     )
 
 
@@ -285,8 +280,8 @@ def _runmax_interior_point(sc: Scenario, values, label: str) -> TouchingPoint:
     if not (m > abs(x) and (rest.size == 0 or m > float(rest.max()))):
         raise ValueError(f"{label}: sample {j_star} is not the strict max")
     c = m**3 / (2.0 * (m**4 - x**4))
-    w = -c * grad_upsilon(2.0, point)
-    y0 = eval_upsilon(2.0, point)
+    (y0,), grad = upsilon_rows(2.0, point.samples[None], True)
+    w = -c * grad[0]
     sigma_star = j_star * sc.grid.step
     pack_sub = GaugePack(
         h=lambda s, y: c * (y - y0),
@@ -297,17 +292,9 @@ def _runmax_interior_point(sc: Scenario, values, label: str) -> TouchingPoint:
     )
     return _touching(
         point, label,
-        (
-            lambda proto, S: m + row_dots(S[:, -1] - point.endpoint, w),
-            lambda g: 0.0,
-            lambda g: w.copy(),
-        ),
+        (lambda proto, S: m + row_dots(S[:, -1] - point.endpoint, w), _constant(0.0), _constant(w)),
         pack_sub,
-        (
-            lambda proto, S: -sgn_m * S[:, proto.node_at(sigma_star), 0],
-            lambda g: 0.0,
-            lambda g: np.zeros(1),
-        ),
+        (lambda proto, S: -sgn_m * S[:, proto.node_at(sigma_star), 0], _constant(0.0), _constant([0.0])),
     )
 
 
@@ -323,17 +310,14 @@ def classical_candidate(sc: Scenario) -> tuple:
     if sc.name == "eikonal":
         T = sc.grid.T
 
-        def slope(g: Path) -> bool:
-            return abs(float(g.endpoint[0])) > (T - g.horizon)
+        def slope(proto: Path, S: np.ndarray) -> np.ndarray:
+            """A mask of the rows in the slope region |end| > T - s."""
+            return np.abs(S[:, -1, 0]) > (T - proto.horizon)
 
         w = TestFunctionPhi(
             rows=lambda proto, S: _eikonal_rows(proto, S, sc.grid),
-            dt=lambda g: 1.0 if slope(g) else 0.0,
-            dx=lambda g: (
-                np.array([np.sign(float(g.endpoint[0]))])
-                if slope(g)
-                else np.array([0.0])
-            ),
+            dt=lambda proto, S: np.where(slope(proto, S), 1.0, 0.0),
+            dx=lambda proto, S: np.where(slope(proto, S), np.sign(S[:, -1, 0]), 0.0)[:, None],
             label="eikonal-value",
         )
         points = [
@@ -346,18 +330,15 @@ def classical_candidate(sc: Scenario) -> tuple:
         ]
         return w, [p for p in points if p.horizon <= T + GRID_TOL]
 
-    def strict_end(g: Path) -> bool:
-        others = np.abs(g.samples[:-1, 0])
-        return others.size == 0 or abs(float(g.endpoint[0])) > float(others.max())
+    def strict_end(proto: Path, S: np.ndarray) -> np.ndarray:
+        """A mask of the rows whose endpoint is the strict max; a one-node
+        path has no other sample, so its endpoint is."""
+        return np.abs(S[:, -1, 0]) > np.abs(S[:, :-1, 0]).max(axis=1, initial=-np.inf)
 
     w = TestFunctionPhi(
         rows=lambda proto, S: sup_norms(S),
-        dt=lambda g: 0.0,
-        dx=lambda g: (
-            np.array([np.sign(float(g.endpoint[0]))])
-            if strict_end(g)
-            else np.array([0.0])
-        ),
+        dt=_constant(0.0),
+        dx=lambda proto, S: np.where(strict_end(proto, S), np.sign(S[:, -1, 0]), 0.0)[:, None],
         label="runmax-value",
     )
     points = [

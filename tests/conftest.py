@@ -1,16 +1,20 @@
 """Shared helpers for the test suite: spaces, seeded random paths, block
-drifts, level stepping, a time ramp of test functionals, and the gauges and
-gauge packs as one-path scalar formulas."""
+drifts, level stepping, a time ramp of test functionals, the gauges and
+gauge packs as one-path scalar formulas, and the one-path forms that the
+package states on rows only (row formulas at one path, grid Dupire
+derivatives, the pseudometric, a path's sample at a time and the
+semigroup on a vector), kept here as oracles."""
 
 import math
 from dataclasses import replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from phjb import Path, SpectralSpace, sup_norm
 from phjb.dynamics import step_rows
-from phjb.gauge import eval_upsilon, grad_upsilon, pair_difference
-from phjb.paths import formula_rows, group_rows
+from phjb.gauge import eval_upsilon, pair_difference, upsilon_rows
+from phjb.paths import GRID_TOL, carried, extend_flat, formula_rows, sup_norms
 
 
 def make_space(eigenvalues) -> SpectralSpace:
@@ -37,7 +41,7 @@ def time_ramp(phi, k: float, t_final: float):
     return replace(
         phi,
         rows=lambda proto, S: base_v(proto, S) + k * (t_final - proto.horizon),
-        dt=lambda g: float(base_t(g)) - k,
+        dt=lambda proto, S: base_t(proto, S) - k,
         label=(phi.label + "+ramp") if phi.label else "ramp",
     )
 
@@ -94,6 +98,12 @@ def eval_S(g) -> float:
     """S(gamma) = (||gamma||_0^2 - |gamma(t)|^2)^2 / ||gamma||_0^2, which is
     Upsilon^0."""
     return eval_upsilon(0.0, g)
+
+
+def grad_upsilon(M: float, g) -> np.ndarray:
+    """Vertical gradient of Upsilon^M, grad S + 2 M gamma(t): the one-row
+    case of `upsilon_rows` with its gradients."""
+    return upsilon_rows(M, g.samples[None], True)[1][0]
 
 
 def grad_S(g) -> np.ndarray:
@@ -178,12 +188,6 @@ def scalar_metric_d_infty(g, h) -> float:
     return abs(g.horizon - h.horizon) + gap
 
 
-def grouped(f, paths):
-    """The row formula f at every path, one node-count group at a time, as
-    the premise scan computes it (`group_rows`)."""
-    return group_rows(lambda rows, S: formula_rows(f, paths[rows[0]], S), paths)
-
-
 def one_path_pack_value(pack, g):
     """GaugePack.value as it was computed one path at a time, with
     eval_upsilon of the path and of each anchor's pair_difference; the
@@ -200,3 +204,103 @@ def one_path_pack_value(pack, g):
         diff = pair_difference(anchor, g)
         out += delta * (eval_upsilon(2.0, diff) + (s - anchor.horizon) ** 2)
     return out
+
+
+def one_path_pack_dt(pack, g) -> float:
+    """GaugePack.dt as it was computed one path at a time: h_t at the
+    path's gauge plus 2 delta (s - t) for each anchor, which may not
+    outlive the path."""
+    s = g.horizon
+    out = float(np.broadcast_to(pack.h_t(s, np.array([eval_upsilon(2.0, g)])), (1,))[0])
+    for anchor, delta in pack.anchors:
+        if anchor.horizon > s + 1e-12:
+            raise ValueError(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
+        out += 2.0 * delta * (s - anchor.horizon)
+    return out
+
+
+def one_path_pack_dx(pack, g) -> np.ndarray:
+    """GaugePack.dx as it was computed one path at a time, with
+    grad_upsilon of the path and of each anchor's pair_difference."""
+    s = g.horizon
+    y = eval_upsilon(2.0, g)
+    hy = float(np.broadcast_to(pack.h_y(s, np.array([y])), (1,))[0])
+    if not hy >= 0.0:
+        raise ValueError(f"pack outer slope h_y={hy} is not >= 0 at (s={s}, y={y})")
+    out = hy * grad_upsilon(2.0, g)
+    for anchor, delta in pack.anchors:
+        if anchor.horizon > s + 1e-12:
+            raise ValueError(f"anchor horizon {anchor.horizon} beyond evaluated path {s}")
+        out = out + delta * grad_upsilon(2.0, pair_difference(anchor, g))
+    return out
+
+
+# one-path forms of the package's row formulas and paths ------------------
+
+
+def row_value(f, g) -> float:
+    """The row formula f at the one path g: its one-row block g.samples[None]
+    (what `TestFunctionPhi.value(g)` and `phi(g)` were)."""
+    return float(formula_rows(f, g, g.samples[None])[0])
+
+
+def row_vector(f, g) -> np.ndarray:
+    """The vector row formula f, a vertical gradient, at the one path g."""
+    return formula_rows(f, g, g.samples[None], True)[0]
+
+
+def value_at(g, t: float) -> np.ndarray:
+    """The sample of g at the on-grid time t <= its horizon."""
+    return g.samples[g.node_at(t)]
+
+
+def semigroup_apply(space, t: float, x) -> np.ndarray:
+    """e^{tA} x, coordinatewise x_k e^{lambda_k t}. Requires t >= 0."""
+    return space.check_vector(x) * space.semigroup_factors(t)
+
+
+def metric_d_infty(g, h) -> float:
+    """d_infty(gamma_t, eta_s) = |t - s| + sup-norm gap of semigroup extensions.
+
+    The earlier path is carried along the semigroup to the later horizon;
+    beyond that the gap only contracts, so the value does not depend on any
+    global terminal time. Both paths must share a space and a step.
+    """
+    g._check_same_space_and_step(h)
+    late, early = (g, h) if g.n_nodes >= h.n_nodes else (h, g)
+    gap = float(sup_norms((late.samples - carried(early, late.n_nodes))[None])[0])
+    return abs(g.horizon - h.horizon) + gap
+
+
+class DupireDerivatives(NamedTuple):
+    dt: Optional[float]
+    dx: np.ndarray
+
+
+def dupire_derivatives(f, g, *, t_final=None, h=None) -> DupireDerivatives:
+    """Grid Dupire derivatives of a one-path functional f at gamma_t.
+
+    dt is the forward difference along the flat extension by one grid step;
+    when t_final is given and the step would cross it, dt is None (signaled)
+    and dx is still returned. dx uses central differences on vertical bumps
+    with step h, default 1e-5 * max(1, |gamma(t)|).
+    """
+    if t_final is not None and g.horizon + g.step > t_final + GRID_TOL:
+        dt = None
+    else:
+        dt = (f(extend_flat(g, g.horizon + g.step)) - f(g)) / g.step
+
+    end = g.endpoint
+    if h is None:
+        h = 1e-5 * max(1.0, float(np.linalg.norm(end)))
+    dx = np.empty(g.space.dim)
+    base = g.samples.copy()
+    for k in range(g.space.dim):
+        up = base.copy()
+        up[-1, k] += h
+        dn = base.copy()
+        dn[-1, k] -= h
+        fu = f(Path(g.space, g.step, up))
+        fd = f(Path(g.space, g.step, dn))
+        dx[k] = (fu - fd) / (2.0 * h)
+    return DupireDerivatives(dt, dx)

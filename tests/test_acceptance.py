@@ -224,8 +224,8 @@ def test_criterion_07_ito_rates():
         TestFunctionPhi.quadratic_endpoint(),
         TestFunctionPhi(
             rows=lambda proto, S: np.sin(row_dots(S[:, -1], w)),
-            dt=lambda g: 0.0,
-            dx=lambda g: np.cos(w @ g.endpoint) * w,
+            dt=lambda proto, S: np.zeros(len(S)),
+            dx=lambda proto, S: np.cos(row_dots(S[:, -1], w))[:, None] * w,
             label="sin",
         ),
     ]
@@ -236,7 +236,7 @@ def test_criterion_07_ito_rates():
             h = 1.0 / n
             g = Path.constant(space, h, np.array([0.3, -0.2]), horizon=0.0)
             u = ControlSignal.constant(0.5, 0.0, 1.0, h)
-            errs.append(abs(ito_residual(c, phi, g, u).residual))
+            errs.append(abs(ito_residual(c, [phi], g, u)[0].residual))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         ok = ok and min(rates) >= 0.9
 
@@ -249,8 +249,8 @@ def test_criterion_07_ito_rates():
         lipschitz_L=1.0,
     )
     g = Path.constant(flat, 0.125, np.array([0.2]), horizon=0.0)
-    r = ito_residual(cf, TestFunctionPhi.linear_endpoint(np.ones(1)), g,
-                     ControlSignal.constant(1.0, 0.0, 1.0, 0.125))
+    (r,) = ito_residual(cf, [TestFunctionPhi.linear_endpoint(np.ones(1))], g,
+                        ControlSignal.constant(1.0, 0.0, 1.0, 0.125))
     ok = ok and abs(r.residual) <= 1e-12
     _verdict(7, "ito-rates", ok, time.perf_counter() - t0, 10.0)
 

@@ -32,7 +32,6 @@ from phjb.paths import (
     carried,
     carry_walks,
     extend_semigroup,
-    metric_d_infty,
     sup_norm,
 )
 from phjb.scenarios import eikonal, feedback, runmax
@@ -42,10 +41,13 @@ from conftest import (
     control_column,
     level_children,
     make_space,
+    metric_d_infty,
     out_of_block_order,
     random_path,
     row_map,
+    semigroup_apply,
     spoil_drift,
+    value_at,
 )
 
 
@@ -501,8 +503,8 @@ def per_sample_estimates(c, space, grid, n_samples, seed):
             X = solve_from(g, u)
             consts["bounded"] = max(consts["bounded"], sup_norm(X) / (1.0 + ng))
             for s in [t + grid.step, min(grid.T, t + 2 * grid.step)]:
-                free = space.semigroup_apply(s - t, g.endpoint)
-                gap = float(np.linalg.norm(X.value_at(s) - free))
+                free = semigroup_apply(space, s - t, g.endpoint)
+                gap = float(np.linalg.norm(value_at(X, s) - free))
                 consts["near_initial"] = max(consts["near_initial"], gap / ((1.0 + ng) * (s - t)))
             eta = random_prefix(rng, space, grid)
             eta = eta.prefix(t) if eta.n_nodes >= g.n_nodes else extend_semigroup(eta, t)

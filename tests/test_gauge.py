@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dupire_derivatives,
     eval_S,
     flat_space,
     grad_S,
+    grad_upsilon,
     make_space,
+    metric_d_infty,
     random_path,
     scalar_grad_S,
     scalar_grad_upsilon,
@@ -19,12 +22,9 @@ from conftest import (
 )
 from phjb import (
     Path,
-    dupire_derivatives,
     eval_upsilon,
     extend_flat,
     extend_semigroup,
-    grad_upsilon,
-    metric_d_infty,
     pair_difference,
     sup_norm,
 )

@@ -1,11 +1,12 @@
 """Functional chain rule, gauge dissipation margins, classical residuals."""
 
 from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
-from phjb import checks
+from phjb import checks, dynamics
 from phjb.checks import (
     GaugeMarginResult,
     classical_check,
@@ -13,13 +14,24 @@ from phjb.checks import (
     perturbed,
     upsilon_margin,
 )
+from phjb.config import load_config
 from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
-from phjb.gauge import eval_upsilon, grad_upsilon
+from phjb.gauge import eval_upsilon
 from phjb.paths import Path, TimeGrid, extend_semigroup, row_dots
 from phjb.scenarios import classical_candidate, eikonal, feedback, runmax
 from phjb.testfn import TestFunctionPhi
 
-from conftest import control_column, make_space, out_of_block_order, spoil_drift
+from conftest import (
+    control_column,
+    grad_upsilon,
+    make_space,
+    out_of_block_order,
+    row_value,
+    row_vector,
+    spoil_drift,
+)
+
+CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
 
 def _coeffs(dim, drift, name="ito"):
@@ -47,7 +59,7 @@ def test_quadratic_flat_space_residual_is_machine_zero():
     phi = TestFunctionPhi.quadratic_endpoint()
     g = Path.constant(space, 1.0 / 32, np.array([0.3]), horizon=0.0)
     u = ControlSignal.constant(1.0, 0.0, 1.0, 1.0 / 32)
-    res = ito_residual(c, phi, g, u)
+    (res,) = ito_residual(c, [phi], g, u)
     # endpoint is affine in t, so phi(X) is quadratic: trapezoid is exact
     assert abs(res.residual) <= 1e-12
 
@@ -58,7 +70,7 @@ def test_linear_flat_space_residual_is_machine_zero():
     phi = TestFunctionPhi.linear_endpoint(np.array([1.0, 2.0]))
     g = Path.constant(space, 0.125, np.array([0.1, -0.2]), horizon=0.0)
     u = ControlSignal.constant(-1.0, 0.0, 1.0, 0.125)
-    res = ito_residual(c, phi, g, u)
+    (res,) = ito_residual(c, [phi], g, u)
     assert abs(res.residual) <= 1e-12
 
 
@@ -71,7 +83,7 @@ def test_linear_phi_with_generator_converges_at_second_order():
         h = 1.0 / n
         g = Path.constant(space, h, np.array([0.4, 0.1]), horizon=0.0)
         u = ControlSignal.constant(1.0, 0.0, 1.0, h)
-        errs.append(abs(ito_residual(c, phi, g, u).residual))
+        errs.append(abs(ito_residual(c, [phi], g, u)[0].residual))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(rates) >= 1.8, (errs, rates)
 
@@ -81,14 +93,14 @@ def test_refuses_discontinuous_adjoint_gradient():
     c = _coeffs(1, lambda S, U: control_column(U))
     phi = TestFunctionPhi(
         rows=lambda proto, S: S[:, -1, 0],
-        dt=lambda g: 0.0,
-        dx=lambda g: np.ones(1),
+        dt=lambda proto, S: np.zeros(len(S)),
+        dx=lambda proto, S: np.ones((len(S), 1)),
         a_star_dx_continuous=False,
     )
     g = Path.constant(space, 0.25, np.array([0.0]), horizon=0.0)
     u = ControlSignal.constant(1.0, 0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="continuous"):
-        ito_residual(c, phi, g, u)
+        ito_residual(c, [phi], g, u)
 
 
 def test_ito_refuses_a_drift_of_the_wrong_shape_at_the_horizon():
@@ -102,7 +114,26 @@ def test_ito_refuses_a_drift_of_the_wrong_shape_at_the_horizon():
         1, lambda S, U: -S[:, -1] if S[0, -1, 0] != end else np.zeros((len(S), 2))
     )
     with pytest.raises(ValueError, match="drift returned shape"):
-        ito_residual(c, TestFunctionPhi.linear_endpoint(np.ones(1)), g, u)
+        ito_residual(c, [TestFunctionPhi.linear_endpoint(np.ones(1))], g, u)
+
+
+@pytest.mark.parametrize("name", ["eikonal", "runmax", "feedback"])
+def test_an_ito_cell_solves_each_grid_once(name, monkeypatch):
+    """`ito_record` solves one trajectory on the grid and one on the grid at
+    half its step, and reads both functionals along each: two `solve_rows`
+    calls per cell, not one per functional and grid."""
+    steps = []  # the step of each solve
+    solve_rows = dynamics.solve_rows
+
+    def counted(c, proto, B, first, signals):
+        steps.append(proto.step)
+        return solve_rows(c, proto, B, first, signals)
+
+    monkeypatch.setattr(dynamics, "solve_rows", counted)
+    cfg = load_config(str(CONFIGS / f"{name}.json"), grid_steps=16, seed=0)
+    rec = checks.ito_record(cfg, None)
+    assert [row["phi"] for row in rec.rows] == ["quad", "linear"]
+    assert steps == [1.0 / 16, 1.0 / 32]
 
 
 # gauge dissipation ------------------------------------------------------
@@ -114,10 +145,10 @@ def _reference_ito_integral(c, phi, traj, first, u) -> float:
     h, total = traj.step, 0.0
 
     def integrand(prefix, ctrl):
-        dx = np.asarray(phi.dx(prefix), dtype=float)
+        dx = row_vector(phi.dx, prefix)
         adj = float(traj.space.adjoint_apply(dx) @ prefix.endpoint)
         drive = float(dx @ c.drift(prefix.samples[None], np.array([ctrl]))[0])
-        return float(phi.dt(prefix)) + adj + drive
+        return row_value(phi.dt, prefix) + adj + drive
 
     for k, ctrl in enumerate(u.values):
         t = (first - 1 + k) * h
@@ -135,9 +166,9 @@ def test_ito_differentiates_each_node_once_and_drives_it_once_per_control(monkey
     quad = TestFunctionPhi.quadratic_endpoint()
     calls = {"dx": 0, "drift": 0}
 
-    def dx(g):
+    def dx(proto, S):
         calls["dx"] += 1
-        return quad.dx(g)
+        return quad.dx(proto, S)
 
     drift_rows_of_checks = checks._drift_rows
 
@@ -149,7 +180,7 @@ def test_ito_differentiates_each_node_once_and_drives_it_once_per_control(monkey
     phi = replace(quad, dx=dx)
     g = Path(space, 0.125, [[0.3, -0.1], [0.2, 0.0], [0.25, 0.1]])
     u = ControlSignal(g.horizon, g.step, [(-1.0) ** k if switching else 1.0 for k in range(6)])
-    res = ito_residual(c, phi, g, u)
+    (res,) = ito_residual(c, [phi], g, u)
     n = res.n_steps
     assert n == 6
     assert calls == {"dx": n + 1, "drift": 2 * n if switching else n + 1}
@@ -409,11 +440,11 @@ def transport_instance(space, weights, T: float) -> tuple:
     def rows(proto: Path, S: np.ndarray) -> np.ndarray:
         return row_dots(S[:, -1], c_vec * np.exp((T - proto.horizon) * lam))
 
-    def dt(g: Path) -> float:
-        return float((-lam * c_vec * np.exp((T - g.horizon) * lam)) @ g.endpoint)
+    def dt(proto: Path, S: np.ndarray) -> np.ndarray:
+        return row_dots(S[:, -1], -lam * c_vec * np.exp((T - proto.horizon) * lam))
 
-    def dx(g: Path) -> np.ndarray:
-        return c_vec * np.exp((T - g.horizon) * lam)
+    def dx(proto: Path, S: np.ndarray) -> np.ndarray:
+        return np.tile(c_vec * np.exp((T - proto.horizon) * lam), (len(S), 1))
 
     w = TestFunctionPhi(rows=rows, dt=dt, dx=dx, label="transport")
     return coeffs, w

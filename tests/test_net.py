@@ -11,12 +11,12 @@ import pytest
 from phjb.checks import build_net, viscosity_check
 from phjb.config import load_config
 from phjb.dynamics import step_rows
-from phjb.paths import GRID_TOL, Net, Path, extend_semigroup, node_count_groups
+from phjb.paths import GRID_TOL, Net, Path, extend_semigroup, formula_paths, node_count_groups
 from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable
 from phjb.variational import pair_gauges
 
-from conftest import grouped, time_ramp
+from conftest import time_ramp
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -152,7 +152,7 @@ def test_every_reader_gives_on_a_net_what_it_gives_on_a_list():
             runs.append((values.tobytes(), dict(table.memo), table.hits))
         assert runs[0] == runs[1] == runs[2]
         for pack in (tp.pack_sub, tp.pack_super):
-            assert grouped(pack.rows, net).tobytes() == grouped(pack.rows, paths).tobytes()
+            assert formula_paths(pack.rows, net).tobytes() == formula_paths(pack.rows, paths).tobytes()
         for anchor in (tp.point, net[-1]):
             later = [g for g in net if g.n_nodes >= anchor.n_nodes]
             arg = net if len(later) == len(net) else later

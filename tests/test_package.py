@@ -1,10 +1,12 @@
-"""Package surface: every exported name resolves, and one rule refuses a
-block."""
+"""Package surface: every exported name resolves, one rule refuses a
+block, and every definition has a caller in the package."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -66,3 +68,45 @@ def test_the_command_line_holds_no_check_logic():
             builders.append(where)
         todo += [(child, where) for child in ast.iter_child_nodes(node)]
     assert builders == [("execute", "BudgetExceeded")]
+
+
+def _traced_names() -> set:
+    """The function, class and method names that perfbench/spans.py traces,
+    its TARGETS loaded by path as test_bench_tracer.py loads them."""
+    path = FsPath(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {attr.split(".")[-1] for _, _, attr in spans.TARGETS}
+
+
+def test_every_src_function_has_a_src_caller():
+    """Every function, class and method that `phjb` defines (dunders
+    aside) is named somewhere in the package outside its own definition,
+    unless the benchmark's tracer wraps it or it is the `phjb` command's
+    entry point, `cli.main`; one-path forms that only tests call live in
+    tests/conftest.py. Names are matched by spelling: a load of a name or
+    an attribute counts, an import or an `__all__` entry does not."""
+    defined = []  # (module, definition node)
+    refs = []  # (name, the definition nodes it sits in)
+    for name in MODULES:
+        todo = [(ast.parse(inspect.getsource(importlib.import_module(name))), ())]
+        while todo:
+            node, inside = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((name, node))
+                inside += (node,)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((node.id, inside))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs.append((node.attr, inside))
+            todo += [(child, inside) for child in ast.iter_child_nodes(node)]
+    exempt = _traced_names() | {"main"}
+    uncalled = sorted(
+        f"{module}.{node.name}"
+        for module, node in defined
+        if node.name not in exempt
+        and not any(ref == node.name and node not in inside for ref, inside in refs)
+    )
+    assert uncalled == []

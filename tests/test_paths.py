@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import flat_space, make_space, random_path
+from conftest import (
+    dupire_derivatives,
+    flat_space,
+    make_space,
+    metric_d_infty,
+    random_path,
+    value_at,
+)
 from phjb import (
     Path,
     TimeGrid,
-    dupire_derivatives,
     extend_flat,
     extend_semigroup,
-    metric_d_infty,
     sup_norm,
     vertical_bump,
 )
@@ -73,12 +78,12 @@ def test_samples_read_only():
 def test_prefix_and_value_at():
     sp = flat_space(1)
     p = Path(sp, 0.5, [[1.0], [2.0], [3.0]])
-    assert p.value_at(0.5)[0] == 2.0
+    assert value_at(p, 0.5)[0] == 2.0
     q = p.prefix(0.5)
     assert q.horizon == 0.5
     assert q.endpoint[0] == 2.0
     with pytest.raises(ValueError):
-        p.value_at(0.3)
+        value_at(p, 0.3)
 
 
 def test_prefix_is_a_read_only_view_that_still_checks_its_time():

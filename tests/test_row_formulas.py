@@ -11,13 +11,13 @@ import pytest
 
 from phjb.checks import build_net, gauge_cases, viscosity_check
 from phjb.config import load_config
-from phjb.gauge import eval_upsilon, grad_upsilon
-from phjb.paths import Path, node_count_groups, sup_norm
+from phjb.gauge import eval_upsilon
+from phjb.paths import Path, formula_paths, node_count_groups, sup_norm
 from phjb.scenarios import classical_candidate, feedback, touching_points
 from phjb.testfn import GaugePack, TestFunctionPhi
 from phjb.value import ValueTable
 
-from conftest import grouped, make_space, one_path_pack_value
+from conftest import grad_upsilon, make_space, one_path_pack_value, row_value, value_at
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -58,17 +58,16 @@ def _one_path_phis(sc, tp) -> tuple:
     w = -(m**3 / (2.0 * (m**4 - x**4))) * grad_upsilon(2.0, point)
     return (
         lambda g: m + float(w @ (g.endpoint - point.endpoint)),
-        lambda g: -sgn_m * float(g.value_at(sc.grid.step)[0]),
+        lambda g: -sgn_m * float(value_at(g, sc.grid.step)[0]),
     )
 
 
 def _assert_rows_are_the_one_path_form(phi, net, one_path):
-    """phi's row formula over the net's groups, phi.value path by path and
-    the one-path formula give the same floats, compared as bytes."""
-    block = grouped(phi.rows, net)
-    assert block.tobytes() == np.array([phi.value(g) for g in net]).tobytes()
+    """phi's row formula over the net's groups, on each path's one-row
+    block and the one-path formula give the same floats, compared as bytes."""
+    block = formula_paths(phi.rows, net)
+    assert block.tobytes() == np.array([row_value(phi.rows, g) for g in net]).tobytes()
     assert block.tobytes() == np.array([one_path(g) for g in net]).tobytes()
-    assert [phi(g) for g in net] == block.tolist()
 
 
 @pytest.mark.parametrize("config", ["eikonal", "runmax"])
@@ -83,7 +82,7 @@ def test_every_certificate_block_is_its_one_path_form(config, grid):
                 _assert_rows_are_the_one_path_form(phi, net, one_path)
             for pack in (tp.pack_sub, tp.pack_super):
                 want = np.array([one_path_pack_value(pack, g) for g in net])
-                assert grouped(pack.rows, net).tobytes() == want.tobytes()
+                assert formula_paths(pack.rows, net).tobytes() == want.tobytes()
                 assert np.array([pack.value(g) for g in net]).tobytes() == want.tobytes()
             n_points += 1
     assert n_points >= (24 if config == "runmax" or grid == 4 else 0)
@@ -117,7 +116,7 @@ def test_the_eikonal_candidate_refuses_a_path_beyond_t_as_before():
     w, _ = classical_candidate(sc)
     late = Path.constant(sc.space, sc.grid.step, np.array([0.3]), horizon=1.25)
     with pytest.raises(ValueError, match="prefix outlives the horizon"):
-        w.value(late)
+        row_value(w.rows, late)
 
 
 @pytest.mark.parametrize("config", ["eikonal", "runmax", "feedback"])
@@ -170,11 +169,15 @@ def test_a_block_slope_refuses_at_its_first_bad_row():
 def test_a_row_formula_must_give_one_float_per_row():
     space = make_space([0.0])
     g = Path(space, 0.25, [[0.1], [0.2]])
-    scalar = TestFunctionPhi(rows=lambda proto, S: 1.0, dt=lambda g: 0.0, dx=lambda g: np.zeros(1))
+    scalar = TestFunctionPhi(
+        rows=lambda proto, S: 1.0,
+        dt=lambda proto, S: np.zeros(len(S)),
+        dx=lambda proto, S: np.zeros((len(S), 1)),
+    )
     with pytest.raises(ValueError, match="row formula gave shape"):
-        scalar.value(g)
+        row_value(scalar.rows, g)
     with pytest.raises(ValueError, match="row formula gave shape"):
-        grouped(scalar.rows, [g, g])
+        formula_paths(scalar.rows, [g, g])
 
 
 def _interior_mid():
@@ -192,7 +195,7 @@ def test_the_premise_scan_refuses_a_row_formula_that_gives_one_row(side):
     sc, tp, net, values = _interior_mid()
     phi, pack = (tp.phi_sub, tp.pack_sub) if side == "sub" else (tp.phi_super, tp.pack_super)
     first = replace(phi, rows=lambda proto, S: phi.rows(proto, S[:1]))
-    assert first.value(tp.point) == phi.value(tp.point)
+    assert row_value(first.rows, tp.point) == row_value(phi.rows, tp.point)
     with pytest.raises(ValueError, match=re.escape("row formula gave shape (1,) for 39 rows")):
         viscosity_check(values, sc.coefficients, tp.point, first, pack, side, net=net)
 
@@ -207,21 +210,20 @@ def test_a_pack_outer_gives_one_float_per_row_or_one_for_all():
     with pytest.raises(ValueError, match=re.escape("pack outer gave shape (1,) for 39 rows")) as info:
         viscosity_check(values, sc.coefficients, tp.point, tp.phi_sub, first, "sub", net=net)
     assert info.type is ValueError  # the block's own error, not a refusal of a row
-    shared = grouped(replace(pack, h=lambda s, y: 0.5).rows, net)
-    per_row = grouped(replace(pack, h=lambda s, y: np.full(y.shape, 0.5)).rows, net)
+    shared = formula_paths(replace(pack, h=lambda s, y: 0.5).rows, net)
+    per_row = formula_paths(replace(pack, h=lambda s, y: np.full(y.shape, 0.5)).rows, net)
     assert shared.tobytes() == per_row.tobytes()
 
 
 def test_the_premise_scan_prices_each_group_once(monkeypatch):
     """On runmax@8 nets, per side: one row formula call per node-count
-    group and no phi.value on a path outside derivative validation; one
-    h_y call per group, and one more for the operator's gradient at the
-    point. The value pass gates each group's roots once."""
+    group outside derivative validation; one h_y call per group, and one
+    more for the operator's gradient at the point. The value pass gates
+    each group's roots once."""
     sc = _scenario("runmax", 8, 0)
     table = ValueTable(sc.coefficients, sc.grid)
     validating = []
-    scanned = []  # paths phi.value met outside derivative validation
-    validate_on, value = TestFunctionPhi.validate_on, TestFunctionPhi.value
+    validate_on = TestFunctionPhi.validate_on
 
     def counted_validate_on(self, *args, **kwargs):
         validating.append(True)
@@ -230,13 +232,7 @@ def test_the_premise_scan_prices_each_group_once(monkeypatch):
         finally:
             validating.pop()
 
-    def counted_value(self, g):
-        if not validating:
-            scanned.append(g)
-        return value(self, g)
-
     monkeypatch.setattr(TestFunctionPhi, "validate_on", counted_validate_on)
-    monkeypatch.setattr(TestFunctionPhi, "value", counted_value)
     gates = []
     check_root = table._check_root
     monkeypatch.setattr(table, "_check_root", lambda g: gates.append(g) or check_root(g))
@@ -270,8 +266,36 @@ def test_the_premise_scan_prices_each_group_once(monkeypatch):
             assert r.passed
             assert len(rows_calls) == len(blocks)
             assert all(S is B for S, B in zip(rows_calls, blocks))
-            assert scanned == []
             assert sorted(slope_rows) == sorted([len(S) for S in blocks] + [1])
+
+
+def test_derivative_validation_prices_one_block_per_node_count():
+    """On runmax@8 nets, per side, viscosity_check's derivative validation
+    calls phi.rows once on its probes (the point and its two vertical bumps)
+    with their +-h bumps, 9 rows of the point's node count, and once on
+    their flat extensions by one step, 3 rows, after the scan's one call
+    per node-count group: not once per probe and bump."""
+    sc = _scenario("runmax", 8, 0)
+    table = ValueTable(sc.coefficients, sc.grid)
+    for tp in touching_points(sc):
+        net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
+        values, n = table.values(net), tp.point.n_nodes
+        for side, phi, pack in (
+            ("sub", tp.phi_sub, tp.pack_sub),
+            ("super", tp.phi_super, tp.pack_super),
+        ):
+            shapes = []
+
+            def rows(proto, S, base=phi.rows):
+                assert proto.n_nodes == S.shape[1]
+                shapes.append(S.shape)
+                return base(proto, S)
+
+            r = viscosity_check(values, sc.coefficients, tp.point, replace(phi, rows=rows), pack, side, net=net)
+            assert r.passed
+            groups = node_count_groups(net)
+            assert shapes[: len(groups)] == [S.shape for _, S in groups.values()]
+            assert shapes[len(groups) :] == [(9, n, 1), (3, n + 1, 1)]
 
 
 def test_the_gauge_cases_are_drawn_with_named_defaults():

@@ -1,13 +1,14 @@
 """Scenario builders, closed forms, test functions, and gauge packs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from phjb.checks import build_net, perturbed
 from phjb.gauge import eval_upsilon
-from phjb.paths import Path, sup_norm
+from phjb.paths import Path, formula_paths, formula_rows, row_dots, sup_norm, sup_norms
 from phjb.scenarios import (
     _norms,
     SCENARIOS,
@@ -19,9 +20,20 @@ from phjb.scenarios import (
     runmax_value,
     touching_points,
 )
-from phjb.testfn import GaugePack, TestFunctionPhi, differentiability_probe
+from phjb.testfn import GaugePack, TestFunctionPhi, _differences, differentiability_probe
 
-from conftest import grouped, make_space, one_path_pack_value, time_ramp
+from conftest import (
+    dupire_derivatives,
+    grad_upsilon,
+    make_space,
+    one_path_pack_dt,
+    one_path_pack_dx,
+    one_path_pack_value,
+    random_path,
+    row_value,
+    row_vector,
+    time_ramp,
+)
 
 
 # registry and builders --------------------------------------------------
@@ -190,7 +202,7 @@ def test_linear_endpoint_derivatives_validate():
     space = make_space([-1.0, 0.0])
     phi = TestFunctionPhi.linear_endpoint(np.array([2.0, -1.0]), c=0.3)
     g = Path(space, 0.25, np.array([[0.1, 0.2], [0.4, -0.3]]))
-    assert phi(g) == pytest.approx(0.3 + 2.0 * 0.4 - 1.0 * (-0.3))
+    assert row_value(phi.rows, g) == pytest.approx(0.3 + 2.0 * 0.4 - 1.0 * (-0.3))
     phi.validate_on([g], t_final=1.0)
 
 
@@ -198,8 +210,8 @@ def test_validate_on_catches_wrong_gradient():
     space = make_space([0.0])
     phi = TestFunctionPhi(
         rows=lambda proto, S: S[:, -1, 0] ** 2,
-        dt=lambda g: 0.0,
-        dx=lambda g: np.array([1.0]),  # should be 2*end
+        dt=lambda proto, S: np.zeros(len(S)),
+        dx=lambda proto, S: np.ones((len(S), 1)),  # should be 2*end
         label="broken",
     )
     g = Path.constant(space, 0.25, np.array([0.7]), horizon=0.25)
@@ -215,7 +227,9 @@ def test_validate_on_refuses_a_nan_derivative(dt, dx):
 
     def endpoint(dt, dx):
         return TestFunctionPhi(
-            rows=lambda proto, S: S[:, -1, 0], dt=lambda g: dt, dx=lambda g: np.array(dx)
+            rows=lambda proto, S: S[:, -1, 0],
+            dt=lambda proto, S: np.full(len(S), dt),
+            dx=lambda proto, S: np.tile(dx, (len(S), 1)),
         )
 
     endpoint(0.0, [1.0]).validate_on([g], t_final=1.0)  # the true derivatives
@@ -223,25 +237,71 @@ def test_validate_on_refuses_a_nan_derivative(dt, dx):
         endpoint(dt, dx).validate_on([g], t_final=1.0)
 
 
+def test_validation_and_the_probe_refuse_paths_on_two_steps():
+    """The finite differences of paths on one node count are one block, so
+    the paths must share one step; the extension step is read off them."""
+    space = make_space([0.0])
+    phi = TestFunctionPhi.quadratic_endpoint()
+    paths = [Path(space, 0.25, [[0.1], [0.4]]), Path(space, 0.5, [[0.1], [0.4]])]
+    phi.validate_on(paths[:1], t_final=1.0)
+    with pytest.raises(ValueError, match="share one step"):
+        phi.validate_on(paths, t_final=1.0)
+    with pytest.raises(ValueError, match="share one step"):
+        differentiability_probe(phi, paths, t_final=1.0)
+
+
 def test_shifted_and_time_ramp():
     space = make_space([0.0])
     phi = TestFunctionPhi.quadratic_endpoint()
     g = Path.constant(space, 0.25, np.array([0.5]), horizon=0.5)
     ramp = time_ramp(phi, 3.0, 1.0)
-    assert ramp(g) == pytest.approx(phi(g) + 3.0 * 0.5)
-    assert ramp.dt(g) == pytest.approx(phi.dt(g) - 3.0)
-    np.testing.assert_allclose(ramp.dx(g), phi.dx(g))
+    assert row_value(ramp.rows, g) == pytest.approx(row_value(phi.rows, g) + 3.0 * 0.5)
+    assert row_value(ramp.dt, g) == pytest.approx(row_value(phi.dt, g) - 3.0)
+    np.testing.assert_allclose(row_vector(ramp.dx, g), row_vector(phi.dx, g))
 
 
 def test_probe_passes_smooth_and_flags_cone():
     space = make_space([0.0])
     g = Path.constant(space, 0.25, np.array([0.4]), horizon=0.5)
     smooth = TestFunctionPhi.quadratic_endpoint()
-    assert differentiability_probe(smooth.value, smooth.dt, smooth.dx, g, t_final=1.0)
-    cone = lambda p: abs(float(p.endpoint[0]) - 0.4)
-    assert not differentiability_probe(
-        cone, lambda p: 0.0, lambda p: np.zeros(1), g, t_final=1.0
+    assert differentiability_probe(smooth, [g], t_final=1.0)[0] == [True]
+    cone = TestFunctionPhi(
+        rows=lambda proto, S: np.abs(S[:, -1, 0] - 0.4),
+        dt=lambda proto, S: np.zeros(len(S)),
+        dx=lambda proto, S: np.zeros((len(S), 1)),
     )
+    assert differentiability_probe(cone, [g], t_final=1.0)[0] == [False]
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0], [-1.0, -0.4, -0.05]])
+def test_the_difference_routine_gives_the_one_path_dupire_quotients(eigenvalues):
+    """The one finite-difference routine, with validate_on's steps, gives
+    the central vertical quotients and the forward flat-extension quotient
+    of the one-path grid Dupire derivatives bit for bit, and prices no
+    extension that crosses t_final."""
+    rng = np.random.default_rng(31)
+    space = make_space(eigenvalues)
+    w = rng.normal(size=space.dim)
+
+    def f(proto, S):  # reads the time, the endpoint and the whole path
+        return np.sin(row_dots(S[:, -1], w)) + proto.horizon * sup_norms(S)
+
+    paths = [random_path(rng, space) for _ in range(40)]
+    E = np.array([g.endpoint for g in paths])
+    h = 1e-5 * np.maximum(1.0, np.sqrt(row_dots(E, E)))
+    assert h.tolist() == [1e-5 * max(1.0, float(np.linalg.norm(g.endpoint))) for g in paths]
+    reach = [int(g.horizon + g.step <= 1.0 + 1e-12) for g in paths]
+    assert 0 < sum(reach) < len(paths)
+    phi = TestFunctionPhi(rows=f, dt=lambda proto, S: np.zeros(len(S)), dx=lambda proto, S: 0.0 * S[:, -1])
+    f0, bumped, flat, _, _ = _differences(phi, paths, h[:, None], reach)
+    for i, g in enumerate(paths):
+        fd = dupire_derivatives(lambda p: row_value(f, p), g, t_final=1.0)
+        assert f0[i] == row_value(f, g)
+        assert ((bumped[i, 0, :, 0] - bumped[i, 0, :, 1]) / (2.0 * h[i])).tobytes() == fd.dx.tobytes()
+        if fd.dt is None:
+            assert not reach[i] and np.isnan(flat[i]).all()
+        else:
+            assert (flat[i, 0] - f0[i]) / g.step == fd.dt and np.isnan(flat[i, 1])
 
 
 # gauge packs ------------------------------------------------------------
@@ -257,11 +317,11 @@ def test_anchored_pack_value_and_derivatives():
     pack = GaugePack.anchored(a, 2.0)
     g = Path(space, 0.25, np.array([[0.3], [0.3], [0.8]]))
     assert pack.value(g) > 0.0
-    assert pack.dt(g) == pytest.approx(2.0 * 2 * (0.5 - 0.25))
-    assert pack.dx(g).shape == (1,)
+    assert row_value(pack.dt, g) == pytest.approx(2.0 * 2 * (0.5 - 0.25))
+    assert row_vector(pack.dx, g).shape == (1,)
     zero = GaugePack.zero()
     assert zero.value(g) == 0.0
-    assert zero.dt(g) == 0.0
+    assert row_value(zero.dt, g) == 0.0
 
 
 def test_pack_rejects_bad_weights_and_negative_hy():
@@ -272,16 +332,27 @@ def test_pack_rejects_bad_weights_and_negative_hy():
     bad = GaugePack(h_y=lambda s, y: -1.0, anchors=((a, 1.0),))
     g = Path.constant(space, 0.25, np.array([0.1]), horizon=0.5)
     with pytest.raises(ValueError):
-        bad.dx(g)
+        row_vector(bad.dx, g)
 
 
 def test_pack_rejects_anchor_outliving_path():
+    """The pack and its derivatives share one anchor check: an anchor that
+    ends after the evaluated path is refused, never paired backwards."""
     space = make_space([0.0])
     a = Path.constant(space, 0.25, np.array([0.3]), horizon=0.75)
     pack = GaugePack.anchored(a, 1.0)
     g = Path.constant(space, 0.25, np.array([0.1]), horizon=0.5)
-    with pytest.raises(ValueError):
-        pack.value(g)
+    late = GaugePack.anchored(Path(space, 0.25, [[0.1], [0.4], [0.8]]), 2.0)
+    short = Path(space, 0.25, [[0.2], [0.5]])
+    cases = [
+        (pack, g, "anchor horizon 0.75 beyond evaluated path 0.5"),
+        (late, short, "anchor horizon 0.5 beyond evaluated path 0.25"),
+    ]
+    for p, path, message in cases:
+        evaluations = (p.value, lambda x: row_value(p.dt, x), lambda x: row_vector(p.dx, x))
+        for evaluate in evaluations:
+            with pytest.raises(ValueError, match=message):
+                evaluate(path)
 
 
 def test_pack_refuses_non_finite_weights_and_slopes():
@@ -292,14 +363,14 @@ def test_pack_refuses_non_finite_weights_and_slopes():
             GaugePack(anchors=((a, delta),))
     nan_slope = GaugePack(h_y=lambda s, y: math.nan, anchors=((a, 1.0),))
     g = Path.constant(space, 0.25, np.array([0.1]), horizon=0.5)
-    for evaluate in (nan_slope.value, nan_slope.dx):
+    for evaluate in (nan_slope.value, lambda g: row_vector(nan_slope.dx, g)):
         with pytest.raises(ValueError, match="h_y=nan"):
             evaluate(g)
 
 
 def _assert_pack_matches_one_path_formula(pack, paths):
     want = np.array([one_path_pack_value(pack, g) for g in paths])
-    assert grouped(pack.rows, paths).tobytes() == want.tobytes()
+    assert formula_paths(pack.rows, paths).tobytes() == want.tobytes()
     assert [pack.value(g) for g in paths] == want.tolist()
 
 
@@ -339,6 +410,163 @@ def test_block_pack_is_bit_exact_on_the_runmax_interior_nets():
             _assert_pack_matches_one_path_formula(tp.pack_sub, net)
 
 
+# derivatives on rows against their one-path forms -------------------------
+
+GRIDS = range(1, 17)
+
+
+def _derivative_rows(rng, sc, n, n_rows=600):
+    """n_rows random paths of n nodes on sc's grid as one block, endpoints
+    spread over [-2, 2] (zeros among them) so that the eikonal slope mask
+    and the runmax strict-end mask each take both values, and a proto."""
+    S = rng.normal(scale=0.8, size=(n_rows, n, sc.space.dim))
+    S[:, -1, 0] = rng.uniform(-2.0, 2.0, size=n_rows)
+    S[::50, -1, 0] = 0.0
+    S.flags.writeable = False
+    return Path(sc.space, sc.grid.step, S[0]), S
+
+
+def _assert_rows_are_one_path(f, proto, S, one_path, vector):
+    """f on the block S and on each row's one-row block equals one_path at
+    each row's path, compared as bytes."""
+    block = formula_rows(f, proto, S, vector)
+    want = np.array([one_path(Path(proto.space, proto.step, x)) for x in S], dtype=float)
+    assert block.tobytes() == want.reshape(block.shape).tobytes()
+    for i in range(0, len(S), 37):
+        assert formula_rows(f, proto, S[i : i + 1], vector).tobytes() == block[i : i + 1].tobytes()
+
+
+def _one_path_certificate_derivatives(tp):
+    """(dt, dx) of tp's sub and super functionals as they were written one
+    path at a time."""
+    point = tp.point
+    sgn = 1.0 if float(point.endpoint[0]) >= 0.0 else -1.0
+    if tp.label.startswith("slope"):
+        return ((lambda g: 1.0, lambda g: np.array([sgn])), (lambda g: -1.0, lambda g: np.array([-sgn])))
+    if tp.label.startswith("endpoint"):
+        return ((lambda g: 1.0, lambda g: np.array([sgn])), (lambda g: 0.0, lambda g: np.array([-sgn])))
+    m, x = abs(float(point.samples[1, 0])), float(point.endpoint[0])
+    w = -(m**3 / (2.0 * (m**4 - x**4))) * grad_upsilon(2.0, point)
+    return ((lambda g: 0.0, lambda g: w.copy()), (lambda g: 0.0, lambda g: np.zeros(1)))
+
+
+def _one_path_candidate_derivatives(sc):
+    """(dt, dx, mask) of sc's classical candidate as they were written one
+    path at a time; mask is the slope (eikonal) or strict-end (runmax) test."""
+    if sc.name == "eikonal":
+        T = sc.grid.T
+
+        def mask(g):
+            return abs(float(g.endpoint[0])) > (T - g.horizon)
+
+        dt = lambda g: 1.0 if mask(g) else 0.0  # noqa: E731
+    else:
+
+        def mask(g):
+            others = np.abs(g.samples[:-1, 0])
+            return others.size == 0 or abs(float(g.endpoint[0])) > float(others.max())
+
+        dt = lambda g: 0.0  # noqa: E731
+    dx = lambda g: np.array([np.sign(float(g.endpoint[0]))]) if mask(g) else np.array([0.0])  # noqa: E731
+    return dt, dx, mask
+
+
+def _touching_points_or_none(sc) -> list:
+    try:
+        return touching_points(sc)
+    except ValueError:  # eikonal's slope walk refuses the grids from 6 up
+        return []
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax])
+def test_certificate_derivatives_are_their_one_path_forms(build):
+    rng = np.random.default_rng(17)
+    kinds = set()
+    for grid in GRIDS:
+        sc = build(step=1.0 / grid)
+        for tp in _touching_points_or_none(sc):
+            proto, S = _derivative_rows(rng, sc, tp.point.n_nodes)
+            sides = zip((tp.phi_sub, tp.phi_super), _one_path_certificate_derivatives(tp))
+            for phi, (dt, dx) in sides:
+                _assert_rows_are_one_path(phi.dt, proto, S, dt, False)
+                _assert_rows_are_one_path(phi.dx, proto, S, dx, True)
+            kinds.add(re.match("[a-z]+", tp.label).group())
+    assert kinds == ({"slope"} if build is eikonal else {"endpoint", "interior"})
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax])
+def test_classical_candidate_derivatives_are_their_one_path_forms(build):
+    rng = np.random.default_rng(19)
+    seen = set()  # the values the mask took
+    for grid in GRIDS:
+        sc = build(step=1.0 / grid)
+        w, points = classical_candidate(sc)
+        dt, dx, mask = _one_path_candidate_derivatives(sc)
+        for n in sorted({1, 2, grid + 1} | {g.n_nodes for g in points}):
+            proto, S = _derivative_rows(rng, sc, n)
+            _assert_rows_are_one_path(w.dt, proto, S, dt, False)
+            _assert_rows_are_one_path(w.dx, proto, S, dx, True)
+            seen |= {bool(mask(Path(sc.space, sc.grid.step, x))) for x in S}
+    assert seen == {True, False}
+
+
+def _assert_pack_derivatives_match_one_path(pack, paths):
+    want_dt = np.array([one_path_pack_dt(pack, g) for g in paths])
+    want_dx = np.array([one_path_pack_dx(pack, g) for g in paths])
+    assert formula_paths(pack.dt, paths).tobytes() == want_dt.tobytes()
+    assert formula_paths(pack.dx, paths, vector=True).tobytes() == want_dx.tobytes()
+    for i in range(0, len(paths), 37):  # a single path is the one-row block
+        assert row_value(pack.dt, paths[i]) == want_dt[i]
+        assert row_vector(pack.dx, paths[i]).tobytes() == want_dx[i].tobytes()
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0, 0.0], [-2.0], [-1.0, -0.4, -0.05]])
+def test_pack_derivatives_are_their_one_path_forms(eigenvalues):
+    rng = np.random.default_rng(23)
+    space = make_space(eigenvalues)
+    dim, step = space.dim, 0.25
+    paths = [
+        Path(space, step, rng.normal(scale=2.0, size=(n, dim)))
+        for n in (2, 2, 3, 5, 5, 5, 4, 6)
+        for _ in range(int(rng.integers(1, 12)))
+    ]
+    paths += [Path.zero(space, step, 0.75)] * 3 + [Path.zero(space, step, 0.25)]
+    early = Path(space, step, rng.normal(size=(1, dim)))
+    equal = Path(space, step, rng.normal(size=(2, dim)))
+    packs = [
+        GaugePack.zero(),
+        GaugePack.anchored(early, 2.0),
+        GaugePack(
+            h=lambda s, y: 0.3 * (y - 0.1) + s,
+            h_t=lambda s, y: 0.5 * y - s,
+            h_y=lambda s, y: 0.3 + 0.1 * y,
+            anchors=((early, 0.7), (equal, 3.0)),
+        ),
+    ]
+    for pack in packs:
+        _assert_pack_derivatives_match_one_path(pack, paths)
+
+
+def test_certificate_pack_derivatives_are_their_one_path_forms():
+    """Every touching point's packs, the anchored and the runmax interior
+    ones among them, on 600 rows of the point's node count and on the
+    point's net."""
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for build in (eikonal, runmax):
+        for grid in (2, 4, 16):
+            sc = build(step=1.0 / grid)
+            for tp in _touching_points_or_none(sc):
+                _, S = _derivative_rows(rng, sc, tp.point.n_nodes)
+                rows = [Path(sc.space, sc.grid.step, x) for x in S]
+                net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
+                for pack in (tp.pack_sub, tp.pack_super):
+                    _assert_pack_derivatives_match_one_path(pack, rows)
+                    _assert_pack_derivatives_match_one_path(pack, net)
+                kinds.add(re.match("[a-z]+", tp.label).group())
+    assert kinds == {"slope", "endpoint", "interior"}
+
+
 def _refusal(fn):
     with pytest.raises(ValueError) as info:
         fn()
@@ -369,9 +597,9 @@ def test_block_pack_refuses_as_the_one_path_formula():
     with np.errstate(over="ignore", invalid="ignore"):
         for pack, rows in cases:
             want = _refusal(lambda: [one_path_pack_value(pack, g) for g in rows])
-            assert _refusal(lambda: grouped(pack.rows, rows)) == want
+            assert _refusal(lambda: formula_paths(pack.rows, rows)) == want
             assert _refusal(lambda: [pack.value(g) for g in rows]) == want
-    assert "h_y=-1.0" in _refusal(lambda: grouped(cases[0][0].rows, paths))
+    assert "h_y=-1.0" in _refusal(lambda: formula_paths(cases[0][0].rows, paths))
 
 
 def test_pack_bound_caps_weights_and_anchors():

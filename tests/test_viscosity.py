@@ -11,7 +11,7 @@ from phjb.testfn import GaugePack, TestFunctionPhi
 from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable, hamiltonian
 
-from conftest import time_ramp
+from conftest import row_value, row_vector, time_ramp
 
 
 def _setup(build):
@@ -144,8 +144,8 @@ def test_wrong_slope_certificate_is_refused_not_scored(eik):
     sgn = float(np.sign(tp.point.endpoint[0]))
     bad = TestFunctionPhi(
         rows=lambda proto, S: -sgn * S[:, -1, 0] - (sc.grid.T - proto.horizon),
-        dt=lambda g: 1.0,
-        dx=lambda g: np.array([-sgn]),
+        dt=lambda proto, S: np.ones(len(S)),
+        dx=lambda proto, S: np.full((len(S), 1), -sgn),
         label="wrong-slope",
     )
     r = viscosity_check(
@@ -214,7 +214,7 @@ def _path_by_path_check(w, coeffs, point, phi, pack, side, *, net, tol=1e-3, lab
     phi.validate_on(probes, t_final=max(p.horizon for p in net))
 
     def f(g):
-        return float(w(g)) - sgn * (float(phi.value(g)) + pack.value(g))
+        return float(w(g)) - sgn * (row_value(phi.rows, g) + pack.value(g))
 
     renorm = f(point)
     worst_gap = 0.0
@@ -231,8 +231,8 @@ def _path_by_path_check(w, coeffs, point, phi, pack, side, *, net, tol=1e-3, lab
     if premise_ok:
         witness = None
 
-    psi_dt = sgn * (float(phi.dt(point)) + pack.dt(point))
-    psi_dx = sgn * (np.asarray(phi.dx(point), dtype=float) + pack.dx(point))
+    psi_dt = sgn * (row_value(phi.dt, point) + row_value(pack.dt, point))
+    psi_dx = sgn * (row_vector(phi.dx, point) + row_vector(pack.dx, point))
     adj = float(point.space.adjoint_apply(psi_dx) @ point.endpoint)
     hmin, _ = hamiltonian(coeffs, point, psi_dx)
     margin = psi_dt + adj + hmin
