@@ -7,7 +7,11 @@ every grid from 9 to 15 and at grid 16 under seeds 3 and 7, the two
 certificate checks, which scan nets at touching points, on eikonal and
 runmax at grids 5, 7 and 9 to 16, and on runmax at grid 16 under seeds 3
 and 7, classical, whose kink flags are read off finite differences, on
-eikonal and runmax at every grid from 9 to 15, plus one feedback run whose small budget turns two checks into budget
+eikonal and runmax at every grid from 9 to 15, the checks that read the
+value recursion and its DPP enumeration (value, dpp and regularity) on every
+config at grids 5, 7 and 9 to 11, except feedback regularity, pinned at
+grids 5, 7 and 9 only, plus feedback stability at grids 5, 7 and 9 to 11,
+plus one feedback run whose small budget turns two checks into budget
 records. Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
@@ -56,6 +60,14 @@ CERTIFICATE_SEEDS = (3, 7)
 # the grids between 8 and 16 where classical, whose kink flags are read off
 # finite differences, is also pinned on the configs with a classical candidate
 CLASSICAL_GRIDS = (9, 10, 11, 13, 14, 15)
+# the checks that read the value recursion and its DPP enumeration, and the
+# grids past 4 where they are also pinned on every config; feedback, whose
+# memo key rarely repeats, pins regularity (2.6 s at grids 10-11) only at
+# the first three of them, and pins stability, which has no certificate cells
+# there, at all of them
+VALUE_CHECKS = ("value", "dpp", "regularity")
+VALUE_GRIDS = (5, 7, 9, 10, 11)
+FEEDBACK_VALUE_GRIDS = {**dict.fromkeys(VALUE_CHECKS, VALUE_GRIDS), "regularity": VALUE_GRIDS[:3], "stability": VALUE_GRIDS}
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
@@ -69,6 +81,8 @@ def _cells() -> list:
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SAMPLING_CHECKS for g in SAMPLING_GRIDS]
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in SOLVING_CHECKS for g in SOLVING_GRIDS]
         cells += [(f"{name}@16/{c}/seed{s}", doc, (c,), 16, s) for c in SOLVING_CHECKS for s in SOLVING_SEEDS]
+        value_grids = FEEDBACK_VALUE_GRIDS if name == "feedback" else dict.fromkeys(VALUE_CHECKS, VALUE_GRIDS)
+        cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c, grids in value_grids.items() for g in grids]
     for name in ("eikonal", "runmax"):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CERTIFICATE_CHECKS for g in CERTIFICATE_GRIDS]
