@@ -206,6 +206,8 @@ def parse_config(
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{key}", "unknown tolerance")
         tol[key] = _num(val, f"tolerances.{key}")
+        if tol[key] < 0:
+            raise ConfigError(f"tolerances.{key}", "must be >= 0")
 
     return RunConfig(
         scenario=sc,

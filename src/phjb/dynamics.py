@@ -79,13 +79,15 @@ class Coefficients:
         phi(S) -> (N,) array, evaluated on full-horizon paths.
     lipschitz_L : float
         The constant L in the growth/Lipschitz assumptions; finite and > 0.
-    state_key : callable, optional
-        Sufficient statistic for the value recursion: S -> (N, k) numeric
-        array; prefixes of one node count whose rows hold the same bytes
-        share a memo entry, so they must have the same value. Under that
-        contract `ValueTable.values` equals `value` path by path; a key that
-        merges states of different value may expand another representative.
-        Must be validated against full enumeration.
+    state : callable, optional
+        The state of each prefix for the value recursion: S -> an (N, m,
+        dim) float block, m fixed, whose last node is the prefix's endpoint,
+        on which drift, running_cost, terminal_cost and state give the bytes
+        they give on S, also after the same samples are appended to both.
+        The recursion steps states in place of prefixes, and prefixes of one
+        node count whose states hold the same bytes share a memo entry.
+        Without one the state is the whole prefix (brute force). Must be
+        validated against full enumeration.
     """
 
     name: str
@@ -94,7 +96,7 @@ class Coefficients:
     running_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     terminal_cost: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
-    state_key: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    state: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if len(self.control_set) == 0:
@@ -151,12 +153,13 @@ def _drift_rows(c: Coefficients, S: np.ndarray, U: np.ndarray) -> np.ndarray:
     return f
 
 
-def _finite_drift(c: Coefficients, h: float, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
+def _finite_drift(c: Coefficients, h: float, S: np.ndarray, U: np.ndarray, label, offset=0) -> np.ndarray:
     """`_drift_rows`, `Refused` unless finite; `label` is the control label
-    of row 0, which a one-row refusal names."""
+    of row 0, which a one-row refusal names at the time of the rows' last
+    node, counting `offset` nodes before their first."""
     f = _drift_rows(c, S, U)
     if not all_finite(f):
-        t = h * (S.shape[1] - 1)
+        t = h * (offset + S.shape[1] - 1)
         message = f"non-finite drift at t={t} with control {label!r}, endpoint {S[0, -1]!r}"
         raise Refused(message)
     return f
@@ -175,7 +178,7 @@ def _terminal_cost(c: Coefficients, g: Path) -> float:
     return float(_costs(c.terminal_cost(g.samples[None]), 1, "terminal_cost")[0])
 
 
-def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, label) -> np.ndarray:
+def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, label, offset=0) -> np.ndarray:
     """Every row of S, a read-only (N, n, dim) block of prefixes on proto's
     space and step, advanced one grid step under its control U[i], as a
     read-only (N, n + 1, dim) block.
@@ -186,7 +189,8 @@ def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, labe
     others. The drift's shape and finiteness, and the finiteness of the
     predictors and new samples, are checked once per block: a wrong shape
     is the block's own error, and a non-finite value is `Refused`. `label`
-    is the control label of row 0, which a one-row refusal names.
+    is the control label of row 0, which a one-row refusal names, with the
+    time of a prefix of `offset` more nodes than S holds.
     """
     h = proto.step
     N, n, dim = S.shape
@@ -202,9 +206,10 @@ def _step_block(c: Coefficients, proto: Path, S: np.ndarray, U: np.ndarray, labe
         return X
 
     E, x = proto.space.semigroup_factors(h), S[:, -1]
-    f0 = _finite_drift(c, h, S, U, label)
+    f0 = _finite_drift(c, h, S, U, label, offset)
     pred = E * (x + h * f0)
-    return extended(E * x + 0.5 * h * (E * f0 + _finite_drift(c, h, extended(pred), U, label)))
+    f1 = _finite_drift(c, h, extended(pred), U, label, offset)
+    return extended(E * x + 0.5 * h * (E * f0 + f1))
 
 
 def step_once(c: Coefficients, prefix: Path, u) -> Path:
@@ -214,14 +219,15 @@ def step_once(c: Coefficients, prefix: Path, u) -> Path:
     return prefix._trusted(X[0])
 
 
-def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
+def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int = 0) -> tuple:
     """Every row of P stepped under every control, as one block.
 
     P is a read-only (B, n, dim) block of prefixes on proto's space and
-    step. Returns (S, U, X) over the B * W children, parent-major in control
-    order: S[i] is child i's parent, U[i] its control, and X[i] the child,
-    an (n + 1, dim) row of a read-only block equal to `step_once(c, S[i],
-    U[i])` bit for bit. The children are one `group_rows` group, so a block
+    step, or of the states (`Coefficients.state`) of prefixes of n + offset
+    nodes, whose time a refusal names. Returns (S, U, X) over the B * W
+    children, parent-major in control order: S[i] is child i's parent, U[i]
+    its control, and X[i] the child, an (n + 1, dim) row of a read-only
+    block equal to `step_once(c, S[i], U[i])` bit for bit. The children are one `group_rows` group, so a block
     that raises `Refused` is stepped again child by child, each labelled by
     its own control, and the error raised is the one `step_once` raises
     first; any other error is the block's own.
@@ -232,7 +238,7 @@ def step_rows(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
 
     def stepped(rows, B):  # a block is labelled by its first child's control
         label = controls[rows[0] % len(controls)] if len(B) else None
-        return _step_block(c, proto, B, U[rows], label)
+        return _step_block(c, proto, B, U[rows], label, offset)
 
     X = group_rows(stepped, S, [(np.arange(len(S)), S)])
     X.flags.writeable = False

@@ -106,7 +106,7 @@ def eikonal(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         running_cost=_no_cost,
         terminal_cost=lambda S: np.abs(S[:, -1, 0]),
         lipschitz_L=1.0,
-        state_key=lambda S: S[:, -1],
+        state=lambda S: S[:, -1:],
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("eikonal", space, grid, coeffs, initial, eikonal_value)
@@ -122,7 +122,9 @@ def runmax(*, T: float = 1.0, step: float = 0.25, x0: float = 0.5) -> Scenario:
         running_cost=_no_cost,
         terminal_cost=sup_norms,
         lipschitz_L=1.0,
-        state_key=lambda S: np.column_stack([S[:, -1], sup_norms(S)]),
+        # the path [[sup_norm], [endpoint]]: as sqrt(x * x) == |x| (short of
+        # underflow), its sup norm and endpoint are the prefix's
+        state=lambda S: np.stack([sup_norms(S)[:, None], S[:, -1]], axis=1),
     )
     initial = Path.constant(space, step, np.array([x0]), horizon=0.0)
     return Scenario("runmax", space, grid, coeffs, initial, runmax_value)
@@ -158,7 +160,7 @@ def feedback(*, T: float = 1.0, step: float = 0.25, x0=(0.5, -0.25)) -> Scenario
         running_cost=lambda S, U: _norms(S[:, -1]),
         terminal_cost=lambda S: _norms(S[:, -1]),
         lipschitz_L=2.0,
-        state_key=lambda S: S[:, -1],
+        state=lambda S: S[:, -1:],
     )
     initial = Path.constant(space, step, np.asarray(x0, dtype=float), horizon=0.0)
     return Scenario("feedback", space, grid, coeffs, initial, None)

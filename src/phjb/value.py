@@ -13,7 +13,6 @@ the value matches brute-force enumeration bit for bit.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
@@ -108,43 +107,20 @@ def _first_minima(vals: np.ndarray) -> list:
     return picks.tolist()
 
 
-def _stepped(c: Coefficients, proto: Path, m: int, block, controls):
-    """`step_rows` over m prefixes of one node count, _ROW_CAP parents at a
-    time; block(lo, hi) gives prefixes lo to hi as a read-only block. Yields,
-    for each block in order, its first index, its children's step costs and
-    the children themselves."""
-    for lo in range(0, m, _ROW_CAP):
-        yield (lo, *_priced(c, proto, block(lo, min(lo + _ROW_CAP, m)), controls))
+def _stepped(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int = 0):
+    """`step_rows` over the rows of P, a read-only block of prefixes of one
+    node count or of their states (see `step_rows` for offset), _ROW_CAP
+    parents at a time. Yields, for each block in order, its first index,
+    its children's step costs and the children themselves."""
+    for lo in range(0, len(P), _ROW_CAP):
+        yield (lo, *_priced(c, proto, P[lo : lo + _ROW_CAP], controls, offset))
 
 
-def _priced(c: Coefficients, proto: Path, P: np.ndarray, controls) -> tuple:
+def _priced(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int) -> tuple:
     """The step costs and the children of `step_rows` on P; the repeated
     parents die here, so a block's are gone before the next is stepped."""
-    S, U, X = step_rows(c, proto, P, controls)
+    S, U, X = step_rows(c, proto, P, controls, offset)
     return _step_costs(c, proto.step, S, U, X), X
-
-
-def _prefixes(base: np.ndarray, trail: list, lo: int, hi: int) -> np.ndarray:
-    """Prefixes lo to hi of a tree level, rebuilt as a read-only block.
-
-    base is a read-only block of the prefixes of a level above, and trail
-    holds, for each level below it down to this one, (up, last): the index
-    in the level above of each prefix's parent, and the prefix's last
-    sample. A child holds its parent's samples unchanged, so the rebuilt
-    prefixes are bit for bit those that were stepped.
-    """
-    if not trail:
-        return base[lo:hi]
-    n = base.shape[1]
-    P = np.empty((hi - lo, n + len(trail), base.shape[2]))
-    at = np.arange(lo, hi)
-    for k in range(len(trail) - 1, -1, -1):
-        up, last = trail[k]
-        P[:, n + k] = last[at]
-        at = up[at]
-    P[:, :n] = base[at]
-    P.flags.writeable = False
-    return P
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -161,13 +137,13 @@ def _resolve(known: np.ndarray, ref: np.ndarray, vals: np.ndarray) -> None:
 class ValueTable:
     """Backward-recursion values over path prefixes, memoized.
 
-    With no declared state_key the memo key holds the exact sample bytes, so
+    With no declared state the memo key holds the exact sample bytes, so
     the recursion is plain brute force with sharing of identical prefixes; a
-    scenario-declared sufficient statistic collapses the tree and must be
-    validated against enumeration before being trusted (see
+    scenario-declared state (`Coefficients.state`) collapses the tree and
+    must be validated against enumeration before being trusted (see
     tests covering the built-in scenarios).
 
-    Below the root prefixes the recursion works on sample blocks, a tree
+    Below the root prefixes the recursion works on blocks of states, a tree
     level at a time (see `_sweep`): a forward pass steps, keys and
     deduplicates each level as one block, split only at _ROW_CAP parents,
     with the roots of every node count keyed first in their level, and a
@@ -179,40 +155,39 @@ class ValueTable:
         self.c = c
         self.grid = grid
         self.budget = int(budget)
-        self.state_key = c.state_key
         self.memo: dict = {}
         self.hits = 0
 
-    # one entry per (node count, bytes of the row's statistic): (value, best control)
-    def _keys(self, S: np.ndarray) -> list:
-        """The memo key of every row of S, a block of prefixes of one node
-        count: the node count and the bytes of the row's statistic, which is
-        the row's samples unless the coefficients declare a state_key."""
-        N, n = S.shape[:2]
-        K = S.reshape(N, -1) if self.state_key is None else self.state_key(S)
-        block = isinstance(K, np.ndarray) and K.ndim == 2 and len(K) == N
-        if not (block and K.dtype.kind in "biuf"):  # an object's bytes are its address
-            got = f"{K.dtype} {K.shape}" if isinstance(K, np.ndarray) else type(K).__name__
-            raise ValueError(f"state_key returned {got}, expected an ({N}, k) numeric array")
-        width = K.itemsize * K.shape[1]
-        if width == 0:  # a void view of no bytes has no rows
-            return [(n, b"")] * N
-        rows = np.ascontiguousarray(K).view(np.dtype((np.void, width))).ravel().tolist()
-        return [(n, raw) for raw in rows]
+    # one entry per (node count, bytes of the row's state): (value, best control)
+    def _keys(self, S: np.ndarray, n: Optional[int] = None) -> tuple:
+        """The states of the rows of S, a block of prefixes of n nodes (of
+        S's node count by default) or of their states stepped on, as one
+        block, and the memo key of every row: n and the bytes of the row's
+        state, the row itself unless the coefficients declare a state. A
+        state that is not an (N, m, dim) float block is refused."""
+        N, n, dim = len(S), S.shape[1] if n is None else n, S.shape[2]
+        Z = S if self.c.state is None else self.c.state(S)
+        block = isinstance(Z, np.ndarray) and Z.dtype == np.float64 and Z.ndim == 3
+        if not (block and len(Z) == N and Z.shape[1] > 0 and Z.shape[2] == dim):
+            got = f"{Z.dtype} {Z.shape}" if isinstance(Z, np.ndarray) else type(Z).__name__
+            raise ValueError(f"state returned {got}, expected an ({N}, m, {dim}) float block")
+        rows = np.ascontiguousarray(Z).reshape(N, Z.shape[1] * dim)
+        rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+        return Z, [(n, raw) for raw in rows]
 
     def _check_root(self, g: Path) -> None:
         """The gate of the root prefixes of g's node count: refuse them
         beyond T, or non-terminal with a control tree over budget and no
-        state_key. Roots of one node count and step share the outcome."""
+        declared state. Roots of one node count and step share the outcome."""
         grid = self.grid
         steps_left = grid.n_steps - (g.n_nodes - 1)
         if steps_left < 0:
             raise ValueError(f"prefix horizon {g.horizon} beyond T {grid.T}")
         width = len(self.c.control_set)
-        if self.state_key is None and steps_left > 0 and width**steps_left > self.budget:
+        if self.c.state is None and steps_left > 0 and width**steps_left > self.budget:
             raise BudgetExceeded(
                 f"{width}^{steps_left} control sequences exceed budget "
-                f"{self.budget}; declare a state_key or coarsen the grid"
+                f"{self.budget}; declare a state or coarsen the grid"
             )
 
     def entry(self, g: Path) -> tuple[float, object]:
@@ -221,7 +196,7 @@ class ValueTable:
         v = self.values([g])[0]
         if g.n_nodes - 1 == self.grid.n_steps:
             return float(v), None
-        return self.memo[self._keys(g.samples[None])[0]]
+        return self.memo[self._keys(g.samples[None])[1][0]]
 
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
@@ -231,7 +206,7 @@ class ValueTable:
 
         The paths share a space and the table's step, as the paths of a net
         do, and are valued in one sweep (see `_sweep`). Under the contract
-        of `Coefficients.state_key`, its values, memo entries, argmins and
+        of `Coefficients.state`, its values, memo entries, argmins and
         hits are those that `value` on each path in turn gives. A root on
         another step, or one that `_check_root` refuses, is refused after
         every path before it is valued. The step is read in one pass over
@@ -299,16 +274,17 @@ class ValueTable:
         pass, deepest level first, reads the roots' values from the head of
         each level, prices each child as its step cost plus its value, and
         keeps each parent's first cheapest control. Where rows of equal key
-        have equal values, as `Coefficients.state_key` requires, the memo
-        ends with the entries, values and argmins of `value` on each root in
+        have equal values, as `Coefficients.state` requires, the memo ends
+        with the entries, values and argmins of `value` on each root in
         turn, and the same hits.
 
-        The parents found by a level of one block, or by a level that roots
-        join, are held whole. Those found by any other level are held as a
-        `_prefixes` trail, an index and a last sample each, below the last
-        level held whole. So the forward pass holds the full samples of a
-        few blocks at a time, besides the keys, costs and row values of
-        every level.
+        A level's parents are held as one read-only block of their states,
+        and their children are stepped from these, as the contract of
+        `Coefficients.state` lets them be; a refusal still names the time
+        of the prefixes. So the forward pass holds one level's states and
+        one block of children at a time, besides the keys, costs and row
+        values of every level; only without a declared state are these
+        whole prefixes.
 
         Every parent becomes a memo entry, so the forward pass refuses as
         soon as the parents found so far would grow the memo beyond the
@@ -320,40 +296,31 @@ class ValueTable:
         W = len(controls)
         n_T = self.grid.n_steps + 1  # the node count at T
         n = min(roots)
-        keys = []  # the parents at n - 1
-        P, trail = None, []  # the parents' samples, as `_prefixes` reads them
+        keys, P = [], None  # the parents at n - 1 and the block of their states
         levels = []  # per level: parent keys, step costs, row values as `_lookup` gives them, roots
         pending = 0  # parents found so far, each a memo entry to come
         while True:
             at, R = roots.get(n, ([], None))
-            whole = R is not None or len(keys) <= _ROW_CAP  # the parents found, held whole
-            costs, known, ref = [], [], []
-            up, last, parts, fresh = [], [], [], {}
-            blocks = _stepped(c, proto, len(keys), partial(_prefixes, P, trail), controls)
+            costs, known, ref, parts, fresh = [], [], [], [], {}
+            blocks = _stepped(c, proto, P, controls, n - 1 - P.shape[1]) if keys else ()
             if R is not None:  # the roots, keyed first
                 blocks = itertools.chain([(0, None, R)], blocks)
-            for lo, cost, X in blocks:
+            for _, cost, X in blocks:
                 if cost is not None:  # children, not roots
                     costs.append(cost)
                 if n == n_T:
                     known.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
                     continue
-                k, r, rows = self._lookup(self._keys(X), fresh)
+                Z, K = self._keys(X, n)
+                k, r, rows = self._lookup(K, fresh)
                 self._check_memo(pending + len(fresh))
                 known.append(k)
                 ref.append(r)
-                if whole:
-                    parts.append(X[rows])
-                else:
-                    up.append(lo + rows // W)
-                    last.append(X[rows, -1])
+                parts.append(Z[rows])
             levels.append((keys, costs, _joined(known), ref, at))
             if fresh:
-                if whole:
-                    P, trail = _joined(parts), []
-                    P.flags.writeable = False
-                else:
-                    trail.append((_joined(up), _joined(last)))
+                P = _joined(parts)
+                P.flags.writeable = False
                 keys = list(fresh)
                 pending += len(keys)
                 n += 1
@@ -446,7 +413,7 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
         m, n, dim = level.shape
         children = np.empty((m * width, n + 1, dim))
         costs = np.empty(m * width)
-        for lo, cost, X in _stepped(c, g, m, lambda lo, hi: level[lo:hi], controls):
+        for lo, cost, X in _stepped(c, g, level, controls):
             children[lo * width : lo * width + len(X)] = X
             costs[lo * width : lo * width + len(X)] = cost
         children.flags.writeable = False

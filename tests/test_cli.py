@@ -77,6 +77,8 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"tolerances": {"ito": "1e-8"}},
         {"tolerances": {"hyp_ratio": "1e-9"}},
         {"seed": -3},
+        {"tolerances": {"residual": "-1"}},
+        {"tolerances": {"margin_c0": "-2"}},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):

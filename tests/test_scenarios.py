@@ -21,6 +21,7 @@ from phjb.scenarios import (
     touching_points,
 )
 from phjb.testfn import GaugePack, TestFunctionPhi, _differences, differentiability_probe
+from phjb.value import ValueTable
 
 from conftest import (
     dupire_derivatives,
@@ -75,19 +76,16 @@ SCALAR_FORMS = {
         drift=lambda g, u: np.array([u]),
         running_cost=lambda g, u: 0.0,
         terminal_cost=lambda g: abs(float(g.endpoint[0])),
-        state_key=lambda g: g.samples[-1],
     ),
     "runmax": dict(
         drift=lambda g, u: np.array([u]),
         running_cost=lambda g, u: 0.0,
         terminal_cost=sup_norm,
-        state_key=lambda g: np.array([*g.samples[-1], sup_norm(g)]),
     ),
     "feedback": dict(
         drift=lambda g, u: u * _E1 - _retract(g.endpoint),
         running_cost=lambda g, u: _norm(g.endpoint),
         terminal_cost=lambda g: _norm(g.endpoint),
-        state_key=lambda g: g.samples[-1],
     ),
 }
 
@@ -110,11 +108,6 @@ def _scalar_perturbed(forms, kind, eps):
     return out
 
 
-def _as_bytes(K):
-    """A statistic block as the memo compares it: its shape and its bytes."""
-    return K.shape, np.ascontiguousarray(K).tobytes()
-
-
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("kind", [None, "phi_shift", "q_shift", "drift_shift"])
 def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
@@ -131,18 +124,77 @@ def test_block_forms_equal_the_scalar_forms_bit_for_bit(build, kind):
     )
     q = np.array([float(scalar["running_cost"](p, u)) for p, u in zip(paths, U.tolist())])
     phi = np.array([float(scalar["terminal_cost"](p)) for p in paths])
-    keys = np.array([scalar["state_key"](p) for p in paths])  # one statistic row a path
     assert np.asarray(c.drift(S, U), dtype=float).tobytes() == drift.tobytes()
     assert np.asarray(c.running_cost(S, U), dtype=float).tobytes() == q.tobytes()
     assert np.asarray(c.terminal_cost(S), dtype=float).tobytes() == phi.tobytes()
-    assert _as_bytes(c.state_key(S)) == _as_bytes(keys)  # bytes tell -0.0 from 0.0
     # a single path is the one-row block
     for i in range(0, len(S), 37):
         one, u = S[i : i + 1], U[i : i + 1]
         assert np.asarray(c.drift(one, u), dtype=float).tobytes() == drift[i : i + 1].tobytes()
         assert np.asarray(c.running_cost(one, u), dtype=float).tobytes() == q[i : i + 1].tobytes()
         assert np.asarray(c.terminal_cost(one), dtype=float).tobytes() == phi[i : i + 1].tobytes()
-        assert _as_bytes(c.state_key(one)) == _as_bytes(keys[i : i + 1])
+
+
+# the memo key each scenario declared before the value recursion stepped
+# states: one statistic row per prefix, whose bytes keyed its memo entry
+STATISTICS = {
+    "eikonal": lambda g: g.samples[-1],
+    "runmax": lambda g: np.array([*g.samples[-1], sup_norm(g)]),
+    "feedback": lambda g: g.samples[-1],
+}
+
+
+def _classes(keys) -> list:
+    """Each key's class, as the index of the first key equal to it."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def _tied_rows(rng, dim, n_nodes):
+    """`_block_rows` of n_nodes nodes (some ending at -0.0), three times
+    over: as drawn, with the nodes before the endpoint reversed (same
+    endpoint and sup norm), and with those nodes tripled (same endpoint, a
+    larger sup norm). Row 5 alternates x and -x, so its sup norm ties -x
+    with x and with the endpoint."""
+    S, U = _block_rows(rng, dim, 200, n_nodes)
+    S[5] = S[5, -1] * np.array([-1.0, 1.0] * n_nodes)[:n_nodes, None]
+    reversed_, tripled = S.copy(), S.copy()
+    reversed_[:, :-1] = S[:, -2::-1]
+    tripled[:, :-1] *= 3.0
+    return np.concatenate([S, reversed_, tripled]), np.concatenate([U, U, U])
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("kind", [None, "phi_shift", "q_shift", "drift_shift"])
+def test_a_state_stands_for_its_prefix_bit_for_bit(build, kind):
+    sc = build()
+    c = sc.coefficients if kind is None else perturbed(sc.coefficients, kind, 0.3)
+    table = ValueTable(c, sc.grid)
+    rng = np.random.default_rng(11)
+    widths = set()
+    for n in range(1, 7):
+        S, U = _tied_rows(rng, sc.space.dim, n)
+        S.flags.writeable = False
+        Z, keys = table._keys(S)
+        widths.add(Z.shape[1])
+        assert Z.shape[::2] == S.shape[::2] and Z.dtype == np.float64
+        assert Z[:, -1].tobytes() == S[:, -1].tobytes()  # bytes tell -0.0 from 0.0
+        paths = [Path(sc.space, sc.grid.step, s) for s in S]
+        before = [np.asarray(STATISTICS[sc.name](p)).tobytes() for p in paths]
+        assert _classes(keys) == _classes(before)
+        assert all(k == n for k, _ in keys)
+        # the same samples appended to both: draws, some 40 times larger (a
+        # new sup norm), -0.0, and the negated endpoint (a sup norm tie)
+        for k in (0, 1, 2):
+            A = rng.normal(size=(len(S), k, sc.space.dim))
+            A[::3] *= 40.0
+            A[1::7] = -0.0
+            A[2::7] = -S[2::7, -1:]
+            SA = np.concatenate([S, A], axis=1)
+            ZA = np.concatenate([Z, A], axis=1)
+            for f in (lambda X: c.drift(X, U), lambda X: c.running_cost(X, U), c.terminal_cost, c.state):
+                assert np.asarray(f(ZA)).tobytes() == np.asarray(f(SA)).tobytes()
+    assert len(widths) == 1
 
 
 def test_block_norm_matches_the_scalar_dot():

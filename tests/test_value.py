@@ -307,14 +307,14 @@ def test_policy_trajectory_ends_at_the_optimal_terminal_cost():
 # memoization and budget -------------------------------------------------
 
 
-def test_state_key_memoization_hits():
+def test_state_memoization_hits():
     sc = eikonal()
     table = ValueTable(sc.coefficients, sc.grid)
     table.value(sc.initial)
     assert table.hits > 0
 
 
-def test_budget_exceeded_without_state_key():
+def test_budget_exceeded_without_a_state():
     sc = runmax(step=0.125)  # 3^8 leaves without collapsing
     stripped = Coefficients(
         name=sc.coefficients.name,
@@ -356,33 +356,38 @@ def test_a_root_on_another_step_is_refused():
 _STATISTIC_BYTES = {"eikonal": 8, "runmax": 16, "feedback": 16}
 
 
-def test_a_zero_width_statistic_keys_each_node_count_once():
+def test_a_constant_state_gives_each_node_count_one_key():
     sc = eikonal()
-    c = replace(sc.coefficients, state_key=lambda S: np.zeros((len(S), 0)))
+    c = replace(sc.coefficients, state=lambda S: np.zeros((len(S), 1, 1)))
     table = ValueTable(c, sc.grid)
-    assert table._keys(np.zeros((3, 2, 1))) == [(2, b"")] * 3
+    zero = bytes(8)
+    assert table._keys(np.ones((3, 2, 1)))[1] == [(2, zero)] * 3
     table.value(sc.initial)
-    assert sorted(table.memo) == [(n, b"") for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
+    assert sorted(table.memo) == [(n, zero) for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
 
 
 def test_roots_are_keyed_before_the_children_of_their_level():
-    # under a zero-width key every prefix of one node count shares one entry,
-    # so the entry at 2 nodes is that of whichever row of the level is keyed
-    # first: the root r, ahead of the children of the initial path
+    # the memo takes a level's keys in the order the level first meets them,
+    # so the key of the root r heads those of 2 nodes, ahead of the children
+    # of the initial path, as it does when r is valued first
     sc = eikonal()
-    c = replace(sc.coefficients, state_key=lambda S: np.zeros((len(S), 0)))
     r = Path(sc.space, sc.grid.step, [[1.5], [1.5]])
-    table = ValueTable(c, sc.grid)
+    table = ValueTable(sc.coefficients, sc.grid)
     table.values([sc.initial, r])
-    assert ValueTable(c, sc.grid).entry(r) == (0.75, -1.0)
-    assert table.memo[(2, b"")] == (0.75, -1.0)
+    first = ValueTable(sc.coefficients, sc.grid)
+    first.value(r)
+    first.value(sc.initial)
+    at_two = [key for key in table.memo if key[0] == 2]
+    assert at_two[0] == (2, r.endpoint.tobytes()) and len(at_two) == 4
+    assert at_two == [key for key in first.memo if key[0] == 2]
+    assert table.memo == first.memo
 
 
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("keyed", [True, False])
 def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keyed):
     sc = build()
-    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
+    c = sc.coefficients if keyed else replace(sc.coefficients, state=None)
     table = ValueTable(c, sc.grid)
     table.value(sc.initial)
     assert len(table.memo) > 0
@@ -392,18 +397,21 @@ def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keye
 
 
 @pytest.mark.parametrize(
-    "state_key",
+    "state",
     [
         lambda S: [s.tobytes() for s in S[:, -1]],  # a list
-        lambda S: S[:, -1, 0],  # one dimension
-        lambda S: S[:1, -1],  # one row for any block
-        lambda S: S[:, -1].astype(object),  # objects, whose bytes are addresses
+        lambda S: S[:, -1],  # two dimensions
+        lambda S: S[:1, -1:],  # one row for any block
+        lambda S: S[:, -1:].astype(object),  # objects, whose bytes are addresses
+        lambda S: S[:, -1:].astype(int),  # integers, which the stepper cannot step
+        lambda S: S[:, :0],  # no node, so no endpoint
+        lambda S: np.zeros((len(S), 1, 2)),  # another dimension
     ],
 )
-def test_a_statistic_that_is_not_a_numeric_row_block_is_refused(state_key):
+def test_a_statistic_that_is_not_a_numeric_row_block_is_refused(state):
     sc = eikonal()
-    table = ValueTable(replace(sc.coefficients, state_key=state_key), sc.grid)
-    with pytest.raises(ValueError, match="state_key returned"):
+    table = ValueTable(replace(sc.coefficients, state=state), sc.grid)
+    with pytest.raises(ValueError, match=r"state returned .*, expected an \(\d+, m, 1\) float block"):
         table.value(sc.initial)
 
 
@@ -452,7 +460,7 @@ class NodeByNodeTable(ValueTable):
         self._check_root(g)
         if g.n_nodes - 1 == self.grid.n_steps:
             return _phi(self.c, g), None
-        key = self._keys(g.samples[None])[0]
+        key = self._keys(g.samples[None])[1][0]
         hit = self.memo.get(key)
         if hit is not None:
             self.hits += 1
@@ -482,6 +490,17 @@ def _roots(sc) -> list:
     return roots
 
 
+def _matches_the_node_by_node_recursion(sc, c) -> None:
+    roots = _roots(sc)
+    ref = NodeByNodeTable(c, sc.grid)
+    want = [ref.entry(g) for g in roots]
+    assert len(ref.memo) > 0
+    table = ValueTable(c, sc.grid)
+    assert [table.entry(g) for g in roots] == want
+    assert table.memo == ref.memo
+    assert table.hits == ref.hits
+
+
 @pytest.mark.parametrize(
     "build, step",
     [
@@ -498,14 +517,16 @@ def test_batched_table_matches_the_node_by_node_recursion(build, step, batch, mo
     if batch is not None:  # levels then span several blocks
         monkeypatch.setattr(phjb.value, "_ROW_CAP", batch)
     sc = build(step=step)
-    roots = _roots(sc)
-    ref = NodeByNodeTable(sc.coefficients, sc.grid)
-    want = [ref.entry(g) for g in roots]
-    assert len(ref.memo) > 0
-    table = ValueTable(sc.coefficients, sc.grid)
-    assert [table.entry(g) for g in roots] == want
-    assert table.memo == ref.memo
-    assert table.hits == ref.hits
+    _matches_the_node_by_node_recursion(sc, sc.coefficients)
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("batch", [2, None])
+def test_batched_brute_force_table_matches_the_node_by_node_recursion(build, batch, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr(phjb.value, "_ROW_CAP", batch)
+    sc = build(step=0.2)
+    _matches_the_node_by_node_recursion(sc, replace(sc.coefficients, state=None))
 
 
 def _smallest_passing_budget(table_type, c, grid, roots) -> int:
@@ -530,7 +551,7 @@ def _smallest_passing_budget(table_type, c, grid, roots) -> int:
 @pytest.mark.parametrize("keyed", [True, False])
 def test_batched_table_refuses_at_the_same_budgets(build, keyed):
     sc = build()
-    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
+    c = sc.coefficients if keyed else replace(sc.coefficients, state=None)
     roots = _roots(sc)[:40]
     smallest = _smallest_passing_budget(ValueTable, c, sc.grid, roots)
     assert smallest == _smallest_passing_budget(NodeByNodeTable, c, sc.grid, roots)
@@ -541,13 +562,15 @@ def test_batched_table_refuses_at_the_same_budgets(build, keyed):
 
 @pytest.fixture
 def stepped(monkeypatch) -> list:
-    """(node count, parents) of every `step_rows` block the value module steps."""
+    """(node count, parents, node count of the block) of every `step_rows`
+    block the value module steps: the node count is that of the prefixes
+    the block stands for, which hold more nodes than a block of states."""
     blocks = []
     step_rows = phjb.value.step_rows
 
-    def counting(c, proto, P, controls):
-        blocks.append((P.shape[1], len(P)))
-        return step_rows(c, proto, P, controls)
+    def counting(c, proto, P, controls, offset=0):
+        blocks.append((P.shape[1] + offset, len(P), P.shape[1]))
+        return step_rows(c, proto, P, controls, offset)
 
     monkeypatch.setattr(phjb.value, "step_rows", counting)
     return blocks
@@ -563,10 +586,10 @@ def test_each_level_of_a_run_is_stepped_once_per_row_cap_chunk(cap, stepped, mon
     runs = itertools.groupby(g.n_nodes for g in roots)
     assert len(list(runs)) > len({g.n_nodes for g in roots})  # node counts recur
     ValueTable(sc.coefficients, sc.grid).values(roots)
-    levels = [n for n, _ in stepped]
+    levels = [n for n, _, _ in stepped]
     assert levels == sorted(levels)
     rows = Counter()
-    for n, parents in stepped:
+    for n, parents, _ in stepped:
         rows[n] += parents
     chunks = Counter({n: -(-count // phjb.value._ROW_CAP) for n, count in rows.items()})
     assert Counter(levels) == chunks
@@ -589,11 +612,21 @@ def test_memo_refusal_steps_no_level_past_the_overflow(stepped):
     stepped.clear()
     with pytest.raises(BudgetExceeded, match=f"memo grew beyond budget {budget}"):
         ValueTable(sc.coefficients, sc.grid, budget=budget).value(sc.initial)
-    assert stepped == fits and len(fits) > 1
+    assert [(n, parents) for n, parents, _ in stepped] == fits and len(fits) > 1
+
+
+@pytest.mark.parametrize("build, m", [(eikonal, 1), (runmax, 2), (feedback, 1)])
+def test_the_sweep_steps_each_level_as_a_block_of_states(build, m, stepped):
+    sc = build(step=0.2)
+    roots = _roots(sc)
+    ValueTable(sc.coefficients, sc.grid).values(roots)
+    assert {n for n, _, _ in stepped} == set(range(1, sc.grid.n_steps + 1))
+    assert {nodes for _, _, nodes in stepped} == {m}
 
 
 def _spoiled_at(c, *prefixes):
-    """c with a NaN drift on the rows equal to one of the given prefixes."""
+    """c with a NaN drift on the rows equal to one of the given prefixes,
+    and no declared state, so the drift reads whole prefixes."""
     base = c.drift
 
     def drift(S, U):
@@ -603,7 +636,7 @@ def _spoiled_at(c, *prefixes):
                 f[(S == p.samples).all(axis=(1, 2))] = np.nan
         return f
 
-    return replace(c, drift=drift)
+    return replace(c, drift=drift, state=None)
 
 
 def test_refusals_at_two_depths_raise_the_first_in_level_order():
@@ -630,6 +663,29 @@ def test_refusals_at_two_depths_raise_the_first_in_level_order():
     assert message(lambda: NodeByNodeTable(spoiled, sc.grid).value(sc.initial)) == deep_msg
 
 
+def test_a_refusal_from_a_block_of_states_names_the_time_of_its_prefix():
+    sc = feedback(step=0.2)
+    c = sc.coefficients
+    level = [sc.initial]
+    for _ in range(3):
+        level = level_children(c, level)
+    bad = level[5]  # of 4 nodes; no other prefix of the tree ends where it ends
+    base = c.drift
+
+    def drift(S, U):  # NaN at bad's endpoint, under feedback's endpoint state
+        f = np.array(base(S, U), dtype=float)
+        f[(S[:, -1] == bad.endpoint).all(axis=1)] = np.nan
+        return f
+
+    spoiled = replace(c, drift=drift)
+    with pytest.raises(ValueError) as scalar:
+        step_once(spoiled, bad, c.control_set[0])
+    assert f"t={sc.grid.step * 3} " in str(scalar.value)
+    with pytest.raises(ValueError) as table:
+        ValueTable(spoiled, sc.grid).value(sc.initial)
+    assert str(table.value) == str(scalar.value)
+
+
 # nets valued in one sweep against value path by path ----------------------
 
 
@@ -643,7 +699,7 @@ def _nets(sc, seed=3) -> list:
 def unkeyed_runmax(step):
     """runmax with the exact sample bytes as its memo key."""
     sc = runmax(step=step)
-    return replace(sc, coefficients=replace(sc.coefficients, state_key=None))
+    return replace(sc, coefficients=replace(sc.coefficients, state=None))
 
 
 @pytest.mark.parametrize(
@@ -713,7 +769,7 @@ def test_values_refuse_where_value_refuses_path_by_path():
     grid = sc.grid
     net = list(_nets(sc)[0])  # spliced below, as a plain list
     beyond = Path(sc.space, grid.step, np.zeros((grid.n_steps + 2, 1)))
-    stripped = replace(sc.coefficients, state_key=None)
+    stripped = replace(sc.coefficients, state=None)
     i = next(i for i in range(1, len(net)) if net[i - 1].n_nodes == net[i].n_nodes > 1)
     halved = Path(sc.space, grid.step / 2, net[i].samples)
     cases = [
@@ -776,7 +832,7 @@ def path_dpp_residuals(table, g) -> dict:
 @pytest.mark.parametrize("keyed", [True, False])
 def test_dpp_residuals_equal_the_path_enumeration(build, keyed):
     sc = build(step=0.2)
-    c = sc.coefficients if keyed else replace(sc.coefficients, state_key=None)
+    c = sc.coefficients if keyed else replace(sc.coefficients, state=None)
     roots = [sc.initial] + [r for r in _roots(sc)[1:] if r.n_nodes <= 3][:6]
     for g in roots:
         table, ref = ValueTable(c, sc.grid), ValueTable(c, sc.grid)
@@ -791,7 +847,8 @@ def test_dpp_residuals_equal_the_path_enumeration(build, keyed):
 
 def _spoiled_feedback(kind):
     """feedback whose drift is NaN, or of the wrong shape, on the paths
-    starting at 9.0 (the middle parent below)."""
+    starting at 9.0 (the middle parent below), with no declared state, so
+    the drift reads whole prefixes."""
     base = feedback().coefficients
 
     def drift(S, U):
@@ -802,7 +859,7 @@ def _spoiled_feedback(kind):
         f[spoiled] = np.nan
         return f
 
-    return replace(base, drift=drift)
+    return replace(base, drift=drift, state=None)
 
 
 @pytest.mark.parametrize("kind", ["nan", "shape"])
