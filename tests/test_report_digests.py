@@ -10,8 +10,9 @@ and 7, classical, whose kink flags are read off finite differences, on
 eikonal and runmax at every grid from 9 to 15, the checks that read the
 value recursion and its DPP enumeration (value, dpp and regularity) on every
 config at grids 5, 7 and 9 to 11, except feedback regularity, pinned at
-grids 5, 7 and 9 only, plus feedback stability at grids 5, 7 and 9 to 11,
-plus one feedback run whose small budget turns two checks into budget
+grids 5, 7 and 9 only, plus dpp on every config at grids 12 to 16, where
+its enumeration is largest (12 to 14) or refused by the budget (13 to 16),
+plus feedback stability at grids 5, 7 and 9 to 11, plus one feedback run whose small budget turns two checks into budget
 records. Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
@@ -68,6 +69,9 @@ CLASSICAL_GRIDS = (9, 10, 11, 13, 14, 15)
 VALUE_CHECKS = ("value", "dpp", "regularity")
 VALUE_GRIDS = (5, 7, 9, 10, 11)
 FEEDBACK_VALUE_GRIDS = {**dict.fromkeys(VALUE_CHECKS, VALUE_GRIDS), "regularity": VALUE_GRIDS[:3], "stability": VALUE_GRIDS}
+# the grids past 11 where dpp is also pinned on every config: 12 to 14 hold
+# its largest enumerations, and 13 to 16 its budget refusals
+DPP_GRIDS = (12, 13, 14, 15, 16)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
 
@@ -83,6 +87,7 @@ def _cells() -> list:
         cells += [(f"{name}@16/{c}/seed{s}", doc, (c,), 16, s) for c in SOLVING_CHECKS for s in SOLVING_SEEDS]
         value_grids = FEEDBACK_VALUE_GRIDS if name == "feedback" else dict.fromkeys(VALUE_CHECKS, VALUE_GRIDS)
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c, grids in value_grids.items() for g in grids]
+        cells += [(f"{name}@{g}/dpp", doc, ("dpp",), g, 0) for g in DPP_GRIDS]
     for name in ("eikonal", "runmax"):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CERTIFICATE_CHECKS for g in CERTIFICATE_GRIDS]
