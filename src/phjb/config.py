@@ -64,6 +64,12 @@ def _int(value, where: str) -> int:
     return int(out)
 
 
+def _refuse_unknown(doc: dict, keys, section: str = "") -> None:
+    for key in doc:  # the first key that is not one of keys, named within its section
+        if key not in keys:
+            raise ConfigError(f"{section}{key}", "unknown field")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
@@ -102,13 +108,10 @@ def parse_config(
     """Validate a config document; overrides replace the file's grid/seed."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "top level must be an object")
-    known_keys = {
+    _refuse_unknown(doc, {
         "scenario", "grid", "initial", "seed", "checks",
         "epsilons", "perturbation", "budget", "tolerances",
-    }
-    for key in doc:
-        if key not in known_keys:
-            raise ConfigError(key, "unknown field")
+    })
 
     name = doc.get("scenario")
     if name not in SCENARIOS:
@@ -119,6 +122,7 @@ def parse_config(
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid", "must be an object")
+    _refuse_unknown(grid_doc, ("T", "step"), "grid.")
     T = _num(grid_doc.get("T", 1.0), "grid.T")
     step = _num(grid_doc.get("step", 0.25), "grid.step")
     if grid_steps is not None:
@@ -136,6 +140,7 @@ def parse_config(
     if init_doc is not None:
         if not isinstance(init_doc, dict):
             raise ConfigError("initial", "must be an object")
+        _refuse_unknown(init_doc, ("samples",) if "samples" in init_doc else ("constant", "horizon"), "initial.")
         if "samples" in init_doc:
             rows = init_doc["samples"]
             if not isinstance(rows, list) or not rows:
@@ -144,8 +149,8 @@ def parse_config(
                 samples = np.array(
                     [[_num(v, "initial.samples") for v in row] for row in rows]
                 )
-            except TypeError:
-                raise ConfigError("initial.samples", "rows must be lists") from None
+            except (TypeError, ValueError):  # a row that is not a list, or rows of unequal lengths
+                raise ConfigError("initial.samples", "rows must be lists of one length") from None
             if samples.ndim != 2 or samples.shape[1] != sc.space.dim:
                 raise ConfigError(
                     "initial.samples",

@@ -107,13 +107,13 @@ def _first_minima(vals: np.ndarray) -> list:
     return picks.tolist()
 
 
-def _stepped(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int = 0):
-    """`step_rows` over the rows of P, a read-only block of prefixes of one
-    node count or of their states (see `step_rows` for offset), _ROW_CAP
-    parents at a time. Yields, for each block in order, its first index,
-    its children's step costs and the children themselves."""
+def _stepped(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int):
+    """`step_rows` over the rows of P, a block of the states of prefixes of
+    one node count (see `step_rows` for offset), _ROW_CAP parents at a
+    time. Yields, for each block in order, its children's step costs and
+    the children themselves, parent-major in control order."""
     for lo in range(0, len(P), _ROW_CAP):
-        yield (lo, *_priced(c, proto, P[lo : lo + _ROW_CAP], controls, offset))
+        yield _priced(c, proto, P[lo : lo + _ROW_CAP], controls, offset)
 
 
 def _priced(c: Coefficients, proto: Path, P: np.ndarray, controls, offset: int) -> tuple:
@@ -229,13 +229,6 @@ class ValueTable:
             self._sweep(paths[0], groups, out)
         return out
 
-    def _values(self, proto: Path, S: np.ndarray) -> np.ndarray:
-        """V of every row of S, a read-only block of prefixes of one node count
-        on proto's space and step: the one-block case of `_sweep`."""
-        out = np.empty(len(S))
-        self._sweep(proto, {S.shape[1]: (np.arange(len(S)), S)}, out)
-        return out
-
     def _lookup(self, keys: list, fresh: dict) -> tuple:
         """The values of keys as far as the memo holds them.
 
@@ -304,8 +297,8 @@ class ValueTable:
             costs, known, ref, parts, fresh = [], [], [], [], {}
             blocks = _stepped(c, proto, P, controls, n - 1 - P.shape[1]) if keys else ()
             if R is not None:  # the roots, keyed first
-                blocks = itertools.chain([(0, None, R)], blocks)
-            for _, cost, X in blocks:
+                blocks = itertools.chain([(None, R)], blocks)
+            for cost, X in blocks:
                 if cost is not None:  # children, not roots
                     costs.append(cost)
                 if n == n_T:
@@ -388,16 +381,16 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     """Residuals |V(gamma_t) - min_u [ sum costs + V(X_s) ]| at every grid s.
 
     The inner minimum enumerates control assignments on [t, s] explicitly,
-    one block row per assignment, and accumulates tail-first, matching the
-    recursion's association: one column of step costs per level, added to
-    the values read from the table last column first. Each level is stepped
-    as one block, split at _ROW_CAP parents as the recursion's forward pass
-    splits it. The width^steps_left leaves are refused up front beyond the
-    table's budget.
+    stepping the states of each level (`Coefficients.state`) as the
+    recursion's forward pass steps its parents, so no prefix below g is
+    built. It accumulates tail-first, in the recursion's association: one
+    column of step costs per level, each entry added to its subtree, last
+    column first, to V read from the memo that `value(g)` fills, a hit per
+    read, or to the terminal cost at T. The width^steps_left leaves are
+    refused up front beyond the table's budget.
     """
     c, grid = table.c, table.grid
-    controls = c.control_set
-    width = len(controls)
+    width = len(c.control_set)
     steps_left = grid.n_steps - (g.n_nodes - 1)
     if width**steps_left > table.budget:
         raise BudgetExceeded(
@@ -407,21 +400,23 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
     v0 = table.value(g)
     residuals = {}
     # enumerate level by level so every intermediate horizon is covered
-    level = g.samples[None]
-    columns = []  # step costs of each level so far, one entry per row of level
+    states = [table._keys(g.samples[None])[0]]  # g's state
+    columns = []  # step costs of each level so far, one entry per row of its level
     for k in range(g.n_nodes, grid.n_steps + 1):
-        m, n, dim = level.shape
-        children = np.empty((m * width, n + 1, dim))
-        costs = np.empty(m * width)
-        for lo, cost, X in _stepped(c, g, level, controls):
-            children[lo * width : lo * width + len(X)] = X
-            costs[lo * width : lo * width + len(X)] = cost
-        children.flags.writeable = False
-        level = children
-        columns = [np.repeat(col, width) for col in columns] + [costs]
-        total = table._values(g, level)
-        for col in reversed(columns):
-            total = col + total
+        level, costs, vals, states = _joined(states), [], [], []  # level: the states of k-node prefixes
+        for cost, X in _stepped(c, g, level, c.control_set, k - level.shape[1]):
+            costs.append(cost)
+            if k == grid.n_steps:
+                vals.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
+                continue
+            Z, keys = table._keys(X, k + 1)
+            vals.append(np.array([table.memo[key][0] for key in keys]))
+            table.hits += len(keys)
+            states.append(Z)
+        columns.append(_joined(costs))
+        total = _joined(vals)
+        for col in reversed(columns):  # each entry added to its subtree
+            total = (col[:, None] + total.reshape(len(col), -1)).ravel()
         best = total[_first_minima(total[None])[0]]
         residuals[k * grid.step] = abs(v0 - float(best))
     return residuals

@@ -79,6 +79,11 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"seed": -3},
         {"tolerances": {"residual": "-1"}},
         {"tolerances": {"margin_c0": "-2"}},
+        {"grid": {"T": "1", "stpe": "0.125"}},
+        {"initial": {"samples": [["0.5"]], "horizon": "0.0"}},
+        {"initial": {"samples": [["0.5"]], "constant": ["0.5"]}},
+        {"initial": {"constant": ["0.5"], "horizon": "0.0", "step": "0.1"}},
+        {"initial": {"samples": [["0.1"], ["0.2", "0.3"]]}},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):

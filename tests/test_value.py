@@ -830,16 +830,42 @@ def path_dpp_residuals(table, g) -> dict:
 
 @pytest.mark.parametrize("build", [eikonal, runmax, feedback])
 @pytest.mark.parametrize("keyed", [True, False])
-def test_dpp_residuals_equal_the_path_enumeration(build, keyed):
+def test_dpp_residuals_equal_the_path_enumeration(build, keyed, monkeypatch):
     sc = build(step=0.2)
     c = sc.coefficients if keyed else replace(sc.coefficients, state=None)
     roots = [sc.initial] + [r for r in _roots(sc)[1:] if r.n_nodes <= 3][:6]
-    for g in roots:
-        table, ref = ValueTable(c, sc.grid), ValueTable(c, sc.grid)
-        got = verify_dpp_consistency(table, g)
-        want = path_dpp_residuals(ref, g)
-        assert repr(got) == repr(want)
-        assert table.memo == ref.memo and table.hits == ref.hits
+    # at a cap of 2, levels span several blocks; a spoiled memo makes the
+    # residuals nonzero, so the association of the sums shows in their bits
+    for cap, spoiled in itertools.product((phjb.value._ROW_CAP, 2), (False, True)):
+        monkeypatch.setattr(phjb.value, "_ROW_CAP", cap)
+        for g in roots:
+            table, ref = ValueTable(c, sc.grid), ValueTable(c, sc.grid)
+            for t in (table, ref) if spoiled else ():
+                t.value(g)
+                for i, (key, (v, u)) in enumerate(t.memo.items()):
+                    t.memo[key] = (v + (i % 7) / 3, u)
+            got = verify_dpp_consistency(table, g)
+            want = path_dpp_residuals(ref, g)
+            assert repr(got) == repr(want)
+            assert any(got.values()) == spoiled
+            assert table.memo == ref.memo and table.hits == ref.hits
+
+
+@pytest.mark.parametrize("build, m", [(eikonal, 1), (runmax, 2), (feedback, 1)])
+@pytest.mark.parametrize("keyed", [True, False])
+def test_the_dpp_enumeration_steps_blocks_of_states(build, m, keyed, stepped):
+    sc = build(step=0.2)
+    c = sc.coefficients if keyed else replace(sc.coefficients, state=None)
+    W, n = len(c.control_set), sc.initial.n_nodes
+    table = ValueTable(c, sc.grid)
+    table.value(sc.initial)
+    stepped.clear()
+    verify_dpp_consistency(table, sc.initial)
+    # one block per level, each standing for every prefix of its node count
+    levels = range(n, sc.grid.n_steps + 1)
+    assert [(nodes, parents) for nodes, parents, _ in stepped] == [(k, W ** (k - n)) for k in levels]
+    # the declared state's nodes, or without one the whole prefix
+    assert [size for _, _, size in stepped] == [m if keyed else k for k in levels]
 
 
 # refusals inside a block are the scalar stepper's -------------------------
