@@ -13,7 +13,11 @@ config at grids 5, 7 and 9 to 11, except feedback regularity, pinned at
 grids 5, 7 and 9 only, plus dpp on every config at grids 12 to 16, where
 its enumeration is largest (12 to 14) or refused by the budget (13 to 16),
 plus feedback stability at grids 5, 7 and 9 to 11, plus one feedback run whose small budget turns two checks into budget
-records. Each cell pins its exit code and the sha256 of its JSON report
+records, plus regularity on eikonal and runmax at grid 8 under seeds 3
+and 7, plus runmax viscosity at grid 8 under a budget that the memo runs
+out of partway through the touching points' nets, and one eikonal run at
+grid 4 whose budget turns regularity and viscosity into budget records.
+Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
 
@@ -74,6 +78,14 @@ FEEDBACK_VALUE_GRIDS = {**dict.fromkeys(VALUE_CHECKS, VALUE_GRIDS), "regularity"
 DPP_GRIDS = (12, 13, 14, 15, 16)
 # feedback with a memo budget that dpp and regularity run out of
 BUDGET_DOC = {"budget": 50, "checks": ["value", "dpp", "regularity", "stability"]}
+# the seeds past 0 where regularity, which values its samples, their bumps
+# and their extensions together, is also pinned at grid 8
+REGULARITY_SEEDS = (3, 7)
+# runmax with a memo budget that runs out partway through the nets of its
+# touching points at grid 8, and eikonal with one that regularity and
+# viscosity run out of at grid 4
+RUNMAX_BUDGET = 4000
+EIKONAL_BUDGET = 300
 
 
 def _cells() -> list:
@@ -93,6 +105,12 @@ def _cells() -> list:
         cells += [(f"{name}@{g}/{c}", doc, (c,), g, 0) for c in CERTIFICATE_CHECKS for g in CERTIFICATE_GRIDS]
         cells += [(f"{name}@{g}/classical", doc, ("classical",), g, 0) for g in CLASSICAL_GRIDS]
     cells += [(f"runmax@16/{c}/seed{s}", doc, (c,), 16, s) for c in CERTIFICATE_CHECKS for s in CERTIFICATE_SEEDS]
+    cells.append((f"runmax@8/viscosity/budget-{RUNMAX_BUDGET}", {**doc, "budget": RUNMAX_BUDGET}, ("viscosity",), 8, 0))
+    for name in ("eikonal", "runmax"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        cells += [(f"{name}@8/regularity/seed{s}", doc, ("regularity",), 8, s) for s in REGULARITY_SEEDS]
+    doc = {**json.loads((CONFIGS / "eikonal.json").read_text()), "budget": EIKONAL_BUDGET}
+    cells.append((f"eikonal@4/budget-{EIKONAL_BUDGET}", doc, None, 4, 0))
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
     cells.append(("feedback@4/budget-50", doc, None, 4, 0))
     return cells
