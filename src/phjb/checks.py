@@ -495,19 +495,20 @@ def viscosity_check(
     )
 
 
-def _touching_scans(cfg, table, sides):
-    """`viscosity_check` on each of sides ("sub", "super") at every touching
-    point of the config's scenario, in order, as (point, side, result): each
-    point over its own net, built when the point is reached, whose values
-    are read once from table."""
+def _touching_scans(cfg, table, sides, count=None):
+    """`viscosity_check` on each of sides ("sub", "super") at the first count
+    touching points of the config's scenario (all by default), in order, as
+    (point, side, result): each point over its own net. The nets are built
+    first and valued in one `values` call on their joined grouping."""
     sc = cfg.scenario
-    for tp in touching_points(sc):
-        net = build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed)
-        values = table.values(net)  # one value pass, read by every side
+    points = touching_points(sc)[:count]
+    nets = [build_net(sc.coefficients, tp.point, sc.grid, seed=cfg.seed) for tp in points]
+    values = np.split(table.values(Net.joined(nets)), np.cumsum([len(net) for net in nets])[:-1])
+    for tp, net, v in zip(points, nets, values):
         for side in sides:
             phi, pack = (tp.phi_sub, tp.pack_sub) if side == "sub" else (tp.phi_super, tp.pack_super)
             yield tp, side, viscosity_check(
-                values, sc.coefficients, tp.point, phi, pack, side,
+                v, sc.coefficients, tp.point, phi, pack, side,
                 net=net, tol=cfg.tolerances["viscosity"], label=tp.label,
             )
 
@@ -684,10 +685,9 @@ def stability_record(cfg, value_table) -> CheckRecord:
         tol=cfg.tolerances["residual"],
     )
     if has_certificates(sc):
-        first = next(_touching_scans(cfg, table, ("sub",)), None)  # every point is built
-        if first is not None:
-            rec.summary["limit_point_ok"] = first[2].passed
-            rec.passed = rec.passed and first[2].passed
+        for _, _, first in _touching_scans(cfg, table, ("sub",), 1):  # one net, one sweep
+            rec.summary["limit_point_ok"] = first.passed
+            rec.passed = rec.passed and first.passed
     return rec
 
 

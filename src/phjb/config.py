@@ -91,6 +91,8 @@ def check_names(names, scenario: Scenario) -> tuple:
     for c in names:
         if c not in CHECKS:
             raise ConfigError("checks", f"unknown check {c!r}")
+        if names.count(c) > 1:
+            raise ConfigError("checks", f"repeated check {c!r}")
     if not has_certificates(scenario) and any(c in ("viscosity", "classical") for c in names):
         raise ConfigError(
             "checks",
@@ -143,13 +145,13 @@ def parse_config(
         _refuse_unknown(init_doc, ("samples",) if "samples" in init_doc else ("constant", "horizon"), "initial.")
         if "samples" in init_doc:
             rows = init_doc["samples"]
-            if not isinstance(rows, list) or not rows:
-                raise ConfigError("initial.samples", "must be a non-empty list")
+            if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+                raise ConfigError("initial.samples", "must be a non-empty list of lists")
             try:
                 samples = np.array(
                     [[_num(v, "initial.samples") for v in row] for row in rows]
                 )
-            except (TypeError, ValueError):  # a row that is not a list, or rows of unequal lengths
+            except ValueError:  # rows of unequal lengths
                 raise ConfigError("initial.samples", "rows must be lists of one length") from None
             if samples.ndim != 2 or samples.shape[1] != sc.space.dim:
                 raise ConfigError(

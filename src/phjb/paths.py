@@ -429,6 +429,21 @@ class Net(tuple):
         net.groups = MappingProxyType(groups)
         return net
 
+    @classmethod
+    def joined(cls, nets) -> "Net":
+        """The paths of nets end to end, for one value sweep: a node count's
+        group is its groups in the nets end to end, rows offset past the nets
+        before, so nothing is regrouped."""
+        runs: dict = {}  # node count -> the (rows, S) of each net that has it
+        for at, net in zip(np.cumsum([0, *map(len, nets)]).tolist(), nets):
+            for n, (rows, S) in net.groups.items():
+                runs.setdefault(n, []).append((rows + at, S))
+        net = super().__new__(cls, [g for net in nets for g in net])
+        net.groups = MappingProxyType({n: tuple(map(np.concatenate, zip(*run))) for n, run in runs.items()})
+        for rows, S in net.groups.values():
+            rows.flags.writeable = S.flags.writeable = False
+        return net
+
 
 # -- norms ---------------------------------------------------------------
 

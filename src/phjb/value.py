@@ -233,19 +233,24 @@ class ValueTable:
         """The values of keys as far as the memo holds them.
 
         A key in neither the memo nor fresh joins fresh, mapped to its index
-        there; every other key counts as a hit. Returns (known, ref, rows):
-        known[i] is the memo value of keys[i] where ref[i] is -1, and
-        otherwise ref[i] is the key's index in fresh; rows are the indices of
-        the keys that joined fresh.
+        there, fresh's size as it joins; every other key counts as a hit.
+        Returns (known, ref, rows): known[i] is the memo value of keys[i]
+        where ref[i] is -1, and otherwise ref[i] is the key's index in fresh;
+        rows are the indices of the keys that joined fresh. Each key is
+        hashed once in each dict it meets, by C-level passes: in the memo
+        unless it is empty, then in fresh unless the memo holds it.
         """
-        memo, start = self.memo, len(fresh)
-        found = [memo.get(key) for key in keys]
-        ref = [-1 if hit else fresh.setdefault(key, len(fresh)) for key, hit in zip(keys, found)]
-        ref = np.array(ref, dtype=np.intp)
+        memo, start, N = self.memo, len(fresh), len(keys)
+        found = list(map(memo.get, keys)) if memo else []
+        known, ref, miss = np.zeros(N), np.full(N, -1, dtype=np.intp), slice(None)
+        if found.count(None) < len(found):  # the memo's values, and its misses on to fresh
+            known[:] = [hit[0] if hit else 0.0 for hit in found]
+            miss = [hit is None for hit in found]
+            keys = list(itertools.compress(keys, miss))
+        ref[miss] = np.fromiter(map(fresh.setdefault, keys, iter(fresh.__len__, None)), np.intp, len(keys))
         # new indices first occur in increasing order, each above every index before it
         rows = np.flatnonzero(ref > np.maximum.accumulate(np.append(start - 1, ref[:-1])))
-        self.hits += len(keys) - len(rows)
-        known = np.array([hit[0] if hit else 0.0 for hit in found])
+        self.hits += N - len(rows)
         return known, ref, rows
 
     def _sweep(self, proto: Path, roots: Mapping, out: np.ndarray) -> None:
@@ -342,13 +347,15 @@ class ValueTable:
             )
 
     def policy(self, g: Path) -> tuple[ControlSignal, Path]:
-        """An optimal control signal from g to T and its trajectory, by stored argmins."""
-        controls = []
-        x = g
+        """An optimal control signal from g to T and its trajectory, by stored
+        argmins: g's by `entry(g)`, whose one sweep stores every later node's,
+        each read from the memo a hit per read (a missing key raises)."""
+        controls, x = [], g
         while x.n_nodes - 1 < self.grid.n_steps:
-            _, u = self.entry(x)
+            u = self.memo[self._keys(x.samples[None])[1][0]][1] if controls else self.entry(g)[1]
             controls.append(u)
             x = step_once(self.c, x, u)
+        self.hits += max(len(controls) - 1, 0)
         return ControlSignal(g.horizon, g.step, controls), x
 
 
@@ -476,9 +483,9 @@ def verify_value_regularity(
         for i, g in enumerate(paths)
         if g.horizon + grid.step <= grid.T + GRID_TOL
     }
-    vg = table.values(paths).tolist()
-    ve = dict(zip(bumped, table.values(list(bumped.values())).tolist()))
-    vx = dict(zip(extended, table.values(list(extended.values())).tolist()))
+    # the paths, their companions and their extensions, in one sweep
+    v = iter(table.values([*paths, *bumped.values(), *extended.values()]).tolist())
+    vg, ve, vx = [next(v) for _ in paths], dict(zip(bumped, v)), dict(zip(extended, v))
     consts = {"growth": 0.0, "space": 0.0, "time": 0.0}
     for i, g in enumerate(paths):
         ng = sup_norm(g)

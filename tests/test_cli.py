@@ -84,6 +84,8 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"initial": {"samples": [["0.5"]], "constant": ["0.5"]}},
         {"initial": {"constant": ["0.5"], "horizon": "0.0", "step": "0.1"}},
         {"initial": {"samples": [["0.1"], ["0.2", "0.3"]]}},
+        {"initial": {"samples": ["0", "1"]}},
+        {"checks": ["value", "value"]},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):

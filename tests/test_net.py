@@ -112,6 +112,23 @@ def test_a_net_and_its_grouping_are_read_only():
             rows[0] = 0
 
 
+@pytest.mark.parametrize("build", [eikonal, runmax])
+def test_joined_nets_group_as_their_paths_do_end_to_end(build):
+    sc = build()
+    nets = [build_net(sc.coefficients, p, sc.grid, seed=1) for p in _points(sc)]
+    assert len(nets) > 2
+    joined = Net.joined(nets)
+    assert isinstance(joined, Net) and list(joined) == [g for net in nets for g in net]
+    for a, b in zip(joined, (g for net in nets for g in net)):
+        assert a is b  # the nets' own paths, not copies
+    assert _same_groups(node_count_groups(joined), node_count_groups(list(joined)))
+    for rows, S in node_count_groups(joined).values():
+        assert not rows.flags.writeable and not S.flags.writeable
+    for net in nets:  # each net keeps its own grouping
+        assert _same_groups(node_count_groups(net), node_count_groups(list(net)))
+    assert len(Net.joined([])) == 0 and not node_count_groups(Net.joined([]))
+
+
 def test_net_paths_are_views_of_their_group_blocks():
     for build in (eikonal, runmax):
         sc = build()

@@ -4,13 +4,15 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path as FsPath
 from typing import Optional
 
 import numpy as np
 import pytest
 
 import phjb.value
-from phjb.checks import build_net
+from phjb.checks import CHECKS, build_net
+from phjb.config import load_config
 from phjb.dynamics import (
     Coefficients,
     ControlSignal,
@@ -40,6 +42,8 @@ from phjb.value import (
 )
 
 from conftest import level_children
+
+CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
 
 def _interval_cost(c, prefix, nxt, u) -> float:
@@ -427,7 +431,8 @@ def test_regularity_values_three_lists_and_calls_no_entry(monkeypatch):
     sc = eikonal(step=0.125)
     rep = verify_value_regularity(ValueTable(sc.coefficients, sc.grid), sc.space, seed=0)
     assert rep.summary["n_samples"] == 30 and rep.passed
-    assert calls == Counter(values=3)
+    # the paths, their bumps and their extensions, one sweep for the three lists
+    assert calls == Counter(values=1)
 
 
 def test_dpp_enumeration_is_refused_beyond_the_budget():
@@ -912,3 +917,119 @@ def test_block_refusals_raise_the_scalar_error(kind):
     assert str(scalar.value) == str(one.value) == "drift returned shape (1, 3), expected (1, 2)"
     assert str(level.value) == f"drift returned shape ({3 * W}, 3), expected ({3 * W}, 2)"
     assert str(table.value) == f"drift returned shape ({W}, 3), expected ({W}, 2)"
+
+
+# one sweep per check ---------------------------------------------------------
+
+
+def _counting_sweeps(monkeypatch) -> list:
+    """Patch ValueTable._sweep to record the number of roots of each call."""
+    sweeps = []
+    real = ValueTable._sweep
+
+    def counting(self, proto, roots, out):
+        sweeps.append(len(out))
+        return real(self, proto, roots, out)
+
+    monkeypatch.setattr(ValueTable, "_sweep", counting)
+    return sweeps
+
+
+@pytest.mark.parametrize("grid", [4, 8])
+def test_viscosity_values_every_touching_point_in_one_sweep(grid, monkeypatch):
+    cfg = load_config(str(CONFIGS / "runmax.json"), grid_steps=grid, seed=0)
+    sc = cfg.scenario
+    nets = [build_net(sc.coefficients, tp.point, sc.grid, seed=0) for tp in touching_points(sc)]
+    sweeps = _counting_sweeps(monkeypatch)
+    table = ValueTable(sc.coefficients, sc.grid)
+    rec = CHECKS["viscosity"](cfg, lambda: table)
+    assert rec.summary["points"] == len(nets) > 1
+    assert sweeps == [sum(len(net) for net in nets)]
+    # stability values its initial path, once per table, and its first point's net
+    sweeps.clear()
+    table = ValueTable(sc.coefficients, sc.grid)
+    CHECKS["stability"](cfg, lambda: table)
+    assert sorted(sweeps) == [1] * (1 + len(cfg.epsilons)) + [len(nets[0])]
+
+
+def entry_by_entry_policy(table, g) -> tuple:
+    """The policy as it was read before: one `entry`, a sweep, per node."""
+    controls, x = [], g
+    while x.n_nodes - 1 < table.grid.n_steps:
+        _, u = table.entry(x)
+        controls.append(u)
+        x = step_once(table.c, x, u)
+    return controls, x
+
+
+@pytest.mark.parametrize("build", [eikonal, runmax, feedback])
+@pytest.mark.parametrize("valued", [True, False])
+def test_policy_sweeps_once_and_reads_each_later_node_from_the_memo(build, valued, monkeypatch):
+    sc = build(step=0.125)
+    g = sc.initial
+    ref = NodeByNodeTable(sc.coefficients, sc.grid)
+    table = ValueTable(sc.coefficients, sc.grid)
+    if valued:
+        assert table.value(g) == ref.value(g)
+    want, want_traj = entry_by_entry_policy(ref, g)
+    sweeps = _counting_sweeps(monkeypatch)
+    sig, traj = table.policy(g)
+    assert len(sig.values) == sc.grid.n_steps - (g.n_nodes - 1) > 1
+    assert sweeps == [1]  # g's own entry, none for the nodes below it
+    assert list(sig.values) == want and traj.samples.tobytes() == want_traj.samples.tobytes()
+    assert table.memo == ref.memo and table.hits == ref.hits
+
+
+def test_policy_raises_on_a_node_missing_from_the_memo():
+    sc = runmax(step=0.125)
+    table = ValueTable(sc.coefficients, sc.grid)
+    real = table.entry
+
+    def forgetful(g):  # g's entry, then a memo that lost everything below g
+        out = real(g)
+        table.memo = {table._keys(g.samples[None])[1][0]: out}
+        return out
+
+    table.entry = forgetful
+    with pytest.raises(KeyError):
+        table.policy(sc.initial)
+
+
+def parent_lookup(table, keys, fresh) -> tuple:
+    """`ValueTable._lookup` as it looked each key up with `memo.get`, then
+    `fresh.setdefault`, one comprehension each."""
+    memo, start = table.memo, len(fresh)
+    found = [memo.get(key) for key in keys]
+    ref = [-1 if hit else fresh.setdefault(key, len(fresh)) for key, hit in zip(keys, found)]
+    ref = np.array(ref, dtype=np.intp)
+    rows = np.flatnonzero(ref > np.maximum.accumulate(np.append(start - 1, ref[:-1])))
+    table.hits += len(keys) - len(rows)
+    known = np.array([hit[0] if hit else 0.0 for hit in found])
+    return known, ref, rows
+
+
+@pytest.mark.parametrize("memo_size", [0, 5, 40])
+@pytest.mark.parametrize("fresh_size", [0, 7])
+def test_lookup_matches_the_comprehension_lookup(memo_size, fresh_size):
+    rng = np.random.default_rng(memo_size + fresh_size)
+    pool = [(4, bytes(rng.integers(0, 256, 16, dtype=np.uint8))) for _ in range(60)]
+    memo = {key: (float(rng.normal()), -1.0) for key in pool[:memo_size]}
+    fresh = dict((key, i) for i, key in enumerate(pool[50 : 50 + fresh_size]))
+    blocks = [
+        [pool[i] for i in rng.integers(0, 60, 200)],  # memo hits, repeats, keys already in fresh
+        [pool[i] for i in rng.integers(40, 60, 50)],  # past the memo: no hit where it holds 40 keys
+        [pool[45]] * 3,  # one key, repeated
+        [],
+    ]
+    sc = eikonal()
+    got_t, want_t = ValueTable(sc.coefficients, sc.grid), ValueTable(sc.coefficients, sc.grid)
+    got_t.memo, want_t.memo = dict(memo), dict(memo)
+    got_f, want_f = dict(fresh), dict(fresh)
+    for keys in blocks:  # one level's blocks, sharing fresh
+        got = got_t._lookup(list(keys), got_f)
+        want = parent_lookup(want_t, list(keys), want_f)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert list(got_f.items()) == list(want_f.items())
+        assert got_t.hits == want_t.hits
+    assert got_t.memo == memo
