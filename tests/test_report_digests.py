@@ -15,8 +15,11 @@ its enumeration is largest (12 to 14) or refused by the budget (13 to 16),
 plus feedback stability at grids 5, 7 and 9 to 11, plus one feedback run whose small budget turns two checks into budget
 records, plus regularity on eikonal and runmax at grid 8 under seeds 3
 and 7, plus runmax viscosity at grid 8 under a budget that the memo runs
-out of partway through the touching points' nets, and one eikonal run at
-grid 4 whose budget turns regularity and viscosity into budget records.
+out of partway through the touching points' nets, one eikonal run at
+grid 4 whose budget turns regularity and viscosity into budget records,
+and the default run of every shipped config (every check it lists, on one
+shared value table) at grids 4 and 8, where a check reads the memo that the
+checks before it filled.
 Each cell pins its exit code and the sha256 of its JSON report
 (without the timestamp subtree) and of its CSV report, or the type and
 message of what it raised. A cell at a seed other than 0 names its seed.
@@ -86,6 +89,8 @@ REGULARITY_SEEDS = (3, 7)
 # viscosity run out of at grid 4
 RUNMAX_BUDGET = 4000
 EIKONAL_BUDGET = 300
+# the grids where the default run of every config is pinned
+RUN_GRIDS = (4, 8)
 
 
 def _cells() -> list:
@@ -113,6 +118,9 @@ def _cells() -> list:
     cells.append((f"eikonal@4/budget-{EIKONAL_BUDGET}", doc, None, 4, 0))
     doc = {**json.loads((CONFIGS / "feedback.json").read_text()), **BUDGET_DOC}
     cells.append(("feedback@4/budget-50", doc, None, 4, 0))
+    for name in ("eikonal", "runmax", "feedback"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        cells += [(f"{name}@{g}/run", doc, None, g, 0) for g in RUN_GRIDS]
     return cells
 
 
