@@ -149,20 +149,36 @@ class ValueTable:
     with the roots of every node count keyed first in their level, and a
     backward pass prices the levels deepest first. Only the roots are
     `Path` objects.
+
+    The memo maps one `bytes` key per state (see `_keys`) to (value, best
+    control); a sweep's levels are written to it when `memo` is next read.
     """
 
     def __init__(self, c: Coefficients, grid: TimeGrid, *, budget: int = 10**6):
         self.c = c
         self.grid = grid
         self.budget = int(budget)
-        self.memo: dict = {}
+        self._memo: dict = {}
+        self._unwritten = []  # per priced level, in order: (keys, values, picks)
         self.hits = 0
 
-    # one entry per (node count, bytes of the row's state): (value, best control)
+    @property
+    def memo(self) -> dict:
+        """The memo as one flat dict in insertion order: the levels priced
+        since it was last read are written to it first, in pricing order, so
+        a table that is not read after its last sweep never builds them."""
+        controls = self.c.control_set
+        for keys, vals, picks in self._unwritten:
+            self._memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))
+        self._unwritten.clear()
+        return self._memo
+
+    # one entry per node count and bytes of the row's state: (value, best control)
     def _keys(self, S: np.ndarray, n: Optional[int] = None) -> tuple:
         """The states of the rows of S, a block of prefixes of n nodes (of
         S's node count by default) or of their states stepped on, as one
-        block, and the memo key of every row: n and the bytes of the row's
+        block, and the memo key of every row: one `bytes` object, which
+        caches its hash, of n as 8 bytes and then the bytes of the row's
         state, the row itself unless the coefficients declare a state. A
         state that is not an (N, m, dim) float block is refused."""
         N, n, dim = len(S), S.shape[1] if n is None else n, S.shape[2]
@@ -171,9 +187,10 @@ class ValueTable:
         if not (block and len(Z) == N and Z.shape[1] > 0 and Z.shape[2] == dim):
             got = f"{Z.dtype} {Z.shape}" if isinstance(Z, np.ndarray) else type(Z).__name__
             raise ValueError(f"state returned {got}, expected an ({N}, m, {dim}) float block")
-        rows = np.ascontiguousarray(Z).reshape(N, Z.shape[1] * dim)
-        rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
-        return Z, [(n, raw) for raw in rows]
+        K = np.empty((N, 1 + Z.shape[1] * dim))
+        K.view(np.int64)[:, 0] = n
+        K[:, 1:] = Z.reshape(N, -1)
+        return Z, K.view(np.dtype((np.void, K.shape[1] * 8))).ravel().tolist()
 
     def _check_root(self, g: Path) -> None:
         """The gate of the root prefixes of g's node count: refuse them
@@ -237,8 +254,9 @@ class ValueTable:
         Returns (known, ref, rows): known[i] is the memo value of keys[i]
         where ref[i] is -1, and otherwise ref[i] is the key's index in fresh;
         rows are the indices of the keys that joined fresh. Each key is
-        hashed once in each dict it meets, by C-level passes: in the memo
-        unless it is empty, then in fresh unless the memo holds it.
+        looked up by C-level passes, in the memo unless it is empty, then in
+        fresh unless the memo holds it, and its hash is computed once, at
+        the first of these.
         """
         memo, start, N = self.memo, len(fresh), len(keys)
         found = list(map(memo.get, keys)) if memo else []
@@ -287,9 +305,10 @@ class ValueTable:
         Every parent becomes a memo entry, so the forward pass refuses as
         soon as the parents found so far would grow the memo beyond the
         budget, before it steps them. A budget met by a root prefix holds
-        below it, where fewer steps are left.
+        below it, where fewer steps are left. The backward pass keeps each
+        level's keys, values and argmins for `memo` to write as entries.
         """
-        c, memo = self.c, self.memo
+        c = self.c
         controls = c.control_set
         W = len(controls)
         n_T = self.grid.n_steps + 1  # the node count at T
@@ -336,7 +355,7 @@ class ValueTable:
                 total = (_joined(costs) + known[len(at) :]).reshape(-1, W)
                 picks = _first_minima(total)
                 vals = total[np.arange(len(total)), picks]
-                memo.update(zip(keys, zip(vals.tolist(), [controls[j] for j in picks])))
+                self._unwritten.append((keys, vals, picks))
 
     def _check_memo(self, pending: int) -> None:
         """Refuse when pending more entries would grow the memo beyond budget."""
@@ -405,7 +424,7 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
             f"{table.budget}; coarsen the grid"
         )
     v0 = table.value(g)
-    residuals = {}
+    memo, residuals = table.memo, {}
     # enumerate level by level so every intermediate horizon is covered
     states = [table._keys(g.samples[None])[0]]  # g's state
     columns = []  # step costs of each level so far, one entry per row of its level
@@ -417,7 +436,7 @@ def verify_dpp_consistency(table: ValueTable, g: Path) -> dict:
                 vals.append(_costs(c.terminal_cost(X), len(X), "terminal_cost"))
                 continue
             Z, keys = table._keys(X, k + 1)
-            vals.append(np.array([table.memo[key][0] for key in keys]))
+            vals.append(np.array([memo[key][0] for key in keys]))
             table.hits += len(keys)
             states.append(Z)
         columns.append(_joined(costs))

@@ -60,6 +60,11 @@ def level_children(c, prefixes) -> list:
     return [prefixes[0]._trusted(x) for x in step_rows(c, prefixes[0], P, c.control_set)[2]]
 
 
+def split_key(key: bytes) -> tuple:
+    """A value-memo key as its node count and the bytes of its state."""
+    return int(np.frombuffer(key, np.int64, 1)[0]), key[8:]
+
+
 def control_column(U):
     """The controls of a block as an (N, 1) drift."""
     return np.asarray(U, dtype=float)[:, None]

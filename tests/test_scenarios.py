@@ -33,6 +33,7 @@ from conftest import (
     random_path,
     row_value,
     row_vector,
+    split_key,
     time_ramp,
 )
 
@@ -182,7 +183,7 @@ def test_a_state_stands_for_its_prefix_bit_for_bit(build, kind):
         paths = [Path(sc.space, sc.grid.step, s) for s in S]
         before = [np.asarray(STATISTICS[sc.name](p)).tobytes() for p in paths]
         assert _classes(keys) == _classes(before)
-        assert all(k == n for k, _ in keys)
+        assert [split_key(k) for k in keys] == [(n, z.tobytes()) for z in Z]
         # the same samples appended to both: draws, some 40 times larger (a
         # new sup norm), -0.0, and the negated endpoint (a sup norm tie)
         for k in (0, 1, 2):

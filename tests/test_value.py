@@ -41,7 +41,7 @@ from phjb.value import (
     verify_value_regularity,
 )
 
-from conftest import level_children
+from conftest import level_children, split_key
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -365,9 +365,10 @@ def test_a_constant_state_gives_each_node_count_one_key():
     c = replace(sc.coefficients, state=lambda S: np.zeros((len(S), 1, 1)))
     table = ValueTable(c, sc.grid)
     zero = bytes(8)
-    assert table._keys(np.ones((3, 2, 1)))[1] == [(2, zero)] * 3
+    assert [split_key(k) for k in table._keys(np.ones((3, 2, 1)))[1]] == [(2, zero)] * 3
     table.value(sc.initial)
-    assert sorted(table.memo) == [(n, zero) for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
+    keys = sorted(map(split_key, table.memo))
+    assert keys == [(n, zero) for n in range(sc.initial.n_nodes, sc.grid.n_steps + 1)]
 
 
 def test_roots_are_keyed_before_the_children_of_their_level():
@@ -381,9 +382,9 @@ def test_roots_are_keyed_before_the_children_of_their_level():
     first = ValueTable(sc.coefficients, sc.grid)
     first.value(r)
     first.value(sc.initial)
-    at_two = [key for key in table.memo if key[0] == 2]
-    assert at_two[0] == (2, r.endpoint.tobytes()) and len(at_two) == 4
-    assert at_two == [key for key in first.memo if key[0] == 2]
+    at_two = [key for key in table.memo if split_key(key)[0] == 2]
+    assert split_key(at_two[0]) == (2, r.endpoint.tobytes()) and len(at_two) == 4
+    assert at_two == [key for key in first.memo if split_key(key)[0] == 2]
     assert table.memo == first.memo
 
 
@@ -395,8 +396,10 @@ def test_every_memo_key_is_a_node_count_and_the_bytes_of_a_statistic(build, keye
     table = ValueTable(c, sc.grid)
     table.value(sc.initial)
     assert len(table.memo) > 0
-    for n, raw in table.memo:
-        assert type(n) is int and type(raw) is bytes
+    for key in table.memo:
+        assert type(key) is bytes
+        n, raw = split_key(key)
+        assert sc.initial.n_nodes <= n <= sc.grid.n_steps
         assert len(raw) == (_STATISTIC_BYTES[sc.name] if keyed else n * sc.space.dim * 8)
 
 
@@ -606,7 +609,7 @@ def test_memo_refusal_steps_no_level_past_the_overflow(stepped):
     full = ValueTable(sc.coefficients, sc.grid)
     full.value(sc.initial)
     # the fresh parents of each level are the memo entries of its node count
-    per_level = sorted(Counter(n for n, _ in full.memo).items())
+    per_level = sorted(Counter(split_key(key)[0] for key in full.memo).items())
     budget = 10
     fits, entries = [], 0
     for n, count in per_level:
@@ -987,7 +990,8 @@ def test_policy_raises_on_a_node_missing_from_the_memo():
 
     def forgetful(g):  # g's entry, then a memo that lost everything below g
         out = real(g)
-        table.memo = {table._keys(g.samples[None])[1][0]: out}
+        table.memo.clear()
+        table.memo[table._keys(g.samples[None])[1][0]] = out
         return out
 
     table.entry = forgetful
@@ -1012,7 +1016,10 @@ def parent_lookup(table, keys, fresh) -> tuple:
 @pytest.mark.parametrize("fresh_size", [0, 7])
 def test_lookup_matches_the_comprehension_lookup(memo_size, fresh_size):
     rng = np.random.default_rng(memo_size + fresh_size)
-    pool = [(4, bytes(rng.integers(0, 256, 16, dtype=np.uint8))) for _ in range(60)]
+    sc = eikonal()
+    got_t, want_t = ValueTable(sc.coefficients, sc.grid), ValueTable(sc.coefficients, sc.grid)
+    pool = got_t._keys(rng.normal(size=(60, 4, 1)))[1]  # 60 keys of prefixes of 4 nodes
+    assert len(set(pool)) == 60
     memo = {key: (float(rng.normal()), -1.0) for key in pool[:memo_size]}
     fresh = dict((key, i) for i, key in enumerate(pool[50 : 50 + fresh_size]))
     blocks = [
@@ -1021,9 +1028,8 @@ def test_lookup_matches_the_comprehension_lookup(memo_size, fresh_size):
         [pool[45]] * 3,  # one key, repeated
         [],
     ]
-    sc = eikonal()
-    got_t, want_t = ValueTable(sc.coefficients, sc.grid), ValueTable(sc.coefficients, sc.grid)
-    got_t.memo, want_t.memo = dict(memo), dict(memo)
+    got_t.memo.update(memo)
+    want_t.memo.update(memo)
     got_f, want_f = dict(fresh), dict(fresh)
     for keys in blocks:  # one level's blocks, sharing fresh
         got = got_t._lookup(list(keys), got_f)
@@ -1033,3 +1039,68 @@ def test_lookup_matches_the_comprehension_lookup(memo_size, fresh_size):
         assert list(got_f.items()) == list(want_f.items())
         assert got_t.hits == want_t.hits
     assert got_t.memo == memo
+
+
+# memo entries written when the memo is read ------------------------------
+
+
+class EagerTable(ValueTable):
+    """The table as it wrote each sweep's entries before the sweep returned."""
+
+    def _sweep(self, proto, roots, out):
+        super()._sweep(proto, roots, out)
+        self.memo
+
+
+def _deferred_run(table, calls) -> tuple:
+    """What each call on table gives, in order, as its value bytes or
+    refusal and the hits after it; then the memo's size and its entries in
+    insertion order, read once, after the last call."""
+    got = []
+    for call in calls:
+        try:
+            out = call(table)
+            out = out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+        except BudgetExceeded as exc:
+            out = str(exc)
+        got.append((out, table.hits))
+    return got, len(table.memo), list(table.memo.items())
+
+
+@pytest.mark.parametrize("drained", [True, False])
+def test_entries_written_on_read_match_the_eager_memo(drained):
+    sc = runmax()
+    nets = [list(net) for net in _nets(sc)]
+    g = sc.initial
+    calls = [lambda t: t.values([g] + nets[0]), lambda t: t.values(nets[1])]
+    if drained:  # policy and the DPP enumeration read the memo before the third call
+        calls += [lambda t: t.policy(g)[0].values, lambda t: verify_dpp_consistency(t, g)]
+    # the third call's first block, the 3-node roots of nets[1], hits the second's keys
+    calls.append(lambda t: t.values(nets[2] + nets[1]))
+    full, sizes = ValueTable(sc.coefficients, sc.grid), []
+    for call in calls:
+        call(full)
+        sizes.append(len(full.memo))
+    # each call's new entries in pricing order, the deepest level first
+    items = list(full.memo.items())
+    for lo, hi in zip([0] + sizes, sizes):
+        counts = [split_key(key)[0] for key, _ in items[lo:hi]]
+        assert counts == sorted(counts, reverse=True)
+    # the third call fits beside the first call's entries, not beside the
+    # second's too, which the second call added to the memo
+    budget = sizes[-1] - 1
+    assert sizes[1] > sizes[0]
+    table = ValueTable(sc.coefficients, sc.grid, budget=budget)
+    for call in calls[:2]:
+        call(table)
+    assert table._unwritten  # the sweeps' levels wait for a read
+    assert len(table.memo) == sizes[1] and not table._unwritten
+    table = ValueTable(sc.coefficients, sc.grid, budget=budget)
+    got = _deferred_run(table, calls)
+    assert got == _deferred_run(EagerTable(sc.coefficients, sc.grid, budget=budget), calls)
+    assert got[0][-1][0].startswith(f"memo grew beyond budget {budget}")
+    assert got[1:] == (sizes[-2], items[: sizes[-2]])
+    ref = NodeByNodeTable(sc.coefficients, sc.grid)
+    want = [(np.array([ref.value(p) for p in paths]).tobytes(), ref.hits) for paths in ([g] + nets[0], nets[1])]
+    assert got[0][:2] == want
+    assert dict(items[: sizes[1]]) == ref.memo
