@@ -49,11 +49,9 @@ from .paths import (
     formula_paths,
     formula_rows,
     group_rows,
-    node_count_groups,
     prefix_sup_norms,
     row_dots,
     trusted_path,
-    vertical_bump,
     write_walk,
 )
 from .report import CheckRecord
@@ -207,8 +205,8 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
 
     All cases are rows of one block, solved by one `solve_rows` under
     `group_rows` (a case with M < 2, on another step than the first case,
-    or whose flow is refused, is `Refused`). The gauges of the cases with
-    one M are one `_upsilon_rows` call on their own nodes, and each case's
+    or whose flow is refused, is `Refused`). The gauges of all cases are one
+    `_upsilon_rows` call on their own nodes, each with its M, and each case's
     trapezoids are summed in order from 0.0, so each margin equals the
     one-case loop bit for bit.
     """
@@ -242,9 +240,8 @@ def upsilon_margin(coeffs: Coefficients, cases) -> list:
         steps = (k[:, None] <= nodes) & (nodes < e[:, None])  # the node counts each row steps from
         own = steps | (nodes == k[:, None] - 1)  # each case's nodes from g's horizon on
         V, grads = np.zeros(X.shape[:2]), np.zeros(X.shape)
-        for M in dict.fromkeys(cases[i][0] for i in rows):
-            mask = own & np.array([cases[i][0] == M for i in rows])[:, None]
-            V[mask], grads[mask] = _upsilon_rows(M, norms[mask].tolist(), Y[mask], True)
+        M = np.broadcast_to(np.array([cases[i][0] for i in rows])[:, None], own.shape)
+        V[own], grads[own] = _upsilon_rows(M[own], norms[own], Y[own], True)
         # each step's trapezoid, the drift at both ends two calls per node count
         trapezoids = np.zeros(X.shape[:2])
         for n in np.flatnonzero(steps.any(0)).tolist():
@@ -335,11 +332,9 @@ def build_net(coeffs: Coefficients, point: Path, grid: TimeGrid, *, seed: int = 
     are heads of one carried block, each tree level is one stepped block,
     the edits are one broadcast block, and the eight wiggles of each
     extension are one block, drawn in the order of one draw per path. The
-    point and these blocks make a `Net`, grouped by node count once, here:
-    every path but the point is a read-only view into its group's block,
-    none is a validated `Path` of its own, and every reader of the net (its
-    values, gauge packs, pair gauges and premise scan) reads that one
-    grouping.
+    point and these blocks make a `Net`, grouped by node count once, here,
+    with no `Path` for a row but the point, and every reader of the net
+    (values, packs, pair gauges, scan and search) reads that grouping.
     """
     if abs(grid.step - point.step) > GRID_TOL:
         raise ValueError(f"grid step {grid.step} differs from point step {point.step}")
@@ -416,49 +411,43 @@ def viscosity_check(
     pack: GaugePack,
     side: str,
     *,
-    net,
+    net: Net,
     tol: float = 1e-3,
     label: str = "",
 ) -> ViscosityResult:
     """One-sided equation test for a value candidate at one point.
 
     `values` holds the candidate's value at every path of `net`, in net
-    order; net[0] must be the point itself, as `build_net` makes it, and
-    the paths share its step. The certificate is renormalized by a constant
-    so the premise holds with equality at net[0]; the scan verifies the
-    point is a global max (sub) or min (super) of w -/+ (phi + pack) over
-    the paths of the net that do not end before it, up to _PREMISE_TOL. If
-    not, the check refuses with a witness: the first path with the largest
-    gap, or the first path whose gap is NaN. The analytic derivatives of phi
-    are validated at the point and its vertical bumps, up to the net's last
-    horizon, and the one-sided operator inequality is evaluated with them.
+    order; net is a `Net` at the point itself, as `build_net` makes it.
+    The certificate is renormalized by a constant so the premise holds
+    with equality at the point; the scan verifies the point is a global
+    max (sub) or min (super) of w -/+ (phi + pack) over the paths of the
+    net that do not end before it, up to _PREMISE_TOL. If not, the check
+    refuses with a witness (`Net.path`): the first path with the largest
+    gap, or the first path whose gap is NaN. The analytic derivatives of
+    phi are validated at the point and its vertical bumps, and the
+    one-sided operator inequality is evaluated with them.
 
     The scan runs group by group over the net's node-count groups
-    (`node_count_groups`), with one horizon per group: phi's row formula
-    and the pack's rows each go through `formula_paths`, so a `Refused` group
+    (`Net.groups`), with one horizon per group: phi's row formula and the
+    pack's rows each go through `formula_paths`, so a `Refused` group
     raises the refusal that path by path order meets first, and a formula
     that does not give one float per row raises its block's own error.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    if not net or net[0] is not point:
-        raise ValueError("net[0] must be the point itself, as build_net makes it")
+    if not isinstance(net, Net) or net.point is not point:
+        raise ValueError("net must be a Net at the point itself, as build_net makes it")
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(net),):
         raise ValueError(
             f"values has shape {values.shape}, expected one per net path ({len(net)},)"
         )
-    sgn = 1.0 if side == "sub" else -1.0
-    groups = node_count_groups(net)
-    # the horizon of each node count, read off the first path that has it
-    horizon = {n: net[rows[0]].horizon for n, (rows, _) in groups.items()}
+    sgn, floor = (1.0 if side == "sub" else -1.0), point.horizon - GRID_TOL
     # the paths that end before the point are not scanned
-    kept = [group for n, group in groups.items() if horizon[n] >= point.horizon - GRID_TOL]
-    f = values - sgn * (formula_paths(phi.rows, net, kept) + formula_paths(pack.rows, net, kept))
-    at = np.arange(len(net))
-    if len(kept) < len(groups):
-        at = np.sort(np.concatenate([rows for rows, _ in kept]))
-        f = f[at]
+    kept = [(rows, S) for rows, S in net.groups.values() if net.horizons[rows[0]] >= floor]
+    at = np.flatnonzero(net.horizons >= floor)
+    f = (values - sgn * (formula_paths(phi.rows, net, kept) + formula_paths(pack.rows, net, kept)))[at]
     renorm = float(f[0])
     gaps = sgn * (f - renorm)
     # the first NaN gap, else the first of the largest gaps (as a strict `>`
@@ -467,14 +456,15 @@ def viscosity_check(
     i = int(nan[0]) if nan.size else int(gaps.argmax())
     worst_gap, witness = 0.0, None
     if nan.size or gaps[i] > worst_gap:
-        worst_gap, witness = float(gaps[i]), net[at[i]]
+        worst_gap, witness = float(gaps[i]), net.path(int(at[i]))
     premise_ok = worst_gap <= _PREMISE_TOL
     if premise_ok:
         witness = None
 
-    # the point and its vertical bumps by +0.05 and -0.05 along each coordinate
-    bumps = 0.05 * np.eye(point.space.dim).repeat(2, axis=0) * np.tile([1.0, -1.0], point.space.dim)[:, None]
-    phi.validate_on([point] + [vertical_bump(point, e) for e in bumps], t_final=max(horizon.values()))
+    # the point, then its vertical bumps by +0.05 and -0.05 along each coordinate as one block
+    B = point.samples[None].repeat(2 * point.space.dim, axis=0)
+    B[:, -1] += 0.05 * np.eye(point.space.dim).repeat(2, axis=0) * np.tile([1.0, -1.0], point.space.dim)[:, None]
+    phi.validate_on(Net(point, [_seal(B)]), t_final=float(net.horizons.max()))
     P = point.samples[None]
     psi_dt = sgn * float(formula_rows(phi.dt, point, P)[0] + pack.dt(point, P)[0])
     psi_dx = sgn * (formula_rows(phi.dx, point, P, vector=True)[0] + pack.dx(point, P)[0])
@@ -711,10 +701,10 @@ def bp_record(cfg, value_table) -> CheckRecord:
     rows, ok = [], True
 
     # the gauge from start to each net path, one row that both modes' f read
-    gauge = np.array(pair_gauges(start, net))
+    gauge = pair_gauges(start, net)
     modes = [
         ("at-max", -gauge, 0.1),
-        ("horizon-bonus", np.array([g.horizon for g in net]) - gauge, 0.3 * (T - t0) + 0.1),
+        ("horizon-bonus", net.horizons - gauge, 0.3 * (T - t0) + 0.1),
     ]
     for label, f, eps in modes:
         try:

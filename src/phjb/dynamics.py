@@ -361,10 +361,9 @@ def validate_hypothesis(
     # d_infty: the earlier path carried to the later horizon
     d = np.abs(t[0::2] - t[1::2]) + gaps[pair, np.maximum(counts[0::2], counts[1::2]) - 1]
     phis = _costs(c.terminal_cost(B), len(B), "terminal_cost")
-    ng2 = np.array([r**2 for r in ng.tolist()])  # C `pow`, not numpy's x * x
     each = (n_pairs, 1)  # a pair's bound, for each control
     ratios = [
-        (row_dots(Fg, Fg).reshape(n_pairs, C), (L**2 * (1.0 + ng2)).reshape(each)),
+        (row_dots(Fg, Fg).reshape(n_pairs, C), (L**2 * (1.0 + np.float_power(ng, 2.0))).reshape(each)),
         (np.sqrt(row_dots(dF, dF)).reshape(n_pairs, C), (L * d).reshape(each)),
         (np.abs(Q[:, :, 0]), (L * (1.0 + ng)).reshape(each)),
         (np.abs(Q[:, :, 0] - Q[:, :, 1]), (L * d).reshape(each)),

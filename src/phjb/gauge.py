@@ -29,37 +29,46 @@ __all__ = [
 ]
 
 
-def _upsilon_rows(M: float, norms: list, E: np.ndarray, grad: bool = False):
-    """Upsilon^M at the paths whose sup norms are `norms` and whose endpoints
-    are the rows of E, an (N, dim) array, as a list of floats; with grad, also
-    the vertical gradients grad S + 2 M gamma(t), as an (N, dim) array.
-
-    b is `row_dots(E, E)`, which reduces each row with the routine of
-    `end @ end`. Each value is closed on Python floats, because C
-    `pow` (`x ** 2`) rounds differently from `x * x`. A zero path (a = 0) has
-    value 0 and gradient 0.
-    """
-    a, b = [r**2 for r in norms], row_dots(E, E).tolist()
-    values = [(x - y) ** 2 / x + M * y if x else 0.0 for x, y in zip(a, b)]
+def _upsilon_rows(M, norms, E: np.ndarray, grad: bool = False):
+    """Upsilon^M (M one float, or one per path) at the paths whose sup norms
+    are `norms` and whose endpoints are the rows of E, an (N, dim) array,
+    as a float array; with grad, also the vertical gradients grad S + 2 M
+    gamma(t), as an (N, dim) array. b is `row_dots(E, E)`, as `end @ end`,
+    and the squares are `np.float_power`, the C `pow` of Python's `x ** 2`
+    (`x * x` and `np.power` round some otherwise): each entry is the
+    one-path formula on floats bit for bit, and a square that overflows
+    raises OverflowError, as there, with no warning. A zero path (a = 0)
+    has value 0 and gradient 0."""
+    b = row_dots(E, E)
+    # only the squares can overflow here while b <= a; 0 / 0 at a zero path is set to 0 below
+    with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+        try:
+            a = np.float_power(norms, 2.0)
+            d = a - b
+            q = np.float_power(d, 2.0) / a
+            coef = -4.0 * d / a if grad else None
+        except FloatingPointError as exc:
+            raise OverflowError(f"square out of range: {exc}") from None
+    values = q + M * b
+    values[a == 0.0] = 0.0
     if not grad:
         return values
-    coef = np.array([-4.0 * (x - y) / x if x else 0.0 for x, y in zip(a, b)])
-    G = coef[:, None] * E + (2.0 * M) * E
-    G[np.array(a) == 0.0] = 0.0
+    G = coef[:, None] * E + np.reshape(2.0 * M, (-1, 1)) * E
+    G[a == 0.0] = 0.0
     return values, G
 
 
 def upsilon_rows(M: float, S: np.ndarray, grad: bool = False):
     """Upsilon^M of the path of each row of S, an (N, n, dim) sample block,
-    as a list of floats, and with grad also the vertical gradients as an
+    as a float array, and with grad also the vertical gradients as an
     (N, dim) array (`_upsilon_rows`); the sup norms are one reduction over
     the block."""
-    return _upsilon_rows(M, sup_norms(S).tolist(), S[:, -1], grad)
+    return _upsilon_rows(M, sup_norms(S), S[:, -1], grad)
 
 
 def eval_upsilon(M: float, g: Path) -> float:
     """Upsilon^M(gamma) = S(gamma) + M |gamma(t)|^2."""
-    return upsilon_rows(M, g.samples[None])[0]
+    return float(upsilon_rows(M, g.samples[None])[0])
 
 
 def pair_difference(anchor: Path, g: Path) -> Path:
@@ -94,13 +103,13 @@ def pair_difference_rows(anchor: Path, proto: Path, S: np.ndarray) -> np.ndarray
     return out
 
 
-def pair_gauge_rows(anchor: Path, proto: Path, S: np.ndarray) -> list:
+def pair_gauge_rows(anchor: Path, proto: Path, S: np.ndarray) -> np.ndarray:
     """The anchored pair gauge Upsilon^2(eta - ext gamma) + |s - t|^2 from
     the anchor gamma_t to the path eta_s of each row of S, a block as
-    `pair_difference_rows` takes it, as a list of floats.
+    `pair_difference_rows` takes it, as a float array.
 
     Its sublevel sets control d_infty: a value <= delta forces
     d_infty <= (1 + sqrt 3) sqrt(delta).
     """
     lag = (proto.horizon - anchor.horizon) ** 2
-    return [u + lag for u in upsilon_rows(2.0, pair_difference_rows(anchor, proto, S))]
+    return upsilon_rows(2.0, pair_difference_rows(anchor, proto, S)) + lag

@@ -10,6 +10,7 @@ deliberately out of scope and results are grid-resolution dependent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -322,14 +323,14 @@ def node_count_groups(paths) -> Mapping:
     of paths is the case of one-row blocks (`_grouped`)."""
     if isinstance(paths, Net):
         return paths.groups
-    return _grouped([g.samples[None] for g in paths])
+    return _grouped([g.samples[None] for g in paths])[0]
 
 
-def _grouped(blocks) -> dict:
+def _grouped(blocks) -> tuple:
     """The rows of blocks, (N, n, dim) sample arrays, grouped by node count
     as `node_count_groups` groups paths, the rows numbered on from one
-    block to the next. The block of a group is its node count's blocks end
-    to end, in order."""
+    block to the next, and the node count of each row as an index array.
+    The block of a group is its node count's blocks end to end, in order."""
     runs: dict = {}  # node count -> its blocks, in order
     counts, sizes = [], []  # of each block
     for B in blocks:
@@ -348,7 +349,7 @@ def _grouped(blocks) -> dict:
         rows = np.flatnonzero(count_of_row == n)
         rows.flags.writeable = False
         groups[n] = (rows, S)
-    return groups
+    return groups, count_of_row
 
 
 class Refused(ValueError):
@@ -408,41 +409,39 @@ def formula_paths(f, paths, groups=None, vector: bool = False) -> np.ndarray:
     return group_rows(lambda rows, S: formula_rows(f, paths[rows[0]], S, vector), paths, groups)
 
 
-class Net(tuple):
-    """An immutable family of paths on one space and step: a point, then
-    the rows of read-only sample blocks made from it, grouped by node count
-    once, when the net is made. `node_count_groups` returns that grouping,
-    as a read-only mapping, to every reader. The point is net[0] itself,
-    and every other path is a read-only view of its row of its group's
-    block, so a net holds one copy of its samples. A net cannot be appended
-    to and its paths' samples and its group blocks are read-only, so the
-    grouping cannot go stale."""
+class Net:
+    """Paths on one space and step as blocks: a point, then the rows of
+    read-only sample blocks made from it, grouped by node count once into
+    the read-only `groups` that every reader gets, with each path's horizon
+    `point.step * (n - 1)` in `horizons`. `path(i)`, or `net[i]`, makes a
+    new view of row i at each call (path(0) is the point), so readers of
+    every row read the groups, and paths are compared by index."""
 
-    def __new__(cls, point: "Path", blocks):
-        groups = _grouped([point.samples[None], *blocks])
-        paths = [point] * sum(len(rows) for rows, _ in groups.values())
-        for rows, S in groups.values():
-            for i, x in zip(rows.tolist(), S):
-                paths[i] = point._trusted(x)
-        paths[0] = point
-        net = super().__new__(cls, paths)
-        net.groups = MappingProxyType(groups)
-        return net
+    __slots__ = ("point", "groups", "horizons", "_counts", "_blocks")
+
+    def __init__(self, point: "Path", blocks=()):
+        self.point, self._blocks = point, [point.samples[None], *blocks] if point is not None else []
+        groups, self._counts = _grouped(self._blocks)
+        self.groups = MappingProxyType(groups)
+        self.horizons = point.step * (self._counts - 1) if groups else np.zeros(0)
+        self._counts.flags.writeable = self.horizons.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def path(self, i: int) -> "Path":
+        """Path i of the net, counted from the end when negative."""
+        i = range(len(self))[operator.index(i)]
+        rows, S = self.groups[int(self._counts[i])]
+        return self.point if i == 0 else self.point._trusted(S[rows.searchsorted(i)])
+
+    __getitem__ = path
 
     @classmethod
     def joined(cls, nets) -> "Net":
-        """The paths of nets end to end, for one value sweep: a node count's
-        group is its groups in the nets end to end, rows offset past the nets
-        before, so nothing is regrouped."""
-        runs: dict = {}  # node count -> the (rows, S) of each net that has it
-        for at, net in zip(np.cumsum([0, *map(len, nets)]).tolist(), nets):
-            for n, (rows, S) in net.groups.items():
-                runs.setdefault(n, []).append((rows + at, S))
-        net = super().__new__(cls, [g for net in nets for g in net])
-        net.groups = MappingProxyType({n: tuple(map(np.concatenate, zip(*run))) for n, run in runs.items()})
-        for rows, S in net.groups.values():
-            rows.flags.writeable = S.flags.writeable = False
-        return net
+        """The paths of nets end to end, at the first net's point: the net of
+        their blocks, whose groups are theirs end to end, for one sweep."""
+        return cls(nets[0].point, [B for net in nets for B in net._blocks][1:]) if nets else cls(None)
 
 
 # -- norms ---------------------------------------------------------------

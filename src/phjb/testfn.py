@@ -24,6 +24,7 @@ import numpy as np
 from .gauge import pair_difference_rows, pair_gauge_rows, upsilon_rows
 from .paths import (
     GRID_TOL,
+    Net,
     Path,
     Refused,
     _grouped,
@@ -70,31 +71,32 @@ class TestFunctionPhi:
 
     def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences at
-        paths on one space and step (`_differences`): dx against central
-        differences with step 1e-5 * max(1, |gamma(t)|), dt against the
-        one-step flat extension where it does not cross t_final.
+        paths on one space and step, a `Net` or a list (`_differences`): dx
+        against central differences with step 1e-5 * max(1, |gamma(t)|), dt
+        against the one-step flat extension where it does not cross t_final.
 
         Raises ValueError at the first path where they do not agree within
         1e-5 (absolute, relative to max(1, |analytic|)), so a NaN derivative
         is refused.
         """
         tol = 1e-5
-        paths = list(paths)
-        if not paths:
+        if not len(paths):
             return
-        E = np.array([g.endpoint for g in paths])
+        E, horizons, step = np.empty((len(paths), paths[0].space.dim)), np.empty(len(paths)), paths[0].step
+        for rows, S in node_count_groups(paths).values():  # a net's own grouping
+            E[rows], horizons[rows] = S[:, -1], paths[rows[0]].horizon
         h = 1e-5 * np.maximum(1.0, np.sqrt(row_dots(E, E)))
-        reach = np.array([t_final is None or g.horizon + g.step <= t_final + GRID_TOL for g in paths])
-        f0, bumped, flat, ax, at = _differences(self, paths, h[:, None], reach.tolist())
+        reach = [t_final is None or s + step <= t_final + GRID_TOL for s in horizons.tolist()]
+        f0, bumped, flat, ax, at = _differences(self, paths, h[:, None], reach)
         gap_x = np.abs(ax - (bumped[:, 0, :, 0] - bumped[:, 0, :, 1]) / (2.0 * h[:, None])).max(axis=1)
-        gap_t = np.abs(at - (flat[:, 0] - f0) / paths[0].step)
+        gap_t = np.abs(at - (flat[:, 0] - f0) / step)
         bad_x = ~(gap_x <= tol * np.maximum(1.0, np.abs(ax).max(axis=1)))
-        bad_t = reach & ~(gap_t <= tol * np.maximum(1.0, np.abs(at)))
+        bad_t = np.array(reach) & ~(gap_t <= tol * np.maximum(1.0, np.abs(at)))
         for i in np.flatnonzero(bad_x | bad_t)[:1]:  # the first path refused
             what, gap = ("vertical", gap_x[i]) if bad_x[i] else ("time", gap_t[i])
             raise ValueError(
                 f"{self.label or 'phi'}: {what} derivative off by {gap:.3e} "
-                f"at horizon {paths[i].horizon}"
+                f"at horizon {horizons[i]}"
             )
 
     # common constructors ------------------------------------------------
@@ -121,10 +123,10 @@ class TestFunctionPhi:
         )
 
 
-def _differences(phi: TestFunctionPhi, probes: list, steps: np.ndarray, reach: list) -> tuple:
-    """phi at each of probes, paths on one space and step, at its vertical
-    bumps and at its flat extensions, priced as one block per node count
-    (`group_rows`), and phi's analytic derivatives at each probe.
+def _differences(phi: TestFunctionPhi, probes, steps: np.ndarray, reach: list) -> tuple:
+    """phi at each of probes, paths on one space and step (a list or a
+    `Net`), at its vertical bumps and flat extensions, priced as one block
+    per node count (`group_rows`), and phi's derivatives at each probe.
 
     steps is an (N, J) array, J vertical steps per probe, and reach[i] is
     the number of flat-extension steps priced at probe i, at most 2, the
@@ -135,7 +137,7 @@ def _differences(phi: TestFunctionPhi, probes: list, steps: np.ndarray, reach: l
     (`extend_flat`), NaN where r > reach[i]; dx[i] and dt[i] are phi.dx and
     phi.dt at probe i.
     """
-    if any(abs(g.step - probes[0].step) > GRID_TOL for g in probes):
+    if not isinstance(probes, Net) and any(abs(g.step - probes[0].step) > GRID_TOL for g in probes):
         raise ValueError("probe paths must share one step")
     (N, J), dim = steps.shape, probes[0].space.dim
     width = 1 + 2 * J * dim  # the rows of a probe: itself, then its bumps
@@ -153,7 +155,7 @@ def _differences(phi: TestFunctionPhi, probes: list, steps: np.ndarray, reach: l
         for r in range(1, reach[rows[0]] + 1):
             blocks.append(S[:, np.minimum(np.arange(n + r), n - 1)])
             owners += [extend_flat(g, g.horizon + r * g.step)] * m
-    v = group_rows(lambda rows, S: formula_rows(phi.rows, owners[rows[0]], S), owners, _grouped(blocks).values())
+    v = group_rows(lambda rows, S: formula_rows(phi.rows, owners[rows[0]], S), owners, _grouped(blocks)[0].values())
     f0, bumped, flat, at = np.empty(N), np.empty((N, J, dim, 2)), np.full((N, 2), np.nan), 0
     for rows, _ in groups:  # v read back in the order of the blocks
         m, R = len(rows), int(reach[rows[0]])
@@ -293,18 +295,18 @@ class GaugePack:
         equals the one-path formula bit for bit.
         """
         s = proto.horizon
-        y = np.array(upsilon_rows(2.0, S))
+        y = upsilon_rows(2.0, S)
         self._slopes(s, y)
         out = np.array(self._outer(self.h, s, y))
         for anchor, delta in self._anchors_within(s):
-            out += delta * np.array(pair_gauge_rows(anchor, proto, S))
+            out += delta * pair_gauge_rows(anchor, proto, S)
         return out
 
     def dt(self, proto: Path, S: np.ndarray) -> np.ndarray:
         """The pack's time derivative at the path of each row of S, a block
         as `rows` takes it."""
         s = proto.horizon
-        out = np.array(self._outer(self.h_t, s, np.array(upsilon_rows(2.0, S))))
+        out = np.array(self._outer(self.h_t, s, upsilon_rows(2.0, S)))
         for anchor, delta in self._anchors_within(s):
             out += 2.0 * delta * (s - anchor.horizon)
         return out
@@ -314,7 +316,7 @@ class GaugePack:
         block as `rows` takes it, as an (N, dim) array."""
         s = proto.horizon
         y, grad = upsilon_rows(2.0, S, True)
-        out = self._slopes(s, np.array(y))[:, None] * grad
+        out = self._slopes(s, y)[:, None] * grad
         for anchor, delta in self._anchors_within(s):
             out = out + delta * upsilon_rows(2.0, pair_difference_rows(anchor, proto, S), True)[1]
         return out

@@ -30,6 +30,7 @@ from .dynamics import (
 )
 from .paths import (
     GRID_TOL,
+    Net,
     Path,
     TimeGrid,
     all_finite,
@@ -227,19 +228,19 @@ class ValueTable:
         hits are those that `value` on each path in turn gives. A root on
         another step, or one that `_check_root` refuses, is refused after
         every path before it is valued. The step is read in one pass over
-        the paths, and the other gates once per node count.
+        the paths (once for a `Net`), and the other gates once per node count.
         """
         step = self.grid.step
-        for i, g in enumerate(paths):
+        for i, g in enumerate([paths.point][: len(paths)] if isinstance(paths, Net) else paths):  # a net has one step
             if abs(g.step - step) > GRID_TOL:
-                self.values(paths[:i])
+                self.values([paths[j] for j in range(i)])
                 raise ValueError(f"prefix step {g.step} is not the grid step {step}")
         groups = node_count_groups(paths)
         for rows, _ in groups.values():  # in order of their first root
             try:
                 self._check_root(paths[rows[0]])
             except (ValueError, BudgetExceeded):
-                self.values(paths[: rows[0]])
+                self.values([paths[j] for j in range(rows[0])])
                 raise
         out = np.empty(len(paths))
         if groups:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .gauge import pair_gauge_rows
-from .paths import GRID_TOL, Path, group_rows, node_count_groups
+from .paths import GRID_TOL, Net, Path, group_rows, node_count_groups
 
 __all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
@@ -31,18 +31,20 @@ def pair_gauge(anchor: Path, g: Path) -> float:
     earlier path."""
     if anchor.n_nodes > g.n_nodes:
         anchor, g = g, anchor
-    return pair_gauge_rows(anchor, g, g.samples[None])[0]
+    return float(pair_gauge_rows(anchor, g, g.samples[None])[0])
 
 
-def pair_gauges(anchor: Path, paths) -> list:
-    """`pair_gauge(anchor, g)` for each g of paths as a list of floats, 0.0
+def pair_gauges(anchor: Path, paths) -> np.ndarray:
+    """`pair_gauge(anchor, g)` for each g of paths as a float array, 0.0
     for the paths that end before the anchor: the paths of one node count
     are one `pair_gauge_rows` block (`group_rows`), and the groups that end
     before the anchor are left out, as the premise scan leaves them out.
     This is bp_search's default row gauge."""
     floor = anchor.horizon - GRID_TOL
-    kept = [(rows, S) for rows, S in node_count_groups(paths).values() if paths[rows[0]].horizon >= floor]
-    return group_rows(lambda rows, S: pair_gauge_rows(anchor, paths[rows[0]], S), paths, kept).tolist()
+    groups = node_count_groups(paths)
+    protos = {n: paths[rows[0]] for n, (rows, _) in groups.items()}  # one path per node count
+    kept = [groups[n] for n, g in protos.items() if g.horizon >= floor]
+    return group_rows(lambda rows, S: pair_gauge_rows(anchor, protos[S.shape[1]], S), paths, kept)
 
 
 class NotEpsMaximal(ValueError):
@@ -75,23 +77,23 @@ class BPResult:
 
 def bp_search(
     f,
-    net,
+    net: Net,
     eps: float,
     *,
-    rho: Callable[[Path, list], list] = pair_gauges,
+    rho: Callable[[Path, Net], np.ndarray] = pair_gauges,
     max_anchors: int = 64,
 ) -> BPResult:
     """Anchor-and-perturb argmax refinement over a finite net.
 
     f holds the functional at each path of net, in net order, and the
-    search starts at net[0], as `viscosity_check` reads its values.
+    search starts at the net's point, as `viscosity_check` reads its values.
     Requires eps finite and > 0 (raises ValueError otherwise) and f[0] >=
     max f - eps (raises NotEpsMaximal otherwise). Each stage maximizes f
     minus the anchored gauges accumulated so far, with weights 1, 1/2,
     1/4, ... and ties resolved toward the incumbent; a stage that
-    reproduces its incumbent, or one within _GAUGE_TOL of it, ends the
-    search. Only paths at or after the incumbent's horizon compete, and a
-    NaN is passed over, as a strict `>` scan passes it.
+    reproduces its incumbent (by index), or one within _GAUGE_TOL of it,
+    ends the search. Only paths at or after the incumbent's horizon
+    compete, and a NaN is passed over, as a strict `>` scan passes it.
 
     rho is a row gauge: rho(anchor, net) gives the gauge from the anchor to
     each net path, in net order, none of them negative; the paths that end
@@ -112,11 +114,11 @@ def bp_search(
     if f_vals[0] < f_max - eps:
         raise NotEpsMaximal(f_vals[0], f_max, eps)
 
-    horizons = np.array([g.horizon for g in net])
-    at, rows = [], []  # each anchor's net index and gauge row
+    horizons, at, anchors, rows = net.horizons, [], [], []  # and each anchor's net index, path and gauge row
     inc, iterations = 0, 0  # inc: the incumbent's index, the last anchor
     while True:
-        row = np.asarray(rho(net[inc], net), dtype=np.float64)
+        anchors.append(net.path(inc))
+        row = np.asarray(rho(anchors[-1], net), dtype=np.float64)
         if row.shape != (len(net),):
             raise ValueError(f"gauge row has {row.size} entries for {len(net)} paths")
         if (row < 0.0).any():
@@ -124,14 +126,14 @@ def bp_search(
         pert -= 2.0 ** -len(rows) * row
         at.append(inc)
         rows.append(row)
-        competing = horizons >= net[inc].horizon - GRID_TOL
+        competing = horizons >= horizons[inc] - GRID_TOL
         if iterations >= max_anchors:
             break
         iterations += 1
         # the first of the largest competing values, NaN passed over
         v = np.where(competing & ~np.isnan(pert), pert, -np.inf)
         best = int(v.argmax())
-        if not v[best] > pert[inc] or net[best] is net[inc] or row[best] <= _GAUGE_TOL:
+        if not v[best] > pert[inc] or best == inc or row[best] <= _GAUGE_TOL:
             break
         inc = best
 
@@ -141,22 +143,20 @@ def bp_search(
     gaps = gaps[~np.isnan(gaps)]
     gap = float(gaps[gaps.argmin()]) if gaps.size else math.inf
 
-    incumbent = net[inc]
     deltas = tuple(2.0 ** -j for j in range(len(rows)))
     terms = tuple(d * float(row[inc]) for d, row in zip(deltas, rows))
     sum_rho = sum(terms)
     return BPResult(
-        maximizer=incumbent,
-        anchors=tuple(net[i] for i in at),
+        maximizer=anchors[-1],
+        anchors=tuple(anchors),
         deltas=deltas,
-        anchor_times=tuple(net[i].horizon for i in at),
+        anchor_times=tuple(horizons[at].tolist()),
         rho_terms=terms,
         f_start=f_vals[0],
         f_max_net=f_max,
         sum_rho=sum_rho,
         perturbed_value=f_vals[inc] - sum_rho,
         strict_gap=gap,
-        stalled=(incumbent.horizon <= net[0].horizon + GRID_TOL)
-        and (incumbent is not net[0]),
+        stalled=bool(horizons[inc] <= horizons[0] + GRID_TOL) and inc != 0,
         iterations=iterations,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from phjb import Path, SpectralSpace, sup_norm
 from phjb.dynamics import step_rows
 from phjb.gauge import eval_upsilon, pair_difference, upsilon_rows
-from phjb.paths import GRID_TOL, carried, extend_flat, formula_rows, sup_norms
+from phjb.paths import GRID_TOL, Net, carried, extend_flat, formula_rows, sup_norms
 
 
 def make_space(eigenvalues) -> SpectralSpace:
@@ -82,6 +82,12 @@ def spoil_drift(c, *paths):
         return f
 
     return replace(c, drift=drift)
+
+
+def net_of(paths) -> Net:
+    """The paths as a net at the first of them, each other path a block of
+    one row (the grouping `node_count_groups` makes of a list)."""
+    return Net(paths[0], [g.samples[None] for g in paths[1:]])
 
 
 def out_of_block_order(paths) -> tuple:

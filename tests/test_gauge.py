@@ -1,5 +1,8 @@
 """Gauge functionals: closed forms, sandwich, quasi-triangle, gradients."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,7 +192,7 @@ def test_upsilon_rows_is_bit_exact_against_each_path(M, dim):
     S[:5] = 0.0
     S.flags.writeable = False
     want = [scalar_upsilon(M, Path(sp, 0.25, s)) for s in S]
-    assert upsilon_rows(M, S) == want
+    assert upsilon_rows(M, S).tolist() == want
 
 
 @pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0, 0.0], [-1.0, -0.4], [-2.0]])
@@ -293,7 +296,7 @@ def test_a_block_that_ends_before_its_anchor_is_refused():
     with pytest.raises(ValueError, match="ends before its anchor"):
         pair_gauge_rows(anchor, g, g.samples[None])
     # the row gauge gives 0.0 to a path that ends before its anchor
-    assert pair_gauges(anchor, [anchor, g]) == [pair_gauge(anchor, anchor), 0.0]
+    assert pair_gauges(anchor, [anchor, g]).tolist() == [pair_gauge(anchor, anchor), 0.0]
     # the symmetric one-row forms order the pair themselves
     assert pair_gauge(anchor, g) == pair_gauge(g, anchor)
     assert np.array_equal(pair_difference(anchor, g).samples, pair_difference(g, anchor).samples)
@@ -396,3 +399,96 @@ def test_flat_extension_keeps_S():
         p = random_path(rng, sp)
         e = extend_flat(p, p.horizon + 2 * p.step)
         assert eval_S(e) == pytest.approx(eval_S(p), abs=1e-12)
+
+
+# the kernel on arrays: C `pow` squares, the corners of the one-path formula
+
+
+def _scalar_rows_or_overflow(M, sp, S):
+    """scalar_upsilon and scalar_grad_upsilon at the path of each row of S,
+    or None where the one-path formula raises OverflowError."""
+    out = []
+    for s in S:
+        g = Path(sp, 0.25, s)
+        try:
+            out.append((scalar_upsilon(M, g), scalar_grad_upsilon(M, g)))
+        except OverflowError:
+            out.append(None)
+    return out
+
+
+def _corner_blocks(rng, dim):
+    """Blocks of 1 to 4 nodes at the corners of the kernel: squares below
+    the normal range, norms near the square root of the largest float,
+    zero paths (+0.0 and -0.0), and paths whose endpoint is their largest
+    sample, where roundoff can make a - b negative."""
+    for scale in (1e-160, 1e-155, 1.0, 1e75, 1e150):
+        for n in (1, 2, 4):
+            yield rng.normal(size=(300, n, dim)) * scale
+    for n in (1, 3):
+        yield np.zeros((4, n, dim))
+        yield -np.zeros((4, n, dim))
+        # rising paths: the endpoint is the sample of largest norm
+        B = np.cumsum(np.abs(rng.normal(size=(2000, n, dim))), axis=1)
+        yield B * np.exp(rng.uniform(-20.0, 20.0, size=(2000, 1, 1)))
+
+
+@pytest.mark.parametrize("M", [0.0, 2.0, 5.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_upsilon_kernel_is_the_scalar_formula_at_its_corners(M, dim):
+    rng = np.random.default_rng(SEED + 30)
+    sp = flat_space(dim)
+    negative = overflowed = 0
+    for S in _corner_blocks(rng, dim):
+        want = _scalar_rows_or_overflow(M, sp, S)
+        norms = np.sqrt(np.max(np.sum(S * S, axis=2), axis=1))
+        a, b = norms.tolist(), [float(e @ e) for e in S[:, -1]]
+        negative += sum(x ** 2 - y < 0.0 for x, y, w in zip(a, b, want) if w is not None)
+        ok = np.array([w is not None for w in want])
+        overflowed += int((~ok).sum())
+        for i in np.flatnonzero(~ok)[:5]:  # a row that overflows raises, alone or in a block
+            with pytest.raises(OverflowError):
+                upsilon_rows(M, S[i : i + 1])
+        if ok.any():
+            values, grads = upsilon_rows(M, S[ok], True)
+            assert values.tobytes() == _bytes([w[0] for w in want if w is not None])
+            assert grads.tobytes() == _bytes([w[1] for w in want if w is not None])
+            if not ok.all():
+                with pytest.raises(OverflowError):
+                    upsilon_rows(M, S)
+    # both corners are met; in one dimension sqrt(x * x) is |x| and a = b
+    assert overflowed > 0 and (negative > 0) == (dim > 1)
+
+
+def test_float_power_squares_as_python_floats_do():
+    """The kernel's squares are `np.float_power(x, 2.0)` because it calls
+    the C `pow` of Python's `x ** 2`; `x * x` and `np.power` round some
+    squares another way. A numpy whose float_power loop changes fails here."""
+    rng = np.random.default_rng(SEED + 31)
+    x = rng.choice([-1.0, 1.0], 10**5) * np.exp(rng.uniform(np.log(1e-300), np.log(1e150), 10**5))
+    want = np.array([r ** 2 for r in x.tolist()])
+    assert np.float_power(x, 2.0).tobytes() == want.tobytes()
+
+
+def test_an_overflowing_square_raises_as_python_does_and_warns_nothing():
+    """A finite sup norm above about 1.34e154, or a gap a - b above it, has
+    no finite square: the kernel raises OverflowError, as `x ** 2` does on
+    Python floats, instead of returning inf, and emits no RuntimeWarning.
+    An infinite norm (a block whose squared norms overflowed) squares to
+    inf and gives NaN, as on Python floats."""
+    E = np.array([[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (1.4e154, 1e300):
+            with pytest.raises(OverflowError):
+                norm ** 2
+            with pytest.raises(OverflowError):
+                _upsilon_rows(2.0, np.array([norm]), E)
+        # a = 1e200 is finite, but (a - b) ** 2 is not
+        with pytest.raises(OverflowError):
+            _upsilon_rows(2.0, np.array([1e100]), E)
+        values, grads = _upsilon_rows(2.0, np.array([0.0, 1e77]), np.array([[0.0], [1.0]]), True)
+    assert values.tolist() == [0.0, (1e77 ** 2 - 1.0) ** 2 / 1e77 ** 2 + 2.0] and grads[0].tolist() == [0.0]
+    with np.errstate(invalid="ignore"):
+        values = _upsilon_rows(2.0, np.array([math.inf]), E)
+    assert np.isnan(values[0]) and math.isnan((math.inf ** 2 - 1.0) ** 2 / math.inf ** 2 + 2.0)

@@ -161,7 +161,7 @@ def test_net_must_start_at_the_point_and_values_cover_it(eik):
     sc, values, pts, nets = eik
     tp, other = pts[0], pts[1]
     net = nets[tp.label]
-    with pytest.raises(ValueError, match="net\\[0\\]"):
+    with pytest.raises(ValueError, match="at the point itself"):
         viscosity_check(
             values[other.label], sc.coefficients, tp.point, tp.phi_sub, tp.pack_sub,
             "sub", net=nets[other.label],
@@ -187,7 +187,7 @@ def test_nan_gap_fails_the_premise_with_the_first_nan_path(rmx, side):
         w[[7, 11]] = np.nan
         r = viscosity_check(w, sc.coefficients, tp.point, phi, pack, side, net=net)
         assert not r.premise_ok and not r.passed
-        assert r.witness is net[7]
+        assert r.witness.samples.tobytes() == net.path(7).samples.tobytes()
         assert np.isnan(r.witness_gap)
         # a NaN renormalization makes every gap NaN: the point is the witness
         w = values[tp.label].copy()
@@ -280,7 +280,9 @@ def test_array_scan_matches_the_path_by_path_scan(which, request):
             want = _path_by_path_check(
                 w, sc.coefficients, tp.point, phi, pack, side, net=net, label=tp.label
             )
-            assert got.witness is want.witness
+            assert (got.witness is None) == (want.witness is None)
+            if want.witness is not None:  # the same row: a net makes its paths on demand
+                assert got.witness.samples.tobytes() == want.witness.samples.tobytes()
             assert replace(got, witness=None) == replace(want, witness=None)
             n_witnesses += want.witness is not None
     assert n_witnesses >= len(pts)
