@@ -42,6 +42,7 @@ from .paths import (
     Path,
     Refused,
     TimeGrid,
+    Walks,
     _seal,
     all_finite,
     carried,
@@ -52,7 +53,6 @@ from .paths import (
     prefix_sup_norms,
     row_dots,
     trusted_path,
-    write_walk,
 )
 from .report import CheckRecord
 from .scenarios import classical_candidate, has_certificates, touching_points
@@ -264,30 +264,23 @@ _GAUGE_EXPONENTS = (2.0, 5.0)
 
 def gauge_cases(coeffs: Coefficients, space: SpectralSpace, grid: TimeGrid, *, seed: int) -> list:
     """Seeded cases (M, g, eta, u) for `upsilon_margin`, drawn case by case:
-    a node count, the random walks g and eta with that count (`_walk`), and
+    a node count, the random walks g and eta with that count (`Walks`), and
     a control from the control set, held constant from g's horizon to T. M
     takes the exponents in turn. g and eta are views of rows of one block."""
     rng = np.random.default_rng(seed)
-    B = np.empty((2 * _GAUGE_CASES, grid.n_steps + 1, space.dim))
+    walks = Walks(rng, 2 * _GAUGE_CASES, grid, space.dim)
     counts, controls = [], []
     for i in range(_GAUGE_CASES):
         n_nodes = int(rng.integers(1, grid.n_steps + 1))
-        counts += [_walk(rng, B[2 * i + j], grid.step, n_nodes) for j in (0, 1)]
+        counts += [walks.draw(2 * i + j, n_nodes) for j in (0, 1)]
         controls.append(coeffs.control_set[int(rng.integers(len(coeffs.control_set)))])
-    B = carry_walks(B, np.array(counts), space, grid.step)
+    B = walks.block(counts, space)
     cases = []
     for i, (u, n) in enumerate(zip(controls, counts[0::2])):
         g, eta = (trusted_path(space, grid.step, x[:n]) for x in B[2 * i : 2 * i + 2])
         sig = ControlSignal.constant(u, g.horizon, grid.T, grid.step)
         cases.append((_GAUGE_EXPONENTS[i % len(_GAUGE_EXPONENTS)], g, eta, sig))
     return cases
-
-
-def _walk(rng, row, step, n_nodes) -> int:
-    """Draw a random walk of n_nodes samples into row, a standard normal
-    start, then steps of variance `step` (`paths.write_walk`)."""
-    start = rng.normal(0.0, 1.0, size=(1, row.shape[1]))
-    return write_walk(row, start, rng.normal(0.0, np.sqrt(step), size=(n_nodes - 1, row.shape[1])))
 
 
 def gauge_record(cfg, value_table) -> CheckRecord:

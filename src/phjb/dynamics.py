@@ -24,16 +24,13 @@ from .paths import (
     Path,
     Refused,
     TimeGrid,
-    _seal,
+    Walks,
     all_finite,
-    carry_walks,
     count_groups,
     group_rows,
     prefix_sup_norms,
     row_dots,
     sup_norms,
-    trusted_path,
-    write_walk,
 )
 from .report import CheckRecord
 
@@ -46,7 +43,6 @@ __all__ = [
     "mild_solve",
     "validate_hypothesis",
     "verify_state_estimates",
-    "random_prefix",
 ]
 
 RATIO_PASS = 1.0 + 1e-9
@@ -287,27 +283,6 @@ def mild_solve(c: Coefficients, g: Path, u: ControlSignal) -> Path:
 # -- hypothesis validation ----------------------------------------------
 
 
-def _draw_prefix(rng: np.random.Generator, row: np.ndarray, grid: TimeGrid, scale=1.0, min_nodes=1) -> int:
-    """Draw `random_prefix`'s walk into row, an (n, dim) array, in its RNG
-    order (node count, steps, start), and return its node count."""
-    n = int(rng.integers(min_nodes, grid.n_steps + 2))
-    steps = rng.normal(0.0, scale * math.sqrt(grid.step), size=(n - 1, row.shape[1]))
-    return write_walk(row, rng.normal(0.0, scale, size=(1, row.shape[1])), steps)
-
-
-def random_prefix(
-    rng: np.random.Generator,
-    space: SpectralSpace,
-    grid: TimeGrid,
-    *,
-    scale: float = 1.0,
-    min_nodes: int = 1,
-) -> Path:
-    """Seeded random-walk prefix with a horizon drawn from the grid."""
-    row = np.empty((grid.n_steps + 1, space.dim))
-    return trusted_path(space, grid.step, _seal(row[: _draw_prefix(rng, row, grid, scale, min_nodes)]))
-
-
 def _worst(lhs, rhs, floor=True) -> float:
     """The largest of 0.0 and lhs / rhs, broadcast, where rhs > _DENOM_FLOOR
     if floor; a NaN ratio is passed over, as max(worst, r) passes it."""
@@ -326,19 +301,19 @@ def validate_hypothesis(
 ) -> CheckRecord:
     """Sample path pairs and controls; report worst lhs/rhs ratios.
 
-    Every pair (g, h) is drawn first, into rows 2i and 2i + 1 of one block
-    carried to T. The drift and running cost of each prefix under each
-    control are priced a node-count block at a time, and each worst ratio
-    is one maximum over the (pair, control) block. A violation fails the
-    record, it never raises; the worst ratio is the first largest in the
-    order of `names`.
+    Every pair (g, h) is drawn first, one `standard_normal` call a walk,
+    into rows 2i and 2i + 1 of one `Walks` block carried to T. The drift
+    and running cost of each prefix under each control are priced a
+    node-count block at a time, and each worst ratio is one maximum over
+    the (pair, control) block. A violation fails the record, it never
+    raises; the worst ratio is the first largest in the order of `names`.
     """
     rng = np.random.default_rng(seed)
     L, C, dim = c.lipschitz_L, len(c.control_set), space.dim
     names = ["growth_F", "lip_F", "growth_q", "lip_q", "growth_phi", "lip_phi"]
-    B = np.empty((2 * n_pairs, grid.n_steps + 1, dim))
-    counts = np.array([_draw_prefix(rng, x, grid) for x in B], dtype=int)
-    B = carry_walks(B, counts, space, grid.step)
+    walks = Walks(rng, 2 * n_pairs, grid, dim, start_last=True)
+    counts = np.array([walks.prefix(i) for i in range(2 * n_pairs)], dtype=int)
+    B = walks.block(counts, space)
 
     # the (pair, control, g or h) units in the order the ratios read them
     at = np.broadcast_to(2 * np.arange(n_pairs)[:, None, None] + np.arange(2), (n_pairs, C, 2)).ravel()
@@ -403,23 +378,23 @@ def verify_state_estimates(
     passes when every constant is finite and lip_initial is within 5% of it.
 
     Every sample is drawn first, g and eta into rows 2i and 2i + 1 of one
-    block carried to T, so eta cut or carried to g's horizon is the head
-    of its row, and so is g carried to tbar. Each solve from them (a
-    restart at T takes no step) ends at T, as a row of one block.
+    `Walks` block carried to T (a g drawn at T is drawn over), so eta cut
+    or carried to g's horizon is the head of its row, and so is g carried
+    to tbar. Each solve (a restart at T takes no step) ends at T, as a row of one block.
     """
     rng = np.random.default_rng(seed)
     h, T, n = grid.step, grid.T, grid.n_steps + 1
-    B = np.empty((2 * n_samples, n, space.dim))
+    walks = Walks(rng, 2 * n_samples, grid, space.dim, start_last=True)
     draws = []  # g's node count, eta's, the control index, tbar in steps after t
     for _ in range(n_samples):
-        k = _draw_prefix(rng, B[2 * len(draws)], grid)
+        k = walks.prefix(2 * len(draws))
         u = int(rng.integers(len(c.control_set)))
         if h * (k - 1) < T - GRID_TOL:
-            ke = _draw_prefix(rng, B[2 * len(draws) + 1], grid)
+            ke = walks.prefix(2 * len(draws) + 1)
             draws.append((k, ke, u, int(rng.integers(1, grid.n_steps - k + 2))))
     k, ke, u, j = np.array(draws, dtype=int).reshape(-1, 4).T
     m = len(k)
-    B = carry_walks(B[: 2 * m], np.column_stack([k, ke]).ravel(), space, h)
+    B = walks.block(np.column_stack([k, ke]).ravel(), space)
     t, tbar = h * (k - 1), h * (k - 1) + h * j
     restart = tbar < T - GRID_TOL
 

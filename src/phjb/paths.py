@@ -31,14 +31,15 @@ __all__ = [
     "semigroup_rows",
     "carried",
     "trusted_path",
-    "write_walk",
     "carry_walks",
+    "Walks",
     "count_groups",
     "Refused",
     "node_count_groups",
     "group_rows",
     "formula_rows",
     "formula_paths",
+    "group_protos",
     "row_dots",
     "Net",
     "sup_norm",
@@ -281,16 +282,6 @@ def carried(g: Path, n: int) -> np.ndarray:
     return out
 
 
-def write_walk(row: np.ndarray, start: np.ndarray, steps: np.ndarray) -> int:
-    """Write the walk from start, a (1, dim) draw, by steps, a (k - 1, dim)
-    draw, into the first k nodes of row and return k: the start, then the
-    running sum of the steps plus the start, `start + np.cumsum(steps)`."""
-    row[0], walk = start, row[1 : len(steps) + 1]
-    np.add.accumulate(steps, 0, out=walk)
-    walk += start
-    return len(steps) + 1
-
-
 def carry_walks(B: np.ndarray, counts: np.ndarray, space: SpectralSpace, step: float) -> np.ndarray:
     """B, an (N, n, dim) block whose row i holds a path of counts[i] nodes,
     each row carried along the semigroup over its other nodes as `carried`
@@ -299,6 +290,40 @@ def carry_walks(B: np.ndarray, counts: np.ndarray, space: SpectralSpace, step: f
     factors = np.exp(np.outer(np.arange(1, B.shape[1]) * step, space.eigenvalues))
     B[rows, nodes] = factors[nodes - counts[rows]] * B[rows, counts[rows] - 1]
     return _seal(B)
+
+
+class Walks:
+    """Seeded random walks on a grid, each one `standard_normal` call into
+    the first k nodes of its row of a zeroed (N, n, dim) block: start, then
+    k - 1 steps, or with start_last steps, then start (the prefixes' order).
+    `block`, once after the last draw, makes each draw z 0.0 + scale * z, as
+    `Generator.normal(0.0, scale)` does, with scale sqrt(step) for a step."""
+
+    def __init__(self, rng, N: int, grid: TimeGrid, dim: int, *, start_last: bool = False):
+        self.rng, self.grid, self.start_last = rng, grid, start_last
+        self.Z = np.zeros((N, grid.n_steps + 1, dim))
+
+    def draw(self, i: int, n_nodes: int) -> int:
+        """Draw a walk of n_nodes into row i, over any walk drawn there, and return n_nodes."""
+        self.rng.standard_normal(out=self.Z[i, :n_nodes])
+        return n_nodes
+
+    def prefix(self, i: int) -> int:
+        """Draw a node count from 1 to the grid's, then its walk into row i."""
+        return self.draw(i, int(self.rng.integers(1, self.grid.n_steps + 2)))
+
+    def block(self, counts, space: SpectralSpace) -> np.ndarray:
+        """The walks of the first len(counts) rows, row i of counts[i] nodes, as
+        `start + np.cumsum(steps)` makes them, carried by `carry_walks`."""
+        Z, counts = self.Z[: len(counts)], np.asarray(counts, dtype=int)
+        if self.start_last:  # each start to node 0, its steps after it
+            start = Z[np.arange(len(Z)), counts - 1]
+            Z[:, 1:], Z[:, 0] = Z[:, :-1], start
+        Z[:, 1:] *= math.sqrt(self.grid.step)
+        Z += 0.0  # as normal's 0.0 + scale * z: a -0.0 draw gives +0.0
+        np.add.accumulate(Z[:, 1:], 1, out=Z[:, 1:])
+        Z[:, 1:] += Z[:, :1]
+        return carry_walks(Z, counts, space, self.grid.step)
 
 
 def count_groups(B: np.ndarray, at: np.ndarray, counts: np.ndarray) -> list:
@@ -344,7 +369,7 @@ def _grouped(blocks) -> tuple:
     count_of_row = np.repeat(counts, sizes)
     groups = {}
     for n, run in runs.items():
-        S = np.concatenate(run)
+        S = run[0].view() if len(run) == 1 else np.concatenate(run)  # a single block as it is
         S.flags.writeable = False
         rows = np.flatnonzero(count_of_row == n)
         rows.flags.writeable = False
@@ -406,7 +431,18 @@ def formula_rows(f, proto: "Path", S: np.ndarray, vector: bool = False) -> np.nd
 def formula_paths(f, paths, groups=None, vector: bool = False) -> np.ndarray:
     """The row formula f at each of paths, a node-count group at a time,
     with `formula_rows` through `group_rows` (groups as it takes them)."""
-    return group_rows(lambda rows, S: formula_rows(f, paths[rows[0]], S, vector), paths, groups)
+    protos = group_protos(paths)
+    return group_rows(lambda rows, S: formula_rows(f, protos[S.shape[1]], S, vector), paths, groups)
+
+
+def group_protos(paths) -> Mapping:
+    """One path of each node count of paths, by node count, the first of its
+    group: a `Net` makes its own at the first call and keeps them."""
+    if not isinstance(paths, Net):
+        return {g.n_nodes: g for g in reversed(paths)}
+    if paths._protos is None:
+        paths._protos = MappingProxyType({n: paths.path(int(r[0])) for n, (r, _) in paths.groups.items()})
+    return paths._protos
 
 
 class Net:
@@ -417,12 +453,12 @@ class Net:
     new view of row i at each call (path(0) is the point), so readers of
     every row read the groups, and paths are compared by index."""
 
-    __slots__ = ("point", "groups", "horizons", "_counts", "_blocks")
+    __slots__ = ("point", "groups", "horizons", "_counts", "_blocks", "_protos")
 
     def __init__(self, point: "Path", blocks=()):
         self.point, self._blocks = point, [point.samples[None], *blocks] if point is not None else []
         groups, self._counts = _grouped(self._blocks)
-        self.groups = MappingProxyType(groups)
+        self.groups, self._protos = MappingProxyType(groups), None
         self.horizons = point.step * (self._counts - 1) if groups else np.zeros(0)
         self._counts.flags.writeable = self.horizons.flags.writeable = False
 

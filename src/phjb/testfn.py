@@ -31,6 +31,7 @@ from .paths import (
     extend_flat,
     formula_paths,
     formula_rows,
+    group_protos,
     group_rows,
     node_count_groups,
     row_dots,
@@ -83,8 +84,8 @@ class TestFunctionPhi:
         if not len(paths):
             return
         E, horizons, step = np.empty((len(paths), paths[0].space.dim)), np.empty(len(paths)), paths[0].step
-        for rows, S in node_count_groups(paths).values():  # a net's own grouping
-            E[rows], horizons[rows] = S[:, -1], paths[rows[0]].horizon
+        for n, (rows, S) in node_count_groups(paths).items():  # a net's own grouping
+            E[rows], horizons[rows] = S[:, -1], step * (n - 1)
         h = 1e-5 * np.maximum(1.0, np.sqrt(row_dots(E, E)))
         reach = [t_final is None or s + step <= t_final + GRID_TOL for s in horizons.tolist()]
         f0, bumped, flat, ax, at = _differences(self, paths, h[:, None], reach)
@@ -141,10 +142,10 @@ def _differences(phi: TestFunctionPhi, probes, steps: np.ndarray, reach: list) -
         raise ValueError("probe paths must share one step")
     (N, J), dim = steps.shape, probes[0].space.dim
     width = 1 + 2 * J * dim  # the rows of a probe: itself, then its bumps
-    groups = node_count_groups(probes).values()
+    groups, protos = node_count_groups(probes).values(), group_protos(probes)
     blocks, owners = [], []  # the blocks, and a path with the node count of each of their rows
     for rows, S in groups:  # a block of the probes and their bumps, then one per extension
-        (m, n), g = S.shape[:2], probes[rows[0]]
+        (m, n), g = S.shape[:2], protos[S.shape[1]]
         B = np.repeat(S, width, axis=0)
         moved = B.reshape(m, width, n, dim)[:, 1:].reshape(m, J, dim, 2, n, dim)
         for k in range(dim):

@@ -24,7 +24,7 @@ from .dynamics import (
     _costs,
     _drift_rows,
     _terminal_cost,
-    random_prefix,
+    _worst,
     step_once,
     step_rows,
 )
@@ -33,11 +33,14 @@ from .paths import (
     Net,
     Path,
     TimeGrid,
+    Walks,
     all_finite,
     extend_semigroup,
+    group_protos,
     node_count_groups,
     row_dots,
     sup_norm,
+    trusted_path,
     vertical_bump,
 )
 from .hilbert import SpectralSpace
@@ -235,10 +238,10 @@ class ValueTable:
             if abs(g.step - step) > GRID_TOL:
                 self.values([paths[j] for j in range(i)])
                 raise ValueError(f"prefix step {g.step} is not the grid step {step}")
-        groups = node_count_groups(paths)
-        for rows, _ in groups.values():  # in order of their first root
+        groups, protos = node_count_groups(paths), group_protos(paths)
+        for n, (rows, _) in groups.items():  # in order of their first root
             try:
-                self._check_root(paths[rows[0]])
+                self._check_root(protos[n])
             except (ValueError, BudgetExceeded):
                 self.values([paths[j] for j in range(rows[0])])
                 raise
@@ -491,31 +494,24 @@ def verify_value_regularity(
     """
     grid = table.grid
     rng = np.random.default_rng(seed)
-    if paths is None:
-        paths = [random_prefix(rng, space, grid) for _ in range(30)]
+    if paths is None:  # views of the rows of one block of walks
+        walks = Walks(rng, 30, grid, space.dim, start_last=True)
+        counts = [walks.prefix(i) for i in range(30)]
+        paths = [trusted_path(space, grid.step, x[:n]) for x, n in zip(walks.block(counts, space), counts)]
     bumps = [vertical_bump(g, rng.normal(0.0, 1.0, size=space.dim)) for g in paths]
-    gaps = [sup_norm(g - eta) for g, eta in zip(paths, bumps)]
-    # by path index: the vertical companion at the same horizon, and the
-    # one-step semigroup extension in time, where each is taken
-    bumped = {i: eta for i, eta in enumerate(bumps) if gaps[i] > 1e-12}
-    extended = {
-        i: extend_semigroup(g, min(g.horizon + grid.step, grid.T))
-        for i, g in enumerate(paths)
-        if g.horizon + grid.step <= grid.T + GRID_TOL
-    }
+    gaps = np.array([sup_norm(g - eta) for g, eta in zip(paths, bumps)])
+    # the paths with a vertical companion, and with a one-step semigroup extension
+    ib = np.flatnonzero(gaps > 1e-12)
+    ix = [i for i, g in enumerate(paths) if g.horizon + grid.step <= grid.T + GRID_TOL]
+    extended = [extend_semigroup(paths[i], min(paths[i].horizon + grid.step, grid.T)) for i in ix]
     # the paths, their companions and their extensions, in one sweep
-    v = iter(table.values([*paths, *bumped.values(), *extended.values()]).tolist())
-    vg, ve, vx = [next(v) for _ in paths], dict(zip(bumped, v)), dict(zip(extended, v))
-    consts = {"growth": 0.0, "space": 0.0, "time": 0.0}
-    for i, g in enumerate(paths):
-        ng = sup_norm(g)
-        consts["growth"] = max(consts["growth"], abs(vg[i]) / (1.0 + ng))
-        if i in ve:
-            consts["space"] = max(consts["space"], abs(vg[i] - ve[i]) / gaps[i])
-        if i in vx:
-            consts["time"] = max(
-                consts["time"], abs(vx[i] - vg[i]) / ((1.0 + ng) * grid.step)
-            )
+    vg, ve, vx = np.split(table.values([*paths, *(bumps[i] for i in ib), *extended]), [len(paths), len(paths) + len(ib)])
+    ng = np.array([sup_norm(g) for g in paths])
+    consts = {  # each the largest ratio, from 0.0, a NaN ratio passed over
+        "growth": _worst(np.abs(vg), 1.0 + ng, floor=False),
+        "space": _worst(np.abs(vg[ib] - ve), gaps[ib], floor=False),
+        "time": _worst(np.abs(vx - vg[ix]), (1.0 + ng[ix]) * grid.step, floor=False),
+    }
     return CheckRecord(
         name="regularity",
         passed=all(np.isfinite(v) for v in consts.values()),

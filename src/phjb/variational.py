@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .gauge import pair_gauge_rows
-from .paths import GRID_TOL, Net, Path, group_rows, node_count_groups
+from .paths import GRID_TOL, Net, Path, group_protos, group_rows, node_count_groups
 
 __all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
@@ -41,9 +41,8 @@ def pair_gauges(anchor: Path, paths) -> np.ndarray:
     before the anchor are left out, as the premise scan leaves them out.
     This is bp_search's default row gauge."""
     floor = anchor.horizon - GRID_TOL
-    groups = node_count_groups(paths)
-    protos = {n: paths[rows[0]] for n, (rows, _) in groups.items()}  # one path per node count
-    kept = [groups[n] for n, g in protos.items() if g.horizon >= floor]
+    groups, protos = node_count_groups(paths), group_protos(paths)
+    kept = [group for n, group in groups.items() if protos[n].horizon >= floor]
     return group_rows(lambda rows, S: pair_gauge_rows(anchor, protos[S.shape[1]], S), paths, kept)
 
 

@@ -315,3 +315,14 @@ def dupire_derivatives(f, g, *, t_final=None, h=None) -> DupireDerivatives:
         fd = f(Path(g.space, g.step, dn))
         dx[k] = (fu - fd) / (2.0 * h)
     return DupireDerivatives(dt, dx)
+
+
+
+def random_prefix(rng, space, grid, *, scale=1.0, min_nodes=1) -> Path:
+    """One seeded random-walk prefix drawn with `normal` calls (node count,
+    steps, start); at scale 1 and min_nodes 1 the one-row case of the
+    prefixes of `paths.Walks`."""
+    n = int(rng.integers(min_nodes, grid.n_steps + 2))
+    steps = rng.normal(0.0, scale * np.sqrt(grid.step), size=(n - 1, space.dim))
+    start = rng.normal(0.0, scale, size=(1, space.dim))
+    return Path(space, grid.step, np.vstack([start, start + np.cumsum(steps, axis=0)]))

@@ -19,7 +19,7 @@ from phjb.checks import (
     upsilon_margin,
     viscosity_check,
 )
-from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
+from phjb.dynamics import Coefficients, ControlSignal, mild_solve
 from phjb.gauge import eval_upsilon
 from phjb.paths import Path, TimeGrid, row_dots
 from phjb.scenarios import eikonal, runmax, runmax_value, touching_points
@@ -27,7 +27,7 @@ from phjb.testfn import TestFunctionPhi
 from phjb.value import ValueTable, verify_dpp_consistency, verify_value_regularity
 from phjb.variational import bp_search, pair_gauge
 
-from conftest import eval_S, grad_S, make_space, random_path, row_map
+from conftest import eval_S, grad_S, make_space, random_path, random_prefix, row_map
 
 
 def _verdict(num, name, ok, elapsed, budget):

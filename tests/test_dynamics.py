@@ -14,28 +14,26 @@ import pytest
 from phjb.dynamics import (
     Coefficients,
     ControlSignal,
-    _draw_prefix,
     _step_block,
     mild_solve,
-    random_prefix,
     solve_rows,
     step_once,
     validate_hypothesis,
     verify_state_estimates,
 )
-from phjb.checks import _walk, gauge_cases, perturbed, upsilon_margin
+from phjb.checks import gauge_cases, perturbed, upsilon_margin
 from phjb.paths import (
     GRID_TOL,
     Path,
     Refused,
     TimeGrid,
+    Walks,
     carried,
-    carry_walks,
     extend_semigroup,
     sup_norm,
 )
 from phjb.scenarios import eikonal, feedback, runmax
-from phjb.value import ValueTable
+from phjb.value import ValueTable, verify_value_regularity
 
 from conftest import (
     control_column,
@@ -44,6 +42,7 @@ from conftest import (
     metric_d_infty,
     out_of_block_order,
     random_path,
+    random_prefix,
     row_map,
     semigroup_apply,
     spoil_drift,
@@ -331,37 +330,146 @@ _WALK_SPACES = {"flat-1": [0.0], "flat-2": [0.0, 0.0], "decaying-3": [-0.5, -2.0
 @pytest.mark.parametrize("space_name", sorted(_WALK_SPACES))
 @pytest.mark.parametrize("n_steps", [4, 7, 16])
 def test_block_draws_equal_the_one_path_draws_row_for_row(space_name, n_steps):
-    """The block writer takes every RNG call in the order of the one-path
+    """The block sampler takes every RNG call in the order of the one-path
     samplers, writes each walk's bytes into its row, and carries the row
     past the walk's horizon as `carried` carries the path."""
     space, grid = make_space(_WALK_SPACES[space_name]), TimeGrid(1.0, 1.0 / n_steps)
     n = grid.n_steps + 1
     block_rng, path_rng = np.random.default_rng(n_steps), np.random.default_rng(n_steps)
-    B = np.empty((60, n, space.dim))
-    counts = np.array([_draw_prefix(block_rng, row, grid) for row in B])
-    B = carry_walks(B, counts, space, grid.step)
-    for row, k in zip(B, counts.tolist()):
+    walks = Walks(block_rng, 60, grid, space.dim, start_last=True)
+    counts = [walks.prefix(i) for i in range(60)]
+    for row, k in zip(walks.block(counts, space), counts):
         g = one_path_prefix(path_rng, space, grid)
         assert row[:k].tobytes() == g.samples.tobytes()
         assert row.tobytes() == carried(g, n).tobytes()
     assert block_rng.bit_generator.state == path_rng.bit_generator.state
-    # random_prefix, the one-path case of the same writer
+    # random_prefix, the tests' one-path form, is the one-row case
     for _ in range(20):
-        g = random_prefix(block_rng, space, grid)
-        assert g.samples.tobytes() == one_path_prefix(path_rng, space, grid).samples.tobytes()
-        assert not g.samples.flags.writeable
+        walks = Walks(block_rng, 1, grid, space.dim, start_last=True)
+        k = walks.prefix(0)
+        B = walks.block([k], space)
+        assert not B.flags.writeable
+        assert B[0, :k].tobytes() == random_prefix(path_rng, space, grid).samples.tobytes()
     assert block_rng.bit_generator.state == path_rng.bit_generator.state
     # the gauge cases' walk, start first
-    for k in [1, 2, n - 1] * 5:
-        row = np.empty((n, space.dim))
-        assert _walk(block_rng, row, grid.step, k) == k
+    walks = Walks(block_rng, 15, grid, space.dim)
+    counts = [walks.draw(i, k) for i, k in enumerate([1, 2, n - 1] * 5)]
+    for row, k in zip(walks.block(counts, space), counts):
         assert row[:k].tobytes() == one_path_walk(path_rng, space, grid.step, k).samples.tobytes()
     assert block_rng.bit_generator.state == path_rng.bit_generator.state
+
+
+def test_a_negative_zero_draw_comes_out_positive():
+    """Each draw z becomes 0.0 + scale * z, as `Generator.normal(0.0, scale)`
+    makes it, so a -0.0 draw gives +0.0 samples, not the -0.0 of z or of
+    scale * z."""
+
+    class NegativeZeros:
+        def standard_normal(self, out):
+            out[...] = -0.0
+
+        def integers(self, low, high):
+            return high - 1
+
+    space, grid = make_space([-1.0, 0.0]), TimeGrid(1.0, 0.25)
+    for start_last in (True, False):
+        walks = Walks(NegativeZeros(), 3, grid, space.dim, start_last=start_last)
+        B = walks.block([walks.prefix(0), walks.draw(1, 1), walks.draw(2, 3)], space)
+        assert not np.signbit(B).any() and not B.any()
+    assert not np.signbit(0.0 + 0.5 * np.float64(-0.0)) and np.signbit(0.5 * np.float64(-0.0))
+
+
+class _CountedRng:
+    """A generator that counts the methods read from it, by name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.rng, name)
+
+
+@pytest.fixture
+def made_rngs(monkeypatch):
+    """The generators `np.random.default_rng` makes during the test, each
+    counted (`_CountedRng`); make the test's own with `np.random.Generator`."""
+    made, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(_CountedRng(make(seed))) or made[-1])
+    return made
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _one_path_estimates(rng, c, space, grid, n_samples):
+    """The draws of `verify_state_estimates` one path at a time: g, a
+    control, and, unless g ends at T, eta and a restart time."""
+    drawn = []
+    for _ in range(n_samples):
+        drawn.append(one_path_prefix(rng, space, grid))
+        rng.integers(len(c.control_set))
+        if drawn[-1].horizon < grid.T - GRID_TOL:
+            drawn.append(one_path_prefix(rng, space, grid))
+            rng.integers(1, grid.n_steps - drawn[-2].n_nodes + 2)
+    return drawn
+
+
+def _one_path_gauge(rng, c, space, grid):
+    drawn = []
+    for _ in range(100):
+        n_nodes = int(rng.integers(1, grid.n_steps + 1))
+        drawn += [one_path_walk(rng, space, grid.step, n_nodes) for _ in range(2)]
+        rng.integers(len(c.control_set))
+    return drawn
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 4, 16])
+@pytest.mark.parametrize("name", ["eikonal", "runmax", "feedback"])
+def test_sampling_checks_leave_the_rng_where_the_one_path_draws_do(made_rngs, name, n_steps):
+    """Each sampling check consumes its stream call for call as the one-path
+    samplers did, with one `standard_normal` call per walk and no `normal`
+    call: at one and two steps `estimates` draws many g at T, whose eta it
+    skips."""
+    sc = {"eikonal": eikonal, "runmax": runmax, "feedback": feedback}[name](step=1.0 / n_steps)
+    c, space, grid = sc.coefficients, sc.space, sc.grid
+    runs = [
+        (lambda: validate_hypothesis(c, space, grid, n_pairs=30, seed=5), lambda r: [one_path_prefix(r, space, grid) for _ in range(60)]),
+        (lambda: verify_state_estimates(c, space, grid, n_samples=40, seed=5), lambda r: _one_path_estimates(r, c, space, grid, 40)),
+        (lambda: gauge_cases(c, space, grid, seed=5), lambda r: _one_path_gauge(r, c, space, grid)),
+    ]
+    for check, one_path in runs:
+        made_rngs.clear()
+        check()
+        oracle = _pcg(5)
+        walks = len(one_path(oracle))
+        (rng,) = made_rngs
+        assert rng.rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.calls.get("standard_normal") == walks and "normal" not in rng.calls
+    if n_steps <= 2:  # the skip branch was taken
+        assert len(_one_path_estimates(_pcg(5), c, space, grid, 40)) < 80
+
+
+def test_regularity_draws_its_prefixes_then_its_bumps(made_rngs):
+    """`verify_value_regularity` draws 30 prefixes, one `standard_normal`
+    call each, then one `normal` call per vertical bump."""
+    sc = feedback(step=0.25)
+    verify_value_regularity(ValueTable(sc.coefficients, sc.grid), sc.space, seed=3)
+    oracle = _pcg(3)
+    paths = [one_path_prefix(oracle, sc.space, sc.grid) for _ in range(30)]
+    for _ in paths:
+        oracle.normal(0.0, 1.0, size=sc.space.dim)
+    (rng,) = made_rngs
+    assert rng.rng.bit_generator.state == oracle.bit_generator.state
+    assert (rng.calls["standard_normal"], rng.calls["normal"]) == (30, 30)
 
 
 @pytest.mark.parametrize("space_name", sorted(_WALK_SPACES))
 @pytest.mark.parametrize("n_steps", [4, 7, 16])
 def test_gauge_cases_equal_the_case_by_case_draws(space_name, n_steps):
+    """`gauge_cases` draws each case's g and eta from the block sampler with
+    the bytes of the one-path walks, case by case."""
     space, grid = make_space(_WALK_SPACES[space_name]), TimeGrid(1.0, 1.0 / n_steps)
     c = _decaying_coeffs()
     rng = np.random.default_rng(9)

@@ -15,7 +15,7 @@ from phjb.checks import (
     upsilon_margin,
 )
 from phjb.config import load_config
-from phjb.dynamics import Coefficients, ControlSignal, mild_solve, random_prefix
+from phjb.dynamics import Coefficients, ControlSignal, mild_solve
 from phjb.gauge import eval_upsilon
 from phjb.paths import Path, TimeGrid, extend_semigroup, row_dots
 from phjb.scenarios import classical_candidate, eikonal, feedback, runmax
@@ -26,6 +26,7 @@ from conftest import (
     grad_upsilon,
     make_space,
     out_of_block_order,
+    random_prefix,
     row_value,
     row_vector,
     spoil_drift,
