@@ -536,7 +536,7 @@ def classical_check(
     """
     points = list(points)
     inner = [g for g in points if g.horizon < t_final - GRID_TOL]
-    probed = zip(*differentiability_probe(w, inner, t_final=t_final))  # (flag, dt, dx) per point
+    probed = zip(*differentiability_probe(w, Net.of(inner), t_final=t_final))  # (flag, dt, dx) per point
     rows = []
     max_res = 0.0
     n_flagged = 0
@@ -620,10 +620,11 @@ def stability_experiment(
     rows = []
     ok = True
     gaps = {}  # (point index, eps) -> gap
-    base = base_table.values(points).tolist()
+    net = Net.of(points)  # one grouping for every table
+    base = base_table.values(net).tolist()
     for eps in epsilons:
         table = ValueTable(perturbed(coeffs, kind, eps), grid, budget=base_table.budget)
-        for i, (g, v0, v1) in enumerate(zip(points, base, table.values(points).tolist())):
+        for i, (g, v0, v1) in enumerate(zip(points, base, table.values(net).tolist())):
             gap = v1 - v0
             gaps[(i, eps)] = gap
             row = {"eps": eps, "point": i, "gap": gap, "horizon": g.horizon}

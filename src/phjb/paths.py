@@ -35,11 +35,9 @@ __all__ = [
     "Walks",
     "count_groups",
     "Refused",
-    "node_count_groups",
     "group_rows",
     "formula_rows",
     "formula_paths",
-    "group_protos",
     "row_dots",
     "Net",
     "sup_norm",
@@ -198,7 +196,7 @@ class Path:
         ):
             raise ValueError("paths live on different spaces")
         if abs(self.step - other.step) > GRID_TOL:
-            raise ValueError(f"step mismatch: {self.step} vs {other.step}")
+            raise ValueError(f"step mismatch: {self.step} vs {other.step}, paths must share one step")
 
     def _check_same_grid(self, other: "Path") -> None:
         self._check_same_space_and_step(other)
@@ -328,7 +326,7 @@ class Walks:
 
 def count_groups(B: np.ndarray, at: np.ndarray, counts: np.ndarray) -> list:
     """The paths whose samples are the first counts[j] nodes of row at[j] of
-    the block B, grouped by node count as `node_count_groups` groups paths,
+    the block B, grouped by node count as a `Net` groups its paths,
     as (rows, S) pairs: S holds the samples of the paths at rows, read-only."""
     groups = []
     for n in dict.fromkeys(counts.tolist()):
@@ -339,23 +337,12 @@ def count_groups(B: np.ndarray, at: np.ndarray, counts: np.ndarray) -> list:
     return groups
 
 
-def node_count_groups(paths) -> Mapping:
-    """The paths grouped by node count, in order of each count's first
-    occurrence, as {n: (rows, S)}: rows are the ascending indices of the
-    paths with n nodes, as a read-only index array, and S their samples as
-    one read-only (len(rows), n, dim) block. A `Net` gives the grouping it
-    made of its blocks when it was built; no reader may change it. A list
-    of paths is the case of one-row blocks (`_grouped`)."""
-    if isinstance(paths, Net):
-        return paths.groups
-    return _grouped([g.samples[None] for g in paths])[0]
-
-
 def _grouped(blocks) -> tuple:
     """The rows of blocks, (N, n, dim) sample arrays, grouped by node count
-    as `node_count_groups` groups paths, the rows numbered on from one
-    block to the next, and the node count of each row as an index array.
-    The block of a group is its node count's blocks end to end, in order."""
+    in order of first occurrence as {n: (rows, S)}, and the node count of
+    each row as an index array: rows, read-only, are the ascending indices of
+    the rows with n nodes, numbered on from one block to the next, and S,
+    read-only, is the node count's blocks end to end, in order."""
     runs: dict = {}  # node count -> its blocks, in order
     counts, sizes = [], []  # of each block
     for B in blocks:
@@ -390,18 +377,18 @@ class Refused(ValueError):
 def group_rows(fn, paths, groups=None) -> np.ndarray:
     """fn over the paths a node-count group at a time, as one entry per path.
 
-    The paths share a space and step. fn(rows, S) gives the entries of the
-    paths at the indices rows, whose samples are the block S of their group
-    (`node_count_groups`), as floats with one row per path. groups lists
-    the groups to run, each as (rows, S) with rows ascending, every group
-    of the paths by default (then paths may be any sequence of their
-    length); a path of no listed group gets 0. A group that raises
+    fn(rows, S) gives the entries of the paths at the indices rows, whose
+    samples are the block S of their group, as floats with one row per
+    path. groups lists the groups to run, each as (rows, S) with rows
+    ascending, by default every group of paths, which is then a `Net`
+    (`Net.groups`); with groups given, paths may be any sequence of their
+    length. A path of no listed group gets 0. A group that raises
     `Refused` is run again path by path, by the rule stated there, each
     path on its row of its group's block. When one group holds every path,
     its entries are returned as fn gave them (as floats), not copied.
     """
     if groups is None:
-        groups = node_count_groups(paths).values()
+        groups = paths.groups.values()
     try:
         parts = [(rows, fn(rows, S)) for rows, S in groups]
     except Refused:
@@ -428,21 +415,10 @@ def formula_rows(f, proto: "Path", S: np.ndarray, vector: bool = False) -> np.nd
     return v
 
 
-def formula_paths(f, paths, groups=None, vector: bool = False) -> np.ndarray:
-    """The row formula f at each of paths, a node-count group at a time,
+def formula_paths(f, net: "Net", groups=None, vector: bool = False) -> np.ndarray:
+    """The row formula f at each path of net, a node-count group at a time,
     with `formula_rows` through `group_rows` (groups as it takes them)."""
-    protos = group_protos(paths)
-    return group_rows(lambda rows, S: formula_rows(f, protos[S.shape[1]], S, vector), paths, groups)
-
-
-def group_protos(paths) -> Mapping:
-    """One path of each node count of paths, by node count, the first of its
-    group: a `Net` makes its own at the first call and keeps them."""
-    if not isinstance(paths, Net):
-        return {g.n_nodes: g for g in reversed(paths)}
-    if paths._protos is None:
-        paths._protos = MappingProxyType({n: paths.path(int(r[0])) for n, (r, _) in paths.groups.items()})
-    return paths._protos
+    return group_rows(lambda rows, S: formula_rows(f, net.protos[S.shape[1]], S, vector), net, groups)
 
 
 class Net:
@@ -451,7 +427,8 @@ class Net:
     the read-only `groups` that every reader gets, with each path's horizon
     `point.step * (n - 1)` in `horizons`. `path(i)`, or `net[i]`, makes a
     new view of row i at each call (path(0) is the point), so readers of
-    every row read the groups, and paths are compared by index."""
+    every row read the groups, and paths are compared by index; `Net.of`
+    makes one of a list of paths."""
 
     __slots__ = ("point", "groups", "horizons", "_counts", "_blocks", "_protos")
 
@@ -472,6 +449,22 @@ class Net:
         return self.point if i == 0 else self.point._trusted(S[rows.searchsorted(i)])
 
     __getitem__ = path
+
+    @property
+    def protos(self) -> Mapping:
+        """The first path of each node-count group by node count, made once."""
+        if self._protos is None:
+            self._protos = MappingProxyType({n: self.path(int(r[0])) for n, (r, _) in self.groups.items()})
+        return self._protos
+
+    @classmethod
+    def of(cls, paths) -> "Net":
+        """The net at the first of paths, each other path a block of one row:
+        refused unless every path is on the first one's space and step."""
+        paths = list(paths)
+        for g in paths[1:]:
+            paths[0]._check_same_space_and_step(g)
+        return cls(paths[0], [g.samples[None] for g in paths[1:]]) if paths else cls(None)
 
     @classmethod
     def joined(cls, nets) -> "Net":

@@ -31,9 +31,7 @@ from .paths import (
     extend_flat,
     formula_paths,
     formula_rows,
-    group_protos,
     group_rows,
-    node_count_groups,
     row_dots,
     sup_norm,
 )
@@ -70,34 +68,32 @@ class TestFunctionPhi:
     a_star_dx_continuous: bool = True
     label: str = ""
 
-    def validate_on(self, paths, *, t_final: Optional[float] = None) -> None:
+    def validate_on(self, net: Net, *, t_final: Optional[float] = None) -> None:
         """Check analytic derivatives against grid finite differences at
-        paths on one space and step, a `Net` or a list (`_differences`): dx
-        against central differences with step 1e-5 * max(1, |gamma(t)|), dt
-        against the one-step flat extension where it does not cross t_final.
+        the paths of net (`_differences`): dx against central differences
+        with step 1e-5 * max(1, |gamma(t)|), dt against the one-step flat
+        extension where it fits before t_final (`_fits`).
 
         Raises ValueError at the first path where they do not agree within
         1e-5 (absolute, relative to max(1, |analytic|)), so a NaN derivative
         is refused.
         """
         tol = 1e-5
-        if not len(paths):
+        if not len(net):
             return
-        E, horizons, step = np.empty((len(paths), paths[0].space.dim)), np.empty(len(paths)), paths[0].step
-        for n, (rows, S) in node_count_groups(paths).items():  # a net's own grouping
-            E[rows], horizons[rows] = S[:, -1], step * (n - 1)
+        E = _endpoints(net)
         h = 1e-5 * np.maximum(1.0, np.sqrt(row_dots(E, E)))
-        reach = [t_final is None or s + step <= t_final + GRID_TOL for s in horizons.tolist()]
-        f0, bumped, flat, ax, at = _differences(self, paths, h[:, None], reach)
+        reach = _fits(net, 1, t_final)
+        f0, bumped, flat, ax, at = _differences(self, net, h[:, None], reach.tolist())
         gap_x = np.abs(ax - (bumped[:, 0, :, 0] - bumped[:, 0, :, 1]) / (2.0 * h[:, None])).max(axis=1)
-        gap_t = np.abs(at - (flat[:, 0] - f0) / step)
+        gap_t = np.abs(at - (flat[:, 0] - f0) / net.point.step)
         bad_x = ~(gap_x <= tol * np.maximum(1.0, np.abs(ax).max(axis=1)))
-        bad_t = np.array(reach) & ~(gap_t <= tol * np.maximum(1.0, np.abs(at)))
+        bad_t = reach & ~(gap_t <= tol * np.maximum(1.0, np.abs(at)))
         for i in np.flatnonzero(bad_x | bad_t)[:1]:  # the first path refused
             what, gap = ("vertical", gap_x[i]) if bad_x[i] else ("time", gap_t[i])
             raise ValueError(
                 f"{self.label or 'phi'}: {what} derivative off by {gap:.3e} "
-                f"at horizon {horizons[i]}"
+                f"at horizon {net.horizons[i]}"
             )
 
     # common constructors ------------------------------------------------
@@ -124,10 +120,21 @@ class TestFunctionPhi:
         )
 
 
-def _differences(phi: TestFunctionPhi, probes, steps: np.ndarray, reach: list) -> tuple:
-    """phi at each of probes, paths on one space and step (a list or a
-    `Net`), at its vertical bumps and flat extensions, priced as one block
-    per node count (`group_rows`), and phi's derivatives at each probe.
+def _endpoints(net: Net) -> np.ndarray:
+    """The last sample of each path of net, as an (N, dim) array."""
+    return formula_paths(lambda proto, S: S[:, -1], net, vector=True)
+
+
+def _fits(net: Net, r: int, t_final: Optional[float]) -> np.ndarray:
+    """Whether r more steps after each path of net end by t_final, up to
+    GRID_TOL, as a bool array; every path fits without a t_final."""
+    return net.horizons + r * net.point.step <= (math.inf if t_final is None else t_final) + GRID_TOL
+
+
+def _differences(phi: TestFunctionPhi, probes: Net, steps: np.ndarray, reach: list) -> tuple:
+    """phi at each path of probes, a net, at its vertical bumps and flat
+    extensions, priced as one block per node count (`group_rows`), and
+    phi's derivatives at each probe.
 
     steps is an (N, J) array, J vertical steps per probe, and reach[i] is
     the number of flat-extension steps priced at probe i, at most 2, the
@@ -138,11 +145,9 @@ def _differences(phi: TestFunctionPhi, probes, steps: np.ndarray, reach: list) -
     (`extend_flat`), NaN where r > reach[i]; dx[i] and dt[i] are phi.dx and
     phi.dt at probe i.
     """
-    if not isinstance(probes, Net) and any(abs(g.step - probes[0].step) > GRID_TOL for g in probes):
-        raise ValueError("probe paths must share one step")
-    (N, J), dim = steps.shape, probes[0].space.dim
+    (N, J), dim = steps.shape, probes.point.space.dim
     width = 1 + 2 * J * dim  # the rows of a probe: itself, then its bumps
-    groups, protos = node_count_groups(probes).values(), group_protos(probes)
+    groups, protos = probes.groups.values(), probes.protos
     blocks, owners = [], []  # the blocks, and a path with the node count of each of their rows
     for rows, S in groups:  # a block of the probes and their bumps, then one per extension
         (m, n), g = S.shape[:2], protos[S.shape[1]]
@@ -167,29 +172,26 @@ def _differences(phi: TestFunctionPhi, probes, steps: np.ndarray, reach: list) -
     return f0, bumped, flat, formula_paths(phi.dx, probes, groups, True), formula_paths(phi.dt, probes, groups)
 
 
-def differentiability_probe(phi: TestFunctionPhi, points, *, t_final: Optional[float] = None) -> tuple:
-    """Whether finite differences converge to phi's derivatives at each of
-    points, paths on one space and step, as a list of bools, with those
-    derivatives: (flags, dt, dx), dt a list of floats and dx an (N, dim)
-    array.
+def differentiability_probe(phi: TestFunctionPhi, net: Net, *, t_final: Optional[float] = None) -> tuple:
+    """Whether finite differences converge to phi's derivatives at each
+    path of net, as a list of bools, with those derivatives:
+    (flags, dt, dx), dt a list of floats and dx an (N, dim) array.
 
     Three tests, all must hold: halving the central-difference step shrinks
     the vertical error (it stalls at a one-sided kink); forward and backward
     differences agree (central differences alone cancel at a symmetric
-    cone); and the flat-extension time slope matches when it exists. The
-    points' bumps and extensions are priced by `_differences`.
+    cone); and the flat-extension time slope matches when one step fits
+    before t_final (`_fits`). The bumps and extensions are priced by
+    `_differences`.
     """
-    points = list(points)
-    if not points:
+    if not len(net):
         return [], [], np.zeros((0, 0))
-    h_base, step = 1e-3, points[0].step
-    E = np.array([g.endpoint for g in points])
-    h = h_base * np.maximum(1.0, np.abs(E).max(axis=1))
-    one = np.array([t_final is None or g.horizon + g.step <= t_final + GRID_TOL for g in points])
-    two = np.array([t_final is None or g.horizon + 2 * g.step <= t_final + 1e-9 for g in points])
+    h_base, step = 1e-3, net.point.step
+    h = h_base * np.maximum(1.0, np.abs(_endpoints(net)).max(axis=1))
+    one, two = _fits(net, 1, t_final), _fits(net, 2, t_final)
     halves = (h_base, 0.5 * h_base)
-    steps = np.column_stack([np.full(len(points), s) for s in halves] + [h])
-    f0, bumped, flat, ax, at = _differences(phi, points, steps, (one * (1 + two)).tolist())
+    steps = np.column_stack([np.full(len(net), s) for s in halves] + [h])
+    f0, bumped, flat, ax, at = _differences(phi, net, steps, (one * (1 + two)).tolist())
     fd1, fd2 = ((bumped[:, j, :, 0] - bumped[:, j, :, 1]) / (2.0 * s) for j, s in enumerate(halves))
     ok_x = np.abs(fd2 - ax).max(axis=1) <= 0.6 * np.abs(fd1 - ax).max(axis=1) + 1e-8
     fwd = (bumped[:, 2, :, 0] - f0[:, None]) / h[:, None]

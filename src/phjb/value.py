@@ -36,8 +36,6 @@ from .paths import (
     Walks,
     all_finite,
     extend_semigroup,
-    group_protos,
-    node_count_groups,
     row_dots,
     sup_norm,
     trusted_path,
@@ -214,7 +212,7 @@ class ValueTable:
     def entry(self, g: Path) -> tuple[float, object]:
         """V(g) and the first optimal control at g (None at T): the one-row
         case of `values`, with the control stored in the memo."""
-        v = self.values([g])[0]
+        v = self.values(Net(g))[0]
         if g.n_nodes - 1 == self.grid.n_steps:
             return float(v), None
         return self.memo[self._keys(g.samples[None])[1][0]]
@@ -222,32 +220,26 @@ class ValueTable:
     def value(self, g: Path) -> float:
         return self.entry(g)[0]
 
-    def values(self, paths) -> np.ndarray:
-        """`value` of every path, in order, as one float array.
+    def values(self, net: Net) -> np.ndarray:
+        """`value` of every path of net, in order, as one float array.
 
-        The paths share a space and the table's step, as the paths of a net
-        do, and are valued in one sweep (see `_sweep`). Under the contract
-        of `Coefficients.state`, its values, memo entries, argmins and
-        hits are those that `value` on each path in turn gives. A root on
-        another step, or one that `_check_root` refuses, is refused after
-        every path before it is valued. The step is read in one pass over
-        the paths (once for a `Net`), and the other gates once per node count.
+        The paths are valued in one sweep (see `_sweep`). Under the contract
+        of `Coefficients.state`, its values, memo entries, argmins and hits
+        are those that `value` on each path in turn gives. A net on another
+        step is refused, and a root that `_check_root` refuses, a node count
+        at a time, is refused after every path before it is valued.
         """
-        step = self.grid.step
-        for i, g in enumerate([paths.point][: len(paths)] if isinstance(paths, Net) else paths):  # a net has one step
-            if abs(g.step - step) > GRID_TOL:
-                self.values([paths[j] for j in range(i)])
-                raise ValueError(f"prefix step {g.step} is not the grid step {step}")
-        groups, protos = node_count_groups(paths), group_protos(paths)
-        for n, (rows, _) in groups.items():  # in order of their first root
+        if len(net) and abs(net.point.step - self.grid.step) > GRID_TOL:
+            raise ValueError(f"prefix step {net.point.step} is not the grid step {self.grid.step}")
+        for n, (rows, _) in net.groups.items():  # in order of their first root
             try:
-                self._check_root(protos[n])
+                self._check_root(net.protos[n])
             except (ValueError, BudgetExceeded):
-                self.values([paths[j] for j in range(rows[0])])
+                self.values(Net.of(net[j] for j in range(rows[0])))
                 raise
-        out = np.empty(len(paths))
-        if groups:
-            self._sweep(paths[0], groups, out)
+        out = np.empty(len(net))
+        if net.groups:
+            self._sweep(net.point, net.groups, out)
         return out
 
     def _lookup(self, keys: list, fresh: dict) -> tuple:
@@ -505,7 +497,7 @@ def verify_value_regularity(
     ix = [i for i, g in enumerate(paths) if g.horizon + grid.step <= grid.T + GRID_TOL]
     extended = [extend_semigroup(paths[i], min(paths[i].horizon + grid.step, grid.T)) for i in ix]
     # the paths, their companions and their extensions, in one sweep
-    vg, ve, vx = np.split(table.values([*paths, *(bumps[i] for i in ib), *extended]), [len(paths), len(paths) + len(ib)])
+    vg, ve, vx = np.split(table.values(Net.of([*paths, *(bumps[i] for i in ib), *extended])), [len(paths), len(paths) + len(ib)])
     ng = np.array([sup_norm(g) for g in paths])
     consts = {  # each the largest ratio, from 0.0, a NaN ratio passed over
         "growth": _worst(np.abs(vg), 1.0 + ng, floor=False),

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .gauge import pair_gauge_rows
-from .paths import GRID_TOL, Net, Path, group_protos, group_rows, node_count_groups
+from .paths import GRID_TOL, Net, Path, group_rows
 
 __all__ = ["pair_gauge", "pair_gauges", "BPResult", "NotEpsMaximal", "bp_search"]
 
@@ -34,16 +34,15 @@ def pair_gauge(anchor: Path, g: Path) -> float:
     return float(pair_gauge_rows(anchor, g, g.samples[None])[0])
 
 
-def pair_gauges(anchor: Path, paths) -> np.ndarray:
-    """`pair_gauge(anchor, g)` for each g of paths as a float array, 0.0
+def pair_gauges(anchor: Path, net: Net) -> np.ndarray:
+    """`pair_gauge(anchor, g)` for each path g of net as a float array, 0.0
     for the paths that end before the anchor: the paths of one node count
     are one `pair_gauge_rows` block (`group_rows`), and the groups that end
     before the anchor are left out, as the premise scan leaves them out.
     This is bp_search's default row gauge."""
-    floor = anchor.horizon - GRID_TOL
-    groups, protos = node_count_groups(paths), group_protos(paths)
-    kept = [group for n, group in groups.items() if protos[n].horizon >= floor]
-    return group_rows(lambda rows, S: pair_gauge_rows(anchor, protos[S.shape[1]], S), paths, kept)
+    floor, protos = anchor.horizon - GRID_TOL, net.protos
+    kept = [(rows, S) for rows, S in net.groups.values() if net.horizons[rows[0]] >= floor]
+    return group_rows(lambda rows, S: pair_gauge_rows(anchor, protos[S.shape[1]], S), net, kept)
 
 
 class NotEpsMaximal(ValueError):

@@ -32,7 +32,7 @@ from phjb import (
     sup_norm,
 )
 from phjb.gauge import _upsilon_rows, pair_difference_rows, pair_gauge_rows, upsilon_rows
-from phjb.paths import node_count_groups, prefix_sup_norms
+from phjb.paths import Net, prefix_sup_norms
 from phjb.variational import pair_gauge, pair_gauges
 
 SEED = 4242
@@ -253,7 +253,7 @@ def test_upsilon_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
         # S is Upsilon^0: its gradient adds 0 * gamma(t), which may flip a
         # zero's sign and nothing else
         assert np.array_equal(grad_S(p), scalar_grad_S(p))
-    for rows, S in node_count_groups(paths).values():
+    for rows, S in Net.of(paths).groups.values():
         assert _bytes(upsilon_rows(2.0, S)) == _bytes(
             [scalar_upsilon(2.0, paths[i]) for i in rows]
         )
@@ -277,8 +277,8 @@ def test_pair_forms_are_the_scalar_formulas_as_bytes(eigenvalues):
     for anchor in paths[:10] + paths[-3:]:
         later = [g for g in paths if g.n_nodes >= anchor.n_nodes]
         want = [scalar_upsilon_pair(2.0, anchor, g, with_time=True) for g in later]
-        assert _bytes(pair_gauges(anchor, later)) == _bytes(want)
-        for rows, S in node_count_groups(later).values():
+        assert _bytes(pair_gauges(anchor, Net.of(later))) == _bytes(want)
+        for rows, S in Net.of(later).groups.values():
             assert _bytes(pair_gauge_rows(anchor, later[rows[0]], S)) == _bytes(
                 [want[i] for i in rows]
             )
@@ -296,7 +296,7 @@ def test_a_block_that_ends_before_its_anchor_is_refused():
     with pytest.raises(ValueError, match="ends before its anchor"):
         pair_gauge_rows(anchor, g, g.samples[None])
     # the row gauge gives 0.0 to a path that ends before its anchor
-    assert pair_gauges(anchor, [anchor, g]).tolist() == [pair_gauge(anchor, anchor), 0.0]
+    assert pair_gauges(anchor, Net.of([anchor, g])).tolist() == [pair_gauge(anchor, anchor), 0.0]
     # the symmetric one-row forms order the pair themselves
     assert pair_gauge(anchor, g) == pair_gauge(g, anchor)
     assert np.array_equal(pair_difference(anchor, g).samples, pair_difference(g, anchor).samples)

@@ -1,6 +1,6 @@
 """Comparison nets: the block-built net against the per-path construction,
 its read-only grouping, and every reader of a net against the same paths
-as a plain list."""
+regrouped as one-row blocks (`Net.of`)."""
 
 import sys
 from dataclasses import replace
@@ -12,12 +12,12 @@ import pytest
 from phjb.checks import build_net, viscosity_check
 from phjb.config import load_config
 from phjb.dynamics import step_rows
-from phjb.paths import GRID_TOL, Net, Path, extend_semigroup, formula_paths, node_count_groups
+from phjb.paths import GRID_TOL, Net, Path, extend_semigroup, formula_paths
 from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable
 from phjb.variational import pair_gauges
 
-from conftest import net_of, time_ramp
+from conftest import make_space, random_path, time_ramp
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -85,14 +85,17 @@ def test_the_block_built_net_is_the_per_path_net(config, grid):
                 assert g.space is point.space and g.step == point.step
                 assert g.samples.dtype == np.float64
                 assert g.samples.tobytes() == w.samples.tobytes()
-            assert _same_groups(node_count_groups(net), node_count_groups(want))
+            assert _same_groups(net.groups, Net.of(want).groups)
 
 
 def test_a_net_and_its_grouping_are_read_only():
     sc = runmax()
     net = build_net(sc.coefficients, sc.initial, sc.grid, seed=0)
-    groups = node_count_groups(net)
-    assert groups is node_count_groups(net)  # made once, when the net was built
+    groups = net.groups
+    assert groups is net.groups  # made once, when the net was built
+    assert net.protos is net.protos  # made at the first read
+    with pytest.raises(TypeError):
+        net.protos[0] = net[0]
     assert not hasattr(net, "append") and not hasattr(net, "extend")
     with pytest.raises(TypeError):
         net[1] = net[0]
@@ -129,28 +132,29 @@ def test_joined_nets_group_as_their_paths_do_end_to_end(build):
     assert isinstance(joined, Net) and joined.point is nets[0].point
     assert _bytes_of(joined) == _bytes_of(g for net in nets for g in net)
     assert joined.horizons.tobytes() == np.concatenate([net.horizons for net in nets]).tobytes()
-    assert _same_groups(node_count_groups(joined), node_count_groups(list(joined)))
-    for rows, S in node_count_groups(joined).values():
+    assert _same_groups(joined.groups, Net.of(list(joined)).groups)
+    for rows, S in joined.groups.values():
         assert not rows.flags.writeable and not S.flags.writeable
         # the nets' own blocks, end to end, not a regrouping of their paths
         assert S.tobytes() == b"".join(
             net.groups[S.shape[1]][1].tobytes() for net in nets if S.shape[1] in net.groups
         )
     for net in nets:  # each net keeps its own grouping
-        assert _same_groups(node_count_groups(net), node_count_groups(list(net)))
-    assert len(Net.joined([])) == 0 and not node_count_groups(Net.joined([]))
+        assert _same_groups(net.groups, Net.of(list(net)).groups)
+    assert len(Net.joined([])) == 0 and not Net.joined([]).groups
 
 
 def test_the_join_of_no_nets_is_empty():
-    empty = Net.joined([])
-    assert len(empty) == 0 and not empty and empty.point is None
-    assert not empty.groups and empty.horizons.shape == (0,)
-    assert list(empty) == []
-    with pytest.raises(IndexError):
-        empty.path(0)
-    sc = runmax()
-    table = ValueTable(sc.coefficients, sc.grid)
-    assert table.values(empty).shape == (0,) and not table.memo
+    """So is the net of no paths (`Net.of`)."""
+    for empty in (Net.joined([]), Net.of([]), Net.of(iter([]))):
+        assert len(empty) == 0 and not empty and empty.point is None
+        assert not empty.groups and not empty.protos and empty.horizons.shape == (0,)
+        assert list(empty) == []
+        with pytest.raises(IndexError):
+            empty.path(0)
+        sc = runmax()
+        table = ValueTable(sc.coefficients, sc.grid)
+        assert table.values(empty).shape == (0,) and not table.memo
 
 
 def test_net_paths_are_views_of_their_group_blocks():
@@ -158,7 +162,7 @@ def test_net_paths_are_views_of_their_group_blocks():
         sc = build()
         for point in _points(sc):
             net = build_net(sc.coefficients, point, sc.grid, seed=2)
-            for rows, S in node_count_groups(net).values():
+            for rows, S in net.groups.values():
                 for r, i in enumerate(rows.tolist()):
                     if i == 0:  # the point itself, copied into its group
                         assert net[0] is point and not np.shares_memory(S, point.samples)
@@ -168,7 +172,44 @@ def test_net_paths_are_views_of_their_group_blocks():
                     assert net[i].samples.__array_interface__ == S[r].__array_interface__
 
 
-# every reader gives on a net what it gives on the net's paths as a list ---
+# a list of paths becomes a net in one place: `Net.of` --------------------
+
+
+def test_a_list_makes_no_net_across_two_steps_or_spaces():
+    space = make_space([-1.0, 0.0])
+    g = Path(space, 0.25, [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="share one step"):
+        Net.of([g, Path(space, 0.5, [[0.1, 0.2]])])
+    with pytest.raises(ValueError, match="share one step"):
+        Net.of([g, g, Path(space, 0.25 + 1e-9, [[0.1, 0.2]])])
+    with pytest.raises(ValueError, match="different spaces"):
+        Net.of([g, Path(make_space([-1.0, -0.5]), 0.25, [[0.1, 0.2]])])
+    # an equal space that is another object is the same space
+    twin = make_space([-1.0, 0.0])
+    assert twin is not space
+    h = Path(twin, 0.25, [[0.5, 0.6]])
+    net = Net.of([g, h])
+    assert len(net) == 2 and net.point is g
+    assert [x.samples.tobytes() for x in net] == [g.samples.tobytes(), h.samples.tobytes()]
+
+
+def test_the_protos_of_a_net_are_the_first_path_of_each_node_count():
+    rng = np.random.default_rng(17)
+    space = make_space([-0.5])
+    paths = [random_path(rng, space) for _ in range(30)]
+    net = Net.of(paths)
+    first = {}
+    for g in paths:
+        first.setdefault(g.n_nodes, g)
+    assert list(net.protos) == list(first) == list(net.groups)
+    for n, g in first.items():
+        proto = net.protos[n]
+        assert (proto.n_nodes, proto.horizon, proto.step) == (n, g.horizon, g.step)
+        assert proto.samples.tobytes() == g.samples.tobytes()
+    assert net.protos is net.protos and net.protos[paths[0].n_nodes] is net.point
+
+
+# every reader gives on a net what it gives on its paths as one-row blocks --
 
 
 def _nets():
@@ -189,22 +230,25 @@ def _same_witness(got, want) -> bool:
 
 
 def test_every_reader_gives_on_a_net_what_it_gives_on_a_list():
+    """The built net against `Net.of` of its paths, each path a block of
+    one row: every reader gives the same bytes on both groupings."""
     n_witnesses = 0
     for sc, tp, net in _nets():
-        paths = list(net)
-        again = net_of(paths)  # the same paths, grouped anew
+        again = Net.of(list(net))  # the same paths, grouped anew
+        assert len(again.groups) == len(net.groups) and len(again._blocks) == len(net)
         runs = []
-        for arg in (net, paths, again, net):  # the net's grouping, read twice
+        for arg in (net, again, net, again):  # each grouping, read twice
             table = ValueTable(sc.coefficients, sc.grid)
             values = table.values(arg)
             runs.append((values.tobytes(), dict(table.memo), table.hits))
         assert runs[0] == runs[1] == runs[2] == runs[3]
         for pack in (tp.pack_sub, tp.pack_super):
-            assert formula_paths(pack.rows, net).tobytes() == formula_paths(pack.rows, paths).tobytes()
+            assert formula_paths(pack.rows, net).tobytes() == formula_paths(pack.rows, again).tobytes()
         for anchor in (tp.point, net[-1]):
-            later = [g for g in net if g.n_nodes >= anchor.n_nodes]
-            arg = net if len(later) == len(net) else later
-            assert pair_gauges(anchor, arg).tobytes() == pair_gauges(anchor, list(arg)).tobytes()
+            row = pair_gauges(anchor, net)
+            assert row.tobytes() == pair_gauges(anchor, again).tobytes()
+            later = [i for i, g in enumerate(net) if g.n_nodes >= anchor.n_nodes]
+            assert pair_gauges(anchor, Net.of(net[i] for i in later)).tobytes() == row[later].tobytes()
 
         T = sc.grid.T
         for w in (values, values + (T - net.horizons)):
@@ -234,7 +278,7 @@ def test_a_path_that_ends_before_the_point_is_not_scanned():
         ):
             got = viscosity_check(
                 np.insert(values, at, far), sc.coefficients, tp.point, phi, pack, side,
-                net=net_of([tp.point, *paths]),
+                net=Net.of([tp.point, *paths]),
             )
             want = viscosity_check(values, sc.coefficients, tp.point, phi, pack, side, net=net)
             assert got.premise_ok
@@ -246,7 +290,7 @@ def test_a_net_is_scanned_only_at_its_own_point():
     values = ValueTable(sc.coefficients, sc.grid).values(net)
     args = (sc.coefficients, tp.point, tp.phi_sub, tp.pack_sub, "sub")
     copy = tp.point._head(tp.point.n_nodes)  # the point's samples, another path
-    for other in (list(net), net_of([copy, *list(net)[1:]])):
+    for other in (list(net), Net.of([copy, *list(net)[1:]])):
         with pytest.raises(ValueError, match="net must be a Net at the point itself"):
             viscosity_check(values, *args, net=other)
 

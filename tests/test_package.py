@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path as FsPath
 
 import pytest
@@ -27,22 +28,45 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
-def test_only_group_rows_catches_a_refusal():
-    """`paths.Refused` is caught in `paths.group_rows` alone, which runs a
-    refused block again path by path; every other reader, `dynamics.step_rows`
-    among them, lets a refusal through as it is."""
-    catchers = set()
+def _nodes_by_function():
+    """(module, name of the innermost enclosing function or None, node) for
+    every syntax node of every `phjb` module."""
     for name in MODULES:
         todo = [(ast.parse(inspect.getsource(importlib.import_module(name))), None)]
         while todo:
             node, fn = todo.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = node.name
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                if "Refused" in ast.unparse(node.type):
-                    catchers.add((name, fn))
+            yield name, fn, node
             todo += [(child, fn) for child in ast.iter_child_nodes(node)]
+
+
+def test_only_group_rows_catches_a_refusal():
+    """`paths.Refused` is caught in `paths.group_rows` alone, which runs a
+    refused block again path by path; every other reader, `dynamics.step_rows`
+    among them, lets a refusal through as it is."""
+    catchers = {
+        (name, fn)
+        for name, fn, node in _nodes_by_function()
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and "Refused" in ast.unparse(node.type)
+    }
     assert catchers == {("phjb.paths", "group_rows")}
+
+
+def test_no_reader_branches_on_a_net():
+    """A `paths.Net` is the one collection of paths that every block reader
+    takes, and `Net.of` the one place where a list of paths becomes one: no
+    module asks whether it was given a net, but `viscosity_check`, which
+    refuses anything else, and `phjb.paths` groups no list by node count."""
+    branches = {
+        (name, fn)
+        for name, fn, node in _nodes_by_function()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+        and re.search(r"\bNet\b", ast.unparse(node.args[1]))
+    }
+    assert branches == {("phjb.checks", "viscosity_check")}
+    paths = importlib.import_module("phjb.paths")
+    assert not hasattr(paths, "node_count_groups") and not hasattr(paths, "group_protos")
 
 
 def test_the_command_line_holds_no_check_logic():

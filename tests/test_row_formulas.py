@@ -12,7 +12,7 @@ import pytest
 from phjb.checks import build_net, gauge_cases, viscosity_check
 from phjb.config import load_config
 from phjb.gauge import eval_upsilon
-from phjb.paths import Path, formula_paths, node_count_groups, sup_norm
+from phjb.paths import Net, Path, formula_paths, sup_norm
 from phjb.scenarios import classical_candidate, feedback, touching_points
 from phjb.testfn import GaugePack, TestFunctionPhi
 from phjb.value import ValueTable
@@ -177,7 +177,7 @@ def test_a_row_formula_must_give_one_float_per_row():
     with pytest.raises(ValueError, match="row formula gave shape"):
         row_value(scalar.rows, g)
     with pytest.raises(ValueError, match="row formula gave shape"):
-        formula_paths(scalar.rows, [g, g])
+        formula_paths(scalar.rows, Net.of([g, g]))
 
 
 def _interior_mid():
@@ -239,7 +239,7 @@ def test_the_premise_scan_prices_each_group_once(monkeypatch):
 
     for tp in touching_points(sc):
         net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
-        groups = node_count_groups(net)
+        groups = net.groups
         blocks = [S for _, S in groups.values()]
         gates.clear()
         values = table.values(net)
@@ -293,7 +293,7 @@ def test_derivative_validation_prices_one_block_per_node_count():
 
             r = viscosity_check(values, sc.coefficients, tp.point, replace(phi, rows=rows), pack, side, net=net)
             assert r.passed
-            groups = node_count_groups(net)
+            groups = net.groups
             assert shapes[: len(groups)] == [S.shape for _, S in groups.values()]
             assert shapes[len(groups) :] == [(9, n, 1), (3, n + 1, 1)]
 

@@ -8,7 +8,7 @@ import pytest
 
 from phjb.checks import build_net, perturbed
 from phjb.gauge import eval_upsilon
-from phjb.paths import Path, formula_paths, formula_rows, row_dots, sup_norm, sup_norms
+from phjb.paths import Net, Path, formula_paths, formula_rows, row_dots, sup_norm, sup_norms
 from phjb.scenarios import (
     _norms,
     SCENARIOS,
@@ -256,7 +256,7 @@ def test_linear_endpoint_derivatives_validate():
     phi = TestFunctionPhi.linear_endpoint(np.array([2.0, -1.0]), c=0.3)
     g = Path(space, 0.25, np.array([[0.1, 0.2], [0.4, -0.3]]))
     assert row_value(phi.rows, g) == pytest.approx(0.3 + 2.0 * 0.4 - 1.0 * (-0.3))
-    phi.validate_on([g], t_final=1.0)
+    phi.validate_on(Net(g), t_final=1.0)
 
 
 def test_validate_on_catches_wrong_gradient():
@@ -269,7 +269,7 @@ def test_validate_on_catches_wrong_gradient():
     )
     g = Path.constant(space, 0.25, np.array([0.7]), horizon=0.25)
     with pytest.raises(ValueError):
-        phi.validate_on([g], t_final=1.0)
+        phi.validate_on(Net(g), t_final=1.0)
 
 
 @pytest.mark.parametrize("dt, dx", [(0.0, [math.nan]), (math.nan, [1.0])], ids=["nan-dx", "nan-dt"])
@@ -285,22 +285,24 @@ def test_validate_on_refuses_a_nan_derivative(dt, dx):
             dx=lambda proto, S: np.tile(dx, (len(S), 1)),
         )
 
-    endpoint(0.0, [1.0]).validate_on([g], t_final=1.0)  # the true derivatives
+    endpoint(0.0, [1.0]).validate_on(Net(g), t_final=1.0)  # the true derivatives
     with pytest.raises(ValueError, match="derivative off by nan"):
-        endpoint(dt, dx).validate_on([g], t_final=1.0)
+        endpoint(dt, dx).validate_on(Net(g), t_final=1.0)
 
 
 def test_validation_and_the_probe_refuse_paths_on_two_steps():
     """The finite differences of paths on one node count are one block, so
-    the paths must share one step; the extension step is read off them."""
+    the paths must share one step; the extension step is read off them.
+    Validation and the probe take a net, and paths on two steps make none
+    (`Net.of`)."""
     space = make_space([0.0])
     phi = TestFunctionPhi.quadratic_endpoint()
     paths = [Path(space, 0.25, [[0.1], [0.4]]), Path(space, 0.5, [[0.1], [0.4]])]
-    phi.validate_on(paths[:1], t_final=1.0)
+    phi.validate_on(Net.of(paths[:1]), t_final=1.0)
     with pytest.raises(ValueError, match="share one step"):
-        phi.validate_on(paths, t_final=1.0)
+        phi.validate_on(Net.of(paths), t_final=1.0)
     with pytest.raises(ValueError, match="share one step"):
-        differentiability_probe(phi, paths, t_final=1.0)
+        differentiability_probe(phi, Net.of(paths), t_final=1.0)
 
 
 def test_shifted_and_time_ramp():
@@ -317,13 +319,13 @@ def test_probe_passes_smooth_and_flags_cone():
     space = make_space([0.0])
     g = Path.constant(space, 0.25, np.array([0.4]), horizon=0.5)
     smooth = TestFunctionPhi.quadratic_endpoint()
-    assert differentiability_probe(smooth, [g], t_final=1.0)[0] == [True]
+    assert differentiability_probe(smooth, Net(g), t_final=1.0)[0] == [True]
     cone = TestFunctionPhi(
         rows=lambda proto, S: np.abs(S[:, -1, 0] - 0.4),
         dt=lambda proto, S: np.zeros(len(S)),
         dx=lambda proto, S: np.zeros((len(S), 1)),
     )
-    assert differentiability_probe(cone, [g], t_final=1.0)[0] == [False]
+    assert differentiability_probe(cone, Net(g), t_final=1.0)[0] == [False]
 
 
 @pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0], [-1.0, -0.4, -0.05]])
@@ -346,7 +348,7 @@ def test_the_difference_routine_gives_the_one_path_dupire_quotients(eigenvalues)
     reach = [int(g.horizon + g.step <= 1.0 + 1e-12) for g in paths]
     assert 0 < sum(reach) < len(paths)
     phi = TestFunctionPhi(rows=f, dt=lambda proto, S: np.zeros(len(S)), dx=lambda proto, S: 0.0 * S[:, -1])
-    f0, bumped, flat, _, _ = _differences(phi, paths, h[:, None], reach)
+    f0, bumped, flat, _, _ = _differences(phi, Net.of(paths), h[:, None], reach)
     for i, g in enumerate(paths):
         fd = dupire_derivatives(lambda p: row_value(f, p), g, t_final=1.0)
         assert f0[i] == row_value(f, g)
@@ -421,10 +423,10 @@ def test_pack_refuses_non_finite_weights_and_slopes():
             evaluate(g)
 
 
-def _assert_pack_matches_one_path_formula(pack, paths):
-    want = np.array([one_path_pack_value(pack, g) for g in paths])
-    assert formula_paths(pack.rows, paths).tobytes() == want.tobytes()
-    assert [pack.value(g) for g in paths] == want.tolist()
+def _assert_pack_matches_one_path_formula(pack, net):
+    want = np.array([one_path_pack_value(pack, g) for g in net])
+    assert formula_paths(pack.rows, net).tobytes() == want.tobytes()
+    assert [pack.value(g) for g in net] == want.tolist()
 
 
 @pytest.mark.parametrize(
@@ -452,7 +454,7 @@ def test_block_pack_is_bit_exact_against_the_one_path_formula(eigenvalues):
         ),
     ]
     for pack in packs:
-        _assert_pack_matches_one_path_formula(pack, paths)
+        _assert_pack_matches_one_path_formula(pack, Net.of(paths))
 
 
 def test_block_pack_is_bit_exact_on_the_runmax_interior_nets():
@@ -563,14 +565,14 @@ def test_classical_candidate_derivatives_are_their_one_path_forms(build):
     assert seen == {True, False}
 
 
-def _assert_pack_derivatives_match_one_path(pack, paths):
-    want_dt = np.array([one_path_pack_dt(pack, g) for g in paths])
-    want_dx = np.array([one_path_pack_dx(pack, g) for g in paths])
-    assert formula_paths(pack.dt, paths).tobytes() == want_dt.tobytes()
-    assert formula_paths(pack.dx, paths, vector=True).tobytes() == want_dx.tobytes()
-    for i in range(0, len(paths), 37):  # a single path is the one-row block
-        assert row_value(pack.dt, paths[i]) == want_dt[i]
-        assert row_vector(pack.dx, paths[i]).tobytes() == want_dx[i].tobytes()
+def _assert_pack_derivatives_match_one_path(pack, net):
+    want_dt = np.array([one_path_pack_dt(pack, g) for g in net])
+    want_dx = np.array([one_path_pack_dx(pack, g) for g in net])
+    assert formula_paths(pack.dt, net).tobytes() == want_dt.tobytes()
+    assert formula_paths(pack.dx, net, vector=True).tobytes() == want_dx.tobytes()
+    for i in range(0, len(net), 37):  # a single path is the one-row block
+        assert row_value(pack.dt, net[i]) == want_dt[i]
+        assert row_vector(pack.dx, net[i]).tobytes() == want_dx[i].tobytes()
 
 
 @pytest.mark.parametrize("eigenvalues", [[0.0], [0.0, 0.0, 0.0], [-2.0], [-1.0, -0.4, -0.05]])
@@ -597,7 +599,7 @@ def test_pack_derivatives_are_their_one_path_forms(eigenvalues):
         ),
     ]
     for pack in packs:
-        _assert_pack_derivatives_match_one_path(pack, paths)
+        _assert_pack_derivatives_match_one_path(pack, Net.of(paths))
 
 
 def test_certificate_pack_derivatives_are_their_one_path_forms():
@@ -614,7 +616,7 @@ def test_certificate_pack_derivatives_are_their_one_path_forms():
                 rows = [Path(sc.space, sc.grid.step, x) for x in S]
                 net = build_net(sc.coefficients, tp.point, sc.grid, seed=0)
                 for pack in (tp.pack_sub, tp.pack_super):
-                    _assert_pack_derivatives_match_one_path(pack, rows)
+                    _assert_pack_derivatives_match_one_path(pack, Net.of(rows))
                     _assert_pack_derivatives_match_one_path(pack, net)
                 kinds.add(re.match("[a-z]+", tp.label).group())
     assert kinds == {"slope", "endpoint", "interior"}
@@ -650,9 +652,9 @@ def test_block_pack_refuses_as_the_one_path_formula():
     with np.errstate(over="ignore", invalid="ignore"):
         for pack, rows in cases:
             want = _refusal(lambda: [one_path_pack_value(pack, g) for g in rows])
-            assert _refusal(lambda: formula_paths(pack.rows, rows)) == want
+            assert _refusal(lambda: formula_paths(pack.rows, Net.of(rows))) == want
             assert _refusal(lambda: [pack.value(g) for g in rows]) == want
-    assert "h_y=-1.0" in _refusal(lambda: formula_paths(cases[0][0].rows, paths))
+    assert "h_y=-1.0" in _refusal(lambda: formula_paths(cases[0][0].rows, Net.of(paths)))
 
 
 def test_pack_bound_caps_weights_and_anchors():
@@ -683,8 +685,8 @@ def test_touching_library_has_six_points(build):
     for tp in pts:
         assert tp.point.space is sc.space
         assert tp.point.horizon < sc.grid.T
-        tp.phi_sub.validate_on([tp.point], t_final=sc.grid.T)
-        tp.phi_super.validate_on([tp.point], t_final=sc.grid.T)
+        tp.phi_sub.validate_on(Net(tp.point), t_final=sc.grid.T)
+        tp.phi_super.validate_on(Net(tp.point), t_final=sc.grid.T)
 
 
 def test_touching_library_rejects_feedback():

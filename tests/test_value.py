@@ -21,7 +21,7 @@ from phjb.dynamics import (
     mild_solve,
     step_once,
 )
-from phjb.paths import Path, TimeGrid, node_count_groups
+from phjb.paths import Net, Path, TimeGrid
 from phjb.scenarios import (
     eikonal,
     eikonal_value,
@@ -339,6 +339,8 @@ def test_budget_guard_also_watches_memo_growth():
 
 
 def test_a_root_on_another_step_is_refused():
+    """A net on another step than the table's is refused before anything is
+    valued, and paths on two steps never make one net (`Net.of`)."""
     sc = eikonal()  # grid step 0.25
     table = ValueTable(sc.coefficients, sc.grid)
     coarse = Path(sc.space, 0.5, [[1.6]])  # valued 0.1, and run to horizon 2.0, if let in
@@ -346,12 +348,15 @@ def test_a_root_on_another_step_is_refused():
     calls = [
         lambda: table.value(coarse),
         lambda: table.policy(coarse),
-        # the path is not the first of its node-count run
-        lambda: table.values([sc.initial, fine, Path(sc.space, 0.5, [[1.6], [1.6]])]),
+        lambda: table.values(Net.of([coarse, Path(sc.space, 0.5, [[1.6], [1.6]])])),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="step 0.5 is not the grid step 0.25"):
             call()
+    assert not table.memo
+    # the path is not the first of its node-count run
+    with pytest.raises(ValueError, match="share one step"):
+        Net.of([sc.initial, fine, Path(sc.space, 0.5, [[1.6], [1.6]])])
 
 
 # memo keys ---------------------------------------------------------------
@@ -378,7 +383,7 @@ def test_roots_are_keyed_before_the_children_of_their_level():
     sc = eikonal()
     r = Path(sc.space, sc.grid.step, [[1.5], [1.5]])
     table = ValueTable(sc.coefficients, sc.grid)
-    table.values([sc.initial, r])
+    table.values(Net.of([sc.initial, r]))
     first = ValueTable(sc.coefficients, sc.grid)
     first.value(r)
     first.value(sc.initial)
@@ -593,7 +598,7 @@ def test_each_level_of_a_run_is_stepped_once_per_row_cap_chunk(cap, stepped, mon
     roots = _roots(sc)
     runs = itertools.groupby(g.n_nodes for g in roots)
     assert len(list(runs)) > len({g.n_nodes for g in roots})  # node counts recur
-    ValueTable(sc.coefficients, sc.grid).values(roots)
+    ValueTable(sc.coefficients, sc.grid).values(Net.of(roots))
     levels = [n for n, _, _ in stepped]
     assert levels == sorted(levels)
     rows = Counter()
@@ -627,7 +632,7 @@ def test_memo_refusal_steps_no_level_past_the_overflow(stepped):
 def test_the_sweep_steps_each_level_as_a_block_of_states(build, m, stepped):
     sc = build(step=0.2)
     roots = _roots(sc)
-    ValueTable(sc.coefficients, sc.grid).values(roots)
+    ValueTable(sc.coefficients, sc.grid).values(Net.of(roots))
     assert {n for n, _, _ in stepped} == set(range(1, sc.grid.n_steps + 1))
     assert {nodes for _, _, nodes in stepped} == {m}
 
@@ -742,15 +747,15 @@ def test_values_of_a_net_match_value_path_by_path(build, step, monkeypatch):
             table = ValueTable(sc.coefficients, sc.grid)
             got = []
             for paths in calls:
-                got.append((table.values(paths).tobytes(), dict(table.memo), table.hits))
+                got.append((table.values(Net.of(paths)).tobytes(), dict(table.memo), table.hits))
             assert got == want
             monkeypatch.undo()
 
 
 def test_valuing_one_grouping_twice_leaves_it_as_it_was():
     sc = runmax()
-    paths = list(_nets(sc)[0])
-    groups = node_count_groups(paths)
+    paths = Net.of(list(_nets(sc)[0]))
+    groups = paths.groups
     kept = {n: (rows.copy(), S.copy()) for n, (rows, S) in groups.items()}
     ref = ValueTable(sc.coefficients, sc.grid)
     want = [(ref.values(paths).tobytes(), dict(ref.memo), ref.hits) for _ in range(2)]
@@ -775,7 +780,7 @@ def _refusal(fn):
 def test_values_refuse_where_value_refuses_path_by_path():
     sc = eikonal()
     grid = sc.grid
-    net = list(_nets(sc)[0])  # spliced below, as a plain list
+    net = list(_nets(sc)[0])  # spliced below, then made a net again
     beyond = Path(sc.space, grid.step, np.zeros((grid.n_steps + 2, 1)))
     stripped = replace(sc.coefficients, state=None)
     i = next(i for i in range(1, len(net)) if net[i - 1].n_nodes == net[i].n_nodes > 1)
@@ -786,20 +791,22 @@ def test_values_refuse_where_value_refuses_path_by_path():
         # a root whose control tree is over budget, 3^4 sequences against 27,
         # after paths whose trees fit (and whose memo stays below 27)
         (stripped, 27, net[:6] + [sc.initial]),
-        # a root on another step between two paths of its node count
-        (sc.coefficients, 10**6, net[:i] + [halved] + net[i:]),
-        # the step is gated in one pass and T once per node count, so the
-        # first refused path wins whichever gate refuses it
-        (sc.coefficients, 10**6, net[:i] + [halved] + net[i:40] + [beyond]),
-        (sc.coefficients, 10**6, net[:5] + [beyond] + net[5:i] + [halved]),
     ]
     for c, budget, paths in cases:
         ref = ValueTable(c, grid, budget=budget)
         table = ValueTable(c, grid, budget=budget)
         want = _refusal(lambda: [ref.value(g) for g in paths])
-        assert _refusal(lambda: table.values(paths)) == want
+        assert _refusal(lambda: table.values(Net.of(paths))) == want
         assert table.memo == ref.memo and len(ref.memo) > 0
         assert table.hits == ref.hits
+    # a root on another step, wherever it stands, makes no net, so no path is valued
+    for paths in (
+        net[:i] + [halved] + net[i:],
+        net[:i] + [halved] + net[i:40] + [beyond],
+        net[:5] + [beyond] + net[5:i] + [halved],
+    ):
+        with pytest.raises(ValueError, match="share one step"):
+            Net.of(paths)
     # a memo that outgrows its budget is refused with the same error
     fine = eikonal(step=1.0 / 16)
     net = build_net(fine.coefficients, fine.initial, fine.grid, seed=3)
@@ -1072,11 +1079,11 @@ def test_entries_written_on_read_match_the_eager_memo(drained):
     sc = runmax()
     nets = [list(net) for net in _nets(sc)]
     g = sc.initial
-    calls = [lambda t: t.values([g] + nets[0]), lambda t: t.values(nets[1])]
+    calls = [lambda t: t.values(Net.of([g] + nets[0])), lambda t: t.values(Net.of(nets[1]))]
     if drained:  # policy and the DPP enumeration read the memo before the third call
         calls += [lambda t: t.policy(g)[0].values, lambda t: verify_dpp_consistency(t, g)]
     # the third call's first block, the 3-node roots of nets[1], hits the second's keys
-    calls.append(lambda t: t.values(nets[2] + nets[1]))
+    calls.append(lambda t: t.values(Net.of(nets[2] + nets[1])))
     full, sizes = ValueTable(sc.coefficients, sc.grid), []
     for call in calls:
         call(full)

@@ -8,16 +8,15 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from phjb import checks, cli, value, variational
-from phjb import paths as paths_mod
+from phjb import checks, cli, variational
 from phjb.checks import build_net
 from phjb.config import load_config
 from phjb.gauge import pair_gauge_rows
-from phjb.paths import GRID_TOL, Net, Path, node_count_groups
+from phjb.paths import GRID_TOL, Net, Path
 from phjb.scenarios import eikonal
 from phjb.variational import BPResult, NotEpsMaximal, bp_search, pair_gauge, pair_gauges
 
-from conftest import make_space, net_of, scalar_pair_gauge
+from conftest import make_space, scalar_pair_gauge
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
 
@@ -101,7 +100,7 @@ def test_rho_terms_are_those_of_the_gauge_searched_with(setting):
     res = bp_search(list(map(f, net)), net, eps=0.3 * sc.grid.T + 0.1, rho=rho)
     assert len(res.anchors) > 1
     assert res.rho_terms == tuple(
-        d * rho(a, [res.maximizer])[0] for a, d in zip(res.anchors, res.deltas)
+        d * rho(a, Net(res.maximizer))[0] for a, d in zip(res.anchors, res.deltas)
     )
     assert res.sum_rho == sum(res.rho_terms)
     assert res.rho_terms != tuple(
@@ -135,7 +134,7 @@ def test_anchor_cap_reports_progress_not_a_crash():
     ]
     start = paths[0]
     f = lambda g: float(g.endpoint[0])
-    res = bp_search(list(map(f, paths)), net_of(paths), eps=1.0, max_anchors=2)
+    res = bp_search(list(map(f, paths)), Net.of(paths), eps=1.0, max_anchors=2)
     assert res.iterations == 2
     assert _key(res.maximizer) != _key(start)
     # everything stays at horizon zero, which the result must disclose
@@ -268,7 +267,7 @@ def test_anchor_cap_matches_the_reference():
     ]
     f = lambda g: float(g.endpoint[0])
     for cap in (1, 2, 5, 64):
-        res = bp_search(list(map(f, paths)), net_of(paths), eps=1.0, max_anchors=cap)
+        res = bp_search(list(map(f, paths)), Net.of(paths), eps=1.0, max_anchors=cap)
         assert_same_result(
             res, reference_bp_search(f, paths, paths[0], eps=1.0, max_anchors=cap)
         )
@@ -331,7 +330,7 @@ def test_every_anchor_gauges_the_net_itself_a_node_count_group_at_a_time(monkeyp
     assert_same_result(res, reference_bp_search(f, net, start, eps))
     assert any(a.horizon > start.horizon + GRID_TOL for a in res.anchors)
     assert all(p is net for p in pools)
-    horizons = [net[rows[0]].horizon for rows, _ in node_count_groups(net).values()]
+    horizons = [net[rows[0]].horizon for rows, _ in net.groups.values()]
     assert per_anchor == [
         sum(h >= a.horizon - GRID_TOL for h in horizons) for a in res.anchors
     ]
@@ -339,19 +338,16 @@ def test_every_anchor_gauges_the_net_itself_a_node_count_group_at_a_time(monkeyp
 
 @pytest.mark.parametrize("config", ["eikonal", "runmax", "feedback"])
 def test_a_bp_cell_groups_no_list_of_paths(monkeypatch, config):
-    """Every reader in a bp cell reads the grouping the net was built with."""
-    grouped = []
-
-    def groups(paths):
-        grouped.append(type(paths))
-        return node_count_groups(paths)
-
-    for mod in (paths_mod, variational, checks, value):
-        if hasattr(mod, "node_count_groups"):  # the scan reads `Net.groups` itself
-            monkeypatch.setattr(mod, "node_count_groups", groups)
+    """Every gauge row in a bp cell is read off the grouping the net was
+    built with. That no reader can group a list of paths at all is
+    tests/test_package.py::test_no_reader_branches_on_a_net."""
+    nets, read = [], []
+    real_build, real_rows = checks.build_net, variational.group_rows
+    monkeypatch.setattr(checks, "build_net", lambda *a, **kw: nets.append(real_build(*a, **kw)) or nets[-1])
+    monkeypatch.setattr(variational, "group_rows", lambda fn, net, groups=None: read.append(net) or real_rows(fn, net, groups))
     with contextlib.redirect_stdout(io.StringIO()):
         cli.execute(str(CONFIGS / f"{config}.json"), checks=("bp",), grid=16, seed=0)
-    assert grouped and all(t is Net for t in grouped), grouped
+    assert len(nets) == 1 and read and all(net is nets[0] for net in read)
 
 
 # the contract of the array form, against the reference -------------------
@@ -422,7 +418,7 @@ def test_a_net_that_lists_one_path_twice(setting):
             [paths[0], plain.maximizer, *paths[1:]],
             [*paths, start._head(start.n_nodes)],
         ):
-            res = bp_search(list(map(f, twice)), net_of(twice), eps)
+            res = bp_search(list(map(f, twice)), Net.of(twice), eps)
             assert_same_result(res, reference_bp_search(f, twice, start, eps))
 
 
@@ -438,7 +434,7 @@ def test_a_tie_of_zero_gaps_keeps_the_zero_that_min_keeps(zero):
     rho = lambda a, net: [scalar(a, g) for g in net]
     values = [zero, 1.0, 1.0, 1.0]
     by_path = dict(zip(map(id, paths), values))
-    res = bp_search(values, net_of(paths), eps=1.0, rho=rho)
+    res = bp_search(values, Net.of(paths), eps=1.0, rho=rho)
     ref = reference_bp_search(lambda g: by_path[id(g)], paths, paths[0], eps=1.0, rho=scalar)
     assert_same_result(res, ref)
     assert res.maximizer is paths[0]

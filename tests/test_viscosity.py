@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phjb.checks import ViscosityResult, build_net, viscosity_check
-from phjb.paths import vertical_bump
+from phjb.paths import Net, vertical_bump
 from phjb.testfn import GaugePack, TestFunctionPhi
 from phjb.scenarios import eikonal, runmax, touching_points
 from phjb.value import ValueTable, hamiltonian
@@ -211,7 +211,7 @@ def _path_by_path_check(w, coeffs, point, phi, pack, side, *, net, tol=1e-3, lab
         e[k] = 0.05
         probes.append(vertical_bump(point, e))
         probes.append(vertical_bump(point, -e))
-    phi.validate_on(probes, t_final=max(p.horizon for p in net))
+    phi.validate_on(Net.of(probes), t_final=max(p.horizon for p in net))
 
     def f(g):
         return float(w(g)) - sgn * (row_value(phi.rows, g) + pack.value(g))
