@@ -76,6 +76,7 @@ __all__ = [
     "stability_experiment",
     "stability_record",
     "perturbed",
+    "PERTURBATIONS",
     "bp_record",
     "CHECKS",
 ]
@@ -569,35 +570,28 @@ def classical_check(
 # stability under coefficient perturbation ------------------------------
 
 
+# kind -> (the coefficient it shifts, the tag of the family's name, the
+# direction of the shift on a block S, the exact gap at (eps, T - t) or None
+# where only the e^{LT} eps bound and the monotone statistic apply)
+PERTURBATIONS = {
+    "phi_shift": ("terminal_cost", "phi", lambda S: 1.0, lambda eps, left: eps),
+    "q_shift": ("running_cost", "q", lambda S: 1.0, lambda eps, left: eps * left),
+    "drift_shift": ("drift", "F", lambda S: np.eye(S.shape[2])[0], None),
+}
+
+
 def perturbed(coeffs: Coefficients, kind: str, eps: float) -> Coefficients:
     """Shifted coefficient family; declares the enlarged constant L+eps."""
-    L = coeffs.lipschitz_L + eps
-    if kind == "phi_shift":
-        base = coeffs.terminal_cost
-        return replace(
-            coeffs,
-            name=f"{coeffs.name}+phi{eps}",
-            terminal_cost=lambda S: np.asarray(base(S), dtype=float) + eps,
-            lipschitz_L=L,
-        )
-    if kind == "q_shift":
-        base_q = coeffs.running_cost
-        return replace(
-            coeffs,
-            name=f"{coeffs.name}+q{eps}",
-            running_cost=lambda S, U: np.asarray(base_q(S, U), dtype=float) + eps,
-            lipschitz_L=L,
-        )
-    if kind == "drift_shift":
-        base_f = coeffs.drift
-        return replace(
-            coeffs,
-            name=f"{coeffs.name}+F{eps}",
-            drift=lambda S, U: np.asarray(base_f(S, U), dtype=float)
-            + eps * np.eye(S.shape[2])[0],
-            lipschitz_L=L,
-        )
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+    if kind not in PERTURBATIONS:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    field, tag, unit, _ = PERTURBATIONS[kind]
+    base = getattr(coeffs, field)
+    return replace(
+        coeffs,
+        name=f"{coeffs.name}+{tag}{eps}",
+        lipschitz_L=coeffs.lipschitz_L + eps,
+        **{field: lambda S, *U: np.asarray(base(S, *U), dtype=float) + eps * unit(S)},
+    )
 
 
 def stability_experiment(
@@ -612,43 +606,35 @@ def stability_experiment(
 
     phi_shift: gap is eps exactly. q_shift: gap is eps * (T - t) exactly.
     drift_shift: |gap| <= e^{LT} eps with L of the base family, and gaps
-    shrink with eps at every point. Each perturbed family gets a table on
-    the grid and budget of `base_table`, which holds the unperturbed values.
+    shrink with eps at every point (`PERTURBATIONS`). Each perturbed family
+    gets a table on the grid and budget of `base_table`, which holds the
+    unperturbed values; the gaps are one (eps, point) array.
     """
     coeffs, grid = base_table.c, base_table.grid
     epsilons = tuple(float(e) for e in epsilons)
-    rows = []
-    ok = True
-    gaps = {}  # (point index, eps) -> gap
     net = Net.of(points)  # one grouping for every table
-    base = base_table.values(net).tolist()
-    for eps in epsilons:
-        table = ValueTable(perturbed(coeffs, kind, eps), grid, budget=base_table.budget)
-        for i, (g, v0, v1) in enumerate(zip(points, base, table.values(net).tolist())):
-            gap = v1 - v0
-            gaps[(i, eps)] = gap
-            row = {"eps": eps, "point": i, "gap": gap, "horizon": g.horizon}
-            if kind == "phi_shift":
-                row["oracle"] = eps
-                row["ok"] = abs(gap - eps) <= tol
-            elif kind == "q_shift":
-                row["oracle"] = eps * (grid.T - g.horizon)
-                row["ok"] = abs(gap - row["oracle"]) <= tol
-            else:
-                row["bound"] = float(np.exp(coeffs.lipschitz_L * grid.T)) * eps
-                row["ok"] = abs(gap) <= row["bound"] + tol
-            ok = ok and row["ok"]
-            rows.append(row)
-    monotone_ok = True
-    if kind == "drift_shift":
-        order = sorted(epsilons, reverse=True)
-        for i in range(len(points)):
-            for big, small in zip(order, order[1:]):
-                if abs(gaps[(i, small)]) > abs(gaps[(i, big)]) + tol:
-                    monotone_ok = False
+    base = base_table.values(net)
+    gaps = np.empty((len(epsilons), len(net)))
+    for k, e in enumerate(epsilons):
+        gaps[k] = ValueTable(perturbed(coeffs, kind, e), grid, budget=base_table.budget).values(net) - base
+    exact, eps = PERTURBATIONS[kind][3], np.array(epsilons)[:, None]
+    if exact is None:
+        name, bound = "bound", np.broadcast_to(np.exp(coeffs.lipschitz_L * grid.T) * eps, gaps.shape)
+        ok = np.abs(gaps) <= bound + tol
+        ordered = np.abs(gaps[np.argsort(-eps[:, 0], kind="stable")])  # by eps, largest first
+        monotone_ok = not (ordered[1:] > ordered[:-1] + tol).any()
+    else:
+        name, bound = "oracle", np.broadcast_to(exact(eps, grid.T - net.horizons), gaps.shape)
+        ok, monotone_ok = np.abs(gaps - bound) <= tol, True
+    G, B, OK = gaps.tolist(), bound.tolist(), ok.tolist()
+    rows = [
+        {"eps": e, "point": i, "gap": G[k][i], "horizon": t, name: B[k][i], "ok": OK[k][i]}
+        for k, e in enumerate(epsilons)
+        for i, t in enumerate(net.horizons.tolist())
+    ]
     return CheckRecord(
         name="stability",
-        passed=ok and monotone_ok,
+        passed=bool(ok.all()) and monotone_ok,
         summary={"kind": kind, "monotone_ok": monotone_ok},
         rows=rows,
     )

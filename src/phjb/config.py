@@ -15,13 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import CHECKS
+from .checks import CHECKS, PERTURBATIONS
 from .paths import GRID_TOL, Path, TimeGrid
 from .scenarios import SCENARIOS, Scenario, has_certificates
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
-
-_PERTURBATIONS = ("phi_shift", "q_shift", "drift_shift")
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-9,
@@ -196,10 +194,8 @@ def parse_config(
         raise ConfigError("epsilons", "must be positive")
 
     pert = doc.get("perturbation", "drift_shift")
-    if pert not in _PERTURBATIONS:
-        raise ConfigError(
-            "perturbation", f"expected one of {_PERTURBATIONS}, got {pert!r}"
-        )
+    if pert not in PERTURBATIONS:
+        raise ConfigError("perturbation", f"expected one of {tuple(PERTURBATIONS)}, got {pert!r}")
 
     budget = _int(doc.get("budget", 10**6), "budget")
     if budget < 1:

@@ -27,7 +27,6 @@ from .paths import (
     Net,
     Path,
     Refused,
-    _grouped,
     extend_flat,
     formula_paths,
     formula_rows,
@@ -133,7 +132,8 @@ def _fits(net: Net, r: int, t_final: Optional[float]) -> np.ndarray:
 
 def _differences(phi: TestFunctionPhi, probes: Net, steps: np.ndarray, reach: list) -> tuple:
     """phi at each path of probes, a net, at its vertical bumps and flat
-    extensions, priced as one block per node count (`group_rows`), and
+    extensions, priced a block at a time (`group_rows`): the probes of a
+    node count with their bumps, then each of their flat extensions; and
     phi's derivatives at each probe.
 
     steps is an (N, J) array, J vertical steps per probe, and reach[i] is
@@ -147,28 +147,24 @@ def _differences(phi: TestFunctionPhi, probes: Net, steps: np.ndarray, reach: li
     """
     (N, J), dim = steps.shape, probes.point.space.dim
     width = 1 + 2 * J * dim  # the rows of a probe: itself, then its bumps
-    groups, protos = probes.groups.values(), probes.protos
-    blocks, owners = [], []  # the blocks, and a path with the node count of each of their rows
+    f0, bumped, flat = np.empty(N), np.empty((N, J, dim, 2)), np.full((N, 2), np.nan)
+
+    def priced(g, B):  # phi at each row of B, one block with g's node count
+        return group_rows(lambda rows, S: formula_rows(phi.rows, g, S), B, [(np.arange(len(B)), B)])
+
+    groups = probes.groups.values()
     for rows, S in groups:  # a block of the probes and their bumps, then one per extension
-        (m, n), g = S.shape[:2], protos[S.shape[1]]
+        (m, n), g = S.shape[:2], probes.protos[S.shape[1]]
         B = np.repeat(S, width, axis=0)
         moved = B.reshape(m, width, n, dim)[:, 1:].reshape(m, J, dim, 2, n, dim)
         for k in range(dim):
             moved[:, :, k, 0, -1, k] += steps[rows]
             moved[:, :, k, 1, -1, k] -= steps[rows]
-        blocks.append(B)
-        owners += [g] * len(B)
-        for r in range(1, reach[rows[0]] + 1):
-            blocks.append(S[:, np.minimum(np.arange(n + r), n - 1)])
-            owners += [extend_flat(g, g.horizon + r * g.step)] * m
-    v = group_rows(lambda rows, S: formula_rows(phi.rows, owners[rows[0]], S), owners, _grouped(blocks)[0].values())
-    f0, bumped, flat, at = np.empty(N), np.empty((N, J, dim, 2)), np.full((N, 2), np.nan), 0
-    for rows, _ in groups:  # v read back in the order of the blocks
-        m, R = len(rows), int(reach[rows[0]])
-        V = v[at : at + m * width].reshape(m, width)
+        V = priced(g, B).reshape(m, width)
         f0[rows], bumped[rows] = V[:, 0], V[:, 1:].reshape(m, J, dim, 2)
-        flat[rows, :R] = v[at + m * width : at + m * (width + R)].reshape(R, m).T
-        at += m * (width + R)
+        for r in range(1, reach[rows[0]] + 1):
+            X = S[:, np.minimum(np.arange(n + r), n - 1)]
+            flat[rows, r - 1] = priced(extend_flat(g, g.horizon + r * g.step), X)
     return f0, bumped, flat, formula_paths(phi.dx, probes, groups, True), formula_paths(phi.dt, probes, groups)
 
 

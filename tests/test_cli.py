@@ -86,6 +86,7 @@ def test_malformed_json_is_a_parse_error(runner, tmp_path):
         {"initial": {"samples": [["0.1"], ["0.2", "0.3"]]}},
         {"initial": {"samples": ["0", "1"]}},
         {"checks": ["value", "value"]},
+        {"perturbation": "noise"},
     ],
 )
 def test_validation_failures_exit_three(runner, tmp_path, overrides):

@@ -69,6 +69,35 @@ def test_no_reader_branches_on_a_net():
     assert not hasattr(paths, "node_count_groups") and not hasattr(paths, "group_protos")
 
 
+def test_only_a_net_groups_blocks_by_node_count():
+    """`paths._grouped` is called once, inside `Net.__init__`: a net groups
+    its blocks when it is made, and every other reader prices its own blocks
+    through `group_rows` as they are."""
+    callers = [
+        (name, fn)
+        for name, fn, node in _nodes_by_function()
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_grouped"
+    ]
+    assert callers == [("phjb.paths", "__init__")]
+    paths = importlib.import_module("phjb.paths")
+    assert "_grouped(" in inspect.getsource(paths.Net.__init__)
+
+
+def test_the_config_names_no_perturbation_kind():
+    """The perturbation kinds are stated once, in `checks.PERTURBATIONS`,
+    which `phjb.config` validates against: no tuple, list, set or dict
+    literal there names a kind."""
+    kinds = set(importlib.import_module("phjb.checks").PERTURBATIONS)
+    tree = ast.parse(inspect.getsource(importlib.import_module("phjb.config")))
+    named = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict))
+        and any(isinstance(c, ast.Constant) and c.value in kinds for c in ast.walk(node))
+    ]
+    assert not named
+
+
 def test_the_command_line_holds_no_check_logic():
     """`phjb.cli` defines only `execute` and the click plumbing, imports no
     numpy, and builds a `CheckRecord` only for a check that ran out of
